@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 input format error, 3 resource cap
-exceeded.  All outputs are byte-identical across runs for identical inputs:
-wall-clock timings are deliberately left out of the serialized reports.
+exceeded.  Exit 3 also covers inputs nested deeper than the interpreter's
+recursion limit (a plan of about a thousand nested operators): the
+recursive traversals stop with a one-line ``spjopt: resource cap: ...``
+message instead of a traceback.  All outputs are byte-identical across runs
+for identical inputs: wall-clock timings are deliberately left out of the
+serialized reports.
 """
 
 from __future__ import annotations
@@ -36,10 +40,10 @@ from .plans import (
     print_plan,
 )
 from .represent import build_representation
-from .structures import OpenStructure, Signature, Structure, compute_core, find_homomorphism
+from .structures import OpenStructure, Signature, Structure, compute_core
 from .synthesis import (
     Caps,
-    check_equivalence,
+    equivalence_witness,
     intermediate_degree_bound,
     optimize_full,
     output_degree,
@@ -339,21 +343,16 @@ def _cmd_equiv(cfg: JobConfig) -> None:
     plan2 = parse_plan(bodies[1], sig)
     keys.validate_for(sig)
     try:
-        equivalent = check_equivalence(plan1, plan2, keys, sig)
+        witness = equivalence_witness(plan1, plan2, keys, sig)
     except ArityError:
         _emit(cfg, serialize.dumps({"equivalent": False, "reason": "different arities"}))
         return
-    doc = {"equivalent": equivalent}
-    if equivalent:
-        rep1, _ = build_representation(plan1, sig)
-        rep2, _ = build_representation(plan2, sig)
-        c1 = chase(rep1.open, keys).result
-        c2 = chase(rep2.open, keys).result
-        fwd = find_homomorphism(c1, c2)
-        bwd = find_homomorphism(c2, c1)
+    doc = {"equivalent": witness is not None}
+    if witness is not None:
+        left, right = witness.left.structure.names, witness.right.structure.names
         doc["witnesses"] = {
-            "forward": {c1.structure.names[a]: c2.structure.names[b] for a, b in sorted(fwd.items())},
-            "backward": {c2.structure.names[a]: c1.structure.names[b] for a, b in sorted(bwd.items())},
+            "forward": {left[a]: right[b] for a, b in sorted(witness.forward.items())},
+            "backward": {right[a]: left[b] for a, b in sorted(witness.backward.items())},
         }
     _emit(cfg, serialize.dumps(doc))
 
@@ -440,6 +439,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         _COMMANDS[cfg.command](cfg)
     except ResourceCapError as exc:
         print(f"spjopt: resource cap: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print("spjopt: resource cap: input nested too deeply (recursion limit reached)", file=sys.stderr)
         return 3
     except (
         FormatError,

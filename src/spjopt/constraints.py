@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import KeyConstraintError
-from .structures import OpenStructure, Signature, Structure
+from .structures import OpenStructure, Signature, Structure, UnionFind
 
 
 class KeySet:
@@ -119,51 +119,51 @@ class ChaseResult:
         return any(k != v for k, v in self.merge_map.items())
 
 
-def _find_violation(struct: Structure, keys: KeySet) -> Optional[tuple[int, int]]:
-    """First chase step (x -> smaller representative) in deterministic order:
-    relations by name, tuples sorted, positions left to right."""
+def _key_closure(struct: Structure, keys: KeySet) -> dict[int, int]:
+    """The least key-closed equivalence on ``struct.universe``, as a map from
+    each element to the smallest element of its class.
+
+    Each pass scans every keyed relation with its rows grouped by the
+    union-find roots of their key values, and unites the dependent
+    positions of rows in one group; passes repeat until one merges nothing.
+    A pass without merges sees fixed roots throughout, so at that point
+    every key holds on the quotient.
+    """
+    keyed = []
     for name in struct.signature.symbols():
-        positions = keys.for_relation(name)
-        if not positions:
-            continue
-        rows = sorted(struct.relations[name])
-        for pos in positions:
+        for pos in keys.for_relation(name):
             idx = sorted(p - 1 for p in pos)
+            rest = [i for i in range(struct.signature.arity(name)) if i + 1 not in pos]
+            keyed.append((sorted(struct.relations[name]), idx, rest))
+    uf = UnionFind(struct.universe)
+    find = uf.find
+    merged = bool(keyed)
+    while merged:
+        merged = False
+        for rows, idx, rest in keyed:
             groups: dict[tuple, tuple] = {}
             for row in rows:
-                k = tuple(row[i] for i in idx)
-                other = groups.get(k)
-                if other is not None and other != row:
-                    for i in range(len(row)):
-                        if i not in idx and other[i] != row[i]:
-                            a, b = other[i], row[i]
-                            return (max(a, b), min(a, b))
-                else:
-                    groups[k] = row
-    return None
+                first = groups.setdefault(tuple(find(row[i]) for i in idx), row)
+                if first is not row:
+                    for i in rest:
+                        merged |= uf.union(first[i], row[i])
+    return {e: find(e) for e in struct.universe}
 
 
 def chase(value: Union[OpenStructure, Structure], keys: KeySet) -> ChaseResult:
-    """Repeated chase steps until fixpoint.
+    """The chase fixpoint, computed as one quotient by the least key-closed
+    equivalence.
 
-    Merge representatives are the smaller element ids; the scan restarts
-    after every merge, so the procedure is deterministic.  The fixpoint is
-    unique up to isomorphism regardless of step order.
+    Every class is represented by its smallest element id, which keeps its
+    display name.  The fixpoint is unique up to isomorphism regardless of
+    step order, and with this choice of representatives it is unique.
     """
     is_open = isinstance(value, OpenStructure)
     struct = value.structure if is_open else value
     keys.validate_for(struct.signature)
-    merge = {e: e for e in struct.universe}
-    current = struct
-    while True:
-        step = _find_violation(current, keys)
-        if step is None:
-            break
-        src, dst = step
-        current = current.apply_map({src: dst})
-        for e, rep in merge.items():
-            if rep == src:
-                merge[e] = dst
+    merge = _key_closure(struct, keys)
+    changed = any(k != v for k, v in merge.items())
+    current = struct.apply_map(merge) if changed else struct
     if is_open:
         out_tuple = tuple(merge[e] for e in value.tuple)
         return ChaseResult(OpenStructure(current, out_tuple), merge)

@@ -10,6 +10,7 @@ set.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -20,6 +21,7 @@ from .structures import (
     OpenStructure,
     Signature,
     Structure,
+    UnionFind,
     homs_relation,
 )
 
@@ -97,33 +99,19 @@ class PDecomposition(TreeDecomposition):
 
     ``alpha`` maps occurrence paths to node ids bijectively (the root node is
     the whole plan); ``beta`` lists each occurrence's output elements, and
-    chi(alpha(q)) = set(beta(q)).
+    chi(alpha(q)) = set(beta(q)); ``subplan`` maps each node to its
+    occurrence's plan.
     """
 
     alpha: dict[tuple[int, ...], int] = field(default_factory=dict)
     beta: dict[tuple[int, ...], tuple[int, ...]] = field(default_factory=dict)
-    node_text: dict[int, str] = field(default_factory=dict)
+    subplan: dict[int, Plan] = field(default_factory=dict)
 
-
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-
-    def add(self, x: int):
-        self.parent.setdefault(x, x)
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    @functools.cached_property
+    def node_text(self) -> dict[int, str]:
+        """Each node's subplan, printed; computed on first access, since
+        printing every occurrence is quadratic in the plan size."""
+        return {node: print_plan(q) for node, q in self.subplan.items()}
 
 
 def build_representation(
@@ -141,7 +129,7 @@ def build_representation(
     occurrences = subplans(plan)
     node_of_path = {path: i for i, (path, _) in enumerate(occurrences)}
 
-    uf = _UnionFind()
+    uf = UnionFind()
     atoms: dict[str, list[tuple[int, ...]]] = {n: [] for n in signature.symbols()}
     raw_beta: dict[tuple[int, ...], tuple[int, ...]] = {}
     parent: dict[int, Optional[int]] = {}
@@ -200,10 +188,10 @@ def build_representation(
     beta = {path: tuple(rep_of[e] for e in raw) for path, raw in raw_beta.items()}
     chi = {node_of_path[path]: frozenset(t) for path, t in beta.items()}
     alpha = dict(node_of_path)
-    node_text = {node_of_path[path]: print_plan(node) for path, node in occurrences}
+    subplan = {node_of_path[path]: node for path, node in occurrences}
 
     rep = PRepresentation(open_structure, beta)
-    dec = PDecomposition(parent, root_node, chi, alpha, beta, node_text)
+    dec = PDecomposition(parent, root_node, chi, alpha, beta, subplan)
     return rep, dec
 
 

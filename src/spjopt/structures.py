@@ -7,10 +7,12 @@ in sorted-id order so that every operation is deterministic.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import ArityError, ResourceCapError, SignatureError
 
@@ -150,13 +152,16 @@ class Structure:
         return tuple(e for e in self.universe if e not in used)
 
     def tuples_with(self, name: str, position: int, value: int) -> tuple[tuple[int, ...], ...]:
-        """Tuples of ``name`` whose 0-based ``position`` equals ``value`` (cached)."""
-        key = (name, position, value)
-        hit = self._index.get(key)
-        if hit is None:
-            hit = tuple(t for t in sorted(self.relations[name]) if t[position] == value)
-            self._index[key] = hit
-        return hit
+        """Tuples of ``name`` whose 0-based ``position`` equals ``value``, in
+        sorted order.  The first lookup on a column indexes all its values."""
+        column = self._index.get((name, position))
+        if column is None:
+            groups: dict[int, list[tuple[int, ...]]] = {}
+            for t in sorted(self.relations[name]):
+                groups.setdefault(t[position], []).append(t)
+            column = {v: tuple(rows) for v, rows in groups.items()}
+            self._index[(name, position)] = column
+        return column.get(value, ())
 
     # -- derived structures --------------------------------------------
 
@@ -207,6 +212,36 @@ class Structure:
             f"{n}({','.join(self.names[e] for e in t)})" for n, t in self.atoms()
         )
         return f"Structure[{facts or 'empty'}]"
+
+
+class UnionFind:
+    """Disjoint sets of element ids whose representative is always the
+    smallest member: a union links the larger root under the smaller."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, elements: Iterable[int] = ()):
+        self.parent: dict[int, int] = {e: e for e in elements}
+
+    def add(self, x: int) -> None:
+        self.parent.setdefault(x, x)
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the classes of ``a`` and ``b``; True if they were apart."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        return True
 
 
 class OpenStructure:
@@ -319,8 +354,11 @@ def hypergraph_of(value: Union[Structure, OpenStructure]) -> Hypergraph:
 class _HomSearch:
     """Backtracking homomorphism search with forward checking.
 
-    Variable order is smallest-candidate-set-first; values are tried in
-    sorted order, so results are deterministic.
+    Variable order is smallest-candidate-set-first (ties by id); values are
+    tried in sorted order, so results are deterministic.  The search is
+    iterative over an explicit frame stack: candidate sets are replaced,
+    never mutated, and each replaced set is logged on a trail so that
+    backtracking restores it, whatever the depth.
     """
 
     def __init__(self, src: Structure, dst: Structure, pinned: Mapping[int, int]):
@@ -338,15 +376,24 @@ class _HomSearch:
         for idx, (_, row) in enumerate(self.atoms):
             for v in set(row):
                 self.atoms_of[v].append(idx)
-        domain = list(dst.universe)
-        cand: dict[int, set[int]] = {}
+        # Candidate sets are never mutated, so elements occurring at the
+        # same (relation, position) pairs share one initial set.
+        domain = frozenset(dst.universe)
+        shared: dict[frozenset, frozenset[int]] = {}
+        cand: dict[int, AbstractSet[int]] = {}
         for v in src.universe:
-            allowed = set(domain)
-            for idx in self.atoms_of[v]:
-                name, row = self.atoms[idx]
-                for pos, e in enumerate(row):
-                    if e == v:
-                        allowed &= {t[pos] for t in dst.relations[name]}
+            places = frozenset(
+                (name, pos)
+                for name, row in (self.atoms[idx] for idx in self.atoms_of[v])
+                for pos, e in enumerate(row)
+                if e == v
+            )
+            allowed = shared.get(places)
+            if allowed is None:
+                allowed = domain
+                for name, pos in places:
+                    allowed = allowed & {t[pos] for t in dst.relations[name]}
+                shared[places] = allowed
             cand[v] = allowed
         for v, val in pinned.items():
             if val not in cand.get(v, ()):
@@ -355,8 +402,9 @@ class _HomSearch:
             cand[v] = {val}
         self.initial = cand
 
-    def _propagate(self, cand: dict[int, set[int]], assigned: dict[int, int], var: int):
-        """Forward-check all atoms mentioning ``var``; narrows ``cand`` in place."""
+    def _propagate(self, cand, assigned, var, trail) -> bool:
+        """Forward-check all atoms mentioning ``var``.  Each narrowed set
+        replaces the old one, which is logged on ``trail``."""
         for idx in self.atoms_of[var]:
             name, row = self.atoms[idx]
             rows = None
@@ -370,46 +418,118 @@ class _HomSearch:
                 return False
             for pos, e in enumerate(row):
                 if e not in assigned:
-                    allowed = {t[pos] for t in rows}
-                    cand[e] = cand[e] & allowed
-                    if not cand[e]:
-                        return False
+                    old = cand[e]
+                    narrowed = old & {t[pos] for t in rows}
+                    if len(narrowed) < len(old):
+                        trail.append((e, old))
+                        cand[e] = narrowed
+                        if not narrowed:
+                            return False
         return True
 
-    def _extend(self, cand, assigned, order_pool, injective=False):
-        """Depth-first completion; returns a full assignment or None."""
-        todo = [v for v in order_pool if v not in assigned]
-        if not todo:
-            return dict(assigned)
-        var = min(todo, key=lambda v: (len(cand[v]), v))
-        used = set(assigned.values()) if injective else ()
-        for val in sorted(cand[var]):
-            if injective and val in used:
-                continue
-            new_cand = {v: set(s) for v, s in cand.items()}
-            new_cand[var] = {val}
-            assigned[var] = val
-            if self._propagate(new_cand, assigned, var):
-                res = self._extend(new_cand, assigned, order_pool, injective)
-                if res is not None:
-                    return res
-            del assigned[var]
-        return None
-
-    def first(self, injective: bool = False) -> Optional[dict[int, int]]:
+    def _start(self):
+        """Fresh candidate sets and the assignment of the singleton
+        variables, forward-checked; None if that already fails."""
         if not self.consistent:
             return None
-        cand = {v: set(s) for v, s in self.initial.items()}
-        assigned: dict[int, int] = {}
-        for v, s in self.initial.items():
-            if len(s) == 1:
-                assigned[v] = next(iter(s))
+        cand = dict(self.initial)
+        assigned = {v: next(iter(s)) for v, s in self.initial.items() if len(s) == 1}
+        trail: list = []
         for v in list(assigned):
-            if not self._propagate(cand, assigned, v):
+            if not self._propagate(cand, assigned, v, trail):
                 return None
+        return cand, assigned
+
+    def _solutions(self, cand, assigned, pool, injective=False):
+        """Yield once per extension of ``assigned`` to every element of
+        ``pool``, in search order.
+
+        What is yielded is the live assignment, valid until the generator
+        resumes; copy it to keep it.  ``cand`` and ``assigned`` are back to
+        their entry state when the generator ends or is closed.
+
+        The next variable comes from a heap of (|cand|, id) entries.  Every
+        unassigned pool element has an entry for its current set; entries
+        for assigned elements or replaced sets are dropped when they reach
+        the top, and each set change pushes a fresh entry.
+        """
+        trail: list[tuple[int, AbstractSet[int]]] = []
+        frames: list[tuple[int, Iterator[int], int]] = []
+        used = set(assigned.values()) if injective else set()
+        members = set(pool)
+        heap = [(len(cand[v]), v) for v in members if v not in assigned]
+        heapq.heapify(heap)
+
+        def undo(mark: int) -> None:
+            while len(trail) > mark:
+                v, old = trail.pop()
+                cand[v] = old
+                if v in members and v not in assigned:
+                    heapq.heappush(heap, (len(old), v))
+
+        def push() -> bool:
+            while heap:
+                size, var = heapq.heappop(heap)
+                if var not in assigned and size == len(cand[var]):
+                    frames.append((var, iter(sorted(cand[var])), len(trail)))
+                    return True
+            return False
+
+        try:
+            if not push():
+                yield assigned
+                return
+            while frames:
+                var, values, mark = frames[-1]
+                if var in assigned:
+                    used.discard(assigned.pop(var))
+                    undo(mark)
+                for val in values:
+                    if val in used:
+                        continue
+                    trail.append((var, cand[var]))
+                    cand[var] = {val}
+                    assigned[var] = val
+                    if injective:
+                        used.add(val)
+                    narrowed_from = len(trail)
+                    if self._propagate(cand, assigned, var, trail):
+                        for i in range(narrowed_from, len(trail)):
+                            v = trail[i][0]
+                            if v in members:
+                                heapq.heappush(heap, (len(cand[v]), v))
+                        break
+                    used.discard(assigned.pop(var))
+                    undo(mark)
+                else:
+                    frames.pop()
+                    heapq.heappush(heap, (len(cand[var]), var))
+                    continue
+                if not push():
+                    yield assigned
+        finally:
+            for var, _, _ in frames:
+                assigned.pop(var, None)
+            undo(0)
+
+    def _complete(self, cand, assigned, injective=False) -> Optional[dict[int, int]]:
+        """The first total extension of ``assigned``, or None; leaves
+        ``cand`` and ``assigned`` as they were."""
+        search = self._solutions(cand, assigned, self.src.universe, injective)
+        try:
+            found = next(search, None)
+            return None if found is None else dict(found)
+        finally:
+            search.close()
+
+    def first(self, injective: bool = False) -> Optional[dict[int, int]]:
+        start = self._start()
+        if start is None:
+            return None
+        cand, assigned = start
         if injective and len(set(assigned.values())) != len(assigned):
             return None
-        return self._extend(cand, assigned, self.src.universe, injective)
+        return self._complete(cand, assigned, injective)
 
     def images(self, out_vars: Sequence[int]) -> set[tuple[int, ...]]:
         """Distinct restrictions of homomorphisms to ``out_vars``.
@@ -420,41 +540,13 @@ class _HomSearch:
         homomorphism count.
         """
         result: set[tuple[int, ...]] = set()
-        if not self.consistent:
+        start = self._start()
+        if start is None:
             return result
-        distinct = sorted(set(out_vars))
-        cand = {v: set(s) for v, s in self.initial.items()}
-        assigned: dict[int, int] = {}
-        ok = True
-        for v, s in self.initial.items():
-            if len(s) == 1:
-                assigned[v] = next(iter(s))
-        for v in list(assigned):
-            if not self._propagate(cand, assigned, v):
-                ok = False
-                break
-        if not ok:
-            return result
-
-        def rec(cand, assigned):
-            todo = [v for v in distinct if v not in assigned]
-            if not todo:
-                completion = self._extend(
-                    {v: set(s) for v, s in cand.items()}, dict(assigned), self.src.universe
-                )
-                if completion is not None:
-                    result.add(tuple(assigned[v] for v in out_vars))
-                return
-            var = min(todo, key=lambda v: (len(cand[v]), v))
-            for val in sorted(cand[var]):
-                new_cand = {v: set(s) for v, s in cand.items()}
-                new_cand[var] = {val}
-                assigned[var] = val
-                if self._propagate(new_cand, assigned, var):
-                    rec(new_cand, assigned)
-                del assigned[var]
-
-        rec(cand, assigned)
+        cand, assigned = start
+        for partial in self._solutions(cand, assigned, sorted(set(out_vars))):
+            if self._complete(cand, partial) is not None:
+                result.add(tuple(partial[v] for v in out_vars))
         return result
 
 
@@ -538,12 +630,43 @@ def check_isomorphic(a: OpenStructure, b: OpenStructure) -> bool:
 
 
 def _idempotent_power(h: dict[int, int]) -> dict[int, int]:
-    f = dict(h)
-    for _ in range(10000):
-        if all(f[f[x]] == f[x] for x in f):
-            return f
-        f = {x: h[f[x]] for x in f}
-    raise RuntimeError("endomorphism power did not stabilize")
+    """h^k for the least k >= 1 with h^k idempotent.
+
+    h^k is idempotent exactly when k is at least every tail length of h's
+    functional graph and a multiple of every cycle length, so k is the least
+    multiple of the lcm of the cycle lengths that is at least the longest
+    tail; h^k is then taken by repeated squaring.
+    """
+    depth: dict[int, int] = {}
+    cycle_lcm = 1
+    for x in h:
+        path: list[int] = []
+        index: dict[int, int] = {}
+        y = x
+        while y not in depth and y not in index:
+            index[y] = len(path)
+            path.append(y)
+            y = h[y]
+        if y in index:
+            start = index[y]
+            cycle_lcm = math.lcm(cycle_lcm, len(path) - start)
+            for z in path[start:]:
+                depth[z] = 0
+            del path[start:]
+        d = depth[y]
+        for z in reversed(path):
+            d += 1
+            depth[z] = d
+    tail = max(depth.values(), default=0)
+    k = max(1, -(-tail // cycle_lcm)) * cycle_lcm
+    power = {x: x for x in h}
+    base = dict(h)
+    while k:
+        if k & 1:
+            power = {x: base[power[x]] for x in h}
+        base = {x: base[base[x]] for x in h}
+        k >>= 1
+    return power
 
 
 def _noninjective_endomorphism(a: Structure) -> Optional[dict[int, int]]:

@@ -423,9 +423,26 @@ def intermediate_degree_bound(plan: Plan, keys: KeySet, signature: Signature) ->
     return max(output_degree(q, keys, signature) for q in distinct)
 
 
-def check_equivalence(p1: Plan, p2: Plan, keys: KeySet, signature: Signature) -> bool:
-    """Equivalence over all key-satisfying databases, decided exactly:
-    the chased representations must be homomorphically equivalent."""
+@dataclass(frozen=True)
+class EquivalenceWitness:
+    """The chased representations of two equivalent plans, with a
+    homomorphism each way that maps output tuple to output tuple."""
+
+    left: OpenStructure
+    right: OpenStructure
+    forward: dict[int, int]
+    backward: dict[int, int]
+
+
+def equivalence_witness(
+    p1: Plan, p2: Plan, keys: KeySet, signature: Signature
+) -> Optional[EquivalenceWitness]:
+    """The witness that ``p1`` and ``p2`` are equivalent over all
+    key-satisfying databases, or None if they are not.
+
+    Decided exactly: the chased representations must be homomorphically
+    equivalent.  Plans of different arity raise :class:`ArityError`.
+    """
     if not keys.is_unary:
         raise KeyConstraintError("equivalence check requires unary keys")
     from .plans import arity_of
@@ -436,10 +453,19 @@ def check_equivalence(p1: Plan, p2: Plan, keys: KeySet, signature: Signature) ->
     rep2, _ = build_representation(p2, signature)
     c1 = chase(rep1.open, keys).result
     c2 = chase(rep2.open, keys).result
-    return (
-        find_homomorphism(c1, c2) is not None
-        and find_homomorphism(c2, c1) is not None
-    )
+    forward = find_homomorphism(c1, c2)
+    if forward is None:
+        return None
+    backward = find_homomorphism(c2, c1)
+    if backward is None:
+        return None
+    return EquivalenceWitness(c1, c2, forward, backward)
+
+
+def check_equivalence(p1: Plan, p2: Plan, keys: KeySet, signature: Signature) -> bool:
+    """Equivalence over all key-satisfying databases (see
+    :func:`equivalence_witness`)."""
+    return equivalence_witness(p1, p2, keys, signature) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from typing import Mapping, Optional, Sequence
+
 from spjopt import (
     Hypergraph,
     KeySet,
@@ -68,7 +70,7 @@ def has_proper_retraction(aug: Structure) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Randomized chase
+# Chase oracles: random step order, and the stepwise deterministic chase
 # ---------------------------------------------------------------------------
 
 
@@ -101,6 +103,190 @@ def random_chase(value, keys: KeySet, rng):
     if is_open:
         return OpenStructure(current, tuple(merge[e] for e in value.tuple))
     return current
+
+
+def _first_violation(struct: Structure, keys: KeySet):
+    """First chase step (x -> smaller representative) in deterministic order:
+    relations by name, tuples sorted, positions left to right."""
+    for name in struct.signature.symbols():
+        positions = keys.for_relation(name)
+        if not positions:
+            continue
+        rows = sorted(struct.relations[name])
+        for pos in positions:
+            idx = sorted(p - 1 for p in pos)
+            groups = {}
+            for row in rows:
+                k = tuple(row[i] for i in idx)
+                other = groups.get(k)
+                if other is not None and other != row:
+                    for i in range(len(row)):
+                        if i not in idx and other[i] != row[i]:
+                            a, b = other[i], row[i]
+                            return (max(a, b), min(a, b))
+                else:
+                    groups[k] = row
+    return None
+
+
+def stepwise_chase(value, keys: KeySet):
+    """The chase one step at a time: merge the larger element of the first
+    violation into the smaller, rebuild the structure, rescan.  Returns
+    (fixpoint, merge map) like ``spjopt.chase``."""
+    is_open = isinstance(value, OpenStructure)
+    struct = value.structure if is_open else value
+    merge = {e: e for e in struct.universe}
+    current = struct
+    while True:
+        step = _first_violation(current, keys)
+        if step is None:
+            break
+        src, dst = step
+        current = current.apply_map({src: dst})
+        for e, rep in merge.items():
+            if rep == src:
+                merge[e] = dst
+    if is_open:
+        return OpenStructure(current, tuple(merge[e] for e in value.tuple)), merge
+    return current, merge
+
+
+# ---------------------------------------------------------------------------
+# Recursive homomorphism search
+# ---------------------------------------------------------------------------
+
+
+class RecursiveHomSearch:
+    """Backtracking search with forward checking, one recursion level per
+    source element and a copy of every candidate set per level.
+
+    Same variable order (smallest candidate set, then id) and value order
+    (sorted) as ``spjopt.structures._HomSearch``, so the two must return the
+    same maps.  Recursion depth grows with the source universe: small
+    inputs only.
+    """
+
+    def __init__(self, src: Structure, dst: Structure, pinned: Mapping[int, int]):
+        assert src.signature == dst.signature
+        self.src = src
+        self.dst = dst
+        self.consistent = True
+        for name in src.signature.symbols():
+            if src.signature.arity(name) == 0:
+                if src.relations[name] and not dst.relations[name]:
+                    self.consistent = False
+        self.atoms = list(src.atoms())
+        self.atoms_of = {v: [] for v in src.universe}
+        for idx, (_, row) in enumerate(self.atoms):
+            for v in set(row):
+                self.atoms_of[v].append(idx)
+        cand = {}
+        for v in src.universe:
+            allowed = set(dst.universe)
+            for idx in self.atoms_of[v]:
+                name, row = self.atoms[idx]
+                for pos, e in enumerate(row):
+                    if e == v:
+                        allowed &= {t[pos] for t in dst.relations[name]}
+            cand[v] = allowed
+        for v, val in pinned.items():
+            if val not in cand.get(v, ()):
+                self.consistent = False
+                break
+            cand[v] = {val}
+        self.initial = cand
+
+    def _propagate(self, cand, assigned, var) -> bool:
+        for idx in self.atoms_of[var]:
+            name, row = self.atoms[idx]
+            rows = None
+            for pos, e in enumerate(row):
+                if e in assigned:
+                    match = tuple(t for t in sorted(self.dst.relations[name]) if t[pos] == assigned[e])
+                    rows = match if rows is None else tuple(t for t in rows if t[pos] == assigned[e])
+            if rows is None:
+                rows = tuple(sorted(self.dst.relations[name]))
+            if not rows:
+                return False
+            for pos, e in enumerate(row):
+                if e not in assigned:
+                    cand[e] = cand[e] & {t[pos] for t in rows}
+                    if not cand[e]:
+                        return False
+        return True
+
+    def _extend(self, cand, assigned, order_pool, injective=False):
+        todo = [v for v in order_pool if v not in assigned]
+        if not todo:
+            return dict(assigned)
+        var = min(todo, key=lambda v: (len(cand[v]), v))
+        used = set(assigned.values()) if injective else ()
+        for val in sorted(cand[var]):
+            if injective and val in used:
+                continue
+            new_cand = {v: set(s) for v, s in cand.items()}
+            new_cand[var] = {val}
+            assigned[var] = val
+            if self._propagate(new_cand, assigned, var):
+                res = self._extend(new_cand, assigned, order_pool, injective)
+                if res is not None:
+                    return res
+            del assigned[var]
+        return None
+
+    def _start(self):
+        cand = {v: set(s) for v, s in self.initial.items()}
+        assigned = {v: next(iter(s)) for v, s in self.initial.items() if len(s) == 1}
+        for v in list(assigned):
+            if not self._propagate(cand, assigned, v):
+                return None
+        return cand, assigned
+
+    def first(self, injective: bool = False) -> Optional[dict]:
+        if not self.consistent:
+            return None
+        start = self._start()
+        if start is None:
+            return None
+        cand, assigned = start
+        if injective and len(set(assigned.values())) != len(assigned):
+            return None
+        return self._extend(cand, assigned, self.src.universe, injective)
+
+    def images(self, out_vars: Sequence[int]) -> set:
+        result = set()
+        if not self.consistent:
+            return result
+        start = self._start()
+        if start is None:
+            return result
+        distinct = sorted(set(out_vars))
+
+        def rec(cand, assigned):
+            todo = [v for v in distinct if v not in assigned]
+            if not todo:
+                completion = self._extend(
+                    {v: set(s) for v, s in cand.items()}, dict(assigned), self.src.universe
+                )
+                if completion is not None:
+                    result.add(tuple(assigned[v] for v in out_vars))
+                return
+            var = min(todo, key=lambda v: (len(cand[v]), v))
+            for val in sorted(cand[var]):
+                new_cand = {v: set(s) for v, s in cand.items()}
+                new_cand[var] = {val}
+                assigned[var] = val
+                if self._propagate(new_cand, assigned, var):
+                    rec(new_cand, assigned)
+                del assigned[var]
+
+        rec(*start)
+        return result
+
+
+def recursive_homs_relation(src: Structure, out_tuple, data: Structure):
+    """homs(A, a, D) through the recursive search."""
+    return frozenset(RecursiveHomSearch(src, data, {}).images(tuple(out_tuple)))
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,19 @@ def test_cli_exit_codes(workdir, capsys, tmp_path):
     )[0] != 3
 
 
+def test_cli_deep_plan_is_a_resource_cap(tmp_path, capsys):
+    """1,200 nested selects exceed the recursion limit: exit 3 with one
+    line on stderr, no traceback and nothing on stdout."""
+    depth = 1200
+    text = "rel R 2\n" + "(select (theta (1 2)) " * depth + "R" + ")" * depth + "\n"
+    (tmp_path / "deep.plan").write_text(text)
+    code, out, err = run(capsys, "check", "--plan", tmp_path / "deep.plan")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("spjopt: resource cap: ")
+    assert err.count("\n") == 1
+
+
 def test_cli_multi_key_diagnostic(workdir, capsys):
     (workdir / "multi.keys").write_text("key E 1\nkey E 2\n")
     code, _, err = run(

@@ -17,7 +17,7 @@ from spjopt import (
 )
 
 from conftest import rand_keys, rand_open_structure, rand_signature, rand_structure
-from oracles import random_chase
+from oracles import random_chase, stepwise_chase
 
 SIG_R = Signature({"R": 2})
 KEY_R1 = KeySet.unary({"R": 1})
@@ -148,3 +148,36 @@ def test_chase_preserves_semantics_on_satisfying_data(rng):
             assert before == after
             checked += 1
     assert checked > 50
+
+
+def rand_multi_keys(rng, signature):
+    """Random keys of one or two positions, sometimes two per relation."""
+    keys = []
+    for name in signature.symbols():
+        ar = signature.arity(name)
+        for _ in range(rng.randint(0, 2)):
+            size = rng.randint(1, min(2, ar))
+            keys.append((name, rng.sample(range(1, ar + 1), size)))
+    return KeySet(keys)
+
+
+def test_chase_matches_stepwise_oracle(rng):
+    """Same merge map (in order), structure and names as merging one
+    violation at a time, with unary and two-position keys."""
+    merged = 0
+    for trial in range(300):
+        sig = rand_signature(rng, max_relations=3, max_arity=3)
+        keys = rand_keys(rng, sig, prob=0.7) if trial % 2 else rand_multi_keys(rng, sig)
+        if trial % 3:
+            value = rand_open_structure(rng, sig, max_domain=7, max_rows=8)
+        else:
+            value = rand_structure(rng, sig, max_domain=7, max_rows=8)
+        res = chase(value, keys)
+        want, want_map = stepwise_chase(value, keys)
+        assert list(res.merge_map.items()) == list(want_map.items())
+        assert res.result == want
+        got_s = res.result.structure if isinstance(value, OpenStructure) else res.result
+        want_s = want.structure if isinstance(value, OpenStructure) else want
+        assert got_s.names == want_s.names
+        merged += res.changed
+    assert merged >= 100

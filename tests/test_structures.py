@@ -7,24 +7,28 @@ import pytest
 
 from spjopt import (
     ArityError,
+    KeySet,
     OpenStructure,
     Signature,
     SignatureError,
     Structure,
+    chase,
     check_isomorphic,
     compute_core,
     find_homomorphism,
     homs_relation,
     hypergraph_of,
 )
-from spjopt.structures import split_augmented
+from spjopt.structures import _HomSearch, _idempotent_power, split_augmented
 
 from conftest import rand_open_structure, rand_signature, rand_structure
 from oracles import (
+    RecursiveHomSearch,
     brute_homs,
     brute_homs_relation,
     brute_open_hom_exists,
     has_proper_retraction,
+    recursive_homs_relation,
 )
 
 SIG_E = Signature({"E": 2})
@@ -259,3 +263,92 @@ def test_homs_with_brute_on_all_maps_small(rng):
         got = homs_relation(a, tuple(a.universe), d)
         want = brute_homs_relation(a, tuple(a.universe), d)
         assert got == want
+
+
+def test_hom_search_matches_recursive_oracle(rng):
+    """first(), first(injective=True) and homs_relation return exactly what
+    the recursive copy-per-level search returns."""
+    found = 0
+    for _ in range(300):
+        sig = rand_signature(rng, max_relations=2, max_arity=3)
+        a = rand_open_structure(rng, sig, max_domain=6, max_rows=6)
+        b = rand_open_structure(rng, sig, max_domain=5, max_rows=8)
+        pinned = {}
+        for x, y in zip(a.tuple, b.tuple):
+            pinned.setdefault(x, y)
+        for src, dst, pins in (
+            (a.structure, b.structure, pinned),
+            (a.structure, a.structure, {}),
+            (b.structure, b.structure, {}),
+        ):
+            ours = _HomSearch(src, dst, pins)
+            oracle = RecursiveHomSearch(src, dst, pins)
+            got = ours.first()
+            assert got == oracle.first()
+            assert ours.first(injective=True) == oracle.first(injective=True)
+            found += got is not None
+        outs = a.tuple
+        assert homs_relation(a.structure, outs, b.structure) == recursive_homs_relation(
+            a.structure, outs, b.structure
+        )
+        universe = tuple(a.structure.universe)
+        assert homs_relation(a.structure, universe, a.structure) == recursive_homs_relation(
+            a.structure, universe, a.structure
+        )
+    assert found >= 300
+
+
+def test_find_homomorphism_deep_under_default_recursion_limit():
+    """Sources with more universe elements than the default recursion limit
+    (1,000) are searched without a RecursionError."""
+    n = 1600
+    path = digraph([(i, i + 1) for i in range(n)])
+    h = find_homomorphism(OpenStructure(path, (0,)), OpenStructure(path, (0,)))
+    assert h == {i: i for i in range(n + 1)}
+    assert check_isomorphic(OpenStructure(path, (0,)), OpenStructure(path, (0,)))
+    # Two 800-edge paths from one source; key E 1 collapses them into one.
+    m = 800
+    fan = OpenStructure(
+        digraph([(0, 1)] + [(i, i + 1) for i in range(1, m)]
+                + [(0, m + 1)] + [(m + i, m + i + 1) for i in range(1, m)]),
+        (0,),
+    )
+    chased = chase(fan, KeySet.unary({"E": 1}))
+    assert chased.result.structure == digraph([(i, i + 1) for i in range(m)])
+    assert chased.result.structure.names == {i: f"v{i}" for i in range(m + 1)}
+    assert find_homomorphism(fan, chased.result) == chased.merge_map
+    assert find_homomorphism(chased.result, fan) == {i: i for i in range(m + 1)}
+
+
+def _smallest_idempotent_power(h):
+    f = dict(h)
+    while any(f[f[x]] != f[x] for x in f):
+        f = {x: h[f[x]] for x in f}
+    return f
+
+
+def test_idempotent_power_with_large_cycle_lcm():
+    """Cycles of length 5, 7, 8, 9 and 11 (lcm 27,720) plus one tail
+    element: the power is h^27720."""
+    h = {}
+    start = 0
+    for length in (5, 7, 8, 9, 11):
+        for i in range(length):
+            h[start + i] = start + (i + 1) % length
+        start += length
+    h[start] = 0
+    assert len(h) == 41
+    f = _idempotent_power(h)
+    assert all(f[f[x]] == f[x] for x in f)
+    slow = {x: x for x in h}
+    for _ in range(27720):
+        slow = {x: h[slow[x]] for x in slow}
+    assert f == slow
+    assert f[40] == (27720 - 1) % 5 and all(f[x] == x for x in range(40))
+
+
+def test_idempotent_power_is_smallest(rng):
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        h = {x: rng.randrange(n) for x in range(n)}
+        assert _idempotent_power(h) == _smallest_idempotent_power(h)

@@ -15,6 +15,7 @@ from spjopt import (
     chase,
     check_equivalence,
     eliminate_fds,
+    equivalence_witness,
     evaluate_naive,
     evaluate_well_behaved,
     intermediate_degree_bound,
@@ -106,7 +107,7 @@ def test_eliminate_fds_preserves_answers_on_satisfying_data(rng):
 
     Only about one plan in ten has a key elimination that adds relations, so
     plans are drawn until 10 databases have been checked; the cap on draws
-    only makes sure the loop ends (10 checks took at most 97 draws over 500
+    only makes sure the loop ends (10 checks took at most 107 draws over 500
     seeds)."""
     from spjopt import build_representation, homs_relation
 
@@ -122,7 +123,7 @@ def test_eliminate_fds_preserves_answers_on_satisfying_data(rng):
         if not elim.new_relations:
             continue
         for _ in range(3):
-            data = rand_satisfying_structure(rng, sig, keys, max_domain=4, max_rows=5)
+            data = rand_satisfying_structure(rng, sig, keys, max_domain=4, max_rows=10)
             # materialize the widened database
             widened_rels = {}
             for name in elim.structure.signature.symbols():
@@ -317,6 +318,18 @@ def test_check_equivalence_key_sensitivity():
     p2 = parse_plan("(project (cols 1 2 2) R)", SIG_R)
     assert check_equivalence(p1, p2, KEY_R1, SIG_R)
     assert not check_equivalence(p1, p2, NO_KEYS, SIG_R)
+
+
+def test_equivalence_witness_maps_are_homomorphisms():
+    p1 = parse_plan("(project (cols 1 2 4) (join (theta (1 3)) R R))", SIG_R)
+    p2 = parse_plan("(project (cols 1 2 2) R)", SIG_R)
+    w = equivalence_witness(p1, p2, KEY_R1, SIG_R)
+    assert w is not None
+    for src, dst, h in ((w.left, w.right, w.forward), (w.right, w.left, w.backward)):
+        assert tuple(h[e] for e in src.tuple) == dst.tuple
+        for name, row in src.structure.atoms():
+            assert tuple(h[e] for e in row) in dst.structure.relations[name]
+    assert equivalence_witness(p1, p2, NO_KEYS, SIG_R) is None
 
 
 def test_check_equivalence_arity_mismatch():
