@@ -4,9 +4,10 @@ Exit codes: 0 success, 1 usage error, 2 input format error, 3 resource cap
 exceeded.  Exit 3 also covers inputs nested deeper than the interpreter's
 recursion limit (a plan of about a thousand nested operators): the
 recursive traversals stop with a one-line ``spjopt: resource cap: ...``
-message instead of a traceback.  All outputs are byte-identical across runs
-for identical inputs: wall-clock timings are deliberately left out of the
-serialized reports.
+message instead of a traceback, and so does running out of memory
+(``spjopt: resource cap: out of memory``).  All outputs are byte-identical
+across runs for identical inputs: wall-clock timings are deliberately left
+out of the serialized reports.
 """
 
 from __future__ import annotations
@@ -292,11 +293,10 @@ def _cmd_optimize(cfg: JobConfig) -> None:
 def _cmd_evaluate(cfg: JobConfig) -> None:
     _require(cfg, plan=cfg.plan, data=cfg.data)
     plan, sig, data = _load_plan(cfg)
-    ok, _ = is_well_behaved(plan, sig, cfg.strict_theta)
-    if ok:
+    try:
         trace = evaluate_well_behaved(plan, data, cfg.strict_theta)
         evaluator = "well-behaved"
-    else:
+    except WellBehavedError:
         trace = evaluate_naive(plan, data)
         evaluator = "naive"
     doc = {
@@ -442,6 +442,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 3
     except RecursionError:
         print("spjopt: resource cap: input nested too deeply (recursion limit reached)", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("spjopt: resource cap: out of memory", file=sys.stderr)
         return 3
     except (
         FormatError,

@@ -170,14 +170,12 @@ def color_number(
         classes = tuple(classes)
     cols = [c for c in classes if c.members & target]
     constraint_sets = _constraint_sets(structure)
-    covered_somewhere = set().union(*constraint_sets) if constraint_sets else set()
     for c in cols:
         if not any(c.members & s for s in constraint_sets):
             raise DegenerateInputError(
                 "color number unbounded: a class meets no tuple "
                 f"(elements {sorted(c.members)})"
             )
-    del covered_somewhere
     objective = [Fraction(1)] * len(cols)
     rows = []
     for s in constraint_sets:

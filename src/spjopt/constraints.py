@@ -169,7 +169,3 @@ def chase(value: Union[OpenStructure, Structure], keys: KeySet) -> ChaseResult:
         return ChaseResult(OpenStructure(current, out_tuple), merge)
     return ChaseResult(current, merge)
 
-
-def is_chase_fixpoint(value: Union[OpenStructure, Structure], keys: KeySet) -> bool:
-    struct = value.structure if isinstance(value, OpenStructure) else value
-    return satisfies_keys(struct, keys)

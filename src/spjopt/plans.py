@@ -136,51 +136,113 @@ def plan_size(plan: Plan) -> int:
     return 1 + sum(plan_size(c) for c in children_of(plan))
 
 
+def number_subplans(
+    plan: Plan,
+) -> tuple[list[tuple[tuple[int, ...], Plan, int]], list[tuple[Plan, tuple[int, ...]]]]:
+    """Hash-consing in one iterative pass: number the nodes of ``plan`` so
+    that structurally equal subtrees get the same number.
+
+    A node's number is keyed by its operator, its relation, theta or
+    columns, and its children's numbers.  Returns the occurrences as (AST
+    path, node, number) in the post-order of :func:`subplans`, and per
+    number its first node with its children's numbers.  Numbers follow the
+    first occurrences in post-order, so a child's number is below its
+    parent's.
+    """
+    table: dict[tuple, int] = {}
+    distinct: list[tuple[Plan, tuple[int, ...]]] = []
+    occurrences: list[tuple[tuple[int, ...], Plan, int]] = []
+    done: list[int] = []  # numbers of finished subtrees whose parent is pending
+    # (node, path, children once expanded, else None)
+    stack: list[tuple[Plan, tuple[int, ...], Optional[tuple]]] = [(plan, (), None)]
+    while stack:
+        node, path, kids = stack.pop()
+        if kids is None:
+            kids = children_of(node)
+            stack.append((node, path, kids))
+            for i in range(len(kids) - 1, -1, -1):
+                stack.append((kids[i], path + (i,), None))
+            continue
+        cut = len(done) - len(kids)
+        kid_numbers = tuple(done[cut:])
+        del done[cut:]
+        if isinstance(node, Basic):
+            label = node.relation
+        elif isinstance(node, Project):
+            label = node.cols
+        else:
+            label = node.theta
+        number = table.setdefault((type(node), label, kid_numbers), len(distinct))
+        if number == len(distinct):
+            distinct.append((node, kid_numbers))
+        done.append(number)
+        occurrences.append((path, node, number))
+    return occurrences, distinct
+
+
+def _arities(distinct: list[tuple[Plan, tuple[int, ...]]], signature: Signature) -> list[int]:
+    """Arity per number of :func:`number_subplans`."""
+    out: list[int] = []
+    for node, kids in distinct:
+        if isinstance(node, Basic):
+            out.append(signature.arity(node.relation))
+        elif isinstance(node, Select):
+            out.append(out[kids[0]])
+        elif isinstance(node, Project):
+            out.append(len(node.cols))
+        else:
+            out.append(sum(out[k] for k in kids))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Parsing and printing
 # ---------------------------------------------------------------------------
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# One scan classifies every token; blanks and ``;`` comments match without a
+# group.  A word is a maximal run of other characters, so an integer or a
+# name must end at a delimiter, and any other word is a bad token.
+_TOKEN = re.compile(
+    r"[ \t\r\n]+|;[^\n]*"
+    r"|([()])"
+    r"|(-?[0-9]+)(?![^ \t\r\n();])"
+    r"|([A-Za-z_][A-Za-z0-9_]*)(?![^ \t\r\n();])"
+    r"|([^ \t\r\n();]+)"
+)
+_KIND = {2: "int", 3: "name"}
+_EOF = ("eof", "", -1)
 
 
 class _Tokens:
+    """The tokens of a plan text as (kind, value, offset); line and column
+    are worked out from the offset only when an error is reported."""
+
     def __init__(self, text: str):
-        self.tokens: list[tuple[str, str, int, int]] = []
-        line, col = 1, 1
-        i = 0
-        while i < len(text):
-            c = text[i]
-            if c == "\n":
-                line += 1
-                col = 1
-                i += 1
-            elif c in " \t\r":
-                col += 1
-                i += 1
-            elif c == ";":
-                while i < len(text) and text[i] != "\n":
-                    i += 1
-            elif c in "()":
-                self.tokens.append((c, c, line, col))
-                col += 1
-                i += 1
-            else:
-                j = i
-                while j < len(text) and text[j] not in " \t\r\n();":
-                    j += 1
-                word = text[i:j]
-                kind = "int" if re.fullmatch(r"-?[0-9]+", word) else "name"
-                if kind == "name" and not _NAME.fullmatch(word):
-                    raise PlanSyntaxError(f"bad token {word!r}", line, col)
-                self.tokens.append((kind, word, line, col))
-                col += j - i
-                i = j
+        self.text = text
+        self.tokens: list[tuple[str, str, int]] = []
+        for m in _TOKEN.finditer(text):
+            group = m.lastindex
+            if group is None:
+                continue
+            value = m.group(group)
+            if group == 4:
+                raise self.error(f"bad token {value!r}", ("name", value, m.start()))
+            self.tokens.append((value if group == 1 else _KIND[group], value, m.start()))
         self.pos = 0
+
+    def error(self, message: str, tok) -> PlanSyntaxError:
+        """The error for ``tok``, at its 1-based line and column (-1, -1 at
+        the end of the input)."""
+        offset = tok[2]
+        if offset < 0:
+            return PlanSyntaxError(message, -1, -1)
+        line = self.text.count("\n", 0, offset) + 1
+        return PlanSyntaxError(message, line, offset - self.text.rfind("\n", 0, offset))
 
     def peek(self):
         if self.pos < len(self.tokens):
             return self.tokens[self.pos]
-        return ("eof", "", -1, -1)
+        return _EOF
 
     def next(self):
         tok = self.peek()
@@ -191,7 +253,7 @@ class _Tokens:
         tok = self.next()
         if tok[0] != kind or (value is not None and tok[1] != value):
             want = value or kind
-            raise PlanSyntaxError(f"expected {want!r}, got {tok[1]!r}", tok[2], tok[3])
+            raise self.error(f"expected {want!r}, got {tok[1]!r}", tok)
         return tok
 
 
@@ -209,7 +271,7 @@ def parse_plan(text: str, signature: Optional[Signature] = None) -> Plan:
     plan = _parse_node(toks)
     trailing = toks.peek()
     if trailing[0] != "eof":
-        raise PlanSyntaxError(f"trailing input {trailing[1]!r}", trailing[2], trailing[3])
+        raise toks.error(f"trailing input {trailing[1]!r}", trailing)
     if signature is not None:
         try:
             validate_plan(plan, signature)
@@ -220,11 +282,11 @@ def parse_plan(text: str, signature: Optional[Signature] = None) -> Plan:
 
 def _parse_node(toks: _Tokens) -> Plan:
     tok = toks.next()
-    kind, value, line, col = tok
+    kind, value, _ = tok
     if kind == "name":
         return Basic(value)
     if kind != "(":
-        raise PlanSyntaxError(f"expected plan, got {value!r}", line, col)
+        raise toks.error(f"expected plan, got {value!r}", tok)
     head = toks.expect("name")
     op = head[1]
     if op == "select":
@@ -244,7 +306,7 @@ def _parse_node(toks: _Tokens) -> Plan:
             children.append(_parse_node(toks))
         toks.expect(")")
         return Join(theta, tuple(children))
-    raise PlanSyntaxError(f"unknown operator {op!r}", head[2], head[3])
+    raise toks.error(f"unknown operator {op!r}", head)
 
 
 def _parse_theta(toks: _Tokens) -> frozenset:
@@ -310,8 +372,8 @@ def _column_classes(theta: frozenset, s: int) -> list[int]:
     return [find(i) for i in range(s + 1)]
 
 
-def _join_is_well_behaved(join: Join, signature: Signature, strict_theta: bool) -> bool:
-    arities = [arity_of(c, signature) for c in join.children]
+def _join_is_well_behaved(join: Join, arities: list[int], strict_theta: bool) -> bool:
+    """``arities`` are those of the join's children."""
     m1 = arities[0]
     s = sum(arities)
 
@@ -343,13 +405,27 @@ def is_well_behaved(
 ) -> tuple[bool, Optional[Plan]]:
     """Whether every join subplan adds at most one column of new information.
 
-    Returns (True, None) or (False, offending join subplan).
+    Returns (True, None) or (False, offending join subplan), the first
+    offending join occurrence in post-order.  Each distinct join is checked
+    once (see :func:`number_subplans`).
     """
-    for _, node in subplans(plan):
-        if isinstance(node, Join):
-            if not _join_is_well_behaved(node, signature, strict_theta):
-                return False, node
-    return True, None
+    _, distinct = number_subplans(plan)
+    offender = _first_offending_join(distinct, _arities(distinct, signature), strict_theta)
+    return offender is None, offender
+
+
+def _first_offending_join(
+    distinct: list[tuple[Plan, tuple[int, ...]]], arities: list[int], strict_theta: bool
+) -> Optional[Join]:
+    """The first join of :func:`number_subplans`'s ``distinct`` that is not
+    well-behaved, or None.  Numbers follow the first occurrences in
+    post-order, so this is also the first offending occurrence."""
+    for node, kids in distinct:
+        if isinstance(node, Join) and not _join_is_well_behaved(
+            node, [arities[k] for k in kids], strict_theta
+        ):
+            return node
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +435,15 @@ def is_well_behaved(
 
 @dataclass(frozen=True)
 class TraceEntry:
+    """One subplan occurrence: its AST path, its node and its output rows."""
+
     path: tuple[int, ...]
-    text: str
+    node: Plan
     rows: frozenset
+
+    @property
+    def text(self) -> str:
+        return print_plan(self.node)
 
     @property
     def cardinality(self) -> int:
@@ -427,7 +509,7 @@ def evaluate_naive(plan: Plan, data: Structure) -> EvalTrace:
                 for flat in (tuple(itertools.chain.from_iterable(combo)),)
                 if all(flat[j - 1] == flat[k - 1] for j, k in theta)
             )
-        trace.entries.append(TraceEntry(path, print_plan(node), rows))
+        trace.entries.append(TraceEntry(path, node, rows))
         return rows
 
     rec(plan, ())
@@ -440,98 +522,102 @@ def evaluate_well_behaved(
 ) -> EvalTrace:
     """Evaluator for well-behaved plans.
 
+    Each distinct subplan (see :func:`number_subplans`) is evaluated once.
+    The trace still has one entry per occurrence, and the occurrences of
+    one subplan share its rows.
+
     Multiway joins run as a left-deep chain of binary hash joins over the
     columns' theta-closure classes.  The chain carries one value per
     already-bound class, so no step materializes more than
     |out(q1, D)| x |dom(D)| rows.
     """
-    ok, offender = is_well_behaved(plan, data.signature, strict_theta)
-    if not ok:
+    occurrences, distinct = number_subplans(plan)
+    arities = _arities(distinct, data.signature)
+    offender = _first_offending_join(distinct, arities, strict_theta)
+    if offender is not None:
         raise WellBehavedError(f"plan is not well-behaved at {print_plan(offender)}")
     validate_plan(plan, data.signature)
     trace = EvalTrace()
     start = time.perf_counter()
-
-    def rec(node: Plan, path: tuple[int, ...]) -> frozenset:
+    rows_of: list[frozenset] = []
+    for node, kids in distinct:
         if isinstance(node, Basic):
             rows = data.relations[node.relation]
         elif isinstance(node, Select):
-            rows = _select_rows(rec(node.child, path + (0,)), node.theta)
+            rows = _select_rows(rows_of[kids[0]], node.theta)
         elif isinstance(node, Project):
-            child = rec(node.child, path + (0,))
-            rows = frozenset(tuple(t[c - 1] for c in node.cols) for t in child)
+            rows = frozenset(tuple(t[c - 1] for c in node.cols) for t in rows_of[kids[0]])
         else:
-            rows = _join_chain(node, path, rec)
-        trace.entries.append(TraceEntry(path, print_plan(node), rows))
-        return rows
-
-    def _join_chain(node: Join, path, rec) -> frozenset:
-        outs = [rec(c, path + (i,)) for i, c in enumerate(node.children)]
-        spans = []
-        off = 0
-        for c in node.children:
-            m = arity_of(c, data.signature)
-            spans.append(list(range(off + 1, off + m + 1)))
-            off += m
-        s = off
-        classes = _column_classes(node.theta, s)
-
-        # Rows carry one slot per bound theta-class; every global column is
-        # reconstructed from its class slot at the end.
-        bound: dict[int, int] = {}  # class representative -> slot index
-        current = []
-        for t in sorted(outs[0]):
-            if all(
-                t[a - 1] == t[b - 1]
-                for a, b in itertools.combinations(spans[0], 2)
-                if classes[a] == classes[b]
-            ):
-                current.append(t)
-        for col in spans[0]:
-            bound.setdefault(classes[col], col - 1)
-        width = len(spans[0])
-        trace.internal_peak = max(trace.internal_peak, len(current))
-
-        for child_idx in range(1, len(outs)):
-            cols = spans[child_idx]
-            key_pairs = []                  # (local position, slot in current row)
-            seen_class: dict[int, int] = {}  # class -> first local position binding it
-            new_cols = []
-            for local, col in enumerate(cols):
-                cls = classes[col]
-                if cls in bound:
-                    key_pairs.append((local, bound[cls]))
-                elif cls not in seen_class:
-                    seen_class[cls] = local
-                    new_cols.append(local)
-            table: dict[tuple, list] = {}
-            for t in sorted(outs[child_idx]):
-                ok = True
-                for local, col in enumerate(cols):
-                    cls = classes[col]
-                    if cls in seen_class and seen_class[cls] != local and t[local] != t[seen_class[cls]]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                key = tuple(t[local] for local, _ in key_pairs)
-                table.setdefault(key, []).append(tuple(t[local] for local in new_cols))
-            probe_slots = [slot for _, slot in key_pairs]
-            next_rows = []
-            for row in current:
-                key = tuple(row[slot] for slot in probe_slots)
-                for ext in table.get(key, ()):
-                    next_rows.append(row + ext)
-            for local in new_cols:
-                bound[classes[cols[local]]] = width
-                width += 1
-            current = next_rows
-            trace.internal_peak = max(trace.internal_peak, len(current))
-
-        return frozenset(
-            tuple(row[bound[classes[col]]] for col in range(1, s + 1)) for row in current
-        )
-
-    rec(plan, ())
+            rows = _join_chain(node, [rows_of[k] for k in kids], [arities[k] for k in kids], trace)
+        rows_of.append(rows)
+    trace.entries = [TraceEntry(path, node, rows_of[number]) for path, node, number in occurrences]
     trace.wall_time = time.perf_counter() - start
     return trace
+
+
+def _join_chain(node: Join, outs: list[frozenset], arities: list[int], trace: EvalTrace) -> frozenset:
+    """The join of the children's rows ``outs`` (of arities ``arities``);
+    raises ``trace.internal_peak`` to the largest relation the chain builds."""
+    spans = []
+    off = 0
+    for m in arities:
+        spans.append(list(range(off + 1, off + m + 1)))
+        off += m
+    s = off
+    classes = _column_classes(node.theta, s)
+
+    # Rows carry one slot per bound theta-class; every global column is
+    # reconstructed from its class slot at the end.
+    bound: dict[int, int] = {}  # class representative -> slot index
+    current = []
+    for t in sorted(outs[0]):
+        if all(
+            t[a - 1] == t[b - 1]
+            for a, b in itertools.combinations(spans[0], 2)
+            if classes[a] == classes[b]
+        ):
+            current.append(t)
+    for col in spans[0]:
+        bound.setdefault(classes[col], col - 1)
+    width = len(spans[0])
+    trace.internal_peak = max(trace.internal_peak, len(current))
+
+    for child_idx in range(1, len(outs)):
+        cols = spans[child_idx]
+        key_pairs = []                  # (local position, slot in current row)
+        seen_class: dict[int, int] = {}  # class -> first local position binding it
+        new_cols = []
+        for local, col in enumerate(cols):
+            cls = classes[col]
+            if cls in bound:
+                key_pairs.append((local, bound[cls]))
+            elif cls not in seen_class:
+                seen_class[cls] = local
+                new_cols.append(local)
+        table: dict[tuple, list] = {}
+        for t in sorted(outs[child_idx]):
+            ok = True
+            for local, col in enumerate(cols):
+                cls = classes[col]
+                if cls in seen_class and seen_class[cls] != local and t[local] != t[seen_class[cls]]:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            key = tuple(t[local] for local, _ in key_pairs)
+            table.setdefault(key, []).append(tuple(t[local] for local in new_cols))
+        probe_slots = [slot for _, slot in key_pairs]
+        next_rows = []
+        for row in current:
+            key = tuple(row[slot] for slot in probe_slots)
+            for ext in table.get(key, ()):
+                next_rows.append(row + ext)
+        for local in new_cols:
+            bound[classes[cols[local]]] = width
+            width += 1
+        current = next_rows
+        trace.internal_peak = max(trace.internal_peak, len(current))
+
+    return frozenset(
+        tuple(row[bound[classes[col]]] for col in range(1, s + 1)) for row in current
+    )

@@ -493,9 +493,9 @@ def optimize(
     """Rewrite ``plan`` into a well-behaved plan of minimum intermediate
     degree over all plans equivalent on key-satisfying databases.
 
-    Pipeline: representation -> chase -> core -> synthesis.  With ``verify``
-    (the default), the result is checked to be well-behaved and equivalent
-    to the input before being returned.
+    Pipeline: representation -> chase -> core -> synthesis.  Synthesis
+    checks that the result is well-behaved; with ``verify`` (the default),
+    it is also checked to be equivalent to the input before being returned.
     """
     return optimize_full(plan, keys, signature, caps, verify).result
 
@@ -515,10 +515,6 @@ def optimize_full(
     chased = chase(rep.open, keys)
     core = compute_core(chased.result, cap_universe=caps.core_universe)
     result = synthesize_plan(core, keys, caps)
-    if verify:
-        ok, offender = is_well_behaved(result.plan, signature)
-        if not ok:  # pragma: no cover - construction invariant
-            raise SpjError(f"pipeline produced a non-well-behaved plan: {print_plan(offender)}")
-        if not check_equivalence(plan, result.plan, keys, signature):  # pragma: no cover
-            raise SpjError("pipeline produced a non-equivalent plan")
+    if verify and not check_equivalence(plan, result.plan, keys, signature):  # pragma: no cover
+        raise SpjError("pipeline produced a non-equivalent plan")
     return OptimizeOutcome(result, rep.open, chased, core)

@@ -9,6 +9,8 @@ at small sizes.
 from __future__ import annotations
 
 import itertools
+import re
+import time
 from fractions import Fraction
 
 from typing import Mapping, Optional, Sequence
@@ -21,6 +23,21 @@ from spjopt import (
     check_tree_decomposition,
     color_number,
     satisfies_keys,
+)
+from spjopt.errors import PlanSyntaxError, WellBehavedError
+from spjopt.plans import (
+    EvalTrace,
+    Join,
+    Plan,
+    Project,
+    Select,
+    TraceEntry,
+    _column_classes,
+    _select_rows,
+    arity_of,
+    print_plan,
+    subplans,
+    validate_plan,
 )
 from spjopt.simplex import solve_lp
 
@@ -287,6 +304,169 @@ class RecursiveHomSearch:
 def recursive_homs_relation(src: Structure, out_tuple, data: Structure):
     """homs(A, a, D) through the recursive search."""
     return frozenset(RecursiveHomSearch(src, data, {}).images(tuple(out_tuple)))
+
+
+# ---------------------------------------------------------------------------
+# Plans: character-loop tokenizer, per-occurrence check and evaluation
+# ---------------------------------------------------------------------------
+
+
+def char_loop_tokens(text: str) -> list[tuple[str, str, int, int]]:
+    """Plan tokens as (kind, value, line, column), one character at a time;
+    raises PlanSyntaxError at the first bad token."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif c in " \t\r":
+            col += 1
+            i += 1
+        elif c == ";":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+        elif c in "()":
+            tokens.append((c, c, line, col))
+            col += 1
+            i += 1
+        else:
+            j = i
+            while j < len(text) and text[j] not in " \t\r\n();":
+                j += 1
+            word = text[i:j]
+            kind = "int" if re.fullmatch(r"-?[0-9]+", word) else "name"
+            if kind == "name" and not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", word):
+                raise PlanSyntaxError(f"bad token {word!r}", line, col)
+            tokens.append((kind, word, line, col))
+            col += j - i
+            i = j
+    return tokens
+
+
+def _join_is_well_behaved_per_occurrence(join: Join, signature, strict_theta: bool) -> bool:
+    arities = [arity_of(c, signature) for c in join.children]
+    m1 = arities[0]
+    s = sum(arities)
+    if strict_theta:
+        def equated(i, j):
+            return i == j or (i, j) in join.theta or (j, i) in join.theta
+    else:
+        classes = _column_classes(join.theta, s)
+
+        def equated(i, j):
+            return classes[i] == classes[j]
+
+    base = list(range(1, m1 + 1))
+    for k in range(1, s + 1):
+        if all(
+            any(equated(i, j) for j in base + [k])
+            for i in range(m1 + 1, s + 1)
+            if i != k
+        ):
+            return True
+    return s == m1
+
+
+def is_well_behaved_per_occurrence(plan: Plan, signature, strict_theta: bool = False):
+    """``is_well_behaved`` with every join occurrence checked on its own."""
+    for _, node in subplans(plan):
+        if isinstance(node, Join) and not _join_is_well_behaved_per_occurrence(
+            node, signature, strict_theta
+        ):
+            return False, node
+    return True, None
+
+
+def evaluate_well_behaved_per_occurrence(plan: Plan, data: Structure, strict_theta: bool = False) -> EvalTrace:
+    """The well-behaved evaluator with every subplan occurrence evaluated on
+    its own, recursively: the reference for the shared evaluation."""
+    ok, offender = is_well_behaved_per_occurrence(plan, data.signature, strict_theta)
+    if not ok:
+        raise WellBehavedError(f"plan is not well-behaved at {print_plan(offender)}")
+    validate_plan(plan, data.signature)
+    trace = EvalTrace()
+    start = time.perf_counter()
+
+    def rec(node: Plan, path: tuple) -> frozenset:
+        if isinstance(node, Select):
+            rows = _select_rows(rec(node.child, path + (0,)), node.theta)
+        elif isinstance(node, Project):
+            child = rec(node.child, path + (0,))
+            rows = frozenset(tuple(t[c - 1] for c in node.cols) for t in child)
+        elif isinstance(node, Join):
+            rows = join_chain(node, path)
+        else:
+            rows = data.relations[node.relation]
+        trace.entries.append(TraceEntry(path, node, rows))
+        return rows
+
+    def join_chain(node: Join, path) -> frozenset:
+        outs = [rec(c, path + (i,)) for i, c in enumerate(node.children)]
+        spans = []
+        off = 0
+        for c in node.children:
+            m = arity_of(c, data.signature)
+            spans.append(list(range(off + 1, off + m + 1)))
+            off += m
+        s = off
+        classes = _column_classes(node.theta, s)
+        bound: dict[int, int] = {}
+        current = [
+            t
+            for t in sorted(outs[0])
+            if all(
+                t[a - 1] == t[b - 1]
+                for a, b in itertools.combinations(spans[0], 2)
+                if classes[a] == classes[b]
+            )
+        ]
+        for col in spans[0]:
+            bound.setdefault(classes[col], col - 1)
+        width = len(spans[0])
+        trace.internal_peak = max(trace.internal_peak, len(current))
+        for child_idx in range(1, len(outs)):
+            cols = spans[child_idx]
+            key_pairs = []
+            seen_class: dict[int, int] = {}
+            new_cols = []
+            for local, col in enumerate(cols):
+                cls = classes[col]
+                if cls in bound:
+                    key_pairs.append((local, bound[cls]))
+                elif cls not in seen_class:
+                    seen_class[cls] = local
+                    new_cols.append(local)
+            table: dict[tuple, list] = {}
+            for t in sorted(outs[child_idx]):
+                if any(
+                    classes[col] in seen_class
+                    and seen_class[classes[col]] != local
+                    and t[local] != t[seen_class[classes[col]]]
+                    for local, col in enumerate(cols)
+                ):
+                    continue
+                key = tuple(t[local] for local, _ in key_pairs)
+                table.setdefault(key, []).append(tuple(t[local] for local in new_cols))
+            next_rows = []
+            for row in current:
+                key = tuple(row[slot] for _, slot in key_pairs)
+                next_rows.extend(row + ext for ext in table.get(key, ()))
+            for local in new_cols:
+                bound[classes[cols[local]]] = width
+                width += 1
+            current = next_rows
+            trace.internal_peak = max(trace.internal_peak, len(current))
+        return frozenset(
+            tuple(row[bound[classes[col]]] for col in range(1, s + 1)) for row in current
+        )
+
+    rec(plan, ())
+    trace.wall_time = time.perf_counter() - start
+    return trace
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from spjopt import KeySet, OpenStructure, Signature, Structure, parse_plan
+from spjopt import cli
 from spjopt.cli import main
 from spjopt.errors import FormatError
 from spjopt.serialize import (
@@ -147,6 +148,14 @@ def test_cli_evaluate(workdir, capsys):
     doc = json.loads(out)
     assert any(entry["plan"] == "E" for entry in doc["subplans"])
     assert doc["maxIntermediate"] >= 3
+    (workdir / "cross.plan").write_text("rel E 2\n(join (theta) E E)\n")
+    code, out, _ = run(
+        capsys, "evaluate", "--plan", workdir / "cross.plan", "--data", workdir / "d.json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["evaluator"] == "naive"
+    assert doc["cardinality"] == 16
 
 
 def test_cli_equiv(workdir, capsys):
@@ -248,6 +257,19 @@ def test_cli_deep_plan_is_a_resource_cap(tmp_path, capsys):
     assert out == ""
     assert err.startswith("spjopt: resource cap: ")
     assert err.count("\n") == 1
+
+
+def test_cli_out_of_memory_is_a_resource_cap(workdir, capsys, monkeypatch):
+    def exhausted(cfg):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._COMMANDS, "evaluate", exhausted)
+    code, out, err = run(
+        capsys, "evaluate", "--plan", workdir / "tri.plan", "--data", workdir / "d.json"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "spjopt: resource cap: out of memory\n"
 
 
 def test_cli_multi_key_diagnostic(workdir, capsys):
