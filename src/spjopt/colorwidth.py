@@ -8,7 +8,9 @@ tuple to at most one.  The LP is solved over the generating classes
 {closure(v) : v in target}: any feasible class meeting the target can be
 shrunk to the closure of one of its target elements without changing the
 objective or violating a constraint, so the optimum is unchanged (the test
-suite checks this against the LP over all valid classes).
+suite checks this against the LP over all valid classes).  Tuples that meet
+no generating class give all-zero rows; they are left out, since their
+slacks never leave the basis and the pivots on the other rows are the same.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def color_number(
 
     Maximize the total weight of classes meeting the target subject to:
     for every tuple, the total weight of classes meeting the tuple's element
-    set is at most 1.  Exact rational simplex, so 3/2 is 3/2 and not 1.499...
+    set is at most 1.  Exact integer simplex, so 3/2 is 3/2 and not 1.499...
     """
     if not keys.is_unary:
         raise KeyConstraintError("color numbers are defined for unary keys only")
@@ -169,19 +171,18 @@ def color_number(
     else:
         classes = tuple(classes)
     cols = [c for c in classes if c.members & target]
-    constraint_sets = _constraint_sets(structure)
-    for c in cols:
-        if not any(c.members & s for s in constraint_sets):
+    rows = []
+    for s in _constraint_sets(structure):
+        coeffs = [0 if c.members.isdisjoint(s) else 1 for c in cols]
+        if any(coeffs):
+            rows.append((coeffs, "<=", 1))
+    for j, c in enumerate(cols):
+        if not any(coeffs[j] for coeffs, _, _ in rows):
             raise DegenerateInputError(
                 "color number unbounded: a class meets no tuple "
                 f"(elements {sorted(c.members)})"
             )
-    objective = [Fraction(1)] * len(cols)
-    rows = []
-    for s in constraint_sets:
-        coeffs = [Fraction(1) if c.members & s else Fraction(0) for c in cols]
-        rows.append((coeffs, "<=", Fraction(1)))
-    res = solve_lp(objective, rows, maximize=True)
+    res = solve_lp([1] * len(cols), rows)
     if res.status != "optimal":
         raise DegenerateInputError(f"packing LP returned {res.status}")
     weights = tuple(res.solution)

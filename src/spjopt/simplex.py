@@ -1,161 +1,108 @@
-"""Two-phase primal simplex over exact rationals.
+"""Primal simplex for packing LPs over an exact integer tableau.
 
-Width values are exponents, so float drift is unacceptable: every entry is a
-``fractions.Fraction`` and pivoting follows Bland's rule, which rules out
-cycling.  Problem sizes here are tiny (tens of rows/columns), so the dense
-tableau is fine.
+The library only solves ``max c.x`` subject to rows ``a.x <= b`` with
+``b >= 0`` and ``x >= 0``, so the all-slack basis is feasible from the start
+and one phase suffices.  Width values are exponents, so float drift is
+unacceptable and the arithmetic is exact: each row is scaled to integers by
+the lcm of its denominators (its slack stays a unit column), and pivots are
+fraction-free (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 1968).  The tableau
+holds integers ``T`` and one common denominator ``d``, the previous pivot,
+which is always positive; the true tableau is ``T / d``.  A pivot on
+``(r, c)`` with value ``p`` sets every other row ``i`` to
+``(p*T[i] - T[i][c]*T[r]) // d``, an exact division, and then ``d = p``.
+
+Pivoting follows Bland's rule, which rules out cycling.  Signs are read off
+``T`` directly and ratios are compared by cross-multiplying, so every
+comparison, and with it the pivot sequence and the optimal basic solution,
+is that of the same simplex over ``Fraction`` entries.  Problem sizes here
+are tiny (tens of rows/columns), so the dense tableau is fine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 
 @dataclass
 class LpResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "unbounded"
     value: Optional[Fraction]
     solution: Optional[list[Fraction]]
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [x / piv for x in tableau[row]]
-    for r, vec in enumerate(tableau):
-        if r != row and vec[col] != 0:
-            factor = vec[col]
-            tableau[r] = [a - factor * b for a, b in zip(vec, tableau[row])]
-    basis[row] = col
+def _integers(values: Sequence) -> tuple[list[int], int]:
+    """``values`` scaled to integers by the lcm of their denominators, and
+    that lcm."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
+    exact = [Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in exact))
+    return [int(v * scale) for v in exact], scale
 
 
-def _run_simplex(tableau: list[list[Fraction]], basis: list[int], cost: list[Fraction]) -> str:
-    """Maximize ``cost`` over the feasible dictionary in ``tableau``.
+def solve_lp(objective: Sequence, constraints: Sequence[tuple[Sequence, str, object]]) -> LpResult:
+    """Solve max objective . x  subject to rows (coeffs, "<=", rhs), x >= 0.
 
-    The last tableau row is the objective in reduced form (updated by
-    pivots); returns "optimal" or "unbounded".
-    """
-    ncols = len(tableau[0]) - 1
-    obj = [Fraction(0)] * (ncols + 1)
-    for j in range(ncols):
-        obj[j] = -cost[j]
-    tableau.append(obj)
-    # Price out the starting basis.
-    for r, b in enumerate(basis):
-        if cost[b] != 0:
-            factor = tableau[-1][b]
-            tableau[-1] = [a - factor * x for a, x in zip(tableau[-1], tableau[r])]
-    while True:
-        entering = None
-        for j in range(ncols):
-            if tableau[-1][j] < 0:
-                entering = j  # Bland: smallest index
-                break
-        if entering is None:
-            return "optimal"
-        leaving = None
-        best = None
-        for r in range(len(basis)):
-            a = tableau[r][entering]
-            if a > 0:
-                ratio = tableau[r][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leaving]):
-                    best = ratio
-                    leaving = r
-        if leaving is None:
-            return "unbounded"
-        _pivot(tableau, basis, leaving, entering)
-
-
-def solve_lp(
-    objective: Sequence, constraints: Sequence[tuple[Sequence, str, object]], maximize: bool = True
-) -> LpResult:
-    """Solve max/min objective . x  subject to rows (coeffs, rel, rhs), x >= 0.
-
-    ``rel`` is one of "<=", ">=", "=".  Returns an exact optimal basic
-    solution when one exists.
+    Every ``rhs`` must be nonnegative; any other relation, a negative
+    right-hand side or a row of the wrong length raises ``ValueError``.
+    Returns an exact optimal basic solution when one exists.
     """
     n = len(objective)
-    c = [Fraction(v) for v in objective]
-    if not maximize:
-        c = [-v for v in c]
-    rows = []
-    for coeffs, rel, rhs in constraints:
-        coeffs = [Fraction(v) for v in coeffs]
-        rhs = Fraction(rhs)
+    m = len(constraints)
+    cost, cost_scale = _integers(objective)
+    ncols = n + m
+    tableau: list[list[int]] = []
+    for i, (coeffs, rel, rhs) in enumerate(constraints):
+        if rel != "<=":
+            raise ValueError(f"packing rows only: relation {rel!r} is not '<='")
+        if len(coeffs) != n:
+            raise ValueError(f"row {i} has {len(coeffs)} coefficients, expected {n}")
         if rhs < 0:
-            coeffs = [-v for v in coeffs]
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        rows.append((coeffs, rel, rhs))
-
-    nslack = sum(1 for _, rel, _ in rows if rel in ("<=", ">="))
-    nart = sum(1 for _, rel, _ in rows if rel in (">=", "="))
-    total = n + nslack + nart
-    tableau: list[list[Fraction]] = []
-    basis: list[int] = []
-    slack_at = n
-    art_at = n + nslack
-    art_cols = []
-    for coeffs, rel, rhs in rows:
-        vec = [Fraction(0)] * (total + 1)
-        for j, v in enumerate(coeffs):
-            vec[j] = v
-        if rel == "<=":
-            vec[slack_at] = Fraction(1)
-            basis.append(slack_at)
-            slack_at += 1
-        elif rel == ">=":
-            vec[slack_at] = Fraction(-1)
-            slack_at += 1
-            vec[art_at] = Fraction(1)
-            basis.append(art_at)
-            art_cols.append(art_at)
-            art_at += 1
-        else:
-            vec[art_at] = Fraction(1)
-            basis.append(art_at)
-            art_cols.append(art_at)
-            art_at += 1
-        vec[-1] = rhs
+            raise ValueError(f"packing rows only: row {i} has negative right-hand side {rhs}")
+        row, _ = _integers(list(coeffs) + [rhs])
+        vec = row[:n] + [0] * m + row[n:]
+        vec[n + i] = 1
         tableau.append(vec)
-
-    if art_cols:
-        phase1 = [Fraction(0)] * total
-        for j in art_cols:
-            phase1[j] = Fraction(-1)
-        status = _run_simplex(tableau, basis, phase1)
-        if status != "optimal" or tableau[-1][-1] != 0:
-            return LpResult("infeasible", None, None)
-        tableau.pop()
-        # Drive leftover artificials out of the basis (degenerate rows).
-        drop = []
-        for r, b in enumerate(basis):
-            if b in art_cols:
-                piv_col = next(
-                    (j for j in range(n + nslack) if tableau[r][j] != 0), None
-                )
-                if piv_col is None:
-                    drop.append(r)
-                else:
-                    _pivot(tableau, basis, r, piv_col)
-        for r in sorted(drop, reverse=True):
-            tableau.pop(r)
-            basis.pop(r)
-        # Forbid artificials from re-entering.
-        for vec in tableau:
-            for j in art_cols:
-                vec[j] = Fraction(0)
-
-    status = _run_simplex(tableau, basis, c + [Fraction(0)] * (nslack + nart))
-    if status == "unbounded":
-        return LpResult("unbounded", None, None)
-    value = tableau[-1][-1]
+    tableau.append([-v for v in cost] + [0] * (m + 1))
+    obj_row = m  # reduced costs, then d * value
+    basis = list(range(n, ncols))
+    d = 1
+    while True:
+        reduced = tableau[obj_row]
+        entering = next((j for j in range(ncols) if reduced[j] < 0), None)  # Bland
+        if entering is None:
+            break
+        leaving = None
+        for r in range(m):
+            a = tableau[r][entering]
+            if a <= 0:
+                continue
+            if leaving is not None:
+                # Compare b_r / a with the best ratio num / den so far.
+                here, best = tableau[r][-1] * den, num * a
+                if here > best or (here == best and basis[r] > basis[leaving]):
+                    continue
+            leaving, num, den = r, tableau[r][-1], a
+        if leaving is None:
+            return LpResult("unbounded", None, None)
+        prow = tableau[leaving]
+        p = prow[entering]
+        for i, vec in enumerate(tableau):
+            if i == leaving:
+                continue
+            f = vec[entering]
+            if f:
+                tableau[i] = [(p * x - f * y) // d for x, y in zip(vec, prow)]
+            elif p != d:
+                tableau[i] = [p * x // d for x in vec]
+        d = p
+        basis[leaving] = entering
     solution = [Fraction(0)] * n
     for r, b in enumerate(basis):
         if b < n:
-            solution[b] = tableau[r][-1]
-    if not maximize:
-        value = -value
-    return LpResult("optimal", value, solution)
+            solution[b] = Fraction(tableau[r][-1], d)
+    return LpResult("optimal", Fraction(tableau[obj_row][-1], d * cost_scale), solution)

@@ -314,12 +314,28 @@ def synthesize_plan(
             "plan outputs the empty tuple on the empty database"
         )
     width_report = optimal_cwidth(core, keys, cap=caps.width_universe)
-    degree = width_report.width
-
     elim = eliminate_fds(core, keys)
-    dec_report = optimal_cwidth(elim.open, KeySet.empty(), cap=caps.width_universe)
-    dec = dec_report.decomposition
+    if keys:
+        dec = optimal_cwidth(elim.open, KeySet.empty(), cap=caps.width_universe).decomposition
+    else:
+        # Without keys elimination is the identity, so the search would repeat.
+        dec = width_report.decomposition
+    plan, bag_orders = _assemble_plan(core, elim, dec)
+    return SynthesisResult(
+        plan=plan,
+        degree=width_report.width,
+        decomposition=dec,
+        elimination=elim,
+        bag_orders=bag_orders,
+        width_report=width_report,
+    )
 
+
+def _assemble_plan(
+    core: OpenStructure, elim: FdElimination, dec: TreeDecomposition
+) -> tuple[Plan, dict[int, tuple[int, ...]]]:
+    """The well-behaved plan over ``elim``'s atoms that follows the
+    decomposition ``dec`` of ``elim.open``, and each bag's column order."""
     atoms = [
         (rel, row, elim.defining_plans[rel])
         for rel, row in elim.structure.atoms()
@@ -340,8 +356,8 @@ def synthesize_plan(
             plan = _bag_chain(order, positional_atoms)
         else:
             # Empty bag: the decomposition is a single node over an empty
-            # universe, and every atom is nullary (tuples exist by the guard
-            # above), so the plan is a pure constant test.
+            # universe, and every atom is nullary (synthesize_plan checks that
+            # tuples exist), so the plan is a pure constant test.
             tests = tuple(
                 Project((), _atom_subplan(rel, row, base, ()))
                 for rel, row, base in atoms
@@ -383,14 +399,7 @@ def synthesize_plan(
     ok, offender = is_well_behaved(final, core.structure.signature)
     if not ok:  # pragma: no cover - construction invariant
         raise SpjError(f"synthesized plan not well-behaved at {print_plan(offender)}")
-    return SynthesisResult(
-        plan=final,
-        degree=degree,
-        decomposition=dec,
-        elimination=elim,
-        bag_orders=bag_orders,
-        width_report=width_report,
-    )
+    return final, bag_orders
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from spjopt import (
     Structure,
     check_tree_decomposition,
     color_number,
+    eliminate_fds,
+    optimal_cwidth,
     satisfies_keys,
 )
 from spjopt.errors import PlanSyntaxError, WellBehavedError
@@ -39,7 +41,8 @@ from spjopt.plans import (
     subplans,
     validate_plan,
 )
-from spjopt.simplex import solve_lp
+from spjopt.simplex import LpResult
+from spjopt.synthesis import _assemble_plan
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +477,149 @@ def evaluate_well_behaved_per_occurrence(plan: Plan, data: Structure, strict_the
 # ---------------------------------------------------------------------------
 
 
+def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
+    piv = tableau[row][col]
+    tableau[row] = [x / piv for x in tableau[row]]
+    for r, vec in enumerate(tableau):
+        if r != row and vec[col] != 0:
+            factor = vec[col]
+            tableau[r] = [a - factor * b for a, b in zip(vec, tableau[row])]
+    basis[row] = col
+
+
+def _run_simplex(tableau: list[list[Fraction]], basis: list[int], cost: list[Fraction]) -> str:
+    """Maximize ``cost`` over the feasible dictionary in ``tableau``.
+
+    The last tableau row is the objective in reduced form (updated by
+    pivots); returns "optimal" or "unbounded".
+    """
+    ncols = len(tableau[0]) - 1
+    obj = [Fraction(0)] * (ncols + 1)
+    for j in range(ncols):
+        obj[j] = -cost[j]
+    tableau.append(obj)
+    # Price out the starting basis.
+    for r, b in enumerate(basis):
+        if cost[b] != 0:
+            factor = tableau[-1][b]
+            tableau[-1] = [a - factor * x for a, x in zip(tableau[-1], tableau[r])]
+    while True:
+        entering = None
+        for j in range(ncols):
+            if tableau[-1][j] < 0:
+                entering = j  # Bland: smallest index
+                break
+        if entering is None:
+            return "optimal"
+        leaving = None
+        best = None
+        for r in range(len(basis)):
+            a = tableau[r][entering]
+            if a > 0:
+                ratio = tableau[r][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leaving]):
+                    best = ratio
+                    leaving = r
+        if leaving is None:
+            return "unbounded"
+        _pivot(tableau, basis, leaving, entering)
+
+
+def two_phase_solve_lp(
+    objective: Sequence, constraints: Sequence[tuple[Sequence, str, object]], maximize: bool = True
+) -> LpResult:
+    """Solve max/min objective . x  subject to rows (coeffs, rel, rhs), x >= 0,
+    by the two-phase simplex over ``Fraction`` entries (the reference for
+    ``spjopt.simplex.solve_lp``, which handles packing LPs only).
+
+    ``rel`` is one of "<=", ">=", "=".  Returns an exact optimal basic
+    solution when one exists.
+    """
+    n = len(objective)
+    c = [Fraction(v) for v in objective]
+    if not maximize:
+        c = [-v for v in c]
+    rows = []
+    for coeffs, rel, rhs in constraints:
+        coeffs = [Fraction(v) for v in coeffs]
+        rhs = Fraction(rhs)
+        if rhs < 0:
+            coeffs = [-v for v in coeffs]
+            rhs = -rhs
+            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+        rows.append((coeffs, rel, rhs))
+
+    nslack = sum(1 for _, rel, _ in rows if rel in ("<=", ">="))
+    nart = sum(1 for _, rel, _ in rows if rel in (">=", "="))
+    total = n + nslack + nart
+    tableau: list[list[Fraction]] = []
+    basis: list[int] = []
+    slack_at = n
+    art_at = n + nslack
+    art_cols = []
+    for coeffs, rel, rhs in rows:
+        vec = [Fraction(0)] * (total + 1)
+        for j, v in enumerate(coeffs):
+            vec[j] = v
+        if rel == "<=":
+            vec[slack_at] = Fraction(1)
+            basis.append(slack_at)
+            slack_at += 1
+        elif rel == ">=":
+            vec[slack_at] = Fraction(-1)
+            slack_at += 1
+            vec[art_at] = Fraction(1)
+            basis.append(art_at)
+            art_cols.append(art_at)
+            art_at += 1
+        else:
+            vec[art_at] = Fraction(1)
+            basis.append(art_at)
+            art_cols.append(art_at)
+            art_at += 1
+        vec[-1] = rhs
+        tableau.append(vec)
+
+    if art_cols:
+        phase1 = [Fraction(0)] * total
+        for j in art_cols:
+            phase1[j] = Fraction(-1)
+        status = _run_simplex(tableau, basis, phase1)
+        if status != "optimal" or tableau[-1][-1] != 0:
+            return LpResult("infeasible", None, None)
+        tableau.pop()
+        # Drive leftover artificials out of the basis (degenerate rows).
+        drop = []
+        for r, b in enumerate(basis):
+            if b in art_cols:
+                piv_col = next(
+                    (j for j in range(n + nslack) if tableau[r][j] != 0), None
+                )
+                if piv_col is None:
+                    drop.append(r)
+                else:
+                    _pivot(tableau, basis, r, piv_col)
+        for r in sorted(drop, reverse=True):
+            tableau.pop(r)
+            basis.pop(r)
+        # Forbid artificials from re-entering.
+        for vec in tableau:
+            for j in art_cols:
+                vec[j] = Fraction(0)
+
+    status = _run_simplex(tableau, basis, c + [Fraction(0)] * (nslack + nart))
+    if status == "unbounded":
+        return LpResult("unbounded", None, None)
+    value = tableau[-1][-1]
+    solution = [Fraction(0)] * n
+    for r, b in enumerate(basis):
+        if b < n:
+            solution[b] = tableau[r][-1]
+    if not maximize:
+        value = -value
+    return LpResult("optimal", value, solution)
+
+
 def _gauss_solve(matrix, rhs):
     """Exact solution of a square system, or None if singular."""
     n = len(matrix)
@@ -528,9 +674,19 @@ def fractional_edge_cover(edges, target) -> Fraction:
     rows = []
     for v in target:
         rows.append(([Fraction(1) if v in e else Fraction(0) for e in usable], ">=", 1))
-    res = solve_lp([Fraction(1)] * len(usable), rows, maximize=False)
+    res = two_phase_solve_lp([Fraction(1)] * len(usable), rows, maximize=False)
     assert res.status == "optimal", res.status
     return res.value
+
+
+def synthesize_with_two_searches(core: OpenStructure, keys: KeySet, caps):
+    """Plan synthesis with its own width search for the decomposition, over
+    the key-eliminated structure with no keys, even when ``keys`` is empty;
+    returns the plan and the decomposition."""
+    elim = eliminate_fds(core, keys)
+    dec = optimal_cwidth(elim.open, KeySet.empty(), cap=caps.width_universe).decomposition
+    plan, _ = _assemble_plan(core, elim, dec)
+    return plan, dec
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Color numbers and widths, cross-checked against brute-force oracles."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,9 +19,8 @@ from spjopt import (
     optimal_cwidth,
     valid_color_classes,
 )
-from spjopt.colorwidth import _constraint_sets
+from spjopt.colorwidth import ColorSolution, _constraint_sets
 from spjopt.represent import TreeDecomposition
-from spjopt.simplex import solve_lp
 
 from conftest import rand_keys, rand_open_structure, rand_signature, rand_structure
 from oracles import (
@@ -29,6 +29,7 @@ from oracles import (
     exhaustive_min_cwidth,
     fractional_edge_cover,
     packing_lp_by_basic_enumeration,
+    two_phase_solve_lp,
 )
 
 SIG_E = Signature({"E": 2})
@@ -141,6 +142,35 @@ def test_lp_equals_basic_solution_enumeration(rng):
         assert via_reduced == brute
         checked += 1
     assert checked >= 25
+
+
+def test_pruned_rows_give_the_lp_over_all_constraint_sets(rng):
+    """color_number leaves out tuples that meet no class; its value and
+    witness equal those of the oracle LP over every constraint set."""
+    checked = pruned = 0
+    for _ in range(150):
+        sig = rand_signature(rng, max_relations=2, max_arity=3)
+        keys = rand_keys(rng, sig)
+        struct = rand_open_structure(rng, sig, max_domain=6, max_rows=5).structure
+        if struct.total_tuple_count() == 0:
+            continue
+        elems = list(struct.universe)
+        target = frozenset(rng.sample(elems, rng.randint(1, len(elems))))
+        val, sol = color_number(struct, keys, target)
+        rows = [
+            ([1 if c.members & s else 0 for c in sol.classes], "<=", 1)
+            for s in _constraint_sets(struct)
+        ]
+        ref = two_phase_solve_lp([1] * len(sol.classes), rows)
+        weights = tuple(ref.solution)
+        scale = lcm(*(w.denominator for w in weights))
+        expected = ColorSolution(
+            sol.classes, weights, ref.value, target, scale, tuple(int(w * scale) for w in weights)
+        )
+        assert (val, sol) == (ref.value, expected)
+        checked += 1
+        pruned += any(not any(coeffs) for coeffs, _, _ in rows)
+    assert checked >= 60 and pruned >= 20
 
 
 def test_color_number_equals_fractional_edge_cover_without_keys(rng):

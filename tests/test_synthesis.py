@@ -9,11 +9,14 @@ from spjopt import (
     DegenerateInputError,
     KeySet,
     OpenStructure,
+    ResourceCapError,
     Signature,
     Structure,
     UNCAPPED,
+    build_representation,
     chase,
     check_equivalence,
+    compute_core,
     eliminate_fds,
     equivalence_witness,
     evaluate_naive,
@@ -28,9 +31,17 @@ from spjopt import (
     satisfies_keys,
     synthesize_plan,
 )
+from spjopt import synthesis
 from spjopt.plans import arity_of, validate_plan
 
-from conftest import rand_keys, rand_plan, rand_satisfying_structure, rand_signature
+from conftest import (
+    rand_keys,
+    rand_open_structure,
+    rand_plan,
+    rand_satisfying_structure,
+    rand_signature,
+)
+from oracles import synthesize_with_two_searches
 
 SIG_E = Signature({"E": 2})
 SIG_R = Signature({"R": 2})
@@ -93,12 +104,13 @@ def test_eliminate_fds_identity_for_empty_keys(rng):
     for _ in range(10):
         sig = rand_signature(rng)
         plan = rand_plan(rng, sig, max_operators=4)
-        from spjopt import build_representation
-
         rep, _ = build_representation(plan, sig)
         elim = eliminate_fds(rep.open, NO_KEYS)
         assert not elim.new_relations
-        assert elim.open.structure == rep.open.structure
+        assert elim.open == rep.open
+    for _ in range(40):
+        core = rand_open_structure(rng, rand_signature(rng))
+        assert eliminate_fds(core, NO_KEYS).open == core
 
 
 def test_eliminate_fds_preserves_answers_on_satisfying_data(rng):
@@ -245,6 +257,41 @@ def test_optimize_key_path_uses_derived_relations():
     # without the key the same plan needs degree 2
     result2 = optimize(plan, NO_KEYS, SIG_R, caps=UNCAPPED)
     assert result2.degree == 2
+
+
+def test_synthesize_plan_searches_width_once_without_keys(rng, monkeypatch):
+    """One width search per unkeyed synthesis, two per keyed one; without
+    keys the plan and decomposition are those of the two-search form."""
+    searches = []
+    real = synthesis.optimal_cwidth
+
+    def counting(*args, **kwargs):
+        searches.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "optimal_cwidth", counting)
+    done = {False: 0, True: 0}
+    attempts = 0
+    while min(done.values()) < 15 and attempts < 300:
+        attempts += 1
+        sig = rand_signature(rng, max_relations=2, max_arity=3)
+        plan = rand_plan(rng, sig, max_operators=5)
+        keys = rand_keys(rng, sig, prob=1.0) if attempts % 2 else NO_KEYS
+        rep, _ = build_representation(plan, sig)
+        try:
+            core = compute_core(chase(rep.open, keys).result, cap_universe=12)
+        except ResourceCapError:
+            continue
+        if core.structure.total_tuple_count() == 0:
+            continue
+        searches.clear()
+        result = synthesize_plan(core, keys, UNCAPPED)
+        assert searches == ([keys, NO_KEYS] if keys else [NO_KEYS])
+        if not keys:
+            plan2, dec2 = synthesize_with_two_searches(core, keys, UNCAPPED)
+            assert (result.plan, result.decomposition) == (plan2, dec2)
+        done[bool(keys)] += 1
+    assert min(done.values()) >= 15
 
 
 def test_optimize_rejects_non_unary_keys():
