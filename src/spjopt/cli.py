@@ -5,17 +5,18 @@ exceeded.  Exit 3 also covers inputs nested deeper than the interpreter's
 recursion limit (a plan of about a thousand nested operators): the
 recursive traversals stop with a one-line ``spjopt: resource cap: ...``
 message instead of a traceback, and so does running out of memory
-(``spjopt: resource cap: out of memory``).  All outputs are byte-identical
-across runs for identical inputs: wall-clock timings are deliberately left
-out of the serialized reports.
+(``spjopt: resource cap: out of memory``).  Exit 2 also covers files that
+cannot be read (missing, a directory, no permission) or are not UTF-8 text.
+Universe caps default to :class:`Caps`; ``--cap-universe N`` sets both.  All
+outputs are byte-identical across runs for identical inputs: wall-clock
+timings are deliberately left out of the serialized reports.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import functools
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import serialize
@@ -38,53 +39,31 @@ from .plans import (
     evaluate_well_behaved,
     is_well_behaved,
     operator_count,
+    parse_plan,
     print_plan,
 )
 from .represent import build_representation
 from .structures import OpenStructure, Signature, Structure, compute_core
 from .synthesis import (
     Caps,
+    chased_core,
     equivalence_witness,
     intermediate_degree_bound,
-    optimize_full,
+    optimize,
     output_degree,
 )
 from .witness import bag_witness
 
-DEFAULT_CORE_CAP = 12
-DEFAULT_WIDTH_CAP = 16
-
-
-@dataclass
-class JobConfig:
-    """Validated invocation: paths, caps and flags for one subcommand."""
-
-    command: str
-    plan: Optional[str] = None
-    plan2: Optional[str] = None
-    keys: Optional[str] = None
-    data: list[str] = field(default_factory=list)
-    out: Optional[str] = None
-    strict_theta: bool = False
-    cap_universe: Optional[int] = None
-    seed: Optional[int] = None  # reserved; every subcommand is deterministic
-    trace: bool = False
-    format: str = "json"
-    force_multi_keys: bool = False
-    witness_n: tuple[int, ...] = (1, 2, 3, 4)
-
-    def caps(self) -> Caps:
-        if self.cap_universe is not None:
-            return Caps(core_universe=self.cap_universe, width_universe=self.cap_universe)
-        return Caps(core_universe=DEFAULT_CORE_CAP, width_universe=DEFAULT_WIDTH_CAP)
-
-
+# Built once per process: building the parser costs far more than parsing
+# argv, and a long-lived process calls main many times.
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spjopt",
         description="Rewrite select-project-join plans to minimize intermediate size growth.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    default_caps = Caps()
     commands = {
         "check": "parse and validate a plan, keys and data",
         "represent": "emit the plan's structure representation and decomposition",
@@ -105,7 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", action="append", default=[], help="structure JSON file (repeatable)")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--strict-theta", action="store_true", help="read identification sets literally, without closure")
-        p.add_argument("--cap-universe", type=int, help="override both universe caps (default: core 12, width 16)")
+        p.add_argument("--cap-universe", type=int, help="override both universe caps (default: core "
+                       f"{default_caps.core_universe}, width {default_caps.width_universe})")
         p.add_argument("--seed", type=int, help="reserved for reproducibility; accepted and recorded only")
         p.add_argument("--trace", action="store_true", help="include per-subplan relations in evaluate output")
         p.add_argument("--format", choices=["json", "dot", "text"], default="json")
@@ -116,37 +96,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> JobConfig:
+def _parse_witness_n(text: str) -> tuple[int, ...]:
     try:
-        witness_n = tuple(int(x) for x in str(args.witness_n).split(",") if x != "")
+        return tuple(int(x) for x in text.split(",") if x != "")
     except ValueError:
-        raise FormatError(f"--n expects comma-separated integers, got {args.witness_n!r}")
-    cap = args.cap_universe
-    if cap is None and os.environ.get("SPJOPT_CAP_UNIVERSE"):
-        try:
-            cap = int(os.environ["SPJOPT_CAP_UNIVERSE"])
-        except ValueError:
-            raise FormatError("SPJOPT_CAP_UNIVERSE must be an integer")
-    return JobConfig(
-        command=args.command,
-        plan=args.plan,
-        plan2=args.plan2,
-        keys=args.keys,
-        data=list(args.data),
-        out=args.out,
-        strict_theta=args.strict_theta,
-        cap_universe=cap,
-        seed=args.seed,
-        trace=args.trace,
-        format=args.format,
-        force_multi_keys=args.force_multi_keys,
-        witness_n=witness_n,
-    )
+        raise FormatError(f"--n expects comma-separated integers, got {text!r}")
 
 
-def _load_keys(cfg: JobConfig) -> KeySet:
-    keys = serialize.load_keys(cfg.keys) if cfg.keys else KeySet.empty()
-    if not keys.one_per_relation() and not cfg.force_multi_keys:
+def _caps(args: argparse.Namespace) -> Caps:
+    n = args.cap_universe
+    return Caps() if n is None else Caps(core_universe=n, width_universe=n)
+
+
+def _load_keys(args: argparse.Namespace) -> KeySet:
+    keys = serialize.load_keys(args.keys) if args.keys else KeySet.empty()
+    if not keys.one_per_relation() and not args.force_multi_keys:
         raise KeyConstraintError(
             "multiple keys declared for one relation; the optimality guarantees "
             "cover a single unary key per relation (pass --force-multi-keys to "
@@ -155,32 +119,37 @@ def _load_keys(cfg: JobConfig) -> KeySet:
     return keys
 
 
-def _first_data(cfg: JobConfig):
-    if not cfg.data:
+def _first_data(args: argparse.Namespace):
+    if not args.data:
         return None
-    return serialize.load_structure(cfg.data[0])
+    return serialize.load_structure(args.data[0])
 
 
-def _load_plan(cfg: JobConfig, path: Optional[str] = None):
-    data = _first_data(cfg)
+def _open_data(args: argparse.Namespace) -> OpenStructure:
+    value = serialize.load_structure(args.data[0])
+    return OpenStructure(value, ()) if isinstance(value, Structure) else value
+
+
+def _load_plan(args: argparse.Namespace):
+    data = _first_data(args)
     data_struct = data.structure if isinstance(data, OpenStructure) else data
     sig = data_struct.signature if data_struct is not None else None
-    plan, sig = serialize.load_plan(path or cfg.plan, sig)
+    plan, sig = serialize.load_plan(args.plan, sig)
     return plan, sig, data_struct
 
 
-def _emit(cfg: JobConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _require(cfg: JobConfig, **what) -> None:
+def _require(args: argparse.Namespace, **what) -> None:
     for label, value in what.items():
         if not value:
-            raise FormatError(f"subcommand {cfg.command!r} requires --{label}")
+            raise FormatError(f"subcommand {args.command!r} requires --{label}")
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +157,12 @@ def _require(cfg: JobConfig, **what) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_check(cfg: JobConfig) -> None:
-    _require(cfg, plan=cfg.plan)
-    keys = _load_keys(cfg)
-    plan, sig, data = _load_plan(cfg)
+def _cmd_check(args: argparse.Namespace) -> None:
+    _require(args, plan=args.plan)
+    keys = _load_keys(args)
+    plan, sig, data = _load_plan(args)
     keys.validate_for(sig)
-    ok, offender = is_well_behaved(plan, sig, cfg.strict_theta)
+    ok, offender = is_well_behaved(plan, sig, args.strict_theta)
     doc = {
         "ok": True,
         "arity": arity_of(plan, sig),
@@ -205,31 +174,31 @@ def _cmd_check(cfg: JobConfig) -> None:
         doc["offendingSubplan"] = print_plan(offender)
     if data is not None:
         doc["dataSignatureMatches"] = data.signature == sig
-    _emit(cfg, serialize.dumps(doc))
+    _emit(args, serialize.dumps(doc))
 
 
-def _cmd_represent(cfg: JobConfig) -> None:
-    _require(cfg, plan=cfg.plan)
-    plan, sig, _ = _load_plan(cfg)
+def _cmd_represent(args: argparse.Namespace) -> None:
+    _require(args, plan=args.plan)
+    plan, sig, _ = _load_plan(args)
     rep, dec = build_representation(plan, sig)
     names = rep.open.structure.names
-    if cfg.format == "dot":
-        _emit(cfg, serialize.decomposition_to_dot(dec, names))
+    if args.format == "dot":
+        _emit(args, serialize.decomposition_to_dot(dec, names))
         return
     doc = {
         "representation": serialize.structure_to_json(rep.open),
         "decomposition": serialize.decomposition_to_json(dec, names),
     }
-    _emit(cfg, serialize.dumps(doc))
+    _emit(args, serialize.dumps(doc))
 
 
-def _cmd_chase(cfg: JobConfig) -> None:
-    keys = _load_keys(cfg)
-    if cfg.data:
-        value = serialize.load_structure(cfg.data[0])
+def _cmd_chase(args: argparse.Namespace) -> None:
+    keys = _load_keys(args)
+    if args.data:
+        value = serialize.load_structure(args.data[0])
     else:
-        _require(cfg, plan=cfg.plan)
-        plan, sig, _ = _load_plan(cfg)
+        _require(args, plan=args.plan)
+        plan, sig, _ = _load_plan(args)
         rep, _ = build_representation(plan, sig)
         value = rep.open
     struct = value.structure if isinstance(value, OpenStructure) else value
@@ -244,28 +213,25 @@ def _cmd_chase(cfg: JobConfig) -> None:
             if src != dst
         },
     }
-    _emit(cfg, serialize.dumps(doc))
+    _emit(args, serialize.dumps(doc))
 
 
-def _cmd_core(cfg: JobConfig) -> None:
-    keys = _load_keys(cfg)
-    if cfg.data:
-        value = serialize.load_structure(cfg.data[0])
-        if isinstance(value, Structure):
-            value = OpenStructure(value, ())
+def _cmd_core(args: argparse.Namespace) -> None:
+    keys = _load_keys(args)
+    core_cap = _caps(args).core_universe
+    if args.data:
+        core = compute_core(_open_data(args), cap_universe=core_cap)
     else:
-        _require(cfg, plan=cfg.plan)
-        plan, sig, _ = _load_plan(cfg)
-        rep, _ = build_representation(plan, sig)
-        value = chase(rep.open, keys).result
-    core = compute_core(value, cap_universe=cfg.caps().core_universe)
-    _emit(cfg, serialize.dumps({"core": serialize.structure_to_json(core)}))
+        _require(args, plan=args.plan)
+        plan, sig, _ = _load_plan(args)
+        core = chased_core(plan, keys, sig, core_cap)
+    _emit(args, serialize.dumps({"core": serialize.structure_to_json(core)}))
 
 
-def _cmd_degree(cfg: JobConfig) -> None:
-    _require(cfg, plan=cfg.plan)
-    keys = _load_keys(cfg)
-    plan, sig, _ = _load_plan(cfg)
+def _cmd_degree(args: argparse.Namespace) -> None:
+    _require(args, plan=args.plan)
+    keys = _load_keys(args)
+    plan, sig, _ = _load_plan(args)
     keys.validate_for(sig)
     doc = {
         "outputDegree": serialize.fraction_str(output_degree(plan, keys, sig)),
@@ -273,28 +239,27 @@ def _cmd_degree(cfg: JobConfig) -> None:
             intermediate_degree_bound(plan, keys, sig)
         ),
     }
-    _emit(cfg, serialize.dumps(doc))
+    _emit(args, serialize.dumps(doc))
 
 
-def _cmd_optimize(cfg: JobConfig) -> None:
-    _require(cfg, plan=cfg.plan)
-    keys = _load_keys(cfg)
-    plan, sig, _ = _load_plan(cfg)
+def _cmd_optimize(args: argparse.Namespace) -> None:
+    _require(args, plan=args.plan)
+    keys = _load_keys(args)
+    plan, sig, _ = _load_plan(args)
     keys.validate_for(sig)
-    outcome = optimize_full(plan, keys, sig, caps=cfg.caps())
-    result = outcome.result
-    if cfg.format == "text":
-        _emit(cfg, print_plan(result.plan) + "\n")
+    result = optimize(plan, keys, sig, _caps(args))
+    if args.format == "text":
+        _emit(args, print_plan(result.plan) + "\n")
         return
     names = result.elimination.structure.names
-    _emit(cfg, serialize.dumps(serialize.synthesis_result_to_json(result, names)))
+    _emit(args, serialize.dumps(serialize.synthesis_result_to_json(result, names)))
 
 
-def _cmd_evaluate(cfg: JobConfig) -> None:
-    _require(cfg, plan=cfg.plan, data=cfg.data)
-    plan, sig, data = _load_plan(cfg)
+def _cmd_evaluate(args: argparse.Namespace) -> None:
+    _require(args, plan=args.plan, data=args.data)
+    plan, sig, data = _load_plan(args)
     try:
-        trace = evaluate_well_behaved(plan, data, cfg.strict_theta)
+        trace = evaluate_well_behaved(plan, data, args.strict_theta)
         evaluator = "well-behaved"
     except WellBehavedError:
         trace = evaluate_naive(plan, data)
@@ -305,28 +270,27 @@ def _cmd_evaluate(cfg: JobConfig) -> None:
         "maxIntermediate": trace.max_intermediate,
         "output": sorted([data.names[e] for e in row] for row in trace.output),
     }
-    if cfg.trace:
+    if args.trace:
         doc = {**serialize.trace_to_json(trace, data.names), "evaluator": evaluator}
-    if cfg.format == "text":
+    if args.format == "text":
         lines = [f"evaluator: {evaluator}"]
         for entry in trace.entries:
             lines.append(f"{entry.cardinality:>8}  {entry.text}")
         lines.append(f"max intermediate: {trace.max_intermediate}")
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
         return
-    _emit(cfg, serialize.dumps(doc))
+    _emit(args, serialize.dumps(doc))
 
 
-def _cmd_equiv(cfg: JobConfig) -> None:
-    _require(cfg, plan=cfg.plan, plan2=cfg.plan2)
-    keys = _load_keys(cfg)
-    data = _first_data(cfg)
+def _cmd_equiv(args: argparse.Namespace) -> None:
+    _require(args, plan=args.plan, plan2=args.plan2)
+    keys = _load_keys(args)
+    data = _first_data(args)
     data_struct = data.structure if isinstance(data, OpenStructure) else data
     merged: dict[str, int] = {} if data_struct is None else data_struct.signature.as_dict()
     bodies = []
-    for path in (cfg.plan, cfg.plan2):
-        with open(path, "r", encoding="utf-8") as fh:
-            header, body = serialize.plan_file_from_text(fh.read())
+    for path in (args.plan, args.plan2):
+        header, body = serialize.plan_file_from_text(serialize.read_text(path))
         if header is not None:
             for name in header.symbols():
                 ar = header.arity(name)
@@ -337,15 +301,13 @@ def _cmd_equiv(cfg: JobConfig) -> None:
     if not merged:
         raise FormatError("no signature available; add `rel` headers or pass --data")
     sig = Signature(merged)
-    from .plans import parse_plan
-
     plan1 = parse_plan(bodies[0], sig)
     plan2 = parse_plan(bodies[1], sig)
     keys.validate_for(sig)
     try:
         witness = equivalence_witness(plan1, plan2, keys, sig)
     except ArityError:
-        _emit(cfg, serialize.dumps({"equivalent": False, "reason": "different arities"}))
+        _emit(args, serialize.dumps({"equivalent": False, "reason": "different arities"}))
         return
     doc = {"equivalent": witness is not None}
     if witness is not None:
@@ -354,17 +316,16 @@ def _cmd_equiv(cfg: JobConfig) -> None:
             "forward": {left[a]: right[b] for a, b in sorted(witness.forward.items())},
             "backward": {right[a]: left[b] for a, b in sorted(witness.backward.items())},
         }
-    _emit(cfg, serialize.dumps(doc))
+    _emit(args, serialize.dumps(doc))
 
 
-def _cmd_witness(cfg: JobConfig) -> None:
-    _require(cfg, plan=cfg.plan)
-    keys = _load_keys(cfg)
-    plan, sig, _ = _load_plan(cfg)
+def _cmd_witness(args: argparse.Namespace) -> None:
+    _require(args, plan=args.plan)
+    keys = _load_keys(args)
+    plan, sig, _ = _load_plan(args)
     keys.validate_for(sig)
-    caps = cfg.caps()
-    rep, _ = build_representation(plan, sig)
-    core = compute_core(chase(rep.open, keys).result, cap_universe=caps.core_universe)
+    caps = _caps(args)
+    core = chased_core(plan, keys, sig, caps.core_universe)
     report = optimal_cwidth(core, keys, cap=caps.width_universe)
     node, family = bag_witness(core, keys, report.decomposition)
     names = core.structure.names
@@ -374,44 +335,39 @@ def _cmd_witness(cfg: JobConfig) -> None:
         "colorsOnTarget": family.colors_on_target,
         "maxColorsPerTuple": family.max_colors_per_tuple,
         "ratio": serialize.fraction_str(family.ratio),
-        "n": list(cfg.witness_n),
+        "n": list(args.witness_n),
     }
-    if cfg.out:
+    if args.out:
         files = []
-        for n in cfg.witness_n:
-            path = f"{cfg.out}_n{n}.json"
+        for n in args.witness_n:
+            path = f"{args.out}_n{n}.json"
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(serialize.dumps(serialize.structure_to_json(family.generate(n))))
             files.append(path)
         meta["files"] = files
-        sys.stdout.write(serialize.dumps(meta))
     else:
         meta["instances"] = {
-            str(n): serialize.structure_to_json(family.generate(n)) for n in cfg.witness_n
+            str(n): serialize.structure_to_json(family.generate(n)) for n in args.witness_n
         }
-        sys.stdout.write(serialize.dumps(meta))
+    sys.stdout.write(serialize.dumps(meta))
 
 
-def _cmd_decompose(cfg: JobConfig) -> None:
-    keys = _load_keys(cfg)
-    caps = cfg.caps()
-    if cfg.data:
-        value = serialize.load_structure(cfg.data[0])
-        if isinstance(value, Structure):
-            value = OpenStructure(value, ())
-        core = value
+def _cmd_decompose(args: argparse.Namespace) -> None:
+    keys = _load_keys(args)
+    caps = _caps(args)
+    if args.data:
+        core = _open_data(args)
     else:
-        _require(cfg, plan=cfg.plan)
-        plan, sig, _ = _load_plan(cfg)
+        _require(args, plan=args.plan)
+        plan, sig, _ = _load_plan(args)
         keys.validate_for(sig)
-        rep, _ = build_representation(plan, sig)
-        core = compute_core(chase(rep.open, keys).result, cap_universe=caps.core_universe)
+        core = chased_core(plan, keys, sig, caps.core_universe)
     report = optimal_cwidth(core, keys, cap=caps.width_universe)
     names = core.structure.names
-    if cfg.format == "dot":
-        _emit(cfg, serialize.decomposition_to_dot(report.decomposition, names))
+    if args.format == "dot":
+        _emit(args, serialize.decomposition_to_dot(report.decomposition, names))
         return
-    _emit(cfg, serialize.dumps(serialize.width_report_to_json(report, names)))
+    _emit(args, serialize.dumps(serialize.width_report_to_json(report, names)))
 
 
 _COMMANDS = {
@@ -429,14 +385,14 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        cfg = _config(args)
-        _COMMANDS[cfg.command](cfg)
+        # --n is checked for every subcommand, not only witness.
+        args.witness_n = _parse_witness_n(args.witness_n)
+        _COMMANDS[args.command](args)
     except ResourceCapError as exc:
         print(f"spjopt: resource cap: {exc}", file=sys.stderr)
         return 3
@@ -454,8 +410,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         KeyConstraintError,
         WellBehavedError,
         DegenerateInputError,
-        FileNotFoundError,
-        IsADirectoryError,
+        OSError,
     ) as exc:
         print(f"spjopt: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,6 @@ slacks never leave the basis and the pivots on the other rows are the same.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -25,7 +24,7 @@ from .constraints import KeySet
 from .errors import DegenerateInputError, KeyConstraintError, ResourceCapError, SignatureError
 from .represent import TreeDecomposition, check_tree_decomposition
 from .simplex import solve_lp
-from .structures import Hypergraph, OpenStructure, Structure, hypergraph_of
+from .structures import OpenStructure, Structure, hypergraph_of
 
 
 @dataclass(frozen=True)
@@ -61,31 +60,6 @@ def _close(members: Iterable[int], forces: Mapping[int, set[int]]) -> frozenset:
                 out.add(req)
                 stack.append(req)
     return frozenset(out)
-
-
-def _is_closed(members: frozenset, forces: Mapping[int, set[int]]) -> bool:
-    return all(req in members for e in members for req in forces.get(e, ()))
-
-
-def valid_color_classes(
-    structure: Structure, keys: KeySet, cap: int = 16
-) -> list[ColorClass]:
-    """All nonempty key-closed subsets of the universe, sorted.
-
-    For an empty key set this is every nonempty subset, hence the cap.
-    """
-    n = len(structure.universe)
-    if n > cap:
-        raise ResourceCapError(f"class enumeration capped at universe {cap}, got {n}")
-    forces = _closure_edges(structure, keys)
-    out = []
-    for r in range(1, n + 1):
-        for combo in itertools.combinations(structure.universe, r):
-            members = frozenset(combo)
-            if _is_closed(members, forces):
-                out.append(ColorClass(members))
-    out.sort(key=lambda c: (len(c.members), tuple(sorted(c.members))))
-    return out
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ satisfaction check accept arbitrary key position sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import KeyConstraintError
 from .structures import OpenStructure, Signature, Structure, UnionFind
@@ -67,14 +67,6 @@ class KeySet:
                 raise KeyConstraintError(
                     f"key position(s) {sorted(bad)} out of range for {name}/{ar}"
                 )
-
-    def unary_key_position(self, name: str) -> Optional[int]:
-        """The single 1-based key position of ``name`` if it has exactly one
-        unary key, else None."""
-        found = [pos for n, pos in self._keys if n == name and len(pos) == 1]
-        if len(found) == 1:
-            return next(iter(found[0]))
-        return None
 
     def __bool__(self) -> bool:
         return bool(self._keys)

@@ -12,7 +12,7 @@ import itertools
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import ArityError, PlanSyntaxError, SignatureError, WellBehavedError
 from .structures import Signature, Structure
@@ -471,9 +471,6 @@ class EvalTrace:
     @property
     def max_intermediate(self) -> int:
         return max((e.cardinality for e in self.entries), default=0)
-
-    def by_path(self) -> dict[tuple[int, ...], TraceEntry]:
-        return {e.path: e for e in self.entries}
 
 
 def _select_rows(rows, theta):

@@ -14,15 +14,13 @@ import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from .errors import SignatureError
-from .plans import Basic, Join, Plan, Project, Select, print_plan, subplans, validate_plan
+from .plans import Basic, Plan, Project, Select, print_plan, subplans, validate_plan
 from .structures import (
     Hypergraph,
     OpenStructure,
     Signature,
     Structure,
     UnionFind,
-    homs_relation,
 )
 
 
@@ -62,18 +60,6 @@ class TreeDecomposition:
         for lst in out.values():
             lst.sort()
         return out
-
-    def descendants(self, node: int) -> set[int]:
-        kids = self.children()
-        seen = set()
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(kids[cur])
-        return seen
 
     def rerooted(self, new_root: int) -> "TreeDecomposition":
         """Same tree re-rooted at another node; bags unchanged."""
@@ -250,31 +236,5 @@ def check_tree_decomposition(
                     comp.add(nxt)
                     stack.append(nxt)
         if comp != holding_set:
-            return False
-    return True
-
-
-def check_containment_property(
-    plan: Plan,
-    rep: PRepresentation,
-    dec: PDecomposition,
-    data: Structure,
-    trace=None,
-) -> bool:
-    """out(q, D) must contain the evaluation of the substructure induced by
-    the bags at-or-below q's node, for every subplan occurrence q."""
-    from .plans import evaluate_naive
-
-    if trace is None:
-        trace = evaluate_naive(plan, data)
-    by_path = trace.by_path()
-    for path, node_id in dec.alpha.items():
-        below = dec.descendants(node_id)
-        span = set()
-        for t in below:
-            span |= dec.chi[t]
-        induced = rep.open.structure.restrict(span)
-        homs = homs_relation(induced, dec.beta[path], data)
-        if not homs <= by_path[path].rows:
             return False
     return True

@@ -36,11 +36,14 @@ def fraction_str(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def parse_fraction(text: str) -> Fraction:
+def read_text(path: str) -> str:
+    """The contents of a UTF-8 text file; any other bytes are a format
+    error."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad rational {text!r}") from exc
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not UTF-8 text") from None
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +99,10 @@ def structure_from_json(doc: dict) -> Union[Structure, OpenStructure]:
 
 
 def load_structure(path: str) -> Union[Structure, OpenStructure]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     return structure_from_json(doc)
 
 
@@ -135,8 +137,7 @@ def keys_to_text(keys: KeySet) -> str:
 
 
 def load_keys(path: str) -> KeySet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return keys_from_text(fh.read())
+    return keys_from_text(read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +173,7 @@ def plan_file_from_text(text: str) -> tuple[Optional[Signature], str]:
 def load_plan(path: str, signature: Optional[Signature] = None) -> tuple[Plan, Signature]:
     """Load a plan file; the signature comes from the argument (data file)
     or from the file's `rel` header."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header_sig, body = plan_file_from_text(fh.read())
+    header_sig, body = plan_file_from_text(read_text(path))
     if signature is None:
         signature = header_sig
     elif header_sig is not None:

@@ -185,11 +185,6 @@ class Structure:
         names = {e: self.names.get(e, f"v{e}") for e in new_universe}
         return Structure(self.signature, new_universe, rels, names)
 
-    def with_signature(self, signature: Signature) -> "Structure":
-        """Same content re-typed over a (compatible) signature."""
-        rels = {n: rows for n, rows in self.relations.items() if n in signature}
-        return Structure(signature, self.universe, rels, self.names)
-
     # -- dunder --------------------------------------------------------
 
     def _key(self):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .colorwidth import WidthReport, color_number, optimal_cwidth
-from .constraints import ChaseResult, KeySet, chase, satisfies_keys
+from .constraints import KeySet, chase, satisfies_keys
 from .errors import (
     ArityError,
     DegenerateInputError,
@@ -34,6 +34,7 @@ from .plans import (
     Plan,
     Project,
     Select,
+    arity_of,
     is_well_behaved,
     print_plan,
     subplans,
@@ -44,6 +45,7 @@ from .structures import (
     OpenStructure,
     Signature,
     Structure,
+    compute_core,
     find_homomorphism,
 )
 
@@ -58,9 +60,6 @@ class Caps:
 
     core_universe: Optional[int] = 12
     width_universe: int = 16
-
-
-UNCAPPED = Caps(core_universe=None, width_universe=16)
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +453,6 @@ def equivalence_witness(
     """
     if not keys.is_unary:
         raise KeyConstraintError("equivalence check requires unary keys")
-    from .plans import arity_of
-
     if arity_of(p1, signature) != arity_of(p2, signature):
         raise ArityError("plans of different arity are never equivalent")
     rep1, _ = build_representation(p1, signature)
@@ -482,48 +479,29 @@ def check_equivalence(p1: Plan, p2: Plan, keys: KeySet, signature: Signature) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OptimizeOutcome:
-    """Everything the pipeline produced along the way (for reporting)."""
-
-    result: SynthesisResult
-    representation: OpenStructure
-    chased: ChaseResult
-    core: OpenStructure
+def chased_core(
+    plan: Plan, keys: KeySet, signature: Signature, core_cap: Optional[int]
+) -> OpenStructure:
+    """The core of the plan's chased representation, searched under
+    ``core_cap`` (``None`` for no cap): the structure synthesis starts from."""
+    rep, _ = build_representation(plan, signature)
+    return compute_core(chase(rep.open, keys).result, cap_universe=core_cap)
 
 
 def optimize(
-    plan: Plan,
-    keys: KeySet,
-    signature: Signature,
-    caps: Caps = Caps(),
-    verify: bool = True,
+    plan: Plan, keys: KeySet, signature: Signature, caps: Caps = Caps()
 ) -> SynthesisResult:
     """Rewrite ``plan`` into a well-behaved plan of minimum intermediate
     degree over all plans equivalent on key-satisfying databases.
 
     Pipeline: representation -> chase -> core -> synthesis.  Synthesis
-    checks that the result is well-behaved; with ``verify`` (the default),
-    it is also checked to be equivalent to the input before being returned.
+    checks that the result is well-behaved, and the result is checked to be
+    equivalent to the input before it is returned.  The core is
+    ``result.elimination.original``.
     """
-    return optimize_full(plan, keys, signature, caps, verify).result
-
-
-def optimize_full(
-    plan: Plan,
-    keys: KeySet,
-    signature: Signature,
-    caps: Caps = Caps(),
-    verify: bool = True,
-) -> OptimizeOutcome:
     if not keys.is_unary:
         raise KeyConstraintError("the pipeline requires unary keys")
-    from .structures import compute_core
-
-    rep, _ = build_representation(plan, signature)
-    chased = chase(rep.open, keys)
-    core = compute_core(chased.result, cap_universe=caps.core_universe)
-    result = synthesize_plan(core, keys, caps)
-    if verify and not check_equivalence(plan, result.plan, keys, signature):  # pragma: no cover
+    result = synthesize_plan(chased_core(plan, keys, signature, caps.core_universe), keys, caps)
+    if not check_equivalence(plan, result.plan, keys, signature):  # pragma: no cover
         raise SpjError("pipeline produced a non-equivalent plan")
-    return OptimizeOutcome(result, rep.open, chased, core)
+    return result

@@ -16,16 +16,21 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from spjopt import (
+    Caps,
     Hypergraph,
     KeySet,
     OpenStructure,
+    ResourceCapError,
     Structure,
     check_tree_decomposition,
     color_number,
     eliminate_fds,
+    evaluate_naive,
+    homs_relation,
     optimal_cwidth,
     satisfies_keys,
 )
+from spjopt.colorwidth import ColorClass, _closure_edges
 from spjopt.errors import PlanSyntaxError, WellBehavedError
 from spjopt.plans import (
     EvalTrace,
@@ -41,8 +46,12 @@ from spjopt.plans import (
     subplans,
     validate_plan,
 )
+from spjopt.represent import PDecomposition, PRepresentation
 from spjopt.simplex import LpResult
 from spjopt.synthesis import _assemble_plan
+
+# No cap on the core search; the width search keeps the default cap.
+UNCAPPED = Caps(core_universe=None, width_universe=16)
 
 
 # ---------------------------------------------------------------------------
@@ -794,3 +803,75 @@ def coloring_ratio(structure: Structure, col) -> Fraction:
         return Fraction(0)
     total = len(set().union(*(set(v) for v in col.values())) if col else set())
     return Fraction(total, denom)
+
+
+# ---------------------------------------------------------------------------
+# All valid color classes
+# ---------------------------------------------------------------------------
+
+
+def _is_closed(members: frozenset, forces: Mapping[int, set[int]]) -> bool:
+    return all(req in members for e in members for req in forces.get(e, ()))
+
+
+def valid_color_classes(
+    structure: Structure, keys: KeySet, cap: int = 16
+) -> list[ColorClass]:
+    """All nonempty key-closed subsets of the universe, sorted.
+
+    For an empty key set this is every nonempty subset, hence the cap.
+    """
+    n = len(structure.universe)
+    if n > cap:
+        raise ResourceCapError(f"class enumeration capped at universe {cap}, got {n}")
+    forces = _closure_edges(structure, keys)
+    out = []
+    for r in range(1, n + 1):
+        for combo in itertools.combinations(structure.universe, r):
+            members = frozenset(combo)
+            if _is_closed(members, forces):
+                out.append(ColorClass(members))
+    out.sort(key=lambda c: (len(c.members), tuple(sorted(c.members))))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The containment property of a plan's decomposition
+# ---------------------------------------------------------------------------
+
+
+def _descendants(dec: PDecomposition, node: int) -> set[int]:
+    kids = dec.children()
+    seen = set()
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        if cur in seen:
+            continue
+        seen.add(cur)
+        stack.extend(kids[cur])
+    return seen
+
+
+def check_containment_property(
+    plan: Plan,
+    rep: PRepresentation,
+    dec: PDecomposition,
+    data: Structure,
+    trace=None,
+) -> bool:
+    """out(q, D) must contain the evaluation of the substructure induced by
+    the bags at-or-below q's node, for every subplan occurrence q."""
+    if trace is None:
+        trace = evaluate_naive(plan, data)
+    by_path = {e.path: e for e in trace.entries}
+    for path, node_id in dec.alpha.items():
+        below = _descendants(dec, node_id)
+        span = set()
+        for t in below:
+            span |= dec.chi[t]
+        induced = rep.open.structure.restrict(span)
+        homs = homs_relation(induced, dec.beta[path], data)
+        if not homs <= by_path[path].rows:
+            return False
+    return True

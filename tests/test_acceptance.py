@@ -19,11 +19,10 @@ from spjopt import (
     OpenStructure,
     Signature,
     Structure,
-    UNCAPPED,
     bag_witness,
     build_representation,
     chase,
-    check_containment_property,
+    chased_core,
     check_equivalence,
     check_isomorphic,
     check_tree_decomposition,
@@ -36,12 +35,11 @@ from spjopt import (
     hypergraph_of,
     intermediate_degree_bound,
     is_well_behaved,
-    optimize_full,
     output_degree,
     parse_plan,
     print_plan,
     satisfies_keys,
-    valid_color_classes,
+    synthesize_plan,
 )
 from spjopt.colorwidth import _constraint_sets
 from spjopt.plans import plan_size
@@ -55,9 +53,12 @@ from conftest import (
     rand_structure,
 )
 from oracles import (
+    UNCAPPED,
+    check_containment_property,
     has_proper_retraction,
     packing_lp_by_basic_enumeration,
     random_chase,
+    valid_color_classes,
 )
 
 SIG_E = Signature({"E": 2})
@@ -118,11 +119,10 @@ def corpus():
 @pytest.fixture(scope="module")
 def triangle_pipeline():
     plan = parse_plan(TRIANGLE_TEXT, SIG_E)
-    outcome = optimize_full(plan, NO_KEYS, SIG_E, caps=UNCAPPED, verify=False)
-    node, family = bag_witness(
-        outcome.core, NO_KEYS, outcome.result.width_report.decomposition
-    )
-    return plan, outcome, node, family
+    core = chased_core(plan, NO_KEYS, SIG_E, UNCAPPED.core_universe)
+    result = synthesize_plan(core, NO_KEYS, UNCAPPED)
+    node, family = bag_witness(core, NO_KEYS, result.width_report.decomposition)
+    return plan, result, node, family
 
 
 def test_criterion_1_representation_soundness(corpus):
@@ -225,8 +225,8 @@ def test_criterion_6_optimality_pipeline(corpus):
     with criterion(6, "optimality pipeline"):
         for entry in corpus:
             plan, sig, keys = entry["plan"], entry["sig"], entry["keys"]
-            outcome = optimize_full(plan, keys, sig, caps=UNCAPPED, verify=False)
-            result = outcome.result
+            core = chased_core(plan, keys, sig, UNCAPPED.core_universe)
+            result = synthesize_plan(core, keys, UNCAPPED)
             assert is_well_behaved(result.plan, sig)[0]
             assert check_equivalence(plan, result.plan, keys, sig)
             for data in entry["keydata"]:
@@ -249,22 +249,22 @@ def test_criterion_7_upper_bound_empirics(corpus, triangle_pipeline):
         # Deterministic subsample of the corpus plus the triangle.
         for entry in corpus[:40]:
             plan, sig, keys = entry["plan"], entry["sig"], entry["keys"]
-            outcome = optimize_full(plan, keys, sig, caps=UNCAPPED, verify=False)
-            core = outcome.core
+            core = chased_core(plan, keys, sig, UNCAPPED.core_universe)
+            result = synthesize_plan(core, keys, UNCAPPED)
             if not core.structure.universe:
                 continue
             _, family = bag_witness(
-                core, keys, outcome.result.width_report.decomposition
+                core, keys, result.width_report.decomposition
             )
             k = core.structure.total_tuple_count()
             for n in (2, 3, 4, 5):
                 data = family.generate(n)
-                trace = evaluate_well_behaved(outcome.result.plan, data)
+                trace = evaluate_well_behaved(result.plan, data)
                 assert _max_intermediate_within(
-                    trace, k, data.max_relation_size, outcome.result.degree
+                    trace, k, data.max_relation_size, result.degree
                 ), (print_plan(plan), n)
-        plan, outcome, _, family = triangle_pipeline
-        k = outcome.core.structure.total_tuple_count()
+        plan, result, _, family = triangle_pipeline
+        k = result.elimination.original.structure.total_tuple_count()
         product_form = parse_plan(
             "(project (cols 1 2 4) (select (theta (2 3) (4 5) (6 1)) (join (theta) E E E)))",
             SIG_E,
@@ -272,7 +272,7 @@ def test_criterion_7_upper_bound_empirics(corpus, triangle_pipeline):
         for n in (2, 3, 4, 5):
             data = family.generate(n)
             m = data.max_relation_size
-            trace = evaluate_well_behaved(outcome.result.plan, data)
+            trace = evaluate_well_behaved(result.plan, data)
             assert _max_intermediate_within(trace, k, m, Fraction(3, 2))
             if n == 5:
                 naive_trace = evaluate_naive(product_form, data)
@@ -283,8 +283,8 @@ def test_criterion_7_upper_bound_empirics(corpus, triangle_pipeline):
 
 def test_criterion_8_lower_bound_empirics(triangle_pipeline):
     with criterion(8, "lower bound empirics"):
-        plan, outcome, node, family = triangle_pipeline
-        core = outcome.core.structure
+        plan, result, node, family = triangle_pipeline
+        core = result.elimination.original.structure
         n_colors = family.colors_on_target
         dstar = family.max_colors_per_tuple
         assert Fraction(n_colors, dstar) == Fraction(3, 2)
@@ -335,18 +335,18 @@ def test_criterion_9_evaluator_agreement(triangle_pipeline):
             agreed += 1
         assert agreed >= 200
 
-        plan, outcome, _, family = triangle_pipeline
+        plan, result, _, family = triangle_pipeline
         data = family.generate(6)
         m = data.max_relation_size
         start = time.perf_counter()
-        fast = evaluate_well_behaved(outcome.result.plan, data)
+        fast = evaluate_well_behaved(result.plan, data)
         t_fast = time.perf_counter() - start
         start = time.perf_counter()
-        slow = evaluate_naive(outcome.result.plan, data)
+        slow = evaluate_naive(result.plan, data)
         t_slow = time.perf_counter() - start
         assert fast.output == slow.output
         # scaled units: one microsecond per |p|^2 * |dom| * M^1.5 step
-        budget = 10 * plan_size(outcome.result.plan) ** 2 * len(data.universe) * m**1.5 * 1e-6
+        budget = 10 * plan_size(result.plan) ** 2 * len(data.universe) * m**1.5 * 1e-6
         assert t_fast <= budget, f"{t_fast:.3f}s over {budget:.3f}s"
         assert t_slow >= 5 * t_fast, f"naive {t_slow:.3f}s vs {t_fast:.3f}s"
 

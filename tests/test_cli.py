@@ -5,7 +5,7 @@ import json
 import pytest
 
 from spjopt import KeySet, OpenStructure, Signature, Structure, parse_plan
-from spjopt import cli
+from spjopt import cli, serialize
 from spjopt.cli import main
 from spjopt.errors import FormatError
 from spjopt.serialize import (
@@ -232,7 +232,8 @@ def test_cli_exit_codes(workdir, capsys, tmp_path):
     assert run(capsys, "degree", "--plan", tmp_path / "noheader.plan")[0] == 2
     (tmp_path / "broken.json").write_text("{")
     assert run(capsys, "evaluate", "--plan", workdir / "tri.plan", "--data", tmp_path / "broken.json")[0] == 2
-    # resource cap: a 17-element universe with cap from the environment
+    # resource cap: a 17-element universe is over the default width cap of
+    # 16, and --cap-universe 17 lifts it
     big = {
         "signature": {"E": 2},
         "universe": [f"v{i}" for i in range(17)],
@@ -290,3 +291,84 @@ def test_cli_multi_key_diagnostic(workdir, capsys):
 def test_cli_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 1
     assert run(capsys)[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--plan", "{bad}"],
+        ["degree", "--plan", "{tri}", "--keys", "{bad}"],
+        ["evaluate", "--plan", "{tri}", "--data", "{bad}"],
+        ["equiv", "--plan", "{tri}", "--plan2", "{bad}"],
+    ],
+    ids=["plan", "keys", "data", "equiv-plan2"],
+)
+def test_cli_non_utf8_file_is_a_format_error(workdir, capsys, argv):
+    bad = workdir / "latin1.txt"
+    bad.write_bytes("rel E 2\n(project (cols 1) E) # caf\xe9\n".encode("latin-1"))
+    paths = {"bad": bad, "tri": workdir / "tri.plan"}
+    code, out, err = run(capsys, *[a.format(**paths) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err == f"spjopt: {bad}: not UTF-8 text\n"
+
+
+def test_cli_path_through_a_file_is_an_input_error(workdir, capsys):
+    tri = workdir / "tri.plan"
+    code, out, err = run(capsys, "check", "--plan", tri / "x")
+    assert (code, out) == (2, "")
+    assert err.startswith("spjopt: ") and err.count("\n") == 1
+    code, out, err = run(capsys, "degree", "--plan", tri, "--out", tri / "x")
+    assert (code, out) == (2, "")
+    assert err.startswith("spjopt: ") and err.count("\n") == 1
+
+
+def test_cli_unreadable_file_is_an_input_error(workdir, capsys, monkeypatch):
+    def denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(serialize, "open", denied, raising=False)
+    code, out, err = run(capsys, "check", "--plan", workdir / "tri.plan")
+    assert (code, out) == (2, "")
+    assert err == f"spjopt: [Errno 13] Permission denied: '{workdir / 'tri.plan'}'\n"
+
+
+def test_cli_data_lists_do_not_leak_between_calls(workdir, capsys, monkeypatch):
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "check", lambda args: seen.append(args.data))
+    assert run(capsys, "check", "--data", "a.json")[0] == 0
+    assert run(capsys, "check", "--data", "b.json", "--data", "c.json")[0] == 0
+    assert run(capsys, "check")[0] == 0
+    assert seen == [["a.json"], ["b.json", "c.json"], []]
+    # and on real files: each evaluate sees only its own database
+    (workdir / "e.json").write_text(json.dumps({**DATA, "relations": {"E": [["a", "b"]]}}))
+    for db, expected in (("d.json", 3), ("e.json", 0), ("d.json", 3)):
+        code, out, _ = run(capsys, "evaluate", "--plan", workdir / "tri.plan", "--data", workdir / db)
+        assert code == 0
+        assert json.loads(out)["cardinality"] == expected
+
+
+def test_cli_parser_is_built_once(workdir, capsys):
+    cli._build_parser.cache_clear()
+    for argv in (["check", "--plan", workdir / "tri.plan"], ["degree"], ["frobnicate"]):
+        run(capsys, *argv)
+    assert cli._build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("value", ["x", "3", "17"])
+def test_cli_ignores_cap_environment_variable(workdir, capsys, monkeypatch, tmp_path, value):
+    big = {
+        "signature": {"E": 2},
+        "universe": [f"v{i}" for i in range(17)],
+        "relations": {"E": [[f"v{i}", f"v{(i + 1) % 17}"] for i in range(17)]},
+        "tuple": [],
+    }
+    (tmp_path / "big.json").write_text(json.dumps(big))
+    cases = [
+        (["optimize", "--plan", workdir / "tri.plan"], 0),
+        (["decompose", "--data", tmp_path / "big.json"], 3),
+        (["decompose", "--data", tmp_path / "big.json", "--cap-universe", "17"], 0),
+        (["degree"], 2),
+    ]
+    monkeypatch.setenv("SPJOPT_CAP_UNIVERSE", value)
+    assert [run(capsys, *argv)[0] for argv, _ in cases] == [code for _, code in cases]

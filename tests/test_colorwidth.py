@@ -17,7 +17,6 @@ from spjopt import (
     cwidth_of_decomposition,
     hypergraph_of,
     optimal_cwidth,
-    valid_color_classes,
 )
 from spjopt.colorwidth import ColorSolution, _constraint_sets
 from spjopt.represent import TreeDecomposition
@@ -30,6 +29,7 @@ from oracles import (
     fractional_edge_cover,
     packing_lp_by_basic_enumeration,
     two_phase_solve_lp,
+    valid_color_classes,
 )
 
 SIG_E = Signature({"E": 2})

@@ -9,7 +9,6 @@ from spjopt import (
     Signature,
     Structure,
     build_representation,
-    check_containment_property,
     check_tree_decomposition,
     evaluate_naive,
     homs_relation,
@@ -20,6 +19,7 @@ from spjopt import (
 from spjopt.plans import arity_of
 
 from conftest import rand_plan, rand_signature, rand_structure
+from oracles import check_containment_property
 
 SIG = Signature({"R": 2, "S": 2})
 

@@ -12,7 +12,6 @@ from spjopt import (
     ResourceCapError,
     Signature,
     Structure,
-    UNCAPPED,
     build_representation,
     chase,
     check_equivalence,
@@ -24,7 +23,6 @@ from spjopt import (
     intermediate_degree_bound,
     is_well_behaved,
     optimize,
-    optimize_full,
     output_degree,
     parse_plan,
     print_plan,
@@ -41,7 +39,7 @@ from conftest import (
     rand_satisfying_structure,
     rand_signature,
 )
-from oracles import synthesize_with_two_searches
+from oracles import UNCAPPED, synthesize_with_two_searches
 
 SIG_E = Signature({"E": 2})
 SIG_R = Signature({"R": 2})
@@ -225,8 +223,7 @@ def test_synthesize_boolean_core():
 
 def test_optimize_triangle_degree_and_equivalence():
     plan = parse_plan(TRIANGLE, SIG_E)
-    outcome = optimize_full(plan, NO_KEYS, SIG_E, caps=UNCAPPED)
-    result = outcome.result
+    result = optimize(plan, NO_KEYS, SIG_E, caps=UNCAPPED)
     assert result.degree == Fraction(3, 2)
     assert is_well_behaved(result.plan, SIG_E)[0]
     assert intermediate_degree_bound(result.plan, NO_KEYS, SIG_E) == Fraction(3, 2)
@@ -305,19 +302,19 @@ def test_optimize_rejects_non_unary_keys():
 def test_optimized_plan_beats_obvious_form_on_witness_data():
     """On the triangle's own worst-case family the synthesized plan's
     intermediates stay near M^(3/2) while the product form blows up."""
-    from spjopt import bag_witness, build_representation, compute_core
+    from spjopt import bag_witness
 
     plan = parse_plan(TRIANGLE, SIG_E)
-    outcome = optimize_full(plan, NO_KEYS, SIG_E, caps=UNCAPPED)
-    core = outcome.core
-    report = outcome.result.width_report
+    result = optimize(plan, NO_KEYS, SIG_E, caps=UNCAPPED)
+    core = result.elimination.original
+    report = result.width_report
     _, family = bag_witness(core, NO_KEYS, report.decomposition)
     k = core.structure.total_tuple_count()
-    d = outcome.result.degree
+    d = result.degree
     for n in (2, 3):
         data = family.generate(n)
         m = data.max_relation_size
-        trace = evaluate_well_behaved(outcome.result.plan, data)
+        trace = evaluate_well_behaved(result.plan, data)
         assert trace.output == evaluate_naive(plan, data).output
         assert trace.max_intermediate <= k * m ** float(d)
 
@@ -333,13 +330,10 @@ def test_pipeline_random_equivalence(rng):
         plan = rand_plan(rng, sig, max_operators=4)
         keys = rand_keys(rng, sig)
         try:
-            outcome = optimize_full(plan, keys, sig, caps=UNCAPPED)
+            result = optimize(plan, keys, sig, caps=UNCAPPED)
         except Exception as exc:  # resource caps only
-            from spjopt import ResourceCapError
-
             assert isinstance(exc, ResourceCapError)
             continue
-        result = outcome.result
         assert is_well_behaved(result.plan, sig)[0]
         assert check_equivalence(plan, result.plan, keys, sig)
         assert intermediate_degree_bound(result.plan, keys, sig) == result.degree
