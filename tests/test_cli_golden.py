@@ -4,6 +4,9 @@ of invocations, recorded in ``tests/golden/cli.json``.
 The inputs are the triangle, a keyed two-atom path and a few fixed-seed
 random plans from ``conftest``, each with a key-satisfying database.  Every
 subcommand and ``--format`` variant is run on them, plus the usage errors.
+The directed 4- and 5-cycles projected to one column, under ``key E 1``,
+pin the keyed pipeline: ``optimize``, ``degree``, ``decompose`` and
+``witness`` on them.
 ``--help`` is left out: argparse's help layout differs between Python
 versions.
 
@@ -45,6 +48,13 @@ KEYED_DATA = {
     "universe": ["a", "b", "c"],
     "relations": {"R": [["a", "b"], ["b", "c"], ["c", "c"]]},
 }
+CYCLE_LENGTHS = (4, 5)
+
+
+def _cycle_plan(n: int) -> str:
+    """The directed n-cycle of E atoms, projected to its first vertex."""
+    theta = " ".join(f"({2 * i} {2 * i + 1})" for i in range(1, n))
+    return f"(project (cols 1) (join (theta (1 {2 * n}) {theta}) {' '.join('E' * n)}))"
 
 
 def _header(sig: Signature) -> str:
@@ -72,6 +82,9 @@ def _write_inputs(root: Path) -> list[str]:
         (root / f"{name}.keys").write_text(keys_to_text(keys))
         (root / f"{name}.json").write_text(json.dumps(structure_to_json(data)))
         names.append(name)
+    for n in CYCLE_LENGTHS:
+        (root / f"cycle{n}.plan").write_text(f"rel E 2\n{_cycle_plan(n)}\n")
+        (root / f"cycle{n}.keys").write_text("key E 1\n")
     return names
 
 
@@ -99,6 +112,16 @@ def _cases(names: list[str]) -> dict[str, list[str]]:
             f"{name}/equiv/self": ["equiv", *pk, "--plan2", plan],
             f"{name}/witness": ["witness", *pk, "--n", "1,2"],
             f"{name}/cap": ["optimize", *pk, "--cap-universe", "2"],
+        })
+    for n in CYCLE_LENGTHS:
+        pk = ["--plan", f"cycle{n}.plan", "--keys", f"cycle{n}.keys"]
+        cases.update({
+            f"cycle{n}/optimize/json": ["optimize", *pk],
+            f"cycle{n}/optimize/text": ["optimize", *pk, "--format", "text"],
+            f"cycle{n}/degree": ["degree", *pk],
+            f"cycle{n}/decompose": ["decompose", *pk],
+            f"cycle{n}/witness": ["witness", *pk, "--n", "1,2"],
+            f"cycle{n}/cap": ["optimize", *pk, "--cap-universe", "2"],
         })
     cases.update({
         "tri/equiv/rotated": ["equiv", "--plan", "tri.plan", "--plan2", "tri_rot.plan"],
