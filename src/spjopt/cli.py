@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--strict-theta", action="store_true", help="read identification sets literally, without closure")
         p.add_argument("--cap-universe", type=int, help="override both universe caps (default: core "
                        f"{default_caps.core_universe}, width {default_caps.width_universe})")
-        p.add_argument("--seed", type=int, help="reserved for reproducibility; accepted and recorded only")
+        p.add_argument("--seed", type=int, help="reserved for reproducibility; accepted and ignored")
         p.add_argument("--trace", action="store_true", help="include per-subplan relations in evaluate output")
         p.add_argument("--format", choices=["json", "dot", "text"], default="json")
         p.add_argument("--force-multi-keys", action="store_true",
@@ -125,9 +125,12 @@ def _first_data(args: argparse.Namespace):
     return serialize.load_structure(args.data[0])
 
 
-def _open_data(args: argparse.Namespace) -> OpenStructure:
+def _chased_data(args: argparse.Namespace, keys: KeySet) -> OpenStructure:
+    """The first data file as an open structure, chased under ``keys``, as
+    the plan path chases a plan's representation."""
     value = serialize.load_structure(args.data[0])
-    return OpenStructure(value, ()) if isinstance(value, Structure) else value
+    value = OpenStructure(value, ()) if isinstance(value, Structure) else value
+    return chase(value, keys).result
 
 
 def _load_plan(args: argparse.Namespace):
@@ -220,7 +223,7 @@ def _cmd_core(args: argparse.Namespace) -> None:
     keys = _load_keys(args)
     core_cap = _caps(args).core_universe
     if args.data:
-        core = compute_core(_open_data(args), cap_universe=core_cap)
+        core = compute_core(_chased_data(args, keys), cap_universe=core_cap)
     else:
         _require(args, plan=args.plan)
         plan, sig, _ = _load_plan(args)
@@ -356,7 +359,7 @@ def _cmd_decompose(args: argparse.Namespace) -> None:
     keys = _load_keys(args)
     caps = _caps(args)
     if args.data:
-        core = _open_data(args)
+        core = _chased_data(args, keys)
     else:
         _require(args, plan=args.plan)
         plan, sig, _ = _load_plan(args)

@@ -27,10 +27,9 @@ from .structures import (
 @dataclass(frozen=True)
 class PRepresentation:
     """Open structure whose evaluation equals the plan's output on every
-    database, plus the provenance of each subplan occurrence's columns."""
+    database; each occurrence's columns are in ``PDecomposition.beta``."""
 
     open: OpenStructure
-    provenance: Mapping[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass
@@ -176,7 +175,7 @@ def build_representation(
     alpha = dict(node_of_path)
     subplan = {node_of_path[path]: node for path, node in occurrences}
 
-    rep = PRepresentation(open_structure, beta)
+    rep = PRepresentation(open_structure)
     dec = PDecomposition(parent, root_node, chi, alpha, beta, subplan)
     return rep, dec
 

@@ -16,11 +16,11 @@ equivalent to the input on every database satisfying the keys.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .colorwidth import WidthReport, color_number, optimal_cwidth
+from .colorwidth import color_number, optimal_cwidth
 from .constraints import KeySet, chase, satisfies_keys
 from .errors import (
     ArityError,
@@ -36,8 +36,8 @@ from .plans import (
     Select,
     arity_of,
     is_well_behaved,
+    number_subplans,
     print_plan,
-    subplans,
     theta_of,
 )
 from .represent import TreeDecomposition, build_representation
@@ -83,7 +83,6 @@ class FdElimination:
     defining_plans: dict[str, Plan]
     new_relations: dict[str, Plan]
     expansions: dict[tuple[str, tuple[int, ...]], tuple[int, ...]]
-    fd_plans: dict[tuple[int, int], Plan]
 
     @property
     def structure(self) -> Structure:
@@ -193,7 +192,6 @@ def eliminate_fds(core: OpenStructure, keys: KeySet) -> FdElimination:
         defining_plans=defining,
         new_relations=new_relations,
         expansions=expansions,
-        fd_plans=fd_plans,
     )
 
 
@@ -204,15 +202,14 @@ def eliminate_fds(core: OpenStructure, keys: KeySet) -> FdElimination:
 
 @dataclass
 class SynthesisResult:
-    """A well-behaved plan with its certified intermediate degree and the
-    decomposition it was built from."""
+    """A well-behaved plan and the decomposition of ``elimination.open`` it
+    was built from; the certified intermediate degree is that
+    decomposition's color-number width without keys."""
 
     plan: Plan
     degree: Fraction
     decomposition: TreeDecomposition
     elimination: FdElimination
-    bag_orders: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    width_report: Optional[WidthReport] = None
 
     @property
     def new_relations(self) -> dict[str, Plan]:
@@ -297,8 +294,11 @@ def synthesize_plan(
     core: OpenStructure, keys: KeySet, caps: Caps = Caps()
 ) -> SynthesisResult:
     """Synthesize a well-behaved plan equivalent (over key-satisfying data)
-    to evaluating the given chased core, with certified intermediate degree
-    equal to the core's color-number width.
+    to evaluating the given chased core.
+
+    The plan follows a minimum-width decomposition of the key-eliminated
+    structure, searched with no keys; the certified intermediate degree is
+    that decomposition's width, which is the core's color-number width.
 
     Core-ness itself is not re-verified here (it is expensive); a non-core
     fixpoint still yields a correct, well-behaved plan, just possibly not of
@@ -312,29 +312,21 @@ def synthesize_plan(
             "cannot synthesize a plan from a structure with no tuples: no SPJ "
             "plan outputs the empty tuple on the empty database"
         )
-    width_report = optimal_cwidth(core, keys, cap=caps.width_universe)
     elim = eliminate_fds(core, keys)
-    if keys:
-        dec = optimal_cwidth(elim.open, KeySet.empty(), cap=caps.width_universe).decomposition
-    else:
-        # Without keys elimination is the identity, so the search would repeat.
-        dec = width_report.decomposition
-    plan, bag_orders = _assemble_plan(core, elim, dec)
+    report = optimal_cwidth(elim.open, KeySet.empty(), cap=caps.width_universe)
     return SynthesisResult(
-        plan=plan,
-        degree=width_report.width,
-        decomposition=dec,
+        plan=_assemble_plan(core, elim, report.decomposition),
+        degree=report.width,
+        decomposition=report.decomposition,
         elimination=elim,
-        bag_orders=bag_orders,
-        width_report=width_report,
     )
 
 
 def _assemble_plan(
     core: OpenStructure, elim: FdElimination, dec: TreeDecomposition
-) -> tuple[Plan, dict[int, tuple[int, ...]]]:
+) -> Plan:
     """The well-behaved plan over ``elim``'s atoms that follows the
-    decomposition ``dec`` of ``elim.open``, and each bag's column order."""
+    decomposition ``dec`` of ``elim.open``."""
     atoms = [
         (rel, row, elim.defining_plans[rel])
         for rel, row in elim.structure.atoms()
@@ -398,7 +390,7 @@ def _assemble_plan(
     ok, offender = is_well_behaved(final, core.structure.signature)
     if not ok:  # pragma: no cover - construction invariant
         raise SpjError(f"synthesized plan not well-behaved at {print_plan(offender)}")
-    return final, bag_orders
+    return final
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +419,7 @@ def output_degree(plan: Plan, keys: KeySet, signature: Signature) -> Fraction:
 def intermediate_degree_bound(plan: Plan, keys: KeySet, signature: Signature) -> Fraction:
     """Max output degree over all subplans; this equals the plan's
     intermediate degree."""
-    distinct = {node for _, node in subplans(plan)}
-    return max(output_degree(q, keys, signature) for q in distinct)
+    return max(output_degree(q, keys, signature) for q, _ in number_subplans(plan)[1])
 
 
 @dataclass(frozen=True)

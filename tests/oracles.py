@@ -688,14 +688,19 @@ def fractional_edge_cover(edges, target) -> Fraction:
     return res.value
 
 
-def synthesize_with_two_searches(core: OpenStructure, keys: KeySet, caps):
-    """Plan synthesis with its own width search for the decomposition, over
-    the key-eliminated structure with no keys, even when ``keys`` is empty;
-    returns the plan and the decomposition."""
+def synthesize_with_keyed_search(core: OpenStructure, keys: KeySet, caps):
+    """Plan synthesis with a second width search: the degree is the width of
+    a search over ``core`` under ``keys``, and the plan follows a search over
+    the key-eliminated structure with no keys (the first search's
+    decomposition when ``keys`` is empty).  Returns (plan, degree,
+    decomposition)."""
+    width_report = optimal_cwidth(core, keys, cap=caps.width_universe)
     elim = eliminate_fds(core, keys)
-    dec = optimal_cwidth(elim.open, KeySet.empty(), cap=caps.width_universe).decomposition
-    plan, _ = _assemble_plan(core, elim, dec)
-    return plan, dec
+    if keys:
+        dec = optimal_cwidth(elim.open, KeySet.empty(), cap=caps.width_universe).decomposition
+    else:
+        dec = width_report.decomposition
+    return _assemble_plan(core, elim, dec), width_report.width, dec
 
 
 # ---------------------------------------------------------------------------

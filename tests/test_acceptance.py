@@ -28,6 +28,7 @@ from spjopt import (
     check_tree_decomposition,
     color_number,
     compute_core,
+    cwidth_of_decomposition,
     evaluate_naive,
     evaluate_well_behaved,
     find_homomorphism,
@@ -35,6 +36,7 @@ from spjopt import (
     hypergraph_of,
     intermediate_degree_bound,
     is_well_behaved,
+    optimal_cwidth,
     output_degree,
     parse_plan,
     print_plan,
@@ -121,7 +123,8 @@ def triangle_pipeline():
     plan = parse_plan(TRIANGLE_TEXT, SIG_E)
     core = chased_core(plan, NO_KEYS, SIG_E, UNCAPPED.core_universe)
     result = synthesize_plan(core, NO_KEYS, UNCAPPED)
-    node, family = bag_witness(core, NO_KEYS, result.width_report.decomposition)
+    report = optimal_cwidth(core, NO_KEYS, cap=UNCAPPED.width_universe)
+    node, family = bag_witness(core, NO_KEYS, report.decomposition)
     return plan, result, node, family
 
 
@@ -236,6 +239,11 @@ def test_criterion_6_optimality_pipeline(corpus):
                 )
             assert intermediate_degree_bound(result.plan, keys, sig) == result.degree
             assert result.degree >= output_degree(plan, keys, sig)
+            # The degree is the core's width under the keys, and the
+            # decomposition the plan follows attains it.
+            width = optimal_cwidth(core, keys, cap=UNCAPPED.width_universe).width
+            assert width == result.degree
+            assert cwidth_of_decomposition(core, keys, result.decomposition).width == result.degree
 
 
 def _max_intermediate_within(trace, k, m, degree):
@@ -253,9 +261,8 @@ def test_criterion_7_upper_bound_empirics(corpus, triangle_pipeline):
             result = synthesize_plan(core, keys, UNCAPPED)
             if not core.structure.universe:
                 continue
-            _, family = bag_witness(
-                core, keys, result.width_report.decomposition
-            )
+            report = optimal_cwidth(core, keys, cap=UNCAPPED.width_universe)
+            _, family = bag_witness(core, keys, report.decomposition)
             k = core.structure.total_tuple_count()
             for n in (2, 3, 4, 5):
                 data = family.generate(n)

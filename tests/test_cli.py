@@ -196,6 +196,32 @@ def test_cli_represent_chase_core_decompose(workdir, capsys):
     assert all("colorNumber" in bag for bag in rep["bags"])
 
 
+def test_cli_core_and_decompose_chase_data_under_keys(workdir, capsys):
+    """With --data, core and decompose first chase the data under --keys:
+    under key E 1 the transitive triangle's b and c merge, and its core is
+    one loop."""
+    (workdir / "t.json").write_text(json.dumps({
+        "signature": {"E": 2},
+        "universe": ["a", "b", "c"],
+        "relations": {"E": [["a", "b"], ["a", "c"], ["b", "c"]]},
+    }))
+    data = ["--data", workdir / "t.json"]
+    code, out, _ = run(capsys, "core", *data, "--keys", workdir / "r1.keys")
+    assert code == 0
+    core = json.loads(out)["core"]
+    assert core["universe"] == ["b"]
+    assert core["relations"] == {"E": [["b", "b"]]}
+    code, out, _ = run(capsys, "core", *data, "--keys", workdir / "empty.keys")
+    assert code == 0
+    assert len(json.loads(out)["core"]["universe"]) == 3
+
+    # decompose chases but takes no core: b and c merge, a stays
+    for keys, elements in (("r1.keys", {"a", "b"}), ("empty.keys", {"a", "b", "c"})):
+        code, out, _ = run(capsys, "decompose", *data, "--keys", workdir / keys)
+        assert code == 0
+        assert {e for bag in json.loads(out)["bags"] for e in bag["bag"]} == elements
+
+
 def test_cli_represent_dot(workdir, capsys):
     code, out, _ = run(capsys, "represent", "--plan", workdir / "tri.plan", "--format", "dot")
     assert code == 0

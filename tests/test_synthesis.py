@@ -22,6 +22,7 @@ from spjopt import (
     evaluate_well_behaved,
     intermediate_degree_bound,
     is_well_behaved,
+    optimal_cwidth,
     optimize,
     output_degree,
     parse_plan,
@@ -39,7 +40,7 @@ from conftest import (
     rand_satisfying_structure,
     rand_signature,
 )
-from oracles import UNCAPPED, synthesize_with_two_searches
+from oracles import UNCAPPED, synthesize_with_keyed_search
 
 SIG_E = Signature({"E": 2})
 SIG_R = Signature({"R": 2})
@@ -256,20 +257,13 @@ def test_optimize_key_path_uses_derived_relations():
     assert result2.degree == 2
 
 
-def test_synthesize_plan_searches_width_once_without_keys(rng, monkeypatch):
-    """One width search per unkeyed synthesis, two per keyed one; without
-    keys the plan and decomposition are those of the two-search form."""
-    searches = []
-    real = synthesis.optimal_cwidth
-
-    def counting(*args, **kwargs):
-        searches.append(args[1])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(synthesis, "optimal_cwidth", counting)
+def _random_cores(rng, want: int):
+    """Random chased cores with tuples, drawn until there are ``want``
+    unkeyed ones and ``want`` keyed ones whose key elimination adds
+    relations; yields (core, keys)."""
     done = {False: 0, True: 0}
     attempts = 0
-    while min(done.values()) < 15 and attempts < 300:
+    while min(done.values()) < want and attempts < 2000:
         attempts += 1
         sig = rand_signature(rng, max_relations=2, max_arity=3)
         plan = rand_plan(rng, sig, max_operators=5)
@@ -281,14 +275,37 @@ def test_synthesize_plan_searches_width_once_without_keys(rng, monkeypatch):
             continue
         if core.structure.total_tuple_count() == 0:
             continue
+        if keys and not eliminate_fds(core, keys).new_relations:
+            continue
+        if done[bool(keys)] < want:
+            done[bool(keys)] += 1
+            yield core, keys
+    assert min(done.values()) >= want, done
+
+
+def test_synthesize_plan_searches_width_once_without_keys(rng, monkeypatch):
+    """One width search per synthesis, with no keys, whatever the keys."""
+    searches = []
+    real = synthesis.optimal_cwidth
+
+    def counting(*args, **kwargs):
+        searches.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "optimal_cwidth", counting)
+    for core, keys in _random_cores(rng, 15):
         searches.clear()
+        synthesize_plan(core, keys, UNCAPPED)
+        assert searches == [NO_KEYS]
+
+
+def test_synthesize_plan_matches_keyed_search(rng):
+    """The plan, degree and decomposition are those of synthesis with a
+    second width search over the core under the keys."""
+    for core, keys in _random_cores(rng, 15):
         result = synthesize_plan(core, keys, UNCAPPED)
-        assert searches == ([keys, NO_KEYS] if keys else [NO_KEYS])
-        if not keys:
-            plan2, dec2 = synthesize_with_two_searches(core, keys, UNCAPPED)
-            assert (result.plan, result.decomposition) == (plan2, dec2)
-        done[bool(keys)] += 1
-    assert min(done.values()) >= 15
+        got = (result.plan, result.degree, result.decomposition)
+        assert got == synthesize_with_keyed_search(core, keys, UNCAPPED)
 
 
 def test_optimize_rejects_non_unary_keys():
@@ -307,7 +324,7 @@ def test_optimized_plan_beats_obvious_form_on_witness_data():
     plan = parse_plan(TRIANGLE, SIG_E)
     result = optimize(plan, NO_KEYS, SIG_E, caps=UNCAPPED)
     core = result.elimination.original
-    report = result.width_report
+    report = optimal_cwidth(core, NO_KEYS, cap=UNCAPPED.width_universe)
     _, family = bag_witness(core, NO_KEYS, report.decomposition)
     k = core.structure.total_tuple_count()
     d = result.degree
