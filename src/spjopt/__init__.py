@@ -34,13 +34,11 @@ from .plans import (
     Plan,
     Project,
     Select,
-    arity_of,
     evaluate_naive,
     evaluate_well_behaved,
     is_well_behaved,
     parse_plan,
     print_plan,
-    subplans,
     theta_of,
 )
 from .represent import (
@@ -112,7 +110,6 @@ __all__ = [
     "WellBehavedError",
     "WidthReport",
     "WitnessFamily",
-    "arity_of",
     "bag_witness",
     "build_representation",
     "chase",
@@ -139,7 +136,6 @@ __all__ = [
     "print_plan",
     "product_witness",
     "satisfies_keys",
-    "subplans",
     "synthesize_plan",
     "theta_of",
 ]

@@ -1,12 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 input format error, 3 resource cap
-exceeded.  Exit 3 also covers inputs nested deeper than the interpreter's
-recursion limit (a plan of about a thousand nested operators): the
-recursive traversals stop with a one-line ``spjopt: resource cap: ...``
-message instead of a traceback, and so does running out of memory
-(``spjopt: resource cap: out of memory``).  Exit 2 also covers files that
-cannot be read (missing, a directory, no permission) or are not UTF-8 text.
+exceeded.  Plans are walked with explicit stacks, so nesting depth is not
+limited by the interpreter's recursion limit, with two exceptions:
+``degree``, whose cache hashes the plan recursively, and the naive
+evaluator that ``evaluate`` falls back to for plans that are not
+well-behaved.  There a plan of about a thousand nested operators exits 3
+with a one-line ``spjopt: resource cap: ...`` message instead of a
+traceback, and so does running out of memory (``spjopt: resource cap: out
+of memory``).  Exit 2 also covers files that cannot be read (missing, a
+directory, no permission) or are not UTF-8 text.
 Universe caps default to :class:`Caps`; ``--cap-universe N`` sets both.  All
 outputs are byte-identical across runs for identical inputs: wall-clock
 timings are deliberately left out of the serialized reports.
@@ -34,13 +37,13 @@ from .errors import (
     WellBehavedError,
 )
 from .plans import (
-    arity_of,
     evaluate_naive,
     evaluate_well_behaved,
     is_well_behaved,
     operator_count,
     parse_plan,
     print_plan,
+    validate_plan,
 )
 from .represent import build_representation
 from .structures import OpenStructure, Signature, Structure, compute_core
@@ -74,7 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "evaluate": "evaluate a plan on data, with per-subplan cardinalities",
         "equiv": "decide equivalence of two plans under the keys",
         "witness": "emit the lower-bound database family for a plan",
-        "decompose": "compute the optimal-width tree decomposition of the chased core",
+        "decompose": "compute the optimal-width tree decomposition of the chased core "
+                     "(with --data: of the chased data itself, not its core)",
     }
     for name, help_text in commands.items():
         p = sub.add_parser(name, help=help_text)
@@ -168,7 +172,7 @@ def _cmd_check(args: argparse.Namespace) -> None:
     ok, offender = is_well_behaved(plan, sig, args.strict_theta)
     doc = {
         "ok": True,
-        "arity": arity_of(plan, sig),
+        "arity": validate_plan(plan, sig),
         "operators": operator_count(plan),
         "wellBehaved": ok,
         "keysUnary": keys.is_unary,
@@ -277,8 +281,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
         doc = {**serialize.trace_to_json(trace, data.names), "evaluator": evaluator}
     if args.format == "text":
         lines = [f"evaluator: {evaluator}"]
-        for entry in trace.entries:
-            lines.append(f"{entry.cardinality:>8}  {entry.text}")
+        for entry, text in zip(trace.entries, trace.texts):
+            lines.append(f"{entry.cardinality:>8}  {text}")
         lines.append(f"max intermediate: {trace.max_intermediate}")
         _emit(args, "\n".join(lines) + "\n")
         return

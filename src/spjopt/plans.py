@@ -8,6 +8,7 @@ behind ``strict_theta``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 import time
@@ -56,39 +57,89 @@ def theta_of(pairs) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# Arity, validation, subplans
+# The plan walk: numbering, arity and validation, counting
 # ---------------------------------------------------------------------------
 
 
-def arity_of(plan: Plan, signature: Signature) -> int:
-    if isinstance(plan, Basic):
-        return signature.arity(plan.relation)
-    if isinstance(plan, Select):
-        return arity_of(plan.child, signature)
-    if isinstance(plan, Project):
-        return len(plan.cols)
-    return sum(arity_of(c, signature) for c in plan.children)
+def number_subplans(plan: Plan) -> tuple[list[int], list[tuple[Plan, tuple[int, ...]]]]:
+    """Hash-consing in one iterative pass: number the nodes of ``plan`` so
+    that structurally equal subtrees get the same number.
+
+    A node's number is keyed by its operator, its relation, theta or
+    columns, and its children's numbers.  Returns each occurrence's number,
+    in post-order with the root last, and per number its first node with
+    its children's numbers.  Numbers follow the first occurrences in
+    post-order, so a child's number is below its parent's and the root's is
+    the last.  Every other stage folds over these two lists.
+    """
+    # Pre-order visiting the last child first, reversed, is the post-order.
+    preorder: list[Plan] = []
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        preorder.append(node)
+        cls = type(node)
+        if cls is Join:
+            stack.extend(node.children)
+        elif cls is not Basic:
+            stack.append(node.child)
+    table: dict[tuple, int] = {}
+    distinct: list[tuple[Plan, tuple[int, ...]]] = []
+    numbers: list[int] = []
+    done: list[int] = []  # numbers of finished subtrees whose parent is pending
+    for node in reversed(preorder):
+        cls = type(node)
+        if cls is Basic:
+            kids: tuple[int, ...] = ()
+            label = node.relation
+        elif cls is Join:
+            cut = len(done) - len(node.children)
+            kids = tuple(done[cut:])
+            del done[cut:]
+            label = node.theta
+        else:
+            kids = (done.pop(),)
+            label = node.cols if cls is Project else node.theta
+        number = table.setdefault((cls, label, kids), len(distinct))
+        if number == len(distinct):
+            distinct.append((node, kids))
+        done.append(number)
+        numbers.append(number)
+    return numbers, distinct
 
 
-def validate_plan(plan: Plan, signature: Signature) -> int:
-    """Arity of a well-formed plan; raises on unknown relations, indices out
-    of range, or non-m-suitable identifications."""
-    if isinstance(plan, Basic):
-        return signature.arity(plan.relation)
-    if isinstance(plan, Select):
-        m = validate_plan(plan.child, signature)
-        _check_theta(plan.theta, m)
-        return m
-    if isinstance(plan, Project):
-        m = validate_plan(plan.child, signature)
-        for c in plan.cols:
-            if not 1 <= c <= m:
-                raise ArityError(f"projection index {c} out of range [1,{m}]")
-        return len(plan.cols)
-    arities = [validate_plan(c, signature) for c in plan.children]
-    s = sum(arities)
-    _check_theta(plan.theta, s)
-    return s
+def occurrence_paths(distinct: list[tuple[Plan, tuple[int, ...]]]) -> list[tuple[int, ...]]:
+    """The AST path of every occurrence of :func:`number_subplans`'s plan,
+    in the same post-order; the root's path is ``()``."""
+    paths: list[tuple[int, ...]] = []
+    stack: list[tuple[int, tuple[int, ...]]] = [(len(distinct) - 1, ())]
+    while stack:
+        number, path = stack.pop()
+        paths.append(path)
+        stack.extend((kid, path + (i,)) for i, kid in enumerate(distinct[number][1]))
+    paths.reverse()
+    return paths
+
+
+def _arities(distinct: list[tuple[Plan, tuple[int, ...]]], signature: Signature) -> list[int]:
+    """Arity per number of :func:`number_subplans`.  Raises on unknown
+    relations, indices out of range, or non-m-suitable identifications, at
+    the first offending occurrence in post-order."""
+    out: list[int] = []
+    for node, kids in distinct:
+        if isinstance(node, Basic):
+            m = signature.arity(node.relation)
+        elif isinstance(node, Project):
+            child = out[kids[0]]
+            for c in node.cols:
+                if not 1 <= c <= child:
+                    raise ArityError(f"projection index {c} out of range [1,{child}]")
+            m = len(node.cols)
+        else:  # a selection is a 1-way join
+            m = sum(out[k] for k in kids)
+            _check_theta(node.theta, m)
+        out.append(m)
+    return out
 
 
 def _check_theta(theta: frozenset, m: int) -> None:
@@ -97,102 +148,22 @@ def _check_theta(theta: frozenset, m: int) -> None:
             raise ArityError(f"identification {j}={k} not {m}-suitable")
 
 
-def subplans(plan: Plan) -> list[tuple[tuple[int, ...], Plan]]:
-    """All subplan occurrences as (AST path, node), post-order with the root
-    last.  Occurrences of a repeated subtree are listed separately: the
-    representation machinery needs one tree-decomposition node per
-    occurrence."""
-    out: list[tuple[tuple[int, ...], Plan]] = []
-
-    def walk(node: Plan, path: tuple[int, ...]):
-        if isinstance(node, (Select, Project)):
-            walk(node.child, path + (0,))
-        elif isinstance(node, Join):
-            for i, c in enumerate(node.children):
-                walk(c, path + (i,))
-        out.append((path, node))
-
-    walk(plan, ())
-    return out
-
-
-def children_of(plan: Plan) -> tuple[Plan, ...]:
-    if isinstance(plan, (Select, Project)):
-        return (plan.child,)
-    if isinstance(plan, Join):
-        return plan.children
-    return ()
+def validate_plan(plan: Plan, signature: Signature) -> int:
+    """Arity of a well-formed plan; raises on unknown relations, indices out
+    of range, or non-m-suitable identifications."""
+    return _arities(number_subplans(plan)[1], signature)[-1]
 
 
 def operator_count(plan: Plan) -> int:
-    """Number of select/project/join nodes."""
-    n = 0 if isinstance(plan, Basic) else 1
-    return n + sum(operator_count(c) for c in children_of(plan))
+    """Number of select/project/join occurrences."""
+    numbers, distinct = number_subplans(plan)
+    return sum(not isinstance(distinct[n][0], Basic) for n in numbers)
 
 
 def plan_size(plan: Plan) -> int:
     """Total node count of the syntax tree (shared subtrees counted once per
     occurrence)."""
-    return 1 + sum(plan_size(c) for c in children_of(plan))
-
-
-def number_subplans(
-    plan: Plan,
-) -> tuple[list[tuple[tuple[int, ...], Plan, int]], list[tuple[Plan, tuple[int, ...]]]]:
-    """Hash-consing in one iterative pass: number the nodes of ``plan`` so
-    that structurally equal subtrees get the same number.
-
-    A node's number is keyed by its operator, its relation, theta or
-    columns, and its children's numbers.  Returns the occurrences as (AST
-    path, node, number) in the post-order of :func:`subplans`, and per
-    number its first node with its children's numbers.  Numbers follow the
-    first occurrences in post-order, so a child's number is below its
-    parent's.
-    """
-    table: dict[tuple, int] = {}
-    distinct: list[tuple[Plan, tuple[int, ...]]] = []
-    occurrences: list[tuple[tuple[int, ...], Plan, int]] = []
-    done: list[int] = []  # numbers of finished subtrees whose parent is pending
-    # (node, path, children once expanded, else None)
-    stack: list[tuple[Plan, tuple[int, ...], Optional[tuple]]] = [(plan, (), None)]
-    while stack:
-        node, path, kids = stack.pop()
-        if kids is None:
-            kids = children_of(node)
-            stack.append((node, path, kids))
-            for i in range(len(kids) - 1, -1, -1):
-                stack.append((kids[i], path + (i,), None))
-            continue
-        cut = len(done) - len(kids)
-        kid_numbers = tuple(done[cut:])
-        del done[cut:]
-        if isinstance(node, Basic):
-            label = node.relation
-        elif isinstance(node, Project):
-            label = node.cols
-        else:
-            label = node.theta
-        number = table.setdefault((type(node), label, kid_numbers), len(distinct))
-        if number == len(distinct):
-            distinct.append((node, kid_numbers))
-        done.append(number)
-        occurrences.append((path, node, number))
-    return occurrences, distinct
-
-
-def _arities(distinct: list[tuple[Plan, tuple[int, ...]]], signature: Signature) -> list[int]:
-    """Arity per number of :func:`number_subplans`."""
-    out: list[int] = []
-    for node, kids in distinct:
-        if isinstance(node, Basic):
-            out.append(signature.arity(node.relation))
-        elif isinstance(node, Select):
-            out.append(out[kids[0]])
-        elif isinstance(node, Project):
-            out.append(len(node.cols))
-        else:
-            out.append(sum(out[k] for k in kids))
-    return out
+    return len(number_subplans(plan)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +237,45 @@ def parse_plan(text: str, signature: Optional[Signature] = None) -> Plan:
       PAIR := (INT INT)
 
     With a signature, arity violations and unknown relations are rejected.
+    The operators still waiting for a child or their ``)`` are kept on an
+    explicit stack, so nesting depth is bounded only by memory.
     """
     toks = _Tokens(text)
-    plan = _parse_node(toks)
+    # (operator, theta or columns, children parsed so far)
+    open_ops: list[tuple[str, object, list[Plan]]] = []
+    while True:
+        tok = toks.next()
+        kind, value, _ = tok
+        if kind == "(":
+            head = toks.expect("name")
+            op = head[1]
+            if op == "project":
+                open_ops.append((op, _parse_cols(toks), []))
+            elif op in ("select", "join"):
+                open_ops.append((op, _parse_theta(toks), []))
+            else:
+                raise toks.error(f"unknown operator {op!r}", head)
+            continue
+        if kind != "name":
+            raise toks.error(f"expected plan, got {value!r}", tok)
+        plan: Plan = Basic(value)
+        # Close every operator that this plan completes; a join may take
+        # another child instead.
+        while open_ops:
+            op, param, children = open_ops[-1]
+            children.append(plan)
+            if op == "join" and toks.peek()[0] != ")":
+                break
+            toks.expect(")")
+            open_ops.pop()
+            if op == "select":
+                plan = Select(param, children[0])
+            elif op == "project":
+                plan = Project(param, children[0])
+            else:
+                plan = Join(param, tuple(children))
+        if not open_ops:
+            break
     trailing = toks.peek()
     if trailing[0] != "eof":
         raise toks.error(f"trailing input {trailing[1]!r}", trailing)
@@ -278,35 +285,6 @@ def parse_plan(text: str, signature: Optional[Signature] = None) -> Plan:
         except SignatureError as exc:
             raise PlanSyntaxError(str(exc)) from exc
     return plan
-
-
-def _parse_node(toks: _Tokens) -> Plan:
-    tok = toks.next()
-    kind, value, _ = tok
-    if kind == "name":
-        return Basic(value)
-    if kind != "(":
-        raise toks.error(f"expected plan, got {value!r}", tok)
-    head = toks.expect("name")
-    op = head[1]
-    if op == "select":
-        theta = _parse_theta(toks)
-        child = _parse_node(toks)
-        toks.expect(")")
-        return Select(theta, child)
-    if op == "project":
-        cols = _parse_cols(toks)
-        child = _parse_node(toks)
-        toks.expect(")")
-        return Project(cols, child)
-    if op == "join":
-        theta = _parse_theta(toks)
-        children = [_parse_node(toks)]
-        while toks.peek()[0] != ")":
-            children.append(_parse_node(toks))
-        toks.expect(")")
-        return Join(theta, tuple(children))
-    raise toks.error(f"unknown operator {op!r}", head)
 
 
 def _parse_theta(toks: _Tokens) -> frozenset:
@@ -333,16 +311,25 @@ def _parse_cols(toks: _Tokens) -> tuple[int, ...]:
     return tuple(cols)
 
 
+def plan_texts(distinct: list[tuple[Plan, tuple[int, ...]]]) -> list[str]:
+    """The printed form per number of :func:`number_subplans`."""
+    out: list[str] = []
+    for node, kids in distinct:
+        if isinstance(node, Basic):
+            out.append(node.relation)
+        elif isinstance(node, Select):
+            out.append(f"(select {_print_theta(node.theta)} {out[kids[0]]})")
+        elif isinstance(node, Project):
+            cols = " ".join(str(c) for c in node.cols)
+            out.append(f"(project (cols{' ' if cols else ''}{cols}) {out[kids[0]]})")
+        else:
+            parts = " ".join(out[k] for k in kids)
+            out.append(f"(join {_print_theta(node.theta)} {parts})")
+    return out
+
+
 def print_plan(plan: Plan) -> str:
-    if isinstance(plan, Basic):
-        return plan.relation
-    if isinstance(plan, Select):
-        return f"(select {_print_theta(plan.theta)} {print_plan(plan.child)})"
-    if isinstance(plan, Project):
-        cols = " ".join(str(c) for c in plan.cols)
-        return f"(project (cols{' ' if cols else ''}{cols}) {print_plan(plan.child)})"
-    parts = " ".join(print_plan(c) for c in plan.children)
-    return f"(join {_print_theta(plan.theta)} {parts})"
+    return plan_texts(number_subplans(plan)[1])[-1]
 
 
 def _print_theta(theta: frozenset) -> str:
@@ -442,10 +429,6 @@ class TraceEntry:
     rows: frozenset
 
     @property
-    def text(self) -> str:
-        return print_plan(self.node)
-
-    @property
     def cardinality(self) -> int:
         return len(self.rows)
 
@@ -471,6 +454,14 @@ class EvalTrace:
     @property
     def max_intermediate(self) -> int:
         return max((e.cardinality for e in self.entries), default=0)
+
+    @functools.cached_property
+    def texts(self) -> list[str]:
+        """Each entry's subplan, printed, from one pass over the root's plan;
+        computed on first access, after evaluation."""
+        numbers, distinct = number_subplans(self.entries[-1].node)
+        texts = plan_texts(distinct)
+        return [texts[n] for n in numbers]
 
 
 def _select_rows(rows, theta):
@@ -528,12 +519,12 @@ def evaluate_well_behaved(
     already-bound class, so no step materializes more than
     |out(q1, D)| x |dom(D)| rows.
     """
-    occurrences, distinct = number_subplans(plan)
+    numbers, distinct = number_subplans(plan)
     arities = _arities(distinct, data.signature)
     offender = _first_offending_join(distinct, arities, strict_theta)
     if offender is not None:
         raise WellBehavedError(f"plan is not well-behaved at {print_plan(offender)}")
-    validate_plan(plan, data.signature)
+    paths = occurrence_paths(distinct)
     trace = EvalTrace()
     start = time.perf_counter()
     rows_of: list[frozenset] = []
@@ -547,7 +538,10 @@ def evaluate_well_behaved(
         else:
             rows = _join_chain(node, [rows_of[k] for k in kids], [arities[k] for k in kids], trace)
         rows_of.append(rows)
-    trace.entries = [TraceEntry(path, node, rows_of[number]) for path, node, number in occurrences]
+    trace.entries = [
+        TraceEntry(path, distinct[n][0], rows_of[n])
+        for path, n in zip(paths, numbers)
+    ]
     trace.wall_time = time.perf_counter() - start
     return trace
 

@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from .plans import Basic, Plan, Project, Select, print_plan, subplans, validate_plan
+from .plans import Basic, Plan, Project, _arities, number_subplans, plan_texts
 from .structures import (
     Hypergraph,
     OpenStructure,
@@ -82,21 +82,21 @@ class TreeDecomposition:
 class PDecomposition(TreeDecomposition):
     """Tree decomposition with one node per subplan occurrence.
 
-    ``alpha`` maps occurrence paths to node ids bijectively (the root node is
-    the whole plan); ``beta`` lists each occurrence's output elements, and
-    chi(alpha(q)) = set(beta(q)); ``subplan`` maps each node to its
-    occurrence's plan.
+    Node ids are the occurrences' post-order indices, so the root (the whole
+    plan) is the last.  ``beta`` lists each node's output elements, with
+    chi(node) = set(beta(node)); ``numbers`` and ``distinct`` are the plan's
+    :func:`number_subplans`.
     """
 
-    alpha: dict[tuple[int, ...], int] = field(default_factory=dict)
-    beta: dict[tuple[int, ...], tuple[int, ...]] = field(default_factory=dict)
-    subplan: dict[int, Plan] = field(default_factory=dict)
+    beta: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    numbers: list[int] = field(default_factory=list)
+    distinct: list[tuple[Plan, tuple[int, ...]]] = field(default_factory=list)
 
     @functools.cached_property
     def node_text(self) -> dict[int, str]:
-        """Each node's subplan, printed; computed on first access, since
-        printing every occurrence is quadratic in the plan size."""
-        return {node: print_plan(q) for node, q in self.subplan.items()}
+        """Each node's subplan, printed; computed on first access."""
+        texts = plan_texts(self.distinct)
+        return {node: texts[n] for node, n in enumerate(self.numbers)}
 
 
 def build_representation(
@@ -105,60 +105,43 @@ def build_representation(
     """Build a representation of ``plan`` together with a decomposition that
     satisfies the containment property.
 
-    Fresh elements are allocated per atom position; identifications are
-    collected in a union-find whose quotient (smallest id representative) is
-    taken once at the end.  Polynomial time; the universe never exceeds the
-    number of arity occurrences in the plan.
+    One step per subplan occurrence, in post-order.  Fresh elements are
+    allocated per atom position; identifications are collected in a
+    union-find whose quotient (smallest id representative) is taken once at
+    the end.  Polynomial time; the universe never exceeds the number of
+    arity occurrences in the plan.
     """
-    validate_plan(plan, signature)
-    occurrences = subplans(plan)
-    node_of_path = {path: i for i, (path, _) in enumerate(occurrences)}
+    numbers, distinct = number_subplans(plan)
+    arities = _arities(distinct, signature)
 
     uf = UnionFind()
     atoms: dict[str, list[tuple[int, ...]]] = {n: [] for n in signature.symbols()}
-    raw_beta: dict[tuple[int, ...], tuple[int, ...]] = {}
-    parent: dict[int, Optional[int]] = {}
-    counter = [0]
-
-    def fresh(k: int) -> list[int]:
-        ids = list(range(counter[0], counter[0] + k))
-        counter[0] += k
-        for e in ids:
-            uf.add(e)
-        return ids
-
-    def build(node: Plan, path: tuple[int, ...]) -> tuple[int, ...]:
-        my_node = node_of_path[path]
+    raw_beta: list[tuple[int, ...]] = []
+    parent: list[Optional[int]] = [None] * len(numbers)
+    pending: list[int] = []  # finished occurrences whose parent is not reached yet
+    for occ, number in enumerate(numbers):
+        node, kids = distinct[number]
+        cut = len(pending) - len(kids)
+        children = pending[cut:]
+        del pending[cut:]
+        for child in children:
+            parent[child] = occ
         if isinstance(node, Basic):
-            ids = fresh(signature.arity(node.relation))
-            atoms[node.relation].append(tuple(ids))
-            out = tuple(ids)
+            # Element ids are allocated consecutively from 0.
+            out = tuple(range(len(uf.parent), len(uf.parent) + arities[number]))
+            for e in out:
+                uf.add(e)
+            atoms[node.relation].append(out)
         elif isinstance(node, Project):
-            child = build(node.child, path + (0,))
-            parent[node_of_path[path + (0,)]] = my_node
+            child = raw_beta[children[0]]
             out = tuple(child[c - 1] for c in node.cols)
-        elif isinstance(node, Select):
-            # Compiled as a 1-way join: identify per theta, keep the tuple.
-            child = build(node.child, path + (0,))
-            parent[node_of_path[path + (0,)]] = my_node
-            for j, k in node.theta:
-                uf.union(child[j - 1], child[k - 1])
-            out = child
         else:
-            parts = []
-            for i, c in enumerate(node.children):
-                parts.append(build(c, path + (i,)))
-                parent[node_of_path[path + (i,)]] = my_node
-            concat = tuple(x for part in parts for x in part)
+            # A selection is compiled as a 1-way join: identify per theta.
+            out = tuple(x for child in children for x in raw_beta[child])
             for j, k in node.theta:
-                uf.union(concat[j - 1], concat[k - 1])
-            out = concat
-        raw_beta[path] = out
-        return out
-
-    build(plan, ())
-    root_node = node_of_path[()]
-    parent[root_node] = None
+                uf.union(out[j - 1], out[k - 1])
+        raw_beta.append(out)
+        pending.append(occ)
 
     rep_of = {e: uf.find(e) for e in uf.parent}
     final_elements = sorted(set(rep_of.values()))
@@ -167,16 +150,12 @@ def build_representation(
         name: [tuple(rep_of[e] for e in t) for t in rows] for name, rows in atoms.items()
     }
     structure = Structure(signature, final_elements, relations, names)
-    out_tuple = tuple(rep_of[e] for e in raw_beta[()])
-    open_structure = OpenStructure(structure, out_tuple)
+    beta = {occ: tuple(rep_of[e] for e in raw) for occ, raw in enumerate(raw_beta)}
+    root = len(numbers) - 1
+    chi = {occ: frozenset(t) for occ, t in beta.items()}
 
-    beta = {path: tuple(rep_of[e] for e in raw) for path, raw in raw_beta.items()}
-    chi = {node_of_path[path]: frozenset(t) for path, t in beta.items()}
-    alpha = dict(node_of_path)
-    subplan = {node_of_path[path]: node for path, node in occurrences}
-
-    rep = PRepresentation(open_structure)
-    dec = PDecomposition(parent, root_node, chi, alpha, beta, subplan)
+    rep = PRepresentation(OpenStructure(structure, beta[root]))
+    dec = PDecomposition(dict(enumerate(parent)), root, chi, beta, numbers, distinct)
     return rep, dec
 
 

@@ -269,11 +269,11 @@ def trace_to_json(trace, names=None) -> dict:
         "subplans": [
             {
                 "path": list(entry.path),
-                "plan": entry.text,
+                "plan": text,
                 "cardinality": entry.cardinality,
                 "rows": sorted([disp(e) for e in row] for row in entry.rows),
             }
-            for entry in trace.entries
+            for entry, text in zip(trace.entries, trace.texts)
         ],
         "maxIntermediate": trace.max_intermediate,
         "output": sorted([disp(e) for e in row] for row in trace.output),

@@ -21,6 +21,7 @@ from spjopt import (
     KeySet,
     OpenStructure,
     ResourceCapError,
+    Signature,
     Structure,
     check_tree_decomposition,
     color_number,
@@ -31,20 +32,22 @@ from spjopt import (
     satisfies_keys,
 )
 from spjopt.colorwidth import ColorClass, _closure_edges
-from spjopt.errors import PlanSyntaxError, WellBehavedError
+from spjopt.errors import ArityError, PlanSyntaxError, SignatureError, WellBehavedError
 from spjopt.plans import (
+    Basic,
     EvalTrace,
     Join,
     Plan,
     Project,
     Select,
     TraceEntry,
+    _check_theta,
     _column_classes,
+    _parse_cols,
+    _parse_theta,
+    _print_theta,
     _select_rows,
-    arity_of,
-    print_plan,
-    subplans,
-    validate_plan,
+    _Tokens,
 )
 from spjopt.represent import PDecomposition, PRepresentation
 from spjopt.simplex import LpResult
@@ -52,6 +55,138 @@ from spjopt.synthesis import _assemble_plan
 
 # No cap on the core search; the width search keeps the default cap.
 UNCAPPED = Caps(core_universe=None, width_universe=16)
+
+
+# ---------------------------------------------------------------------------
+# Recursive plan walks: the reference for number_subplans and its folds
+# ---------------------------------------------------------------------------
+
+
+def children_of(plan: Plan) -> tuple[Plan, ...]:
+    if isinstance(plan, (Select, Project)):
+        return (plan.child,)
+    if isinstance(plan, Join):
+        return plan.children
+    return ()
+
+
+def arity_of(plan: Plan, signature: Signature) -> int:
+    if isinstance(plan, Basic):
+        return signature.arity(plan.relation)
+    if isinstance(plan, Select):
+        return arity_of(plan.child, signature)
+    if isinstance(plan, Project):
+        return len(plan.cols)
+    return sum(arity_of(c, signature) for c in plan.children)
+
+
+def validate_plan(plan: Plan, signature: Signature) -> int:
+    """Arity of a well-formed plan; raises on unknown relations, indices out
+    of range, or non-m-suitable identifications."""
+    if isinstance(plan, Basic):
+        return signature.arity(plan.relation)
+    if isinstance(plan, Select):
+        m = validate_plan(plan.child, signature)
+        _check_theta(plan.theta, m)
+        return m
+    if isinstance(plan, Project):
+        m = validate_plan(plan.child, signature)
+        for c in plan.cols:
+            if not 1 <= c <= m:
+                raise ArityError(f"projection index {c} out of range [1,{m}]")
+        return len(plan.cols)
+    arities = [validate_plan(c, signature) for c in plan.children]
+    s = sum(arities)
+    _check_theta(plan.theta, s)
+    return s
+
+
+def subplans(plan: Plan) -> list[tuple[tuple[int, ...], Plan]]:
+    """All subplan occurrences as (AST path, node), post-order with the root
+    last.  Occurrences of a repeated subtree are listed separately: the
+    representation machinery needs one tree-decomposition node per
+    occurrence."""
+    out: list[tuple[tuple[int, ...], Plan]] = []
+
+    def walk(node: Plan, path: tuple[int, ...]):
+        if isinstance(node, (Select, Project)):
+            walk(node.child, path + (0,))
+        elif isinstance(node, Join):
+            for i, c in enumerate(node.children):
+                walk(c, path + (i,))
+        out.append((path, node))
+
+    walk(plan, ())
+    return out
+
+
+def alpha(plan: Plan) -> dict[tuple[int, ...], int]:
+    """AST path -> decomposition node id: the occurrence's post-order index."""
+    return {path: i for i, (path, _) in enumerate(subplans(plan))}
+
+
+def parse_plan(text: str, signature: Optional[Signature] = None) -> Plan:
+    """Parse the s-expression plan grammar.
+
+      plan := NAME | (select (theta PAIR*) plan)
+                   | (project (cols INT*) plan)
+                   | (join (theta PAIR*) plan plan*)
+      PAIR := (INT INT)
+
+    With a signature, arity violations and unknown relations are rejected.
+    """
+    toks = _Tokens(text)
+    plan = _parse_node(toks)
+    trailing = toks.peek()
+    if trailing[0] != "eof":
+        raise toks.error(f"trailing input {trailing[1]!r}", trailing)
+    if signature is not None:
+        try:
+            validate_plan(plan, signature)
+        except SignatureError as exc:
+            raise PlanSyntaxError(str(exc)) from exc
+    return plan
+
+
+def _parse_node(toks: _Tokens) -> Plan:
+    tok = toks.next()
+    kind, value, _ = tok
+    if kind == "name":
+        return Basic(value)
+    if kind != "(":
+        raise toks.error(f"expected plan, got {value!r}", tok)
+    head = toks.expect("name")
+    op = head[1]
+    if op == "select":
+        theta = _parse_theta(toks)
+        child = _parse_node(toks)
+        toks.expect(")")
+        return Select(theta, child)
+    if op == "project":
+        cols = _parse_cols(toks)
+        child = _parse_node(toks)
+        toks.expect(")")
+        return Project(cols, child)
+    if op == "join":
+        theta = _parse_theta(toks)
+        children = [_parse_node(toks)]
+        while toks.peek()[0] != ")":
+            children.append(_parse_node(toks))
+        toks.expect(")")
+        return Join(theta, tuple(children))
+    raise toks.error(f"unknown operator {op!r}", head)
+
+
+def print_plan(plan: Plan) -> str:
+    if isinstance(plan, Basic):
+        return plan.relation
+    if isinstance(plan, Select):
+        return f"(select {_print_theta(plan.theta)} {print_plan(plan.child)})"
+    if isinstance(plan, Project):
+        cols = " ".join(str(c) for c in plan.cols)
+        return f"(project (cols{' ' if cols else ''}{cols}) {print_plan(plan.child)})"
+    parts = " ".join(print_plan(c) for c in plan.children)
+    return f"(join {_print_theta(plan.theta)} {parts})"
 
 
 # ---------------------------------------------------------------------------
@@ -870,13 +1005,13 @@ def check_containment_property(
     if trace is None:
         trace = evaluate_naive(plan, data)
     by_path = {e.path: e for e in trace.entries}
-    for path, node_id in dec.alpha.items():
+    for path, node_id in alpha(plan).items():
         below = _descendants(dec, node_id)
         span = set()
         for t in below:
             span |= dec.chi[t]
         induced = rep.open.structure.restrict(span)
-        homs = homs_relation(induced, dec.beta[path], data)
+        homs = homs_relation(induced, dec.beta[node_id], data)
         if not homs <= by_path[path].rows:
             return False
     return True

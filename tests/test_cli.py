@@ -273,17 +273,48 @@ def test_cli_exit_codes(workdir, capsys, tmp_path):
     )[0] != 3
 
 
-def test_cli_deep_plan_is_a_resource_cap(tmp_path, capsys):
-    """1,200 nested selects exceed the recursion limit: exit 3 with one
-    line on stderr, no traceback and nothing on stdout."""
-    depth = 1200
-    text = "rel R 2\n" + "(select (theta (1 2)) " * depth + "R" + ")" * depth + "\n"
-    (tmp_path / "deep.plan").write_text(text)
-    code, out, err = run(capsys, "check", "--plan", tmp_path / "deep.plan")
-    assert code == 3
-    assert out == ""
-    assert err.startswith("spjopt: resource cap: ")
-    assert err.count("\n") == 1
+def test_cli_deep_plans_need_no_recursion(tmp_path, capsys):
+    """1,200 nested selects and a 600-level project/join chain are nested
+    far past the interpreter's recursion limit.  Every subcommand but
+    ``degree`` runs on them; ``degree`` exits 3 with one line on stderr,
+    because its cache hashes the plan recursively.  The chain joins a fresh
+    R atom per level at one shared element; ``key R 1`` folds them in the
+    chase, so its core fits the default core cap."""
+    bodies = {
+        "selects": "(select (theta (1 2)) " * 1200 + "R" + ")" * 1200,
+        "chain": "(project (cols 1 2) (join (theta (2 3)) " * 600 + "R" + " R))" * 600,
+        "one": "(select (theta (1 2)) R)",
+    }
+    for name, body in bodies.items():
+        (tmp_path / f"{name}.plan").write_text("rel R 2\n" + body + "\n")
+    keys = tmp_path / "r.keys"
+    keys.write_text("key R 1\n")
+    data = tmp_path / "r.json"
+    data.write_text(json.dumps({
+        "signature": {"R": 2},
+        "universe": ["a", "b", "c"],
+        "relations": {"R": [["a", "a"], ["a", "b"], ["b", "b"], ["c", "a"]]},
+    }))
+    outputs = {}
+    for name in bodies:
+        plan = tmp_path / f"{name}.plan"
+        for argv in (
+            ["check"], ["represent"], ["chase"], ["core"], ["decompose"],
+            ["witness", "--n", "1"], ["equiv", "--plan2", plan],
+            ["optimize"], ["optimize", "--format", "text"],
+            ["evaluate", "--data", data], ["evaluate", "--data", data, "--trace"],
+        ):
+            code, out, err = run(capsys, argv[0], "--plan", plan, "--keys", keys, *argv[1:])
+            assert (code, err) == (0, ""), (name, argv)
+            outputs[name, " ".join(map(str, argv))] = out
+        if name == "one":
+            continue
+        code, out, err = run(capsys, "degree", "--plan", plan, "--keys", keys)
+        assert (code, out) == (3, "")
+        assert err.startswith("spjopt: resource cap: ")
+        assert err.count("\n") == 1
+    for argv in ("optimize --format text", f"evaluate --data {data}"):
+        assert outputs["selects", argv] == outputs["one", argv]
 
 
 def test_cli_out_of_memory_is_a_resource_cap(workdir, capsys, monkeypatch):

@@ -14,26 +14,33 @@ from spjopt import (
     Project,
     Select,
     Signature,
+    SpjError,
     Structure,
     WellBehavedError,
-    arity_of,
     evaluate_naive,
     evaluate_well_behaved,
     is_well_behaved,
     optimize,
     parse_plan,
     print_plan,
-    subplans,
     theta_of,
 )
 from spjopt import plans
-from spjopt.plans import number_subplans, operator_count, validate_plan
+from spjopt.plans import (
+    number_subplans,
+    occurrence_paths,
+    operator_count,
+    plan_texts,
+    validate_plan,
+)
 
+import oracles
 from conftest import rand_plan, rand_signature, rand_structure
 from oracles import (
     char_loop_tokens,
     evaluate_well_behaved_per_occurrence,
     is_well_behaved_per_occurrence,
+    subplans,
 )
 
 SIG = Signature({"R": 2, "S": 2})
@@ -43,13 +50,13 @@ SIG_E = Signature({"E": 2})
 def test_parse_example_plan():
     p = parse_plan("(join (theta (1 3)) R (project (cols 1) S))", SIG)
     assert isinstance(p, Join)
-    assert arity_of(p, SIG) == 3
+    assert validate_plan(p, SIG) == 3
 
 
 def test_parse_basic_and_empty_projection():
     assert parse_plan("R", SIG) == Basic("R")
     p = parse_plan("(project (cols) R)", SIG)
-    assert arity_of(p, SIG) == 0
+    assert validate_plan(p, SIG) == 0
 
 
 def test_parse_errors_carry_position():
@@ -130,20 +137,27 @@ def test_parse_validates_against_signature():
 
 
 def test_arity_rules():
-    assert arity_of(parse_plan("(join (theta) R (project (cols 1) S))"), SIG) == 3
-    assert arity_of(parse_plan("(project (cols 1 1 2) R)"), SIG) == 3
-    assert arity_of(Basic("R"), SIG) == 2
+    assert validate_plan(parse_plan("(join (theta) R (project (cols 1) S))"), SIG) == 3
+    assert validate_plan(parse_plan("(project (cols 1 1 2) R)"), SIG) == 3
+    assert validate_plan(Basic("R"), SIG) == 2
+
+
+def _occurrence_texts(plan):
+    numbers, distinct = number_subplans(plan)
+    texts = plan_texts(distinct)
+    return [texts[n] for n in numbers]
 
 
 def test_subplans_postorder_occurrences():
     p = parse_plan("(join (theta (1 3)) R (project (cols 1) S))", SIG)
-    texts = [print_plan(node) for _, node in subplans(p)]
-    assert texts == ["R", "S", "(project (cols 1) S)", print_plan(p)]
+    assert _occurrence_texts(p) == ["R", "S", "(project (cols 1) S)", print_plan(p)]
+    assert occurrence_paths(number_subplans(p)[1]) == [(0,), (1, 0), (1,), ()]
     # repeated subtrees appear once per occurrence
     q = parse_plan("(join (theta (1 3)) R R)", SIG)
-    assert len(subplans(q)) == 3
+    assert _occurrence_texts(q) == ["R", "R", print_plan(q)]
+    assert plans.plan_size(q) == 3
     chain = parse_plan("(project (cols 1) (project (cols 1) (project (cols 1 2) R)))", SIG)
-    assert len(subplans(chain)) == 4
+    assert plans.plan_size(chain) == 4
 
 
 def plan_strategy(max_depth=3):
@@ -227,7 +241,7 @@ def test_evaluate_example_by_hand():
     p = parse_plan("(join (theta (1 3)) R (project (cols 1) S))", SIG)
     trace = evaluate_naive(p, data)
     assert trace.output == frozenset({(1, 2, 1)})
-    by_text = {e.text: e.cardinality for e in trace.entries}
+    by_text = {text: e.cardinality for e, text in zip(trace.entries, trace.texts)}
     assert by_text["(project (cols 1) S)"] == 2
     assert trace.max_intermediate == 2
 
@@ -287,6 +301,7 @@ def test_well_behaved_chain_bounds_internal_relations(rng):
 def test_operator_count():
     assert operator_count(parse_plan("R", SIG)) == 0
     assert operator_count(parse_plan("(project (cols 1) (select (theta) R))", SIG)) == 2
+    assert operator_count(parse_plan("(join (theta) (select (theta) R) (select (theta) R))", SIG)) == 3
 
 
 def _shared_plans(rng, count):
@@ -298,7 +313,7 @@ def _shared_plans(rng, count):
         plan = rand_plan(rng, sig, max_operators=6)
         if not is_well_behaved(plan, sig)[0]:
             continue
-        m = arity_of(plan, sig)
+        m = validate_plan(plan, sig)
         twice = Join(theta_of([(i, m + i) for i in range(1, m + 1)]), (plan, plan))
         out += [(sig, plan), (sig, twice)]
     return out
@@ -325,9 +340,8 @@ def _functional_graph(rng, rows):
 
 
 def _assert_same_trace(shared, oracle):
-    assert [(e.path, e.text, e.rows) for e in shared.entries] == [
-        (e.path, e.text, e.rows) for e in oracle.entries
-    ]
+    assert [(e.path, e.rows) for e in shared.entries] == [(e.path, e.rows) for e in oracle.entries]
+    assert shared.texts == [oracles.print_plan(e.node) for e in oracle.entries]
     assert shared.output == oracle.output
     assert shared.internal_peak == oracle.internal_peak
     assert shared.max_intermediate == oracle.max_intermediate
@@ -337,23 +351,25 @@ def test_number_subplans_numbers_structure(rng):
     for _ in range(300):
         one = rand_plan(rng, rand_signature(rng), max_operators=6)
         plan = Join(frozenset(), (one, rand_plan(rng, rand_signature(rng), max_operators=6), one))
-        occurrences, distinct = number_subplans(plan)
-        assert [(p, n) for p, n, _ in occurrences] == subplans(plan)
+        numbers, distinct = number_subplans(plan)
+        occurrences = subplans(plan)
+        assert occurrence_paths(distinct) == [path for path, _ in occurrences]
+        assert len(numbers) == len(occurrences)
         first = {}
-        for _, node, number in occurrences:
+        for (_, node), number in zip(occurrences, numbers):
             assert first.setdefault(number, node) == node
-        assert len(distinct) == len({node for _, node, _ in occurrences})
+        assert len(distinct) == len({node for _, node in occurrences})
         assert [node for node, _ in distinct] == list(first.values())
         for number, (node, kids) in enumerate(distinct):
             assert all(k < number for k in kids)
-            assert [distinct[k][0] for k in kids] == list(plans.children_of(node))
+            assert [distinct[k][0] for k in kids] == list(oracles.children_of(node))
 
 
 def test_is_well_behaved_matches_per_occurrence_oracle(rng):
     for _ in range(400):
         sig = rand_signature(rng)
         plan = rand_plan(rng, sig, max_operators=6)
-        m = arity_of(plan, sig)
+        m = validate_plan(plan, sig)
         for p in (plan, Join(theta_of([(1, m + 1)] if m else []), (plan, plan))):
             for strict in (False, True):
                 ok, offender = is_well_behaved(p, sig, strict)
@@ -400,3 +416,88 @@ def test_each_distinct_join_is_checked_and_evaluated_once(monkeypatch):
     trace = evaluate_well_behaved(plan, _functional_graph(random.Random(7), 12))
     assert counts == {"check": len(joins), "chain": len(joins)}
     assert len(trace.entries) == len(subplans(plan))
+
+
+# ---------------------------------------------------------------------------
+# The iterative walks against the recursive oracles
+# ---------------------------------------------------------------------------
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type, text and position of the error it raised."""
+    try:
+        return fn(*args)
+    except SpjError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+def _rand_raw_plan(rng, depth):
+    """A random plan over R/2, S/2 and the unknown relation Q, whose
+    projection and theta indices may fall outside their range, and whose
+    joins may repeat a child."""
+    if depth == 0 or rng.random() < 0.3:
+        return Basic(rng.choice("RRRSSSQ"))
+    op = rng.choice(("select", "project", "join", "join"))
+
+    def theta():
+        return theta_of((rng.randint(-1, 7), rng.randint(-1, 7)) for _ in range(rng.randint(0, 2)))
+
+    if op == "select":
+        return Select(theta(), _rand_raw_plan(rng, depth - 1))
+    if op == "project":
+        cols = tuple(rng.randint(-1, 5) for _ in range(rng.randint(0, 3)))
+        return Project(cols, _rand_raw_plan(rng, depth - 1))
+    kids = [_rand_raw_plan(rng, depth - 1) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        kids.insert(rng.randrange(len(kids) + 1), rng.choice(kids))
+    return Join(theta(), tuple(kids))
+
+
+def _mutations(rng, text):
+    """``text``, a prefix of it and a copy with one character dropped."""
+    cut = rng.randrange(len(text) + 1)
+    drop = rng.randrange(len(text))
+    return [text, text[:cut], text[:drop] + text[drop + 1:]]
+
+
+def test_parse_matches_recursive_oracle(rng):
+    gen = random.Random(5)
+    alphabet = "()  \t\r\n\n;;-0123RSxy_#é"
+    texts = ["".join(gen.choice(alphabet) for _ in range(gen.randint(0, 40))) for _ in range(3000)]
+    for _ in range(300):
+        plan = rand_plan(rng, rand_signature(rng), max_operators=6)
+        texts += _mutations(rng, print_plan(plan))
+        texts += _mutations(rng, print_plan(_rand_raw_plan(rng, 4)))
+    parsed = 0
+    for text in texts:
+        for sig in (None, SIG):
+            got = _outcome(parse_plan, text, sig)
+            assert got == _outcome(oracles.parse_plan, text, sig), repr(text)
+            parsed += not isinstance(got, tuple)
+    assert parsed >= 600
+
+
+def test_print_and_validate_match_recursive_oracles(rng):
+    valid = 0
+    for _ in range(1500):
+        plan = _rand_raw_plan(rng, 4)
+        assert print_plan(plan) == oracles.print_plan(plan)
+        got = _outcome(validate_plan, plan, SIG)
+        assert got == _outcome(oracles.validate_plan, plan, SIG), oracles.print_plan(plan)
+        valid += isinstance(got, int)
+    assert 100 <= valid <= 1400
+
+
+def test_deep_plans_need_no_recursion():
+    depth = 2000
+    text = "(project (cols 1 2) (join (theta (2 3)) " * depth + "R" + " R))" * depth
+    plan = parse_plan(text, SIG)
+    # A failing assert must not show the plan: its repr recurses.
+    printed, arity, size, operators = (
+        print_plan(plan), validate_plan(plan, SIG), plans.plan_size(plan), operator_count(plan)
+    )
+    assert (printed == text, arity, size, operators) == (True, 2, 3 * depth + 1, 2 * depth)
+    numbers, distinct = number_subplans(plan)
+    assert len(distinct) == 2 * depth + 1
+    assert occurrence_paths(distinct)[-3:] == [(0, 1), (0,), ()]
+    assert is_well_behaved(plan, SIG)[0]

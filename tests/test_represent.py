@@ -14,12 +14,11 @@ from spjopt import (
     homs_relation,
     hypergraph_of,
     parse_plan,
-    subplans,
 )
-from spjopt.plans import arity_of
+from spjopt.plans import validate_plan
 
 from conftest import rand_plan, rand_signature, rand_structure
-from oracles import check_containment_property
+from oracles import alpha, check_containment_property, print_plan, subplans
 
 SIG = Signature({"R": 2, "S": 2})
 
@@ -69,7 +68,7 @@ def test_projection_representation_keeps_structure():
     assert len(rep.open.structure.universe) == 2
     assert len(rep.open.tuple) == 1
     assert len(dec.nodes) == 2
-    assert dec.parent[dec.alpha[(0,)]] == dec.alpha[()]
+    assert dec.parent[alpha(plan)[(0,)]] == alpha(plan)[()] == dec.root
 
 
 def test_alpha_is_a_bijection_onto_nodes(rng):
@@ -78,12 +77,16 @@ def test_alpha_is_a_bijection_onto_nodes(rng):
         plan = rand_plan(rng, sig, max_operators=6)
         rep, dec = build_representation(plan, sig)
         occ = subplans(plan)
+        node_of = alpha(plan)
         assert len(dec.nodes) == len(occ)
-        assert sorted(dec.alpha.values()) == list(dec.nodes)
-        assert dec.alpha[()] == dec.root
-        for path, node in dec.alpha.items():
-            assert frozenset(dec.beta[path]) == dec.chi[node]
-        assert dec.beta[()] == rep.open.tuple
+        assert sorted(node_of.values()) == list(dec.nodes)
+        assert node_of[()] == dec.root
+        for path, q in occ:
+            node = node_of[path]
+            assert frozenset(dec.beta[node]) == dec.chi[node]
+            assert dec.node_text[node] == print_plan(q)
+            assert dec.parent[node] == (node_of[path[:-1]] if path else None)
+        assert dec.beta[dec.root] == rep.open.tuple
 
 
 def test_representation_is_always_a_tree_decomposition(rng):
@@ -143,11 +146,11 @@ def test_adversarial_beta_breaks_containment(rng):
     """Swapping two bags' beta tuples falsifies containment on some data."""
     plan = parse_plan("(join (theta) R S)", SIG)
     rep, dec = build_representation(plan, SIG)
-    paths = [p for p in dec.beta if p != ()]
-    a, b = paths[0], paths[1]
+    nodes = [n for n in dec.beta if n != dec.root]
+    a, b = nodes[0], nodes[1]
     dec.beta[a], dec.beta[b] = dec.beta[b], dec.beta[a]
-    dec.chi[dec.alpha[a]] = frozenset(dec.beta[a])
-    dec.chi[dec.alpha[b]] = frozenset(dec.beta[b])
+    dec.chi[a] = frozenset(dec.beta[a])
+    dec.chi[b] = frozenset(dec.beta[b])
     broken = False
     check_rng = random.Random(5)
     for _ in range(40):
@@ -176,7 +179,8 @@ def test_check_tree_decomposition_conditions():
 
 def test_decomposition_node_text_matches_subplans(example):
     plan, rep, dec = example
-    texts = {dec.node_text[dec.alpha[path]] for path, _ in dec.alpha.items()}
+    texts = {dec.node_text[node] for node in dec.nodes}
+    assert texts == {print_plan(q) for _, q in subplans(plan)}
     assert "R" in texts and "S" in texts
 
 
@@ -185,4 +189,4 @@ def test_arity_of_representation_tuple_matches_plan(rng):
         sig = rand_signature(rng)
         plan = rand_plan(rng, sig, max_operators=5)
         rep, _ = build_representation(plan, sig)
-        assert len(rep.open.tuple) == arity_of(plan, sig)
+        assert len(rep.open.tuple) == validate_plan(plan, sig)

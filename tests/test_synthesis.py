@@ -31,7 +31,7 @@ from spjopt import (
     synthesize_plan,
 )
 from spjopt import synthesis
-from spjopt.plans import arity_of, validate_plan
+from spjopt.plans import validate_plan
 
 from conftest import (
     rand_keys,
@@ -228,7 +228,7 @@ def test_optimize_triangle_degree_and_equivalence():
     assert result.degree == Fraction(3, 2)
     assert is_well_behaved(result.plan, SIG_E)[0]
     assert intermediate_degree_bound(result.plan, NO_KEYS, SIG_E) == Fraction(3, 2)
-    assert arity_of(result.plan, SIG_E) == 3
+    assert validate_plan(result.plan, SIG_E) == 3
 
 
 def test_optimize_acyclic_example_gets_degree_one():
