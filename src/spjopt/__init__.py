@@ -71,6 +71,7 @@ from .synthesis import (
     intermediate_degree_bound,
     optimize,
     output_degree,
+    subplan_degrees,
     synthesize_plan,
 )
 from .witness import WitnessFamily, bag_witness, product_witness
@@ -136,6 +137,7 @@ __all__ = [
     "print_plan",
     "product_witness",
     "satisfies_keys",
+    "subplan_degrees",
     "synthesize_plan",
     "theta_of",
 ]

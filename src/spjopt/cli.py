@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 input format error, 3 resource cap
 exceeded.  Plans are walked with explicit stacks, so nesting depth is not
-limited by the interpreter's recursion limit, with two exceptions:
-``degree``, whose cache hashes the plan recursively, and the naive
+limited by the interpreter's recursion limit, except in the naive
 evaluator that ``evaluate`` falls back to for plans that are not
 well-behaved.  There a plan of about a thousand nested operators exits 3
 with a one-line ``spjopt: resource cap: ...`` message instead of a
@@ -51,9 +50,8 @@ from .synthesis import (
     Caps,
     chased_core,
     equivalence_witness,
-    intermediate_degree_bound,
     optimize,
-    output_degree,
+    subplan_degrees,
 )
 from .witness import bag_witness
 
@@ -240,11 +238,10 @@ def _cmd_degree(args: argparse.Namespace) -> None:
     keys = _load_keys(args)
     plan, sig, _ = _load_plan(args)
     keys.validate_for(sig)
+    degrees = subplan_degrees(plan, keys, sig)
     doc = {
-        "outputDegree": serialize.fraction_str(output_degree(plan, keys, sig)),
-        "intermediateDegreeBound": serialize.fraction_str(
-            intermediate_degree_bound(plan, keys, sig)
-        ),
+        "outputDegree": serialize.fraction_str(degrees[-1]),
+        "intermediateDegreeBound": serialize.fraction_str(max(degrees)),
     }
     _emit(args, serialize.dumps(doc))
 

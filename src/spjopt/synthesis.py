@@ -15,7 +15,6 @@ equivalent to the input on every database satisfying the keys.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -34,6 +33,7 @@ from .plans import (
     Plan,
     Project,
     Select,
+    _arities,
     is_well_behaved,
     number_subplans,
     print_plan,
@@ -44,6 +44,7 @@ from .structures import (
     OpenStructure,
     Signature,
     Structure,
+    UnionFind,
     compute_core,
     find_homomorphism,
 )
@@ -397,28 +398,58 @@ def _assemble_plan(
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _output_degree_cached(plan: Plan, keys: KeySet, signature: Signature) -> Fraction:
-    rep, _ = build_representation(plan, signature)
-    chased = chase(rep.open, keys).result
-    if chased.structure.total_tuple_count() == 0:
-        return Fraction(0)
-    value, _ = color_number(chased.structure, keys, frozenset(chased.tuple))
-    return value
+def subplan_degrees(plan: Plan, keys: KeySet, signature: Signature) -> list[Fraction]:
+    """Output degree per number of :func:`number_subplans`, the root's last:
+    the color number of the tuple set of the subplan's chased representation.
+
+    Each is built from the children's: a fresh atom, a reindexed tuple for a
+    projection, and for a join or selection the disjoint union, theta's
+    identifications and the chase, a closure that may start from chased parts.
+    """
+    if not keys.is_unary:
+        raise KeyConstraintError("output degree requires unary keys")
+    distinct = number_subplans(plan)[1]
+    reps: list[tuple[Structure, tuple[int, ...]]] = []
+    for (node, kids), m in zip(distinct, _arities(distinct, signature)):
+        if isinstance(node, Basic):
+            out = tuple(range(m))
+            struct = Structure(signature, out, {node.relation: [out]})
+        elif isinstance(node, Project):
+            struct, child = reps[kids[0]]
+            out = tuple(child[c - 1] for c in node.cols)
+        else:
+            # Shift past the largest id, not the element count: chase leaves gaps.
+            joined, universe, shift = [], [], 0
+            rows: dict[str, list[tuple[int, ...]]] = {n: [] for n in signature.symbols()}
+            for kid in kids:
+                struct, child = reps[kid]
+                joined += [e + shift for e in child]
+                universe += [e + shift for e in struct.universe]
+                for name, rel in struct.relations.items():
+                    rows[name] += [tuple(e + shift for e in t) for t in rel]
+                if universe:
+                    shift = universe[-1] + 1
+            uf = UnionFind(joined)
+            for j, k in node.theta:
+                uf.union(joined[j - 1], joined[k - 1])
+            merge = {e: uf.find(e) for e in joined}
+            chased = chase(Structure(signature, universe, rows).apply_map(merge), keys)
+            struct = chased.result
+            out = tuple(chased.merge_map[merge[e]] for e in joined)
+        reps.append((struct, out))
+    return [color_number(struct, keys, out)[0] for struct, out in reps]
 
 
 def output_degree(plan: Plan, keys: KeySet, signature: Signature) -> Fraction:
     """The least exponent d with |out(plan, D)| = O(M_D^d) over key-satisfying
-    databases: the color number of the chased representation's tuple set."""
-    if not keys.is_unary:
-        raise KeyConstraintError("output degree requires unary keys")
-    return _output_degree_cached(plan, keys, signature)
+    databases (see :func:`subplan_degrees`)."""
+    return subplan_degrees(plan, keys, signature)[-1]
 
 
 def intermediate_degree_bound(plan: Plan, keys: KeySet, signature: Signature) -> Fraction:
     """Max output degree over all subplans; this equals the plan's
     intermediate degree."""
-    return max(output_degree(q, keys, signature) for q, _ in number_subplans(plan)[1])
+    return max(subplan_degrees(plan, keys, signature))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,8 @@ from spjopt import (
     ResourceCapError,
     Signature,
     Structure,
+    build_representation,
+    chase,
     check_tree_decomposition,
     color_number,
     eliminate_fds,
@@ -836,6 +838,22 @@ def synthesize_with_keyed_search(core: OpenStructure, keys: KeySet, caps):
     else:
         dec = width_report.decomposition
     return _assemble_plan(core, elim, dec), width_report.width, dec
+
+
+# ---------------------------------------------------------------------------
+# Output degree by rebuilding each subplan's representation
+# ---------------------------------------------------------------------------
+
+
+def rebuilt_output_degree(plan: Plan, keys: KeySet, signature: Signature) -> Fraction:
+    """The color number of the tuple set of ``plan``'s representation, built
+    from scratch and chased as a whole."""
+    rep, _ = build_representation(plan, signature)
+    chased = chase(rep.open, keys).result
+    if chased.structure.total_tuple_count() == 0:
+        return Fraction(0)
+    value, _ = color_number(chased.structure, keys, frozenset(chased.tuple))
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -122,15 +122,18 @@ def test_cli_optimize_text_format(workdir, capsys):
     parse_plan(out.strip(), SIG)
 
 
-def test_cli_check_and_degree(workdir, capsys):
+def test_cli_check_and_degree(workdir, capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "--plan", workdir / "tri.plan")
     assert code == 0
     assert json.loads(out)["wellBehaved"] is True
+    real, folds = cli.subplan_degrees, []
+    monkeypatch.setattr(cli, "subplan_degrees", lambda *args: folds.append(args) or real(*args))
     code, out, _ = run(capsys, "degree", "--plan", workdir / "tri.plan")
     assert code == 0
     doc = json.loads(out)
     assert doc["outputDegree"] == "3/2"
     assert doc["intermediateDegreeBound"] == "3/2"
+    assert len(folds) == 1  # both degrees come from one fold
 
 
 def test_cli_evaluate(workdir, capsys):
@@ -275,11 +278,10 @@ def test_cli_exit_codes(workdir, capsys, tmp_path):
 
 def test_cli_deep_plans_need_no_recursion(tmp_path, capsys):
     """1,200 nested selects and a 600-level project/join chain are nested
-    far past the interpreter's recursion limit.  Every subcommand but
-    ``degree`` runs on them; ``degree`` exits 3 with one line on stderr,
-    because its cache hashes the plan recursively.  The chain joins a fresh
-    R atom per level at one shared element; ``key R 1`` folds them in the
-    chase, so its core fits the default core cap."""
+    far past the interpreter's recursion limit, and every subcommand runs
+    on them.  The chain joins a fresh R atom per level at one shared
+    element; ``key R 1`` folds them in the chase, so its core fits the
+    default core cap."""
     bodies = {
         "selects": "(select (theta (1 2)) " * 1200 + "R" + ")" * 1200,
         "chain": "(project (cols 1 2) (join (theta (2 3)) " * 600 + "R" + " R))" * 600,
@@ -301,19 +303,13 @@ def test_cli_deep_plans_need_no_recursion(tmp_path, capsys):
         for argv in (
             ["check"], ["represent"], ["chase"], ["core"], ["decompose"],
             ["witness", "--n", "1"], ["equiv", "--plan2", plan],
-            ["optimize"], ["optimize", "--format", "text"],
+            ["optimize"], ["optimize", "--format", "text"], ["degree"],
             ["evaluate", "--data", data], ["evaluate", "--data", data, "--trace"],
         ):
             code, out, err = run(capsys, argv[0], "--plan", plan, "--keys", keys, *argv[1:])
             assert (code, err) == (0, ""), (name, argv)
             outputs[name, " ".join(map(str, argv))] = out
-        if name == "one":
-            continue
-        code, out, err = run(capsys, "degree", "--plan", plan, "--keys", keys)
-        assert (code, out) == (3, "")
-        assert err.startswith("spjopt: resource cap: ")
-        assert err.count("\n") == 1
-    for argv in ("optimize --format text", f"evaluate --data {data}"):
+    for argv in ("optimize --format text", "degree", f"evaluate --data {data}"):
         assert outputs["selects", argv] == outputs["one", argv]
 
 

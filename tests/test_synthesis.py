@@ -28,10 +28,11 @@ from spjopt import (
     parse_plan,
     print_plan,
     satisfies_keys,
+    subplan_degrees,
     synthesize_plan,
 )
 from spjopt import synthesis
-from spjopt.plans import validate_plan
+from spjopt.plans import number_subplans, validate_plan
 
 from conftest import (
     rand_keys,
@@ -40,13 +41,14 @@ from conftest import (
     rand_satisfying_structure,
     rand_signature,
 )
-from oracles import UNCAPPED, synthesize_with_keyed_search
+from oracles import UNCAPPED, rebuilt_output_degree, synthesize_with_keyed_search
 
 SIG_E = Signature({"E": 2})
 SIG_R = Signature({"R": 2})
 SIG_RS = Signature({"R": 2, "S": 2})
 NO_KEYS = KeySet.empty()
 KEY_R1 = KeySet.unary({"R": 1})
+KEY_E1 = KeySet.unary({"E": 1})
 
 TRIANGLE = "(project (cols 1 2 4) (join (theta (2 3) (4 5) (6 1)) E E E))"
 
@@ -182,6 +184,49 @@ def test_intermediate_degree_bound_examples():
         SIG_E,
     )
     assert intermediate_degree_bound(naive_triangle, NO_KEYS, SIG_E) == 3
+
+
+def _assert_degrees_match_rebuilds(plan, keys, sig):
+    want = [rebuilt_output_degree(q, keys, sig) for q, _ in number_subplans(plan)[1]]
+    assert subplan_degrees(plan, keys, sig) == want, print_plan(plan)
+
+
+def test_subplan_degrees_match_rebuilt_representations(rng):
+    """Per distinct subplan, the fold's degree is that of a representation
+    built from scratch and chased whole: on random plans with and without
+    keys, and on the plans that ``optimize`` returns for them."""
+    synthesized = 0
+    for i in range(200):
+        small = i % 4 < 2
+        sig = rand_signature(rng)
+        plan = rand_plan(rng, sig, max_operators=4 if small else 7)
+        keys = rand_keys(rng, sig, prob=0.7) if i % 2 else NO_KEYS
+        _assert_degrees_match_rebuilds(plan, keys, sig)
+        if small:
+            try:
+                result = optimize(plan, keys, sig)
+            except ResourceCapError:
+                continue
+            _assert_degrees_match_rebuilds(result.plan, keys, sig)
+            synthesized += 1
+    cycle = parse_plan(
+        "(project (cols 1) (join (theta (2 3) (4 5) (6 7) (8 9) (10 1)) E E E E E))", SIG_E
+    )
+    _assert_degrees_match_rebuilds(optimize(cycle, KEY_E1, SIG_E).plan, KEY_E1, SIG_E)
+    assert synthesized >= 90
+
+
+def test_subplan_degrees_shift_children_past_universe_gaps():
+    """The chase leaves gaps in a child's universe, so a join must shift each
+    child past the previous ones' largest id; shifting by element count
+    would identify elements of different children here and give 2."""
+    sig = Signature({"R": 3})
+    keys = KeySet.unary({"R": 3})
+    plan = parse_plan("(join (theta) (join (theta) (join (theta (2 1)) R R) R) R)", sig)
+    degrees = subplan_degrees(plan, keys, sig)
+    assert degrees[-1] == max(degrees) == 4
+    assert rebuilt_output_degree(plan, keys, sig) == 4
+    assert output_degree(plan, keys, sig) == intermediate_degree_bound(plan, keys, sig) == 4
 
 
 # ---------------------------------------------------------------------------
