@@ -2,12 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 input format error, 3 resource cap
 exceeded.  Plans are walked with explicit stacks, so nesting depth is not
-limited by the interpreter's recursion limit, except in the naive
-evaluator that ``evaluate`` falls back to for plans that are not
-well-behaved.  There a plan of about a thousand nested operators exits 3
-with a one-line ``spjopt: resource cap: ...`` message instead of a
-traceback, and so does running out of memory (``spjopt: resource cap: out
-of memory``).  Exit 2 also covers files that cannot be read (missing, a
+limited by the interpreter's recursion limit.  Running out of memory exits
+3 with a one-line ``spjopt: resource cap: out of memory`` message instead
+of a traceback.  Exit 2 also covers files that cannot be read (missing, a
 directory, no permission) or are not UTF-8 text.
 Universe caps default to :class:`Caps`; ``--cap-universe N`` sets both.  All
 outputs are byte-identical across runs for identical inputs: wall-clock

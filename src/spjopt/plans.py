@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 import time
 from dataclasses import dataclass, field
@@ -441,11 +442,13 @@ class EvalTrace:
     the finite-instance counterpart of intermediate degree.  The
     well-behaved evaluator additionally reports ``internal_peak``, the
     largest relation its binary-join chains ever materialize.
+    ``numbering`` is the evaluated plan's :func:`number_subplans`.
     """
 
     entries: list[TraceEntry] = field(default_factory=list)
     wall_time: float = 0.0
     internal_peak: int = 0
+    numbering: tuple = ((), ())
 
     @property
     def output(self) -> frozenset:
@@ -457,9 +460,9 @@ class EvalTrace:
 
     @functools.cached_property
     def texts(self) -> list[str]:
-        """Each entry's subplan, printed, from one pass over the root's plan;
+        """Each entry's subplan, printed from the evaluator's numbering;
         computed on first access, after evaluation."""
-        numbers, distinct = number_subplans(self.entries[-1].node)
+        numbers, distinct = self.numbering
         texts = plan_texts(distinct)
         return [texts[n] for n in numbers]
 
@@ -470,39 +473,64 @@ def _select_rows(rows, theta):
     )
 
 
+def _fill_trace(trace: EvalTrace, numbering: tuple, rows_of: list[frozenset], start: float) -> EvalTrace:
+    """Give ``trace`` one entry per occurrence of ``numbering``, each with
+    the rows of its number, and the wall time since ``start``."""
+    numbers, distinct = numbering
+    trace.entries = [
+        TraceEntry(path, distinct[n][0], rows_of[n])
+        for path, n in zip(occurrence_paths(distinct), numbers)
+    ]
+    trace.numbering = numbering
+    trace.wall_time = time.perf_counter() - start
+    return trace
+
+
 def evaluate_naive(plan: Plan, data: Structure) -> EvalTrace:
     """Reference evaluator: the four inductive cases, verbatim.
 
     Joins materialize the cross product lazily and filter by theta, so the
     running time (not the memory) is proportional to the product size.
+    Each distinct subplan (see :func:`number_subplans`) is evaluated once;
+    the trace has one entry per occurrence.
     """
-    validate_plan(plan, data.signature)
-    trace = EvalTrace()
+    numbering = number_subplans(plan)
+    _arities(numbering[1], data.signature)  # raises on an ill-formed plan
     start = time.perf_counter()
-
-    def rec(node: Plan, path: tuple[int, ...]) -> frozenset:
+    rows_of: list[frozenset] = []
+    for node, kids in numbering[1]:
         if isinstance(node, Basic):
             rows = data.relations[node.relation]
         elif isinstance(node, Select):
-            rows = _select_rows(rec(node.child, path + (0,)), node.theta)
+            rows = _select_rows(rows_of[kids[0]], node.theta)
         elif isinstance(node, Project):
-            child = rec(node.child, path + (0,))
-            rows = frozenset(tuple(t[c - 1] for c in node.cols) for t in child)
+            rows = frozenset(tuple(t[c - 1] for c in node.cols) for t in rows_of[kids[0]])
         else:
-            outs = [rec(c, path + (i,)) for i, c in enumerate(node.children)]
             theta = node.theta
             rows = frozenset(
                 flat
-                for combo in itertools.product(*[sorted(o) for o in outs])
+                for combo in itertools.product(*[sorted(rows_of[k]) for k in kids])
                 for flat in (tuple(itertools.chain.from_iterable(combo)),)
                 if all(flat[j - 1] == flat[k - 1] for j, k in theta)
             )
-        trace.entries.append(TraceEntry(path, node, rows))
-        return rows
+        rows_of.append(rows)
+    return _fill_trace(EvalTrace(), numbering, rows_of, start)
 
-    rec(plan, ())
-    trace.wall_time = time.perf_counter() - start
-    return trace
+
+def _getter(positions) -> operator.itemgetter:
+    """The tuple of a row's values at the 0-based ``positions``.  A slice
+    stands in for zero or one position: ``itemgetter()`` raises, and
+    ``itemgetter(i)`` returns the value, not a 1-tuple."""
+    if len(positions) == 1:
+        return operator.itemgetter(slice(positions[0], positions[0] + 1))
+    return operator.itemgetter(*positions) if positions else operator.itemgetter(slice(0))
+
+
+def _equal_at(pairs):
+    """A filter for rows equal at each 0-based ``(a, b)`` of ``pairs``."""
+    left = _getter([a for a, _ in pairs])
+    right = _getter([b for _, b in pairs])
+    return lambda t: left(t) == right(t)
 
 
 def evaluate_well_behaved(
@@ -517,14 +545,15 @@ def evaluate_well_behaved(
     Multiway joins run as a left-deep chain of binary hash joins over the
     columns' theta-closure classes.  The chain carries one value per
     already-bound class, so no step materializes more than
-    |out(q1, D)| x |dom(D)| rows.
+    |out(q1, D)| x |dom(D)| rows.  Each operator compiles its column
+    positions into ``itemgetter``s once, not once per row.
     """
-    numbers, distinct = number_subplans(plan)
+    numbering = number_subplans(plan)
+    distinct = numbering[1]
     arities = _arities(distinct, data.signature)
     offender = _first_offending_join(distinct, arities, strict_theta)
     if offender is not None:
         raise WellBehavedError(f"plan is not well-behaved at {print_plan(offender)}")
-    paths = occurrence_paths(distinct)
     trace = EvalTrace()
     start = time.perf_counter()
     rows_of: list[frozenset] = []
@@ -532,83 +561,54 @@ def evaluate_well_behaved(
         if isinstance(node, Basic):
             rows = data.relations[node.relation]
         elif isinstance(node, Select):
-            rows = _select_rows(rows_of[kids[0]], node.theta)
+            equal = _equal_at([(j - 1, k - 1) for j, k in sorted(node.theta)])
+            rows = frozenset(filter(equal, rows_of[kids[0]]))
         elif isinstance(node, Project):
-            rows = frozenset(tuple(t[c - 1] for c in node.cols) for t in rows_of[kids[0]])
+            rows = frozenset(map(_getter([c - 1 for c in node.cols]), rows_of[kids[0]]))
         else:
             rows = _join_chain(node, [rows_of[k] for k in kids], [arities[k] for k in kids], trace)
         rows_of.append(rows)
-    trace.entries = [
-        TraceEntry(path, distinct[n][0], rows_of[n])
-        for path, n in zip(paths, numbers)
-    ]
-    trace.wall_time = time.perf_counter() - start
-    return trace
+    return _fill_trace(trace, numbering, rows_of, start)
 
 
 def _join_chain(node: Join, outs: list[frozenset], arities: list[int], trace: EvalTrace) -> frozenset:
     """The join of the children's rows ``outs`` (of arities ``arities``);
-    raises ``trace.internal_peak`` to the largest relation the chain builds."""
-    spans = []
+    raises ``trace.internal_peak`` to the largest relation the chain builds.
+
+    Rows carry one slot per bound theta-class, in binding order; every
+    column is read back from its class's slot at the end.  The chain starts
+    from the empty row, so the first child is joined on no key.  The order
+    of the input rows is never used: the result is a set, and the peak
+    counts rows.
+    """
+    classes = _column_classes(node.theta, sum(arities))
+    bound: dict[int, int] = {}  # class representative -> slot
+    current: list[tuple] = [()]
     off = 0
-    for m in arities:
-        spans.append(list(range(off + 1, off + m + 1)))
-        off += m
-    s = off
-    classes = _column_classes(node.theta, s)
-
-    # Rows carry one slot per bound theta-class; every global column is
-    # reconstructed from its class slot at the end.
-    bound: dict[int, int] = {}  # class representative -> slot index
-    current = []
-    for t in sorted(outs[0]):
-        if all(
-            t[a - 1] == t[b - 1]
-            for a, b in itertools.combinations(spans[0], 2)
-            if classes[a] == classes[b]
-        ):
-            current.append(t)
-    for col in spans[0]:
-        bound.setdefault(classes[col], col - 1)
-    width = len(spans[0])
-    trace.internal_peak = max(trace.internal_peak, len(current))
-
-    for child_idx in range(1, len(outs)):
-        cols = spans[child_idx]
-        key_pairs = []                  # (local position, slot in current row)
-        seen_class: dict[int, int] = {}  # class -> first local position binding it
-        new_cols = []
-        for local, col in enumerate(cols):
-            cls = classes[col]
+    for out, m in zip(outs, arities):
+        keys: list[tuple[int, int]] = []  # (local position, slot it must equal)
+        equal: list[tuple[int, int]] = []  # (local position, first one of its class)
+        first: dict[int, int] = {}  # unbound class -> its first local position
+        for local in range(m):
+            cls = classes[off + local + 1]
             if cls in bound:
-                key_pairs.append((local, bound[cls]))
-            elif cls not in seen_class:
-                seen_class[cls] = local
-                new_cols.append(local)
+                keys.append((local, bound[cls]))
+            elif cls in first:
+                equal.append((local, first[cls]))
+            else:
+                first[cls] = local
+        off += m
+        key = _getter([local for local, _ in keys])
+        extend = _getter(list(first.values()))
         table: dict[tuple, list] = {}
-        for t in sorted(outs[child_idx]):
-            ok = True
-            for local, col in enumerate(cols):
-                cls = classes[col]
-                if cls in seen_class and seen_class[cls] != local and t[local] != t[seen_class[cls]]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            key = tuple(t[local] for local, _ in key_pairs)
-            table.setdefault(key, []).append(tuple(t[local] for local in new_cols))
-        probe_slots = [slot for _, slot in key_pairs]
-        next_rows = []
-        for row in current:
-            key = tuple(row[slot] for slot in probe_slots)
-            for ext in table.get(key, ()):
-                next_rows.append(row + ext)
-        for local in new_cols:
-            bound[classes[cols[local]]] = width
-            width += 1
-        current = next_rows
+        for t in filter(_equal_at(equal), out) if equal else out:
+            table.setdefault(key(t), []).append(extend(t))
+        probe = _getter([slot for _, slot in keys])
+        current = [row + ext for row in current for ext in table.get(probe(row), ())]
+        for cls in first:
+            bound[cls] = len(bound)
         trace.internal_peak = max(trace.internal_peak, len(current))
-
-    return frozenset(
-        tuple(row[bound[classes[col]]] for col in range(1, s + 1)) for row in current
-    )
+    slots = [bound[cls] for cls in classes[1:]]
+    if slots == list(range(len(slots))):
+        return frozenset(current)
+    return frozenset(map(_getter(slots), current))

@@ -618,6 +618,38 @@ def evaluate_well_behaved_per_occurrence(plan: Plan, data: Structure, strict_the
     return trace
 
 
+def evaluate_naive_recursive(plan: Plan, data: Structure) -> EvalTrace:
+    """The naive evaluator with every subplan occurrence evaluated on its
+    own, recursively: the reference for the folded ``evaluate_naive``."""
+    validate_plan(plan, data.signature)
+    trace = EvalTrace()
+    start = time.perf_counter()
+
+    def rec(node: Plan, path: tuple[int, ...]) -> frozenset:
+        if isinstance(node, Basic):
+            rows = data.relations[node.relation]
+        elif isinstance(node, Select):
+            rows = _select_rows(rec(node.child, path + (0,)), node.theta)
+        elif isinstance(node, Project):
+            child = rec(node.child, path + (0,))
+            rows = frozenset(tuple(t[c - 1] for c in node.cols) for t in child)
+        else:
+            outs = [rec(c, path + (i,)) for i, c in enumerate(node.children)]
+            theta = node.theta
+            rows = frozenset(
+                flat
+                for combo in itertools.product(*[sorted(o) for o in outs])
+                for flat in (tuple(itertools.chain.from_iterable(combo)),)
+                if all(flat[j - 1] == flat[k - 1] for j, k in theta)
+            )
+        trace.entries.append(TraceEntry(path, node, rows))
+        return rows
+
+    rec(plan, ())
+    trace.wall_time = time.perf_counter() - start
+    return trace
+
+
 # ---------------------------------------------------------------------------
 # LP oracles
 # ---------------------------------------------------------------------------

@@ -277,15 +277,18 @@ def test_cli_exit_codes(workdir, capsys, tmp_path):
 
 
 def test_cli_deep_plans_need_no_recursion(tmp_path, capsys):
-    """1,200 nested selects and a 600-level project/join chain are nested
-    far past the interpreter's recursion limit, and every subcommand runs
-    on them.  The chain joins a fresh R atom per level at one shared
-    element; ``key R 1`` folds them in the chase, so its core fits the
-    default core cap."""
+    """1,200 nested selects, the same selects over a join that is not
+    well-behaved, and a 600-level project/join chain are nested far past
+    the interpreter's recursion limit, and every subcommand runs on them;
+    ``evaluate`` runs the second with the naive evaluator.  The chain joins
+    a fresh R atom per level at one shared element; ``key R 1`` folds them
+    in the chase, so its core fits the default core cap."""
     bodies = {
         "selects": "(select (theta (1 2)) " * 1200 + "R" + ")" * 1200,
+        "naive": "(select (theta (1 2)) " * 1200 + "(join (theta) R R)" + ")" * 1200,
         "chain": "(project (cols 1 2) (join (theta (2 3)) " * 600 + "R" + " R))" * 600,
         "one": "(select (theta (1 2)) R)",
+        "naive_one": "(select (theta (1 2)) (join (theta) R R))",
     }
     for name, body in bodies.items():
         (tmp_path / f"{name}.plan").write_text("rel R 2\n" + body + "\n")
@@ -311,6 +314,8 @@ def test_cli_deep_plans_need_no_recursion(tmp_path, capsys):
             outputs[name, " ".join(map(str, argv))] = out
     for argv in ("optimize --format text", "degree", f"evaluate --data {data}"):
         assert outputs["selects", argv] == outputs["one", argv]
+        assert outputs["naive", argv] == outputs["naive_one", argv]
+    assert json.loads(outputs["naive", f"evaluate --data {data}"])["evaluator"] == "naive"
 
 
 def test_cli_out_of_memory_is_a_resource_cap(workdir, capsys, monkeypatch):

@@ -17,9 +17,12 @@ from spjopt import (
     SpjError,
     Structure,
     WellBehavedError,
+    bag_witness,
+    chased_core,
     evaluate_naive,
     evaluate_well_behaved,
     is_well_behaved,
+    optimal_cwidth,
     optimize,
     parse_plan,
     print_plan,
@@ -416,6 +419,106 @@ def test_each_distinct_join_is_checked_and_evaluated_once(monkeypatch):
     trace = evaluate_well_behaved(plan, _functional_graph(random.Random(7), 12))
     assert counts == {"check": len(joins), "chain": len(joins)}
     assert len(trace.entries) == len(subplans(plan))
+
+
+def _pattern_plan(edges, out):
+    """The join of one E atom per edge, identified on shared vertices and
+    projected to the vertices in ``out``."""
+    first, pairs = {}, []
+    for pos, v in enumerate((v for edge in edges for v in edge), 1):
+        if v in first:
+            pairs.append((first[v], pos))
+        else:
+            first[v] = pos
+    return Project(tuple(first[v] for v in out), Join(theta_of(pairs), (Basic("E"),) * len(edges)))
+
+
+def _random_digraph(rng, vertices, out_degree):
+    arcs = [
+        (a, b)
+        for a in range(vertices)
+        for b in rng.sample([v for v in range(vertices) if v != a], out_degree)
+    ]
+    return Structure(SIG_E, range(vertices), {"E": arcs})
+
+
+def _assert_kernel_matches_old_chain(plan, data):
+    """The compiled kernel and the old chain agree under both readings of
+    theta; returns how many readings found the plan well-behaved."""
+    checked = 0
+    for strict in (False, True):
+        if not is_well_behaved(plan, data.signature, strict)[0]:
+            with pytest.raises(WellBehavedError):
+                evaluate_well_behaved(plan, data, strict)
+            continue
+        _assert_same_trace(
+            evaluate_well_behaved(plan, data, strict),
+            evaluate_well_behaved_per_occurrence(plan, data, strict),
+        )
+        checked += 1
+    return checked
+
+
+def test_join_kernel_matches_old_chain_on_triangle_witnesses():
+    tri = parse_plan("(project (cols 1 2 4) (join (theta (2 3) (4 5) (6 1)) E E E))", SIG_E)
+    core = chased_core(tri, KeySet.empty(), SIG_E, None)
+    _, family = bag_witness(core, KeySet.empty(), optimal_cwidth(core, KeySet.empty()).decomposition)
+    plans_ = [tri, optimize(tri, KeySet.empty(), SIG_E).plan]
+    for n in range(1, 11):
+        data = family.generate(n)
+        for plan in plans_:
+            assert _assert_kernel_matches_old_chain(plan, data) == 2
+    assert len(data.relations["E"]) >= 100
+
+
+@pytest.mark.parametrize("name, edges", [
+    ("mobius10", [(i, (i + 1) % 10) for i in range(10)] + [(i, i + 5) for i in range(5)]),
+    ("squared12", [(i, (i + 1) % 12) for i in range(12)] + [(i, (i + 2) % 12) for i in range(12)]),
+])
+def test_join_kernel_matches_old_chain_on_pattern_plans(name, edges):
+    rng = random.Random(name)
+    pattern = _pattern_plan(edges, (0, 1))
+    synthesized = optimize(pattern, KeySet.empty(), SIG_E).plan
+    for vertices, out_degree in ((10, 3), (8, 4)):
+        data = _random_digraph(rng, vertices, out_degree)
+        assert len(data.relations["E"]) >= 30
+        assert _assert_kernel_matches_old_chain(synthesized, data) >= 1
+        assert _assert_kernel_matches_old_chain(pattern, data) == 0
+
+
+@pytest.mark.parametrize("text", [
+    "(project (cols) R)",
+    "(project (cols 2) R)",
+    "(project (cols 2 2 1) R)",
+    "(select (theta) R)",
+    "(select (theta (1 2)) R)",
+    "(select (theta (2 1) (1 1)) T)",
+    "(join (theta) R)",
+    "(join (theta (1 2)) R)",
+    "(join (theta (1 2) (2 3)) R S)",
+    "(join (theta (1 3) (1 4)) R S)",
+    "(join (theta (2 3)) R (project (cols 2) S))",
+    "(join (theta (1 2)) (project (cols) S) R)",
+    "(join (theta (1 3) (2 4) (5 1)) (project (cols 2 1) T) S (project (cols 1) R))",
+])
+def test_join_kernel_matches_old_chain_on_edge_cases(text, rng):
+    sig = Signature({"R": 2, "S": 2, "T": 3})
+    plan = parse_plan(text, sig)
+    assert is_well_behaved(plan, sig)[0]
+    for trial in range(40):
+        data = rand_structure(rng, sig, max_domain=3, max_rows=0 if trial == 0 else 8)
+        assert _assert_kernel_matches_old_chain(plan, data) >= 1
+
+
+def test_evaluate_naive_matches_recursive_oracle(rng):
+    for _ in range(300):
+        sig = rand_signature(rng)
+        plan = rand_plan(rng, sig, max_operators=5)
+        m = validate_plan(plan, sig)
+        twice = Join(theta_of([(i, m + i) for i in range(1, m + 1)]), (plan, plan))
+        data = rand_structure(rng, sig, max_domain=4, max_rows=4)
+        for p in (plan, twice):
+            _assert_same_trace(evaluate_naive(p, data), oracles.evaluate_naive_recursive(p, data))
 
 
 # ---------------------------------------------------------------------------
