@@ -9,7 +9,6 @@ is independently checkable at desk scale.
 
 from .constraints import ChaseResult, KeySet, chase, satisfies_keys
 from .colorwidth import (
-    ColorClass,
     ColorSolution,
     WidthReport,
     color_number,
@@ -53,7 +52,6 @@ from .structures import (
     OpenStructure,
     Signature,
     Structure,
-    check_isomorphic,
     compute_core,
     find_homomorphism,
     homs_relation,
@@ -83,7 +81,6 @@ __all__ = [
     "Basic",
     "Caps",
     "ChaseResult",
-    "ColorClass",
     "ColorSolution",
     "DegenerateInputError",
     "EquivalenceWitness",
@@ -116,7 +113,6 @@ __all__ = [
     "chase",
     "chased_core",
     "check_equivalence",
-    "check_isomorphic",
     "check_tree_decomposition",
     "color_number",
     "compute_core",

@@ -126,9 +126,17 @@ def _first_data(args: argparse.Namespace):
 
 def _chased_data(args: argparse.Namespace, keys: KeySet) -> OpenStructure:
     """The first data file as an open structure, chased under ``keys``, as
-    the plan path chases a plan's representation."""
+    the plan path chases a plan's representation.
+
+    A closed structure loses its isolated elements, since each retracts
+    onto any element of a tuple; it needs a tuple over some element.
+    """
     value = serialize.load_structure(args.data[0])
-    value = OpenStructure(value, ()) if isinstance(value, Structure) else value
+    if isinstance(value, Structure):
+        kept = set(value.universe) - set(value.isolated_elements())
+        if value.universe and not kept:
+            raise DegenerateInputError("data has no tuples over its elements")
+        value = OpenStructure(value.restrict(kept), ())
     return chase(value, keys).result
 
 
@@ -328,7 +336,7 @@ def _cmd_witness(args: argparse.Namespace) -> None:
     caps = _caps(args)
     core = chased_core(plan, keys, sig, caps.core_universe)
     report = optimal_cwidth(core, keys, cap=caps.width_universe)
-    node, family = bag_witness(core, keys, report.decomposition)
+    node, family = bag_witness(core, keys, report)
     names = core.structure.names
     meta = {
         "bagNode": node,

@@ -8,9 +8,10 @@ tuple to at most one.  The LP is solved over the generating classes
 {closure(v) : v in target}: any feasible class meeting the target can be
 shrunk to the closure of one of its target elements without changing the
 objective or violating a constraint, so the optimum is unchanged (the test
-suite checks this against the LP over all valid classes).  Tuples that meet
-no generating class give all-zero rows; they are left out, since their
-slacks never leave the basis and the pivots on the other rows are the same.
+suite checks this against an oracle that enumerates the basic solutions of
+the LP over all valid classes).  Tuples that meet no generating class give
+all-zero rows; they are left out, since their slacks never leave the basis
+and the pivots on the other rows are the same.
 """
 
 from __future__ import annotations
@@ -18,21 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .constraints import KeySet
 from .errors import DegenerateInputError, KeyConstraintError, ResourceCapError, SignatureError
 from .represent import TreeDecomposition, check_tree_decomposition
 from .simplex import solve_lp
 from .structures import OpenStructure, Structure, hypergraph_of
-
-
-@dataclass(frozen=True)
-class ColorClass:
-    """A key-closed element set: whenever a dependent position's element is
-    in the class, the key position's element of the same tuple is too."""
-
-    members: frozenset
 
 
 def _closure_edges(structure: Structure, keys: KeySet) -> dict[int, set[int]]:
@@ -64,20 +57,20 @@ def _close(members: Iterable[int], forces: Mapping[int, set[int]]) -> frozenset:
 
 @dataclass(frozen=True)
 class ColorSolution:
-    """An optimal packing over classes plus its scaled-integral form.
+    """An optimal packing over key-closed classes in scaled-integral form.
 
-    ``multiplicities`` are the weights scaled by the least common denominator
-    ``scale``; expanding class copies to per-element color sets yields a
-    valid coloring whose ratio equals ``value``.  ``degenerate`` marks the
-    tupleless case, where the defining ratio divides by a maximum over an
-    empty set and the reported value is 0 by convention.
+    Each class is a frozenset of elements that holds, with every dependent
+    position's element of a tuple, that tuple's key element.
+    ``multiplicities`` are the optimal LP weights scaled by their least
+    common denominator; expanding class copies to per-element color sets
+    yields a valid coloring whose ratio equals ``value``.  ``degenerate``
+    marks the tupleless case, where the defining ratio divides by a maximum
+    over an empty set and the reported value is 0 by convention.
     """
 
-    classes: tuple[ColorClass, ...]
-    weights: tuple[Fraction, ...]
+    classes: tuple[frozenset, ...]
     value: Fraction
     target: frozenset
-    scale: int
     multiplicities: tuple[int, ...]
     degenerate: bool = False
 
@@ -86,7 +79,7 @@ class ColorSolution:
         out: dict[int, list[tuple[int, int]]] = {}
         for idx, (cls, mult) in enumerate(zip(self.classes, self.multiplicities)):
             for copy in range(mult):
-                for e in sorted(cls.members):
+                for e in sorted(cls):
                     out.setdefault(e, []).append((idx, copy))
         return {e: tuple(v) for e, v in out.items()}
 
@@ -96,7 +89,7 @@ class ColorSolution:
         return sum(
             mult
             for cls, mult in zip(self.classes, self.multiplicities)
-            if cls.members & elems
+            if cls & elems
         )
 
 
@@ -112,10 +105,7 @@ def _constraint_sets(structure: Structure) -> list[frozenset]:
 
 
 def color_number(
-    structure: Structure,
-    keys: KeySet,
-    target: Iterable[int],
-    classes: Optional[Sequence[ColorClass]] = None,
+    structure: Structure, keys: KeySet, target: Iterable[int]
 ) -> tuple[Fraction, ColorSolution]:
     """The color number of ``target`` and a witness packing.
 
@@ -130,39 +120,33 @@ def color_number(
     if not target <= uni:
         raise SignatureError("target set must be within the universe")
     if not target:
-        sol = ColorSolution((), (), Fraction(0), target, 1, ())
+        sol = ColorSolution((), Fraction(0), target, ())
         return Fraction(0), sol
     if structure.total_tuple_count() == 0:
-        sol = ColorSolution((), (), Fraction(0), target, 1, (), degenerate=True)
+        sol = ColorSolution((), Fraction(0), target, (), degenerate=True)
         return Fraction(0), sol
     forces = _closure_edges(structure, keys)
-    if classes is None:
-        gen = sorted(
-            {_close({v}, forces) for v in target},
-            key=lambda m: (len(m), tuple(sorted(m))),
-        )
-        classes = tuple(ColorClass(m) for m in gen)
-    else:
-        classes = tuple(classes)
-    cols = [c for c in classes if c.members & target]
+    cols = sorted(
+        {_close({v}, forces) for v in target},
+        key=lambda m: (len(m), tuple(sorted(m))),
+    )
     rows = []
     for s in _constraint_sets(structure):
-        coeffs = [0 if c.members.isdisjoint(s) else 1 for c in cols]
+        coeffs = [0 if c.isdisjoint(s) else 1 for c in cols]
         if any(coeffs):
             rows.append((coeffs, "<=", 1))
     for j, c in enumerate(cols):
         if not any(coeffs[j] for coeffs, _, _ in rows):
             raise DegenerateInputError(
                 "color number unbounded: a class meets no tuple "
-                f"(elements {sorted(c.members)})"
+                f"(elements {sorted(c)})"
             )
     res = solve_lp([1] * len(cols), rows)
     if res.status != "optimal":
         raise DegenerateInputError(f"packing LP returned {res.status}")
-    weights = tuple(res.solution)
-    scale = lcm(*(w.denominator for w in weights)) if weights else 1
-    mults = tuple(int(w * scale) for w in weights)
-    sol = ColorSolution(tuple(cols), weights, res.value, target, scale, mults)
+    scale = lcm(*(w.denominator for w in res.solution))
+    mults = tuple(int(w * scale) for w in res.solution)
+    sol = ColorSolution(tuple(cols), res.value, target, mults)
     return res.value, sol
 
 
@@ -221,7 +205,7 @@ def _elimination_bag(v: int, remaining: frozenset, adj: Mapping[int, set[int]]) 
 
 
 def optimal_cwidth(
-    open_structure: OpenStructure, keys: KeySet, cap: int = 16
+    open_structure: OpenStructure, keys: KeySet, cap: int
 ) -> WidthReport:
     """Minimum color-number width over all tree decompositions of H(A, a).
 

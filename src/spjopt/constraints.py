@@ -106,10 +106,6 @@ class ChaseResult:
     result: Union[OpenStructure, Structure]
     merge_map: Mapping[int, int]
 
-    @property
-    def changed(self) -> bool:
-        return any(k != v for k, v in self.merge_map.items())
-
 
 def _key_closure(struct: Structure, keys: KeySet) -> dict[int, int]:
     """The least key-closed equivalence on ``struct.universe``, as a map from

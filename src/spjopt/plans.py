@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import ArityError, PlanSyntaxError, SignatureError, WellBehavedError
-from .structures import Signature, Structure
+from .structures import Signature, Structure, UnionFind
 
 
 @dataclass(frozen=True)
@@ -345,19 +345,10 @@ def _print_theta(theta: frozenset) -> str:
 
 def _column_classes(theta: frozenset, s: int) -> list[int]:
     """Representative column per index under the closure of theta."""
-    parent = list(range(s + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(range(s + 1))
     for j, k in theta:
-        a, b = find(j), find(k)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    return [find(i) for i in range(s + 1)]
+        uf.union(j, k)
+    return [uf.find(i) for i in range(s + 1)]
 
 
 def _join_is_well_behaved(join: Join, arities: list[int], strict_theta: bool) -> bool:

@@ -128,14 +128,6 @@ def keys_from_text(text: str) -> KeySet:
     return KeySet(entries)
 
 
-def keys_to_text(keys: KeySet) -> str:
-    lines = []
-    for name, pos in sorted(keys.keys, key=lambda k: (k[0], sorted(k[1]))):
-        for p in sorted(pos):
-            lines.append(f"key {name} {p}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def load_keys(path: str) -> KeySet:
     return keys_from_text(read_text(path))
 

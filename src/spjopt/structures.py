@@ -129,13 +129,6 @@ class Structure:
 
     # -- basic views ---------------------------------------------------
 
-    @property
-    def max_relation_size(self) -> int:
-        """M(A): the maximum cardinality over all relations."""
-        if not self.relations:
-            return 0
-        return max(len(rows) for rows in self.relations.values())
-
     def atoms(self) -> Iterator[tuple[str, tuple[int, ...]]]:
         """All (relation, tuple) facts in sorted order."""
         for name in self.signature.symbols():
@@ -435,7 +428,7 @@ class _HomSearch:
                 return None
         return cand, assigned
 
-    def _solutions(self, cand, assigned, pool, injective=False):
+    def _solutions(self, cand, assigned, pool):
         """Yield once per extension of ``assigned`` to every element of
         ``pool``, in search order.
 
@@ -450,7 +443,6 @@ class _HomSearch:
         """
         trail: list[tuple[int, AbstractSet[int]]] = []
         frames: list[tuple[int, Iterator[int], int]] = []
-        used = set(assigned.values()) if injective else set()
         members = set(pool)
         heap = [(len(cand[v]), v) for v in members if v not in assigned]
         heapq.heapify(heap)
@@ -477,16 +469,12 @@ class _HomSearch:
             while frames:
                 var, values, mark = frames[-1]
                 if var in assigned:
-                    used.discard(assigned.pop(var))
+                    del assigned[var]
                     undo(mark)
                 for val in values:
-                    if val in used:
-                        continue
                     trail.append((var, cand[var]))
                     cand[var] = {val}
                     assigned[var] = val
-                    if injective:
-                        used.add(val)
                     narrowed_from = len(trail)
                     if self._propagate(cand, assigned, var, trail):
                         for i in range(narrowed_from, len(trail)):
@@ -494,7 +482,7 @@ class _HomSearch:
                             if v in members:
                                 heapq.heappush(heap, (len(cand[v]), v))
                         break
-                    used.discard(assigned.pop(var))
+                    del assigned[var]
                     undo(mark)
                 else:
                     frames.pop()
@@ -507,24 +495,19 @@ class _HomSearch:
                 assigned.pop(var, None)
             undo(0)
 
-    def _complete(self, cand, assigned, injective=False) -> Optional[dict[int, int]]:
+    def _complete(self, cand, assigned) -> Optional[dict[int, int]]:
         """The first total extension of ``assigned``, or None; leaves
         ``cand`` and ``assigned`` as they were."""
-        search = self._solutions(cand, assigned, self.src.universe, injective)
+        search = self._solutions(cand, assigned, self.src.universe)
         try:
             found = next(search, None)
             return None if found is None else dict(found)
         finally:
             search.close()
 
-    def first(self, injective: bool = False) -> Optional[dict[int, int]]:
+    def first(self) -> Optional[dict[int, int]]:
         start = self._start()
-        if start is None:
-            return None
-        cand, assigned = start
-        if injective and len(set(assigned.values())) != len(assigned):
-            return None
-        return self._complete(cand, assigned, injective)
+        return None if start is None else self._complete(*start)
 
     def images(self, out_vars: Sequence[int]) -> set[tuple[int, ...]]:
         """Distinct restrictions of homomorphisms to ``out_vars``.
@@ -564,59 +547,17 @@ def find_homomorphism(
     return _HomSearch(src.structure, dst.structure, pinned).first()
 
 
-def find_structure_homomorphism(
-    src: Structure, dst: Structure
-) -> Optional[dict[int, int]]:
-    """A plain homomorphism between similar structures, or None."""
-    return _HomSearch(src, dst, {}).first()
-
-
 def homs_relation(
-    src: Structure,
-    outputs: Union[Sequence[int], frozenset, set],
-    data: Structure,
-) -> Union[frozenset, frozenset]:
-    """homs(A, a, D) / homs(A, S, D).
-
-    With a tuple of outputs, returns the relation { h(a) : h hom A -> D }.
-    With a set of outputs, returns the set of restricted maps, each encoded
-    as a tuple of (element, value) pairs sorted by element.
-    """
+    src: Structure, outputs: Sequence[int], data: Structure
+) -> frozenset[tuple[int, ...]]:
+    """homs(A, a, D): the relation { h(a) : h hom A -> D }."""
     if src.signature != data.signature:
         raise SignatureError("source and data must be similar")
-    as_set = isinstance(outputs, (set, frozenset))
-    out_vars = tuple(sorted(outputs)) if as_set else tuple(outputs)
-    for e in out_vars:
-        if e not in set(src.universe):
+    universe = set(src.universe)
+    for e in outputs:
+        if e not in universe:
             raise SignatureError(f"output element {e} not in source universe")
-    images = _HomSearch(src, data, {}).images(out_vars)
-    if as_set:
-        return frozenset(tuple(zip(out_vars, img)) for img in images)
-    return frozenset(images)
-
-
-def check_isomorphic(a: OpenStructure, b: OpenStructure) -> bool:
-    """True iff a bijective homomorphism with homomorphic inverse exists
-    that maps tuple to tuple."""
-    if not a.similar_to(b):
-        raise SignatureError("open structures are not similar")
-    if len(a.tuple) != len(b.tuple):
-        raise ArityError("output tuples have different arities")
-    sa, sb = a.structure, b.structure
-    if len(sa.universe) != len(sb.universe):
-        return False
-    for name in sa.signature.symbols():
-        if len(sa.relations[name]) != len(sb.relations[name]):
-            return False
-    pinned: dict[int, int] = {}
-    for x, y in zip(a.tuple, b.tuple):
-        if pinned.get(x, y) != y:
-            return False
-        pinned[x] = y
-    # An injective homomorphism between equal-size structures with equal
-    # relation cardinalities has a homomorphic inverse.
-    h = _HomSearch(sa, sb, pinned).first(injective=True)
-    return h is not None
+    return frozenset(_HomSearch(src, data, {}).images(tuple(outputs)))
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +613,7 @@ def _noninjective_endomorphism(a: Structure) -> Optional[dict[int, int]]:
     """
     for x, y in itertools.combinations(a.universe, 2):
         quotient = a.apply_map({y: x})
-        g = find_structure_homomorphism(quotient, a)
+        g = _HomSearch(quotient, a, {}).first()
         if g is not None:
             return {e: g[x if e == y else e] for e in a.universe}
     return None

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .colorwidth import color_number, optimal_cwidth
 from .constraints import KeySet, chase, satisfies_keys
@@ -216,6 +216,19 @@ class SynthesisResult:
         return self.elimination.new_relations
 
 
+def _first_columns(col_elems: Sequence[int]) -> tuple[frozenset, dict[int, int]]:
+    """The theta equating each repeated element's column with its first
+    column, and each element's first column (1-based)."""
+    theta = []
+    first: dict[int, int] = {}
+    for pos, e in enumerate(col_elems, start=1):
+        if e in first:
+            theta.append((first[e], pos))
+        else:
+            first[e] = pos
+    return theta_of(theta), first
+
+
 def _atom_subplan(
     rel: str, row: tuple[int, ...], base: Plan, elements: tuple[int, ...]
 ) -> Plan:
@@ -225,15 +238,9 @@ def _atom_subplan(
     projecting, so the projection carries the atom's full repetition
     pattern.
     """
-    eqs = []
-    first_pos: dict[int, int] = {}
-    for pos, e in enumerate(row, start=1):
-        if e in first_pos:
-            eqs.append((first_pos[e], pos))
-        else:
-            first_pos[e] = pos
-    plan = Select(theta_of(eqs), base) if eqs else base
-    return Project(tuple(first_pos[e] for e in elements), plan)
+    theta, first = _first_columns(row)
+    plan = Select(theta, base) if theta else base
+    return Project(tuple(first[e] for e in elements), plan)
 
 
 def _connected_order(bag: frozenset, atom_elems: list[frozenset]) -> tuple[int, ...]:
@@ -278,15 +285,8 @@ def _bag_chain(
         for cols, sub in blocks:
             children.append(sub)
             col_elems.extend(cols)
-        theta = []
-        seen: dict[int, int] = {}
-        for pos, e in enumerate(col_elems, start=1):
-            if e in seen:
-                theta.append((seen[e], pos))
-            else:
-                seen[e] = pos
-        joined = Join(theta_of(theta), tuple(children))
-        sol = Project(tuple(seen[e] for e in visible), joined)
+        theta, first = _first_columns(col_elems)
+        sol = Project(tuple(first[e] for e in visible), Join(theta, tuple(children)))
     return sol
 
 
@@ -366,15 +366,8 @@ def _assemble_plan(
             proj = Project(tuple(kid_order.index(e) + 1 for e in shared), kid_plan)
             parts.append(proj)
             part_elems.extend(shared)
-        theta = []
-        seen: dict[int, int] = {}
-        for pos, e in enumerate(part_elems, start=1):
-            if e in seen:
-                theta.append((seen[e], pos))
-            else:
-                seen[e] = pos
-        joined = Join(theta_of(theta), tuple(parts))
-        return Project(tuple(range(1, len(order) + 1)), joined)
+        theta, _ = _first_columns(part_elems)
+        return Project(tuple(range(1, len(order) + 1)), Join(theta, tuple(parts)))
 
     root_plan = combine(dec.root)
     root_order = bag_orders[dec.root]

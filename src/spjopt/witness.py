@@ -13,12 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .colorwidth import ColorSolution, color_number, cwidth_of_decomposition
+from .colorwidth import ColorSolution, WidthReport
 from .constraints import KeySet, satisfies_keys
 from .errors import DegenerateInputError, SpjError
-from .represent import TreeDecomposition
 from .structures import OpenStructure, Structure
 
 
@@ -52,17 +50,13 @@ class WitnessFamily:
         return Fraction(self.colors_on_target, dstar)
 
     def generate(self, n: int) -> Structure:
-        return product_witness(self.source, self.keys, self.target, n, self.solution)
+        return product_witness(self.source, self.keys, self.solution, n)
 
 
 def product_witness(
-    source: Structure,
-    keys: KeySet,
-    target,
-    n: int,
-    solution: Optional[ColorSolution] = None,
+    source: Structure, keys: KeySet, solution: ColorSolution, n: int
 ) -> Structure:
-    """The n-th member of the product family for ``target``.
+    """The n-th member of the product family for ``solution.target``.
 
     Domain elements are pairs (x, f) with f a map from x's colors to [n];
     each source tuple contributes one database tuple per map from its color
@@ -74,9 +68,6 @@ def product_witness(
         raise DegenerateInputError("witness index n must be at least 1")
     if not satisfies_keys(source, keys):
         raise DegenerateInputError("witness construction requires a chase fixpoint")
-    target = frozenset(target)
-    if solution is None:
-        _, solution = color_number(source, keys, target)
     if solution.degenerate:
         raise DegenerateInputError("no coloring available: structure has no tuples")
 
@@ -116,9 +107,10 @@ def product_witness(
 
 
 def bag_witness(
-    core: OpenStructure, keys: KeySet, dec: TreeDecomposition
+    core: OpenStructure, keys: KeySet, report: WidthReport
 ) -> tuple[int, WitnessFamily]:
-    """The widest bag of a decomposition of the core, with its family.
+    """The widest bag of a decomposition of the core under ``keys``, with
+    its family; ``report`` holds the decomposition's bag solutions.
 
     Evaluating the core on the family restricted to that bag produces at
     least n^N images, where N/D* equals the decomposition's width, so every
@@ -126,9 +118,8 @@ def bag_witness(
     """
     if core.structure.total_tuple_count() == 0:
         raise DegenerateInputError("no witness family for a structure without tuples")
-    report = cwidth_of_decomposition(core, keys, dec)
     t0 = report.widest_node()
     family = WitnessFamily(
-        core.structure, keys, dec.chi[t0], report.solutions[t0]
+        core.structure, keys, report.decomposition.chi[t0], report.solutions[t0]
     )
     return t0, family

@@ -1,9 +1,12 @@
-"""Independent brute-force oracles used to cross-check the library.
+"""Independent brute-force oracles used to cross-check the library, and
+the few helpers that only tests need.
 
-Everything here is written from the definitions, with no shortcuts: maps are
+The oracles are written from the definitions, with no shortcuts: maps are
 enumerated exhaustively, LP optima are recomputed from basic solutions, and
 decompositions are enumerated in canonical form.  Slow by design; only run
-at small sizes.
+at small sizes.  The test-only helpers at the end (the keys-file writer,
+M(D), whether a chase merged anything, and the isomorphism check) are built
+on the library.
 """
 
 from __future__ import annotations
@@ -29,11 +32,13 @@ from spjopt import (
     color_number,
     eliminate_fds,
     evaluate_naive,
+    find_homomorphism,
     homs_relation,
     optimal_cwidth,
     satisfies_keys,
 )
-from spjopt.colorwidth import ColorClass, _closure_edges
+from spjopt.colorwidth import _closure_edges
+from spjopt.constraints import ChaseResult
 from spjopt.errors import ArityError, PlanSyntaxError, SignatureError, WellBehavedError
 from spjopt.plans import (
     Basic,
@@ -56,7 +61,7 @@ from spjopt.simplex import LpResult
 from spjopt.synthesis import _assemble_plan
 
 # No cap on the core search; the width search keeps the default cap.
-UNCAPPED = Caps(core_universe=None, width_universe=16)
+UNCAPPED = Caps(core_universe=None)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +232,22 @@ def brute_open_hom_exists(a: OpenStructure, b: OpenStructure) -> bool:
     )
 
 
+def brute_isomorphic(a: OpenStructure, b: OpenStructure) -> bool:
+    """Whether some bijection of the universes maps every relation of ``a``
+    onto that of ``b`` and ``a``'s tuple to ``b``'s, tried one by one."""
+    sa, sb = a.structure, b.structure
+    if len(sa.universe) != len(sb.universe) or len(a.tuple) != len(b.tuple):
+        return False
+    for image in itertools.permutations(sb.universe):
+        h = dict(zip(sa.universe, image))
+        if tuple(h[e] for e in a.tuple) == b.tuple and all(
+            {tuple(h[e] for e in t) for t in sa.relations[name]} == sb.relations[name]
+            for name in sa.signature
+        ):
+            return True
+    return False
+
+
 def has_proper_retraction(aug: Structure) -> bool:
     """Exhaustive: is there an idempotent non-surjective endomorphism?"""
     for h in brute_homs(aug, aug):
@@ -381,20 +402,17 @@ class RecursiveHomSearch:
                         return False
         return True
 
-    def _extend(self, cand, assigned, order_pool, injective=False):
+    def _extend(self, cand, assigned, order_pool):
         todo = [v for v in order_pool if v not in assigned]
         if not todo:
             return dict(assigned)
         var = min(todo, key=lambda v: (len(cand[v]), v))
-        used = set(assigned.values()) if injective else ()
         for val in sorted(cand[var]):
-            if injective and val in used:
-                continue
             new_cand = {v: set(s) for v, s in cand.items()}
             new_cand[var] = {val}
             assigned[var] = val
             if self._propagate(new_cand, assigned, var):
-                res = self._extend(new_cand, assigned, order_pool, injective)
+                res = self._extend(new_cand, assigned, order_pool)
                 if res is not None:
                     return res
             del assigned[var]
@@ -408,16 +426,14 @@ class RecursiveHomSearch:
                 return None
         return cand, assigned
 
-    def first(self, injective: bool = False) -> Optional[dict]:
+    def first(self) -> Optional[dict]:
         if not self.consistent:
             return None
         start = self._start()
         if start is None:
             return None
         cand, assigned = start
-        if injective and len(set(assigned.values())) != len(assigned):
-            return None
-        return self._extend(cand, assigned, self.src.universe, injective)
+        return self._extend(cand, assigned, self.src.universe)
 
     def images(self, out_vars: Sequence[int]) -> set:
         result = set()
@@ -1006,7 +1022,7 @@ def _is_closed(members: frozenset, forces: Mapping[int, set[int]]) -> bool:
 
 def valid_color_classes(
     structure: Structure, keys: KeySet, cap: int = 16
-) -> list[ColorClass]:
+) -> list[frozenset]:
     """All nonempty key-closed subsets of the universe, sorted.
 
     For an empty key set this is every nonempty subset, hence the cap.
@@ -1020,8 +1036,8 @@ def valid_color_classes(
         for combo in itertools.combinations(structure.universe, r):
             members = frozenset(combo)
             if _is_closed(members, forces):
-                out.append(ColorClass(members))
-    out.sort(key=lambda c: (len(c.members), tuple(sorted(c.members))))
+                out.append(members)
+    out.sort(key=lambda c: (len(c), tuple(sorted(c))))
     return out
 
 
@@ -1065,3 +1081,57 @@ def check_containment_property(
         if not homs <= by_path[path].rows:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Helpers that only tests use
+# ---------------------------------------------------------------------------
+
+
+def keys_to_text(keys: KeySet) -> str:
+    """The keys file that ``serialize.keys_from_text`` reads back as ``keys``."""
+    lines = []
+    for name, pos in sorted(keys.keys, key=lambda k: (k[0], sorted(k[1]))):
+        for p in sorted(pos):
+            lines.append(f"key {name} {p}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def max_relation_size(structure: Structure) -> int:
+    """M(D): the maximum cardinality over all relations."""
+    return max((len(rows) for rows in structure.relations.values()), default=0)
+
+
+def chase_changed(result: ChaseResult) -> bool:
+    """Whether the chase merged any two elements."""
+    return any(k != v for k, v in result.merge_map.items())
+
+
+def check_isomorphic(a: OpenStructure, b: OpenStructure) -> bool:
+    """Whether a bijection maps ``a`` onto ``b``, tuple to tuple.
+
+    With equal universe and relation sizes, an injective homomorphism is
+    such a bijection and its inverse is a homomorphism too.  A homomorphism
+    is injective when it preserves a relation holding every pair of
+    distinct elements, added to both sides.
+    """
+    if not a.similar_to(b):
+        raise SignatureError("open structures are not similar")
+    sa, sb = a.structure, b.structure
+    if len(sa.universe) != len(sb.universe) or any(
+        len(sa.relations[name]) != len(sb.relations[name]) for name in sa.signature
+    ):
+        return False
+    return find_homomorphism(_with_distinctness(a), _with_distinctness(b)) is not None
+
+
+def _with_distinctness(value: OpenStructure) -> OpenStructure:
+    """``value`` plus a fresh binary relation of all distinct pairs."""
+    s = value.structure
+    name = "NEQ"
+    while name in s.signature:
+        name += "_"
+    relations = dict(s.relations)
+    relations[name] = itertools.permutations(s.universe, 2)
+    structure = Structure(s.signature.extend({name: 2}), s.universe, relations, s.names)
+    return OpenStructure(structure, value.tuple)

@@ -10,11 +10,12 @@ from spjopt.cli import main
 from spjopt.errors import FormatError
 from spjopt.serialize import (
     keys_from_text,
-    keys_to_text,
     plan_file_from_text,
     structure_from_json,
     structure_to_json,
 )
+
+from oracles import keys_to_text
 
 SIG = Signature({"E": 2})
 
@@ -223,6 +224,25 @@ def test_cli_core_and_decompose_chase_data_under_keys(workdir, capsys):
         code, out, _ = run(capsys, "decompose", *data, "--keys", workdir / keys)
         assert code == 0
         assert {e for bag in json.loads(out)["bags"] for e in bag["bag"]} == elements
+
+
+def test_cli_core_and_decompose_drop_isolated_data_elements(workdir, capsys):
+    """An element of closed data in no tuple retracts onto any other, so
+    core and decompose drop it; data with no tuples at all exits 2."""
+    edge = {"signature": {"E": 2}, "universe": ["a", "b", "c"], "relations": {"E": [["a", "b"]]}}
+    (workdir / "edge.json").write_text(json.dumps(edge))
+    code, out, _ = run(capsys, "core", "--data", workdir / "edge.json")
+    assert code == 0
+    assert json.loads(out)["core"] == {**edge, "universe": ["a", "b"], "tuple": []}
+    code, out, _ = run(capsys, "decompose", "--data", workdir / "edge.json")
+    assert code == 0
+    assert {e for bag in json.loads(out)["bags"] for e in bag["bag"]} == {"a", "b"}
+
+    (workdir / "none.json").write_text(json.dumps({**edge, "relations": {"E": []}}))
+    for command in ("core", "decompose"):
+        code, out, err = run(capsys, command, "--data", workdir / "none.json")
+        assert (code, out) == (2, "")
+        assert "no tuples" in err
 
 
 def test_cli_represent_dot(workdir, capsys):

@@ -28,9 +28,10 @@ from pathlib import Path
 
 from spjopt import Signature, print_plan
 from spjopt.cli import main
-from spjopt.serialize import keys_to_text, structure_to_json
+from spjopt.serialize import structure_to_json
 
 from conftest import rand_keys, rand_plan, rand_satisfying_structure, rand_signature
+from oracles import keys_to_text
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 RANDOM_SEEDS = (3, 12, 21, 34, 37)

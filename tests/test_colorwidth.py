@@ -23,6 +23,7 @@ from spjopt.represent import TreeDecomposition
 
 from conftest import rand_keys, rand_open_structure, rand_signature, rand_structure
 from oracles import (
+    UNCAPPED,
     coloring_is_valid,
     coloring_ratio,
     exhaustive_min_cwidth,
@@ -35,6 +36,7 @@ from oracles import (
 SIG_E = Signature({"E": 2})
 SIG_R = Signature({"R": 2})
 NO_KEYS = KeySet.empty()
+WIDTH_CAP = UNCAPPED.width_universe
 KEY_R1 = KeySet.unary({"R": 1})
 
 
@@ -45,14 +47,13 @@ def triangle():
 def test_valid_classes_respect_keys():
     a = Structure(SIG_R, [0, 1], {"R": [(0, 1)]}, {0: "x", 1: "y"})
     classes = valid_color_classes(a, KEY_R1)
-    assert [set(c.members) for c in classes] == [{0}, {0, 1}]
-    assert [set(c.members) for c in valid_color_classes(a, NO_KEYS)] == [{0}, {1}, {0, 1}]
+    assert classes == [{0}, {0, 1}]
+    assert valid_color_classes(a, NO_KEYS) == [{0}, {1}, {0, 1}]
 
 
 def test_valid_classes_after_chase():
     a = Structure(SIG_R, [0, 1], {"R": [(0, 1)]})  # post-chase form of R(a,b),R(a,c)
-    classes = valid_color_classes(a, KEY_R1)
-    assert [set(c.members) for c in classes] == [{0}, {0, 1}]
+    assert valid_color_classes(a, KEY_R1) == [{0}, {0, 1}]
 
 
 def test_valid_classes_cap():
@@ -116,8 +117,8 @@ def test_color_number_monotone_in_target(rng):
 
 
 def test_lp_equals_basic_solution_enumeration(rng):
-    """Simplex optimum over all valid classes == brute-force vertex scan,
-    == simplex over the reduced generating classes."""
+    """Simplex optimum over the reduced generating classes == brute-force
+    vertex scan of the LP over all valid classes."""
     checked = 0
     for _ in range(80):
         sig = rand_signature(rng, max_relations=2, max_arity=3)
@@ -129,17 +130,14 @@ def test_lp_equals_basic_solution_enumeration(rng):
         classes = valid_color_classes(struct, keys)
         constraint_sets = _constraint_sets(struct)
         target = frozenset(struct.universe)
-        usable = [c for c in classes if c.members & target]
+        usable = [c for c in classes if c & target]
         if len(usable) > 10 or len(constraint_sets) > 6:
             continue
         rows = [
-            [1 if c.members & s else 0 for c in usable] for s in constraint_sets
+            [1 if c & s else 0 for c in usable] for s in constraint_sets
         ]
         brute = packing_lp_by_basic_enumeration(len(usable), rows)
-        via_full = color_number(struct, keys, target, classes=usable)[0]
-        via_reduced = color_number(struct, keys, target)[0]
-        assert via_full == brute
-        assert via_reduced == brute
+        assert color_number(struct, keys, target)[0] == brute
         checked += 1
     assert checked >= 25
 
@@ -158,14 +156,13 @@ def test_pruned_rows_give_the_lp_over_all_constraint_sets(rng):
         target = frozenset(rng.sample(elems, rng.randint(1, len(elems))))
         val, sol = color_number(struct, keys, target)
         rows = [
-            ([1 if c.members & s else 0 for c in sol.classes], "<=", 1)
+            ([1 if c & s else 0 for c in sol.classes], "<=", 1)
             for s in _constraint_sets(struct)
         ]
         ref = two_phase_solve_lp([1] * len(sol.classes), rows)
-        weights = tuple(ref.solution)
-        scale = lcm(*(w.denominator for w in weights))
+        scale = lcm(*(w.denominator for w in ref.solution))
         expected = ColorSolution(
-            sol.classes, weights, ref.value, target, scale, tuple(int(w * scale) for w in weights)
+            sol.classes, ref.value, target, tuple(int(w * scale) for w in ref.solution)
         )
         assert (val, sol) == (ref.value, expected)
         checked += 1
@@ -226,7 +223,7 @@ def test_cwidth_rejects_invalid_decomposition():
 
 
 def test_optimal_cwidth_triangle():
-    report = optimal_cwidth(OpenStructure(triangle(), (0, 1, 2)), NO_KEYS)
+    report = optimal_cwidth(OpenStructure(triangle(), (0, 1, 2)), NO_KEYS, cap=WIDTH_CAP)
     assert report.width == Fraction(3, 2)
     root_bag = report.decomposition.chi[report.decomposition.root]
     assert {0, 1, 2} <= root_bag
@@ -234,16 +231,16 @@ def test_optimal_cwidth_triangle():
 
 def test_optimal_cwidth_single_atom():
     s = Structure(SIG_R, [0, 1], {"R": [(0, 1)]})
-    report = optimal_cwidth(OpenStructure(s, (0, 1)), NO_KEYS)
+    report = optimal_cwidth(OpenStructure(s, (0, 1)), NO_KEYS, cap=WIDTH_CAP)
     assert report.width == 1
 
 
 def test_optimal_cwidth_key_path():
     s = Structure(SIG_R, [0, 1, 2], {"R": [(0, 1), (1, 2)]})
-    report = optimal_cwidth(OpenStructure(s, (0, 2)), KEY_R1)
+    report = optimal_cwidth(OpenStructure(s, (0, 2)), KEY_R1, cap=WIDTH_CAP)
     assert report.width == 1
     # without the key the tuple edge forces width 2
-    report2 = optimal_cwidth(OpenStructure(s, (0, 2)), NO_KEYS)
+    report2 = optimal_cwidth(OpenStructure(s, (0, 2)), NO_KEYS, cap=WIDTH_CAP)
     assert report2.width == 2
 
 
@@ -255,7 +252,7 @@ def test_optimal_cwidth_cap():
 
 def test_optimal_cwidth_empty_universe():
     s = Structure(SIG_R, [], {})
-    report = optimal_cwidth(OpenStructure(s, ()), NO_KEYS)
+    report = optimal_cwidth(OpenStructure(s, ()), NO_KEYS, cap=WIDTH_CAP)
     assert report.width == 0
 
 
@@ -267,7 +264,7 @@ def test_elimination_search_matches_exhaustive_enumeration(rng):
         open_s = rand_open_structure(rng, sig, max_domain=4, max_rows=3)
         if len(open_s.structure.universe) > 4 or open_s.structure.total_tuple_count() == 0:
             continue
-        ours = optimal_cwidth(open_s, keys).width
+        ours = optimal_cwidth(open_s, keys, cap=WIDTH_CAP).width
         brute = exhaustive_min_cwidth(open_s, keys)
         assert ours == brute
         checked += 1
@@ -281,7 +278,7 @@ def test_returned_decomposition_is_valid_and_attains_width(rng):
         open_s = rand_open_structure(rng, sig, max_domain=5, max_rows=4)
         if open_s.structure.total_tuple_count() == 0:
             continue
-        report = optimal_cwidth(open_s, keys)
+        report = optimal_cwidth(open_s, keys, cap=WIDTH_CAP)
         again = cwidth_of_decomposition(open_s, keys, report.decomposition)
         assert again.width == report.width
 

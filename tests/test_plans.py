@@ -462,7 +462,8 @@ def _assert_kernel_matches_old_chain(plan, data):
 def test_join_kernel_matches_old_chain_on_triangle_witnesses():
     tri = parse_plan("(project (cols 1 2 4) (join (theta (2 3) (4 5) (6 1)) E E E))", SIG_E)
     core = chased_core(tri, KeySet.empty(), SIG_E, None)
-    _, family = bag_witness(core, KeySet.empty(), optimal_cwidth(core, KeySet.empty()).decomposition)
+    report = optimal_cwidth(core, KeySet.empty(), cap=oracles.UNCAPPED.width_universe)
+    _, family = bag_witness(core, KeySet.empty(), report)
     plans_ = [tri, optimize(tri, KeySet.empty(), SIG_E).plan]
     for n in range(1, 11):
         data = family.generate(n)

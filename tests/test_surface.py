@@ -1,0 +1,70 @@
+"""Every public name of the library has a user outside the tests.
+
+A public module-level function or class of ``src/spjopt``, or a public
+method of one of its classes, must be referenced somewhere in ``src/``
+other than its own definition and ``__init__.py``, or somewhere in
+``perfbench/``.  A name that only tests use belongs in ``tests/oracles.py``.
+References are counted by name, so a method shares them with every
+identifier of the same spelling.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = sorted((ROOT / "src" / "spjopt").glob("*.py"))
+
+
+def public_definitions() -> dict[str, list[str]]:
+    """Public name -> where it is defined, as ``module.name`` or
+    ``module.Class.name``."""
+    found: dict[str, list[str]] = {}
+    for path in LIBRARY:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            found.setdefault(node.name, []).append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        found.setdefault(item.name, []).append(
+                            f"{path.stem}.{node.name}.{item.name}"
+                        )
+    return found
+
+
+def library_references() -> set[str]:
+    """Identifiers used, attributes read and names imported in ``src/``,
+    leaving out ``__init__.py``; definitions themselves are not uses."""
+    names: set[str] = set()
+    for path in LIBRARY:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def benchmark_references() -> set[str]:
+    """Every word of ``perfbench/``: it also names functions in strings."""
+    words: set[str] = set()
+    for path in (ROOT / "perfbench").glob("*.py"):
+        words.update(re.findall(r"\w+", path.read_text()))
+    return words
+
+
+def test_every_public_name_has_a_user_outside_tests():
+    used = library_references() | benchmark_references()
+    unused = sorted(
+        where for name, places in public_definitions().items() if name not in used
+        for where in places
+    )
+    assert not unused, f"only tests use {unused}; move them to tests/oracles.py"

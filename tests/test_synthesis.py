@@ -41,7 +41,12 @@ from conftest import (
     rand_satisfying_structure,
     rand_signature,
 )
-from oracles import UNCAPPED, rebuilt_output_degree, synthesize_with_keyed_search
+from oracles import (
+    UNCAPPED,
+    max_relation_size,
+    rebuilt_output_degree,
+    synthesize_with_keyed_search,
+)
 
 SIG_E = Signature({"E": 2})
 SIG_R = Signature({"R": 2})
@@ -151,7 +156,7 @@ def test_eliminate_fds_preserves_answers_on_satisfying_data(rng):
             assert before == after
             # derived relations never exceed the base relation sizes
             for name in elim.new_relations:
-                assert len(widened_rels[name]) <= data.max_relation_size
+                assert len(widened_rels[name]) <= max_relation_size(data)
             checked += 1
     assert checked >= 10, f"{checked} checks from {draws} draws"
 
@@ -370,12 +375,12 @@ def test_optimized_plan_beats_obvious_form_on_witness_data():
     result = optimize(plan, NO_KEYS, SIG_E, caps=UNCAPPED)
     core = result.elimination.original
     report = optimal_cwidth(core, NO_KEYS, cap=UNCAPPED.width_universe)
-    _, family = bag_witness(core, NO_KEYS, report.decomposition)
+    _, family = bag_witness(core, NO_KEYS, report)
     k = core.structure.total_tuple_count()
     d = result.degree
     for n in (2, 3):
         data = family.generate(n)
-        m = data.max_relation_size
+        m = max_relation_size(data)
         trace = evaluate_well_behaved(result.plan, data)
         assert trace.output == evaluate_naive(plan, data).output
         assert trace.max_intermediate <= k * m ** float(d)

@@ -12,6 +12,7 @@ from spjopt import (
     Structure,
     bag_witness,
     chase,
+    color_number,
     compute_core,
     homs_relation,
     optimal_cwidth,
@@ -21,11 +22,12 @@ from spjopt import (
 from spjopt.witness import WitnessFamily
 
 from conftest import rand_keys, rand_open_structure, rand_signature, rand_structure
-from oracles import brute_homs_relation
+from oracles import UNCAPPED, brute_homs_relation, max_relation_size
 
 SIG_E = Signature({"E": 2})
 SIG_R = Signature({"R": 2})
 NO_KEYS = KeySet.empty()
+WIDTH_CAP = UNCAPPED.width_universe
 KEY_R1 = KeySet.unary({"R": 1})
 
 
@@ -35,14 +37,14 @@ def triangle():
 
 def test_single_atom_family():
     b = Structure(SIG_R, [0, 1], {"R": [(0, 1)]})
-    d3 = product_witness(b, NO_KEYS, {0, 1}, 3)
+    d3 = product_witness(b, NO_KEYS, color_number(b, NO_KEYS, {0, 1})[1], 3)
     assert len(d3.relations["R"]) == 3
     assert len(homs_relation(b, (0, 1), d3)) == 3
 
 
 def test_n_equals_one_is_a_point():
     b = triangle()
-    d1 = product_witness(b, NO_KEYS, {0, 1, 2}, 1)
+    d1 = product_witness(b, NO_KEYS, color_number(b, NO_KEYS, {0, 1, 2})[1], 1)
     assert len(d1.universe) == 3
     assert len(homs_relation(b, (0, 1, 2), d1)) >= 1
 
@@ -50,23 +52,23 @@ def test_n_equals_one_is_a_point():
 def test_rejects_bad_n_and_violating_source():
     b = triangle()
     with pytest.raises(DegenerateInputError):
-        product_witness(b, NO_KEYS, {0}, 0)
+        product_witness(b, NO_KEYS, color_number(b, NO_KEYS, {0})[1], 0)
     bad = Structure(SIG_R, [0, 1, 2], {"R": [(0, 1), (0, 2)]})
     with pytest.raises(DegenerateInputError):
-        product_witness(bad, KEY_R1, {0}, 2)
+        product_witness(bad, KEY_R1, color_number(bad, KEY_R1, {0})[1], 2)
 
 
 def test_triangle_counts_meet_the_bounds():
     b = triangle()
-    report = optimal_cwidth(OpenStructure(b, (0, 1, 2)), NO_KEYS)
-    t0, family = bag_witness(OpenStructure(b, (0, 1, 2)), NO_KEYS, report.decomposition)
+    report = optimal_cwidth(OpenStructure(b, (0, 1, 2)), NO_KEYS, cap=WIDTH_CAP)
+    t0, family = bag_witness(OpenStructure(b, (0, 1, 2)), NO_KEYS, report)
     assert family.ratio == Fraction(3, 2)
     n_colors, dstar = family.colors_on_target, family.max_colors_per_tuple
     for n in (1, 2, 3, 4):
         d = family.generate(n)
         homs = homs_relation(b, tuple(sorted(family.target)), d)
         assert len(homs) >= n**n_colors
-        assert d.max_relation_size <= b.total_tuple_count() * n**dstar
+        assert max_relation_size(d) <= b.total_tuple_count() * n**dstar
 
 
 def test_family_satisfies_keys_always(rng):
@@ -80,14 +82,12 @@ def test_family_satisfies_keys_always(rng):
         if struct.total_tuple_count() == 0 or not struct.universe:
             continue
         target = frozenset(chased.tuple) or frozenset([struct.universe[0]])
-        from spjopt import color_number
-
         _, sol = color_number(struct, keys, target)
         family = WitnessFamily(struct, keys, target, sol)
         for n in (1, 2, 3):
             d = family.generate(n)
             assert satisfies_keys(d, keys)
-            assert d.max_relation_size <= struct.total_tuple_count() * n ** family.max_colors_per_tuple
+            assert max_relation_size(d) <= struct.total_tuple_count() * n ** family.max_colors_per_tuple
         checked += 1
     assert checked >= 15
 
@@ -104,8 +104,6 @@ def test_exact_count_checks_small_cores(rng):
         struct = core.structure
         if struct.total_tuple_count() == 0 or len(struct.universe) > 4:
             continue
-        from spjopt import color_number
-
         target = frozenset(struct.universe)
         _, sol = color_number(struct, keys, target)
         family = WitnessFamily(struct, keys, target, sol)
@@ -121,19 +119,17 @@ def test_exact_count_checks_small_cores(rng):
 def test_bag_witness_picks_widest_bag():
     b = triangle()
     open_b = OpenStructure(b, (0, 1, 2))
-    report = optimal_cwidth(open_b, NO_KEYS)
-    t0, family = bag_witness(open_b, NO_KEYS, report.decomposition)
+    report = optimal_cwidth(open_b, NO_KEYS, cap=WIDTH_CAP)
+    t0, family = bag_witness(open_b, NO_KEYS, report)
     assert report.bag_colors[t0] == report.width
     assert family.target == report.decomposition.chi[t0]
 
 
 def test_bag_witness_rejects_tupleless():
     s = OpenStructure(Structure(SIG_R, [], {}), ())
-    from spjopt.represent import TreeDecomposition
-
-    dec = TreeDecomposition({0: None}, 0, {0: frozenset()})
+    report = optimal_cwidth(s, NO_KEYS, cap=WIDTH_CAP)
     with pytest.raises(DegenerateInputError):
-        bag_witness(s, NO_KEYS, dec)
+        bag_witness(s, NO_KEYS, report)
 
 
 def test_retraction_counting(rng):
@@ -158,6 +154,6 @@ def test_retraction_counting(rng):
 
 def test_witness_element_names_are_readable():
     b = Structure(SIG_R, [0, 1], {"R": [(0, 1)]}, {0: "x", 1: "y"})
-    d2 = product_witness(b, NO_KEYS, {0, 1}, 2)
+    d2 = product_witness(b, NO_KEYS, color_number(b, NO_KEYS, {0, 1})[1], 2)
     names = sorted(d2.names.values())
     assert any(name.startswith("x#") for name in names)
