@@ -12,6 +12,7 @@ from .colorwidth import (
     ColorSolution,
     WidthReport,
     color_number,
+    color_value,
     cwidth_of_decomposition,
     optimal_cwidth,
 )
@@ -115,6 +116,7 @@ __all__ = [
     "check_equivalence",
     "check_tree_decomposition",
     "color_number",
+    "color_value",
     "compute_core",
     "cwidth_of_decomposition",
     "eliminate_fds",

@@ -12,14 +12,32 @@ suite checks this against an oracle that enumerates the basic solutions of
 the LP over all valid classes).  Tuples that meet no generating class give
 all-zero rows; they are left out, since their slacks never leave the basis
 and the pivots on the other rows are the same.
+
+Degree analysis and the width search read only the LP's value, and
+``color_value`` presolves it (Andersen & Andersen, "Presolving in linear
+programming", Math. Programming 1995).  Each class becomes the bitmask of
+the tuples it meets; classes with equal masks share every row, so only their
+total weight matters and they merge into one column.  A row matters only
+through its support, the set of columns it meets, so duplicate supports go.
+If one support meets every column, its row alone caps the total weight at 1
+and any single column attains it, so the value is 1 without an LP.
+Otherwise a support contained in another is dropped: weights are
+nonnegative, so the larger row's sum bounds the smaller one's and the
+smaller row is implied.  The LP over the maximal supports is usually a few
+rows.  The key closures and the tuple masks depend only on the structure and
+are computed once for it, however many targets are asked.  ``color_number``
+keeps the full LP for ``cwidth_of_decomposition``, whose optimal packings
+``bag_witness`` turns into witness databases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import lcm
-from typing import Iterable, Mapping, Optional
+from operator import and_, or_
+from typing import Callable, Iterable, Mapping, Optional
 
 from .constraints import KeySet
 from .errors import DegenerateInputError, KeyConstraintError, ResourceCapError, SignatureError
@@ -93,6 +111,10 @@ class ColorSolution:
         )
 
 
+def _by_size(s: frozenset) -> tuple:
+    return len(s), tuple(sorted(s))
+
+
 def _constraint_sets(structure: Structure) -> list[frozenset]:
     seen = set()
     out = []
@@ -101,7 +123,13 @@ def _constraint_sets(structure: Structure) -> list[frozenset]:
         if s not in seen:
             seen.add(s)
             out.append(s)
-    return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
+    return sorted(out, key=_by_size)
+
+
+def _unbounded(cls: frozenset) -> DegenerateInputError:
+    return DegenerateInputError(
+        f"color number unbounded: a class meets no tuple (elements {sorted(cls)})"
+    )
 
 
 def color_number(
@@ -126,10 +154,7 @@ def color_number(
         sol = ColorSolution((), Fraction(0), target, (), degenerate=True)
         return Fraction(0), sol
     forces = _closure_edges(structure, keys)
-    cols = sorted(
-        {_close({v}, forces) for v in target},
-        key=lambda m: (len(m), tuple(sorted(m))),
-    )
+    cols = sorted({_close({v}, forces) for v in target}, key=_by_size)
     rows = []
     for s in _constraint_sets(structure):
         coeffs = [0 if c.isdisjoint(s) else 1 for c in cols]
@@ -137,10 +162,7 @@ def color_number(
             rows.append((coeffs, "<=", 1))
     for j, c in enumerate(cols):
         if not any(coeffs[j] for coeffs, _, _ in rows):
-            raise DegenerateInputError(
-                "color number unbounded: a class meets no tuple "
-                f"(elements {sorted(c)})"
-            )
+            raise _unbounded(c)
     res = solve_lp([1] * len(cols), rows)
     if res.status != "optimal":
         raise DegenerateInputError(f"packing LP returned {res.status}")
@@ -148,6 +170,80 @@ def color_number(
     mults = tuple(int(w * scale) for w in res.solution)
     sol = ColorSolution(tuple(cols), res.value, target, mults)
     return res.value, sol
+
+
+def _color_values(structure: Structure, keys: KeySet) -> Callable[[Iterable[int]], Fraction]:
+    """``color_value`` over one structure, for many targets: the closures
+    and each class's row mask are computed once per element."""
+    if not keys.is_unary:
+        raise KeyConstraintError("color numbers are defined for unary keys only")
+    universe = frozenset(structure.universe)
+    forces = _closure_edges(structure, keys)
+    incidence = dict.fromkeys(universe, 0)  # element -> bitmask of its tuples
+    bit = 1
+    for rel in structure.relations.values():
+        for row in rel:
+            for e in row:
+                incidence[e] |= bit
+            bit <<= 1
+    tupled = bit > 1
+    class_rows: dict[int, int] = {}  # element -> bitmask of the tuples its class meets
+
+    def rows_of(v: int) -> int:
+        rows = class_rows.get(v)
+        if rows is None:
+            # The closure of v, taking a known class's rows for its whole closure.
+            rows, seen, stack = 0, {v}, [v]
+            while stack:
+                e = stack.pop()
+                known = class_rows.get(e)
+                if known is not None:
+                    rows |= known
+                    continue
+                rows |= incidence[e]
+                for req in forces[e]:
+                    if req not in seen:
+                        seen.add(req)
+                        stack.append(req)
+            class_rows[v] = rows
+        return rows
+
+    def value(target: Iterable[int]) -> Fraction:
+        target = frozenset(target)
+        if not target <= universe:
+            raise SignatureError("target set must be within the universe")
+        if not target or not tupled:
+            return Fraction(0)
+        cols = list({rows_of(v) for v in target})
+        if 0 in cols:
+            uncovered = (_close({v}, forces) for v in target if not rows_of(v))
+            raise _unbounded(min(uncovered, key=_by_size))
+        if reduce(and_, cols):
+            return Fraction(1)  # a tuple meets every class
+        # Split the rows by the classes they meet: one group per distinct support.
+        groups = [(reduce(or_, cols), 0)]
+        for j, mask in enumerate(cols):
+            split = []
+            for group, support in groups:
+                inside = group & mask
+                if inside:
+                    split.append((inside, support | 1 << j))
+                if inside != group:
+                    split.append((group ^ inside, support))
+            groups = split
+        supports = [support for _, support in groups]
+        maximal = [s for s in supports if not any(s != t and s | t == t for t in supports)]
+        rows = [([s >> j & 1 for j in range(len(cols))], "<=", 1) for s in maximal]
+        return solve_lp([1] * len(cols), rows).value
+
+    return value
+
+
+def color_value(structure: Structure, keys: KeySet, target: Iterable[int]) -> Fraction:
+    """``color_number(structure, keys, target)[0]``, presolved: duplicate
+    and dominated rows are dropped, and a target whose classes one tuple
+    meets needs no LP."""
+    return _color_values(structure, keys)(target)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +322,12 @@ def optimal_cwidth(
         adj[a].add(b)
         adj[b].add(a)
 
+    value = _color_values(open_structure.structure, keys)
     f_memo: dict[frozenset, Fraction] = {}
 
     def f(bag: frozenset) -> Fraction:
         if bag not in f_memo:
-            f_memo[bag] = color_number(open_structure.structure, keys, bag)[0]
+            f_memo[bag] = value(bag)
         return f_memo[bag]
 
     best_memo: dict[frozenset, tuple[Fraction, Optional[int]]] = {}

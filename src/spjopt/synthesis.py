@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .colorwidth import color_number, optimal_cwidth
+from .colorwidth import color_value, optimal_cwidth
 from .constraints import KeySet, chase, satisfies_keys
 from .errors import (
     ArityError,
@@ -430,7 +430,7 @@ def subplan_degrees(plan: Plan, keys: KeySet, signature: Signature) -> list[Frac
             struct = chased.result
             out = tuple(chased.merge_map[merge[e]] for e in joined)
         reps.append((struct, out))
-    return [color_number(struct, keys, out)[0] for struct, out in reps]
+    return [color_value(struct, keys, out) for struct, out in reps]
 
 
 def output_degree(plan: Plan, keys: KeySet, signature: Signature) -> Fraction:

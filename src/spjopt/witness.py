@@ -22,12 +22,15 @@ from .structures import OpenStructure, Structure
 
 @dataclass
 class WitnessFamily:
-    """Generator for the database family (D_n) of one target set."""
+    """Generator for the database family (D_n) of ``solution.target``."""
 
     source: Structure
     keys: KeySet
-    target: frozenset
     solution: ColorSolution
+
+    @property
+    def target(self) -> frozenset:
+        return self.solution.target
 
     @property
     def colors_on_target(self) -> int:
@@ -119,7 +122,4 @@ def bag_witness(
     if core.structure.total_tuple_count() == 0:
         raise DegenerateInputError("no witness family for a structure without tuples")
     t0 = report.widest_node()
-    family = WitnessFamily(
-        core.structure, keys, report.decomposition.chi[t0], report.solutions[t0]
-    )
-    return t0, family
+    return t0, WitnessFamily(core.structure, keys, report.solutions[t0])

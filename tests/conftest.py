@@ -120,6 +120,26 @@ def rand_plan(rng: random.Random, signature: Signature, max_operators: int = 6):
     return plan
 
 
+# Unkeyed graph patterns of the width workload: the Mobius ladder on 10
+# vertices and the squared 12-cycle.
+PATTERN_EDGES = {
+    "mobius10": [(i, (i + 1) % 10) for i in range(10)] + [(i, i + 5) for i in range(5)],
+    "squared12": [(i, (i + 1) % 12) for i in range(12)] + [(i, (i + 2) % 12) for i in range(12)],
+}
+
+
+def pattern_plan(edges, out):
+    """The join of one E atom per edge, identified on shared vertices and
+    projected to the vertices in ``out``."""
+    first, pairs = {}, []
+    for pos, v in enumerate((v for edge in edges for v in edge), 1):
+        if v in first:
+            pairs.append((first[v], pos))
+        else:
+            first[v] = pos
+    return Project(tuple(first[v] for v in out), Join(theta_of(pairs), (Basic("E"),) * len(edges)))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260810)

@@ -1,5 +1,6 @@
 """Color numbers and widths, cross-checked against brute-force oracles."""
 
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -8,20 +9,34 @@ from hypothesis import given, settings, strategies as st
 
 from spjopt import (
     DegenerateInputError,
+    KeyConstraintError,
     KeySet,
     OpenStructure,
     ResourceCapError,
     Signature,
+    SignatureError,
     Structure,
+    chased_core,
     color_number,
+    color_value,
     cwidth_of_decomposition,
+    eliminate_fds,
     hypergraph_of,
     optimal_cwidth,
 )
+from spjopt import colorwidth
 from spjopt.colorwidth import ColorSolution, _constraint_sets
 from spjopt.represent import TreeDecomposition
 
-from conftest import rand_keys, rand_open_structure, rand_signature, rand_structure
+from conftest import (
+    PATTERN_EDGES,
+    pattern_plan,
+    rand_keys,
+    rand_open_structure,
+    rand_plan,
+    rand_signature,
+    rand_structure,
+)
 from oracles import (
     UNCAPPED,
     coloring_is_valid,
@@ -291,3 +306,148 @@ def test_cycle_color_number_is_half_length(n):
     s = Structure(SIG_E, range(n), {"E": edges})
     val, _ = color_number(s, NO_KEYS, set(range(n)))
     assert val == Fraction(n, 2)
+
+
+# ---------------------------------------------------------------------------
+# color_value: the presolved value against the full LP of color_number
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_value(struct, keys, target):
+    """color_value equals color_number's value as an exact Fraction, or
+    raises the same DegenerateInputError; returns whether it raised."""
+    try:
+        expected = color_number(struct, keys, target)[0]
+    except DegenerateInputError as exc:
+        with pytest.raises(DegenerateInputError, match=f"^{re.escape(str(exc))}$"):
+            color_value(struct, keys, target)
+        return True
+    got = color_value(struct, keys, target)
+    assert type(got) is Fraction and got == expected
+    return False
+
+
+def _counting_lp(monkeypatch):
+    """Row counts of the LPs colorwidth hands to solve_lp from now on."""
+    rows = []
+    solve = colorwidth.solve_lp
+
+    def counting(objective, constraints):
+        rows.append(len(constraints))
+        return solve(objective, constraints)
+
+    monkeypatch.setattr(colorwidth, "solve_lp", counting)
+    return rows
+
+
+def test_color_value_matches_color_number_on_random_structures(rng, monkeypatch):
+    lp_rows = _counting_lp(monkeypatch)
+    keyed = raised = solved = 0
+    for _ in range(400):
+        sig = rand_signature(rng, max_relations=3, max_arity=3)
+        keys = rand_keys(rng, sig) if rng.random() < 0.6 else NO_KEYS
+        struct = rand_structure(rng, sig, max_domain=6, max_rows=6)
+        elems = list(struct.universe)
+        target = frozenset(rng.sample(elems, rng.randint(0, len(elems))))
+        keyed += bool(keys)
+        if _assert_same_value(struct, keys, target):
+            raised += 1
+            continue
+        before = len(lp_rows)
+        color_value(struct, keys, target)
+        solved += len(lp_rows) > before
+    assert keyed >= 150 and raised >= 40 and solved >= 40
+
+
+def _recording_values(monkeypatch):
+    """(structure, keys, target, value) of every value the width search reads."""
+    seen = []
+    make = colorwidth._color_values
+
+    def recording(structure, keys):
+        value = make(structure, keys)
+
+        def recorded(target):
+            out = value(target)
+            seen.append((structure, keys, target, out))
+            return out
+
+        return recorded
+
+    monkeypatch.setattr(colorwidth, "_color_values", recording)
+    return seen
+
+
+def _assert_search_values_are_color_numbers(seen):
+    for struct, keys, target, value in seen:
+        assert type(value) is Fraction
+        assert value == color_number(struct, keys, target)[0]
+
+
+@pytest.mark.parametrize("name", PATTERN_EDGES)
+def test_width_search_reads_color_numbers_on_pattern_plans(name, monkeypatch):
+    seen = _recording_values(monkeypatch)
+    core = chased_core(pattern_plan(PATTERN_EDGES[name], (0, 1)), NO_KEYS, SIG_E, None)
+    optimal_cwidth(core, NO_KEYS, cap=WIDTH_CAP)
+    assert len({target for _, _, target, _ in seen}) == len(seen) >= 30
+    _assert_search_values_are_color_numbers(seen)
+
+
+def test_width_search_reads_color_numbers_on_random_plans(rng, monkeypatch):
+    seen = _recording_values(monkeypatch)
+    searched = 0
+    for _ in range(60):
+        sig = rand_signature(rng, max_relations=2, max_arity=3)
+        keys = rand_keys(rng, sig, prob=0.7)
+        core = chased_core(rand_plan(rng, sig), keys, sig, None)
+        eliminated = eliminate_fds(core, keys).open
+        if core.structure.total_tuple_count() == 0 or len(eliminated.structure.universe) > 10:
+            continue
+        optimal_cwidth(core, keys, cap=WIDTH_CAP)
+        optimal_cwidth(eliminated, NO_KEYS, cap=WIDTH_CAP)
+        searched += 1
+    assert searched >= 40 and len(seen) >= 300
+    assert sum(1 for _, keys, _, _ in seen if keys) >= 100
+    _assert_search_values_are_color_numbers(seen)
+
+
+def test_color_value_triangle_needs_the_lp(monkeypatch):
+    # Every edge misses a vertex: no support covers all three classes.
+    lp_rows = _counting_lp(monkeypatch)
+    assert color_value(triangle(), NO_KEYS, {0, 1, 2}) == Fraction(3, 2)
+    assert lp_rows == [3]
+
+
+def test_color_value_drops_duplicate_and_dominated_supports(monkeypatch):
+    # E(1, 0) repeats the support of E(0, 1); U(0) meets only {0}, which
+    # the E rows through 0 contain.
+    sig = Signature({"E": 2, "U": 1})
+    s = Structure(sig, [0, 1, 2], {"E": [(0, 1), (1, 0), (1, 2), (2, 0)], "U": [(0,)]})
+    assert len(_constraint_sets(s)) == 4
+    lp_rows = _counting_lp(monkeypatch)
+    assert color_value(s, NO_KEYS, {0, 1, 2}) == Fraction(3, 2)
+    assert lp_rows == [3]
+    assert color_number(s, NO_KEYS, {0, 1, 2})[0] == Fraction(3, 2)
+
+
+def test_color_value_edge_cases(monkeypatch):
+    lp_rows = _counting_lp(monkeypatch)
+    assert color_value(triangle(), NO_KEYS, set()) == 0
+    assert color_value(Structure(SIG_R, [0, 1], {"R": []}), NO_KEYS, {0}) == 0
+    assert color_value(Structure(SIG_R, [], {}), NO_KEYS, frozenset()) == 0
+    assert color_value(Structure(SIG_R, [0, 1], {"R": [(0, 1)]}), KEY_R1, {0, 1}) == 1
+    assert lp_rows == []
+    with pytest.raises(SignatureError):
+        color_value(triangle(), NO_KEYS, {3})
+
+
+def test_color_value_errors_match_color_number():
+    half = Structure(Signature({"R": 2, "U": 1}), [0, 1, 2, 3], {"R": [(0, 1)], "U": []})
+    for target in ({2}, {0, 2}, {3, 2, 1}):
+        assert _assert_same_value(half, NO_KEYS, target)
+    keyed = Structure(SIG_R, [0, 1, 2, 3], {"R": [(0, 1)]})
+    assert _assert_same_value(keyed, KEY_R1, {1, 3})
+    pair_key = KeySet([("R", (1, 2))])
+    for value_of in (color_number, color_value):
+        with pytest.raises(KeyConstraintError, match="unary keys only"):
+            value_of(triangle(), pair_key, {0})

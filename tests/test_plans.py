@@ -38,7 +38,7 @@ from spjopt.plans import (
 )
 
 import oracles
-from conftest import rand_plan, rand_signature, rand_structure
+from conftest import PATTERN_EDGES, pattern_plan, rand_plan, rand_signature, rand_structure
 from oracles import (
     char_loop_tokens,
     evaluate_well_behaved_per_occurrence,
@@ -421,18 +421,6 @@ def test_each_distinct_join_is_checked_and_evaluated_once(monkeypatch):
     assert len(trace.entries) == len(subplans(plan))
 
 
-def _pattern_plan(edges, out):
-    """The join of one E atom per edge, identified on shared vertices and
-    projected to the vertices in ``out``."""
-    first, pairs = {}, []
-    for pos, v in enumerate((v for edge in edges for v in edge), 1):
-        if v in first:
-            pairs.append((first[v], pos))
-        else:
-            first[v] = pos
-    return Project(tuple(first[v] for v in out), Join(theta_of(pairs), (Basic("E"),) * len(edges)))
-
-
 def _random_digraph(rng, vertices, out_degree):
     arcs = [
         (a, b)
@@ -472,13 +460,10 @@ def test_join_kernel_matches_old_chain_on_triangle_witnesses():
     assert len(data.relations["E"]) >= 100
 
 
-@pytest.mark.parametrize("name, edges", [
-    ("mobius10", [(i, (i + 1) % 10) for i in range(10)] + [(i, i + 5) for i in range(5)]),
-    ("squared12", [(i, (i + 1) % 12) for i in range(12)] + [(i, (i + 2) % 12) for i in range(12)]),
-])
+@pytest.mark.parametrize("name, edges", PATTERN_EDGES.items())
 def test_join_kernel_matches_old_chain_on_pattern_plans(name, edges):
     rng = random.Random(name)
-    pattern = _pattern_plan(edges, (0, 1))
+    pattern = pattern_plan(edges, (0, 1))
     synthesized = optimize(pattern, KeySet.empty(), SIG_E).plan
     for vertices, out_degree in ((10, 3), (8, 4)):
         data = _random_digraph(rng, vertices, out_degree)

@@ -31,10 +31,11 @@ from spjopt import (
     subplan_degrees,
     synthesize_plan,
 )
-from spjopt import synthesis
+from spjopt import colorwidth, synthesis
 from spjopt.plans import number_subplans, validate_plan
 
 from conftest import (
+    pattern_plan,
     rand_keys,
     rand_open_structure,
     rand_plan,
@@ -347,6 +348,28 @@ def test_synthesize_plan_searches_width_once_without_keys(rng, monkeypatch):
         searches.clear()
         synthesize_plan(core, keys, UNCAPPED)
         assert searches == [NO_KEYS]
+
+
+def test_degrees_and_width_search_solve_no_color_number_lp(monkeypatch):
+    """On the keyed directed 6-cycle, every degree of the synthesized plan
+    comes from a tuple that meets every class, so no LP is solved; the width
+    search reads presolved values, and only the returned decomposition's
+    bags go through color_number."""
+    cycle = pattern_plan([(i, (i + 1) % 6) for i in range(6)], (0,))
+    result = optimize(cycle, KEY_E1, SIG_E)
+    plan = parse_plan(print_plan(result.plan), SIG_E)
+    lps, numbers = [], []
+    solve, number = colorwidth.solve_lp, colorwidth.color_number
+    monkeypatch.setattr(colorwidth, "solve_lp", lambda *a: lps.append(a) or solve(*a))
+    monkeypatch.setattr(colorwidth, "color_number", lambda *a: numbers.append(a) or number(*a))
+    degrees = subplan_degrees(plan, KEY_E1, SIG_E)
+    assert len(degrees) >= 100 and set(degrees) == {1}
+    assert lps == [] and numbers == []
+    core = result.elimination.original
+    for open_s, keys in ((core, KEY_E1), (result.elimination.open, NO_KEYS)):
+        numbers.clear()
+        report = optimal_cwidth(open_s, keys, cap=UNCAPPED.width_universe)
+        assert [a[2] for a in numbers] == [report.decomposition.chi[n] for n in report.decomposition.nodes]
 
 
 def test_synthesize_plan_matches_keyed_search(rng):

@@ -83,7 +83,7 @@ def test_family_satisfies_keys_always(rng):
             continue
         target = frozenset(chased.tuple) or frozenset([struct.universe[0]])
         _, sol = color_number(struct, keys, target)
-        family = WitnessFamily(struct, keys, target, sol)
+        family = WitnessFamily(struct, keys, sol)
         for n in (1, 2, 3):
             d = family.generate(n)
             assert satisfies_keys(d, keys)
@@ -106,7 +106,7 @@ def test_exact_count_checks_small_cores(rng):
             continue
         target = frozenset(struct.universe)
         _, sol = color_number(struct, keys, target)
-        family = WitnessFamily(struct, keys, target, sol)
+        family = WitnessFamily(struct, keys, sol)
         n_colors = family.colors_on_target
         for n in (1, 2):
             d = family.generate(n)
