@@ -12,7 +12,7 @@ from .colorwidth import (
     ColorSolution,
     WidthReport,
     color_number,
-    color_value,
+    color_values,
     cwidth_of_decomposition,
     optimal_cwidth,
 )
@@ -116,7 +116,7 @@ __all__ = [
     "check_equivalence",
     "check_tree_decomposition",
     "color_number",
-    "color_value",
+    "color_values",
     "compute_core",
     "cwidth_of_decomposition",
     "eliminate_fds",

@@ -13,26 +13,27 @@ the LP over all valid classes).  Tuples that meet no generating class give
 all-zero rows; they are left out, since their slacks never leave the basis
 and the pivots on the other rows are the same.
 
-Degree analysis and the width search read only the LP's value, and
-``color_value`` presolves it (Andersen & Andersen, "Presolving in linear
-programming", Math. Programming 1995).  Each class becomes the bitmask of
-the tuples it meets; classes with equal masks share every row, so only their
-total weight matters and they merge into one column.  A row matters only
-through its support, the set of columns it meets, so duplicate supports go.
-If one support meets every column, its row alone caps the total weight at 1
-and any single column attains it, so the value is 1 without an LP.
-Otherwise a support contained in another is dropped: weights are
-nonnegative, so the larger row's sum bounds the smaller one's and the
-smaller row is implied.  The LP over the maximal supports is usually a few
-rows.  The key closures and the tuple masks depend only on the structure and
-are computed once for it, however many targets are asked.  ``color_number``
-keeps the full LP for ``cwidth_of_decomposition``, whose optimal packings
-``bag_witness`` turns into witness databases.
+Degree analysis, the width search and the width of a given decomposition
+read only the LP's value, and ``color_values`` presolves it (Andersen &
+Andersen, "Presolving in linear programming", Math. Programming 1995).  Each
+class becomes the bitmask of the tuples it meets; classes with equal masks
+share every row, so only their total weight matters and they merge into one
+column.  A row matters only through its support, the set of columns it
+meets, so duplicate supports go.  If one support meets every column, its row
+alone caps the total weight at 1 and any single column attains it, so the
+value is 1 without an LP.  Otherwise a support contained in another is
+dropped: weights are nonnegative, so the larger row's sum bounds the smaller
+one's and the smaller row is implied.  The LP over the maximal supports is
+usually a few rows.  The key closures and the tuple masks depend only on the
+structure and are computed once for it, however many targets are asked.
+Only ``witness`` solves the full LP, once, through ``color_number``: the
+widest bag's optimal packing is what ``bag_witness`` turns into witness
+databases, and its optimum must equal the presolved value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -40,7 +41,13 @@ from operator import and_, or_
 from typing import Callable, Iterable, Mapping, Optional
 
 from .constraints import KeySet
-from .errors import DegenerateInputError, KeyConstraintError, ResourceCapError, SignatureError
+from .errors import (
+    DegenerateInputError,
+    KeyConstraintError,
+    ResourceCapError,
+    SignatureError,
+    SpjError,
+)
 from .represent import TreeDecomposition, check_tree_decomposition
 from .simplex import solve_lp
 from .structures import OpenStructure, Structure, hypergraph_of
@@ -137,22 +144,17 @@ def color_number(
 ) -> tuple[Fraction, ColorSolution]:
     """The color number of ``target`` and a witness packing.
 
-    Maximize the total weight of classes meeting the target subject to:
-    for every tuple, the total weight of classes meeting the tuple's element
-    set is at most 1.  Exact integer simplex, so 3/2 is 3/2 and not 1.499...
+    The value and every input check come from :func:`color_values`.  The
+    packing is an optimum of the full LP: maximize the total weight of
+    classes meeting the target subject to, for every tuple, the total weight
+    of classes meeting the tuple's element set being at most 1.  Exact
+    integer simplex, so 3/2 is 3/2 and not 1.499...  An optimum other than
+    the presolved value raises :class:`SpjError`.
     """
-    if not keys.is_unary:
-        raise KeyConstraintError("color numbers are defined for unary keys only")
     target = frozenset(target)
-    uni = set(structure.universe)
-    if not target <= uni:
-        raise SignatureError("target set must be within the universe")
-    if not target:
-        sol = ColorSolution((), Fraction(0), target, ())
-        return Fraction(0), sol
-    if structure.total_tuple_count() == 0:
-        sol = ColorSolution((), Fraction(0), target, (), degenerate=True)
-        return Fraction(0), sol
+    value = color_values(structure, keys)(target)
+    if not target or structure.total_tuple_count() == 0:
+        return value, ColorSolution((), value, target, (), degenerate=bool(target))
     forces = _closure_edges(structure, keys)
     cols = sorted({_close({v}, forces) for v in target}, key=_by_size)
     rows = []
@@ -160,21 +162,19 @@ def color_number(
         coeffs = [0 if c.isdisjoint(s) else 1 for c in cols]
         if any(coeffs):
             rows.append((coeffs, "<=", 1))
-    for j, c in enumerate(cols):
-        if not any(coeffs[j] for coeffs, _, _ in rows):
-            raise _unbounded(c)
     res = solve_lp([1] * len(cols), rows)
-    if res.status != "optimal":
-        raise DegenerateInputError(f"packing LP returned {res.status}")
+    if res.value != value:
+        raise SpjError(f"packing LP gave {res.value}, its presolve {value}")
     scale = lcm(*(w.denominator for w in res.solution))
     mults = tuple(int(w * scale) for w in res.solution)
-    sol = ColorSolution(tuple(cols), res.value, target, mults)
-    return res.value, sol
+    return value, ColorSolution(tuple(cols), value, target, mults)
 
 
-def _color_values(structure: Structure, keys: KeySet) -> Callable[[Iterable[int]], Fraction]:
-    """``color_value`` over one structure, for many targets: the closures
-    and each class's row mask are computed once per element."""
+def color_values(structure: Structure, keys: KeySet) -> Callable[[Iterable[int]], Fraction]:
+    """The function from target to its color number over ``structure``,
+    presolved: duplicate and dominated rows are dropped, and a target whose
+    classes one tuple meets needs no LP.  The closures and each class's row
+    mask are computed once per element, however many targets are asked."""
     if not keys.is_unary:
         raise KeyConstraintError("color numbers are defined for unary keys only")
     universe = frozenset(structure.universe)
@@ -239,13 +239,6 @@ def _color_values(structure: Structure, keys: KeySet) -> Callable[[Iterable[int]
     return value
 
 
-def color_value(structure: Structure, keys: KeySet, target: Iterable[int]) -> Fraction:
-    """``color_number(structure, keys, target)[0]``, presolved: duplicate
-    and dominated rows are dropped, and a target whose classes one tuple
-    meets needs no LP."""
-    return _color_values(structure, keys)(target)
-
-
 # ---------------------------------------------------------------------------
 # Widths
 # ---------------------------------------------------------------------------
@@ -258,7 +251,6 @@ class WidthReport:
     decomposition: TreeDecomposition
     bag_colors: dict[int, Fraction]
     width: Fraction
-    solutions: dict[int, ColorSolution] = field(default_factory=dict)
 
     def widest_node(self) -> int:
         return min(n for n, v in self.bag_colors.items() if v == self.width)
@@ -271,14 +263,9 @@ def cwidth_of_decomposition(
     h = hypergraph_of(open_structure)
     if not check_tree_decomposition(h, dec.edges, dec.chi):
         raise SignatureError("not a tree decomposition of the open structure")
-    bag_colors: dict[int, Fraction] = {}
-    solutions: dict[int, ColorSolution] = {}
-    for node in dec.nodes:
-        val, sol = color_number(open_structure.structure, keys, dec.chi[node])
-        bag_colors[node] = val
-        solutions[node] = sol
-    width = max(bag_colors.values(), default=Fraction(0))
-    return WidthReport(dec, bag_colors, width, solutions)
+    value = color_values(open_structure.structure, keys)
+    bag_colors = {node: value(dec.chi[node]) for node in dec.nodes}
+    return WidthReport(dec, bag_colors, max(bag_colors.values(), default=Fraction(0)))
 
 
 def _elimination_bag(v: int, remaining: frozenset, adj: Mapping[int, set[int]]) -> frozenset:
@@ -322,7 +309,7 @@ def optimal_cwidth(
         adj[a].add(b)
         adj[b].add(a)
 
-    value = _color_values(open_structure.structure, keys)
+    value = color_values(open_structure.structure, keys)
     f_memo: dict[frozenset, Fraction] = {}
 
     def f(bag: frozenset) -> Fraction:
@@ -353,9 +340,7 @@ def optimal_cwidth(
 
     if not verts:
         dec = TreeDecomposition({0: None}, 0, {0: frozenset()})
-        rep = WidthReport(dec, {0: Fraction(0)}, Fraction(0))
-        rep.solutions[0] = color_number(open_structure.structure, keys, frozenset())[1]
-        return rep
+        return cwidth_of_decomposition(open_structure, keys, dec)
 
     remaining = frozenset(verts)
     order: list[int] = []

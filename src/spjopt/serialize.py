@@ -71,31 +71,31 @@ def structure_from_json(doc: dict) -> Union[Structure, OpenStructure]:
     try:
         sig = Signature({str(k): int(v) for k, v in doc["signature"].items()})
         universe = [str(u) for u in doc["universe"]]
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise FormatError(f"bad structure document: {exc}") from exc
-    if len(set(universe)) != len(universe):
-        raise FormatError("duplicate universe element names")
-    ids = {name: i for i, name in enumerate(sorted(universe))}
-    relations = {}
-    for name, rows in doc.get("relations", {}).items():
-        if name not in sig:
-            raise FormatError(f"relation {name!r} not in signature")
-        out = []
-        for row in rows:
-            try:
-                out.append(tuple(ids[str(e)] for e in row))
-            except KeyError as exc:
-                raise FormatError(f"unknown element {exc} in relation {name!r}") from exc
-        relations[name] = out
-    names = {i: n for n, i in ids.items()}
-    struct = Structure(sig, ids.values(), relations, names)
-    if "tuple" in doc:
+        if len(set(universe)) != len(universe):
+            raise FormatError("duplicate universe element names")
+        ids = {name: i for i, name in enumerate(sorted(universe))}
+        relations = {}
+        for name, rows in doc.get("relations", {}).items():
+            if name not in sig:
+                raise FormatError(f"relation {name!r} not in signature")
+            out = []
+            for row in rows:
+                try:
+                    out.append(tuple(ids[str(e)] for e in row))
+                except KeyError as exc:
+                    raise FormatError(f"unknown element {exc} in relation {name!r}") from exc
+            relations[name] = out
+        names = {i: n for n, i in ids.items()}
+        struct = Structure(sig, ids.values(), relations, names)
+        if "tuple" not in doc:
+            return struct
         try:
             out_tuple = tuple(ids[str(e)] for e in doc["tuple"])
         except KeyError as exc:
             raise FormatError(f"unknown element {exc} in tuple") from exc
         return OpenStructure(struct, out_tuple)
-    return struct
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"bad structure document: {exc}") from exc
 
 
 def load_structure(path: str) -> Union[Structure, OpenStructure]:

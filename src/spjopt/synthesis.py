@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .colorwidth import color_value, optimal_cwidth
+from .colorwidth import color_values, optimal_cwidth
 from .constraints import KeySet, chase, satisfies_keys
 from .errors import (
     ArityError,
@@ -54,8 +54,8 @@ from .structures import (
 class Caps:
     """Resource caps for the exponential stages.
 
-    ``core_universe`` bounds the core search, ``width_universe`` the
-    decomposition search and class enumeration.  ``None`` disables a cap.
+    ``core_universe`` bounds the core search, and ``None`` disables it.
+    ``width_universe`` bounds the decomposition search and is always set.
     """
 
     core_universe: Optional[int] = 12
@@ -398,24 +398,25 @@ def subplan_degrees(plan: Plan, keys: KeySet, signature: Signature) -> list[Frac
     Each is built from the children's: a fresh atom, a reindexed tuple for a
     projection, and for a join or selection the disjoint union, theta's
     identifications and the chase, a closure that may start from chased parts.
+    A projection keeps its child's structure, and so its value function.
     """
     if not keys.is_unary:
         raise KeyConstraintError("output degree requires unary keys")
     distinct = number_subplans(plan)[1]
-    reps: list[tuple[Structure, tuple[int, ...]]] = []
+    reps: list[tuple[Structure, tuple[int, ...], Callable]] = []
     for (node, kids), m in zip(distinct, _arities(distinct, signature)):
         if isinstance(node, Basic):
             out = tuple(range(m))
             struct = Structure(signature, out, {node.relation: [out]})
         elif isinstance(node, Project):
-            struct, child = reps[kids[0]]
+            struct, child, value = reps[kids[0]]
             out = tuple(child[c - 1] for c in node.cols)
         else:
             # Shift past the largest id, not the element count: chase leaves gaps.
             joined, universe, shift = [], [], 0
             rows: dict[str, list[tuple[int, ...]]] = {n: [] for n in signature.symbols()}
             for kid in kids:
-                struct, child = reps[kid]
+                struct, child, _ = reps[kid]
                 joined += [e + shift for e in child]
                 universe += [e + shift for e in struct.universe]
                 for name, rel in struct.relations.items():
@@ -429,8 +430,10 @@ def subplan_degrees(plan: Plan, keys: KeySet, signature: Signature) -> list[Frac
             chased = chase(Structure(signature, universe, rows).apply_map(merge), keys)
             struct = chased.result
             out = tuple(chased.merge_map[merge[e]] for e in joined)
-        reps.append((struct, out))
-    return [color_value(struct, keys, out) for struct, out in reps]
+        if not isinstance(node, Project):
+            value = color_values(struct, keys)
+        reps.append((struct, out, value))
+    return [value(out) for _, out, value in reps]
 
 
 def output_degree(plan: Plan, keys: KeySet, signature: Signature) -> Fraction:

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .colorwidth import ColorSolution, WidthReport
+from .colorwidth import ColorSolution, WidthReport, color_number
 from .constraints import KeySet, satisfies_keys
 from .errors import DegenerateInputError, SpjError
 from .structures import OpenStructure, Structure
@@ -112,14 +112,17 @@ def product_witness(
 def bag_witness(
     core: OpenStructure, keys: KeySet, report: WidthReport
 ) -> tuple[int, WitnessFamily]:
-    """The widest bag of a decomposition of the core under ``keys``, with
-    its family; ``report`` holds the decomposition's bag solutions.
+    """The widest bag of ``report``'s decomposition of the core under
+    ``keys``, with the family of an optimal packing of that bag.
 
-    Evaluating the core on the family restricted to that bag produces at
-    least n^N images, where N/D* equals the decomposition's width, so every
-    equivalent plan has an intermediate relation of that order.
+    The packing is the one LP solution that the pipeline needs: the widths
+    of every bag come presolved.  Evaluating the core on the family
+    restricted to that bag produces at least n^N images, where N/D* equals
+    the decomposition's width, so every equivalent plan has an intermediate
+    relation of that order.
     """
     if core.structure.total_tuple_count() == 0:
         raise DegenerateInputError("no witness family for a structure without tuples")
     t0 = report.widest_node()
-    return t0, WitnessFamily(core.structure, keys, report.solutions[t0])
+    _, solution = color_number(core.structure, keys, report.decomposition.chi[t0])
+    return t0, WitnessFamily(core.structure, keys, solution)

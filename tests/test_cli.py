@@ -296,6 +296,25 @@ def test_cli_exit_codes(workdir, capsys, tmp_path):
     )[0] != 3
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"relations": [1]},
+        {"relations": {"E": 5}},
+        {"relations": {"E": [5]}},
+        {"signature": {"E": "x"}},
+        {"signature": {"E": float("inf")}},
+        {"tuple": 5},
+    ],
+    ids=["relations-list", "rows-int", "row-int", "arity-text", "arity-infinite", "tuple-int"],
+)
+def test_cli_malformed_structure_exits_2(change, tmp_path, capsys):
+    (tmp_path / "bad.json").write_text(json.dumps({**DATA, **change}))
+    code, out, err = run(capsys, "chase", "--data", tmp_path / "bad.json")
+    assert (code, out) == (2, "")
+    assert err.startswith("spjopt: bad structure document: ") and "Traceback" not in err
+
+
 def test_cli_deep_plans_need_no_recursion(tmp_path, capsys):
     """1,200 nested selects, the same selects over a join that is not
     well-behaved, and a 600-level project/join chain are nested far past

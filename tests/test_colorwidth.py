@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from itertools import count
 from math import lcm
 
 import pytest
@@ -15,10 +16,12 @@ from spjopt import (
     ResourceCapError,
     Signature,
     SignatureError,
+    SpjError,
     Structure,
+    build_representation,
     chased_core,
     color_number,
-    color_value,
+    color_values,
     cwidth_of_decomposition,
     eliminate_fds,
     hypergraph_of,
@@ -298,6 +301,27 @@ def test_returned_decomposition_is_valid_and_attains_width(rng):
         assert again.width == report.width
 
 
+def test_decomposition_bag_colors_are_color_numbers(rng):
+    """Each bag of a plan's own decomposition, which is often wider than
+    optimal, reads its color number, with and without keys."""
+    keyed = wider = 0
+    for _ in range(100):
+        sig = rand_signature(rng, max_relations=2, max_arity=3)
+        keys = rand_keys(rng, sig) if rng.random() < 0.6 else NO_KEYS
+        rep, dec = build_representation(rand_plan(rng, sig), sig)
+        struct = rep.open.structure
+        report = cwidth_of_decomposition(rep.open, keys, dec)
+        assert report.bag_colors == {n: color_number(struct, keys, dec.chi[n])[0] for n in dec.nodes}
+        keyed += bool(keys)
+        if len(struct.universe) <= 12:
+            wider += report.width > optimal_cwidth(rep.open, keys, cap=WIDTH_CAP).width
+    assert keyed >= 40 and wider >= 5
+    empty = OpenStructure(Structure(SIG_R, [], {}), ())
+    one_bag = TreeDecomposition({0: None}, 0, {0: frozenset()})
+    report = cwidth_of_decomposition(empty, NO_KEYS, one_bag)
+    assert report.bag_colors == {0: color_number(empty.structure, NO_KEYS, frozenset())[0]}
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 5))
 def test_cycle_color_number_is_half_length(n):
@@ -309,20 +333,21 @@ def test_cycle_color_number_is_half_length(n):
 
 
 # ---------------------------------------------------------------------------
-# color_value: the presolved value against the full LP of color_number
+# color_values: the presolved value against the full LP of color_number
 # ---------------------------------------------------------------------------
 
 
 def _assert_same_value(struct, keys, target):
-    """color_value equals color_number's value as an exact Fraction, or
-    raises the same DegenerateInputError; returns whether it raised."""
+    """color_values gives color_number's value as an exact Fraction, or
+    raises the same DegenerateInputError; returns whether it raised.
+    color_number raises SpjError where its full LP disagrees."""
     try:
         expected = color_number(struct, keys, target)[0]
     except DegenerateInputError as exc:
         with pytest.raises(DegenerateInputError, match=f"^{re.escape(str(exc))}$"):
-            color_value(struct, keys, target)
+            color_values(struct, keys)(target)
         return True
-    got = color_value(struct, keys, target)
+    got = color_values(struct, keys)(target)
     assert type(got) is Fraction and got == expected
     return False
 
@@ -354,32 +379,35 @@ def test_color_value_matches_color_number_on_random_structures(rng, monkeypatch)
             raised += 1
             continue
         before = len(lp_rows)
-        color_value(struct, keys, target)
+        color_values(struct, keys)(target)
         solved += len(lp_rows) > before
     assert keyed >= 150 and raised >= 40 and solved >= 40
 
 
 def _recording_values(monkeypatch):
-    """(structure, keys, target, value) of every value the width search reads."""
+    """(closure, structure, keys, target, value) of every value read through
+    colorwidth.color_values; closure numbers the color_values call."""
     seen = []
-    make = colorwidth._color_values
+    make = colorwidth.color_values
+    closures = count()
 
     def recording(structure, keys):
-        value = make(structure, keys)
+        value, closure = make(structure, keys), next(closures)
 
         def recorded(target):
             out = value(target)
-            seen.append((structure, keys, target, out))
+            seen.append((closure, structure, keys, target, out))
             return out
 
         return recorded
 
-    monkeypatch.setattr(colorwidth, "_color_values", recording)
+    monkeypatch.setattr(colorwidth, "color_values", recording)
     return seen
 
 
 def _assert_search_values_are_color_numbers(seen):
-    for struct, keys, target, value in seen:
+    # A snapshot: color_number reads through the recorded color_values too.
+    for _, struct, keys, target, value in list(seen):
         assert type(value) is Fraction
         assert value == color_number(struct, keys, target)[0]
 
@@ -389,7 +417,12 @@ def test_width_search_reads_color_numbers_on_pattern_plans(name, monkeypatch):
     seen = _recording_values(monkeypatch)
     core = chased_core(pattern_plan(PATTERN_EDGES[name], (0, 1)), NO_KEYS, SIG_E, None)
     optimal_cwidth(core, NO_KEYS, cap=WIDTH_CAP)
-    assert len({target for _, _, target, _ in seen}) == len(seen) >= 30
+    # One closure for the search and one for certifying its decomposition.
+    targets: dict[int, list] = {}
+    for closure, _, _, target, _ in seen:
+        targets.setdefault(closure, []).append(target)
+    assert len(targets) == 2 and len(seen) >= 30
+    assert all(len(set(read)) == len(read) for read in targets.values())
     _assert_search_values_are_color_numbers(seen)
 
 
@@ -407,14 +440,20 @@ def test_width_search_reads_color_numbers_on_random_plans(rng, monkeypatch):
         optimal_cwidth(eliminated, NO_KEYS, cap=WIDTH_CAP)
         searched += 1
     assert searched >= 40 and len(seen) >= 300
-    assert sum(1 for _, keys, _, _ in seen if keys) >= 100
+    assert sum(1 for _, _, keys, _, _ in seen if keys) >= 100
     _assert_search_values_are_color_numbers(seen)
+
+
+def test_color_number_rejects_an_lp_that_disagrees_with_the_presolve(monkeypatch):
+    monkeypatch.setattr(colorwidth, "color_values", lambda structure, keys: lambda target: 1)
+    with pytest.raises(SpjError, match="^packing LP gave 3/2, its presolve 1$"):
+        color_number(triangle(), NO_KEYS, {0, 1, 2})
 
 
 def test_color_value_triangle_needs_the_lp(monkeypatch):
     # Every edge misses a vertex: no support covers all three classes.
     lp_rows = _counting_lp(monkeypatch)
-    assert color_value(triangle(), NO_KEYS, {0, 1, 2}) == Fraction(3, 2)
+    assert color_values(triangle(), NO_KEYS)({0, 1, 2}) == Fraction(3, 2)
     assert lp_rows == [3]
 
 
@@ -425,20 +464,20 @@ def test_color_value_drops_duplicate_and_dominated_supports(monkeypatch):
     s = Structure(sig, [0, 1, 2], {"E": [(0, 1), (1, 0), (1, 2), (2, 0)], "U": [(0,)]})
     assert len(_constraint_sets(s)) == 4
     lp_rows = _counting_lp(monkeypatch)
-    assert color_value(s, NO_KEYS, {0, 1, 2}) == Fraction(3, 2)
+    assert color_values(s, NO_KEYS)({0, 1, 2}) == Fraction(3, 2)
     assert lp_rows == [3]
     assert color_number(s, NO_KEYS, {0, 1, 2})[0] == Fraction(3, 2)
 
 
 def test_color_value_edge_cases(monkeypatch):
     lp_rows = _counting_lp(monkeypatch)
-    assert color_value(triangle(), NO_KEYS, set()) == 0
-    assert color_value(Structure(SIG_R, [0, 1], {"R": []}), NO_KEYS, {0}) == 0
-    assert color_value(Structure(SIG_R, [], {}), NO_KEYS, frozenset()) == 0
-    assert color_value(Structure(SIG_R, [0, 1], {"R": [(0, 1)]}), KEY_R1, {0, 1}) == 1
+    assert color_values(triangle(), NO_KEYS)(set()) == 0
+    assert color_values(Structure(SIG_R, [0, 1], {"R": []}), NO_KEYS)({0}) == 0
+    assert color_values(Structure(SIG_R, [], {}), NO_KEYS)(frozenset()) == 0
+    assert color_values(Structure(SIG_R, [0, 1], {"R": [(0, 1)]}), KEY_R1)({0, 1}) == 1
     assert lp_rows == []
     with pytest.raises(SignatureError):
-        color_value(triangle(), NO_KEYS, {3})
+        color_values(triangle(), NO_KEYS)({3})
 
 
 def test_color_value_errors_match_color_number():
@@ -448,6 +487,7 @@ def test_color_value_errors_match_color_number():
     keyed = Structure(SIG_R, [0, 1, 2, 3], {"R": [(0, 1)]})
     assert _assert_same_value(keyed, KEY_R1, {1, 3})
     pair_key = KeySet([("R", (1, 2))])
-    for value_of in (color_number, color_value):
-        with pytest.raises(KeyConstraintError, match="unary keys only"):
-            value_of(triangle(), pair_key, {0})
+    with pytest.raises(KeyConstraintError, match="unary keys only"):
+        color_number(triangle(), pair_key, {0})
+    with pytest.raises(KeyConstraintError, match="unary keys only"):
+        color_values(triangle(), pair_key)

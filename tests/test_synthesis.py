@@ -9,9 +9,11 @@ from spjopt import (
     DegenerateInputError,
     KeySet,
     OpenStructure,
+    Project,
     ResourceCapError,
     Signature,
     Structure,
+    bag_witness,
     build_representation,
     chase,
     check_equivalence,
@@ -31,7 +33,7 @@ from spjopt import (
     subplan_degrees,
     synthesize_plan,
 )
-from spjopt import colorwidth, synthesis
+from spjopt import colorwidth, synthesis, witness
 from spjopt.plans import number_subplans, validate_plan
 
 from conftest import (
@@ -353,8 +355,8 @@ def test_synthesize_plan_searches_width_once_without_keys(rng, monkeypatch):
 def test_degrees_and_width_search_solve_no_color_number_lp(monkeypatch):
     """On the keyed directed 6-cycle, every degree of the synthesized plan
     comes from a tuple that meets every class, so no LP is solved; the width
-    search reads presolved values, and only the returned decomposition's
-    bags go through color_number."""
+    search and its certificate read presolved values, and only the witness
+    solves color_number's LP, once, on the widest bag."""
     cycle = pattern_plan([(i, (i + 1) % 6) for i in range(6)], (0,))
     result = optimize(cycle, KEY_E1, SIG_E)
     plan = parse_plan(print_plan(result.plan), SIG_E)
@@ -362,14 +364,35 @@ def test_degrees_and_width_search_solve_no_color_number_lp(monkeypatch):
     solve, number = colorwidth.solve_lp, colorwidth.color_number
     monkeypatch.setattr(colorwidth, "solve_lp", lambda *a: lps.append(a) or solve(*a))
     monkeypatch.setattr(colorwidth, "color_number", lambda *a: numbers.append(a) or number(*a))
+    monkeypatch.setattr(witness, "color_number", colorwidth.color_number)
     degrees = subplan_degrees(plan, KEY_E1, SIG_E)
     assert len(degrees) >= 100 and set(degrees) == {1}
     assert lps == [] and numbers == []
     core = result.elimination.original
     for open_s, keys in ((core, KEY_E1), (result.elimination.open, NO_KEYS)):
-        numbers.clear()
         report = optimal_cwidth(open_s, keys, cap=UNCAPPED.width_universe)
-        assert [a[2] for a in numbers] == [report.decomposition.chi[n] for n in report.decomposition.nodes]
+        assert numbers == []
+        node, _ = bag_witness(open_s, keys, report)
+        assert node == report.widest_node()
+        assert numbers == [(open_s.structure, keys, report.decomposition.chi[node])]
+        numbers.clear()
+
+
+def test_projections_share_their_childs_color_values(monkeypatch):
+    """Degree analysis builds one structure's closures once: a projection
+    reads its child's."""
+    cycle = pattern_plan([(i, (i + 1) % 6) for i in range(6)], (0,))
+    plan = optimize(cycle, KEY_E1, SIG_E).plan
+    calls = []
+    closure_edges = colorwidth._closure_edges
+    monkeypatch.setattr(
+        colorwidth, "_closure_edges", lambda *a: calls.append(a) or closure_edges(*a)
+    )
+    subplan_degrees(plan, KEY_E1, SIG_E)
+    distinct = number_subplans(plan)[1]
+    projections = sum(isinstance(node, Project) for node, _ in distinct)
+    assert projections >= 10
+    assert len(calls) == len(distinct) - projections
 
 
 def test_synthesize_plan_matches_keyed_search(rng):
@@ -392,8 +415,6 @@ def test_optimize_rejects_non_unary_keys():
 def test_optimized_plan_beats_obvious_form_on_witness_data():
     """On the triangle's own worst-case family the synthesized plan's
     intermediates stay near M^(3/2) while the product form blows up."""
-    from spjopt import bag_witness
-
     plan = parse_plan(TRIANGLE, SIG_E)
     result = optimize(plan, NO_KEYS, SIG_E, caps=UNCAPPED)
     core = result.elimination.original

@@ -14,11 +14,13 @@ from spjopt import (
     chase,
     color_number,
     compute_core,
+    cwidth_of_decomposition,
     homs_relation,
     optimal_cwidth,
     product_witness,
     satisfies_keys,
 )
+from spjopt.represent import TreeDecomposition
 from spjopt.witness import WitnessFamily
 
 from conftest import rand_keys, rand_open_structure, rand_signature, rand_structure
@@ -123,6 +125,15 @@ def test_bag_witness_picks_widest_bag():
     t0, family = bag_witness(open_b, NO_KEYS, report)
     assert report.bag_colors[t0] == report.width
     assert family.target == report.decomposition.chi[t0]
+
+
+def test_bag_witness_packs_the_widest_bag_not_the_root():
+    b = triangle()
+    open_b = OpenStructure(b, (0,))
+    dec = TreeDecomposition({0: None, 1: 0}, 0, {0: frozenset({0}), 1: frozenset({0, 1, 2})})
+    report = cwidth_of_decomposition(open_b, NO_KEYS, dec)
+    t0, family = bag_witness(open_b, NO_KEYS, report)
+    assert (t0, family.target, family.ratio) == (1, frozenset({0, 1, 2}), Fraction(3, 2))
 
 
 def test_bag_witness_rejects_tupleless():
