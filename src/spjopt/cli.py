@@ -82,10 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--keys", help="keys file: `key <RelName> <position>` lines")
         p.add_argument("--data", action="append", default=[], help="structure JSON file (repeatable)")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--strict-theta", action="store_true", help="read identification sets literally, without closure")
         p.add_argument("--cap-universe", type=int, help="override both universe caps (default: core "
                        f"{default_caps.core_universe}, width {default_caps.width_universe})")
-        p.add_argument("--seed", type=int, help="reserved for reproducibility; accepted and ignored")
         p.add_argument("--trace", action="store_true", help="include per-subplan relations in evaluate output")
         p.add_argument("--format", choices=["json", "dot", "text"], default="json")
         p.add_argument("--force-multi-keys", action="store_true",
@@ -172,7 +170,7 @@ def _cmd_check(args: argparse.Namespace) -> None:
     keys = _load_keys(args)
     plan, sig, data = _load_plan(args)
     keys.validate_for(sig)
-    ok, offender = is_well_behaved(plan, sig, args.strict_theta)
+    ok, offender = is_well_behaved(plan, sig)
     doc = {
         "ok": True,
         "arity": validate_plan(plan, sig),
@@ -268,7 +266,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     _require(args, plan=args.plan, data=args.data)
     plan, sig, data = _load_plan(args)
     try:
-        trace = evaluate_well_behaved(plan, data, args.strict_theta)
+        trace = evaluate_well_behaved(plan, data)
         evaluator = "well-behaved"
     except WellBehavedError:
         trace = evaluate_naive(plan, data)

@@ -1,9 +1,8 @@
 """SPJ plan AST, s-expression parsing/printing, and the two evaluators.
 
 Identification sets (theta) are stored as written but are interpreted via
-their reflexive-symmetric-transitive closure by default, both for selection
-semantics and for the well-behavedness check; the raw reading is available
-behind ``strict_theta``.
+their reflexive-symmetric-transitive closure, both for selection semantics
+and for the well-behavedness check.
 """
 
 from __future__ import annotations
@@ -351,37 +350,22 @@ def _column_classes(theta: frozenset, s: int) -> list[int]:
     return [uf.find(i) for i in range(s + 1)]
 
 
-def _join_is_well_behaved(join: Join, arities: list[int], strict_theta: bool) -> bool:
-    """``arities`` are those of the join's children."""
+def _join_is_well_behaved(join: Join, arities: list[int]) -> bool:
+    """Whether some column k makes every column past the first child's
+    equated (under the closure of theta) with a first-child column or k.
+    ``arities`` are those of the join's children."""
     m1 = arities[0]
     s = sum(arities)
-
-    if strict_theta:
-        def equated(i, j):
-            return i == j or (i, j) in join.theta or (j, i) in join.theta
-    else:
-        classes = _column_classes(join.theta, s)
-
-        def equated(i, j):
-            return classes[i] == classes[j]
-
-    base = list(range(1, m1 + 1))
+    classes = _column_classes(join.theta, s)
+    base = {classes[j] for j in range(1, m1 + 1)}
     for k in range(1, s + 1):
-        ok = True
-        for i in range(1, s + 1):
-            if i <= m1 or i == k:
-                continue
-            if not any(equated(i, j) for j in base + [k]):
-                ok = False
-                break
-        if ok:
+        known = base | {classes[k]}
+        if all(classes[i] in known for i in range(m1 + 1, s + 1)):
             return True
     return s == m1  # no extra columns at all (can only happen with no children beyond the first)
 
 
-def is_well_behaved(
-    plan: Plan, signature: Signature, strict_theta: bool = False
-) -> tuple[bool, Optional[Plan]]:
+def is_well_behaved(plan: Plan, signature: Signature) -> tuple[bool, Optional[Plan]]:
     """Whether every join subplan adds at most one column of new information.
 
     Returns (True, None) or (False, offending join subplan), the first
@@ -389,20 +373,18 @@ def is_well_behaved(
     once (see :func:`number_subplans`).
     """
     _, distinct = number_subplans(plan)
-    offender = _first_offending_join(distinct, _arities(distinct, signature), strict_theta)
+    offender = _first_offending_join(distinct, _arities(distinct, signature))
     return offender is None, offender
 
 
 def _first_offending_join(
-    distinct: list[tuple[Plan, tuple[int, ...]]], arities: list[int], strict_theta: bool
+    distinct: list[tuple[Plan, tuple[int, ...]]], arities: list[int]
 ) -> Optional[Join]:
     """The first join of :func:`number_subplans`'s ``distinct`` that is not
     well-behaved, or None.  Numbers follow the first occurrences in
     post-order, so this is also the first offending occurrence."""
     for node, kids in distinct:
-        if isinstance(node, Join) and not _join_is_well_behaved(
-            node, [arities[k] for k in kids], strict_theta
-        ):
+        if isinstance(node, Join) and not _join_is_well_behaved(node, [arities[k] for k in kids]):
             return node
     return None
 
@@ -524,9 +506,7 @@ def _equal_at(pairs):
     return lambda t: left(t) == right(t)
 
 
-def evaluate_well_behaved(
-    plan: Plan, data: Structure, strict_theta: bool = False
-) -> EvalTrace:
+def evaluate_well_behaved(plan: Plan, data: Structure) -> EvalTrace:
     """Evaluator for well-behaved plans.
 
     Each distinct subplan (see :func:`number_subplans`) is evaluated once.
@@ -542,7 +522,7 @@ def evaluate_well_behaved(
     numbering = number_subplans(plan)
     distinct = numbering[1]
     arities = _arities(distinct, data.signature)
-    offender = _first_offending_join(distinct, arities, strict_theta)
+    offender = _first_offending_join(distinct, arities)
     if offender is not None:
         raise WellBehavedError(f"plan is not well-behaved at {print_plan(offender)}")
     trace = EvalTrace()

@@ -25,7 +25,7 @@ from typing import Optional, Union
 
 from .colorwidth import WidthReport
 from .constraints import KeySet
-from .errors import FormatError
+from .errors import FormatError, SignatureError
 from .plans import Plan, parse_plan, print_plan
 from .represent import PDecomposition, TreeDecomposition
 from .structures import OpenStructure, Signature, Structure
@@ -69,7 +69,10 @@ def structure_to_json(value: Union[Structure, OpenStructure]) -> dict:
 
 def structure_from_json(doc: dict) -> Union[Structure, OpenStructure]:
     try:
-        sig = Signature({str(k): int(v) for k, v in doc["signature"].items()})
+        try:
+            sig = Signature({str(k): v for k, v in doc["signature"].items()})
+        except SignatureError as exc:
+            raise FormatError(f"bad structure document: {exc}") from exc
         universe = [str(u) for u in doc["universe"]]
         if len(set(universe)) != len(universe):
             raise FormatError("duplicate universe element names")

@@ -9,35 +9,28 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
-import re
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import ArityError, ResourceCapError, SignatureError
 
-_RESERVED = re.compile(r"^R[0-9]+$")
-
 
 class Signature:
     """A finite set of relation symbols with associated arities.
 
-    The names ``R0, R1, R2, ...`` are reserved for the translation of open
-    structures to plain structures and are rejected unless
-    ``allow_reserved`` is set (internal use only).
+    A name is any nonempty string and an arity any nonnegative ``int``;
+    a ``bool`` is not taken for an arity.
     """
 
     __slots__ = ("_arities",)
 
-    def __init__(self, arities: Mapping[str, int], allow_reserved: bool = False):
+    def __init__(self, arities: Mapping[str, int]):
         cleaned = {}
         for name, ar in arities.items():
             if not isinstance(name, str) or not name:
                 raise SignatureError(f"relation name must be a nonempty string, got {name!r}")
-            if not isinstance(ar, int) or ar < 0:
+            if not isinstance(ar, int) or isinstance(ar, bool) or ar < 0:
                 raise SignatureError(f"arity of {name!r} must be a nonnegative integer, got {ar!r}")
-            if not allow_reserved and _RESERVED.match(name):
-                raise SignatureError(f"relation name {name!r} is reserved for tuple augmentation")
             cleaned[name] = ar
         self._arities = dict(sorted(cleaned.items()))
 
@@ -53,19 +46,13 @@ class Signature:
     def as_dict(self) -> dict[str, int]:
         return dict(self._arities)
 
-    def extend(self, extra: Mapping[str, int], allow_reserved: bool = False) -> "Signature":
+    def extend(self, extra: Mapping[str, int]) -> "Signature":
         merged = dict(self._arities)
         for name, ar in extra.items():
             if name in merged and merged[name] != ar:
                 raise SignatureError(f"conflicting arity for {name!r}")
             merged[name] = ar
-        sig = Signature({}, allow_reserved=True)
-        sig._arities = dict(sorted(merged.items()))
-        if not allow_reserved:
-            for name in extra:
-                if _RESERVED.match(name):
-                    raise SignatureError(f"relation name {name!r} is reserved")
-        return sig
+        return Signature(merged)
 
     def __contains__(self, name: str) -> bool:
         return name in self._arities
@@ -235,8 +222,10 @@ class UnionFind:
 class OpenStructure:
     """A structure with no isolated elements plus a distinguished output tuple.
 
-    The degenerate all-empty structure with the empty tuple is admitted; it
-    arises from arity-0 projections of constant plans.
+    A homomorphism of open structures maps tuple onto tuple, so an
+    endomorphism fixes every tuple entry.  The degenerate all-empty
+    structure with the empty tuple is admitted; it arises from arity-0
+    projections of constant plans.
     """
 
     __slots__ = ("structure", "tuple")
@@ -259,15 +248,6 @@ class OpenStructure:
     def arity(self) -> int:
         return len(self.tuple)
 
-    def augmented(self) -> Structure:
-        """aug(A, a): add a reserved relation R_k holding exactly the tuple."""
-        k = len(self.tuple)
-        aug_name = f"R{k}"
-        sig = self.structure.signature.extend({aug_name: k}, allow_reserved=True)
-        rels = dict(self.structure.relations)
-        rels[aug_name] = [self.tuple]
-        return Structure(sig, self.structure.universe, rels, self.structure.names)
-
     def similar_to(self, other: "OpenStructure") -> bool:
         return self.structure.signature == other.structure.signature
 
@@ -284,23 +264,6 @@ class OpenStructure:
     def __repr__(self) -> str:
         named = ",".join(self.structure.names[e] for e in self.tuple)
         return f"Open({self.structure!r}, ({named}))"
-
-
-def split_augmented(aug: Structure) -> OpenStructure:
-    """Inverse of :meth:`OpenStructure.augmented`."""
-    aug_names = [n for n in aug.signature.symbols() if _RESERVED.match(n)]
-    if len(aug_names) != 1:
-        raise SignatureError("expected exactly one augmentation relation")
-    name = aug_names[0]
-    rows = sorted(aug.relations[name])
-    if len(rows) != 1:
-        raise SignatureError("augmentation relation must hold exactly one tuple")
-    base_sig = Signature(
-        {n: aug.signature.arity(n) for n in aug.signature.symbols() if n != name}
-    )
-    rels = {n: r for n, r in aug.relations.items() if n != name}
-    base = Structure(base_sig, aug.universe, rels, aug.names)
-    return OpenStructure(base, rows[0])
 
 
 @dataclass(frozen=True)
@@ -528,6 +491,17 @@ class _HomSearch:
         return result
 
 
+def _tuple_pins(src: Sequence[int], dst: Sequence[int]) -> Optional[dict[int, int]]:
+    """The map sending each entry of ``src`` to the entry of ``dst`` at the
+    same position, or None if an element would need two images."""
+    pinned: dict[int, int] = {}
+    for a, b in zip(src, dst):
+        if pinned.get(a, b) != b:
+            return None
+        pinned[a] = b
+    return pinned
+
+
 def find_homomorphism(
     src: OpenStructure, dst: OpenStructure
 ) -> Optional[dict[int, int]]:
@@ -539,11 +513,9 @@ def find_homomorphism(
         raise SignatureError("open structures are not similar")
     if len(src.tuple) != len(dst.tuple):
         raise ArityError("output tuples have different arities")
-    pinned: dict[int, int] = {}
-    for a, b in zip(src.tuple, dst.tuple):
-        if pinned.get(a, b) != b:
-            return None
-        pinned[a] = b
+    pinned = _tuple_pins(src.tuple, dst.tuple)
+    if pinned is None:
+        return None
     return _HomSearch(src.structure, dst.structure, pinned).first()
 
 
@@ -565,78 +537,50 @@ def homs_relation(
 # ---------------------------------------------------------------------------
 
 
-def _idempotent_power(h: dict[int, int]) -> dict[int, int]:
-    """h^k for the least k >= 1 with h^k idempotent.
-
-    h^k is idempotent exactly when k is at least every tail length of h's
-    functional graph and a multiple of every cycle length, so k is the least
-    multiple of the lcm of the cycle lengths that is at least the longest
-    tail; h^k is then taken by repeated squaring.
-    """
-    depth: dict[int, int] = {}
-    cycle_lcm = 1
-    for x in h:
-        path: list[int] = []
-        index: dict[int, int] = {}
-        y = x
-        while y not in depth and y not in index:
-            index[y] = len(path)
-            path.append(y)
-            y = h[y]
-        if y in index:
-            start = index[y]
-            cycle_lcm = math.lcm(cycle_lcm, len(path) - start)
-            for z in path[start:]:
-                depth[z] = 0
-            del path[start:]
-        d = depth[y]
-        for z in reversed(path):
-            d += 1
-            depth[z] = d
-    tail = max(depth.values(), default=0)
-    k = max(1, -(-tail // cycle_lcm)) * cycle_lcm
-    power = {x: x for x in h}
-    base = dict(h)
-    while k:
-        if k & 1:
-            power = {x: base[power[x]] for x in h}
-        base = {x: base[base[x]] for x in h}
-        k >>= 1
-    return power
-
-
-def _noninjective_endomorphism(a: Structure) -> Optional[dict[int, int]]:
-    """Some endomorphism identifying at least two elements, or None.
+def _noninjective_endomorphism(a: OpenStructure) -> Optional[dict[int, int]]:
+    """Some endomorphism of ``a`` (fixing its tuple) that identifies at
+    least two elements, or None.
 
     Searched pair by pair in sorted order; a hit is turned into a hom of the
     quotient structure back into ``a``.
     """
-    for x, y in itertools.combinations(a.universe, 2):
-        quotient = a.apply_map({y: x})
-        g = _HomSearch(quotient, a, {}).first()
+    universe = a.structure.universe
+    for x, y in itertools.combinations(universe, 2):
+        pinned = _tuple_pins([x if e == y else e for e in a.tuple], a.tuple)
+        if pinned is None:
+            continue
+        g = _HomSearch(a.structure.apply_map({y: x}), a.structure, pinned).first()
         if g is not None:
-            return {e: g[x if e == y else e] for e in a.universe}
+            return {e: g[x if e == y else e] for e in universe}
     return None
 
 
-def compute_core(value: OpenStructure, cap_universe: Optional[int] = None) -> OpenStructure:
-    """A core of aug(value), returned as an open structure.
+def _periodic_points(h: Mapping[int, int]) -> set[int]:
+    """The elements on cycles of ``h``: the image of its idempotent powers."""
+    kept = set(h)
+    while (image := {h[x] for x in kept}) != kept:
+        kept = image
+    return kept
 
-    Greedy iterated retraction: repeatedly find a non-injective endomorphism,
-    pass to the image of its idempotent power, and stop at the fixpoint.  At
-    the fixpoint every endomorphism is injective, which is exactly the
-    no-proper-retraction condition.
+
+def compute_core(value: OpenStructure, cap_universe: Optional[int] = None) -> OpenStructure:
+    """A core of the open structure ``value``: a retract with the same tuple
+    all of whose endomorphisms (fixing the tuple) are injective.
+
+    Greedy iterated retraction: repeatedly find a non-injective endomorphism
+    h and pass to the induced substructure on h's periodic points, the
+    elements on cycles of h.  Some power of h is idempotent, is the identity
+    on exactly those points and maps every element onto them, so that
+    substructure is a retract.  At the fixpoint every endomorphism is
+    injective, which is exactly the no-proper-retraction condition.
     """
-    aug = value.augmented()
-    if cap_universe is not None and len(aug.universe) > cap_universe:
+    if cap_universe is not None and len(value.structure.universe) > cap_universe:
         raise ResourceCapError(
-            f"core search capped at universe {cap_universe}, got {len(aug.universe)}"
+            f"core search capped at universe {cap_universe}, got {len(value.structure.universe)}"
         )
-    current = aug
+    current = value
     while True:
         h = _noninjective_endomorphism(current)
         if h is None:
-            break
-        f = _idempotent_power(h)
-        current = current.apply_map(f)
-    return split_augmented(current)
+            return current
+        current = OpenStructure(current.structure.restrict(_periodic_points(h)), current.tuple)

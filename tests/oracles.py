@@ -5,8 +5,9 @@ The oracles are written from the definitions, with no shortcuts: maps are
 enumerated exhaustively, LP optima are recomputed from basic solutions, and
 decompositions are enumerated in canonical form.  Slow by design; only run
 at small sizes.  The test-only helpers at the end (the keys-file writer,
-M(D), whether a chase merged anything, and the isomorphism check) are built
-on the library.
+M(D), whether a chase merged anything, the isomorphism check and the core
+reference that carries the output tuple as a relation) are built on the
+library.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from spjopt.plans import (
     _Tokens,
 )
 from spjopt.represent import PDecomposition, PRepresentation
+from spjopt.structures import _HomSearch
 from spjopt.simplex import LpResult
 from spjopt.synthesis import _assemble_plan
 
@@ -248,10 +250,16 @@ def brute_isomorphic(a: OpenStructure, b: OpenStructure) -> bool:
     return False
 
 
-def has_proper_retraction(aug: Structure) -> bool:
-    """Exhaustive: is there an idempotent non-surjective endomorphism?"""
-    for h in brute_homs(aug, aug):
-        if len(set(h.values())) < len(aug.universe) and all(h[h[x]] == h[x] for x in h):
+def has_proper_retraction(a: OpenStructure) -> bool:
+    """Exhaustive: is there an idempotent non-surjective endomorphism of
+    ``a`` that fixes every entry of its tuple?"""
+    s = a.structure
+    for h in brute_homs(s, s):
+        if (
+            len(set(h.values())) < len(s.universe)
+            and all(h[h[x]] == h[x] for x in h)
+            and all(h[e] == e for e in a.tuple)
+        ):
             return True
     return False
 
@@ -512,18 +520,14 @@ def char_loop_tokens(text: str) -> list[tuple[str, str, int, int]]:
     return tokens
 
 
-def _join_is_well_behaved_per_occurrence(join: Join, signature, strict_theta: bool) -> bool:
+def _join_is_well_behaved_per_occurrence(join: Join, signature) -> bool:
     arities = [arity_of(c, signature) for c in join.children]
     m1 = arities[0]
     s = sum(arities)
-    if strict_theta:
-        def equated(i, j):
-            return i == j or (i, j) in join.theta or (j, i) in join.theta
-    else:
-        classes = _column_classes(join.theta, s)
+    classes = _column_classes(join.theta, s)
 
-        def equated(i, j):
-            return classes[i] == classes[j]
+    def equated(i, j):
+        return classes[i] == classes[j]
 
     base = list(range(1, m1 + 1))
     for k in range(1, s + 1):
@@ -536,20 +540,18 @@ def _join_is_well_behaved_per_occurrence(join: Join, signature, strict_theta: bo
     return s == m1
 
 
-def is_well_behaved_per_occurrence(plan: Plan, signature, strict_theta: bool = False):
+def is_well_behaved_per_occurrence(plan: Plan, signature):
     """``is_well_behaved`` with every join occurrence checked on its own."""
     for _, node in subplans(plan):
-        if isinstance(node, Join) and not _join_is_well_behaved_per_occurrence(
-            node, signature, strict_theta
-        ):
+        if isinstance(node, Join) and not _join_is_well_behaved_per_occurrence(node, signature):
             return False, node
     return True, None
 
 
-def evaluate_well_behaved_per_occurrence(plan: Plan, data: Structure, strict_theta: bool = False) -> EvalTrace:
+def evaluate_well_behaved_per_occurrence(plan: Plan, data: Structure) -> EvalTrace:
     """The well-behaved evaluator with every subplan occurrence evaluated on
     its own, recursively: the reference for the shared evaluation."""
-    ok, offender = is_well_behaved_per_occurrence(plan, data.signature, strict_theta)
+    ok, offender = is_well_behaved_per_occurrence(plan, data.signature)
     if not ok:
         raise WellBehavedError(f"plan is not well-behaved at {print_plan(offender)}")
     validate_plan(plan, data.signature)
@@ -1135,3 +1137,40 @@ def _with_distinctness(value: OpenStructure) -> OpenStructure:
     relations[name] = itertools.permutations(s.universe, 2)
     structure = Structure(s.signature.extend({name: 2}), s.universe, relations, s.names)
     return OpenStructure(structure, value.tuple)
+
+
+def smallest_idempotent_power(h: Mapping[int, int]) -> dict[int, int]:
+    """h^k for the least k >= 1 with h^k idempotent, by composing h until
+    the power is idempotent."""
+    f = dict(h)
+    while any(f[f[x]] != f[x] for x in f):
+        f = {x: h[f[x]] for x in f}
+    return f
+
+
+def augmented_core(value: OpenStructure) -> OpenStructure:
+    """A core of ``value`` computed on the closed structure that carries the
+    tuple as one extra relation: retract it by the smallest idempotent power
+    of each non-injective endomorphism, then split the relation off again.
+    Pairs are tried in the order of ``compute_core``, so both pick the same
+    retractions and return equal bytes, names included."""
+    base = value.structure
+    name = "out"
+    while name in base.signature:
+        name += "_"
+    rels = {**base.relations, name: [value.tuple]}
+    current = Structure(
+        base.signature.extend({name: len(value.tuple)}), base.universe, rels, base.names
+    )
+    while True:
+        for x, y in itertools.combinations(current.universe, 2):
+            g = _HomSearch(current.apply_map({y: x}), current, {}).first()
+            if g is not None:
+                h = {e: g[x if e == y else e] for e in current.universe}
+                current = current.apply_map(smallest_idempotent_power(h))
+                break
+        else:
+            break
+    (out_tuple,) = current.relations[name]
+    rels = {n: rows for n, rows in current.relations.items() if n != name}
+    return OpenStructure(Structure(base.signature, current.universe, rels, current.names), out_tuple)

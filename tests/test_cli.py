@@ -1,6 +1,7 @@
 """File formats and the command-line front end."""
 
 import json
+import re
 
 import pytest
 
@@ -313,6 +314,33 @@ def test_cli_malformed_structure_exits_2(change, tmp_path, capsys):
     code, out, err = run(capsys, "chase", "--data", tmp_path / "bad.json")
     assert (code, out) == (2, "")
     assert err.startswith("spjopt: bad structure document: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("arity", [2.5, True, "2"], ids=["fraction", "bool", "string"])
+def test_cli_non_integer_arity_exits_2(arity, tmp_path, capsys):
+    (tmp_path / "bad.json").write_text(json.dumps({**DATA, "signature": {"E": arity}}))
+    code, out, err = run(capsys, "chase", "--data", tmp_path / "bad.json")
+    assert (code, out) == (2, "")
+    assert err.startswith("spjopt: bad structure document: ") and "Traceback" not in err
+
+
+def test_cli_relation_names_of_the_form_r_digits_are_ordinary(workdir, tmp_path, capsys):
+    """Names such as ``R3`` were once reserved; they now behave like any
+    other name, byte for byte."""
+    (tmp_path / "r3.plan").write_text(re.sub(r"\bE\b", "R3", TRI_PLAN))
+    for argv in (["optimize"], ["core"], ["degree"], ["witness", "--n", "1,2"]):
+        code_e, out_e, _ = run(capsys, *argv, "--plan", workdir / "tri.plan")
+        code_r3, out_r3, _ = run(capsys, *argv, "--plan", tmp_path / "r3.plan")
+        assert code_e == code_r3 == 0, argv
+        assert out_r3 == re.sub(r"\bE\b", "R3", out_e), argv
+    doc = {"signature": {"R0": 2}, "universe": ["a", "b"], "relations": {"R0": [["a", "b"]]}}
+    (tmp_path / "r0.json").write_text(json.dumps(doc))
+    assert run(capsys, "chase", "--data", tmp_path / "r0.json")[0] == 0
+
+
+@pytest.mark.parametrize("switch", [["--seed", "1"], ["--strict-theta"]])
+def test_cli_removed_switches_are_unknown_options(switch, workdir, capsys):
+    assert run(capsys, "check", "--plan", workdir / "tri.plan", *switch)[0] == 1
 
 
 def test_cli_deep_plans_need_no_recursion(tmp_path, capsys):

@@ -5,8 +5,8 @@ The inputs are the triangle, a keyed two-atom path and a few fixed-seed
 random plans from ``conftest``, each with a key-satisfying database.  Every
 subcommand and ``--format`` variant is run on them, plus the usage errors.
 The directed 4- and 5-cycles projected to one column, under ``key E 1``,
-pin the keyed pipeline: ``optimize``, ``degree``, ``decompose`` and
-``witness`` on them.
+pin the keyed pipeline: ``optimize``, ``degree``, ``core``, ``decompose``
+and ``witness`` on them.
 ``--help`` is left out: argparse's help layout differs between Python
 versions.
 
@@ -120,6 +120,7 @@ def _cases(names: list[str]) -> dict[str, list[str]]:
             f"cycle{n}/optimize/json": ["optimize", *pk],
             f"cycle{n}/optimize/text": ["optimize", *pk, "--format", "text"],
             f"cycle{n}/degree": ["degree", *pk],
+            f"cycle{n}/core": ["core", *pk],
             f"cycle{n}/decompose": ["decompose", *pk],
             f"cycle{n}/witness": ["witness", *pk, "--n", "1,2"],
             f"cycle{n}/cap": ["optimize", *pk, "--cap-universe", "2"],

@@ -206,15 +206,15 @@ def test_well_behaved_examples():
 
 def test_well_behaved_closure_vs_strict():
     # Columns 3..7 form an identification chain anchored at column 1; under
-    # the closure reading they all carry old information, but no single
-    # column k makes every other one directly equated into [m1] + {k}.
+    # the closure reading, the only one, they all carry old information,
+    # although no single column k makes every other one directly equated
+    # into [m1] + {k} by a pair written in theta.
     p = parse_plan(
         "(join (theta (1 3) (3 4) (4 5) (5 6) (6 7)) R"
         + " (project (cols 1) S)" * 5 + ")",
         SIG,
     )
     assert is_well_behaved(p, SIG)[0]
-    assert not is_well_behaved(p, SIG, strict_theta=True)[0]
 
 
 def test_selection_is_a_one_way_join():
@@ -374,11 +374,10 @@ def test_is_well_behaved_matches_per_occurrence_oracle(rng):
         plan = rand_plan(rng, sig, max_operators=6)
         m = validate_plan(plan, sig)
         for p in (plan, Join(theta_of([(1, m + 1)] if m else []), (plan, plan))):
-            for strict in (False, True):
-                ok, offender = is_well_behaved(p, sig, strict)
-                want_ok, want_offender = is_well_behaved_per_occurrence(p, sig, strict)
-                assert ok == want_ok
-                assert offender is want_offender
+            ok, offender = is_well_behaved(p, sig)
+            want_ok, want_offender = is_well_behaved_per_occurrence(p, sig)
+            assert ok == want_ok
+            assert offender is want_offender
 
 
 def test_shared_evaluation_matches_per_occurrence_oracle(rng):
@@ -431,20 +430,16 @@ def _random_digraph(rng, vertices, out_degree):
 
 
 def _assert_kernel_matches_old_chain(plan, data):
-    """The compiled kernel and the old chain agree under both readings of
-    theta; returns how many readings found the plan well-behaved."""
-    checked = 0
-    for strict in (False, True):
-        if not is_well_behaved(plan, data.signature, strict)[0]:
-            with pytest.raises(WellBehavedError):
-                evaluate_well_behaved(plan, data, strict)
-            continue
-        _assert_same_trace(
-            evaluate_well_behaved(plan, data, strict),
-            evaluate_well_behaved_per_occurrence(plan, data, strict),
-        )
-        checked += 1
-    return checked
+    """The compiled kernel and the old chain agree; returns whether the plan
+    is well-behaved (if not, the kernel must refuse it)."""
+    if not is_well_behaved(plan, data.signature)[0]:
+        with pytest.raises(WellBehavedError):
+            evaluate_well_behaved(plan, data)
+        return False
+    _assert_same_trace(
+        evaluate_well_behaved(plan, data), evaluate_well_behaved_per_occurrence(plan, data)
+    )
+    return True
 
 
 def test_join_kernel_matches_old_chain_on_triangle_witnesses():
@@ -456,7 +451,7 @@ def test_join_kernel_matches_old_chain_on_triangle_witnesses():
     for n in range(1, 11):
         data = family.generate(n)
         for plan in plans_:
-            assert _assert_kernel_matches_old_chain(plan, data) == 2
+            assert _assert_kernel_matches_old_chain(plan, data)
     assert len(data.relations["E"]) >= 100
 
 
@@ -468,8 +463,8 @@ def test_join_kernel_matches_old_chain_on_pattern_plans(name, edges):
     for vertices, out_degree in ((10, 3), (8, 4)):
         data = _random_digraph(rng, vertices, out_degree)
         assert len(data.relations["E"]) >= 30
-        assert _assert_kernel_matches_old_chain(synthesized, data) >= 1
-        assert _assert_kernel_matches_old_chain(pattern, data) == 0
+        assert _assert_kernel_matches_old_chain(synthesized, data)
+        assert not _assert_kernel_matches_old_chain(pattern, data)
 
 
 @pytest.mark.parametrize("text", [
@@ -493,7 +488,7 @@ def test_join_kernel_matches_old_chain_on_edge_cases(text, rng):
     assert is_well_behaved(plan, sig)[0]
     for trial in range(40):
         data = rand_structure(rng, sig, max_domain=3, max_rows=0 if trial == 0 else 8)
-        assert _assert_kernel_matches_old_chain(plan, data) >= 1
+        assert _assert_kernel_matches_old_chain(plan, data)
 
 
 def test_evaluate_naive_matches_recursive_oracle(rng):
