@@ -170,62 +170,41 @@ def plan_size(plan: Plan) -> int:
 # Parsing and printing
 # ---------------------------------------------------------------------------
 
-# One scan classifies every token; blanks and ``;`` comments match without a
-# group.  A word is a maximal run of other characters, so an integer or a
-# name must end at a delimiter, and any other word is a bad token.
-_TOKEN = re.compile(
-    r"[ \t\r\n]+|;[^\n]*"
-    r"|([()])"
-    r"|(-?[0-9]+)(?![^ \t\r\n();])"
-    r"|([A-Za-z_][A-Za-z0-9_]*)(?![^ \t\r\n();])"
-    r"|([^ \t\r\n();]+)"
-)
-_KIND = {2: "int", 3: "name"}
-_EOF = ("eof", "", -1)
+# A word is a ``;`` comment, a parenthesis or a maximal run of other
+# non-blank characters; an integer or a name must be a whole word, and any
+# other run is a bad token.
+_WORD = re.compile(r";[^\n]*|[()]|[^ \t\r\n();]+")
+_INT = re.compile(r"-?[0-9]+")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# Operator name -> its class and the keyword of its parameter list.
+_HEADS = {"select": (Select, "theta"), "project": (Project, "cols"), "join": (Join, "theta")}
 
 
-class _Tokens:
-    """The tokens of a plan text as (kind, value, offset); line and column
-    are worked out from the offset only when an error is reported."""
+def _words(text: str) -> list[str]:
+    """The tokens of a plan text, comments dropped."""
+    words = _WORD.findall(text)
+    return [w for w in words if w[0] != ";"] if ";" in text else words
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        for m in _TOKEN.finditer(text):
-            group = m.lastindex
-            if group is None:
-                continue
-            value = m.group(group)
-            if group == 4:
-                raise self.error(f"bad token {value!r}", ("name", value, m.start()))
-            self.tokens.append((value if group == 1 else _KIND[group], value, m.start()))
-        self.pos = 0
 
-    def error(self, message: str, tok) -> PlanSyntaxError:
-        """The error for ``tok``, at its 1-based line and column (-1, -1 at
-        the end of the input)."""
-        offset = tok[2]
-        if offset < 0:
-            return PlanSyntaxError(message, -1, -1)
-        line = self.text.count("\n", 0, offset) + 1
-        return PlanSyntaxError(message, line, offset - self.text.rfind("\n", 0, offset))
+def _word_kind(word: str) -> Optional[str]:
+    """``(``, ``)``, ``int`` or ``name``; None for a bad token."""
+    if word == "(" or word == ")":
+        return word
+    if _INT.fullmatch(word):
+        return "int"
+    return "name" if _NAME.fullmatch(word) else None
 
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return _EOF
 
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect(self, kind, value=None):
-        tok = self.next()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            want = value or kind
-            raise self.error(f"expected {want!r}, got {tok[1]!r}", tok)
-        return tok
+def _syntax_error(text: str, index: int, message: str) -> PlanSyntaxError:
+    """The error at the ``index``-th token of :func:`_words`, at its 1-based
+    line and column (-1, -1 past the last token)."""
+    words = (m for m in _WORD.finditer(text) if m.group()[0] != ";")
+    match = next(itertools.islice(words, index, None), None)
+    if match is None:
+        return PlanSyntaxError(message, -1, -1)
+    offset = match.start()
+    line = text.count("\n", 0, offset) + 1
+    return PlanSyntaxError(message, line, offset - text.rfind("\n", 0, offset))
 
 
 def parse_plan(text: str, signature: Optional[Signature] = None) -> Plan:
@@ -237,78 +216,104 @@ def parse_plan(text: str, signature: Optional[Signature] = None) -> Plan:
       PAIR := (INT INT)
 
     With a signature, arity violations and unknown relations are rejected.
-    The operators still waiting for a child or their ``)`` are kept on an
-    explicit stack, so nesting depth is bounded only by memory.
+    A bad token anywhere is reported before any grammar error.
+
+    One loop reads the tokens; the operators still waiting for a child or
+    their ``)`` are kept on an explicit stack, so nesting depth is bounded
+    only by memory.  Every completed node is interned under the key of
+    :func:`number_subplans`, and nodes complete in its post-order: equal
+    subtrees become one object, and the signature is checked once per
+    distinct subplan.
     """
-    toks = _Tokens(text)
-    # (operator, theta or columns, children parsed so far)
-    open_ops: list[tuple[str, object, list[Plan]]] = []
+    words = _words(text)
+    kinds = {w: _word_kind(w) for w in set(words)}
+    if None in kinds.values():
+        index = next(i for i, w in enumerate(words) if kinds[w] is None)
+        raise _syntax_error(text, index, f"bad token {words[index]!r}")
+    # End-of-input sentinels: a read never runs past them, and "" is the
+    # value an error reports there.
+    words += [""] * 4
+    kinds[""] = "eof"
+    table: dict[tuple, int] = {}
+    distinct: list[tuple[Plan, tuple[int, ...]]] = []
+    # (operator class, theta or columns, numbers of the children parsed so far)
+    open_ops: list[tuple[type, object, list[int]]] = []
+    i = 0
     while True:
-        tok = toks.next()
-        kind, value, _ = tok
-        if kind == "(":
-            head = toks.expect("name")
-            op = head[1]
-            if op == "project":
-                open_ops.append((op, _parse_cols(toks), []))
-            elif op in ("select", "join"):
-                open_ops.append((op, _parse_theta(toks), []))
+        word = words[i]
+        if word == "(":
+            head = words[i + 1]
+            if head not in _HEADS:
+                if kinds[head] == "name":
+                    raise _syntax_error(text, i + 1, f"unknown operator {head!r}")
+                raise _syntax_error(text, i + 1, f"expected 'name', got {head!r}")
+            cls, label = _HEADS[head]
+            if words[i + 2] != "(":
+                raise _syntax_error(text, i + 2, f"expected '(', got {words[i + 2]!r}")
+            if words[i + 3] != label:
+                raise _syntax_error(text, i + 3, f"expected {label!r}, got {words[i + 3]!r}")
+            i += 4
+            if cls is Project:
+                cols = []
+                while kinds[words[i]] == "int":
+                    cols.append(int(words[i]))
+                    i += 1
+                open_ops.append((cls, tuple(cols), []))
             else:
-                raise toks.error(f"unknown operator {op!r}", head)
+                pairs = []
+                while words[i] == "(":
+                    j, k = words[i + 1], words[i + 2]
+                    if kinds[j] != "int":
+                        raise _syntax_error(text, i + 1, f"expected 'int', got {j!r}")
+                    if kinds[k] != "int":
+                        raise _syntax_error(text, i + 2, f"expected 'int', got {k!r}")
+                    if words[i + 3] != ")":
+                        raise _syntax_error(text, i + 3, f"expected ')', got {words[i + 3]!r}")
+                    pairs.append((int(j), int(k)))
+                    i += 4
+                open_ops.append((cls, frozenset(pairs), []))
+            if words[i] != ")":
+                raise _syntax_error(text, i, f"expected ')', got {words[i]!r}")
+            i += 1
             continue
-        if kind != "name":
-            raise toks.error(f"expected plan, got {value!r}", tok)
-        plan: Plan = Basic(value)
+        if kinds[word] != "name":
+            raise _syntax_error(text, i, f"expected plan, got {word!r}")
+        i += 1
+        key: tuple = (Basic, word, ())
+        number = table.get(key)
+        if number is None:
+            number = table[key] = len(distinct)
+            distinct.append((Basic(word), ()))
         # Close every operator that this plan completes; a join may take
         # another child instead.
         while open_ops:
-            op, param, children = open_ops[-1]
-            children.append(plan)
-            if op == "join" and toks.peek()[0] != ")":
-                break
-            toks.expect(")")
+            cls, param, kids = open_ops[-1]
+            kids.append(number)
+            if words[i] != ")":
+                if cls is Join:
+                    break
+                raise _syntax_error(text, i, f"expected ')', got {words[i]!r}")
+            i += 1
             open_ops.pop()
-            if op == "select":
-                plan = Select(param, children[0])
-            elif op == "project":
-                plan = Project(param, children[0])
-            else:
-                plan = Join(param, tuple(children))
+            key = (cls, param, tuple(kids))
+            number = table.get(key)
+            if number is None:
+                number = table[key] = len(distinct)
+                if cls is Join:
+                    node = Join(param, tuple(distinct[k][0] for k in kids))
+                else:
+                    node = cls(param, distinct[kids[0]][0])
+                distinct.append((node, key[2]))
         if not open_ops:
             break
-    trailing = toks.peek()
-    if trailing[0] != "eof":
-        raise toks.error(f"trailing input {trailing[1]!r}", trailing)
+    if words[i]:
+        raise _syntax_error(text, i, f"trailing input {words[i]!r}")
     if signature is not None:
         try:
-            validate_plan(plan, signature)
+            _arities(distinct, signature)
         except SignatureError as exc:
             raise PlanSyntaxError(str(exc)) from exc
-    return plan
-
-
-def _parse_theta(toks: _Tokens) -> frozenset:
-    toks.expect("(")
-    toks.expect("name", "theta")
-    pairs = []
-    while toks.peek()[0] == "(":
-        toks.expect("(")
-        j = int(toks.expect("int")[1])
-        k = int(toks.expect("int")[1])
-        toks.expect(")")
-        pairs.append((j, k))
-    toks.expect(")")
-    return theta_of(pairs)
-
-
-def _parse_cols(toks: _Tokens) -> tuple[int, ...]:
-    toks.expect("(")
-    toks.expect("name", "cols")
-    cols = []
-    while toks.peek()[0] == "int":
-        cols.append(int(toks.next()[1]))
-    toks.expect(")")
-    return tuple(cols)
+    return distinct[number][0]
 
 
 def plan_texts(distinct: list[tuple[Plan, tuple[int, ...]]]) -> list[str]:
@@ -409,32 +414,43 @@ class TraceEntry:
 
 @dataclass
 class EvalTrace:
-    """Per-subplan outputs in post-order (root last), plus aggregates.
+    """What an evaluator computed: ``numbering``, the evaluated plan's
+    :func:`number_subplans`, and ``rows``, the output rows per number, the
+    root's last.
 
     ``max_intermediate`` is the maximum cardinality over subplan outputs,
     the finite-instance counterpart of intermediate degree.  The
     well-behaved evaluator additionally reports ``internal_peak``, the
-    largest relation its binary-join chains ever materialize.
-    ``numbering`` is the evaluated plan's :func:`number_subplans`.
+    largest relation its binary-join chains ever materialize.  The
+    per-occurrence ``entries`` and ``texts`` are built on first access.
     """
 
-    entries: list[TraceEntry] = field(default_factory=list)
+    numbering: tuple = ((), ())
+    rows: list[frozenset] = field(default_factory=list)
     wall_time: float = 0.0
     internal_peak: int = 0
-    numbering: tuple = ((), ())
 
     @property
     def output(self) -> frozenset:
-        return self.entries[-1].rows
+        return self.rows[-1]
 
     @property
     def max_intermediate(self) -> int:
-        return max((e.cardinality for e in self.entries), default=0)
+        return max(map(len, self.rows), default=0)
+
+    @functools.cached_property
+    def entries(self) -> list[TraceEntry]:
+        """One entry per occurrence, in post-order (root last); the
+        occurrences of one subplan share its rows."""
+        numbers, distinct = self.numbering
+        return [
+            TraceEntry(path, distinct[n][0], self.rows[n])
+            for path, n in zip(occurrence_paths(distinct), numbers)
+        ]
 
     @functools.cached_property
     def texts(self) -> list[str]:
-        """Each entry's subplan, printed from the evaluator's numbering;
-        computed on first access, after evaluation."""
+        """Each entry's subplan, printed from the evaluator's numbering."""
         numbers, distinct = self.numbering
         texts = plan_texts(distinct)
         return [texts[n] for n in numbers]
@@ -446,32 +462,18 @@ def _select_rows(rows, theta):
     )
 
 
-def _fill_trace(trace: EvalTrace, numbering: tuple, rows_of: list[frozenset], start: float) -> EvalTrace:
-    """Give ``trace`` one entry per occurrence of ``numbering``, each with
-    the rows of its number, and the wall time since ``start``."""
-    numbers, distinct = numbering
-    trace.entries = [
-        TraceEntry(path, distinct[n][0], rows_of[n])
-        for path, n in zip(occurrence_paths(distinct), numbers)
-    ]
-    trace.numbering = numbering
-    trace.wall_time = time.perf_counter() - start
-    return trace
-
-
 def evaluate_naive(plan: Plan, data: Structure) -> EvalTrace:
     """Reference evaluator: the four inductive cases, verbatim.
 
     Joins materialize the cross product lazily and filter by theta, so the
     running time (not the memory) is proportional to the product size.
-    Each distinct subplan (see :func:`number_subplans`) is evaluated once;
-    the trace has one entry per occurrence.
+    Each distinct subplan (see :func:`number_subplans`) is evaluated once.
     """
-    numbering = number_subplans(plan)
-    _arities(numbering[1], data.signature)  # raises on an ill-formed plan
+    trace = EvalTrace(number_subplans(plan))
+    _arities(trace.numbering[1], data.signature)  # raises on an ill-formed plan
     start = time.perf_counter()
-    rows_of: list[frozenset] = []
-    for node, kids in numbering[1]:
+    rows_of = trace.rows
+    for node, kids in trace.numbering[1]:
         if isinstance(node, Basic):
             rows = data.relations[node.relation]
         elif isinstance(node, Select):
@@ -487,7 +489,8 @@ def evaluate_naive(plan: Plan, data: Structure) -> EvalTrace:
                 if all(flat[j - 1] == flat[k - 1] for j, k in theta)
             )
         rows_of.append(rows)
-    return _fill_trace(EvalTrace(), numbering, rows_of, start)
+    trace.wall_time = time.perf_counter() - start
+    return trace
 
 
 def _getter(positions) -> operator.itemgetter:
@@ -510,8 +513,6 @@ def evaluate_well_behaved(plan: Plan, data: Structure) -> EvalTrace:
     """Evaluator for well-behaved plans.
 
     Each distinct subplan (see :func:`number_subplans`) is evaluated once.
-    The trace still has one entry per occurrence, and the occurrences of
-    one subplan share its rows.
 
     Multiway joins run as a left-deep chain of binary hash joins over the
     columns' theta-closure classes.  The chain carries one value per
@@ -519,15 +520,14 @@ def evaluate_well_behaved(plan: Plan, data: Structure) -> EvalTrace:
     |out(q1, D)| x |dom(D)| rows.  Each operator compiles its column
     positions into ``itemgetter``s once, not once per row.
     """
-    numbering = number_subplans(plan)
-    distinct = numbering[1]
+    trace = EvalTrace(number_subplans(plan))
+    distinct = trace.numbering[1]
     arities = _arities(distinct, data.signature)
     offender = _first_offending_join(distinct, arities)
     if offender is not None:
         raise WellBehavedError(f"plan is not well-behaved at {print_plan(offender)}")
-    trace = EvalTrace()
     start = time.perf_counter()
-    rows_of: list[frozenset] = []
+    rows_of = trace.rows
     for node, kids in distinct:
         if isinstance(node, Basic):
             rows = data.relations[node.relation]
@@ -539,7 +539,8 @@ def evaluate_well_behaved(plan: Plan, data: Structure) -> EvalTrace:
         else:
             rows = _join_chain(node, [rows_of[k] for k in kids], [arities[k] for k in kids], trace)
         rows_of.append(rows)
-    return _fill_trace(trace, numbering, rows_of, start)
+    trace.wall_time = time.perf_counter() - start
+    return trace
 
 
 def _join_chain(node: Join, outs: list[frozenset], arities: list[int], trace: EvalTrace) -> frozenset:

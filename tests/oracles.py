@@ -48,14 +48,11 @@ from spjopt.plans import (
     Plan,
     Project,
     Select,
-    TraceEntry,
     _check_theta,
     _column_classes,
-    _parse_cols,
-    _parse_theta,
     _print_theta,
     _select_rows,
-    _Tokens,
+    theta_of,
 )
 from spjopt.represent import PDecomposition, PRepresentation
 from spjopt.structures import _HomSearch
@@ -134,6 +131,64 @@ def alpha(plan: Plan) -> dict[tuple[int, ...], int]:
     return {path: i for i, (path, _) in enumerate(subplans(plan))}
 
 
+# One scan classifies every token; blanks and ``;`` comments match without a
+# group.  A word is a maximal run of other characters, so an integer or a
+# name must end at a delimiter, and any other word is a bad token.
+_TOKEN = re.compile(
+    r"[ \t\r\n]+|;[^\n]*"
+    r"|([()])"
+    r"|(-?[0-9]+)(?![^ \t\r\n();])"
+    r"|([A-Za-z_][A-Za-z0-9_]*)(?![^ \t\r\n();])"
+    r"|([^ \t\r\n();]+)"
+)
+_KIND = {2: "int", 3: "name"}
+_EOF = ("eof", "", -1)
+
+
+class _Tokens:
+    """The tokens of a plan text as (kind, value, offset); line and column
+    are worked out from the offset only when an error is reported."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens: list[tuple[str, str, int]] = []
+        for m in _TOKEN.finditer(text):
+            group = m.lastindex
+            if group is None:
+                continue
+            value = m.group(group)
+            if group == 4:
+                raise self.error(f"bad token {value!r}", ("name", value, m.start()))
+            self.tokens.append((value if group == 1 else _KIND[group], value, m.start()))
+        self.pos = 0
+
+    def error(self, message: str, tok) -> PlanSyntaxError:
+        """The error for ``tok``, at its 1-based line and column (-1, -1 at
+        the end of the input)."""
+        offset = tok[2]
+        if offset < 0:
+            return PlanSyntaxError(message, -1, -1)
+        line = self.text.count("\n", 0, offset) + 1
+        return PlanSyntaxError(message, line, offset - self.text.rfind("\n", 0, offset))
+
+    def peek(self):
+        if self.pos < len(self.tokens):
+            return self.tokens[self.pos]
+        return _EOF
+
+    def next(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def expect(self, kind, value=None):
+        tok = self.next()
+        if tok[0] != kind or (value is not None and tok[1] != value):
+            want = value or kind
+            raise self.error(f"expected {want!r}, got {tok[1]!r}", tok)
+        return tok
+
+
 def parse_plan(text: str, signature: Optional[Signature] = None) -> Plan:
     """Parse the s-expression plan grammar.
 
@@ -184,6 +239,30 @@ def _parse_node(toks: _Tokens) -> Plan:
         toks.expect(")")
         return Join(theta, tuple(children))
     raise toks.error(f"unknown operator {op!r}", head)
+
+
+def _parse_theta(toks: _Tokens) -> frozenset:
+    toks.expect("(")
+    toks.expect("name", "theta")
+    pairs = []
+    while toks.peek()[0] == "(":
+        toks.expect("(")
+        j = int(toks.expect("int")[1])
+        k = int(toks.expect("int")[1])
+        toks.expect(")")
+        pairs.append((j, k))
+    toks.expect(")")
+    return theta_of(pairs)
+
+
+def _parse_cols(toks: _Tokens) -> tuple[int, ...]:
+    toks.expect("(")
+    toks.expect("name", "cols")
+    cols = []
+    while toks.peek()[0] == "int":
+        cols.append(int(toks.next()[1]))
+    toks.expect(")")
+    return tuple(cols)
 
 
 def print_plan(plan: Plan) -> str:
@@ -548,6 +627,20 @@ def is_well_behaved_per_occurrence(plan: Plan, signature):
     return True, None
 
 
+def _record(
+    trace: EvalTrace, node: Plan, kids: tuple[int, ...], rows: frozenset
+) -> tuple[frozenset, int]:
+    """Give one occurrence of ``node``, whose children's occurrences have
+    the numbers ``kids``, the next number of ``trace`` and the rows
+    ``rows``; returns them.  The oracles number every occurrence on its
+    own, so no two occurrences share rows."""
+    numbers, distinct = trace.numbering
+    numbers.append(len(distinct))
+    distinct.append((node, kids))
+    trace.rows.append(rows)
+    return rows, numbers[-1]
+
+
 def evaluate_well_behaved_per_occurrence(plan: Plan, data: Structure) -> EvalTrace:
     """The well-behaved evaluator with every subplan occurrence evaluated on
     its own, recursively: the reference for the shared evaluation."""
@@ -555,24 +648,24 @@ def evaluate_well_behaved_per_occurrence(plan: Plan, data: Structure) -> EvalTra
     if not ok:
         raise WellBehavedError(f"plan is not well-behaved at {print_plan(offender)}")
     validate_plan(plan, data.signature)
-    trace = EvalTrace()
+    trace = EvalTrace(([], []))
     start = time.perf_counter()
 
-    def rec(node: Plan, path: tuple) -> frozenset:
+    def rec(node: Plan) -> tuple[frozenset, int]:
         if isinstance(node, Select):
-            rows = _select_rows(rec(node.child, path + (0,)), node.theta)
+            child, kid = rec(node.child)
+            rows, kids = _select_rows(child, node.theta), (kid,)
         elif isinstance(node, Project):
-            child = rec(node.child, path + (0,))
-            rows = frozenset(tuple(t[c - 1] for c in node.cols) for t in child)
+            child, kid = rec(node.child)
+            rows, kids = frozenset(tuple(t[c - 1] for c in node.cols) for t in child), (kid,)
         elif isinstance(node, Join):
-            rows = join_chain(node, path)
+            rows, kids = join_chain(node)
         else:
-            rows = data.relations[node.relation]
-        trace.entries.append(TraceEntry(path, node, rows))
-        return rows
+            rows, kids = data.relations[node.relation], ()
+        return _record(trace, node, kids, rows)
 
-    def join_chain(node: Join, path) -> frozenset:
-        outs = [rec(c, path + (i,)) for i, c in enumerate(node.children)]
+    def join_chain(node: Join) -> tuple[frozenset, tuple[int, ...]]:
+        outs, kids = zip(*[rec(c) for c in node.children])
         spans = []
         off = 0
         for c in node.children:
@@ -629,9 +722,9 @@ def evaluate_well_behaved_per_occurrence(plan: Plan, data: Structure) -> EvalTra
             trace.internal_peak = max(trace.internal_peak, len(current))
         return frozenset(
             tuple(row[bound[classes[col]]] for col in range(1, s + 1)) for row in current
-        )
+        ), kids
 
-    rec(plan, ())
+    rec(plan)
     trace.wall_time = time.perf_counter() - start
     return trace
 
@@ -640,19 +733,20 @@ def evaluate_naive_recursive(plan: Plan, data: Structure) -> EvalTrace:
     """The naive evaluator with every subplan occurrence evaluated on its
     own, recursively: the reference for the folded ``evaluate_naive``."""
     validate_plan(plan, data.signature)
-    trace = EvalTrace()
+    trace = EvalTrace(([], []))
     start = time.perf_counter()
 
-    def rec(node: Plan, path: tuple[int, ...]) -> frozenset:
+    def rec(node: Plan) -> tuple[frozenset, int]:
         if isinstance(node, Basic):
-            rows = data.relations[node.relation]
+            rows, kids = data.relations[node.relation], ()
         elif isinstance(node, Select):
-            rows = _select_rows(rec(node.child, path + (0,)), node.theta)
+            child, kid = rec(node.child)
+            rows, kids = _select_rows(child, node.theta), (kid,)
         elif isinstance(node, Project):
-            child = rec(node.child, path + (0,))
-            rows = frozenset(tuple(t[c - 1] for c in node.cols) for t in child)
+            child, kid = rec(node.child)
+            rows, kids = frozenset(tuple(t[c - 1] for c in node.cols) for t in child), (kid,)
         else:
-            outs = [rec(c, path + (i,)) for i, c in enumerate(node.children)]
+            outs, kids = zip(*[rec(c) for c in node.children])
             theta = node.theta
             rows = frozenset(
                 flat
@@ -660,10 +754,9 @@ def evaluate_naive_recursive(plan: Plan, data: Structure) -> EvalTrace:
                 for flat in (tuple(itertools.chain.from_iterable(combo)),)
                 if all(flat[j - 1] == flat[k - 1] for j, k in theta)
             )
-        trace.entries.append(TraceEntry(path, node, rows))
-        return rows
+        return _record(trace, node, kids, rows)
 
-    rec(plan, ())
+    rec(plan)
     trace.wall_time = time.perf_counter() - start
     return trace
 

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from spjopt import KeySet, OpenStructure, Signature, Structure, parse_plan
-from spjopt import cli, serialize
+from spjopt import cli, plans, serialize
 from spjopt.cli import main
 from spjopt.errors import FormatError
 from spjopt.serialize import (
@@ -161,6 +161,25 @@ def test_cli_evaluate(workdir, capsys):
     doc = json.loads(out)
     assert doc["evaluator"] == "naive"
     assert doc["cardinality"] == 16
+
+
+def test_cli_evaluate_numbers_once_and_builds_no_occurrence_trace(workdir, capsys, monkeypatch):
+    """A plain evaluate numbers its plan once, in the evaluator: the parser
+    validates over its own interned subplans.  Only --trace and --format
+    text build the per-occurrence entries."""
+    numberings, traces = [], []
+    number, evaluate = plans.number_subplans, cli.evaluate_well_behaved
+    monkeypatch.setattr(plans, "number_subplans", lambda plan: numberings.append(plan) or number(plan))
+    monkeypatch.setattr(
+        cli, "evaluate_well_behaved", lambda *args: traces.append(evaluate(*args)) or traces[-1]
+    )
+    argv = ("evaluate", "--plan", workdir / "tri.plan", "--data", workdir / "d.json")
+    assert run(capsys, *argv)[0] == 0
+    assert len(numberings) == 1
+    assert "entries" not in traces[-1].__dict__
+    for extra in (("--trace",), ("--format", "text")):
+        assert run(capsys, *argv, *extra)[0] == 0
+        assert "entries" in traces[-1].__dict__
 
 
 def test_cli_equiv(workdir, capsys):

@@ -115,17 +115,23 @@ def test_tokens_match_character_loop_oracle():
             expected = char_loop_tokens(text)
         except PlanSyntaxError as exc:
             with pytest.raises(PlanSyntaxError) as err:
-                plans._Tokens(text)
+                oracles._Tokens(text)
             assert (str(err.value), err.value.line, err.value.column) == (
                 str(exc), exc.line, exc.column
             )
             continue
-        toks = plans._Tokens(text)
+        toks = oracles._Tokens(text)
         got = []
         for tok in toks.tokens:
             where = toks.error("", tok)
             got.append((tok[0], tok[1], where.line, where.column))
         assert got == expected, repr(text)
+        # The parser's own scan: the same words, kinds and positions.
+        scanned = []
+        for index, word in enumerate(plans._words(text)):
+            where = plans._syntax_error(text, index, "")
+            scanned.append((plans._word_kind(word), word, where.line, where.column))
+        assert scanned == expected, repr(text)
         checked += 1
     assert checked >= 300
 
@@ -329,11 +335,36 @@ def _keyed_cycle(n):
     return parse_plan(text, SIG_E)
 
 
+def _synthesized_keyed_cycle_text(n):
+    return print_plan(optimize(_keyed_cycle(n), KeySet.unary({"E": 1}), SIG_E).plan)
+
+
 def _synthesized_keyed_cycle(n):
-    """The synthesized plan of the keyed n-cycle, printed and parsed again so
-    that repeated subtrees share only their structure, not their objects."""
-    result = optimize(_keyed_cycle(n), KeySet.unary({"E": 1}), SIG_E)
-    return parse_plan(print_plan(result.plan), SIG_E)
+    """The synthesized plan of the keyed n-cycle, printed and parsed again by
+    the oracle parser, which does not intern: repeated subtrees share only
+    their structure, not their objects."""
+    return oracles.parse_plan(_synthesized_keyed_cycle_text(n), SIG_E)
+
+
+def _object_count(plan):
+    """The number of distinct node objects reachable from ``plan``."""
+    seen, stack = set(), [plan]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(oracles.children_of(node))
+    return len(seen)
+
+
+def test_parse_interns_equal_subtrees():
+    text = _synthesized_keyed_cycle_text(7)
+    plan = parse_plan(text, SIG_E)
+    distinct = len(number_subplans(plan)[1])
+    assert _object_count(plan) == distinct
+    unshared = oracles.parse_plan(text, SIG_E)
+    assert unshared == plan
+    assert _object_count(unshared) == plans.plan_size(plan) > 10 * distinct
 
 
 def _functional_graph(rng, rows):
@@ -491,6 +522,29 @@ def test_join_kernel_matches_old_chain_on_edge_cases(text, rng):
         assert _assert_kernel_matches_old_chain(plan, data)
 
 
+def test_trace_aggregates_match_its_entries(rng):
+    """``output`` and ``max_intermediate`` read the per-subplan rows; the
+    per-occurrence entries, built only on access, agree with them."""
+    checked = {evaluate_naive: 0, evaluate_well_behaved: 0}
+    for _ in range(200):
+        sig = rand_signature(rng)
+        plan = rand_plan(rng, sig, max_operators=5)
+        m = validate_plan(plan, sig)
+        twice = Join(theta_of([(i, m + i) for i in range(1, m + 1)]), (plan, plan))
+        data = rand_structure(rng, sig, max_domain=4, max_rows=4)
+        for p in (plan, twice):
+            for evaluate in checked:
+                if evaluate is evaluate_well_behaved and not is_well_behaved(p, sig)[0]:
+                    continue
+                trace = evaluate(p, data)
+                assert "entries" not in trace.__dict__
+                assert trace.output == trace.entries[-1].rows
+                assert trace.max_intermediate == max(e.cardinality for e in trace.entries)
+                assert len(trace.entries) == len(subplans(p))
+                checked[evaluate] += 1
+    assert min(checked.values()) >= 100
+
+
 def test_evaluate_naive_matches_recursive_oracle(rng):
     for _ in range(300):
         sig = rand_signature(rng)
@@ -559,6 +613,44 @@ def test_parse_matches_recursive_oracle(rng):
             assert got == _outcome(oracles.parse_plan, text, sig), repr(text)
             parsed += not isinstance(got, tuple)
     assert parsed >= 600
+
+
+# Characters and words of plan texts, to corrupt well-formed ones with.
+_PLAN_CHARS = "()  \t\r\n;-0123RSTxy_#\u00e9"
+_PLAN_WORDS = [
+    "(", "(", ")", ")", "select", "project", "join", "theta", "cols",
+    "R", "S", "Q", "1", "2", "3", "-1", " ", "\n", "; c\n", "x$",
+]
+
+
+@st.composite
+def _plan_texts(draw):
+    """A random well-formed plan's text, possibly with a few characters or
+    words spliced in and a few cut out, or a random run of plan words; with
+    the plan's signature."""
+    rng = draw(st.randoms(use_true_random=False))
+    sig = rand_signature(rng)
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(st.sampled_from(_PLAN_WORDS), max_size=30))), sig
+    text = oracles.print_plan(rand_plan(rng, sig, max_operators=6))
+    inserts = st.one_of(
+        st.text(_PLAN_CHARS, max_size=3), st.sampled_from(_PLAN_WORDS).map(lambda w: f" {w} ")
+    )
+    edits = draw(st.lists(
+        st.tuples(st.integers(0, len(text)), st.integers(0, 2), inserts), max_size=3
+    ))
+    for at, cut, insert in edits:
+        text = text[:at] + insert + text[at + cut:]
+    return text, sig
+
+
+@settings(max_examples=400, deadline=None)
+@given(_plan_texts())
+def test_parse_matches_recursive_oracle_hypothesis(text_and_sig):
+    text, sig = text_and_sig
+    for signature in (None, sig, SIG):
+        got = _outcome(parse_plan, text, signature)
+        assert got == _outcome(oracles.parse_plan, text, signature)
 
 
 def test_print_and_validate_match_recursive_oracles(rng):
