@@ -42,6 +42,7 @@ from .plans import (
     theta_of,
 )
 from .represent import (
+    Caps,
     PDecomposition,
     PRepresentation,
     TreeDecomposition,
@@ -59,7 +60,6 @@ from .structures import (
     hypergraph_of,
 )
 from .synthesis import (
-    Caps,
     EquivalenceWitness,
     FdElimination,
     SynthesisResult,

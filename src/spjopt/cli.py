@@ -41,10 +41,9 @@ from .plans import (
     print_plan,
     validate_plan,
 )
-from .represent import build_representation
+from .represent import Caps, build_representation
 from .structures import OpenStructure, Signature, Structure, compute_core
 from .synthesis import (
-    Caps,
     chased_core,
     equivalence_witness,
     optimize,

@@ -8,7 +8,11 @@ first coordinate is a key, so no defining plan ever exceeds degree one); a
 minimum-width tree decomposition of the resulting structure is computed with
 the empty key set; each bag is materialized by a join chain that introduces
 one element at a time; and the bags are combined bottom-up along the tree,
-adding no new columns.  The output plan is over the original signature (the
+adding no new columns.  A chain step joins only the undominated atom blocks:
+an atom's block is dropped while its visible columns lie inside another
+block's, which leaves the step's fractional edge cover, and so its degree
+bound, unchanged, and every atom is joined on all its bag columns at its
+last step.  The output plan is over the original signature (the
 defining plans of derived relations are inlined), well-behaved, and
 equivalent to the input on every database satisfying the keys.
 """
@@ -39,7 +43,12 @@ from .plans import (
     print_plan,
     theta_of,
 )
-from .represent import TreeDecomposition, build_representation
+from .represent import (
+    Caps,
+    TreeDecomposition,
+    build_representation,
+    check_representation_size,
+)
 from .structures import (
     OpenStructure,
     Signature,
@@ -48,18 +57,6 @@ from .structures import (
     compute_core,
     find_homomorphism,
 )
-
-
-@dataclass(frozen=True)
-class Caps:
-    """Resource caps for the exponential stages.
-
-    ``core_universe`` bounds the core search, and ``None`` disables it.
-    ``width_universe`` bounds the decomposition search and is always set.
-    """
-
-    core_universe: Optional[int] = 12
-    width_universe: int = 16
 
 
 # ---------------------------------------------------------------------------
@@ -74,15 +71,13 @@ class FdElimination:
 
     ``defining_plans`` gives, for every relation of the widened signature, a
     plan over the original signature computing its contents; new relations
-    additionally appear in ``new_relations``.  ``expansions`` records which
-    elements were appended to which original atoms.
+    additionally appear in ``new_relations``.
     """
 
     original: OpenStructure
     open: OpenStructure
     defining_plans: dict[str, Plan]
     new_relations: dict[str, Plan]
-    expansions: dict[tuple[str, tuple[int, ...]], tuple[int, ...]]
 
     @property
     def structure(self) -> Structure:
@@ -143,12 +138,10 @@ def eliminate_fds(core: OpenStructure, keys: KeySet) -> FdElimination:
     name_by_plan: dict[Plan, str] = {}
     new_rows: dict[str, list[tuple[int, ...]]] = {}
     kept_rows: dict[str, list[tuple[int, ...]]] = {n: [] for n in struct.signature.symbols()}
-    expansions: dict[tuple[str, tuple[int, ...]], tuple[int, ...]] = {}
 
     for rel, row in struct.atoms():
         plan: Plan = Basic(rel)
         cur = tuple(row)
-        appended: list[int] = []
         while True:
             have = set(cur)
             targets = sorted(
@@ -165,8 +158,7 @@ def eliminate_fds(core: OpenStructure, keys: KeySet) -> FdElimination:
             joined = Join(theta_of([(pos_x, r + 1)]), (plan, fd_plans[(x, y)]))
             plan = Project(tuple(range(1, r + 1)) + (r + 2,), joined)
             cur = cur + (y,)
-            appended.append(y)
-        if appended:
+        if len(cur) > len(row):
             name = name_by_plan.get(plan)
             if name is None:
                 name = next(names)
@@ -174,7 +166,6 @@ def eliminate_fds(core: OpenStructure, keys: KeySet) -> FdElimination:
                 new_relations[name] = plan
                 new_rows[name] = []
             new_rows[name].append(cur)
-            expansions[(rel, row)] = tuple(appended)
         else:
             kept_rows[rel].append(row)
 
@@ -191,7 +182,6 @@ def eliminate_fds(core: OpenStructure, keys: KeySet) -> FdElimination:
         open=OpenStructure(widened, core.tuple),
         defining_plans=defining,
         new_relations=new_relations,
-        expansions=expansions,
     )
 
 
@@ -243,7 +233,11 @@ def _atom_subplan(
     return Project(tuple(first[e] for e in elements), plan)
 
 
-def _connected_order(bag: frozenset, atom_elems: list[frozenset]) -> tuple[int, ...]:
+# Each element's atoms, as (relation, row, defining plan), in atom order.
+_AtomsByElem = dict[int, list[tuple[str, tuple[int, ...], Plan]]]
+
+
+def _connected_order(bag: frozenset, atoms_by_elem: _AtomsByElem) -> tuple[int, ...]:
     """Bag elements ordered so each shares an atom with a predecessor when
     possible; ties broken by element id."""
     rest = sorted(bag)
@@ -253,7 +247,7 @@ def _connected_order(bag: frozenset, atom_elems: list[frozenset]) -> tuple[int, 
         chosen = set(order)
         if chosen:
             for e in rest:
-                if any(e in elems and (elems & chosen) for elems in atom_elems):
+                if any(chosen.intersection(row) for _, row, _ in atoms_by_elem.get(e, ())):
                     pick = e
                     break
         if pick is None:
@@ -263,28 +257,41 @@ def _connected_order(bag: frozenset, atom_elems: list[frozenset]) -> tuple[int, 
     return tuple(order)
 
 
-def _bag_chain(
-    order: tuple[int, ...],
-    atoms: list[tuple[str, tuple[int, ...], Plan]],
-) -> Plan:
+def _bag_chain(order: tuple[int, ...], atoms_by_elem: _AtomsByElem) -> Plan:
     """Join chain materializing the bag's local solutions, one element per
-    step; output columns follow ``order``."""
+    step; output columns follow ``order``.
+
+    The step that brings in ``elem`` joins the chain so far with one block
+    per atom holding ``elem``: the atom's projection onto its visible
+    columns.  A block is kept when its atom is complete (every element of
+    row & bag is visible, so this is the atom's last step and it is joined
+    on all its bag columns), or when its column set is not a proper subset
+    of another block's in the step; of equal column sets the first is kept.
+    A dropped block is a dominated hyperedge of the step's visible set, so
+    the step's fractional edge cover, and with it the step's degree bound,
+    is unchanged, and every atom still constrains the bag at its last step.
+    """
+    step_of = {e: i for i, e in enumerate(order, start=1)}
     sol: Optional[Plan] = None
     for i, elem in enumerate(order, start=1):
         visible = order[:i]
-        blocks = []
-        for rel, row, base in atoms:
-            if elem in row:
-                cols = tuple(e for e in visible if e in row)
-                blocks.append((cols, _atom_subplan(rel, row, base, cols)))
         children: list[Plan] = []
         col_elems: list[int] = []
         if sol is not None:
             children.append(sol)
             col_elems.extend(order[: i - 1])
-        for cols, sub in blocks:
-            children.append(sub)
-            col_elems.extend(cols)
+        atoms = atoms_by_elem[elem]
+        seen = frozenset(visible)
+        col_sets = [seen.intersection(row) for _, row, _ in atoms]
+        for k, (rel, row, base) in enumerate(atoms):
+            cset = col_sets[k]
+            complete = max(step_of[e] for e in row if e in step_of) == i
+            if complete or not any(
+                cset < other or (j < k and cset == other) for j, other in enumerate(col_sets)
+            ):
+                cols = tuple(e for e in visible if e in cset)
+                children.append(_atom_subplan(rel, row, base, cols))
+                col_elems.extend(cols)
         theta, first = _first_columns(col_elems)
         sol = Project(tuple(first[e] for e in visible), Join(theta, tuple(children)))
     return sol
@@ -331,12 +338,14 @@ def _assemble_plan(
         (rel, row, elim.defining_plans[rel])
         for rel, row in elim.structure.atoms()
     ]
-    atom_elem_sets = [frozenset(row) for _, row, _ in atoms]
-    positional_atoms = [(rel, row, base) for rel, row, base in atoms if row]
     nullary_atoms = [(rel, row, base) for rel, row, base in atoms if not row]
+    atoms_by_elem: _AtomsByElem = {}
+    for atom in atoms:
+        for e in dict.fromkeys(atom[1]):
+            atoms_by_elem.setdefault(e, []).append(atom)
 
     bag_orders: dict[int, tuple[int, ...]] = {
-        node: _connected_order(dec.chi[node], atom_elem_sets) for node in dec.nodes
+        node: _connected_order(dec.chi[node], atoms_by_elem) for node in dec.nodes
     }
 
     children = dec.children()
@@ -344,7 +353,7 @@ def _assemble_plan(
     def combine(node: int) -> Plan:
         order = bag_orders[node]
         if order:
-            plan = _bag_chain(order, positional_atoms)
+            plan = _bag_chain(order, atoms_by_elem)
         else:
             # Empty bag: the decomposition is a single node over an empty
             # universe, and every atom is nullary (synthesize_plan checks that
@@ -402,9 +411,11 @@ def subplan_degrees(plan: Plan, keys: KeySet, signature: Signature) -> list[Frac
     """
     if not keys.is_unary:
         raise KeyConstraintError("output degree requires unary keys")
-    distinct = number_subplans(plan)[1]
+    numbers, distinct = number_subplans(plan)
+    arities = _arities(distinct, signature)
+    check_representation_size(numbers, distinct, arities)
     reps: list[tuple[Structure, tuple[int, ...], Callable]] = []
-    for (node, kids), m in zip(distinct, _arities(distinct, signature)):
+    for (node, kids), m in zip(distinct, arities):
         if isinstance(node, Basic):
             out = tuple(range(m))
             struct = Structure(signature, out, {node.relation: [out]})

@@ -57,7 +57,7 @@ from spjopt.plans import (
 from spjopt.represent import PDecomposition, PRepresentation
 from spjopt.structures import _HomSearch
 from spjopt.simplex import LpResult
-from spjopt.synthesis import _assemble_plan
+from spjopt.synthesis import _assemble_plan, _atom_subplan, _first_columns
 
 # No cap on the core search; the width search keeps the default cap.
 UNCAPPED = Caps(core_universe=None)
@@ -966,6 +966,27 @@ def fractional_edge_cover(edges, target) -> Fraction:
     res = two_phase_solve_lp([Fraction(1)] * len(usable), rows, maximize=False)
     assert res.status == "optimal", res.status
     return res.value
+
+
+def all_atoms_bag_chain(order: tuple[int, ...], atoms_by_elem) -> Plan:
+    """The bag chain that joins a block for every atom holding the step's
+    new element, dominated or not: ``synthesis._bag_chain`` without its
+    block rule, the reference for that rule."""
+    sol: Optional[Plan] = None
+    for i, elem in enumerate(order, start=1):
+        visible = order[:i]
+        children: list[Plan] = []
+        col_elems: list[int] = []
+        if sol is not None:
+            children.append(sol)
+            col_elems.extend(order[: i - 1])
+        for rel, row, base in atoms_by_elem[elem]:
+            cols = tuple(e for e in visible if e in row)
+            children.append(_atom_subplan(rel, row, base, cols))
+            col_elems.extend(cols)
+        theta, first = _first_columns(col_elems)
+        sol = Project(tuple(first[e] for e in visible), Join(theta, tuple(children)))
+    return sol
 
 
 def synthesize_with_keyed_search(core: OpenStructure, keys: KeySet, caps):

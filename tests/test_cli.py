@@ -1,7 +1,11 @@
 """File formats and the command-line front end."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from spjopt import KeySet, OpenStructure, Signature, Structure, parse_plan
 from spjopt import cli, plans, serialize
 from spjopt.cli import main
 from spjopt.errors import FormatError
+from spjopt.represent import REPRESENTATION_ELEMENTS_CAP
 from spjopt.serialize import (
     keys_from_text,
     plan_file_from_text,
@@ -415,6 +420,36 @@ def test_cli_out_of_memory_is_a_resource_cap(workdir, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "spjopt: resource cap: out of memory\n"
+
+
+# Runs the CLI with its address space limited to 1 GB, so a representation
+# that is allocated after all fails on that limit, not on the machine.
+LIMITED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from spjopt.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["optimize", "degree"])
+def test_cli_huge_arity_hits_the_representation_cap(command, tmp_path):
+    """A header arity of 99,999,999 exits 3 on the representation cap,
+    before the representation (optimize) or the degree analysis's atoms
+    (degree) are allocated, in a child process that could not allocate
+    them."""
+    plan = tmp_path / "huge.plan"
+    plan.write_text("rel E 99999999\n(project (cols 1) E)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", LIMITED_CLI, command, "--plan", str(plan)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (
+        f"spjopt: resource cap: representation capped at {REPRESENTATION_ELEMENTS_CAP} "
+        "elements, the plan's basic occurrences hold 99999999\n"
+    )
 
 
 def test_cli_multi_key_diagnostic(workdir, capsys):

@@ -7,6 +7,7 @@ import pytest
 from spjopt import (
     Basic,
     DegenerateInputError,
+    Join,
     KeySet,
     OpenStructure,
     Project,
@@ -34,7 +35,7 @@ from spjopt import (
     synthesize_plan,
 )
 from spjopt import colorwidth, synthesis, witness
-from spjopt.plans import number_subplans, validate_plan
+from spjopt.plans import number_subplans, plan_size, validate_plan
 
 from conftest import (
     pattern_plan,
@@ -43,9 +44,11 @@ from conftest import (
     rand_plan,
     rand_satisfying_structure,
     rand_signature,
+    rand_structure,
 )
 from oracles import (
     UNCAPPED,
+    all_atoms_bag_chain,
     max_relation_size,
     rebuilt_output_degree,
     synthesize_with_keyed_search,
@@ -81,7 +84,17 @@ def test_eliminate_fds_expands_across_atoms():
     )
     elim = eliminate_fds(core, keys)
     assert len(elim.new_relations) == 2
-    assert set(elim.expansions) == {("R", (0, 1)), ("S", (0, 2))}
+    # each original atom was widened by the one element it lacked
+    assert not elim.structure.relations["R"] and not elim.structure.relations["S"]
+    widened = set()
+    for name, plan in elim.new_relations.items():
+        base = plan
+        while not isinstance(base, Basic):
+            base = base.child if isinstance(base, Project) else base.children[0]
+        arity = sig.arity(base.relation)
+        for row in elim.structure.relations[name]:
+            widened.add((base.relation, row[:arity], row[arity:]))
+    assert widened == {("R", (0, 1), (2,)), ("S", (0, 2), (1,))}
     # every widened atom is closed under the dependencies
     for _, row in elim.structure.atoms():
         assert set(row) == {0, 1, 2}
@@ -402,6 +415,78 @@ def test_synthesize_plan_matches_keyed_search(rng):
         result = synthesize_plan(core, keys, UNCAPPED)
         got = (result.plan, result.degree, result.decomposition)
         assert got == synthesize_with_keyed_search(core, keys, UNCAPPED)
+
+
+def _chain_steps(plan, rows):
+    """Per step of a bag chain over basic atoms, the (relation, elements)
+    of each block it joins, first step first."""
+    steps = []
+    while plan is not None:
+        kids = plan.child.children
+        sol = kids[0] if isinstance(kids[0].child, Join) else None
+        blocks = kids[1:] if sol is not None else kids
+        steps.insert(0, [
+            (b.child.relation, tuple(rows[b.child.relation][c - 1] for c in b.cols))
+            for b in blocks
+        ])
+        plan = sol
+    return steps
+
+
+def test_bag_chain_joins_complete_and_undominated_blocks(rng):
+    """Over the bag 0, 1, 2, 3: D's block (0) equals A's, so only A's,
+    the first, is joined at step 0; B and C are proper subsets of A at
+    steps 1 and 2 and are joined on all their bag columns at step 3, their
+    last; D is complete at step 2 and joined although A dominates it.  The
+    chain computes what the chain of every block computes."""
+    rows = {"A": (0, 1, 2), "B": (1, 9, 2, 3), "C": (1, 2, 3), "D": (0, 2)}
+    atoms_by_elem = {}
+    for rel, row in rows.items():
+        for e in row:
+            atoms_by_elem.setdefault(e, []).append((rel, row, Basic(rel)))
+    order = (0, 1, 2, 3)
+    chain = synthesis._bag_chain(order, atoms_by_elem)
+    assert _chain_steps(chain, rows) == [
+        [("A", (0,))],
+        [("A", (0, 1))],
+        [("A", (0, 1, 2)), ("D", (0, 2))],
+        [("B", (1, 2, 3)), ("C", (1, 2, 3))],
+    ]
+    every_block = all_atoms_bag_chain(order, atoms_by_elem)
+    assert len(_chain_steps(every_block, rows)[2]) == 4
+    sig = Signature({rel: len(row) for rel, row in rows.items()})
+    for _ in range(20):
+        data = rand_structure(rng, sig, max_domain=3, max_rows=12)
+        assert evaluate_naive(chain, data).output == evaluate_naive(every_block, data).output
+
+
+def test_pruned_chains_match_all_atom_chains(rng, monkeypatch):
+    """Plans whose bag chains drop dominated blocks against plans whose
+    chains join every block, on random keyed plans and keyed directed
+    cycles: both well-behaved and equivalent to the input at the same
+    degree, which the pruned plan attains, and the pruned plan is never
+    larger (strictly smaller on keyed C8)."""
+    cases = []
+    while len(cases) < 30:
+        sig = rand_signature(rng, max_relations=2, max_arity=3)
+        cases.append((rand_plan(rng, sig, max_operators=4), rand_keys(rng, sig, prob=0.8), sig))
+    for n in range(4, 9):
+        cases.append((pattern_plan([(i, (i + 1) % n) for i in range(n)], (0,)), KEY_E1, SIG_E))
+    for plan, keys, sig in cases:
+        try:
+            new = optimize(plan, keys, sig)
+        except ResourceCapError:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(synthesis, "_bag_chain", all_atoms_bag_chain)
+            old = optimize(plan, keys, sig)
+        for result in (new, old):
+            assert is_well_behaved(result.plan, sig)[0]
+            assert check_equivalence(plan, result.plan, keys, sig)
+        assert new.degree == old.degree
+        assert intermediate_degree_bound(new.plan, keys, sig) == new.degree
+        assert plan_size(new.plan) <= plan_size(old.plan)
+    assert plan_size(new.plan) < plan_size(old.plan)  # keyed C8, the last case
 
 
 def test_optimize_rejects_non_unary_keys():
