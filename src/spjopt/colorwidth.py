@@ -297,6 +297,19 @@ def optimal_cwidth(
     bags are vertex-plus-later-neighbors in the fill graph.  Because the bag
     measure is monotone under set inclusion, some elimination ordering
     attains the overall minimum, so the search is exact.
+
+    Each state is solved below a bound, the best width its caller has found
+    so far (none at the root and on the extraction path), and passes its own
+    running best down as its children's bound (Gogate & Dechter, "A complete
+    anytime algorithm for treewidth", UAI 2004).  A vertex whose bag or
+    sub-result reaches the running best is skipped.  A state none of whose
+    candidates beats its bound is memoized as ``(bound, None)``: a lower
+    bound, reused for any bound it reaches and solved again for a larger
+    one.  A state whose minimum is below its bound is solved exactly: only
+    a strict improvement replaces the running best, so it keeps the first
+    argmin in sorted vertex order, as the unbounded search does.  Every
+    state on the chosen path is exact, so the decomposition is the
+    unbounded search's, and the root still reads every vertex's bag.
     """
     verts = open_structure.structure.universe
     if len(verts) > cap:
@@ -319,19 +332,20 @@ def optimal_cwidth(
 
     best_memo: dict[frozenset, tuple[Fraction, Optional[int]]] = {}
 
-    def solve(remaining: frozenset) -> tuple[Fraction, Optional[int]]:
+    def solve(
+        remaining: frozenset, bound: Optional[Fraction]
+    ) -> tuple[Fraction, Optional[int]]:
         if not remaining:
             return Fraction(0), None
         hit = best_memo.get(remaining)
-        if hit is not None:
+        if hit is not None and (hit[1] is not None or bound is not None and hit[0] >= bound):
             return hit
-        best: Optional[Fraction] = None
-        best_v: Optional[int] = None
+        best, best_v = bound, None
         for v in sorted(remaining):
             here = f(_elimination_bag(v, remaining, adj))
             if best is not None and here >= best:
                 continue  # the sub-solution can only raise the max
-            sub, _ = solve(remaining - {v})
+            sub, _ = solve(remaining - {v}, best)
             cand = max(here, sub)
             if best is None or cand < best:
                 best, best_v = cand, v
@@ -346,7 +360,7 @@ def optimal_cwidth(
     order: list[int] = []
     bags: list[frozenset] = []
     while remaining:
-        _, v = solve(remaining)
+        _, v = solve(remaining, None)
         order.append(v)
         bags.append(_elimination_bag(v, remaining, adj))
         remaining = remaining - {v}

@@ -357,17 +357,12 @@ def _column_classes(theta: frozenset, s: int) -> list[int]:
 
 def _join_is_well_behaved(join: Join, arities: list[int]) -> bool:
     """Whether some column k makes every column past the first child's
-    equated (under the closure of theta) with a first-child column or k.
-    ``arities`` are those of the join's children."""
+    equated (under the closure of theta) with a first-child column or k,
+    that is, whether those columns meet at most one class outside the
+    first child's.  ``arities`` are those of the join's children."""
     m1 = arities[0]
-    s = sum(arities)
-    classes = _column_classes(join.theta, s)
-    base = {classes[j] for j in range(1, m1 + 1)}
-    for k in range(1, s + 1):
-        known = base | {classes[k]}
-        if all(classes[i] in known for i in range(m1 + 1, s + 1)):
-            return True
-    return s == m1  # no extra columns at all (can only happen with no children beyond the first)
+    classes = _column_classes(join.theta, sum(arities))
+    return len(set(classes[m1 + 1:]) - set(classes[1:m1 + 1])) <= 1
 
 
 def is_well_behaved(plan: Plan, signature: Signature) -> tuple[bool, Optional[Plan]]:

@@ -120,12 +120,17 @@ def rand_plan(rng: random.Random, signature: Signature, max_operators: int = 6):
     return plan
 
 
+def mobius_ladder(n: int) -> list[tuple[int, int]]:
+    return [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(n // 2)]
+
+
+def squared_cycle(n: int) -> list[tuple[int, int]]:
+    return [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 2) % n) for i in range(n)]
+
+
 # Unkeyed graph patterns of the width workload: the Mobius ladder on 10
 # vertices and the squared 12-cycle.
-PATTERN_EDGES = {
-    "mobius10": [(i, (i + 1) % 10) for i in range(10)] + [(i, i + 5) for i in range(5)],
-    "squared12": [(i, (i + 1) % 12) for i in range(12)] + [(i, (i + 2) % 12) for i in range(12)],
-}
+PATTERN_EDGES = {"mobius10": mobius_ladder(10), "squared12": squared_cycle(12)}
 
 
 def pattern_plan(edges, out):

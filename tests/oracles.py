@@ -31,14 +31,17 @@ from spjopt import (
     chase,
     check_tree_decomposition,
     color_number,
+    color_values,
+    cwidth_of_decomposition,
     eliminate_fds,
     evaluate_naive,
     find_homomorphism,
     homs_relation,
+    hypergraph_of,
     optimal_cwidth,
     satisfies_keys,
 )
-from spjopt.colorwidth import _closure_edges
+from spjopt.colorwidth import WidthReport, _closure_edges, _elimination_bag
 from spjopt.constraints import ChaseResult
 from spjopt.errors import ArityError, PlanSyntaxError, SignatureError, WellBehavedError
 from spjopt.plans import (
@@ -54,7 +57,7 @@ from spjopt.plans import (
     _select_rows,
     theta_of,
 )
-from spjopt.represent import PDecomposition, PRepresentation
+from spjopt.represent import PDecomposition, PRepresentation, TreeDecomposition
 from spjopt.structures import _HomSearch
 from spjopt.simplex import LpResult
 from spjopt.synthesis import _assemble_plan, _atom_subplan, _first_columns
@@ -1064,8 +1067,6 @@ def exhaustive_min_cwidth(open_structure: OpenStructure, keys: KeySet) -> Fracti
     monotone bag measure, to one with at most |universe| pairwise-distinct
     bags, none contained in a neighbor; those are all enumerated here.
     """
-    from spjopt import hypergraph_of
-
     h = hypergraph_of(open_structure)
     verts = sorted(h.vertices)
     n = len(verts)
@@ -1094,6 +1095,71 @@ def exhaustive_min_cwidth(open_structure: OpenStructure, keys: KeySet) -> Fracti
                     break
     assert best is not None, "no decomposition found (single full bag is always valid)"
     return best
+
+
+def unbounded_optimal_cwidth(open_structure: OpenStructure, keys: KeySet) -> WidthReport:
+    """The elimination-order search of ``optimal_cwidth`` without its bound:
+    every state is solved exactly, its first argmin in sorted vertex order
+    kept, and the decomposition is built from the chosen order the same way.
+    The reference for the bounded search's width, bag colors and tree."""
+    verts = open_structure.structure.universe
+    if not verts:
+        dec = TreeDecomposition({0: None}, 0, {0: frozenset()})
+        return cwidth_of_decomposition(open_structure, keys, dec)
+    adj: dict[int, set[int]] = {v: set() for v in verts}
+    for a, b in hypergraph_of(open_structure).primal_edges():
+        adj[a].add(b)
+        adj[b].add(a)
+    value = color_values(open_structure.structure, keys)
+    f_memo: dict[frozenset, Fraction] = {}
+    best_memo: dict[frozenset, tuple[Fraction, Optional[int]]] = {}
+
+    def f(bag: frozenset) -> Fraction:
+        if bag not in f_memo:
+            f_memo[bag] = value(bag)
+        return f_memo[bag]
+
+    def solve(remaining: frozenset) -> tuple[Fraction, Optional[int]]:
+        if not remaining:
+            return Fraction(0), None
+        hit = best_memo.get(remaining)
+        if hit is not None:
+            return hit
+        best: Optional[Fraction] = None
+        best_v: Optional[int] = None
+        for v in sorted(remaining):
+            here = f(_elimination_bag(v, remaining, adj))
+            if best is not None and here >= best:
+                continue
+            sub, _ = solve(remaining - {v})
+            cand = max(here, sub)
+            if best is None or cand < best:
+                best, best_v = cand, v
+        best_memo[remaining] = (best, best_v)
+        return best, best_v
+
+    remaining = frozenset(verts)
+    order: list[int] = []
+    bags: list[frozenset] = []
+    while remaining:
+        _, v = solve(remaining)
+        order.append(v)
+        bags.append(_elimination_bag(v, remaining, adj))
+        remaining = remaining - {v}
+    index_of = {v: i for i, v in enumerate(order)}
+    parent: dict[int, Optional[int]] = {}
+    for i, bag in enumerate(bags):
+        later = [index_of[u] for u in bag if index_of[u] > i]
+        if later:
+            parent[i] = min(later)
+        elif i + 1 < len(order):
+            parent[i] = i + 1
+        else:
+            parent[i] = None
+    dec = TreeDecomposition(parent, len(order) - 1, dict(enumerate(bags)))
+    tuple_set = frozenset(open_structure.tuple)
+    root = min(i for i, bag in enumerate(bags) if tuple_set <= bag)
+    return cwidth_of_decomposition(open_structure, keys, dec.rerooted(root))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from spjopt import KeySet, OpenStructure, Signature, Structure, parse_plan
+from spjopt import (
+    KeySet,
+    OpenStructure,
+    Signature,
+    Structure,
+    is_well_behaved,
+    parse_plan,
+    print_plan,
+)
 from spjopt import cli, plans, serialize
 from spjopt.cli import main
 from spjopt.errors import FormatError
@@ -21,6 +29,7 @@ from spjopt.serialize import (
     structure_to_json,
 )
 
+from conftest import mobius_ladder, pattern_plan
 from oracles import keys_to_text
 
 SIG = Signature({"E": 2})
@@ -432,6 +441,14 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+def run_limited(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", LIMITED_CLI, *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+
+
 @pytest.mark.parametrize("command", ["optimize", "degree"])
 def test_cli_huge_arity_hits_the_representation_cap(command, tmp_path):
     """A header arity of 99,999,999 exits 3 on the representation cap,
@@ -440,16 +457,34 @@ def test_cli_huge_arity_hits_the_representation_cap(command, tmp_path):
     them."""
     plan = tmp_path / "huge.plan"
     plan.write_text("rel E 99999999\n(project (cols 1) E)\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-c", LIMITED_CLI, command, "--plan", str(plan)],
-        capture_output=True, text=True, env=env, timeout=10,
-    )
+    done = run_limited(command, "--plan", plan)
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == (
         f"spjopt: resource cap: representation capped at {REPRESENTATION_ELEMENTS_CAP} "
         "elements, the plan's basic occurrences hold 99999999\n"
     )
+
+
+def test_cli_wide_join_check_is_linear(tmp_path):
+    """The well-behavedness check of a join of two 20,000-ary atoms counts
+    classes once, in a child process with a limited address space."""
+    plan = tmp_path / "wide.plan"
+    plan.write_text("rel E 20000\n(join (theta) E E)\n")
+    done = run_limited("check", "--plan", plan)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["wellBehaved"] is False
+
+
+def test_cli_optimizes_mobius20_under_a_raised_cap(tmp_path, capsys):
+    """The exact width search decides the 20-vertex Mobius ladder once the
+    cap admits it; optimize verifies the equivalence of its output."""
+    plan = tmp_path / "mobius20.plan"
+    plan.write_text("rel E 2\n" + print_plan(pattern_plan(mobius_ladder(20), (0, 1))) + "\n")
+    code, out, err = run(capsys, "optimize", "--plan", plan, "--cap-universe", "20")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["degree"] == "3"
+    assert is_well_behaved(parse_plan(doc["plan"], SIG), SIG)[0]
 
 
 def test_cli_multi_key_diagnostic(workdir, capsys):
