@@ -49,7 +49,7 @@ from .synthesis import (
     optimize,
     subplan_degrees,
 )
-from .witness import bag_witness
+from .witness import bag_witness, check_family_size
 
 # Built once per process: building the parser costs far more than parsing
 # argv, and a long-lived process calls main many times.
@@ -334,6 +334,8 @@ def _cmd_witness(args: argparse.Namespace) -> None:
     core = chased_core(plan, keys, sig, caps.core_universe)
     report = optimal_cwidth(core, keys, cap=caps.width_universe)
     node, family = bag_witness(core, keys, report)
+    for n in args.witness_n:
+        check_family_size(family.source, family.solution, n)
     names = core.structure.names
     meta = {
         "bagNode": node,

@@ -537,13 +537,36 @@ def homs_relation(
 # ---------------------------------------------------------------------------
 
 
+def _certified_core(a: OpenStructure) -> bool:
+    """Whether every endomorphism of ``a`` (fixing its tuple) is injective,
+    decided with one homomorphism search per element.
+
+    On a finite structure an endomorphism is injective exactly when it is
+    surjective, and one fixing the tuple hits every tuple entry; so ``a`` is
+    a core exactly when, for each other element z, no endomorphism misses
+    z, that is, no homomorphism maps ``a`` into ``a`` minus z.
+    """
+    s = a.structure
+    pins = _tuple_pins(a.tuple, a.tuple)
+    return all(
+        _HomSearch(s, s.restrict(set(s.universe) - {z}), pins).first() is None
+        for z in s.universe
+        if z not in pins
+    )
+
+
 def _noninjective_endomorphism(a: OpenStructure) -> Optional[dict[int, int]]:
     """Some endomorphism of ``a`` (fixing its tuple) that identifies at
     least two elements, or None.
 
-    Searched pair by pair in sorted order; a hit is turned into a hom of the
-    quotient structure back into ``a``.
+    None at once when :func:`_certified_core` proves ``a`` a core.
+    Otherwise the pairs are searched in sorted order, and a hit is turned
+    into a hom of the quotient structure back into ``a``.  The certificate
+    decides only inputs on which the pair search finds nothing, so every
+    witness, and with it every core, is the pair search's.
     """
+    if _certified_core(a):
+        return None
     universe = a.structure.universe
     for x, y in itertools.combinations(universe, 2):
         pinned = _tuple_pins([x if e == y else e for e in a.tuple], a.tuple)
@@ -573,6 +596,11 @@ def compute_core(value: OpenStructure, cap_universe: Optional[int] = None) -> Op
     on exactly those points and maps every element onto them, so that
     substructure is a retract.  At the fixpoint every endomorphism is
     injective, which is exactly the no-proper-retraction condition.
+
+    The last round, which proves that fixpoint, costs one homomorphism
+    search per element outside the tuple (:func:`_certified_core`) rather
+    than one per pair of elements; a round that retracts still takes the
+    pair search's witness, so the core is the same, byte for byte.
     """
     if cap_universe is not None and len(value.structure.universe) > cap_universe:
         raise ResourceCapError(

@@ -307,9 +307,8 @@ def synthesize_plan(
     structure, searched with no keys; the certified intermediate degree is
     that decomposition's width, which is the core's color-number width.
 
-    Core-ness itself is not re-verified here (it is expensive); a non-core
-    fixpoint still yields a correct, well-behaved plan, just possibly not of
-    minimum degree.
+    Core-ness is not re-verified here; a non-core fixpoint still yields a
+    correct, well-behaved plan, just possibly not of minimum degree.
     """
     if not keys.is_unary:
         raise KeyConstraintError("plan synthesis requires unary keys")
@@ -485,8 +484,12 @@ def equivalence_witness(
     rep2, _ = build_representation(p2, signature)
     if len(rep1.open.tuple) != len(rep2.open.tuple):
         raise ArityError("plans of different arity are never equivalent")
-    c1 = chase(rep1.open, keys).result
-    c2 = chase(rep2.open, keys).result
+    return _mutual_homomorphisms(chase(rep1.open, keys).result, chase(rep2.open, keys).result)
+
+
+def _mutual_homomorphisms(c1: OpenStructure, c2: OpenStructure) -> Optional[EquivalenceWitness]:
+    """The witness of two chased representations' homomorphic equivalence,
+    or None."""
     forward = find_homomorphism(c1, c2)
     if forward is None:
         return None
@@ -507,13 +510,17 @@ def check_equivalence(p1: Plan, p2: Plan, keys: KeySet, signature: Signature) ->
 # ---------------------------------------------------------------------------
 
 
+def _chased_representation(plan: Plan, keys: KeySet, signature: Signature) -> OpenStructure:
+    rep, _ = build_representation(plan, signature)
+    return chase(rep.open, keys).result
+
+
 def chased_core(
     plan: Plan, keys: KeySet, signature: Signature, core_cap: Optional[int]
 ) -> OpenStructure:
     """The core of the plan's chased representation, searched under
     ``core_cap`` (``None`` for no cap): the structure synthesis starts from."""
-    rep, _ = build_representation(plan, signature)
-    return compute_core(chase(rep.open, keys).result, cap_universe=core_cap)
+    return compute_core(_chased_representation(plan, keys, signature), cap_universe=core_cap)
 
 
 def optimize(
@@ -524,12 +531,15 @@ def optimize(
 
     Pipeline: representation -> chase -> core -> synthesis.  Synthesis
     checks that the result is well-behaved, and the result is checked to be
-    equivalent to the input before it is returned.  The core is
-    ``result.elimination.original``.
+    equivalent to the input before it is returned, as
+    :func:`equivalence_witness` decides it, against the chased input that
+    the core was computed from.  The core is ``result.elimination.original``.
     """
     if not keys.is_unary:
         raise KeyConstraintError("the pipeline requires unary keys")
-    result = synthesize_plan(chased_core(plan, keys, signature, caps.core_universe), keys, caps)
-    if not check_equivalence(plan, result.plan, keys, signature):  # pragma: no cover
+    chased = _chased_representation(plan, keys, signature)
+    result = synthesize_plan(compute_core(chased, cap_universe=caps.core_universe), keys, caps)
+    output = _chased_representation(result.plan, keys, signature)
+    if _mutual_homomorphisms(chased, output) is None:  # pragma: no cover
         raise SpjError("pipeline produced a non-equivalent plan")
     return result

@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from .colorwidth import ColorSolution, WidthReport, color_number
 from .constraints import KeySet, satisfies_keys
-from .errors import DegenerateInputError, SpjError
+from .errors import DegenerateInputError, ResourceCapError, SpjError
+from .represent import REPRESENTATION_ELEMENTS_CAP
 from .structures import OpenStructure, Structure
 
 
@@ -56,6 +57,27 @@ class WitnessFamily:
         return product_witness(self.source, self.keys, self.solution, n)
 
 
+def check_family_size(source: Structure, solution: ColorSolution, n: int) -> None:
+    """Raise before :func:`product_witness` allocates D_n when n < 1, or
+    when D_n's elements and rows together exceed
+    ``REPRESENTATION_ELEMENTS_CAP``.
+
+    D_n has exactly n^|colors(x)| elements per source element x and
+    n^|colors(row)| rows per source atom: distinct color assignments give
+    distinct elements and rows.
+    """
+    if n < 1:
+        raise DegenerateInputError("witness index n must be at least 1")
+    exponents = [solution.colors_on((x,)) for x in source.universe]
+    exponents += [solution.colors_on(row) for _, row in source.atoms()]
+    size = sum(n**k for k in exponents)
+    if size > REPRESENTATION_ELEMENTS_CAP:
+        raise ResourceCapError(
+            f"witness family capped at {REPRESENTATION_ELEMENTS_CAP} elements and rows, "
+            f"member n={n} holds {size}"
+        )
+
+
 def product_witness(
     source: Structure, keys: KeySet, solution: ColorSolution, n: int
 ) -> Structure:
@@ -67,8 +89,7 @@ def product_witness(
     element tags (the source satisfies the keys), and a dependent's colors
     are a subset of its key's, so the output satisfies the keys as well.
     """
-    if n < 1:
-        raise DegenerateInputError("witness index n must be at least 1")
+    check_family_size(source, solution, n)
     if not satisfies_keys(source, keys):
         raise DegenerateInputError("witness construction requires a chase fixpoint")
     if solution.degenerate:

@@ -5,9 +5,9 @@ The oracles are written from the definitions, with no shortcuts: maps are
 enumerated exhaustively, LP optima are recomputed from basic solutions, and
 decompositions are enumerated in canonical form.  Slow by design; only run
 at small sizes.  The test-only helpers at the end (the keys-file writer,
-M(D), whether a chase merged anything, the isomorphism check and the core
-reference that carries the output tuple as a relation) are built on the
-library.
+M(D), whether a chase merged anything, the isomorphism check, the core
+reference that carries the output tuple as a relation, and the core's pair
+search without its certificate) are built on the library.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from spjopt.plans import (
     theta_of,
 )
 from spjopt.represent import PDecomposition, PRepresentation, TreeDecomposition
-from spjopt.structures import _HomSearch
+from spjopt.structures import _HomSearch, _tuple_pins
 from spjopt.simplex import LpResult
 from spjopt.synthesis import _assemble_plan, _atom_subplan, _first_columns
 
@@ -1354,3 +1354,19 @@ def augmented_core(value: OpenStructure) -> OpenStructure:
     (out_tuple,) = current.relations[name]
     rels = {n: rows for n, rows in current.relations.items() if n != name}
     return OpenStructure(Structure(base.signature, current.universe, rels, current.names), out_tuple)
+
+
+def pair_noninjective_endomorphism(a: OpenStructure) -> Optional[dict[int, int]]:
+    """``compute_core``'s pair search alone, without the core certificate:
+    for each pair x < y in sorted order, a homomorphism of the quotient
+    that identifies y with x back into ``a``, fixing the tuple, turned into
+    an endomorphism of ``a``; None when no pair has one."""
+    universe = a.structure.universe
+    for x, y in itertools.combinations(universe, 2):
+        pinned = _tuple_pins([x if e == y else e for e in a.tuple], a.tuple)
+        if pinned is None:
+            continue
+        g = _HomSearch(a.structure.apply_map({y: x}), a.structure, pinned).first()
+        if g is not None:
+            return {e: g[x if e == y else e] for e in universe}
+    return None

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -463,6 +464,24 @@ def test_cli_huge_arity_hits_the_representation_cap(command, tmp_path):
         f"spjopt: resource cap: representation capped at {REPRESENTATION_ELEMENTS_CAP} "
         "elements, the plan's basic occurrences hold 99999999\n"
     )
+
+
+@pytest.mark.parametrize("to_files", [False, True])
+def test_cli_witness_family_hits_the_cap_before_allocating(workdir, to_files):
+    """The triangle's D_1000 holds 3,000 elements and 3,000,000 rows: it
+    exits 3 on the cap, checked for every requested n before any member is
+    generated or written, in a child process that could not allocate it."""
+    out = workdir / "fam"
+    argv = ["witness", "--plan", workdir / "tri.plan", "--n", "2,1000"]
+    start = time.perf_counter()
+    done = run_limited(*argv, *(["--out", out] if to_files else []))
+    assert time.perf_counter() - start < 5
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (
+        f"spjopt: resource cap: witness family capped at {REPRESENTATION_ELEMENTS_CAP} "
+        "elements and rows, member n=1000 holds 3003000\n"
+    )
+    assert not list(workdir.glob("fam*"))
 
 
 def test_cli_wide_join_check_is_linear(tmp_path):

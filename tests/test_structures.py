@@ -19,10 +19,25 @@ from spjopt import (
     homs_relation,
     hypergraph_of,
 )
+from spjopt import structures
 from spjopt.serialize import structure_to_json
-from spjopt.structures import _HomSearch, _periodic_points
+from spjopt.structures import (
+    _certified_core,
+    _HomSearch,
+    _noninjective_endomorphism,
+    _periodic_points,
+)
 
-from conftest import rand_keys, rand_open_structure, rand_plan, rand_signature, rand_structure
+from conftest import (
+    mobius_ladder,
+    pattern_plan,
+    rand_keys,
+    rand_open_structure,
+    rand_plan,
+    rand_signature,
+    rand_structure,
+    squared_cycle,
+)
 from oracles import (
     RecursiveHomSearch,
     augmented_core,
@@ -32,6 +47,7 @@ from oracles import (
     brute_open_hom_exists,
     check_isomorphic,
     has_proper_retraction,
+    pair_noninjective_endomorphism,
     recursive_homs_relation,
     smallest_idempotent_power,
 )
@@ -403,3 +419,46 @@ def test_core_matches_augmented_reference(rng):
         seen["repeated entry"] += len(set(a.tuple)) < len(a.tuple)
         seen["nullary"] += any(a.structure.signature.arity(n) == 0 for n in a.structure.signature)
     assert seen["inputs"] >= 300 and min(seen.values()) > 0, seen
+
+
+def _pattern_cores():
+    """The chased representations of the width workload's patterns, with
+    the first edge as output: Mobius ladders on 10 to 16 vertices and
+    squared cycles on 12 to 16, all cores."""
+    for edges in [mobius_ladder(n) for n in (10, 12, 14, 16)] + [
+        squared_cycle(n) for n in (12, 14, 16)
+    ]:
+        rep, _ = build_representation(pattern_plan(edges, (0, 1)), SIG_E)
+        yield chase(rep.open, KeySet.empty()).result
+
+
+def test_core_certificate_agrees_with_the_pair_search(rng):
+    """The certificate proves a core exactly when the pair search alone
+    finds no non-injective endomorphism, and the search with the
+    certificate returns the pair search's witness, on random open
+    structures (cores and non-cores) and on the width patterns."""
+    verdicts = {True: 0, False: 0}
+    for a in itertools.chain(_core_inputs(rng), _pattern_cores()):
+        expected = pair_noninjective_endomorphism(a)
+        assert _certified_core(a) == (expected is None)
+        assert _noninjective_endomorphism(a) == expected
+        verdicts[expected is None] += 1
+    assert verdicts[True] >= 300 and verdicts[False] >= 50, verdicts
+
+
+def test_core_proof_searches_once_per_element(monkeypatch):
+    """The core of the 16-vertex Mobius ladder's chased representation is
+    proved with one homomorphism search per element outside the tuple: 14,
+    where the pair search alone makes 119."""
+    searches = []
+
+    class Counting(_HomSearch):
+        def __init__(self, *args):
+            searches.append(args)
+            super().__init__(*args)
+
+    rep, _ = build_representation(pattern_plan(mobius_ladder(16), (0, 1)), SIG_E)
+    chased = chase(rep.open, KeySet.empty()).result
+    monkeypatch.setattr(structures, "_HomSearch", Counting)
+    assert compute_core(chased) == chased
+    assert len(searches) <= 14

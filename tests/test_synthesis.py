@@ -323,6 +323,24 @@ def test_optimize_key_path_uses_derived_relations():
     assert result2.degree == 2
 
 
+def test_optimize_chases_its_input_once(monkeypatch):
+    """optimize chases the input's representation once, computes the core
+    from it and verifies against it: two representations (input and
+    output), two chases, and a homomorphism each way between them."""
+    builds, chases, homs = [], [], []
+    build, chase_, hom = synthesis.build_representation, synthesis.chase, synthesis.find_homomorphism
+    monkeypatch.setattr(synthesis, "build_representation", lambda *a: builds.append(a) or build(*a))
+    monkeypatch.setattr(synthesis, "chase", lambda *a: chases.append(a[0]) or chase_(*a))
+    monkeypatch.setattr(synthesis, "find_homomorphism", lambda *a: homs.append(a) or hom(*a))
+    plan = parse_plan("(project (cols 1 4) (join (theta (2 3)) R R))", SIG_R)
+    result = optimize(plan, KEY_R1, SIG_R, caps=UNCAPPED)
+    assert [b[0] for b in builds] == [plan, result.plan]
+    assert len(chases) == 2
+    (c1, c2), (d2, d1) = homs
+    assert (c1, c2) == (d1, d2)
+    assert c1 == chase_(chases[0], KEY_R1).result
+
+
 def _random_cores(rng, want: int):
     """Random chased cores with tuples, drawn until there are ``want``
     unkeyed ones and ``want`` keyed ones whose key elimination adds

@@ -8,6 +8,7 @@ from spjopt import (
     DegenerateInputError,
     KeySet,
     OpenStructure,
+    ResourceCapError,
     Signature,
     Structure,
     bag_witness,
@@ -20,8 +21,9 @@ from spjopt import (
     product_witness,
     satisfies_keys,
 )
+from spjopt import witness
 from spjopt.represent import TreeDecomposition
-from spjopt.witness import WitnessFamily
+from spjopt.witness import WitnessFamily, check_family_size
 
 from conftest import rand_keys, rand_open_structure, rand_signature, rand_structure
 from oracles import UNCAPPED, brute_homs_relation, max_relation_size
@@ -58,6 +60,31 @@ def test_rejects_bad_n_and_violating_source():
     bad = Structure(SIG_R, [0, 1, 2], {"R": [(0, 1), (0, 2)]})
     with pytest.raises(DegenerateInputError):
         product_witness(bad, KEY_R1, color_number(bad, KEY_R1, {0})[1], 2)
+
+
+def test_family_size_check_is_exact(rng, monkeypatch):
+    """The cap check counts D_n's elements and rows exactly: a cap equal to
+    the generated member's size admits it, one less refuses it."""
+    checked = 0
+    for _ in range(40):
+        sig = rand_signature(rng, max_relations=2, max_arity=3)
+        keys = rand_keys(rng, sig)
+        b = chase(rand_open_structure(rng, sig, max_domain=4, max_rows=4), keys).result.structure
+        if b.total_tuple_count() == 0:
+            continue
+        target = set(rng.sample(b.universe, rng.randint(1, len(b.universe))))
+        solution = color_number(b, keys, target)[1]
+        for n in (1, 2, 3):
+            d = product_witness(b, keys, solution, n)
+            size = len(d.universe) + d.total_tuple_count()
+            monkeypatch.setattr(witness, "REPRESENTATION_ELEMENTS_CAP", size)
+            check_family_size(b, solution, n)
+            monkeypatch.setattr(witness, "REPRESENTATION_ELEMENTS_CAP", size - 1)
+            with pytest.raises(ResourceCapError):
+                product_witness(b, keys, solution, n)
+            monkeypatch.undo()
+            checked += 1
+    assert checked >= 60
 
 
 def test_triangle_counts_meet_the_bounds():
