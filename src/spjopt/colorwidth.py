@@ -1,5 +1,9 @@
 """Color numbers, widths of tree decompositions, and the optimal-width search.
 
+Keys are unary, and a relation may carry several.  A class of elements is
+key-closed when, for each key (R, k) and each tuple of R, the class holds
+the tuple's k-th element whenever it holds one at another position.
+
 The set-valued coloring maximum is computed as a packing LP over key-closed
 element classes: colors are interchangeable, so a valid coloring is exactly a
 multiset of key-closed classes; the objective counts classes meeting the
@@ -43,7 +47,6 @@ from typing import Callable, Iterable, Mapping, Optional
 from .constraints import KeySet
 from .errors import (
     DegenerateInputError,
-    KeyConstraintError,
     ResourceCapError,
     SignatureError,
     SpjError,
@@ -56,15 +59,13 @@ from .structures import OpenStructure, Structure, hypergraph_of
 def _closure_edges(structure: Structure, keys: KeySet) -> dict[int, set[int]]:
     """For each element, the key elements it forces into any class."""
     forces: dict[int, set[int]] = {e: set() for e in structure.universe}
-    for name, pos_sets in ((n, keys.for_relation(n)) for n in structure.signature.symbols()):
-        for pos in pos_sets:
-            if len(pos) != 1:
-                raise KeyConstraintError("color classes are defined for unary keys only")
-            key_idx = next(iter(pos)) - 1
+    for name in structure.signature.symbols():
+        for pos in keys.for_relation(name):
+            k = pos - 1
             for row in structure.relations[name]:
                 for i, e in enumerate(row):
-                    if i != key_idx:
-                        forces[e].add(row[key_idx])
+                    if i != k:
+                        forces[e].add(row[k])
     return forces
 
 
@@ -175,8 +176,6 @@ def color_values(structure: Structure, keys: KeySet) -> Callable[[Iterable[int]]
     presolved: duplicate and dominated rows are dropped, and a target whose
     classes one tuple meets needs no LP.  The closures and each class's row
     mask are computed once per element, however many targets are asked."""
-    if not keys.is_unary:
-        raise KeyConstraintError("color numbers are defined for unary keys only")
     universe = frozenset(structure.universe)
     forces = _closure_edges(structure, keys)
     incidence = dict.fromkeys(universe, 0)  # element -> bitmask of its tuples

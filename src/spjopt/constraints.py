@@ -1,7 +1,8 @@
-"""Key constraints and the chase.
+"""Unary key constraints and the chase.
 
-Only unary keys are supported by the optimization pipeline; the chase and the
-satisfaction check accept arbitrary key position sets.
+A key is a relation name and one 1-based position of that relation; a
+relation may carry several keys.  Every key position is an int of at least
+1, checked when the key set is built, so no later stage re-checks the shape.
 """
 
 from __future__ import annotations
@@ -14,21 +15,20 @@ from .structures import OpenStructure, Signature, Structure, UnionFind
 
 
 class KeySet:
-    """A set of key constraints: (relation name, set of key positions).
+    """A set of unary keys: (relation name, key position) pairs.
 
-    Positions are 1-based, matching the plan syntax.  ``is_unary`` holds when
-    every position set is a singleton; the pipeline entry points require it.
+    Positions are 1-based ints, matching the plan syntax; anything else,
+    a bool or a float included, is rejected rather than truncated.
     """
 
     __slots__ = ("_keys",)
 
-    def __init__(self, keys: Iterable[tuple[str, Iterable[int]]] = ()):
+    def __init__(self, keys: Iterable[tuple[str, int]] = ()):
         cleaned = set()
-        for name, positions in keys:
-            pos = frozenset(int(p) for p in positions)
-            if not pos:
-                raise KeyConstraintError(f"key for {name!r} has no positions")
-            if any(p < 1 for p in pos):
+        for name, pos in keys:
+            if type(pos) is not int:
+                raise KeyConstraintError(f"key position for {name!r} must be an int, got {pos!r}")
+            if pos < 1:
                 raise KeyConstraintError(f"key positions for {name!r} must be 1-based")
             cleaned.add((name, pos))
         self._keys = frozenset(cleaned)
@@ -39,34 +39,24 @@ class KeySet:
 
     @classmethod
     def unary(cls, mapping: Mapping[str, int]) -> "KeySet":
-        """One single-position key per relation, from {name: position}."""
-        return cls((name, (pos,)) for name, pos in mapping.items())
+        """One key per relation, from {name: position}."""
+        return cls(mapping.items())
 
     @property
     def keys(self) -> frozenset:
         return self._keys
 
-    @property
-    def is_unary(self) -> bool:
-        return all(len(pos) == 1 for _, pos in self._keys)
-
-    def one_per_relation(self) -> bool:
-        names = [name for name, _ in self._keys]
-        return len(names) == len(set(names))
-
-    def for_relation(self, name: str) -> tuple[frozenset, ...]:
-        return tuple(sorted((pos for n, pos in self._keys if n == name), key=sorted))
+    def for_relation(self, name: str) -> tuple[int, ...]:
+        """The key positions of ``name``, ascending."""
+        return tuple(sorted(pos for n, pos in self._keys if n == name))
 
     def validate_for(self, signature: Signature) -> None:
-        for name, pos in self._keys:
+        for name, pos in sorted(self._keys):
             if name not in signature:
                 raise KeyConstraintError(f"key declared for unknown relation {name!r}")
             ar = signature.arity(name)
-            bad = [p for p in pos if p > ar]
-            if bad:
-                raise KeyConstraintError(
-                    f"key position(s) {sorted(bad)} out of range for {name}/{ar}"
-                )
+            if pos > ar:
+                raise KeyConstraintError(f"key position(s) [{pos}] out of range for {name}/{ar}")
 
     def __bool__(self) -> bool:
         return bool(self._keys)
@@ -78,23 +68,17 @@ class KeySet:
         return hash(self._keys)
 
     def __repr__(self) -> str:
-        inner = ", ".join(
-            f"key({n})={{{','.join(map(str, sorted(p)))}}}" for n, p in sorted(self._keys, key=lambda k: (k[0], sorted(k[1])))
-        )
-        return f"KeySet({inner})"
+        return f"KeySet({', '.join(f'key({n})={p}' for n, p in sorted(self._keys))})"
 
 
 def satisfies_keys(data: Structure, keys: KeySet) -> bool:
     """True iff every relation of ``data`` satisfies every applicable key."""
     keys.validate_for(data.signature)
     for name, pos in keys.keys:
-        idx = sorted(p - 1 for p in pos)
-        seen: dict[tuple, tuple] = {}
-        for row in sorted(data.relations[name]):
-            k = tuple(row[i] for i in idx)
-            if k in seen and seen[k] != row:
+        seen: dict[int, tuple] = {}
+        for row in data.relations[name]:
+            if seen.setdefault(row[pos - 1], row) != row:
                 return False
-            seen[k] = row
     return True
 
 
@@ -111,27 +95,26 @@ def _key_closure(struct: Structure, keys: KeySet) -> dict[int, int]:
     """The least key-closed equivalence on ``struct.universe``, as a map from
     each element to the smallest element of its class.
 
-    Each pass scans every keyed relation with its rows grouped by the
-    union-find roots of their key values, and unites the dependent
-    positions of rows in one group; passes repeat until one merges nothing.
-    A pass without merges sees fixed roots throughout, so at that point
-    every key holds on the quotient.
+    Each pass scans every key, in relation and position order, with the
+    relation's rows grouped by the union-find root of their key element, and
+    unites the dependent positions of rows in one group; passes repeat until
+    one merges nothing.  A pass without merges sees fixed roots throughout,
+    so at that point every key holds on the quotient.
     """
     keyed = []
     for name in struct.signature.symbols():
         for pos in keys.for_relation(name):
-            idx = sorted(p - 1 for p in pos)
-            rest = [i for i in range(struct.signature.arity(name)) if i + 1 not in pos]
-            keyed.append((sorted(struct.relations[name]), idx, rest))
+            rest = [i for i in range(struct.signature.arity(name)) if i != pos - 1]
+            keyed.append((sorted(struct.relations[name]), pos - 1, rest))
     uf = UnionFind(struct.universe)
     find = uf.find
     merged = bool(keyed)
     while merged:
         merged = False
-        for rows, idx, rest in keyed:
-            groups: dict[tuple, tuple] = {}
+        for rows, k, rest in keyed:
+            groups: dict[int, tuple] = {}
             for row in rows:
-                first = groups.setdefault(tuple(find(row[i]) for i in idx), row)
+                first = groups.setdefault(find(row[k]), row)
                 if first is not row:
                     for i in rest:
                         merged |= uf.union(first[i], row[i])

@@ -11,7 +11,6 @@ import functools
 import itertools
 import operator
 import re
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -422,7 +421,6 @@ class EvalTrace:
 
     numbering: tuple = ((), ())
     rows: list[frozenset] = field(default_factory=list)
-    wall_time: float = 0.0
     internal_peak: int = 0
 
     @property
@@ -466,7 +464,6 @@ def evaluate_naive(plan: Plan, data: Structure) -> EvalTrace:
     """
     trace = EvalTrace(number_subplans(plan))
     _arities(trace.numbering[1], data.signature)  # raises on an ill-formed plan
-    start = time.perf_counter()
     rows_of = trace.rows
     for node, kids in trace.numbering[1]:
         if isinstance(node, Basic):
@@ -484,7 +481,6 @@ def evaluate_naive(plan: Plan, data: Structure) -> EvalTrace:
                 if all(flat[j - 1] == flat[k - 1] for j, k in theta)
             )
         rows_of.append(rows)
-    trace.wall_time = time.perf_counter() - start
     return trace
 
 
@@ -521,7 +517,6 @@ def evaluate_well_behaved(plan: Plan, data: Structure) -> EvalTrace:
     offender = _first_offending_join(distinct, arities)
     if offender is not None:
         raise WellBehavedError(f"plan is not well-behaved at {print_plan(offender)}")
-    start = time.perf_counter()
     rows_of = trace.rows
     for node, kids in distinct:
         if isinstance(node, Basic):
@@ -534,7 +529,6 @@ def evaluate_well_behaved(plan: Plan, data: Structure) -> EvalTrace:
         else:
             rows = _join_chain(node, [rows_of[k] for k in kids], [arities[k] for k in kids], trace)
         rows_of.append(rows)
-    trace.wall_time = time.perf_counter() - start
     return trace
 
 

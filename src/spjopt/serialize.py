@@ -6,8 +6,9 @@ Structure JSON:
 with "tuple" optional (absent means a closed structure).  Element ids are
 assigned in sorted-name order, so loading is deterministic.
 
-Keys files: one `key <RelName> <position>` line per key (1-based); blank
-lines and lines starting with `#` are ignored.
+Keys files: one `key <RelName> <position>` line per unary key (1-based); a
+relation may have several.  Blank lines and lines starting with `#` are
+ignored.
 
 Plan files: optional `rel <Name> <arity>` header lines declaring the
 signature, then the plan s-expression.  Data-free subcommands (optimize,
@@ -127,7 +128,7 @@ def keys_from_text(text: str) -> KeySet:
             pos = int(parts[2])
         except ValueError:
             raise FormatError(f"line {lineno}: bad position {parts[2]!r}") from None
-        entries.append((parts[1], (pos,)))
+        entries.append((parts[1], pos))
     return KeySet(entries)
 
 

@@ -25,12 +25,7 @@ from typing import Callable, Optional, Sequence
 
 from .colorwidth import color_values, optimal_cwidth
 from .constraints import KeySet, chase, satisfies_keys
-from .errors import (
-    ArityError,
-    DegenerateInputError,
-    KeyConstraintError,
-    SpjError,
-)
+from .errors import ArityError, DegenerateInputError, SpjError
 from .plans import (
     Basic,
     Join,
@@ -93,10 +88,7 @@ def _base_fds(core: Structure, keys: KeySet) -> dict[tuple[int, int], Plan]:
     """
     out: dict[tuple[int, int], Plan] = {}
     for name in core.signature.symbols():
-        for pos_set in keys.for_relation(name):
-            if len(pos_set) != 1:
-                raise KeyConstraintError("key elimination requires unary keys")
-            j = next(iter(pos_set))
+        for j in keys.for_relation(name):
             for row in sorted(core.relations[name]):
                 x = row[j - 1]
                 for i, y in enumerate(row, start=1):
@@ -123,8 +115,6 @@ def eliminate_fds(core: OpenStructure, keys: KeySet) -> FdElimination:
     only base dependencies are ever needed and each step is a well-behaved
     join whose output is no larger than the base relation.
     """
-    if not keys.is_unary:
-        raise KeyConstraintError("key elimination requires unary keys")
     struct = core.structure
     if not satisfies_keys(struct, keys):
         raise DegenerateInputError("key elimination requires a chase fixpoint")
@@ -310,8 +300,6 @@ def synthesize_plan(
     Core-ness is not re-verified here; a non-core fixpoint still yields a
     correct, well-behaved plan, just possibly not of minimum degree.
     """
-    if not keys.is_unary:
-        raise KeyConstraintError("plan synthesis requires unary keys")
     struct = core.structure
     if struct.total_tuple_count() == 0:
         raise DegenerateInputError(
@@ -408,8 +396,6 @@ def subplan_degrees(plan: Plan, keys: KeySet, signature: Signature) -> list[Frac
     identifications and the chase, a closure that may start from chased parts.
     A projection keeps its child's structure, and so its value function.
     """
-    if not keys.is_unary:
-        raise KeyConstraintError("output degree requires unary keys")
     numbers, distinct = number_subplans(plan)
     arities = _arities(distinct, signature)
     check_representation_size(numbers, distinct, arities)
@@ -478,8 +464,6 @@ def equivalence_witness(
     Decided exactly: the chased representations must be homomorphically
     equivalent.  Plans of different arity raise :class:`ArityError`.
     """
-    if not keys.is_unary:
-        raise KeyConstraintError("equivalence check requires unary keys")
     rep1, _ = build_representation(p1, signature)
     rep2, _ = build_representation(p2, signature)
     if len(rep1.open.tuple) != len(rep2.open.tuple):
@@ -535,8 +519,6 @@ def optimize(
     :func:`equivalence_witness` decides it, against the chased input that
     the core was computed from.  The core is ``result.elimination.original``.
     """
-    if not keys.is_unary:
-        raise KeyConstraintError("the pipeline requires unary keys")
     chased = _chased_representation(plan, keys, signature)
     result = synthesize_plan(compute_core(chased, cap_universe=caps.core_universe), keys, caps)
     output = _chased_representation(result.plan, keys, signature)

@@ -88,6 +88,8 @@ def product_witness(
     set to [n].  Key positions of distinct source tuples carry distinct
     element tags (the source satisfies the keys), and a dependent's colors
     are a subset of its key's, so the output satisfies the keys as well.
+    Two keys on one relation are each the other's dependent, so their
+    elements carry the same colors.
     """
     check_family_size(source, solution, n)
     if not satisfies_keys(source, keys):

@@ -67,6 +67,21 @@ def rand_keys(rng: random.Random, signature: Signature, prob: float = 0.5) -> Ke
     return KeySet.unary(mapping)
 
 
+def rand_multi_keys(rng: random.Random, signature: Signature) -> KeySet:
+    """Random unary keys, sometimes two per relation."""
+    keys = []
+    for name in signature.symbols():
+        ar = signature.arity(name)
+        for _ in range(rng.randint(0, 2)):
+            keys.append((name, rng.randint(1, ar)))
+    return KeySet(keys)
+
+
+def several_keys(keys: KeySet, signature: Signature) -> bool:
+    """Whether some relation of ``signature`` carries two or more keys."""
+    return any(len(keys.for_relation(name)) > 1 for name in signature.symbols())
+
+
 def rand_satisfying_structure(
     rng: random.Random, signature: Signature, keys: KeySet, max_domain: int = 5, max_rows: int = 5
 ) -> Structure:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import re
-import time
 from fractions import Fraction
 
 from typing import Mapping, Optional, Sequence
@@ -309,6 +308,23 @@ def brute_homs_relation(src: Structure, out_tuple, data: Structure):
     )
 
 
+def has_images(src: Structure, outputs, data: Structure, count: int) -> bool:
+    """Whether homs(src, outputs, data) holds at least ``count`` tuples: the
+    search of ``homs_relation``, stopped at the ``count``-th image, so a
+    lower bound stays cheap to check on a relation far larger than it."""
+    search = _HomSearch(src, data, {})
+    start = search._start()
+    found = set()
+    if start is not None:
+        cand, assigned = start
+        for partial in search._solutions(cand, assigned, sorted(set(outputs))):
+            if search._complete(cand, partial) is not None:
+                found.add(tuple(partial[v] for v in outputs))
+                if len(found) >= count:
+                    break
+    return len(found) >= count
+
+
 def brute_open_hom_exists(a: OpenStructure, b: OpenStructure) -> bool:
     return any(
         tuple(h[e] for e in a.tuple) == b.tuple
@@ -361,12 +377,12 @@ def random_chase(value, keys: KeySet, rng):
         violations = []
         for name in current.signature.symbols():
             for pos in keys.for_relation(name):
-                idx = sorted(p - 1 for p in pos)
+                k = pos - 1
                 rows = sorted(current.relations[name])
                 for r1, r2 in itertools.combinations(rows, 2):
-                    if tuple(r1[i] for i in idx) == tuple(r2[i] for i in idx):
+                    if r1[k] == r2[k]:
                         for i in range(len(r1)):
-                            if i not in idx and r1[i] != r2[i]:
+                            if i != k and r1[i] != r2[i]:
                                 violations.append((r1[i], r2[i]))
         if not violations:
             break
@@ -391,18 +407,17 @@ def _first_violation(struct: Structure, keys: KeySet):
             continue
         rows = sorted(struct.relations[name])
         for pos in positions:
-            idx = sorted(p - 1 for p in pos)
+            k = pos - 1
             groups = {}
             for row in rows:
-                k = tuple(row[i] for i in idx)
-                other = groups.get(k)
+                other = groups.get(row[k])
                 if other is not None and other != row:
                     for i in range(len(row)):
-                        if i not in idx and other[i] != row[i]:
+                        if i != k and other[i] != row[i]:
                             a, b = other[i], row[i]
                             return (max(a, b), min(a, b))
                 else:
-                    groups[k] = row
+                    groups[row[k]] = row
     return None
 
 
@@ -652,7 +667,6 @@ def evaluate_well_behaved_per_occurrence(plan: Plan, data: Structure) -> EvalTra
         raise WellBehavedError(f"plan is not well-behaved at {print_plan(offender)}")
     validate_plan(plan, data.signature)
     trace = EvalTrace(([], []))
-    start = time.perf_counter()
 
     def rec(node: Plan) -> tuple[frozenset, int]:
         if isinstance(node, Select):
@@ -728,7 +742,6 @@ def evaluate_well_behaved_per_occurrence(plan: Plan, data: Structure) -> EvalTra
         ), kids
 
     rec(plan)
-    trace.wall_time = time.perf_counter() - start
     return trace
 
 
@@ -737,7 +750,6 @@ def evaluate_naive_recursive(plan: Plan, data: Structure) -> EvalTrace:
     own, recursively: the reference for the folded ``evaluate_naive``."""
     validate_plan(plan, data.signature)
     trace = EvalTrace(([], []))
-    start = time.perf_counter()
 
     def rec(node: Plan) -> tuple[frozenset, int]:
         if isinstance(node, Basic):
@@ -760,7 +772,6 @@ def evaluate_naive_recursive(plan: Plan, data: Structure) -> EvalTrace:
         return _record(trace, node, kids, rows)
 
     rec(plan)
-    trace.wall_time = time.perf_counter() - start
     return trace
 
 
@@ -1172,11 +1183,11 @@ def coloring_is_valid(structure: Structure, keys: KeySet, col) -> bool:
     per-element color sets."""
     for name in structure.signature.symbols():
         for pos in keys.for_relation(name):
-            idx = [p - 1 for p in pos]
+            k = pos - 1
             for row in structure.relations[name]:
-                key_colors = set().union(*(col.get(row[i], set()) for i in idx))
+                key_colors = set(col.get(row[k], set()))
                 for i in range(len(row)):
-                    if i not in idx and not set(col.get(row[i], set())) <= key_colors:
+                    if i != k and not set(col.get(row[i], set())) <= key_colors:
                         return False
     return any(col.get(e) for e in structure.universe)
 
@@ -1272,11 +1283,7 @@ def check_containment_property(
 
 def keys_to_text(keys: KeySet) -> str:
     """The keys file that ``serialize.keys_from_text`` reads back as ``keys``."""
-    lines = []
-    for name, pos in sorted(keys.keys, key=lambda k: (k[0], sorted(k[1]))):
-        for p in sorted(pos):
-            lines.append(f"key {name} {p}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(f"key {name} {pos}\n" for name, pos in sorted(keys.keys))
 
 
 def max_relation_size(structure: Structure) -> int:

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from spjopt import (
     DegenerateInputError,
-    KeyConstraintError,
     KeySet,
     OpenStructure,
     ResourceCapError,
@@ -36,10 +35,12 @@ from conftest import (
     mobius_ladder,
     pattern_plan,
     rand_keys,
+    rand_multi_keys,
     rand_open_structure,
     rand_plan,
     rand_signature,
     rand_structure,
+    several_keys,
     squared_cycle,
 )
 from oracles import (
@@ -139,11 +140,15 @@ def test_color_number_monotone_in_target(rng):
 
 def test_lp_equals_basic_solution_enumeration(rng):
     """Simplex optimum over the reduced generating classes == brute-force
-    vertex scan of the LP over all valid classes."""
-    checked = 0
-    for _ in range(80):
+    vertex scan of the LP over all valid classes, with one key per relation
+    and, from the 81st draw on, several keys on some relation."""
+    checked = [0, 0]
+    for trial in range(320):
         sig = rand_signature(rng, max_relations=2, max_arity=3)
-        keys = rand_keys(rng, sig)
+        several = trial >= 80
+        keys = rand_multi_keys(rng, sig) if several else rand_keys(rng, sig)
+        if several and not several_keys(keys, sig):
+            continue
         open_s = rand_open_structure(rng, sig, max_domain=4, max_rows=3)
         struct = open_s.structure
         if struct.total_tuple_count() == 0 or not struct.universe:
@@ -159,8 +164,8 @@ def test_lp_equals_basic_solution_enumeration(rng):
         ]
         brute = packing_lp_by_basic_enumeration(len(usable), rows)
         assert color_number(struct, keys, target)[0] == brute
-        checked += 1
-    assert checked >= 25
+        checked[several] += 1
+    assert checked[0] >= 25 and checked[1] >= 25, checked
 
 
 def test_pruned_rows_give_the_lp_over_all_constraint_sets(rng):
@@ -206,9 +211,15 @@ def test_color_number_equals_fractional_edge_cover_without_keys(rng):
 
 
 def test_witness_coloring_always_valid(rng):
-    for _ in range(40):
+    """One key per relation, and from the 41st draw on several keys on some
+    relation."""
+    checked = [0, 0]
+    for trial in range(200):
         sig = rand_signature(rng, max_relations=2, max_arity=3)
-        keys = rand_keys(rng, sig)
+        several = trial >= 40
+        keys = rand_multi_keys(rng, sig) if several else rand_keys(rng, sig)
+        if several and not several_keys(keys, sig):
+            continue
         open_s = rand_open_structure(rng, sig, max_domain=5, max_rows=4)
         struct = open_s.structure
         if struct.total_tuple_count() == 0 or not struct.universe:
@@ -220,6 +231,8 @@ def test_witness_coloring_always_valid(rng):
         col = {e: set(cs) for e, cs in sol.color_sets().items()}
         assert coloring_is_valid(struct, keys, col)
         assert coloring_ratio(struct, col) == val
+        checked[several] += 1
+    assert checked[0] >= 30 and checked[1] >= 20, checked
 
 
 def test_cwidth_of_example_decomposition():
@@ -540,8 +553,3 @@ def test_color_value_errors_match_color_number():
         assert _assert_same_value(half, NO_KEYS, target)
     keyed = Structure(SIG_R, [0, 1, 2, 3], {"R": [(0, 1)]})
     assert _assert_same_value(keyed, KEY_R1, {1, 3})
-    pair_key = KeySet([("R", (1, 2))])
-    with pytest.raises(KeyConstraintError, match="unary keys only"):
-        color_number(triangle(), pair_key, {0})
-    with pytest.raises(KeyConstraintError, match="unary keys only"):
-        color_values(triangle(), pair_key)

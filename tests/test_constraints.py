@@ -15,7 +15,14 @@ from spjopt import (
     satisfies_keys,
 )
 
-from conftest import rand_keys, rand_open_structure, rand_signature, rand_structure
+from conftest import (
+    rand_keys,
+    rand_multi_keys,
+    rand_open_structure,
+    rand_signature,
+    rand_structure,
+    several_keys,
+)
 from oracles import chase_changed, check_isomorphic, random_chase, stepwise_chase
 
 SIG_R = Signature({"R": 2})
@@ -23,13 +30,13 @@ KEY_R1 = KeySet.unary({"R": 1})
 
 
 def test_keyset_validation():
-    with pytest.raises(KeyConstraintError):
-        KeySet([("R", ())])
-    with pytest.raises(KeyConstraintError):
-        KeySet([("R", (0,))])
-    ks = KeySet([("R", (1, 2)), ("S", (1,))])
-    assert not ks.is_unary
-    assert KEY_R1.is_unary
+    for positions in ((), (0,), (1,), (1, 2)):
+        with pytest.raises(KeyConstraintError, match="must be an int"):
+            KeySet([("R", positions)])
+    ks = KeySet([("R", 2), ("S", 1), ("R", 1), ("R", 2)])
+    assert ks.keys == {("R", 1), ("R", 2), ("S", 1)}
+    assert ks.for_relation("R") == (1, 2) and ks.for_relation("T") == ()
+    assert KeySet.unary({"R": 1}) == KeySet([("R", 1)]) == KEY_R1
     with pytest.raises(KeyConstraintError):
         KEY_R1.validate_for(Signature({"S": 1}))
     with pytest.raises(KeyConstraintError):
@@ -44,13 +51,26 @@ def test_satisfies_keys_basic():
     assert satisfies_keys(Structure(SIG_R, [], {}), KEY_R1)
 
 
-def test_satisfies_non_unary_key():
+def test_keyset_rejects_bad_positions():
+    """A position is an int of at least 1; nothing is truncated into one."""
+    for bad in (1.5, True, False, "2", ("2",)):
+        with pytest.raises(KeyConstraintError, match="must be an int"):
+            KeySet([("R", bad)])
+        with pytest.raises(KeyConstraintError, match="must be an int"):
+            KeySet.unary({"R": bad})
+    for bad in (0, -1):
+        with pytest.raises(KeyConstraintError, match="must be 1-based"):
+            KeySet([("R", bad)])
+
+
+def test_satisfies_each_of_several_keys():
     sig = Signature({"R": 3})
-    ks = KeySet([("R", (1, 2))])
-    ok = Structure(sig, [0, 1, 2], {"R": [(0, 1, 2), (0, 2, 1)]})
-    bad = Structure(sig, [0, 1, 2], {"R": [(0, 1, 2), (0, 1, 1)]})
+    ks = KeySet([("R", 1), ("R", 3)])
+    ok = Structure(sig, [0, 1, 2], {"R": [(0, 1, 2), (1, 1, 0)]})
+    bad = Structure(sig, [0, 1, 2], {"R": [(0, 1, 2), (1, 1, 2)]})
     assert satisfies_keys(ok, ks)
     assert not satisfies_keys(bad, ks)
+    assert satisfies_keys(bad, KeySet([("R", 1)]))
 
 
 def test_chase_merges_dependents():
@@ -85,15 +105,6 @@ def test_chase_accepts_plain_structures():
     res = chase(s, KEY_R1)
     assert isinstance(res.result, Structure)
     assert satisfies_keys(res.result, KEY_R1)
-
-
-def test_chase_with_non_unary_keys():
-    sig = Signature({"R": 3})
-    ks = KeySet([("R", (1, 2))])
-    s = Structure(sig, range(4), {"R": [(0, 1, 2), (0, 1, 3)]})
-    res = chase(s, ks)
-    assert satisfies_keys(res.result, ks)
-    assert len(res.result.universe) == 3
 
 
 def test_chase_satisfies_keys_randomized(rng):
@@ -149,21 +160,10 @@ def test_chase_preserves_semantics_on_satisfying_data(rng):
     assert checked > 50
 
 
-def rand_multi_keys(rng, signature):
-    """Random keys of one or two positions, sometimes two per relation."""
-    keys = []
-    for name in signature.symbols():
-        ar = signature.arity(name)
-        for _ in range(rng.randint(0, 2)):
-            size = rng.randint(1, min(2, ar))
-            keys.append((name, rng.sample(range(1, ar + 1), size)))
-    return KeySet(keys)
-
-
 def test_chase_matches_stepwise_oracle(rng):
     """Same merge map (in order), structure and names as merging one
-    violation at a time, with unary and two-position keys."""
-    merged = 0
+    violation at a time, with one key and with several keys per relation."""
+    merged = merged_several = 0
     for trial in range(300):
         sig = rand_signature(rng, max_relations=3, max_arity=3)
         keys = rand_keys(rng, sig, prob=0.7) if trial % 2 else rand_multi_keys(rng, sig)
@@ -179,4 +179,5 @@ def test_chase_matches_stepwise_oracle(rng):
         want_s = want.structure if isinstance(value, OpenStructure) else want
         assert got_s.names == want_s.names
         merged += chase_changed(res)
-    assert merged >= 100
+        merged_several += chase_changed(res) and several_keys(keys, sig)
+    assert merged >= 100 and merged_several >= 25, (merged, merged_several)

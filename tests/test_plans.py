@@ -262,7 +262,6 @@ def test_trace_shape():
     assert len(trace.entries) == len(subplans(p))
     assert trace.entries[-1].path == ()
     assert trace.max_intermediate >= max(e.cardinality for e in trace.entries)
-    assert trace.wall_time >= 0
 
 
 def test_well_behaved_evaluator_requires_precondition():

@@ -6,6 +6,7 @@ import pytest
 
 from spjopt import (
     Basic,
+    Caps,
     DegenerateInputError,
     Join,
     KeySet,
@@ -40,15 +41,18 @@ from spjopt.plans import number_subplans, plan_size, validate_plan
 from conftest import (
     pattern_plan,
     rand_keys,
+    rand_multi_keys,
     rand_open_structure,
     rand_plan,
     rand_satisfying_structure,
     rand_signature,
     rand_structure,
+    several_keys,
 )
 from oracles import (
     UNCAPPED,
     all_atoms_bag_chain,
+    has_images,
     max_relation_size,
     rebuilt_output_degree,
     synthesize_with_keyed_search,
@@ -142,39 +146,42 @@ def test_eliminate_fds_preserves_answers_on_satisfying_data(rng):
     Only about one plan in ten has a key elimination that adds relations, so
     plans are drawn until 10 databases have been checked; the cap on draws
     only makes sure the loop ends (10 checks took at most 107 draws over 500
-    seeds)."""
+    seeds).  Then the same again with several keys on some relation."""
     from spjopt import build_representation, homs_relation
 
-    checked = draws = 0
-    while checked < 10 and draws < 300:
-        draws += 1
-        sig = rand_signature(rng, max_relations=2, max_arity=3)
-        keys = rand_keys(rng, sig, prob=0.8)
-        plan = rand_plan(rng, sig, max_operators=4)
-        rep, _ = build_representation(plan, sig)
-        chased = chase(rep.open, keys).result
-        elim = eliminate_fds(chased, keys)
-        if not elim.new_relations:
-            continue
-        for _ in range(3):
-            data = rand_satisfying_structure(rng, sig, keys, max_domain=4, max_rows=10)
-            # materialize the widened database
-            widened_rels = {}
-            for name in elim.structure.signature.symbols():
-                defining = elim.defining_plans[name]
-                widened_rels[name] = evaluate_naive(defining, data).output
-            widened_data = Structure(
-                elim.structure.signature, data.universe, widened_rels, data.names
-            )
-            allvars = tuple(chased.structure.universe)
-            before = homs_relation(chased.structure, allvars, data)
-            after = homs_relation(elim.structure, allvars, widened_data)
-            assert before == after
-            # derived relations never exceed the base relation sizes
-            for name in elim.new_relations:
-                assert len(widened_rels[name]) <= max_relation_size(data)
-            checked += 1
-    assert checked >= 10, f"{checked} checks from {draws} draws"
+    for several in (False, True):
+        checked = draws = 0
+        while checked < 10 and draws < 300:
+            draws += 1
+            sig = rand_signature(rng, max_relations=2, max_arity=3)
+            keys = rand_multi_keys(rng, sig) if several else rand_keys(rng, sig, prob=0.8)
+            if several and not several_keys(keys, sig):
+                continue
+            plan = rand_plan(rng, sig, max_operators=4)
+            rep, _ = build_representation(plan, sig)
+            chased = chase(rep.open, keys).result
+            elim = eliminate_fds(chased, keys)
+            if not elim.new_relations:
+                continue
+            for _ in range(3):
+                data = rand_satisfying_structure(rng, sig, keys, max_domain=4, max_rows=10)
+                # materialize the widened database
+                widened_rels = {}
+                for name in elim.structure.signature.symbols():
+                    defining = elim.defining_plans[name]
+                    widened_rels[name] = evaluate_naive(defining, data).output
+                widened_data = Structure(
+                    elim.structure.signature, data.universe, widened_rels, data.names
+                )
+                allvars = tuple(chased.structure.universe)
+                before = homs_relation(chased.structure, allvars, data)
+                after = homs_relation(elim.structure, allvars, widened_data)
+                assert before == after
+                # derived relations never exceed the base relation sizes
+                for name in elim.new_relations:
+                    assert len(widened_rels[name]) <= max_relation_size(data)
+                checked += 1
+        assert checked >= 10, f"{checked} checks from {draws} draws"
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +514,43 @@ def test_pruned_chains_match_all_atom_chains(rng, monkeypatch):
     assert plan_size(new.plan) < plan_size(old.plan)  # keyed C8, the last case
 
 
-def test_optimize_rejects_non_unary_keys():
-    from spjopt import KeyConstraintError
+SIG_ER = Signature({"E": 2, "R": 3})
+TWO_KEYS_E = KeySet([("E", 1), ("E", 2)])
+TWO_KEYS_E_AND_R = KeySet([("E", 1), ("E", 2), ("R", 1), ("R", 3)])
 
-    plan = Basic("R")
-    with pytest.raises(KeyConstraintError):
-        optimize(plan, KeySet([("R", (1, 2))]), SIG_R)
+
+def test_optimize_is_optimal_with_two_keys_per_relation(rng):
+    """Criterion 6's checks on random plans under two keys on E, and on
+    every other plan two on R as well: the result is well-behaved and
+    equivalent, its intermediate degree is the core's width, and it is no
+    worse than the input's.  The widest bag's witness family satisfies every
+    key, and the core has at least n^N images of that bag on it, counted
+    until they are found.  Plans
+    past caps of 12 are skipped."""
+    caps = Caps(core_universe=12, width_universe=12)
+    optimized = 0
+    for trial in range(120):
+        keys = TWO_KEYS_E_AND_R if trial % 2 else TWO_KEYS_E
+        plan = rand_plan(rng, SIG_ER)
+        try:
+            result = optimize(plan, keys, SIG_ER, caps)
+        except ResourceCapError:
+            continue
+        core = result.elimination.original
+        assert is_well_behaved(result.plan, SIG_ER)[0]
+        assert check_equivalence(plan, result.plan, keys, SIG_ER)
+        report = optimal_cwidth(core, keys, cap=caps.width_universe)
+        degree = intermediate_degree_bound(result.plan, keys, SIG_ER)
+        assert degree == result.degree == report.width
+        assert result.degree <= intermediate_degree_bound(plan, keys, SIG_ER)
+        _, family = bag_witness(core, keys, report)
+        bag = tuple(sorted(family.target))
+        for n in (2, 3):
+            data = family.generate(n)
+            assert satisfies_keys(data, keys)
+            assert has_images(core.structure, bag, data, n**family.colors_on_target)
+        optimized += 1
+    assert optimized >= 100
 
 
 def test_optimized_plan_beats_obvious_form_on_witness_data():
