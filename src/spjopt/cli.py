@@ -33,13 +33,14 @@ from .errors import (
     WellBehavedError,
 )
 from .plans import (
+    Basic,
+    _arities,
+    _first_offending_join,
     evaluate_naive,
     evaluate_well_behaved,
-    is_well_behaved,
-    operator_count,
+    number_subplans,
     parse_plan,
     print_plan,
-    validate_plan,
 )
 from .represent import Caps, build_representation
 from .structures import OpenStructure, Signature, Structure, compute_core
@@ -160,15 +161,17 @@ def _cmd_check(args: argparse.Namespace) -> None:
     keys = _load_keys(args)
     plan, sig, data = _load_plan(args)
     keys.validate_for(sig)
-    ok, offender = is_well_behaved(plan, sig)
+    numbers, distinct = number_subplans(plan)
+    arities = _arities(distinct, sig)
+    offender = _first_offending_join(distinct, arities)
     doc = {
         "ok": True,
-        "arity": validate_plan(plan, sig),
-        "operators": operator_count(plan),
-        "wellBehaved": ok,
+        "arity": arities[-1],
+        "operators": sum(not isinstance(distinct[n][0], Basic) for n in numbers),
+        "wellBehaved": offender is None,
         "keysUnary": True,
     }
-    if not ok:
+    if offender is not None:
         doc["offendingSubplan"] = print_plan(offender)
     if data is not None:
         doc["dataSignatureMatches"] = data.signature == sig
@@ -246,7 +249,7 @@ def _cmd_optimize(args: argparse.Namespace) -> None:
     keys.validate_for(sig)
     result = optimize(plan, keys, sig, _caps(args))
     if args.format == "text":
-        _emit(args, print_plan(result.plan) + "\n")
+        _emit(args, result.plan_text + "\n")
         return
     names = result.elimination.structure.names
     _emit(args, serialize.dumps(serialize.synthesis_result_to_json(result, names)))

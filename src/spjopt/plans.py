@@ -46,6 +46,9 @@ class Join:
 
 
 Plan = Union[Basic, Select, Project, Join]
+# A plan's number_subplans: each occurrence's number, and per number the
+# first node with its children's numbers.
+Numbering = tuple[list[int], list[tuple[Plan, tuple[int, ...]]]]
 
 
 def theta_of(pairs) -> frozenset:
@@ -60,7 +63,7 @@ def theta_of(pairs) -> frozenset:
 # ---------------------------------------------------------------------------
 
 
-def number_subplans(plan: Plan) -> tuple[list[int], list[tuple[Plan, tuple[int, ...]]]]:
+def number_subplans(plan: Plan) -> Numbering:
     """Hash-consing in one iterative pass: number the nodes of ``plan`` so
     that structurally equal subtrees get the same number.
 
@@ -145,18 +148,6 @@ def _check_theta(theta: frozenset, m: int) -> None:
     for j, k in theta:
         if not (1 <= j <= m and 1 <= k <= m):
             raise ArityError(f"identification {j}={k} not {m}-suitable")
-
-
-def validate_plan(plan: Plan, signature: Signature) -> int:
-    """Arity of a well-formed plan; raises on unknown relations, indices out
-    of range, or non-m-suitable identifications."""
-    return _arities(number_subplans(plan)[1], signature)[-1]
-
-
-def operator_count(plan: Plan) -> int:
-    """Number of select/project/join occurrences."""
-    numbers, distinct = number_subplans(plan)
-    return sum(not isinstance(distinct[n][0], Basic) for n in numbers)
 
 
 def plan_size(plan: Plan) -> int:

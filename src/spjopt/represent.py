@@ -3,25 +3,36 @@
 The construction is the inductive one: a fresh atom per basic plan, tuple
 reindexing for projections, disjoint union plus identification merging for
 joins (selections are compiled as 1-way joins), with the merging kept lazy in
-a union-find and materialized once at the end.  One decomposition node is
-produced per subplan occurrence; its bag is the occurrence's output-element
-set.
+a union-find and materialized once at the end.  That one loop over the
+occurrences does only the representation's work.  The decomposition has one
+node per subplan occurrence, whose bag is the occurrence's output-element
+set; its parent map and bags are derived from the loop's output tuples on
+first access, so a caller that needs only the structure never builds them.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .errors import ResourceCapError
-from .plans import Basic, Plan, Project, _arities, number_subplans, plan_texts
+from .plans import (
+    Basic,
+    Numbering,
+    Plan,
+    Project,
+    _arities,
+    _getter,
+    number_subplans,
+    plan_texts,
+)
 from .structures import (
     Hypergraph,
     OpenStructure,
     Signature,
     Structure,
-    UnionFind,
 )
 
 
@@ -114,86 +125,134 @@ class TreeDecomposition:
         return TreeDecomposition(parent, new_root, dict(self.chi))
 
 
-@dataclass
 class PDecomposition(TreeDecomposition):
     """Tree decomposition with one node per subplan occurrence.
 
     Node ids are the occurrences' post-order indices, so the root (the whole
     plan) is the last.  ``beta`` lists each node's output elements, with
     chi(node) = set(beta(node)); ``numbers`` and ``distinct`` are the plan's
-    :func:`number_subplans`.
+    :func:`number_subplans`.  The parent map, ``beta``, ``chi`` and
+    ``node_text`` are derived on first access, from the numbering, each
+    occurrence's output tuple before the merging and the representative of
+    each element.
     """
 
-    beta: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    numbers: list[int] = field(default_factory=list)
-    distinct: list[tuple[Plan, tuple[int, ...]]] = field(default_factory=list)
+    def __init__(
+        self,
+        numbers: list[int],
+        distinct: list[tuple[Plan, tuple[int, ...]]],
+        raw_beta: list[tuple[int, ...]],
+        rep_of: list[int],
+    ):
+        self.root = len(numbers) - 1
+        self.numbers = numbers
+        self.distinct = distinct
+        self._raw_beta = raw_beta
+        self._rep_of = rep_of
+
+    @functools.cached_property
+    def parent(self) -> dict[int, Optional[int]]:
+        parent: list[Optional[int]] = [None] * len(self.numbers)
+        pending: list[int] = []  # finished occurrences whose parent is not reached yet
+        for occ, number in enumerate(self.numbers):
+            cut = len(pending) - len(self.distinct[number][1])
+            for child in pending[cut:]:
+                parent[child] = occ
+            del pending[cut:]
+            pending.append(occ)
+        return dict(enumerate(parent))
+
+    @functools.cached_property
+    def beta(self) -> dict[int, tuple[int, ...]]:
+        rep = self._rep_of.__getitem__
+        return {occ: tuple(map(rep, raw)) for occ, raw in enumerate(self._raw_beta)}
+
+    @functools.cached_property
+    def chi(self) -> dict[int, frozenset]:
+        return {occ: frozenset(t) for occ, t in self.beta.items()}
 
     @functools.cached_property
     def node_text(self) -> dict[int, str]:
-        """Each node's subplan, printed; computed on first access."""
+        """Each node's subplan, printed."""
         texts = plan_texts(self.distinct)
         return {node: texts[n] for node, n in enumerate(self.numbers)}
 
 
 def build_representation(
-    plan: Plan, signature: Signature
+    plan: Plan,
+    signature: Signature,
+    numbering: Optional[Numbering] = None,
 ) -> tuple[PRepresentation, PDecomposition]:
     """Build a representation of ``plan`` together with a decomposition that
     satisfies the containment property.
 
-    One step per subplan occurrence, in post-order.  Fresh elements are
-    allocated per atom position; identifications are collected in a
-    union-find whose quotient (smallest id representative) is taken once at
-    the end.  Polynomial time; the universe never exceeds the number of
-    arity occurrences in the plan.
+    One step per subplan occurrence, in post-order: a basic occurrence
+    allocates fresh element ids consecutively from 0, a projection reindexes
+    its child's output tuple, and a join or selection concatenates its
+    children's and links the elements that theta identifies in a union-find.
+    The union-find is a list of parent ids that links the larger root under
+    the smaller, with path halving, so each element's representative is the
+    smallest id of its class, whatever order the links came in.  Polynomial
+    time; the universe never exceeds the number of arity occurrences in the
+    plan.  ``numbering`` is the plan's :func:`number_subplans`, when the
+    caller has it already.
     """
-    numbers, distinct = number_subplans(plan)
+    numbers, distinct = number_subplans(plan) if numbering is None else numbering
     arities = _arities(distinct, signature)
     check_representation_size(numbers, distinct, arities)
+    getters = [
+        _getter([c - 1 for c in node.cols]) if type(node) is Project else None
+        for node, _ in distinct
+    ]
 
-    uf = UnionFind()
+    uf: list[int] = []
     atoms: dict[str, list[tuple[int, ...]]] = {n: [] for n in signature.symbols()}
     raw_beta: list[tuple[int, ...]] = []
-    parent: list[Optional[int]] = [None] * len(numbers)
-    pending: list[int] = []  # finished occurrences whose parent is not reached yet
-    for occ, number in enumerate(numbers):
+    pending: list[tuple[int, ...]] = []  # outputs of occurrences whose parent is not reached yet
+    for number in numbers:
         node, kids = distinct[number]
-        cut = len(pending) - len(kids)
-        children = pending[cut:]
-        del pending[cut:]
-        for child in children:
-            parent[child] = occ
-        if isinstance(node, Basic):
-            # Element ids are allocated consecutively from 0.
-            out = tuple(range(len(uf.parent), len(uf.parent) + arities[number]))
-            for e in out:
-                uf.add(e)
+        cls = type(node)
+        if cls is Basic:
+            start = len(uf)
+            out = tuple(range(start, start + arities[number]))
+            uf.extend(out)
             atoms[node.relation].append(out)
-        elif isinstance(node, Project):
-            child = raw_beta[children[0]]
-            out = tuple(child[c - 1] for c in node.cols)
+        elif cls is Project:
+            out = getters[number](pending.pop())
         else:
             # A selection is compiled as a 1-way join: identify per theta.
-            out = tuple(x for child in children for x in raw_beta[child])
+            if len(kids) == 1:
+                out = pending.pop()
+            else:
+                cut = len(pending) - len(kids)
+                out = tuple(itertools.chain.from_iterable(pending[cut:]))
+                del pending[cut:]
             for j, k in node.theta:
-                uf.union(out[j - 1], out[k - 1])
+                a, b = out[j - 1], out[k - 1]
+                while uf[a] != a:
+                    uf[a] = uf[uf[a]]
+                    a = uf[a]
+                while uf[b] != b:
+                    uf[b] = uf[uf[b]]
+                    b = uf[b]
+                if a < b:
+                    uf[b] = a
+                elif b < a:
+                    uf[a] = b
         raw_beta.append(out)
-        pending.append(occ)
+        pending.append(out)
 
-    rep_of = {e: uf.find(e) for e in uf.parent}
-    final_elements = sorted(set(rep_of.values()))
+    # Every link points to a smaller id, so in increasing order an element's
+    # parent already holds its root.
+    for e, up in enumerate(uf):
+        uf[e] = uf[up]
+    final_elements = [e for e, r in enumerate(uf) if e == r]
     names = {e: f"x{i}" for i, e in enumerate(final_elements)}
-    relations = {
-        name: [tuple(rep_of[e] for e in t) for t in rows] for name, rows in atoms.items()
-    }
+    rep = uf.__getitem__
+    relations = {name: [tuple(map(rep, t)) for t in rows] for name, rows in atoms.items()}
     structure = Structure(signature, final_elements, relations, names)
-    beta = {occ: tuple(rep_of[e] for e in raw) for occ, raw in enumerate(raw_beta)}
-    root = len(numbers) - 1
-    chi = {occ: frozenset(t) for occ, t in beta.items()}
-
-    rep = PRepresentation(OpenStructure(structure, beta[root]))
-    dec = PDecomposition(dict(enumerate(parent)), root, chi, beta, numbers, distinct)
-    return rep, dec
+    open_ = OpenStructure(structure, tuple(map(rep, raw_beta[-1])))
+    return PRepresentation(open_), PDecomposition(numbers, distinct, raw_beta, uf)
 
 
 # ---------------------------------------------------------------------------

@@ -247,7 +247,7 @@ def width_report_to_json(report: WidthReport, names=None) -> dict:
 
 def synthesis_result_to_json(result: SynthesisResult, names=None) -> dict:
     return {
-        "plan": print_plan(result.plan),
+        "plan": result.plan_text,
         "degree": fraction_str(result.degree),
         "decomposition": decomposition_to_json(result.decomposition, names),
         "newRelations": [

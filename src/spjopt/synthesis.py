@@ -29,12 +29,14 @@ from .errors import ArityError, DegenerateInputError, SpjError
 from .plans import (
     Basic,
     Join,
+    Numbering,
     Plan,
     Project,
     Select,
     _arities,
-    is_well_behaved,
+    _first_offending_join,
     number_subplans,
+    plan_texts,
     print_plan,
     theta_of,
 )
@@ -184,16 +186,24 @@ def eliminate_fds(core: OpenStructure, keys: KeySet) -> FdElimination:
 class SynthesisResult:
     """A well-behaved plan and the decomposition of ``elimination.open`` it
     was built from; the certified intermediate degree is that
-    decomposition's color-number width without keys."""
+    decomposition's color-number width without keys.  ``numbering`` is the
+    plan's :func:`number_subplans`, which the verification and the printed
+    plan share."""
 
     plan: Plan
     degree: Fraction
     decomposition: TreeDecomposition
     elimination: FdElimination
+    numbering: Numbering
 
     @property
     def new_relations(self) -> dict[str, Plan]:
         return self.elimination.new_relations
+
+    @property
+    def plan_text(self) -> str:
+        """The plan, printed from its numbering."""
+        return plan_texts(self.numbering[1])[-1]
 
 
 def _first_columns(col_elems: Sequence[int]) -> tuple[frozenset, dict[int, int]]:
@@ -308,19 +318,22 @@ def synthesize_plan(
         )
     elim = eliminate_fds(core, keys)
     report = optimal_cwidth(elim.open, KeySet.empty(), cap=caps.width_universe)
+    plan, numbering = _assemble_plan(core, elim, report.decomposition)
     return SynthesisResult(
-        plan=_assemble_plan(core, elim, report.decomposition),
+        plan=plan,
         degree=report.width,
         decomposition=report.decomposition,
         elimination=elim,
+        numbering=numbering,
     )
 
 
 def _assemble_plan(
     core: OpenStructure, elim: FdElimination, dec: TreeDecomposition
-) -> Plan:
+) -> tuple[Plan, Numbering]:
     """The well-behaved plan over ``elim``'s atoms that follows the
-    decomposition ``dec`` of ``elim.open``."""
+    decomposition ``dec`` of ``elim.open``, with its :func:`number_subplans`,
+    on which its well-behavedness is checked."""
     atoms = [
         (rel, row, elim.defining_plans[rel])
         for rel, row in elim.structure.atoms()
@@ -376,10 +389,12 @@ def _assemble_plan(
         )
         final = Join(frozenset(), (final,) + tests)
 
-    ok, offender = is_well_behaved(final, core.structure.signature)
-    if not ok:  # pragma: no cover - construction invariant
+    numbering = number_subplans(final)
+    distinct = numbering[1]
+    offender = _first_offending_join(distinct, _arities(distinct, core.structure.signature))
+    if offender is not None:  # pragma: no cover - construction invariant
         raise SpjError(f"synthesized plan not well-behaved at {print_plan(offender)}")
-    return final
+    return final, numbering
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +509,10 @@ def check_equivalence(p1: Plan, p2: Plan, keys: KeySet, signature: Signature) ->
 # ---------------------------------------------------------------------------
 
 
-def _chased_representation(plan: Plan, keys: KeySet, signature: Signature) -> OpenStructure:
-    rep, _ = build_representation(plan, signature)
+def _chased_representation(
+    plan: Plan, keys: KeySet, signature: Signature, numbering: Optional[Numbering] = None
+) -> OpenStructure:
+    rep, _ = build_representation(plan, signature, numbering)
     return chase(rep.open, keys).result
 
 
@@ -518,10 +535,12 @@ def optimize(
     equivalent to the input before it is returned, as
     :func:`equivalence_witness` decides it, against the chased input that
     the core was computed from.  The core is ``result.elimination.original``.
+    The result's representation is built on ``result.numbering``, so the
+    synthesized plan is numbered once.
     """
     chased = _chased_representation(plan, keys, signature)
     result = synthesize_plan(compute_core(chased, cap_universe=caps.core_universe), keys, caps)
-    output = _chased_representation(result.plan, keys, signature)
+    output = _chased_representation(result.plan, keys, signature, result.numbering)
     if _mutual_homomorphisms(chased, output) is None:  # pragma: no cover
         raise SpjError("pipeline produced a non-equivalent plan")
     return result

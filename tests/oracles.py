@@ -4,16 +4,21 @@ the few helpers that only tests need.
 The oracles are written from the definitions, with no shortcuts: maps are
 enumerated exhaustively, LP optima are recomputed from basic solutions, and
 decompositions are enumerated in canonical form.  Slow by design; only run
-at small sizes.  The test-only helpers at the end (the keys-file writer,
-M(D), whether a chase merged anything, the isomorphism check, the core
-reference that carries the output tuple as a relation, and the core's pair
-search without its certificate) are built on the library.
+at small sizes.  The eager representation builds every decomposition
+field up front, and is the reference for the library's one-loop
+representation.  The test-only helpers at the end (a plan's arity and
+operator count read off its numbering, the keys-file writer, M(D), whether
+a chase merged anything, the isomorphism check, the core reference that
+carries the output tuple as a relation, and the core's pair search without
+its certificate) are built on the library.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from typing import Mapping, Optional, Sequence
@@ -50,14 +55,22 @@ from spjopt.plans import (
     Plan,
     Project,
     Select,
+    _arities,
     _check_theta,
     _column_classes,
     _print_theta,
     _select_rows,
+    number_subplans,
+    plan_texts,
     theta_of,
 )
-from spjopt.represent import PDecomposition, PRepresentation, TreeDecomposition
-from spjopt.structures import _HomSearch, _tuple_pins
+from spjopt.represent import (
+    PDecomposition,
+    PRepresentation,
+    TreeDecomposition,
+    check_representation_size,
+)
+from spjopt.structures import UnionFind, _HomSearch, _tuple_pins
 from spjopt.simplex import LpResult
 from spjopt.synthesis import _assemble_plan, _atom_subplan, _first_columns
 
@@ -1015,7 +1028,7 @@ def synthesize_with_keyed_search(core: OpenStructure, keys: KeySet, caps):
         dec = optimal_cwidth(elim.open, KeySet.empty(), cap=caps.width_universe).decomposition
     else:
         dec = width_report.decomposition
-    return _assemble_plan(core, elim, dec), width_report.width, dec
+    return _assemble_plan(core, elim, dec)[0], width_report.width, dec
 
 
 # ---------------------------------------------------------------------------
@@ -1235,6 +1248,87 @@ def valid_color_classes(
 
 
 # ---------------------------------------------------------------------------
+# The eager representation: the reference for build_representation
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class EagerDecomposition(TreeDecomposition):
+    """:class:`PDecomposition` with every field built up front."""
+
+    beta: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    numbers: list[int] = field(default_factory=list)
+    distinct: list[tuple[Plan, tuple[int, ...]]] = field(default_factory=list)
+
+    @functools.cached_property
+    def node_text(self) -> dict[int, str]:
+        """Each node's subplan, printed; computed on first access."""
+        texts = plan_texts(self.distinct)
+        return {node: texts[n] for node, n in enumerate(self.numbers)}
+
+
+def eager_build_representation(
+    plan: Plan, signature: Signature
+) -> tuple[PRepresentation, EagerDecomposition]:
+    """Build a representation of ``plan`` together with a decomposition that
+    satisfies the containment property.
+
+    One step per subplan occurrence, in post-order.  Fresh elements are
+    allocated per atom position; identifications are collected in a
+    union-find whose quotient (smallest id representative) is taken once at
+    the end.  Polynomial time; the universe never exceeds the number of
+    arity occurrences in the plan.
+    """
+    numbers, distinct = number_subplans(plan)
+    arities = _arities(distinct, signature)
+    check_representation_size(numbers, distinct, arities)
+
+    uf = UnionFind()
+    atoms: dict[str, list[tuple[int, ...]]] = {n: [] for n in signature.symbols()}
+    raw_beta: list[tuple[int, ...]] = []
+    parent: list[Optional[int]] = [None] * len(numbers)
+    pending: list[int] = []  # finished occurrences whose parent is not reached yet
+    for occ, number in enumerate(numbers):
+        node, kids = distinct[number]
+        cut = len(pending) - len(kids)
+        children = pending[cut:]
+        del pending[cut:]
+        for child in children:
+            parent[child] = occ
+        if isinstance(node, Basic):
+            # Element ids are allocated consecutively from 0.
+            out = tuple(range(len(uf.parent), len(uf.parent) + arities[number]))
+            for e in out:
+                uf.add(e)
+            atoms[node.relation].append(out)
+        elif isinstance(node, Project):
+            child = raw_beta[children[0]]
+            out = tuple(child[c - 1] for c in node.cols)
+        else:
+            # A selection is compiled as a 1-way join: identify per theta.
+            out = tuple(x for child in children for x in raw_beta[child])
+            for j, k in node.theta:
+                uf.union(out[j - 1], out[k - 1])
+        raw_beta.append(out)
+        pending.append(occ)
+
+    rep_of = {e: uf.find(e) for e in uf.parent}
+    final_elements = sorted(set(rep_of.values()))
+    names = {e: f"x{i}" for i, e in enumerate(final_elements)}
+    relations = {
+        name: [tuple(rep_of[e] for e in t) for t in rows] for name, rows in atoms.items()
+    }
+    structure = Structure(signature, final_elements, relations, names)
+    beta = {occ: tuple(rep_of[e] for e in raw) for occ, raw in enumerate(raw_beta)}
+    root = len(numbers) - 1
+    chi = {occ: frozenset(t) for occ, t in beta.items()}
+
+    rep = PRepresentation(OpenStructure(structure, beta[root]))
+    dec = EagerDecomposition(dict(enumerate(parent)), root, chi, beta, numbers, distinct)
+    return rep, dec
+
+
+# ---------------------------------------------------------------------------
 # The containment property of a plan's decomposition
 # ---------------------------------------------------------------------------
 
@@ -1279,6 +1373,19 @@ def check_containment_property(
 # ---------------------------------------------------------------------------
 # Helpers that only tests use
 # ---------------------------------------------------------------------------
+
+
+def numbered_arity(plan: Plan, signature: Signature) -> int:
+    """Arity of a well-formed plan, read off :func:`number_subplans` as
+    ``check`` reads it; raises on unknown relations, indices out of range,
+    or non-m-suitable identifications."""
+    return _arities(number_subplans(plan)[1], signature)[-1]
+
+
+def operator_count(plan: Plan) -> int:
+    """Number of select/project/join occurrences, as ``check`` counts them."""
+    numbers, distinct = number_subplans(plan)
+    return sum(not isinstance(distinct[n][0], Basic) for n in numbers)
 
 
 def keys_to_text(keys: KeySet) -> str:

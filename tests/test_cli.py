@@ -19,7 +19,7 @@ from spjopt import (
     parse_plan,
     print_plan,
 )
-from spjopt import cli, plans, serialize
+from spjopt import cli, plans, represent, serialize, synthesis
 from spjopt.cli import main
 from spjopt.errors import FormatError
 from spjopt.represent import REPRESENTATION_ELEMENTS_CAP
@@ -195,6 +195,43 @@ def test_cli_evaluate_numbers_once_and_builds_no_occurrence_trace(workdir, capsy
     for extra in (("--trace",), ("--format", "text")):
         assert run(capsys, *argv, *extra)[0] == 0
         assert "entries" in traces[-1].__dict__
+
+
+def _count_numberings(monkeypatch) -> list:
+    """Patch every binding of ``number_subplans`` in the library; returns
+    the list the patched function appends each numbered plan to."""
+    numbered, number = [], plans.number_subplans
+    for module in (plans, represent, synthesis, cli):
+        if getattr(module, "number_subplans", None) is number:
+            monkeypatch.setattr(module, "number_subplans", lambda plan: numbered.append(plan) or number(plan))
+    return numbered
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cli_optimize_numbers_the_synthesized_plan_once(workdir, capsys, monkeypatch, fmt):
+    """One optimize op numbers its synthesized plan once: the well-behavedness
+    check, the verification's representation and the printed plan share
+    that numbering."""
+    numbered = _count_numberings(monkeypatch)
+    results, optimize = [], cli.optimize
+    monkeypatch.setattr(cli, "optimize", lambda *args: results.append(optimize(*args)) or results[-1])
+    cycle = workdir / "cycle6.plan"
+    cycle.write_text("rel E 2\n" + print_plan(pattern_plan([(i, (i + 1) % 6) for i in range(6)], (0,))) + "\n")
+    code, out, err = run(capsys, "optimize", "--plan", cycle, "--keys", workdir / "r1.keys", "--format", fmt)
+    assert (code, err) == (0, "")
+    (result,) = results
+    assert sum(plan is result.plan for plan in numbered) == 1
+    assert print_plan(result.plan) in out
+
+
+def test_cli_check_numbers_its_plan_once(workdir, capsys, monkeypatch):
+    """check reads arity, operator count and well-behavedness off one
+    numbering of its plan."""
+    numbered = _count_numberings(monkeypatch)
+    code, out, err = run(capsys, "check", "--plan", workdir / "tri.plan")
+    assert (code, err) == (0, "")
+    assert len(numbered) == 1
+    assert json.loads(out)["operators"] == 2
 
 
 def test_cli_equiv(workdir, capsys):
@@ -492,6 +529,29 @@ def test_cli_wide_join_check_is_linear(tmp_path):
     done = run_limited("check", "--plan", plan)
     assert (done.returncode, done.stderr) == (0, "")
     assert json.loads(done.stdout)["wellBehaved"] is False
+
+
+def test_cli_deep_identifications_on_the_oldest_column_stay_linear(tmp_path):
+    """Each of 40,000 levels identifies a fresh atom's first column with the
+    column that has carried the innermost atom's element since the first
+    level.  Every link puts the class's root under a newer, smaller id, so
+    without path halving each identification would walk all the links
+    before it.  ``chase`` with no keys prints the representation itself; the
+    ``represent`` subcommand would also print every node's subplan, whose
+    text is quadratic in the depth."""
+    levels = 40_000
+    plan = tmp_path / "deep.plan"
+    plan.write_text(
+        "rel E 2\n" + "(project (cols 2 4) (join (theta (1 4)) E " * levels + "E" + "))" * levels + "\n"
+    )
+    done = run_limited("chase", "--plan", plan)
+    assert (done.returncode, done.stderr) == (0, "")
+    doc = json.loads(done.stdout)
+    assert doc["mergeMap"] == {}
+    structure = doc["structure"]
+    assert len(structure["universe"]) == levels + 2
+    assert len(structure["relations"]["E"]) == levels + 1
+    assert structure["tuple"] == ["x1", "x0"]
 
 
 def test_cli_optimizes_mobius20_under_a_raised_cap(tmp_path, capsys):

