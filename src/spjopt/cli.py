@@ -1,11 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 input format error, 3 resource cap
-exceeded.  Plans are walked with explicit stacks, so nesting depth is not
-limited by the interpreter's recursion limit.  Running out of memory exits
-3 with a one-line ``spjopt: resource cap: out of memory`` message instead
-of a traceback.  Exit 2 also covers files that cannot be read (missing, a
-directory, no permission) or are not UTF-8 text.
+exceeded.  Every subcommand takes ``--plan``, ``--keys``, ``--data``,
+``--out`` and ``--cap-universe``; a mode option (``--plan2``, ``--trace``,
+``--n``, ``--format`` with the formats its subcommand prints) is taken only
+where ``_COMMANDS`` lists it.  Any other option is a usage error, but a
+missing ``--plan`` exits 2.  Plans are walked with explicit stacks, so
+nesting depth is not limited by the interpreter's recursion limit.  Running
+out of memory exits 3 with a one-line ``spjopt: resource cap: out of
+memory`` message instead of a traceback.  Exit 2 also covers files that
+cannot be read (missing, a directory, no permission) or are not UTF-8 text.
 Universe caps default to :class:`Caps`; ``--cap-universe N`` sets both.  All
 outputs are byte-identical across runs for identical inputs: wall-clock
 timings are deliberately left out of the serialized reports.
@@ -16,7 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import serialize
 from .colorwidth import optimal_cwidth
@@ -25,10 +29,7 @@ from .errors import (
     ArityError,
     DegenerateInputError,
     FormatError,
-    KeyConstraintError,
-    PlanSyntaxError,
     ResourceCapError,
-    SignatureError,
     SpjError,
     WellBehavedError,
 )
@@ -52,6 +53,20 @@ from .synthesis import (
 )
 from .witness import bag_witness, check_family_size
 
+
+class _Command(NamedTuple):
+    """A subcommand: its handler, its help line and the mode options it
+    takes besides the shared ones, as (flag, add_argument keywords)."""
+
+    handler: Callable[[argparse.Namespace], None]
+    help: str
+    options: tuple[tuple[str, dict], ...] = ()
+
+
+def _format(*choices: str) -> tuple[str, dict]:
+    return "--format", {"choices": choices, "default": "json"}
+
+
 # Built once per process: building the parser costs far more than parsing
 # argv, and a long-lived process calls main many times.
 @functools.lru_cache(maxsize=1)
@@ -62,32 +77,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     default_caps = Caps()
-    commands = {
-        "check": "parse and validate a plan, keys and data",
-        "represent": "emit the plan's structure representation and decomposition",
-        "chase": "apply the key chase to a structure or a plan's representation",
-        "core": "compute the core (of a structure, or of a plan's chased representation)",
-        "degree": "report output degree and intermediate degree bound",
-        "optimize": "synthesize the minimum-intermediate-degree equivalent plan",
-        "evaluate": "evaluate a plan on data, with per-subplan cardinalities",
-        "equiv": "decide equivalence of two plans under the keys",
-        "witness": "emit the lower-bound database family for a plan",
-        "decompose": "compute the optimal-width tree decomposition of the chased core "
-                     "(with --data: of the chased data itself, not its core)",
-    }
-    for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--plan", help="plan file (optional `rel NAME ARITY` header + s-expression)")
-        p.add_argument("--plan2", help="second plan file (equiv)")
         p.add_argument("--keys", help="keys file: `key <RelName> <position>` lines")
         p.add_argument("--data", action="append", default=[], help="structure JSON file (repeatable)")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--cap-universe", type=int, help="override both universe caps (default: core "
                        f"{default_caps.core_universe}, width {default_caps.width_universe})")
-        p.add_argument("--trace", action="store_true", help="include per-subplan relations in evaluate output")
-        p.add_argument("--format", choices=["json", "dot", "text"], default="json")
-        p.add_argument("--n", dest="witness_n", default="1,2,3,4",
-                       help="comma-separated witness family indices (witness subcommand)")
+        for flag, spec in command.options:
+            p.add_argument(flag, **spec)
     return parser
 
 
@@ -107,10 +106,10 @@ def _load_keys(args: argparse.Namespace) -> KeySet:
     return serialize.load_keys(args.keys) if args.keys else KeySet.empty()
 
 
-def _first_data(args: argparse.Namespace):
-    if not args.data:
-        return None
-    return serialize.load_structure(args.data[0])
+def _first_data(args: argparse.Namespace) -> Optional[Structure]:
+    """The first data file's structure (an open one's without its tuple)."""
+    data = serialize.load_structure(args.data[0]) if args.data else None
+    return data.structure if isinstance(data, OpenStructure) else data
 
 
 def _chased_data(args: argparse.Namespace, keys: KeySet) -> OpenStructure:
@@ -129,12 +128,16 @@ def _chased_data(args: argparse.Namespace, keys: KeySet) -> OpenStructure:
     return chase(value, keys).result
 
 
-def _load_plan(args: argparse.Namespace):
+def _load_plan(args: argparse.Namespace, keyed: bool = True):
+    """The ``--plan`` file under the first data file's signature, else its
+    own header's; that signature; the keys (empty unless ``keyed``),
+    validated against it; and the data's structure, or None."""
+    _require(args, plan=args.plan)
+    keys = _load_keys(args) if keyed else KeySet.empty()
     data = _first_data(args)
-    data_struct = data.structure if isinstance(data, OpenStructure) else data
-    sig = data_struct.signature if data_struct is not None else None
-    plan, sig = serialize.load_plan(args.plan, sig)
-    return plan, sig, data_struct
+    plan, sig = serialize.load_plan(args.plan, data.signature if data is not None else None)
+    keys.validate_for(sig)
+    return plan, sig, keys, data
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -157,10 +160,7 @@ def _require(args: argparse.Namespace, **what) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> None:
-    _require(args, plan=args.plan)
-    keys = _load_keys(args)
-    plan, sig, data = _load_plan(args)
-    keys.validate_for(sig)
+    plan, sig, _, data = _load_plan(args)
     numbers, distinct = number_subplans(plan)
     arities = _arities(distinct, sig)
     offender = _first_offending_join(distinct, arities)
@@ -179,8 +179,7 @@ def _cmd_check(args: argparse.Namespace) -> None:
 
 
 def _cmd_represent(args: argparse.Namespace) -> None:
-    _require(args, plan=args.plan)
-    plan, sig, _ = _load_plan(args)
+    plan, sig, _, _ = _load_plan(args, keyed=False)
     rep, dec = build_representation(plan, sig)
     names = rep.open.structure.names
     if args.format == "dot":
@@ -194,14 +193,12 @@ def _cmd_represent(args: argparse.Namespace) -> None:
 
 
 def _cmd_chase(args: argparse.Namespace) -> None:
-    keys = _load_keys(args)
     if args.data:
+        keys = _load_keys(args)
         value = serialize.load_structure(args.data[0])
     else:
-        _require(args, plan=args.plan)
-        plan, sig, _ = _load_plan(args)
-        rep, _ = build_representation(plan, sig)
-        value = rep.open
+        plan, sig, keys, _ = _load_plan(args)
+        value = build_representation(plan, sig)[0].open
     struct = value.structure if isinstance(value, OpenStructure) else value
     before_names = dict(struct.names)
     result = chase(value, keys)
@@ -218,22 +215,17 @@ def _cmd_chase(args: argparse.Namespace) -> None:
 
 
 def _cmd_core(args: argparse.Namespace) -> None:
-    keys = _load_keys(args)
     core_cap = _caps(args).core_universe
     if args.data:
-        core = compute_core(_chased_data(args, keys), cap_universe=core_cap)
+        core = compute_core(_chased_data(args, _load_keys(args)), cap_universe=core_cap)
     else:
-        _require(args, plan=args.plan)
-        plan, sig, _ = _load_plan(args)
+        plan, sig, keys, _ = _load_plan(args)
         core = chased_core(plan, keys, sig, core_cap)
     _emit(args, serialize.dumps({"core": serialize.structure_to_json(core)}))
 
 
 def _cmd_degree(args: argparse.Namespace) -> None:
-    _require(args, plan=args.plan)
-    keys = _load_keys(args)
-    plan, sig, _ = _load_plan(args)
-    keys.validate_for(sig)
+    plan, sig, keys, _ = _load_plan(args)
     degrees = subplan_degrees(plan, keys, sig)
     doc = {
         "outputDegree": serialize.fraction_str(degrees[-1]),
@@ -243,10 +235,7 @@ def _cmd_degree(args: argparse.Namespace) -> None:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> None:
-    _require(args, plan=args.plan)
-    keys = _load_keys(args)
-    plan, sig, _ = _load_plan(args)
-    keys.validate_for(sig)
+    plan, sig, keys, _ = _load_plan(args)
     result = optimize(plan, keys, sig, _caps(args))
     if args.format == "text":
         _emit(args, result.plan_text + "\n")
@@ -257,7 +246,7 @@ def _cmd_optimize(args: argparse.Namespace) -> None:
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:
     _require(args, plan=args.plan, data=args.data)
-    plan, sig, data = _load_plan(args)
+    plan, _, _, data = _load_plan(args, keyed=False)
     try:
         trace = evaluate_well_behaved(plan, data)
         evaluator = "well-behaved"
@@ -286,8 +275,7 @@ def _cmd_equiv(args: argparse.Namespace) -> None:
     _require(args, plan=args.plan, plan2=args.plan2)
     keys = _load_keys(args)
     data = _first_data(args)
-    data_struct = data.structure if isinstance(data, OpenStructure) else data
-    merged: dict[str, int] = {} if data_struct is None else data_struct.signature.as_dict()
+    merged: dict[str, int] = {} if data is None else data.signature.as_dict()
     bodies = []
     for path in (args.plan, args.plan2):
         header, body = serialize.plan_file_from_text(serialize.read_text(path))
@@ -320,15 +308,13 @@ def _cmd_equiv(args: argparse.Namespace) -> None:
 
 
 def _cmd_witness(args: argparse.Namespace) -> None:
-    _require(args, plan=args.plan)
-    keys = _load_keys(args)
-    plan, sig, _ = _load_plan(args)
-    keys.validate_for(sig)
+    ns = _parse_witness_n(args.n)
+    plan, sig, keys, _ = _load_plan(args)
     caps = _caps(args)
     core = chased_core(plan, keys, sig, caps.core_universe)
     report = optimal_cwidth(core, keys, cap=caps.width_universe)
     node, family = bag_witness(core, keys, report)
-    for n in args.witness_n:
+    for n in ns:
         check_family_size(family.source, family.solution, n)
     names = core.structure.names
     meta = {
@@ -337,11 +323,11 @@ def _cmd_witness(args: argparse.Namespace) -> None:
         "colorsOnTarget": family.colors_on_target,
         "maxColorsPerTuple": family.max_colors_per_tuple,
         "ratio": serialize.fraction_str(family.ratio),
-        "n": list(args.witness_n),
+        "n": list(ns),
     }
     if args.out:
         files = []
-        for n in args.witness_n:
+        for n in ns:
             path = f"{args.out}_n{n}.json"
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(serialize.dumps(serialize.structure_to_json(family.generate(n))))
@@ -349,20 +335,18 @@ def _cmd_witness(args: argparse.Namespace) -> None:
         meta["files"] = files
     else:
         meta["instances"] = {
-            str(n): serialize.structure_to_json(family.generate(n)) for n in args.witness_n
+            str(n): serialize.structure_to_json(family.generate(n)) for n in ns
         }
     sys.stdout.write(serialize.dumps(meta))
 
 
 def _cmd_decompose(args: argparse.Namespace) -> None:
-    keys = _load_keys(args)
     caps = _caps(args)
     if args.data:
+        keys = _load_keys(args)
         core = _chased_data(args, keys)
     else:
-        _require(args, plan=args.plan)
-        plan, sig, _ = _load_plan(args)
-        keys.validate_for(sig)
+        plan, sig, keys, _ = _load_plan(args)
         core = chased_core(plan, keys, sig, caps.core_universe)
     report = optimal_cwidth(core, keys, cap=caps.width_universe)
     names = core.structure.names
@@ -372,17 +356,28 @@ def _cmd_decompose(args: argparse.Namespace) -> None:
     _emit(args, serialize.dumps(serialize.width_report_to_json(report, names)))
 
 
+# Subcommand name -> its handler, help line and mode options: this one table
+# builds the parser and dispatches main.
 _COMMANDS = {
-    "check": _cmd_check,
-    "represent": _cmd_represent,
-    "chase": _cmd_chase,
-    "core": _cmd_core,
-    "degree": _cmd_degree,
-    "optimize": _cmd_optimize,
-    "evaluate": _cmd_evaluate,
-    "equiv": _cmd_equiv,
-    "witness": _cmd_witness,
-    "decompose": _cmd_decompose,
+    "check": _Command(_cmd_check, "parse and validate a plan, keys and data"),
+    "represent": _Command(_cmd_represent, "emit the plan's structure representation and decomposition",
+                         (_format("json", "dot"),)),
+    "chase": _Command(_cmd_chase, "apply the key chase to a structure or a plan's representation"),
+    "core": _Command(_cmd_core, "compute the core (of a structure, or of a plan's chased "
+                    "representation)"),
+    "degree": _Command(_cmd_degree, "report output degree and intermediate degree bound"),
+    "optimize": _Command(_cmd_optimize, "synthesize the minimum-intermediate-degree equivalent plan",
+                        (_format("json", "text"),)),
+    "evaluate": _Command(_cmd_evaluate, "evaluate a plan on data, with per-subplan cardinalities",
+                        (("--trace", {"action": "store_true", "help": "include per-subplan relations"}),
+                         _format("json", "text"))),
+    "equiv": _Command(_cmd_equiv, "decide equivalence of two plans under the keys",
+                     (("--plan2", {"help": "second plan file"}),)),
+    "witness": _Command(_cmd_witness, "emit the lower-bound database family for a plan",
+                       (("--n", {"default": "1,2,3,4", "help": "comma-separated family indices"}),)),
+    "decompose": _Command(_cmd_decompose, "compute the optimal-width tree decomposition of the chased "
+                         "core (with --data: of the chased data itself, not its core)",
+                         (_format("json", "dot"),)),
 }
 
 
@@ -392,9 +387,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        # --n is checked for every subcommand, not only witness.
-        args.witness_n = _parse_witness_n(args.witness_n)
-        _COMMANDS[args.command](args)
+        _COMMANDS[args.command].handler(args)
     except ResourceCapError as exc:
         print(f"spjopt: resource cap: {exc}", file=sys.stderr)
         return 3
@@ -404,20 +397,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MemoryError:
         print("spjopt: resource cap: out of memory", file=sys.stderr)
         return 3
-    except (
-        FormatError,
-        PlanSyntaxError,
-        SignatureError,
-        ArityError,
-        KeyConstraintError,
-        WellBehavedError,
-        DegenerateInputError,
-        OSError,
-    ) as exc:
-        print(f"spjopt: {exc}", file=sys.stderr)
-        return 2
-    except SpjError as exc:
-        print(f"spjopt: internal error: {exc}", file=sys.stderr)
+    except (SpjError, OSError) as exc:
+        # A bare SpjError is a failed internal check, not bad input.
+        prefix = "internal error: " if type(exc) is SpjError else ""
+        print(f"spjopt: {prefix}{exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -52,7 +52,8 @@ class Caps:
 # position of each basic occurrence, checked before any is allocated, by
 # build_representation and by degree analysis.  About half a KB each, so
 # about 0.5 GB at the cap.  Keyed C20's synthesized plan needs 22,420.
-# A witness family member's elements and rows together share the cap.
+# Degree analysis also charges every structure its fold builds, and a
+# witness family member's elements and rows together share the cap.
 REPRESENTATION_ELEMENTS_CAP = 1_000_000
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Mapping, Optional, Union
 
 from .colorwidth import WidthReport
 from .constraints import KeySet
@@ -192,13 +192,10 @@ def load_plan(path: str, signature: Optional[Signature] = None) -> tuple[Plan, S
 # ---------------------------------------------------------------------------
 
 
-def decomposition_to_json(dec: TreeDecomposition, names=None) -> dict:
-    def disp(e):
-        return names[e] if names else e
-
+def decomposition_to_json(dec: TreeDecomposition, names: Mapping[int, str]) -> dict:
     nodes = []
     for node in dec.nodes:
-        entry = {"id": node, "bag": [disp(e) for e in sorted(dec.chi[node])]}
+        entry = {"id": node, "bag": [names[e] for e in sorted(dec.chi[node])]}
         if isinstance(dec, PDecomposition) and node in dec.node_text:
             entry["subplan"] = dec.node_text[node]
         nodes.append(entry)
@@ -209,13 +206,10 @@ def decomposition_to_json(dec: TreeDecomposition, names=None) -> dict:
     }
 
 
-def decomposition_to_dot(dec: TreeDecomposition, names=None) -> str:
-    def disp(e):
-        return str(names[e]) if names else str(e)
-
+def decomposition_to_dot(dec: TreeDecomposition, names: Mapping[int, str]) -> str:
     lines = ["graph decomposition {"]
     for node in dec.nodes:
-        bag = ",".join(disp(e) for e in sorted(dec.chi[node]))
+        bag = ",".join(names[e] for e in sorted(dec.chi[node]))
         extra = ""
         if isinstance(dec, PDecomposition) and node in dec.node_text:
             extra = "\\n" + dec.node_text[node].replace('"', "'")
@@ -227,16 +221,13 @@ def decomposition_to_dot(dec: TreeDecomposition, names=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def width_report_to_json(report: WidthReport, names=None) -> dict:
-    def disp(e):
-        return names[e] if names else e
-
+def width_report_to_json(report: WidthReport, names: Mapping[int, str]) -> dict:
     return {
         "width": fraction_str(report.width),
         "bags": [
             {
                 "node": node,
-                "bag": [disp(e) for e in sorted(report.decomposition.chi[node])],
+                "bag": [names[e] for e in sorted(report.decomposition.chi[node])],
                 "colorNumber": fraction_str(report.bag_colors[node]),
             }
             for node in report.decomposition.nodes
@@ -245,7 +236,7 @@ def width_report_to_json(report: WidthReport, names=None) -> dict:
     }
 
 
-def synthesis_result_to_json(result: SynthesisResult, names=None) -> dict:
+def synthesis_result_to_json(result: SynthesisResult, names: Mapping[int, str]) -> dict:
     return {
         "plan": result.plan_text,
         "degree": fraction_str(result.degree),
@@ -257,22 +248,19 @@ def synthesis_result_to_json(result: SynthesisResult, names=None) -> dict:
     }
 
 
-def trace_to_json(trace, names=None) -> dict:
-    def disp(e):
-        return names[e] if names else e
-
+def trace_to_json(trace, names: Mapping[int, str]) -> dict:
     return {
         "subplans": [
             {
                 "path": list(entry.path),
                 "plan": text,
                 "cardinality": entry.cardinality,
-                "rows": sorted([disp(e) for e in row] for row in entry.rows),
+                "rows": sorted([names[e] for e in row] for row in entry.rows),
             }
             for entry, text in zip(trace.entries, trace.texts)
         ],
         "maxIntermediate": trace.max_intermediate,
-        "output": sorted([disp(e) for e in row] for row in trace.output),
+        "output": sorted([names[e] for e in row] for row in trace.output),
     }
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 from .colorwidth import color_values, optimal_cwidth
 from .constraints import KeySet, chase, satisfies_keys
-from .errors import ArityError, DegenerateInputError, SpjError
+from .errors import ArityError, DegenerateInputError, ResourceCapError, SpjError
 from .plans import (
     Basic,
     Join,
@@ -41,6 +41,7 @@ from .plans import (
     theta_of,
 )
 from .represent import (
+    REPRESENTATION_ELEMENTS_CAP,
     Caps,
     TreeDecomposition,
     build_representation,
@@ -410,12 +411,23 @@ def subplan_degrees(plan: Plan, keys: KeySet, signature: Signature) -> list[Frac
     projection, and for a join or selection the disjoint union, theta's
     identifications and the chase, a closure that may start from chased parts.
     A projection keeps its child's structure, and so its value function.
+    Every structure built counts against ``REPRESENTATION_ELEMENTS_CAP``
+    before it is allocated: a join or selection holds its children's
+    elements until the chase.
     """
     numbers, distinct = number_subplans(plan)
     arities = _arities(distinct, signature)
     check_representation_size(numbers, distinct, arities)
     reps: list[tuple[Structure, tuple[int, ...], Callable]] = []
+    allocated = 0
     for (node, kids), m in zip(distinct, arities):
+        if not isinstance(node, Project):
+            allocated += m if isinstance(node, Basic) else sum(len(reps[k][0].universe) for k in kids)
+            if allocated > REPRESENTATION_ELEMENTS_CAP:
+                raise ResourceCapError(
+                    f"degree analysis capped at {REPRESENTATION_ELEMENTS_CAP} elements, "
+                    f"its structures need at least {allocated}"
+                )
         if isinstance(node, Basic):
             out = tuple(range(m))
             struct = Structure(signature, out, {node.relation: [out]})

@@ -1,5 +1,6 @@
 """File formats and the command-line front end."""
 
+import argparse
 import json
 import os
 import re
@@ -460,7 +461,7 @@ def test_cli_out_of_memory_is_a_resource_cap(workdir, capsys, monkeypatch):
     def exhausted(cfg):
         raise MemoryError()
 
-    monkeypatch.setitem(cli._COMMANDS, "evaluate", exhausted)
+    monkeypatch.setitem(cli._COMMANDS, "evaluate", cli._COMMANDS["evaluate"]._replace(handler=exhausted))
     code, out, err = run(
         capsys, "evaluate", "--plan", workdir / "tri.plan", "--data", workdir / "d.json"
     )
@@ -500,6 +501,25 @@ def test_cli_huge_arity_hits_the_representation_cap(command, tmp_path):
     assert done.stderr == (
         f"spjopt: resource cap: representation capped at {REPRESENTATION_ELEMENTS_CAP} "
         "elements, the plan's basic occurrences hold 99999999\n"
+    )
+
+
+def test_cli_degree_fold_hits_the_cap_before_allocating(tmp_path):
+    """99 copies of a 100-atom cross product of ``W/100``: the basic
+    occurrences hold 990,000 positions, under the cap, but the degree fold
+    builds the shared subplan's structure and then the root's copy of it per
+    occurrence, 1,000,100 elements in all.  It exits 3 before the root's
+    structure is allocated, in a child process that could not allocate it."""
+    shared = "(project (cols 1) (join (theta) " + " W" * 100 + "))"
+    plan = tmp_path / "fan.plan"
+    plan.write_text(f"rel W 100\n(join (theta){f' {shared}' * 99})\n")
+    start = time.perf_counter()
+    done = run_limited("degree", "--plan", plan)
+    assert time.perf_counter() - start < 5
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (
+        f"spjopt: resource cap: degree analysis capped at {REPRESENTATION_ELEMENTS_CAP} "
+        "elements, its structures need at least 1000100\n"
     )
 
 
@@ -624,7 +644,8 @@ def test_cli_unreadable_file_is_an_input_error(workdir, capsys, monkeypatch):
 
 def test_cli_data_lists_do_not_leak_between_calls(workdir, capsys, monkeypatch):
     seen = []
-    monkeypatch.setitem(cli._COMMANDS, "check", lambda args: seen.append(args.data))
+    check = cli._COMMANDS["check"]._replace(handler=lambda args: seen.append(args.data))
+    monkeypatch.setitem(cli._COMMANDS, "check", check)
     assert run(capsys, "check", "--data", "a.json")[0] == 0
     assert run(capsys, "check", "--data", "b.json", "--data", "c.json")[0] == 0
     assert run(capsys, "check")[0] == 0
@@ -642,6 +663,48 @@ def test_cli_parser_is_built_once(workdir, capsys):
     for argv in (["check", "--plan", workdir / "tri.plan"], ["degree"], ["frobnicate"]):
         run(capsys, *argv)
     assert cli._build_parser.cache_info().misses == 1
+
+
+SHARED_OPTIONS = {"--plan", "--keys", "--data", "--out", "--cap-universe"}
+MODE_OPTIONS = {
+    "check": {},
+    "represent": {"--format": ("json", "dot")},
+    "chase": {},
+    "core": {},
+    "degree": {},
+    "optimize": {"--format": ("json", "text")},
+    "evaluate": {"--trace": None, "--format": ("json", "text")},
+    "equiv": {"--plan2": None},
+    "witness": {"--n": None},
+    "decompose": {"--format": ("json", "dot")},
+}
+
+
+def test_cli_each_subcommand_takes_only_the_options_it_reads():
+    """Each subcommand accepts the five shared options and its own mode
+    options, 57 option slots and 8 ``--format`` values in all, and the
+    argv shapes the benchmark passes still parse."""
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(MODE_OPTIONS)
+    slots = formats = 0
+    for name, sub in subparsers.choices.items():
+        options = {
+            flag: action.choices for action in sub._actions
+            for flag in action.option_strings if flag != "--help" and flag.startswith("--")
+        }
+        assert options == {**dict.fromkeys(SHARED_OPTIONS), **MODE_OPTIONS[name]}, name
+        slots += len(options)
+        formats += len(options.get("--format") or ())
+    assert (slots, formats) == (57, 8)
+    common = ["--plan", "p.plan", "--out", "o.json", "--keys", "k.keys", "--cap-universe", "16"]
+    for argv in (
+        ["optimize", *common],
+        ["degree", *common],
+        ["evaluate", "--plan", "p.plan", "--data", "d.json", "--out", "o.json"],
+        ["witness", "--plan", "p.plan", "--n", "1,2", "--out", "fam"],
+    ):
+        assert parser.parse_args(argv).command == argv[0]
 
 
 @pytest.mark.parametrize("value", ["x", "3", "17"])

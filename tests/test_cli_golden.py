@@ -134,6 +134,10 @@ def _cases(names: list[str]) -> dict[str, list[str]]:
         "usage/bad-format": ["optimize", "--plan", "tri.plan", "--format", "xml"],
         "usage/bad-n": ["witness", "--plan", "tri.plan", "--n", "1,x"],
         "usage/bad-n-other-command": ["degree", "--plan", "tri.plan", "--n", "two"],
+        "usage/trace-other-command": ["optimize", "--plan", "tri.plan", "--trace"],
+        "usage/plan2-other-command": ["degree", "--plan2", "tri.plan"],
+        "usage/format-not-printed/check": ["check", "--plan", "tri.plan", "--format", "dot"],
+        "usage/format-not-printed/represent": ["represent", "--plan", "tri.plan", "--format", "text"],
         "usage/missing-plan": ["optimize"],
     })
     return cases
