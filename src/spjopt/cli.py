@@ -36,7 +36,8 @@ from .errors import (
 from .plans import (
     Basic,
     _arities,
-    _first_offending_join,
+    _check_joins,
+    check_printed_subplans,
     evaluate_naive,
     evaluate_well_behaved,
     number_subplans,
@@ -163,7 +164,7 @@ def _cmd_check(args: argparse.Namespace) -> None:
     plan, sig, _, data = _load_plan(args)
     numbers, distinct = number_subplans(plan)
     arities = _arities(distinct, sig)
-    offender = _first_offending_join(distinct, arities)
+    offender, _ = _check_joins(distinct, arities)
     doc = {
         "ok": True,
         "arity": arities[-1],
@@ -181,6 +182,7 @@ def _cmd_check(args: argparse.Namespace) -> None:
 def _cmd_represent(args: argparse.Namespace) -> None:
     plan, sig, _, _ = _load_plan(args, keyed=False)
     rep, dec = build_representation(plan, sig)
+    check_printed_subplans((dec.numbers, dec.distinct))
     names = rep.open.structure.names
     if args.format == "dot":
         _emit(args, serialize.decomposition_to_dot(dec, names))
@@ -247,11 +249,14 @@ def _cmd_optimize(args: argparse.Namespace) -> None:
 def _cmd_evaluate(args: argparse.Namespace) -> None:
     _require(args, plan=args.plan, data=args.data)
     plan, _, _, data = _load_plan(args, keyed=False)
+    numbering = number_subplans(plan)
+    if args.trace or args.format == "text":
+        check_printed_subplans(numbering)
     try:
-        trace = evaluate_well_behaved(plan, data)
+        trace = evaluate_well_behaved(plan, data, numbering)
         evaluator = "well-behaved"
     except WellBehavedError:
-        trace = evaluate_naive(plan, data)
+        trace = evaluate_naive(plan, data, numbering)
         evaluator = "naive"
     doc = {
         "evaluator": evaluator,

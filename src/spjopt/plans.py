@@ -9,13 +9,20 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .errors import ArityError, PlanSyntaxError, SignatureError, WellBehavedError
-from .structures import Signature, Structure, UnionFind
+from .errors import (
+    ArityError,
+    PlanSyntaxError,
+    ResourceCapError,
+    SignatureError,
+    WellBehavedError,
+)
+from .structures import Signature, Structure
 
 
 @dataclass(frozen=True)
@@ -310,17 +317,46 @@ def plan_texts(distinct: list[tuple[Plan, tuple[int, ...]]]) -> list[str]:
     """The printed form per number of :func:`number_subplans`."""
     out: list[str] = []
     for node, kids in distinct:
-        if isinstance(node, Basic):
-            out.append(node.relation)
-        elif isinstance(node, Select):
-            out.append(f"(select {_print_theta(node.theta)} {out[kids[0]]})")
-        elif isinstance(node, Project):
-            cols = " ".join(str(c) for c in node.cols)
-            out.append(f"(project (cols{' ' if cols else ''}{cols}) {out[kids[0]]})")
-        else:
-            parts = " ".join(out[k] for k in kids)
-            out.append(f"(join {_print_theta(node.theta)} {parts})")
+        out.append(_node_text(node, [out[k] for k in kids]))
     return out
+
+
+def _node_text(node: Plan, kid_texts: list[str]) -> str:
+    """The printed form of ``node`` whose children print as ``kid_texts``."""
+    if isinstance(node, Basic):
+        return node.relation
+    if isinstance(node, Select):
+        return f"(select {_print_theta(node.theta)} {kid_texts[0]})"
+    if isinstance(node, Project):
+        cols = " ".join(str(c) for c in node.cols)
+        return f"(project (cols{' ' if cols else ''}{cols}) {kid_texts[0]})"
+    return f"(join {_print_theta(node.theta)} {' '.join(kid_texts)})"
+
+
+# The most characters of subplan text one output may print.  ``represent``
+# and ``evaluate --trace`` or ``--format text`` print every occurrence's
+# whole subplan, so their text grows with the square of a plan's depth:
+# 2.4 GB of memory for the 4,000-level project/join chain.  The 1,200
+# nested selections of the deep-plan tests print about 17 million.
+PRINTED_SUBPLANS_CAP = 50_000_000
+
+
+def check_printed_subplans(numbering: Numbering) -> None:
+    """Raise :class:`ResourceCapError` when printing the subplan of every
+    occurrence of a plan with :func:`number_subplans` ``numbering`` takes
+    more than ``PRINTED_SUBPLANS_CAP`` characters.  The lengths are summed
+    per number, in one pass, without building any subplan's text."""
+    numbers, distinct = numbering
+    lengths: list[int] = []
+    for node, kids in distinct:
+        own = len(_node_text(node, [""] * len(kids)))
+        lengths.append(own + sum(lengths[k] for k in kids))
+    total = sum(map(lengths.__getitem__, numbers))
+    if total > PRINTED_SUBPLANS_CAP:
+        raise ResourceCapError(
+            f"printed subplans capped at {PRINTED_SUBPLANS_CAP} characters, "
+            f"the plan's occurrences print {total}"
+        )
 
 
 def print_plan(plan: Plan) -> str:
@@ -338,21 +374,27 @@ def _print_theta(theta: frozenset) -> str:
 
 
 def _column_classes(theta: frozenset, s: int) -> list[int]:
-    """Representative column per index under the closure of theta."""
-    uf = UnionFind(range(s + 1))
-    for j, k in theta:
-        uf.union(j, k)
-    return [uf.find(i) for i in range(s + 1)]
-
-
-def _join_is_well_behaved(join: Join, arities: list[int]) -> bool:
-    """Whether some column k makes every column past the first child's
-    equated (under the closure of theta) with a first-child column or k,
-    that is, whether those columns meet at most one class outside the
-    first child's.  ``arities`` are those of the join's children."""
-    m1 = arities[0]
-    classes = _column_classes(join.theta, sum(arities))
-    return len(set(classes[m1 + 1:]) - set(classes[1:m1 + 1])) <= 1
+    """Representative column per 1-based index (0 stands alone) under the
+    closure of theta: the smallest column of its class.  The union-find is
+    a list of parent indices that links the larger root under the smaller,
+    with path halving."""
+    parent = list(range(s + 1))
+    for a, b in theta:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    # Every link points to a smaller index, so in increasing order an
+    # index's parent already holds its root.
+    for i, up in enumerate(parent):
+        parent[i] = parent[up]
+    return parent
 
 
 def is_well_behaved(plan: Plan, signature: Signature) -> tuple[bool, Optional[Plan]]:
@@ -363,20 +405,35 @@ def is_well_behaved(plan: Plan, signature: Signature) -> tuple[bool, Optional[Pl
     once (see :func:`number_subplans`).
     """
     _, distinct = number_subplans(plan)
-    offender = _first_offending_join(distinct, _arities(distinct, signature))
+    offender, _ = _check_joins(distinct, _arities(distinct, signature))
     return offender is None, offender
 
 
-def _first_offending_join(
+def _check_joins(
     distinct: list[tuple[Plan, tuple[int, ...]]], arities: list[int]
-) -> Optional[Join]:
+) -> tuple[Optional[Join], dict[int, list[int]]]:
     """The first join of :func:`number_subplans`'s ``distinct`` that is not
-    well-behaved, or None.  Numbers follow the first occurrences in
-    post-order, so this is also the first offending occurrence."""
-    for node, kids in distinct:
-        if isinstance(node, Join) and not _join_is_well_behaved(node, [arities[k] for k in kids]):
-            return node
-    return None
+    well-behaved, or None, and the :func:`_column_classes` of every join
+    numbered before it.  Numbers follow the first occurrences in post-order,
+    so this is also the first offending occurrence.
+
+    A join is well-behaved when some column k makes every column past the
+    first child's equated (under the closure of theta) with a first-child
+    column or k, that is, when those columns meet at most one class outside
+    the first child's.  A class's representative is its smallest column, so
+    a class outside the first child's is one whose representative lies past
+    the first child's columns.
+    """
+    classes_of: dict[int, list[int]] = {}
+    for number, (node, kids) in enumerate(distinct):
+        if type(node) is Join:
+            m1 = arities[kids[0]]
+            s = m1 + sum(arities[k] for k in kids[1:])
+            classes = _column_classes(node.theta, s)
+            if sum(classes[i] == i for i in range(m1 + 1, s + 1)) > 1:
+                return node, classes_of
+            classes_of[number] = classes
+    return None, classes_of
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +503,26 @@ def _select_rows(rows, theta):
     )
 
 
-def evaluate_naive(plan: Plan, data: Structure) -> EvalTrace:
+# The most row combinations one join of the naive evaluator may iterate
+# over: the product of its children's row counts, checked before the join
+# iterates.  The largest product in the test suite is 1,259,712, and in
+# the benchmark's reference evaluations 15,625; the cap is over 1,000
+# times either.  A cross product of fifteen 18-row relations, the naive
+# fallback of an unkeyed 10-vertex Mobius ladder, needs 6.7 * 10^18.
+NAIVE_JOIN_PRODUCT_CAP = 2_000_000_000
+
+
+def evaluate_naive(plan: Plan, data: Structure, numbering: Optional[Numbering] = None) -> EvalTrace:
     """Reference evaluator: the four inductive cases, verbatim.
 
     Joins materialize the cross product lazily and filter by theta, so the
-    running time (not the memory) is proportional to the product size.
-    Each distinct subplan (see :func:`number_subplans`) is evaluated once.
+    running time (not the memory) is proportional to the product size; a
+    join whose product exceeds ``NAIVE_JOIN_PRODUCT_CAP`` raises
+    :class:`ResourceCapError` before it iterates.  Each distinct subplan
+    (see :func:`number_subplans`) is evaluated once.  ``numbering`` is the
+    plan's :func:`number_subplans`, when the caller has it already.
     """
-    trace = EvalTrace(number_subplans(plan))
+    trace = EvalTrace(number_subplans(plan) if numbering is None else numbering)
     _arities(trace.numbering[1], data.signature)  # raises on an ill-formed plan
     rows_of = trace.rows
     for node, kids in trace.numbering[1]:
@@ -464,6 +533,12 @@ def evaluate_naive(plan: Plan, data: Structure) -> EvalTrace:
         elif isinstance(node, Project):
             rows = frozenset(tuple(t[c - 1] for c in node.cols) for t in rows_of[kids[0]])
         else:
+            product = math.prod(len(rows_of[k]) for k in kids)
+            if product > NAIVE_JOIN_PRODUCT_CAP:
+                raise ResourceCapError(
+                    f"naive evaluation capped at {NAIVE_JOIN_PRODUCT_CAP} row combinations "
+                    f"per join, a join needs {product}"
+                )
             theta = node.theta
             rows = frozenset(
                 flat
@@ -491,53 +566,74 @@ def _equal_at(pairs):
     return lambda t: left(t) == right(t)
 
 
-def evaluate_well_behaved(plan: Plan, data: Structure) -> EvalTrace:
+def evaluate_well_behaved(
+    plan: Plan, data: Structure, numbering: Optional[Numbering] = None
+) -> EvalTrace:
     """Evaluator for well-behaved plans.
 
-    Each distinct subplan (see :func:`number_subplans`) is evaluated once.
+    Each distinct subplan (see :func:`number_subplans`) is evaluated once;
+    ``numbering`` is the plan's numbering, when the caller has it already.
+    The column classes that decide well-behavedness (:func:`_check_joins`)
+    are the ones each distinct join is compiled from, once, into a join
+    program (:func:`_compile_join`).
 
     Multiway joins run as a left-deep chain of binary hash joins over the
     columns' theta-closure classes.  The chain carries one value per
     already-bound class, so no step materializes more than
     |out(q1, D)| x |dom(D)| rows.  Each operator compiles its column
-    positions into ``itemgetter``s once, not once per row.
+    positions into ``itemgetter``s once, not once per row.  An operator
+    that keeps every row as it is (a projection onto all columns in order,
+    a selection with no identification, a one-child join with no
+    identification) returns its child's rows themselves.
     """
-    trace = EvalTrace(number_subplans(plan))
+    trace = EvalTrace(number_subplans(plan) if numbering is None else numbering)
     distinct = trace.numbering[1]
     arities = _arities(distinct, data.signature)
-    offender = _first_offending_join(distinct, arities)
+    offender, classes_of = _check_joins(distinct, arities)
     if offender is not None:
         raise WellBehavedError(f"plan is not well-behaved at {print_plan(offender)}")
     rows_of = trace.rows
-    for node, kids in distinct:
-        if isinstance(node, Basic):
+    for number, (node, kids) in enumerate(distinct):
+        cls = type(node)
+        if cls is Basic:
             rows = data.relations[node.relation]
-        elif isinstance(node, Select):
-            equal = _equal_at([(j - 1, k - 1) for j, k in sorted(node.theta)])
-            rows = frozenset(filter(equal, rows_of[kids[0]]))
-        elif isinstance(node, Project):
-            rows = frozenset(map(_getter([c - 1 for c in node.cols]), rows_of[kids[0]]))
+        elif cls is Select:
+            rows = rows_of[kids[0]]
+            pairs = [(j - 1, k - 1) for j, k in sorted(node.theta) if j != k]
+            if pairs:
+                rows = frozenset(filter(_equal_at(pairs), rows))
+        elif cls is Project:
+            rows = rows_of[kids[0]]
+            if node.cols != tuple(range(1, arities[kids[0]] + 1)):
+                rows = frozenset(map(_getter([c - 1 for c in node.cols]), rows))
         else:
-            rows = _join_chain(node, [rows_of[k] for k in kids], [arities[k] for k in kids], trace)
+            program = _compile_join(classes_of[number], [arities[k] for k in kids])
+            rows = _run_join(program, [rows_of[k] for k in kids], trace)
         rows_of.append(rows)
     return trace
 
 
-def _join_chain(node: Join, outs: list[frozenset], arities: list[int], trace: EvalTrace) -> frozenset:
-    """The join of the children's rows ``outs`` (of arities ``arities``);
-    raises ``trace.internal_peak`` to the largest relation the chain builds.
+# A join compiled from its column classes: ``(steps, final)``.  ``steps``
+# has one ``(equal, key, extend, probe)`` per child: the filter for the
+# identifications inside the child (None when it has none), the getters of
+# the child's key and of its new columns, and the getter of the chain slots
+# its key must equal.  ``final`` reads the output columns back from the
+# slots, None when the slots are already in column order.
+_JoinProgram = tuple[list[tuple], Optional[operator.itemgetter]]
 
-    Rows carry one slot per bound theta-class, in binding order; every
-    column is read back from its class's slot at the end.  The chain starts
-    from the empty row, so the first child is joined on no key.  The order
-    of the input rows is never used: the result is a set, and the peak
-    counts rows.
+
+def _compile_join(classes: list[int], arities: list[int]) -> _JoinProgram:
+    """The program of a join with :func:`_column_classes` ``classes`` whose
+    children have the arities ``arities``.
+
+    Slots are the bound classes, in binding order: a child's columns are
+    keys when their class is bound, new when they are the first of an
+    unbound class, and otherwise equal to that first column.
     """
-    classes = _column_classes(node.theta, sum(arities))
     bound: dict[int, int] = {}  # class representative -> slot
-    current: list[tuple] = [()]
+    steps = []
     off = 0
-    for out, m in zip(outs, arities):
+    for m in arities:
         keys: list[tuple[int, int]] = []  # (local position, slot it must equal)
         equal: list[tuple[int, int]] = []  # (local position, first one of its class)
         first: dict[int, int] = {}  # unbound class -> its first local position
@@ -550,17 +646,37 @@ def _join_chain(node: Join, outs: list[frozenset], arities: list[int], trace: Ev
             else:
                 first[cls] = local
         off += m
-        key = _getter([local for local, _ in keys])
-        extend = _getter(list(first.values()))
-        table: dict[tuple, list] = {}
-        for t in filter(_equal_at(equal), out) if equal else out:
-            table.setdefault(key(t), []).append(extend(t))
-        probe = _getter([slot for _, slot in keys])
-        current = [row + ext for row in current for ext in table.get(probe(row), ())]
+        steps.append((
+            _equal_at(equal) if equal else None,
+            _getter([local for local, _ in keys]),
+            _getter(list(first.values())),
+            _getter([slot for _, slot in keys]),
+        ))
         for cls in first:
             bound[cls] = len(bound)
-        trace.internal_peak = max(trace.internal_peak, len(current))
     slots = [bound[cls] for cls in classes[1:]]
-    if slots == list(range(len(slots))):
-        return frozenset(current)
-    return frozenset(map(_getter(slots), current))
+    return steps, None if slots == list(range(len(slots))) else _getter(slots)
+
+
+def _run_join(program: _JoinProgram, outs: list[frozenset], trace: EvalTrace) -> frozenset:
+    """The join of the children's rows ``outs`` by ``program``; raises
+    ``trace.internal_peak`` to the largest relation the chain builds.
+
+    The first child has no key, so its rows (filtered and narrowed to its
+    new columns) start the chain, and with no identification inside it
+    they are the chain's rows themselves.  The order of the input rows is
+    never used: the result is a set, and the peak counts rows.
+    """
+    steps, final = program
+    current = None
+    for out, (equal, key, extend, probe) in zip(outs, steps):
+        rows = out if equal is None else filter(equal, out)
+        if current is None:
+            current = out if equal is None else list(map(extend, rows))
+        else:
+            table: dict[tuple, list] = {}
+            for t in rows:
+                table.setdefault(key(t), []).append(extend(t))
+            current = [row + ext for row in current for ext in table.get(probe(row), ())]
+        trace.internal_peak = max(trace.internal_peak, len(current))
+    return frozenset(current) if final is None else frozenset(map(final, current))

@@ -20,8 +20,10 @@ Rationals serialize as `p/q` strings (integers as plain `p`).
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, Optional, Union
 
 from .colorwidth import WidthReport
@@ -264,5 +266,102 @@ def trace_to_json(trace, names: Mapping[int, str]) -> dict:
     }
 
 
+# ---------------------------------------------------------------------------
+# Writing JSON
+# ---------------------------------------------------------------------------
+
+# The encoder of each scalar type the writer renders itself: a list of
+# values of one of these types is rendered by one C-level map and join.
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__}
+# Containers nested deeper (a cycle among them) take the stdlib's path.
+_MAX_DEPTH = 64
+
+
+class _Unhandled(Exception):
+    """The document holds a value the writer leaves to the stdlib."""
+
+
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    """``json.dumps(doc, indent=2) + "\n"``, byte for byte.
+
+    ``indent`` makes the stdlib encode in pure Python, one step per value.
+    This writer renders dicts, lists, strings, ints, booleans and None
+    itself; a list of strings or ints is one C-level map and join, and a
+    list of equal-length rows of them is one C-level ``%`` format over its
+    flattened values.  A document holding any other type, or containers
+    nested deeper than ``_MAX_DEPTH``, is left to ``json.dumps`` whole, so
+    its bytes and its errors are the stdlib's.
+    """
+    out: list[str] = []
+    try:
+        _write(doc, 0, out)
+    except _Unhandled:
+        return json.dumps(doc, indent=2) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, level: int, out: list[str]) -> None:
+    """Append the indent-2 JSON of ``value``, nested ``level`` deep."""
+    cls = type(value)
+    encode = _SCALARS.get(cls)
+    if encode is not None:
+        out.append(encode(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif cls is not dict and cls is not list or level >= _MAX_DEPTH:
+        raise _Unhandled
+    elif not value:
+        out.append("{}" if cls is dict else "[]")
+    elif cls is dict:
+        inner = "\n" + "  " * (level + 1)
+        sep = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise _Unhandled
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write(item, level + 1, out)
+            sep = "," + inner
+        out.append("\n" + "  " * level + "}")
+    else:
+        inner = "\n" + "  " * (level + 1)
+        body = _flat_list(value, inner)
+        if body is not None:
+            out.append("[" + inner + body + "\n" + "  " * level + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, level + 1, out)
+            sep = "," + inner
+        out.append("\n" + "  " * level + "]")
+
+
+def _flat_list(items: list, inner: str) -> Optional[str]:
+    """The items of a non-empty list joined by ``,`` and ``inner`` (a
+    newline and their indent), when they are all strings, all ints, or
+    equal-length lists of one of those; else None."""
+    kinds = set(map(type, items))
+    if len(kinds) != 1:
+        return None
+    (kind,) = kinds
+    encode = _SCALARS.get(kind)
+    if encode is not None:
+        return ("," + inner).join(map(encode, items))
+    if kind is not list or len(set(map(len, items))) != 1:
+        return None
+    width = len(items[0])
+    if not width:
+        return ("," + inner).join(["[]"] * len(items))
+    values = list(itertools.chain.from_iterable(items))
+    kinds = set(map(type, values))
+    encode = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+    if encode is None:
+        return None
+    row_inner = inner + "  "
+    row = "[" + row_inner + ("," + row_inner).join(["%s"] * width) + inner + "]"
+    return ("," + inner).join([row] * len(items)) % tuple(map(encode, values))

@@ -34,7 +34,7 @@ from .plans import (
     Project,
     Select,
     _arities,
-    _first_offending_join,
+    _check_joins,
     number_subplans,
     plan_texts,
     print_plan,
@@ -392,7 +392,7 @@ def _assemble_plan(
 
     numbering = number_subplans(final)
     distinct = numbering[1]
-    offender = _first_offending_join(distinct, _arities(distinct, core.structure.signature))
+    offender, _ = _check_joins(distinct, _arities(distinct, core.structure.signature))
     if offender is not None:  # pragma: no cover - construction invariant
         raise SpjError(f"synthesized plan not well-behaved at {print_plan(offender)}")
     return final, numbering
@@ -411,16 +411,21 @@ def subplan_degrees(plan: Plan, keys: KeySet, signature: Signature) -> list[Frac
     projection, and for a join or selection the disjoint union, theta's
     identifications and the chase, a closure that may start from chased parts.
     A projection keeps its child's structure, and so its value function.
-    Every structure built counts against ``REPRESENTATION_ELEMENTS_CAP``
-    before it is allocated: a join or selection holds its children's
-    elements until the chase.
+    A subplan's degree is read as soon as it is built, and its structure is
+    dropped after the last subplan that reads it, so a chain holds about
+    two levels at a time.  Every structure built counts against
+    ``REPRESENTATION_ELEMENTS_CAP`` before it is allocated, whether or not
+    it was dropped: a join or selection holds its children's elements until
+    the chase.
     """
     numbers, distinct = number_subplans(plan)
     arities = _arities(distinct, signature)
     check_representation_size(numbers, distinct, arities)
-    reps: list[tuple[Structure, tuple[int, ...], Callable]] = []
+    last_reader = {kid: number for number, (_, kids) in enumerate(distinct) for kid in kids}
+    reps: list[Optional[tuple[Structure, tuple[int, ...], Callable]]] = []
+    degrees: list[Fraction] = []
     allocated = 0
-    for (node, kids), m in zip(distinct, arities):
+    for number, ((node, kids), m) in enumerate(zip(distinct, arities)):
         if not isinstance(node, Project):
             allocated += m if isinstance(node, Basic) else sum(len(reps[k][0].universe) for k in kids)
             if allocated > REPRESENTATION_ELEMENTS_CAP:
@@ -455,8 +460,12 @@ def subplan_degrees(plan: Plan, keys: KeySet, signature: Signature) -> list[Frac
             out = tuple(chased.merge_map[merge[e]] for e in joined)
         if not isinstance(node, Project):
             value = color_values(struct, keys)
+        degrees.append(value(out))
         reps.append((struct, out, value))
-    return [value(out) for _, out, value in reps]
+        for kid in kids:
+            if last_reader[kid] == number:
+                reps[kid] = None
+    return degrees
 
 
 def output_degree(plan: Plan, keys: KeySet, signature: Signature) -> Fraction:

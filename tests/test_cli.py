@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spjopt import (
     KeySet,
@@ -23,6 +24,7 @@ from spjopt import (
 from spjopt import cli, plans, represent, serialize, synthesis
 from spjopt.cli import main
 from spjopt.errors import FormatError
+from spjopt.plans import NAIVE_JOIN_PRODUCT_CAP, PRINTED_SUBPLANS_CAP
 from spjopt.represent import REPRESENTATION_ELEMENTS_CAP
 from spjopt.serialize import (
     keys_from_text,
@@ -116,6 +118,43 @@ def test_plan_file_header():
         plan_file_from_text("rel E two\n(project (cols) E)")
 
 
+# Names with the characters JSON escapes: quotes, backslashes, control
+# characters and non-ASCII, astral ones included.
+_JSON_NAMES = st.one_of(
+    st.text(max_size=4), st.text(st.sampled_from('a"\\\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'), max_size=4)
+)
+_JSON_SCALARS = st.one_of(_JSON_NAMES, st.integers(), st.booleans(), st.none())
+# Lists of equal-length rows of strings, of ints, or of both.
+_JSON_ROWS = st.tuples(
+    st.integers(0, 3), st.sampled_from([_JSON_NAMES, st.integers(), _JSON_NAMES | st.integers(-5, 5)])
+).flatmap(lambda row: st.lists(st.lists(row[1], min_size=row[0], max_size=row[0]), max_size=5))
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS | _JSON_ROWS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_JSON_NAMES, kids, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_DOCS)
+def test_writer_matches_the_stdlib_hypothesis(doc):
+    assert serialize.dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_writer_leaves_other_values_to_the_stdlib():
+    """Any other type, and a cycle, take the stdlib's path: its bytes and
+    its errors."""
+    for doc in ({"a": 1.5, "b": (1, "x")}, {1: [None]}, {"a": [float("nan")]}):
+        assert serialize.dumps(doc) == json.dumps(doc, indent=2) + "\n"
+    cycle: list = []
+    cycle.append(cycle)
+    for doc in ({"a": cycle}, {"a": [["x"], {1, 2}]}, {("k",): 1}, {"a": 10 ** 5000}):
+        with pytest.raises((ValueError, TypeError)) as stdlib:
+            json.dumps(doc, indent=2)
+        with pytest.raises(stdlib.type, match=re.escape(str(stdlib.value))):
+            serialize.dumps(doc)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -180,12 +219,13 @@ def test_cli_evaluate(workdir, capsys):
 
 
 def test_cli_evaluate_numbers_once_and_builds_no_occurrence_trace(workdir, capsys, monkeypatch):
-    """A plain evaluate numbers its plan once, in the evaluator: the parser
-    validates over its own interned subplans.  Only --trace and --format
-    text build the per-occurrence entries."""
-    numberings, traces = [], []
-    number, evaluate = plans.number_subplans, cli.evaluate_well_behaved
-    monkeypatch.setattr(plans, "number_subplans", lambda plan: numberings.append(plan) or number(plan))
+    """A plain evaluate numbers its plan once: the parser validates over its
+    own interned subplans, and when the plan is not well-behaved the naive
+    evaluator takes the numbering the well-behaved attempt was given.  Only
+    --trace and --format text build the per-occurrence entries."""
+    traces = []
+    numberings = _count_numberings(monkeypatch)
+    evaluate = cli.evaluate_well_behaved
     monkeypatch.setattr(
         cli, "evaluate_well_behaved", lambda *args: traces.append(evaluate(*args)) or traces[-1]
     )
@@ -196,6 +236,13 @@ def test_cli_evaluate_numbers_once_and_builds_no_occurrence_trace(workdir, capsy
     for extra in (("--trace",), ("--format", "text")):
         assert run(capsys, *argv, *extra)[0] == 0
         assert "entries" in traces[-1].__dict__
+    (workdir / "cross.plan").write_text("rel E 2\n(project (cols 4 3 2 1) (join (theta) E E))\n")
+    numberings.clear()
+    code, out, _ = run(capsys, "evaluate", "--plan", workdir / "cross.plan", "--data", workdir / "d.json")
+    assert (code, json.loads(out)["evaluator"]) == (0, "naive")
+    # The plan once; the well-behaved attempt's error prints the offender.
+    root, offender = numberings
+    assert offender == root.child
 
 
 def _count_numberings(monkeypatch) -> list:
@@ -572,6 +619,51 @@ def test_cli_deep_identifications_on_the_oldest_column_stay_linear(tmp_path):
     assert len(structure["universe"]) == levels + 2
     assert len(structure["relations"]["E"]) == levels + 1
     assert structure["tuple"] == ["x1", "x0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["represent"], ["represent", "--format", "dot"], ["evaluate", "--trace"], ["evaluate", "--format", "text"],
+], ids=["represent", "represent-dot", "evaluate-trace", "evaluate-text"])
+def test_cli_quadratic_subplan_text_hits_the_cap(tmp_path, argv):
+    """Printing every occurrence's subplan of the 4,000-level chain would
+    take 706 MB: it exits 3 before any subplan text is built, in a child
+    process with a limited address space."""
+    levels = 4_000
+    plan = tmp_path / "deep.plan"
+    plan.write_text(
+        "rel E 2\n" + "(project (cols 2 4) (join (theta (1 4)) E " * levels + "E" + "))" * levels + "\n"
+    )
+    data = tmp_path / "d.json"
+    data.write_text(json.dumps(DATA))
+    start = time.perf_counter()
+    done = run_limited(argv[0], "--plan", plan, *(["--data", data] if argv[0] == "evaluate" else []), *argv[1:])
+    assert time.perf_counter() - start < 5
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith(
+        f"spjopt: resource cap: printed subplans capped at {PRINTED_SUBPLANS_CAP} characters, "
+        "the plan's occurrences print "
+    )
+
+
+def test_cli_naive_fallback_is_capped_before_it_iterates(tmp_path):
+    """The unkeyed 10-vertex Mobius ladder is one join of 15 E atoms and not
+    well-behaved; on an 18-row E the naive fallback would iterate 18^15
+    combinations.  It exits 3 before it starts."""
+    plan = tmp_path / "mobius10.plan"
+    plan.write_text("rel E 2\n" + print_plan(pattern_plan(mobius_ladder(10), (0, 1))) + "\n")
+    arcs = [[f"v{a}", f"v{(a + step) % 9}"] for a in range(9) for step in (1, 2)]
+    data = tmp_path / "d.json"
+    data.write_text(json.dumps({
+        "signature": {"E": 2}, "universe": [f"v{i}" for i in range(9)], "relations": {"E": arcs},
+    }))
+    start = time.perf_counter()
+    done = run_limited("evaluate", "--plan", plan, "--data", data)
+    assert time.perf_counter() - start < 1
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (
+        f"spjopt: resource cap: naive evaluation capped at {NAIVE_JOIN_PRODUCT_CAP} row "
+        f"combinations per join, a join needs {18 ** 15}\n"
+    )
 
 
 def test_cli_optimizes_mobius20_under_a_raised_cap(tmp_path, capsys):

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from spjopt import Signature, print_plan
 from spjopt.cli import main
-from spjopt.serialize import structure_to_json
+from spjopt.serialize import dumps, structure_to_json
 
 from conftest import rand_keys, rand_plan, rand_satisfying_structure, rand_signature
 from oracles import keys_to_text
@@ -143,23 +143,26 @@ def _cases(names: list[str]) -> dict[str, list[str]]:
     return cases
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+def _outputs(root: Path) -> dict[str, tuple[int, str]]:
+    """Case name -> (exit code, stdout), run with ``root`` as the input
+    directory."""
+    results = {}
+    for case, argv in _cases(_write_inputs(root)).items():
+        resolved = [str(root / a) if (root / a).is_file() else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(resolved)
+        results[case] = (code, out.getvalue())
+    return results
 
 
 def record(root: Path) -> dict[str, list]:
     """Case name -> [exit code, SHA-256 of stdout], run with ``root`` as
     the input directory."""
-    cases = _cases(_write_inputs(root))
-    results = {}
-    for case, argv in cases.items():
-        resolved = [str(root / a) if (root / a).is_file() else a for a in argv]
-        code, digest = _run(resolved)
-        results[case] = [code, digest]
-    return results
+    return {
+        case: [code, hashlib.sha256(out.encode("utf-8")).hexdigest()]
+        for case, (code, out) in _outputs(root).items()
+    }
 
 
 def test_cli_output_matches_goldens(tmp_path):
@@ -168,6 +171,20 @@ def test_cli_output_matches_goldens(tmp_path):
     assert sorted(got) == sorted(expected)
     changed = [case for case in expected if got[case] != expected[case]]
     assert not changed, changed
+
+
+def test_writer_matches_the_stdlib_on_every_golden_document(tmp_path):
+    """Every JSON document the golden cases print, and every file under
+    ``tests/golden``, is written as ``json.dumps(doc, indent=2)`` writes
+    it."""
+    docs = [json.loads(path.read_text()) for path in sorted(GOLDEN.parent.glob("*.json"))]
+    for code, out in _outputs(tmp_path).values():
+        if code == 0 and out.startswith("{"):
+            docs.append(json.loads(out))
+            assert dumps(docs[-1]) == out
+    assert len(docs) > 100
+    for doc in docs:
+        assert dumps(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from spjopt import (
     KeySet,
     PlanSyntaxError,
     Project,
+    ResourceCapError,
     Select,
     Signature,
     SpjError,
@@ -428,22 +429,73 @@ def test_each_distinct_join_is_checked_and_evaluated_once(monkeypatch):
     joins = {node for _, node in subplans(plan) if isinstance(node, Join)}
     occurrences = sum(isinstance(node, Join) for _, node in subplans(plan))
     assert occurrences > 2 * len(joins)
-    counts = {"check": 0, "chain": 0}
-    check, chain = plans._join_is_well_behaved, plans._join_chain
+    counts = {"classes": 0, "compile": 0, "run": 0}
+    originals = {
+        "classes": plans._column_classes, "compile": plans._compile_join, "run": plans._run_join
+    }
 
-    def counted_check(*args):
-        counts["check"] += 1
-        return check(*args)
+    def counted(name):
+        def call(*args):
+            counts[name] += 1
+            return originals[name](*args)
+        return call
 
-    def counted_chain(*args):
-        counts["chain"] += 1
-        return chain(*args)
-
-    monkeypatch.setattr(plans, "_join_is_well_behaved", counted_check)
-    monkeypatch.setattr(plans, "_join_chain", counted_chain)
+    monkeypatch.setattr(plans, "_column_classes", counted("classes"))
+    monkeypatch.setattr(plans, "_compile_join", counted("compile"))
+    monkeypatch.setattr(plans, "_run_join", counted("run"))
     trace = evaluate_well_behaved(plan, _functional_graph(random.Random(7), 12))
-    assert counts == {"check": len(joins), "chain": len(joins)}
+    # One set of classes per distinct join decides its well-behavedness and
+    # is compiled once; each program runs once.
+    assert counts == {"classes": len(joins), "compile": len(joins), "run": len(joins)}
     assert len(trace.entries) == len(subplans(plan))
+
+
+def test_identity_operators_reuse_their_childs_rows():
+    """A projection onto every column in order, a selection with no
+    identification and a one-child join with none return their child's
+    rows themselves; the join still counts them in ``internal_peak``."""
+    data = Structure(SIG, range(3), {"R": [(0, 1), (1, 2), (2, 2)], "S": [(0, 0)]})
+    rows = data.relations["R"]
+    for text in (
+        "(project (cols 1 2) R)",
+        "(select (theta (2 2)) (select (theta) R))",
+        "(join (theta (1 1)) (join (theta) R))",
+        "(project (cols 1 2) (join (theta) (project (cols 1 2) R)))",
+    ):
+        trace = evaluate_well_behaved(parse_plan(text, SIG), data)
+        assert all(out is rows for out in trace.rows), text
+        assert trace.internal_peak == (3 if "join" in text else 0)
+    trace = evaluate_well_behaved(parse_plan("(join (theta (1 2)) R)", SIG), data)
+    assert trace.output == frozenset({(2, 2)}) and trace.internal_peak == 1
+
+
+def test_printed_subplans_are_counted_exactly(rng, monkeypatch):
+    """The cap on printed subplan text counts exactly the characters that
+    printing every occurrence's subplan takes."""
+    for _ in range(150):
+        sig = rand_signature(rng)
+        one = rand_plan(rng, sig, max_operators=6)
+        for plan in (one, Join(frozenset(), (one, one))):
+            numbering = number_subplans(plan)
+            texts = plan_texts(numbering[1])
+            total = sum(len(texts[n]) for n in numbering[0])
+            monkeypatch.setattr(plans, "PRINTED_SUBPLANS_CAP", total)
+            plans.check_printed_subplans(numbering)
+            monkeypatch.setattr(plans, "PRINTED_SUBPLANS_CAP", total - 1)
+            with pytest.raises(ResourceCapError, match=f"occurrences print {total}$"):
+                plans.check_printed_subplans(numbering)
+
+
+def test_naive_join_is_capped_before_it_iterates(monkeypatch):
+    """A naive join whose children's row counts multiply past the cap
+    raises before it iterates; at the cap it runs."""
+    data = Structure(SIG, range(3), {"R": [(0, 1), (1, 2), (2, 2)], "S": [(0, 0), (1, 1)]})
+    plan = parse_plan("(join (theta) R S R)", SIG)
+    monkeypatch.setattr(plans, "NAIVE_JOIN_PRODUCT_CAP", 18)
+    assert len(evaluate_naive(plan, data).output) == 18
+    monkeypatch.setattr(plans, "NAIVE_JOIN_PRODUCT_CAP", 17)
+    with pytest.raises(ResourceCapError, match="capped at 17 row combinations per join, a join needs 18$"):
+        evaluate_naive(plan, data)
 
 
 def _random_digraph(rng, vertices, out_degree):
