@@ -13,6 +13,12 @@ cannot be read (missing, a directory, no permission) or are not UTF-8 text.
 Universe caps default to :class:`Caps`; ``--cap-universe N`` sets both.  All
 outputs are byte-identical across runs for identical inputs: wall-clock
 timings are deliberately left out of the serialized reports.
+
+``--plan`` is read on every call and loaded as a prepared plan (see
+:func:`spjopt.plans.parse_prepared`).  A long-lived process that calls
+:func:`main` many times keeps at most ``plans.PREPARED_PLANS_CACHED`` (8) of
+them, keyed by the plan text and the signature, so an edited file is
+parsed again; stdout stays byte-identical.
 """
 
 from __future__ import annotations
@@ -35,12 +41,10 @@ from .errors import (
 )
 from .plans import (
     Basic,
-    _arities,
-    _check_joins,
+    PreparedPlan,
     check_printed_subplans,
     evaluate_naive,
     evaluate_well_behaved,
-    number_subplans,
     parse_plan,
     print_plan,
 )
@@ -129,16 +133,18 @@ def _chased_data(args: argparse.Namespace, keys: KeySet) -> OpenStructure:
     return chase(value, keys).result
 
 
-def _load_plan(args: argparse.Namespace, keyed: bool = True):
-    """The ``--plan`` file under the first data file's signature, else its
-    own header's; that signature; the keys (empty unless ``keyed``),
-    validated against it; and the data's structure, or None."""
+def _load_plan(
+    args: argparse.Namespace, keyed: bool = True
+) -> tuple[PreparedPlan, KeySet, Optional[Structure]]:
+    """The ``--plan`` file prepared under the first data file's signature,
+    else its own header's; the keys (empty unless ``keyed``), validated
+    against that signature; and the data's structure, or None."""
     _require(args, plan=args.plan)
     keys = _load_keys(args) if keyed else KeySet.empty()
     data = _first_data(args)
-    plan, sig = serialize.load_plan(args.plan, data.signature if data is not None else None)
-    keys.validate_for(sig)
-    return plan, sig, keys, data
+    prepared = serialize.load_prepared(args.plan, data.signature if data is not None else None)
+    keys.validate_for(prepared.signature)
+    return prepared, keys, data
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -161,13 +167,12 @@ def _require(args: argparse.Namespace, **what) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> None:
-    plan, sig, _, data = _load_plan(args)
-    numbers, distinct = number_subplans(plan)
-    arities = _arities(distinct, sig)
-    offender, _ = _check_joins(distinct, arities)
+    prepared, _, data = _load_plan(args)
+    numbers, distinct = prepared.numbering
+    offender = prepared.offender
     doc = {
         "ok": True,
-        "arity": arities[-1],
+        "arity": prepared.arities[-1],
         "operators": sum(not isinstance(distinct[n][0], Basic) for n in numbers),
         "wellBehaved": offender is None,
         "keysUnary": True,
@@ -175,14 +180,14 @@ def _cmd_check(args: argparse.Namespace) -> None:
     if offender is not None:
         doc["offendingSubplan"] = print_plan(offender)
     if data is not None:
-        doc["dataSignatureMatches"] = data.signature == sig
+        doc["dataSignatureMatches"] = data.signature == prepared.signature
     _emit(args, serialize.dumps(doc))
 
 
 def _cmd_represent(args: argparse.Namespace) -> None:
-    plan, sig, _, _ = _load_plan(args, keyed=False)
-    rep, dec = build_representation(plan, sig)
-    check_printed_subplans((dec.numbers, dec.distinct))
+    prepared, _, _ = _load_plan(args, keyed=False)
+    rep, dec = build_representation(prepared.plan, prepared.signature, prepared)
+    check_printed_subplans(prepared.numbering)
     names = rep.open.structure.names
     if args.format == "dot":
         _emit(args, serialize.decomposition_to_dot(dec, names))
@@ -199,8 +204,8 @@ def _cmd_chase(args: argparse.Namespace) -> None:
         keys = _load_keys(args)
         value = serialize.load_structure(args.data[0])
     else:
-        plan, sig, keys, _ = _load_plan(args)
-        value = build_representation(plan, sig)[0].open
+        prepared, keys, _ = _load_plan(args)
+        value = build_representation(prepared.plan, prepared.signature, prepared)[0].open
     struct = value.structure if isinstance(value, OpenStructure) else value
     before_names = dict(struct.names)
     result = chase(value, keys)
@@ -221,14 +226,14 @@ def _cmd_core(args: argparse.Namespace) -> None:
     if args.data:
         core = compute_core(_chased_data(args, _load_keys(args)), cap_universe=core_cap)
     else:
-        plan, sig, keys, _ = _load_plan(args)
-        core = chased_core(plan, keys, sig, core_cap)
+        prepared, keys, _ = _load_plan(args)
+        core = chased_core(prepared.plan, keys, prepared.signature, core_cap, prepared)
     _emit(args, serialize.dumps({"core": serialize.structure_to_json(core)}))
 
 
 def _cmd_degree(args: argparse.Namespace) -> None:
-    plan, sig, keys, _ = _load_plan(args)
-    degrees = subplan_degrees(plan, keys, sig)
+    prepared, keys, _ = _load_plan(args)
+    degrees = subplan_degrees(prepared.plan, keys, prepared.signature, prepared)
     doc = {
         "outputDegree": serialize.fraction_str(degrees[-1]),
         "intermediateDegreeBound": serialize.fraction_str(max(degrees)),
@@ -237,8 +242,8 @@ def _cmd_degree(args: argparse.Namespace) -> None:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> None:
-    plan, sig, keys, _ = _load_plan(args)
-    result = optimize(plan, keys, sig, _caps(args))
+    prepared, keys, _ = _load_plan(args)
+    result = optimize(prepared.plan, keys, prepared.signature, _caps(args), prepared)
     if args.format == "text":
         _emit(args, result.plan_text + "\n")
         return
@@ -248,21 +253,20 @@ def _cmd_optimize(args: argparse.Namespace) -> None:
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:
     _require(args, plan=args.plan, data=args.data)
-    plan, _, _, data = _load_plan(args, keyed=False)
-    numbering = number_subplans(plan)
+    prepared, _, data = _load_plan(args, keyed=False)
     if args.trace or args.format == "text":
-        check_printed_subplans(numbering)
+        check_printed_subplans(prepared.numbering)
     try:
-        trace = evaluate_well_behaved(plan, data, numbering)
+        trace = evaluate_well_behaved(prepared.plan, data, prepared)
         evaluator = "well-behaved"
     except WellBehavedError:
-        trace = evaluate_naive(plan, data, numbering)
+        trace = evaluate_naive(prepared.plan, data, prepared)
         evaluator = "naive"
     doc = {
         "evaluator": evaluator,
         "cardinality": len(trace.output),
         "maxIntermediate": trace.max_intermediate,
-        "output": sorted([data.names[e] for e in row] for row in trace.output),
+        "output": serialize.named_rows(trace.output, data.names),
     }
     if args.trace:
         doc = {**serialize.trace_to_json(trace, data.names), "evaluator": evaluator}
@@ -314,9 +318,9 @@ def _cmd_equiv(args: argparse.Namespace) -> None:
 
 def _cmd_witness(args: argparse.Namespace) -> None:
     ns = _parse_witness_n(args.n)
-    plan, sig, keys, _ = _load_plan(args)
+    prepared, keys, _ = _load_plan(args)
     caps = _caps(args)
-    core = chased_core(plan, keys, sig, caps.core_universe)
+    core = chased_core(prepared.plan, keys, prepared.signature, caps.core_universe, prepared)
     report = optimal_cwidth(core, keys, cap=caps.width_universe)
     node, family = bag_witness(core, keys, report)
     for n in ns:
@@ -351,8 +355,8 @@ def _cmd_decompose(args: argparse.Namespace) -> None:
         keys = _load_keys(args)
         core = _chased_data(args, keys)
     else:
-        plan, sig, keys, _ = _load_plan(args)
-        core = chased_core(plan, keys, sig, caps.core_universe)
+        prepared, keys, _ = _load_plan(args)
+        core = chased_core(prepared.plan, keys, prepared.signature, caps.core_universe, prepared)
     report = optimal_cwidth(core, keys, cap=caps.width_universe)
     names = core.structure.names
     if args.format == "dot":

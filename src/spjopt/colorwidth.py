@@ -27,7 +27,10 @@ meets, so duplicate supports go.  If one support meets every column, its row
 alone caps the total weight at 1 and any single column attains it, so the
 value is 1 without an LP.  Otherwise a support contained in another is
 dropped: weights are nonnegative, so the larger row's sum bounds the smaller
-one's and the smaller row is implied.  The LP over the maximal supports is
+one's and the smaller row is implied.  Every column lies in some maximal
+support; when those are pairwise disjoint, each column lies in exactly one
+row, so each row's sum can reach 1 and no more, and the value is the number
+of rows without an LP.  Otherwise the LP over the maximal supports is
 usually a few rows.  The key closures and the tuple masks depend only on the
 structure and are computed once for it, however many targets are asked.
 Only ``witness`` solves the full LP, once, through ``color_number``: the
@@ -174,8 +177,9 @@ def color_number(
 def color_values(structure: Structure, keys: KeySet) -> Callable[[Iterable[int]], Fraction]:
     """The function from target to its color number over ``structure``,
     presolved: duplicate and dominated rows are dropped, and a target whose
-    classes one tuple meets needs no LP.  The closures and each class's row
-    mask are computed once per element, however many targets are asked."""
+    classes one tuple meets, or whose maximal supports are disjoint, needs
+    no LP.  The closures and each class's row mask are computed once per
+    element, however many targets are asked."""
     universe = frozenset(structure.universe)
     forces = _closure_edges(structure, keys)
     incidence = dict.fromkeys(universe, 0)  # element -> bitmask of its tuples
@@ -232,6 +236,8 @@ def color_values(structure: Structure, keys: KeySet) -> Callable[[Iterable[int]]
             groups = split
         supports = [support for _, support in groups]
         maximal = [s for s in supports if not any(s != t and s | t == t for t in supports)]
+        if sum(maximal) == reduce(or_, maximal):
+            return Fraction(len(maximal))  # each column lies in exactly one row
         rows = [([s >> j & 1 for j in range(len(cols))], "<=", 1) for s in maximal]
         return solve_lp([1] * len(cols), rows).value
 

@@ -213,14 +213,36 @@ def parse_plan(text: str, signature: Optional[Signature] = None) -> Plan:
       PAIR := (INT INT)
 
     With a signature, arity violations and unknown relations are rejected.
-    A bad token anywhere is reported before any grammar error.
+    A bad token anywhere is reported before any grammar error.  Equal
+    subtrees are one object (see :func:`_parse`).
+    """
+    numbering = _parse(text)
+    if signature is not None:
+        _validated_arities(numbering[1], signature)
+    return numbering[1][-1][0]
+
+
+def _validated_arities(
+    distinct: list[tuple[Plan, tuple[int, ...]]], signature: Signature
+) -> list[int]:
+    """:func:`_arities` of a parsed plan, an unknown relation being a
+    syntax error."""
+    try:
+        return _arities(distinct, signature)
+    except SignatureError as exc:
+        raise PlanSyntaxError(str(exc)) from exc
+
+
+def _parse(text: str) -> Numbering:
+    """The parser of :func:`parse_plan`: the parsed plan's
+    :func:`number_subplans`, built as it parses.
 
     One loop reads the tokens; the operators still waiting for a child or
     their ``)`` are kept on an explicit stack, so nesting depth is bounded
     only by memory.  Every completed node is interned under the key of
-    :func:`number_subplans`, and nodes complete in its post-order: equal
-    subtrees become one object, and the signature is checked once per
-    distinct subplan.
+    :func:`number_subplans`, and nodes complete in its post-order, so its
+    table and its occurrence numbers are the ones ``number_subplans`` of
+    the parsed plan builds, and equal subtrees become one object.
     """
     words = _words(text)
     kinds = {w: _word_kind(w) for w in set(words)}
@@ -233,6 +255,7 @@ def parse_plan(text: str, signature: Optional[Signature] = None) -> Plan:
     kinds[""] = "eof"
     table: dict[tuple, int] = {}
     distinct: list[tuple[Plan, tuple[int, ...]]] = []
+    numbers: list[int] = []
     # (operator class, theta or columns, numbers of the children parsed so far)
     open_ops: list[tuple[type, object, list[int]]] = []
     i = 0
@@ -281,6 +304,7 @@ def parse_plan(text: str, signature: Optional[Signature] = None) -> Plan:
         if number is None:
             number = table[key] = len(distinct)
             distinct.append((Basic(word), ()))
+        numbers.append(number)
         # Close every operator that this plan completes; a join may take
         # another child instead.
         while open_ops:
@@ -301,16 +325,12 @@ def parse_plan(text: str, signature: Optional[Signature] = None) -> Plan:
                 else:
                     node = cls(param, distinct[kids[0]][0])
                 distinct.append((node, key[2]))
+            numbers.append(number)
         if not open_ops:
             break
     if words[i]:
         raise _syntax_error(text, i, f"trailing input {words[i]!r}")
-    if signature is not None:
-        try:
-            _arities(distinct, signature)
-        except SignatureError as exc:
-            raise PlanSyntaxError(str(exc)) from exc
-    return distinct[number][0]
+    return numbers, distinct
 
 
 def plan_texts(distinct: list[tuple[Plan, tuple[int, ...]]]) -> list[str]:
@@ -321,16 +341,19 @@ def plan_texts(distinct: list[tuple[Plan, tuple[int, ...]]]) -> list[str]:
     return out
 
 
+def _head(node: Plan) -> str:
+    """The printed form of an operator ``node`` up to its first child."""
+    if isinstance(node, Project):
+        cols = " ".join(map(str, node.cols))
+        return f"(project (cols{' ' if cols else ''}{cols})"
+    return f"({'select' if isinstance(node, Select) else 'join'} {_print_theta(node.theta)}"
+
+
 def _node_text(node: Plan, kid_texts: list[str]) -> str:
     """The printed form of ``node`` whose children print as ``kid_texts``."""
     if isinstance(node, Basic):
         return node.relation
-    if isinstance(node, Select):
-        return f"(select {_print_theta(node.theta)} {kid_texts[0]})"
-    if isinstance(node, Project):
-        cols = " ".join(str(c) for c in node.cols)
-        return f"(project (cols{' ' if cols else ''}{cols}) {kid_texts[0]})"
-    return f"(join {_print_theta(node.theta)} {' '.join(kid_texts)})"
+    return f"{_head(node)} {' '.join(kid_texts)})"
 
 
 # The most characters of subplan text one output may print.  ``represent``
@@ -360,7 +383,51 @@ def check_printed_subplans(numbering: Numbering) -> None:
 
 
 def print_plan(plan: Plan) -> str:
-    return plan_texts(number_subplans(plan)[1])[-1]
+    """The s-expression of ``plan``, as :func:`parse_plan` reads it (see
+    :func:`print_numbered`)."""
+    return print_numbered(number_subplans(plan)[1])
+
+
+# The longest subplan text the printer keeps whole, to copy into each of
+# the subplan's occurrences; a longer one is written piece by piece.
+_KEPT_TEXT = 1024
+
+
+def print_numbered(distinct: list[tuple[Plan, tuple[int, ...]]]) -> str:
+    """The printed plan whose :func:`number_subplans` is ``distinct``.
+
+    A subplan whose text has at most ``_KEPT_TEXT`` characters is printed
+    once, per number; the others are written by one walk with an explicit
+    stack that appends their pieces to one list.  A plan's subplans are all
+    printed in its text, so memory is linear in the output, not in the
+    total text of every subplan, which grows with the square of the depth.
+    """
+    texts: list[Optional[str]] = []
+    for node, kids in distinct:
+        kid_texts = [texts[k] for k in kids]
+        text = None if None in kid_texts else _node_text(node, kid_texts)
+        # A relation name is kept whatever its length: it has no pieces.
+        kept = text is not None and (len(text) <= _KEPT_TEXT or not kids)
+        texts.append(text if kept else None)
+    out: list[str] = []
+    # Numbers still to print, and the strings that separate or close them.
+    stack: list = [len(distinct) - 1]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        text = texts[item]
+        if text is not None:
+            out.append(text)
+            continue
+        node, kids = distinct[item]
+        out.append(_head(node))
+        stack.append(")")
+        for kid in reversed(kids):
+            stack.append(kid)
+            stack.append(" ")
+    return "".join(out)
 
 
 def _print_theta(theta: frozenset) -> str:
@@ -404,8 +471,7 @@ def is_well_behaved(plan: Plan, signature: Signature) -> tuple[bool, Optional[Pl
     offending join occurrence in post-order.  Each distinct join is checked
     once (see :func:`number_subplans`).
     """
-    _, distinct = number_subplans(plan)
-    offender, _ = _check_joins(distinct, _arities(distinct, signature))
+    offender = prepare(plan, signature).offender
     return offender is None, offender
 
 
@@ -434,6 +500,96 @@ def _check_joins(
                 return node, classes_of
             classes_of[number] = classes
     return None, classes_of
+
+
+# ---------------------------------------------------------------------------
+# Prepared plans
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedPlan:
+    """A plan with what every stage reads off it: its :func:`number_subplans`
+    and the arity per number under ``signature``.
+
+    Its first offending join (see :func:`_check_joins`) and, when it has
+    none, its evaluation program are derived on first access, so a stage
+    that never evaluates never compiles.  A prepared plan may be shared
+    (see :func:`parse_prepared`): no stage changes it.
+    """
+
+    plan: Plan
+    signature: Signature
+    numbering: Numbering
+    arities: list[int]
+
+    @functools.cached_property
+    def _joins(self) -> tuple[Optional[Join], dict[int, list[int]]]:
+        return _check_joins(self.numbering[1], self.arities)
+
+    @property
+    def offender(self) -> Optional[Join]:
+        """The first join occurrence, in post-order, that is not
+        well-behaved, or None."""
+        return self._joins[0]
+
+    @functools.cached_property
+    def program(self) -> list[tuple]:
+        """The :func:`evaluate_well_behaved` program of a well-behaved plan:
+        per number an ``(op, arg, kids)`` step.  ``op`` is ``"rel"`` (read
+        relation ``arg``), ``"same"`` (the child's rows themselves),
+        ``"filter"`` or ``"map"`` (the child's rows through ``arg``) or
+        ``"join"`` (the join program ``arg``, see :func:`_compile_join`).
+        Any other plan raises :class:`WellBehavedError` at its offender."""
+        offender, classes_of = self._joins
+        if offender is not None:
+            raise WellBehavedError(f"plan is not well-behaved at {print_plan(offender)}")
+        arities = self.arities
+        program = []
+        for number, (node, kids) in enumerate(self.numbering[1]):
+            cls = type(node)
+            if cls is Basic:
+                step = ("rel", node.relation, kids)
+            elif cls is Select:
+                pairs = [(j - 1, k - 1) for j, k in sorted(node.theta) if j != k]
+                step = ("filter", _equal_at(pairs), kids) if pairs else ("same", None, kids)
+            elif cls is Project:
+                if node.cols == tuple(range(1, arities[kids[0]] + 1)):
+                    step = ("same", None, kids)
+                else:
+                    step = ("map", _getter([c - 1 for c in node.cols]), kids)
+            else:
+                step = ("join", _compile_join(classes_of[number], [arities[k] for k in kids]), kids)
+            program.append(step)
+        return program
+
+
+def prepare(plan: Plan, signature: Signature) -> PreparedPlan:
+    """``plan`` prepared under ``signature``; raises as :func:`_arities`."""
+    numbering = number_subplans(plan)
+    return PreparedPlan(plan, signature, numbering, _arities(numbering[1], signature))
+
+
+# The most prepared plans a process keeps.  A long-lived process that runs
+# many ops on a few plans parses and compiles each once; a cached entry
+# holds its plan's nodes, numbering and program.
+PREPARED_PLANS_CACHED = 8
+
+
+@functools.lru_cache(maxsize=PREPARED_PLANS_CACHED)
+def parse_prepared(text: str, signature: Signature) -> PreparedPlan:
+    """The plan ``text`` parsed and prepared under ``signature``, with the
+    parser's own numbering.
+
+    The last ``PREPARED_PLANS_CACHED`` results are kept, keyed by the text
+    and the signature, so a later call with equal arguments returns the
+    same prepared plan.  A text that fails to parse or validate raises as
+    :func:`parse_plan` does and is not kept.
+    """
+    numbering = _parse(text)
+    return PreparedPlan(
+        numbering[1][-1][0], signature, numbering, _validated_arities(numbering[1], signature)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -512,20 +668,22 @@ def _select_rows(rows, theta):
 NAIVE_JOIN_PRODUCT_CAP = 2_000_000_000
 
 
-def evaluate_naive(plan: Plan, data: Structure, numbering: Optional[Numbering] = None) -> EvalTrace:
+def evaluate_naive(plan: Plan, data: Structure, prepared: Optional[PreparedPlan] = None) -> EvalTrace:
     """Reference evaluator: the four inductive cases, verbatim.
 
     Joins materialize the cross product lazily and filter by theta, so the
     running time (not the memory) is proportional to the product size; a
     join whose product exceeds ``NAIVE_JOIN_PRODUCT_CAP`` raises
     :class:`ResourceCapError` before it iterates.  Each distinct subplan
-    (see :func:`number_subplans`) is evaluated once.  ``numbering`` is the
-    plan's :func:`number_subplans`, when the caller has it already.
+    (see :func:`number_subplans`) is evaluated once.  ``prepared`` is the
+    plan prepared under the data's signature, when the caller has it
+    already.
     """
-    trace = EvalTrace(number_subplans(plan) if numbering is None else numbering)
-    _arities(trace.numbering[1], data.signature)  # raises on an ill-formed plan
+    if prepared is None:
+        prepared = prepare(plan, data.signature)  # raises on an ill-formed plan
+    trace = EvalTrace(prepared.numbering)
     rows_of = trace.rows
-    for node, kids in trace.numbering[1]:
+    for node, kids in prepared.numbering[1]:
         if isinstance(node, Basic):
             rows = data.relations[node.relation]
         elif isinstance(node, Select):
@@ -567,48 +725,43 @@ def _equal_at(pairs):
 
 
 def evaluate_well_behaved(
-    plan: Plan, data: Structure, numbering: Optional[Numbering] = None
+    plan: Plan, data: Structure, prepared: Optional[PreparedPlan] = None
 ) -> EvalTrace:
     """Evaluator for well-behaved plans.
 
-    Each distinct subplan (see :func:`number_subplans`) is evaluated once;
-    ``numbering`` is the plan's numbering, when the caller has it already.
-    The column classes that decide well-behavedness (:func:`_check_joins`)
-    are the ones each distinct join is compiled from, once, into a join
-    program (:func:`_compile_join`).
+    Each distinct subplan (see :func:`number_subplans`) is evaluated once,
+    by the prepared plan's program (:attr:`PreparedPlan.program`), which is
+    compiled once per prepared plan from the column classes that decide
+    well-behavedness; a plan that is not well-behaved raises
+    :class:`WellBehavedError`.  ``prepared`` is the plan prepared under the
+    data's signature, when the caller has it already.
 
     Multiway joins run as a left-deep chain of binary hash joins over the
     columns' theta-closure classes.  The chain carries one value per
     already-bound class, so no step materializes more than
-    |out(q1, D)| x |dom(D)| rows.  Each operator compiles its column
-    positions into ``itemgetter``s once, not once per row.  An operator
+    |out(q1, D)| x |dom(D)| rows.  Each operator's column positions are
+    compiled into ``itemgetter``s once, not once per row.  An operator
     that keeps every row as it is (a projection onto all columns in order,
     a selection with no identification, a one-child join with no
     identification) returns its child's rows themselves.
     """
-    trace = EvalTrace(number_subplans(plan) if numbering is None else numbering)
-    distinct = trace.numbering[1]
-    arities = _arities(distinct, data.signature)
-    offender, classes_of = _check_joins(distinct, arities)
-    if offender is not None:
-        raise WellBehavedError(f"plan is not well-behaved at {print_plan(offender)}")
+    if prepared is None:
+        prepared = prepare(plan, data.signature)
+    program = prepared.program
+    trace = EvalTrace(prepared.numbering)
+    relations = data.relations
     rows_of = trace.rows
-    for number, (node, kids) in enumerate(distinct):
-        cls = type(node)
-        if cls is Basic:
-            rows = data.relations[node.relation]
-        elif cls is Select:
+    for op, arg, kids in program:
+        if op == "rel":
+            rows = relations[arg]
+        elif op == "same":
             rows = rows_of[kids[0]]
-            pairs = [(j - 1, k - 1) for j, k in sorted(node.theta) if j != k]
-            if pairs:
-                rows = frozenset(filter(_equal_at(pairs), rows))
-        elif cls is Project:
-            rows = rows_of[kids[0]]
-            if node.cols != tuple(range(1, arities[kids[0]] + 1)):
-                rows = frozenset(map(_getter([c - 1 for c in node.cols]), rows))
+        elif op == "filter":
+            rows = frozenset(filter(arg, rows_of[kids[0]]))
+        elif op == "map":
+            rows = frozenset(map(arg, rows_of[kids[0]]))
         else:
-            program = _compile_join(classes_of[number], [arities[k] for k in kids])
-            rows = _run_join(program, [rows_of[k] for k in kids], trace)
+            rows = _run_join(arg, [rows_of[k] for k in kids], trace)
         rows_of.append(rows)
     return trace
 

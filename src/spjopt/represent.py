@@ -20,13 +20,12 @@ from typing import Mapping, Optional, Sequence
 from .errors import ResourceCapError
 from .plans import (
     Basic,
-    Numbering,
     Plan,
+    PreparedPlan,
     Project,
-    _arities,
     _getter,
-    number_subplans,
     plan_texts,
+    prepare,
 )
 from .structures import (
     Hypergraph,
@@ -182,7 +181,7 @@ class PDecomposition(TreeDecomposition):
 def build_representation(
     plan: Plan,
     signature: Signature,
-    numbering: Optional[Numbering] = None,
+    prepared: Optional[PreparedPlan] = None,
 ) -> tuple[PRepresentation, PDecomposition]:
     """Build a representation of ``plan`` together with a decomposition that
     satisfies the containment property.
@@ -195,11 +194,12 @@ def build_representation(
     the smaller, with path halving, so each element's representative is the
     smallest id of its class, whatever order the links came in.  Polynomial
     time; the universe never exceeds the number of arity occurrences in the
-    plan.  ``numbering`` is the plan's :func:`number_subplans`, when the
+    plan.  ``prepared`` is the plan prepared under ``signature``, when the
     caller has it already.
     """
-    numbers, distinct = number_subplans(plan) if numbering is None else numbering
-    arities = _arities(distinct, signature)
+    if prepared is None:
+        prepared = prepare(plan, signature)
+    (numbers, distinct), arities = prepared.numbering, prepared.arities
     check_representation_size(numbers, distinct, arities)
     getters = [
         _getter([c - 1 for c in node.cols]) if type(node) is Project else None

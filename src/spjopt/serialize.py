@@ -29,7 +29,7 @@ from typing import Mapping, Optional, Union
 from .colorwidth import WidthReport
 from .constraints import KeySet
 from .errors import FormatError, SignatureError
-from .plans import Plan, parse_plan, print_plan
+from .plans import Plan, PreparedPlan, parse_prepared, print_plan
 from .represent import PDecomposition, TreeDecomposition
 from .structures import OpenStructure, Signature, Structure
 from .synthesis import SynthesisResult
@@ -169,8 +169,18 @@ def plan_file_from_text(text: str) -> tuple[Optional[Signature], str]:
 
 
 def load_plan(path: str, signature: Optional[Signature] = None) -> tuple[Plan, Signature]:
-    """Load a plan file; the signature comes from the argument (data file)
-    or from the file's `rel` header."""
+    """The plan of :func:`load_prepared` and its signature."""
+    prepared = load_prepared(path, signature)
+    return prepared.plan, prepared.signature
+
+
+def load_prepared(path: str, signature: Optional[Signature] = None) -> PreparedPlan:
+    """Load a plan file, prepared; the signature comes from the argument
+    (data file) or from the file's `rel` header.
+
+    The file is read on every call; its plan text and the signature key the
+    prepared plans that :func:`parse_prepared` keeps, so an edited file is
+    parsed again."""
     header_sig, body = plan_file_from_text(read_text(path))
     if signature is None:
         signature = header_sig
@@ -186,7 +196,7 @@ def load_plan(path: str, signature: Optional[Signature] = None) -> tuple[Plan, S
             f"{path}: no signature available; add `rel <Name> <arity>` header "
             "lines or pass a data file"
         )
-    return parse_plan(body, signature), signature
+    return parse_prepared(body, signature)
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +267,23 @@ def trace_to_json(trace, names: Mapping[int, str]) -> dict:
                 "path": list(entry.path),
                 "plan": text,
                 "cardinality": entry.cardinality,
-                "rows": sorted([names[e] for e in row] for row in entry.rows),
+                "rows": named_rows(entry.rows, names),
             }
             for entry, text in zip(trace.entries, trace.texts)
         ],
         "maxIntermediate": trace.max_intermediate,
-        "output": sorted([names[e] for e in row] for row in trace.output),
+        "output": named_rows(trace.output, names),
     }
+
+
+def named_rows(rows, names: Mapping[int, str]) -> list[list[str]]:
+    """The rows, by their elements' names, in sorted order.
+
+    :func:`structure_from_json` numbers elements in sorted-name order, so
+    on a loaded structure sorting the id rows first gives the order of
+    sorting the name rows.  A comprehension sizes each row's list exactly;
+    ``list(map(...))`` would reserve 8 slots for a 3-column row."""
+    return [[names[e] for e in row] for row in sorted(rows)]
 
 
 # ---------------------------------------------------------------------------

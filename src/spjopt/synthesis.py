@@ -29,14 +29,12 @@ from .errors import ArityError, DegenerateInputError, ResourceCapError, SpjError
 from .plans import (
     Basic,
     Join,
-    Numbering,
     Plan,
+    PreparedPlan,
     Project,
     Select,
-    _arities,
-    _check_joins,
-    number_subplans,
-    plan_texts,
+    prepare,
+    print_numbered,
     print_plan,
     theta_of,
 )
@@ -187,15 +185,18 @@ def eliminate_fds(core: OpenStructure, keys: KeySet) -> FdElimination:
 class SynthesisResult:
     """A well-behaved plan and the decomposition of ``elimination.open`` it
     was built from; the certified intermediate degree is that
-    decomposition's color-number width without keys.  ``numbering`` is the
-    plan's :func:`number_subplans`, which the verification and the printed
-    plan share."""
+    decomposition's color-number width without keys.  ``prepared`` is the
+    plan prepared under the input's signature, on which its
+    well-behavedness was checked and which the verification reuses."""
 
-    plan: Plan
+    prepared: PreparedPlan
     degree: Fraction
     decomposition: TreeDecomposition
     elimination: FdElimination
-    numbering: Numbering
+
+    @property
+    def plan(self) -> Plan:
+        return self.prepared.plan
 
     @property
     def new_relations(self) -> dict[str, Plan]:
@@ -204,7 +205,7 @@ class SynthesisResult:
     @property
     def plan_text(self) -> str:
         """The plan, printed from its numbering."""
-        return plan_texts(self.numbering[1])[-1]
+        return print_numbered(self.prepared.numbering[1])
 
 
 def _first_columns(col_elems: Sequence[int]) -> tuple[frozenset, dict[int, int]]:
@@ -319,22 +320,21 @@ def synthesize_plan(
         )
     elim = eliminate_fds(core, keys)
     report = optimal_cwidth(elim.open, KeySet.empty(), cap=caps.width_universe)
-    plan, numbering = _assemble_plan(core, elim, report.decomposition)
+    prepared = _assemble_plan(core, elim, report.decomposition)
     return SynthesisResult(
-        plan=plan,
+        prepared=prepared,
         degree=report.width,
         decomposition=report.decomposition,
         elimination=elim,
-        numbering=numbering,
     )
 
 
 def _assemble_plan(
     core: OpenStructure, elim: FdElimination, dec: TreeDecomposition
-) -> tuple[Plan, Numbering]:
+) -> PreparedPlan:
     """The well-behaved plan over ``elim``'s atoms that follows the
-    decomposition ``dec`` of ``elim.open``, with its :func:`number_subplans`,
-    on which its well-behavedness is checked."""
+    decomposition ``dec`` of ``elim.open``, prepared under the core's
+    signature, on which its well-behavedness is checked."""
     atoms = [
         (rel, row, elim.defining_plans[rel])
         for rel, row in elim.structure.atoms()
@@ -390,12 +390,10 @@ def _assemble_plan(
         )
         final = Join(frozenset(), (final,) + tests)
 
-    numbering = number_subplans(final)
-    distinct = numbering[1]
-    offender, _ = _check_joins(distinct, _arities(distinct, core.structure.signature))
-    if offender is not None:  # pragma: no cover - construction invariant
-        raise SpjError(f"synthesized plan not well-behaved at {print_plan(offender)}")
-    return final, numbering
+    prepared = prepare(final, core.structure.signature)
+    if prepared.offender is not None:  # pragma: no cover - construction invariant
+        raise SpjError(f"synthesized plan not well-behaved at {print_plan(prepared.offender)}")
+    return prepared
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +401,9 @@ def _assemble_plan(
 # ---------------------------------------------------------------------------
 
 
-def subplan_degrees(plan: Plan, keys: KeySet, signature: Signature) -> list[Fraction]:
+def subplan_degrees(
+    plan: Plan, keys: KeySet, signature: Signature, prepared: Optional[PreparedPlan] = None
+) -> list[Fraction]:
     """Output degree per number of :func:`number_subplans`, the root's last:
     the color number of the tuple set of the subplan's chased representation.
 
@@ -416,10 +416,12 @@ def subplan_degrees(plan: Plan, keys: KeySet, signature: Signature) -> list[Frac
     two levels at a time.  Every structure built counts against
     ``REPRESENTATION_ELEMENTS_CAP`` before it is allocated, whether or not
     it was dropped: a join or selection holds its children's elements until
-    the chase.
+    the chase.  ``prepared`` is the plan prepared under ``signature``, when
+    the caller has it already.
     """
-    numbers, distinct = number_subplans(plan)
-    arities = _arities(distinct, signature)
+    if prepared is None:
+        prepared = prepare(plan, signature)
+    (numbers, distinct), arities = prepared.numbering, prepared.arities
     check_representation_size(numbers, distinct, arities)
     last_reader = {kid: number for number, (_, kids) in enumerate(distinct) for kid in kids}
     reps: list[Optional[tuple[Structure, tuple[int, ...], Callable]]] = []
@@ -531,22 +533,33 @@ def check_equivalence(p1: Plan, p2: Plan, keys: KeySet, signature: Signature) ->
 
 
 def _chased_representation(
-    plan: Plan, keys: KeySet, signature: Signature, numbering: Optional[Numbering] = None
+    plan: Plan, keys: KeySet, signature: Signature, prepared: Optional[PreparedPlan] = None
 ) -> OpenStructure:
-    rep, _ = build_representation(plan, signature, numbering)
+    rep, _ = build_representation(plan, signature, prepared)
     return chase(rep.open, keys).result
 
 
 def chased_core(
-    plan: Plan, keys: KeySet, signature: Signature, core_cap: Optional[int]
+    plan: Plan,
+    keys: KeySet,
+    signature: Signature,
+    core_cap: Optional[int],
+    prepared: Optional[PreparedPlan] = None,
 ) -> OpenStructure:
     """The core of the plan's chased representation, searched under
-    ``core_cap`` (``None`` for no cap): the structure synthesis starts from."""
-    return compute_core(_chased_representation(plan, keys, signature), cap_universe=core_cap)
+    ``core_cap`` (``None`` for no cap): the structure synthesis starts from.
+    ``prepared`` is the plan prepared under ``signature``, when the caller
+    has it already."""
+    chased = _chased_representation(plan, keys, signature, prepared)
+    return compute_core(chased, cap_universe=core_cap)
 
 
 def optimize(
-    plan: Plan, keys: KeySet, signature: Signature, caps: Caps = Caps()
+    plan: Plan,
+    keys: KeySet,
+    signature: Signature,
+    caps: Caps = Caps(),
+    prepared: Optional[PreparedPlan] = None,
 ) -> SynthesisResult:
     """Rewrite ``plan`` into a well-behaved plan of minimum intermediate
     degree over all plans equivalent on key-satisfying databases.
@@ -556,12 +569,13 @@ def optimize(
     equivalent to the input before it is returned, as
     :func:`equivalence_witness` decides it, against the chased input that
     the core was computed from.  The core is ``result.elimination.original``.
-    The result's representation is built on ``result.numbering``, so the
-    synthesized plan is numbered once.
+    The result's representation is built on ``result.prepared``, so the
+    synthesized plan is numbered once.  ``prepared`` is the input plan
+    prepared under ``signature``, when the caller has it already.
     """
-    chased = _chased_representation(plan, keys, signature)
+    chased = _chased_representation(plan, keys, signature, prepared)
     result = synthesize_plan(compute_core(chased, cap_universe=caps.core_universe), keys, caps)
-    output = _chased_representation(result.plan, keys, signature, result.numbering)
+    output = _chased_representation(result.plan, keys, signature, result.prepared)
     if _mutual_homomorphisms(chased, output) is None:  # pragma: no cover
         raise SpjError("pipeline produced a non-equivalent plan")
     return result

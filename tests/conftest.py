@@ -1,6 +1,7 @@
 """Shared random generators.  Everything is seeded; no test depends on
 wall-clock or iteration order: each test that takes ``rng`` gets a fresh
-generator, so its data are the same whichever tests ran before it."""
+generator, so its data are the same whichever tests ran before it, and
+every test starts with no prepared plans kept."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from spjopt import (
     chase,
     theta_of,
 )
+from spjopt import plans
 
 REL_NAMES = ("R", "S", "T")
 
@@ -163,3 +165,18 @@ def pattern_plan(edges, out):
 @pytest.fixture
 def rng():
     return random.Random(20260810)
+
+
+def count_parses(monkeypatch) -> list:
+    """Patch the parser behind ``plans.parse_prepared``; returns the list
+    the patched parser appends each parsed text to."""
+    parsed, parse = [], plans._parse
+    monkeypatch.setattr(plans, "_parse", lambda text: parsed.append(text) or parse(text))
+    return parsed
+
+
+@pytest.fixture(autouse=True)
+def no_prepared_plans():
+    """Every test starts with no prepared plans kept (see
+    ``plans.parse_prepared``), so none depends on which tests ran before."""
+    plans.parse_prepared.cache_clear()

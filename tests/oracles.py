@@ -1028,7 +1028,7 @@ def synthesize_with_keyed_search(core: OpenStructure, keys: KeySet, caps):
         dec = optimal_cwidth(elim.open, KeySet.empty(), cap=caps.width_universe).decomposition
     else:
         dec = width_report.decomposition
-    return _assemble_plan(core, elim, dec)[0], width_report.width, dec
+    return _assemble_plan(core, elim, dec).plan, width_report.width, dec
 
 
 # ---------------------------------------------------------------------------

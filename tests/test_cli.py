@@ -33,7 +33,7 @@ from spjopt.serialize import (
     structure_to_json,
 )
 
-from conftest import mobius_ladder, pattern_plan
+from conftest import count_parses, mobius_ladder, pattern_plan
 from oracles import keys_to_text
 
 SIG = Signature({"E": 2})
@@ -96,6 +96,20 @@ def test_structure_json_rejects_garbage():
         structure_from_json(
             {"signature": {"E": 2}, "universe": ["a"], "relations": {"F": []}}
         )
+
+
+def test_named_rows_match_sorted_name_rows(rng):
+    """Naming rows after sorting their ids gives the rows of sorting the
+    name lists, on loaded structures whose names sort differently as
+    strings and as numbers ("10" before "9")."""
+    pool = [str(i) for i in range(40)] + ["a", "B", "x_1", "x_10", "x_9", "é"]
+    for _ in range(200):
+        universe = rng.sample(pool, rng.randint(1, 25))
+        rows = [[rng.choice(universe) for _ in range(3)] for _ in range(rng.randint(0, 30))]
+        data = structure_from_json({"signature": {"R": 3}, "universe": universe, "relations": {"R": rows}})
+        ids = data.relations["R"]
+        assert serialize.named_rows(ids, data.names) == sorted([data.names[e] for e in row] for row in ids)
+    assert serialize.named_rows({(1,), (0,)}, {0: "10", 1: "9"}) == [["10"], ["9"]]
 
 
 def test_keys_file_roundtrip():
@@ -219,30 +233,38 @@ def test_cli_evaluate(workdir, capsys):
 
 
 def test_cli_evaluate_numbers_once_and_builds_no_occurrence_trace(workdir, capsys, monkeypatch):
-    """A plain evaluate numbers its plan once: the parser validates over its
-    own interned subplans, and when the plan is not well-behaved the naive
-    evaluator takes the numbering the well-behaved attempt was given.  Only
-    --trace and --format text build the per-occurrence entries."""
-    traces = []
+    """A plain evaluate numbers its plan once, as the parser reads it:
+    ``number_subplans`` is never called, and when the plan is not
+    well-behaved the naive evaluator takes the prepared plan the
+    well-behaved attempt was given.  Only --trace and --format text build
+    the per-occurrence entries."""
+    traces, given = [], []
     numberings = _count_numberings(monkeypatch)
-    evaluate = cli.evaluate_well_behaved
-    monkeypatch.setattr(
-        cli, "evaluate_well_behaved", lambda *args: traces.append(evaluate(*args)) or traces[-1]
-    )
+    evaluate, naive = cli.evaluate_well_behaved, cli.evaluate_naive
+
+    def well_behaved(*args):
+        given.append(args[2])
+        traces.append(evaluate(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(cli, "evaluate_well_behaved", well_behaved)
+    monkeypatch.setattr(cli, "evaluate_naive", lambda *args: given.append(args[2]) or naive(*args))
     argv = ("evaluate", "--plan", workdir / "tri.plan", "--data", workdir / "d.json")
     assert run(capsys, *argv)[0] == 0
-    assert len(numberings) == 1
+    assert numberings == []
     assert "entries" not in traces[-1].__dict__
     for extra in (("--trace",), ("--format", "text")):
         assert run(capsys, *argv, *extra)[0] == 0
         assert "entries" in traces[-1].__dict__
     (workdir / "cross.plan").write_text("rel E 2\n(project (cols 4 3 2 1) (join (theta) E E))\n")
-    numberings.clear()
+    given.clear()
     code, out, _ = run(capsys, "evaluate", "--plan", workdir / "cross.plan", "--data", workdir / "d.json")
     assert (code, json.loads(out)["evaluator"]) == (0, "naive")
-    # The plan once; the well-behaved attempt's error prints the offender.
-    root, offender = numberings
-    assert offender == root.child
+    # The naive fallback reuses the prepared plan; only the offender, which
+    # the well-behaved attempt's error prints, is numbered.
+    attempt, fallback = given
+    assert fallback is attempt
+    assert numberings == [attempt.offender] and attempt.offender is attempt.plan.child
 
 
 def _count_numberings(monkeypatch) -> list:
@@ -278,8 +300,33 @@ def test_cli_check_numbers_its_plan_once(workdir, capsys, monkeypatch):
     numbered = _count_numberings(monkeypatch)
     code, out, err = run(capsys, "check", "--plan", workdir / "tri.plan")
     assert (code, err) == (0, "")
-    assert len(numbered) == 1
+    assert numbered == []  # the parser's numbering
     assert json.loads(out)["operators"] == 2
+
+
+def test_cli_prepares_a_plan_file_once(workdir, capsys, monkeypatch):
+    """Repeated ops on one plan file and signature parse it once, get the
+    same prepared plan and print the same bytes as the first."""
+    parsed = count_parses(monkeypatch)
+    argv = ("evaluate", "--plan", workdir / "tri.plan", "--data", workdir / "d.json")
+    outputs = [run(capsys, *argv, *extra) for extra in ((), ("--trace",), (), ("--trace",))]
+    assert outputs[0][0] == 0 and outputs[:2] == outputs[2:]
+    assert run(capsys, "degree", "--plan", workdir / "tri.plan")[0] == 0  # the header's signature
+    assert len(parsed) == 1
+    prepared = serialize.load_prepared(workdir / "tri.plan")
+    assert serialize.load_prepared(workdir / "tri.plan", SIG) is prepared
+    assert serialize.load_plan(workdir / "tri.plan") == (prepared.plan, SIG)
+    assert len(parsed) == 1
+
+
+def test_edited_plan_file_is_parsed_again(workdir):
+    path = workdir / "tri.plan"
+    before = serialize.load_prepared(path)
+    path.write_text(TRI_PLAN.replace("(cols 1 2 4)", "(cols 1 2)"))
+    after = serialize.load_prepared(path)
+    assert (before.arities[-1], after.arities[-1]) == (3, 2)
+    path.write_text(TRI_PLAN)
+    assert serialize.load_prepared(path) is before
 
 
 def test_cli_equiv(workdir, capsys):
@@ -643,6 +690,26 @@ def test_cli_quadratic_subplan_text_hits_the_cap(tmp_path, argv):
         f"spjopt: resource cap: printed subplans capped at {PRINTED_SUBPLANS_CAP} characters, "
         "the plan's occurrences print "
     )
+
+
+def test_cli_check_prints_a_deep_offender_in_linear_memory(tmp_path):
+    """check of a join of the 4,000-level chain with an atom prints the
+    whole plan as its offending subplan, 176 KB, without building the text
+    of every subplan, in a child process with a limited address space."""
+    levels = 4_000
+    chain = "(project (cols 2 4) (join (theta (1 4)) E " * levels + "E" + "))" * levels
+    plan = tmp_path / "deep.plan"
+    plan.write_text(f"rel E 2\n(join (theta) {chain} E)\n")
+    done = run_limited("check", "--plan", plan)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == serialize.dumps({
+        "ok": True,
+        "arity": 4,
+        "operators": 2 * levels + 1,
+        "wellBehaved": False,
+        "keysUnary": True,
+        "offendingSubplan": f"(join (theta) {chain} E)",
+    })
 
 
 def test_cli_naive_fallback_is_capped_before_it_iterates(tmp_path):

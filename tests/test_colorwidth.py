@@ -433,9 +433,12 @@ def _counting_lp(monkeypatch):
 
 
 def test_color_value_matches_color_number_on_random_structures(rng, monkeypatch):
+    """The presolved value equals the full LP's, both where an LP over the
+    maximal supports is solved and where those supports are disjoint and
+    their count is the value."""
     lp_rows = _counting_lp(monkeypatch)
-    keyed = raised = solved = 0
-    for _ in range(400):
+    keyed = raised = solved = disjoint = 0
+    for _ in range(800):
         sig = rand_signature(rng, max_relations=3, max_arity=3)
         keys = rand_keys(rng, sig) if rng.random() < 0.6 else NO_KEYS
         struct = rand_structure(rng, sig, max_domain=6, max_rows=6)
@@ -446,9 +449,11 @@ def test_color_value_matches_color_number_on_random_structures(rng, monkeypatch)
             raised += 1
             continue
         before = len(lp_rows)
-        color_values(struct, keys)(target)
+        value = color_values(struct, keys)(target)
         solved += len(lp_rows) > before
-    assert keyed >= 150 and raised >= 40 and solved >= 40
+        # No LP and a value of 2 or more: the disjoint supports' count.
+        disjoint += len(lp_rows) == before and value >= 2
+    assert keyed >= 150 and raised >= 40 and solved >= 40 and disjoint >= 40
 
 
 def _recording_values(monkeypatch):
@@ -542,6 +547,8 @@ def test_color_value_edge_cases(monkeypatch):
     assert color_values(Structure(SIG_R, [0, 1], {"R": []}), NO_KEYS)({0}) == 0
     assert color_values(Structure(SIG_R, [], {}), NO_KEYS)(frozenset()) == 0
     assert color_values(Structure(SIG_R, [0, 1], {"R": [(0, 1)]}), KEY_R1)({0, 1}) == 1
+    # Disjoint maximal supports: one row per edge, each column in one row.
+    assert color_values(Structure(SIG_R, range(4), {"R": [(0, 1), (2, 3)]}), NO_KEYS)(range(4)) == 2
     assert lp_rows == []
     with pytest.raises(SignatureError):
         color_values(triangle(), NO_KEYS)({3})

@@ -33,7 +33,14 @@ from spjopt import plans
 from spjopt.plans import number_subplans, occurrence_paths, plan_texts
 
 import oracles
-from conftest import PATTERN_EDGES, pattern_plan, rand_plan, rand_signature, rand_structure
+from conftest import (
+    PATTERN_EDGES,
+    count_parses,
+    pattern_plan,
+    rand_plan,
+    rand_signature,
+    rand_structure,
+)
 from oracles import (
     char_loop_tokens,
     evaluate_well_behaved_per_occurrence,
@@ -382,6 +389,8 @@ def test_number_subplans_numbers_structure(rng):
         one = rand_plan(rng, rand_signature(rng), max_operators=6)
         plan = Join(frozenset(), (one, rand_plan(rng, rand_signature(rng), max_operators=6), one))
         numbers, distinct = number_subplans(plan)
+        # The parser builds the same numbering as it parses.
+        assert plans._parse(print_plan(plan)) == (numbers, distinct)
         occurrences = subplans(plan)
         assert occurrence_paths(distinct) == [path for path, _ in occurrences]
         assert len(numbers) == len(occurrences)
@@ -711,6 +720,19 @@ def test_print_and_validate_match_recursive_oracles(rng):
     assert 100 <= valid <= 1400
 
 
+def test_long_subplans_are_printed_piece_by_piece():
+    """Subplans longer than the printer keeps whole, a long relation name
+    among them, print as the recursive oracle prints them."""
+    long_name = "R" * (2 * plans._KEPT_TEXT)
+    shared = parse_plan("(project (cols 2 1) (join (theta (1 2)) R S))")
+    for _ in range(4):
+        shared = Join(theta_of([(1, 3)]), (shared, Select(frozenset(), shared), Basic(long_name)))
+    text = print_plan(shared)
+    assert len(text) > 10 * plans._KEPT_TEXT
+    assert text == oracles.print_plan(shared)
+    assert parse_plan(text) == shared
+
+
 def test_deep_plans_need_no_recursion():
     depth = 2000
     text = "(project (cols 1 2) (join (theta (2 3)) " * depth + "R" + " R))" * depth
@@ -724,3 +746,55 @@ def test_deep_plans_need_no_recursion():
     assert len(distinct) == 2 * depth + 1
     assert occurrence_paths(distinct)[-3:] == [(0, 1), (0,), ()]
     assert is_well_behaved(plan, SIG)[0]
+
+
+# ---------------------------------------------------------------------------
+# Prepared plans
+# ---------------------------------------------------------------------------
+
+
+def test_prepared_plans_are_kept_per_text_and_signature(monkeypatch):
+    parsed = count_parses(monkeypatch)
+    text = "(join (theta) R R)"
+    narrow, wide = Signature({"R": 2}), Signature({"R": 3})
+    a, b = plans.parse_prepared(text, narrow), plans.parse_prepared(text, wide)
+    assert (a.arities[-1], b.arities[-1]) == (4, 6)
+    assert plans.parse_prepared(text, Signature({"R": 2})) is a
+    assert plans.parse_prepared(text, wide) is b
+    assert plans.parse_prepared.cache_info().currsize == len(parsed) == 2
+
+
+def test_failing_plans_are_not_kept(monkeypatch):
+    parsed = count_parses(monkeypatch)
+    texts = ("(join (theta) R", "(project (cols 3) R)", "(join (theta) Q)")
+    for text in texts * 2:
+        with pytest.raises(SpjError):
+            plans.parse_prepared(text, SIG)
+    assert len(parsed) == 2 * len(texts)
+    assert plans.parse_prepared.cache_info().currsize == 0
+
+
+def test_prepared_plans_are_evicted_at_the_bound(monkeypatch):
+    parsed = count_parses(monkeypatch)
+    bound = plans.PREPARED_PLANS_CACHED
+    texts = [f"(project (cols{' 1' * n}) R)" for n in range(1, bound + 2)]
+    prepared = [plans.parse_prepared(text, SIG) for text in texts]
+    assert plans.parse_prepared.cache_info().currsize == bound
+    assert all(plans.parse_prepared(t, SIG) is p for t, p in zip(texts[1:], prepared[1:]))
+    assert len(parsed) == bound + 1
+    assert plans.parse_prepared(texts[0], SIG) is not prepared[0]
+    assert len(parsed) == bound + 2
+
+
+def test_prepared_plan_evaluates_like_a_fresh_one(rng):
+    """A prepared plan's program, compiled once, evaluates each data like a
+    plan prepared for that call."""
+    for _ in range(60):
+        sig = rand_signature(rng)
+        text = print_plan(rand_plan(rng, sig, max_operators=6))
+        prepared = plans.parse_prepared(text, sig)
+        evaluate = evaluate_well_behaved if prepared.offender is None else evaluate_naive
+        for _ in range(3):
+            data = rand_structure(rng, sig)
+            kept, fresh = evaluate(prepared.plan, data, prepared), evaluate(parse_plan(text, sig), data)
+            assert (kept.rows, kept.internal_peak) == (fresh.rows, fresh.internal_peak)
