@@ -25,7 +25,6 @@ from .errors import (
     ResourceCapError,
     SignatureError,
     SpjError,
-    WellBehavedError,
 )
 from .plans import (
     Basic,
@@ -106,7 +105,6 @@ __all__ = [
     "Structure",
     "SynthesisResult",
     "TreeDecomposition",
-    "WellBehavedError",
     "WidthReport",
     "WitnessFamily",
     "bag_witness",

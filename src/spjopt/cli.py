@@ -37,13 +37,11 @@ from .errors import (
     FormatError,
     ResourceCapError,
     SpjError,
-    WellBehavedError,
 )
 from .plans import (
     Basic,
     PreparedPlan,
     check_printed_subplans,
-    evaluate_naive,
     evaluate_well_behaved,
     parse_plan,
     print_plan,
@@ -256,12 +254,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     prepared, _, data = _load_plan(args, keyed=False)
     if args.trace or args.format == "text":
         check_printed_subplans(prepared.numbering)
-    try:
-        trace = evaluate_well_behaved(prepared.plan, data, prepared)
-        evaluator = "well-behaved"
-    except WellBehavedError:
-        trace = evaluate_naive(prepared.plan, data, prepared)
-        evaluator = "naive"
+    trace = evaluate_well_behaved(prepared.plan, data, prepared)
+    # "naive" names a plan that is not well-behaved, not an algorithm.
+    evaluator = "well-behaved" if prepared.offender is None else "naive"
     doc = {
         "evaluator": evaluator,
         "cardinality": len(trace.output),

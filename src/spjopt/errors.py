@@ -28,10 +28,6 @@ class PlanSyntaxError(SpjError):
         self.column = column
 
 
-class WellBehavedError(SpjError):
-    """A plan was required to be well-behaved but is not."""
-
-
 class ResourceCapError(SpjError):
     """An exact search was asked to run above its configured universe cap."""
 

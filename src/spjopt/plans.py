@@ -1,27 +1,26 @@
-"""SPJ plan AST, s-expression parsing/printing, and the two evaluators.
+"""SPJ plan AST, s-expression parsing/printing, and the evaluators.
 
 Identification sets (theta) are stored as written but are interpreted via
 their reflexive-symmetric-transitive closure, both for selection semantics
 and for the well-behavedness check.
+
+Every plan is evaluated by its compiled program (see
+:func:`evaluate_well_behaved`); well-behavedness bounds the rows its join
+chains build, and ``JOIN_STEP_ROWS_CAP`` bounds the chains of the joins
+that are not well-behaved.  :func:`evaluate_naive` is the reference that
+the compiled program is checked against.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .errors import (
-    ArityError,
-    PlanSyntaxError,
-    ResourceCapError,
-    SignatureError,
-    WellBehavedError,
-)
+from .errors import ArityError, PlanSyntaxError, ResourceCapError, SignatureError
 from .structures import Signature, Structure
 
 
@@ -479,9 +478,9 @@ def _check_joins(
     distinct: list[tuple[Plan, tuple[int, ...]]], arities: list[int]
 ) -> tuple[Optional[Join], dict[int, list[int]]]:
     """The first join of :func:`number_subplans`'s ``distinct`` that is not
-    well-behaved, or None, and the :func:`_column_classes` of every join
-    numbered before it.  Numbers follow the first occurrences in post-order,
-    so this is also the first offending occurrence.
+    well-behaved, or None, and the :func:`_column_classes` of every join,
+    by number.  Numbers follow the first occurrences in post-order, so this
+    is also the first offending occurrence.
 
     A join is well-behaved when some column k makes every column past the
     first child's equated (under the closure of theta) with a first-child
@@ -490,16 +489,16 @@ def _check_joins(
     a class outside the first child's is one whose representative lies past
     the first child's columns.
     """
+    offender = None
     classes_of: dict[int, list[int]] = {}
     for number, (node, kids) in enumerate(distinct):
         if type(node) is Join:
             m1 = arities[kids[0]]
             s = m1 + sum(arities[k] for k in kids[1:])
-            classes = _column_classes(node.theta, s)
-            if sum(classes[i] == i for i in range(m1 + 1, s + 1)) > 1:
-                return node, classes_of
-            classes_of[number] = classes
-    return None, classes_of
+            classes = classes_of[number] = _column_classes(node.theta, s)
+            if offender is None and sum(classes[i] == i for i in range(m1 + 1, s + 1)) > 1:
+                offender = node
+    return offender, classes_of
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +511,10 @@ class PreparedPlan:
     """A plan with what every stage reads off it: its :func:`number_subplans`
     and the arity per number under ``signature``.
 
-    Its first offending join (see :func:`_check_joins`) and, when it has
-    none, its evaluation program are derived on first access, so a stage
-    that never evaluates never compiles.  A prepared plan may be shared
-    (see :func:`parse_prepared`): no stage changes it.
+    Its first offending join (see :func:`_check_joins`) and its evaluation
+    program are derived on first access, so a stage that never evaluates
+    never compiles.  A prepared plan may be shared (see
+    :func:`parse_prepared`): no stage changes it.
     """
 
     plan: Plan
@@ -535,15 +534,12 @@ class PreparedPlan:
 
     @functools.cached_property
     def program(self) -> list[tuple]:
-        """The :func:`evaluate_well_behaved` program of a well-behaved plan:
-        per number an ``(op, arg, kids)`` step.  ``op`` is ``"rel"`` (read
-        relation ``arg``), ``"same"`` (the child's rows themselves),
-        ``"filter"`` or ``"map"`` (the child's rows through ``arg``) or
-        ``"join"`` (the join program ``arg``, see :func:`_compile_join`).
-        Any other plan raises :class:`WellBehavedError` at its offender."""
-        offender, classes_of = self._joins
-        if offender is not None:
-            raise WellBehavedError(f"plan is not well-behaved at {print_plan(offender)}")
+        """The :func:`evaluate_well_behaved` program: per number an
+        ``(op, arg, kids)`` step.  ``op`` is ``"rel"`` (read relation
+        ``arg``), ``"same"`` (the child's rows themselves), ``"filter"`` or
+        ``"map"`` (the child's rows through ``arg``) or ``"join"`` (the join
+        program ``arg``, see :func:`_compile_join`)."""
+        classes_of = self._joins[1]
         arities = self.arities
         program = []
         for number, (node, kids) in enumerate(self.numbering[1]):
@@ -618,7 +614,7 @@ class EvalTrace:
 
     ``max_intermediate`` is the maximum cardinality over subplan outputs,
     the finite-instance counterpart of intermediate degree.  The
-    well-behaved evaluator additionally reports ``internal_peak``, the
+    compiled evaluator additionally reports ``internal_peak``, the
     largest relation its binary-join chains ever materialize.  The
     per-occurrence ``entries`` and ``texts`` are built on first access.
     """
@@ -659,28 +655,14 @@ def _select_rows(rows, theta):
     )
 
 
-# The most row combinations one join of the naive evaluator may iterate
-# over: the product of its children's row counts, checked before the join
-# iterates.  The largest product in the test suite is 1,259,712, and in
-# the benchmark's reference evaluations 15,625; the cap is over 1,000
-# times either.  A cross product of fifteen 18-row relations, the naive
-# fallback of an unkeyed 10-vertex Mobius ladder, needs 6.7 * 10^18.
-NAIVE_JOIN_PRODUCT_CAP = 2_000_000_000
-
-
-def evaluate_naive(plan: Plan, data: Structure, prepared: Optional[PreparedPlan] = None) -> EvalTrace:
+def evaluate_naive(plan: Plan, data: Structure) -> EvalTrace:
     """Reference evaluator: the four inductive cases, verbatim.
 
     Joins materialize the cross product lazily and filter by theta, so the
-    running time (not the memory) is proportional to the product size; a
-    join whose product exceeds ``NAIVE_JOIN_PRODUCT_CAP`` raises
-    :class:`ResourceCapError` before it iterates.  Each distinct subplan
-    (see :func:`number_subplans`) is evaluated once.  ``prepared`` is the
-    plan prepared under the data's signature, when the caller has it
-    already.
+    running time (not the memory) is proportional to the product size.
+    Each distinct subplan (see :func:`number_subplans`) is evaluated once.
     """
-    if prepared is None:
-        prepared = prepare(plan, data.signature)  # raises on an ill-formed plan
+    prepared = prepare(plan, data.signature)  # raises on an ill-formed plan
     trace = EvalTrace(prepared.numbering)
     rows_of = trace.rows
     for node, kids in prepared.numbering[1]:
@@ -691,12 +673,6 @@ def evaluate_naive(plan: Plan, data: Structure, prepared: Optional[PreparedPlan]
         elif isinstance(node, Project):
             rows = frozenset(tuple(t[c - 1] for c in node.cols) for t in rows_of[kids[0]])
         else:
-            product = math.prod(len(rows_of[k]) for k in kids)
-            if product > NAIVE_JOIN_PRODUCT_CAP:
-                raise ResourceCapError(
-                    f"naive evaluation capped at {NAIVE_JOIN_PRODUCT_CAP} row combinations "
-                    f"per join, a join needs {product}"
-                )
             theta = node.theta
             rows = frozenset(
                 flat
@@ -727,19 +703,22 @@ def _equal_at(pairs):
 def evaluate_well_behaved(
     plan: Plan, data: Structure, prepared: Optional[PreparedPlan] = None
 ) -> EvalTrace:
-    """Evaluator for well-behaved plans.
+    """The evaluator of every plan.  It keeps the name that the benchmark's
+    tracer wraps: well-behavedness decides how large its join chains may
+    grow, not whether it runs.
 
     Each distinct subplan (see :func:`number_subplans`) is evaluated once,
     by the prepared plan's program (:attr:`PreparedPlan.program`), which is
     compiled once per prepared plan from the column classes that decide
-    well-behavedness; a plan that is not well-behaved raises
-    :class:`WellBehavedError`.  ``prepared`` is the plan prepared under the
-    data's signature, when the caller has it already.
+    well-behavedness.  ``prepared`` is the plan prepared under the data's
+    signature, when the caller has it already.
 
     Multiway joins run as a left-deep chain of binary hash joins over the
     columns' theta-closure classes.  The chain carries one value per
-    already-bound class, so no step materializes more than
-    |out(q1, D)| x |dom(D)| rows.  Each operator's column positions are
+    already-bound class, so no step of a well-behaved join materializes
+    more than |out(q1, D)| x |dom(D)| rows; a step of any other join
+    raises :class:`ResourceCapError` before it builds more than
+    ``JOIN_STEP_ROWS_CAP`` rows.  Each operator's column positions are
     compiled into ``itemgetter``s once, not once per row.  An operator
     that keeps every row as it is (a projection onto all columns in order,
     a selection with no identification, a one-child join with no
@@ -811,13 +790,27 @@ def _compile_join(classes: list[int], arities: list[int]) -> _JoinProgram:
     return steps, None if slots == list(range(len(slots))) else _getter(slots)
 
 
+# The most rows one step of a join chain may build.  The largest step in
+# the test suite's evaluations, apart from the tests of this cap and of
+# large plans that are not well-behaved, is 55,566 rows, and in the
+# benchmark's 17,496; the cap is over 150 times either.  A step of a join
+# that is not well-behaved can be far larger than the join's output: the
+# unkeyed squared 12-cycle builds 1,771,470 rows on a 30-arc graph, one
+# per walk of 11 arcs.
+JOIN_STEP_ROWS_CAP = 10_000_000
+
+
 def _run_join(program: _JoinProgram, outs: list[frozenset], trace: EvalTrace) -> frozenset:
     """The join of the children's rows ``outs`` by ``program``; raises
     ``trace.internal_peak`` to the largest relation the chain builds.
 
     The first child has no key, so its rows (filtered and narrowed to its
     new columns) start the chain, and with no identification inside it
-    they are the chain's rows themselves.  The order of the input rows is
+    they are the chain's rows themselves.  Before a later step is built,
+    its rows are bounded by the chain's rows times the largest bucket, and
+    only when that bound passes ``JOIN_STEP_ROWS_CAP`` are they counted
+    exactly, as the sum of the probed buckets' lengths; past the cap the
+    join raises :class:`ResourceCapError`.  The order of the input rows is
     never used: the result is a set, and the peak counts rows.
     """
     steps, final = program
@@ -830,6 +823,12 @@ def _run_join(program: _JoinProgram, outs: list[frozenset], trace: EvalTrace) ->
             table: dict[tuple, list] = {}
             for t in rows:
                 table.setdefault(key(t), []).append(extend(t))
+            if len(current) * max(map(len, table.values()), default=0) > JOIN_STEP_ROWS_CAP:
+                size = sum(len(table.get(probe(row), ())) for row in current)
+                if size > JOIN_STEP_ROWS_CAP:
+                    raise ResourceCapError(
+                        f"join chain capped at {JOIN_STEP_ROWS_CAP} rows per step, a step needs {size}"
+                    )
             current = [row + ext for row in current for ext in table.get(probe(row), ())]
         trace.internal_peak = max(trace.internal_peak, len(current))
     return frozenset(current) if final is None else frozenset(map(final, current))

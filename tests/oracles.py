@@ -47,7 +47,7 @@ from spjopt import (
 )
 from spjopt.colorwidth import WidthReport, _closure_edges, _elimination_bag
 from spjopt.constraints import ChaseResult
-from spjopt.errors import ArityError, PlanSyntaxError, SignatureError, WellBehavedError
+from spjopt.errors import ArityError, PlanSyntaxError, SignatureError
 from spjopt.plans import (
     Basic,
     EvalTrace,
@@ -677,7 +677,7 @@ def evaluate_well_behaved_per_occurrence(plan: Plan, data: Structure) -> EvalTra
     its own, recursively: the reference for the shared evaluation."""
     ok, offender = is_well_behaved_per_occurrence(plan, data.signature)
     if not ok:
-        raise WellBehavedError(f"plan is not well-behaved at {print_plan(offender)}")
+        raise ValueError(f"plan is not well-behaved at {print_plan(offender)}")
     validate_plan(plan, data.signature)
     trace = EvalTrace(([], []))
 

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from spjopt import (
     OpenStructure,
     Signature,
     Structure,
+    homs_relation,
     is_well_behaved,
     parse_plan,
     print_plan,
@@ -24,7 +26,7 @@ from spjopt import (
 from spjopt import cli, plans, represent, serialize, synthesis
 from spjopt.cli import main
 from spjopt.errors import FormatError
-from spjopt.plans import NAIVE_JOIN_PRODUCT_CAP, PRINTED_SUBPLANS_CAP
+from spjopt.plans import JOIN_STEP_ROWS_CAP, PRINTED_SUBPLANS_CAP
 from spjopt.represent import REPRESENTATION_ELEMENTS_CAP
 from spjopt.serialize import (
     keys_from_text,
@@ -234,21 +236,18 @@ def test_cli_evaluate(workdir, capsys):
 
 def test_cli_evaluate_numbers_once_and_builds_no_occurrence_trace(workdir, capsys, monkeypatch):
     """A plain evaluate numbers its plan once, as the parser reads it:
-    ``number_subplans`` is never called, and when the plan is not
-    well-behaved the naive evaluator takes the prepared plan the
-    well-behaved attempt was given.  Only --trace and --format text build
-    the per-occurrence entries."""
-    traces, given = [], []
+    ``number_subplans`` is never called, whether or not the plan is
+    well-behaved, and the evaluator runs once.  Only --trace and --format
+    text build the per-occurrence entries."""
+    traces = []
     numberings = _count_numberings(monkeypatch)
-    evaluate, naive = cli.evaluate_well_behaved, cli.evaluate_naive
+    evaluate = cli.evaluate_well_behaved
 
-    def well_behaved(*args):
-        given.append(args[2])
+    def counted(*args):
         traces.append(evaluate(*args))
         return traces[-1]
 
-    monkeypatch.setattr(cli, "evaluate_well_behaved", well_behaved)
-    monkeypatch.setattr(cli, "evaluate_naive", lambda *args: given.append(args[2]) or naive(*args))
+    monkeypatch.setattr(cli, "evaluate_well_behaved", counted)
     argv = ("evaluate", "--plan", workdir / "tri.plan", "--data", workdir / "d.json")
     assert run(capsys, *argv)[0] == 0
     assert numberings == []
@@ -257,14 +256,10 @@ def test_cli_evaluate_numbers_once_and_builds_no_occurrence_trace(workdir, capsy
         assert run(capsys, *argv, *extra)[0] == 0
         assert "entries" in traces[-1].__dict__
     (workdir / "cross.plan").write_text("rel E 2\n(project (cols 4 3 2 1) (join (theta) E E))\n")
-    given.clear()
+    traces.clear()
     code, out, _ = run(capsys, "evaluate", "--plan", workdir / "cross.plan", "--data", workdir / "d.json")
     assert (code, json.loads(out)["evaluator"]) == (0, "naive")
-    # The naive fallback reuses the prepared plan; only the offender, which
-    # the well-behaved attempt's error prints, is numbered.
-    attempt, fallback = given
-    assert fallback is attempt
-    assert numberings == [attempt.offender] and attempt.offender is attempt.plan.child
+    assert len(traces) == 1 and numberings == []
 
 
 def _count_numberings(monkeypatch) -> list:
@@ -513,7 +508,7 @@ def test_cli_deep_plans_need_no_recursion(tmp_path, capsys):
     """1,200 nested selects, the same selects over a join that is not
     well-behaved, and a 600-level project/join chain are nested far past
     the interpreter's recursion limit, and every subcommand runs on them;
-    ``evaluate`` runs the second with the naive evaluator.  The chain joins
+    ``evaluate`` reports the second as ``naive``, not well-behaved.  The chain joins
     a fresh R atom per level at one shared element; ``key R 1`` folds them
     in the chase, so its core fits the default core cap."""
     bodies = {
@@ -712,25 +707,73 @@ def test_cli_check_prints_a_deep_offender_in_linear_memory(tmp_path):
     })
 
 
-def test_cli_naive_fallback_is_capped_before_it_iterates(tmp_path):
+def test_cli_evaluates_a_plan_that_is_not_well_behaved_by_hash_joins(tmp_path):
     """The unkeyed 10-vertex Mobius ladder is one join of 15 E atoms and not
-    well-behaved; on an 18-row E the naive fallback would iterate 18^15
-    combinations.  It exits 3 before it starts."""
+    well-behaved; on an 18-row E its cross product has 18^15 combinations,
+    but its hash-join chain evaluates it at once, in a child process with a
+    limited address space.  The ladder has no homomorphism into this graph,
+    so the answer is empty."""
+    edges = mobius_ladder(10)
     plan = tmp_path / "mobius10.plan"
-    plan.write_text("rel E 2\n" + print_plan(pattern_plan(mobius_ladder(10), (0, 1))) + "\n")
+    plan.write_text("rel E 2\n" + print_plan(pattern_plan(edges, (0, 1))) + "\n")
     arcs = [[f"v{a}", f"v{(a + step) % 9}"] for a in range(9) for step in (1, 2)]
     data = tmp_path / "d.json"
+    doc = {"signature": {"E": 2}, "universe": [f"v{i}" for i in range(9)], "relations": {"E": arcs}}
+    data.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    done = run_limited("evaluate", "--plan", plan, "--data", data)
+    assert time.perf_counter() - start < 1
+    assert (done.returncode, done.stderr) == (0, "")
+    loaded = structure_from_json(doc)
+    answer = homs_relation(Structure(SIG, range(10), {"E": edges}), (0, 1), loaded)
+    out = json.loads(done.stdout)
+    assert out["evaluator"] == "naive"
+    assert out["output"] == serialize.named_rows(answer, loaded.names)
+
+
+def test_cli_join_chain_is_capped_before_it_builds_a_step(tmp_path):
+    """The cross product of five copies of a 60-row E builds 60^3 chain
+    rows; its next step would hold 60^4, past the cap, and it exits 3
+    before building it."""
+    plan = tmp_path / "cross.plan"
+    plan.write_text("rel E 2\n(join (theta) E E E E E)\n")
+    arcs = [[f"v{a:02}", f"v{b:02}"] for a in range(10) for b in range(6)]
+    data = tmp_path / "d.json"
     data.write_text(json.dumps({
-        "signature": {"E": 2}, "universe": [f"v{i}" for i in range(9)], "relations": {"E": arcs},
+        "signature": {"E": 2}, "universe": [f"v{i:02}" for i in range(10)], "relations": {"E": arcs},
     }))
     start = time.perf_counter()
     done = run_limited("evaluate", "--plan", plan, "--data", data)
     assert time.perf_counter() - start < 1
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == (
-        f"spjopt: resource cap: naive evaluation capped at {NAIVE_JOIN_PRODUCT_CAP} row "
-        f"combinations per join, a join needs {18 ** 15}\n"
+        f"spjopt: resource cap: join chain capped at {JOIN_STEP_ROWS_CAP} rows per step, "
+        f"a step needs {60 ** 4}\n"
     )
+
+
+def test_cli_evaluates_the_keyed_4_cycle_input_at_once(tmp_path, capsys):
+    """The directed 4-cycle pattern is not well-behaved; on a 60-row
+    functional graph (``key E 1`` holds) its chain stays within the graph's
+    rows, so it evaluates in well under a second, to the vertices on a
+    closed walk of length 4."""
+    rng = random.Random(4)
+    f = [rng.randrange(60) for _ in range(60)]
+    f[0] = 0
+    plan = tmp_path / "cycle4.plan"
+    plan.write_text("rel E 2\n" + print_plan(pattern_plan([(i, (i + 1) % 4) for i in range(4)], (0,))) + "\n")
+    data = tmp_path / "d.json"
+    data.write_text(json.dumps({
+        "signature": {"E": 2},
+        "universe": [f"v{i:02}" for i in range(60)],
+        "relations": {"E": [[f"v{a:02}", f"v{b:02}"] for a, b in enumerate(f)]},
+    }))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "evaluate", "--plan", plan, "--data", data)
+    assert time.perf_counter() - start < 0.5
+    assert (code, err) == (0, "")
+    answer = [[f"v{x:02}"] for x in range(60) if f[f[f[f[x]]]] == x]
+    assert json.loads(out)["output"] == answer and answer
 
 
 def test_cli_optimizes_mobius20_under_a_raised_cap(tmp_path, capsys):
