@@ -9,7 +9,8 @@ missing ``--plan`` exits 2.  Plans are walked with explicit stacks, so
 nesting depth is not limited by the interpreter's recursion limit.  Running
 out of memory exits 3 with a one-line ``spjopt: resource cap: out of
 memory`` message instead of a traceback.  Exit 2 also covers files that
-cannot be read (missing, a directory, no permission) or are not UTF-8 text.
+cannot be read (missing, a directory, no permission) or are not UTF-8 text,
+and ``--data`` given more than once.
 Universe caps default to :class:`Caps`; ``--cap-universe N`` sets both.  All
 outputs are byte-identical across runs for identical inputs: wall-clock
 timings are deliberately left out of the serialized reports.
@@ -26,7 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 from . import serialize
 from .colorwidth import optimal_cwidth
@@ -43,7 +44,7 @@ from .plans import (
     PreparedPlan,
     check_printed_subplans,
     evaluate_well_behaved,
-    parse_plan,
+    parse_prepared,
     print_plan,
 )
 from .represent import Caps, build_representation
@@ -84,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help)
         p.add_argument("--plan", help="plan file (optional `rel NAME ARITY` header + s-expression)")
         p.add_argument("--keys", help="keys file: `key <RelName> <position>` lines")
-        p.add_argument("--data", action="append", default=[], help="structure JSON file (repeatable)")
+        p.add_argument("--data", action="append", default=[], help="structure JSON file")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--cap-universe", type=int, help="override both universe caps (default: core "
                        f"{default_caps.core_universe}, width {default_caps.width_universe})")
@@ -109,20 +110,28 @@ def _load_keys(args: argparse.Namespace) -> KeySet:
     return serialize.load_keys(args.keys) if args.keys else KeySet.empty()
 
 
-def _first_data(args: argparse.Namespace) -> Optional[Structure]:
-    """The first data file's structure (an open one's without its tuple)."""
-    data = serialize.load_structure(args.data[0]) if args.data else None
+def _load_data(args: argparse.Namespace) -> Union[Structure, OpenStructure, None]:
+    """The ``--data`` file's structure or open structure, or None without
+    one.  ``--data`` given more than once is an input error."""
+    if len(args.data) > 1:
+        raise FormatError(f"--data given {len(args.data)} times; pass one data file")
+    return serialize.load_structure(args.data[0]) if args.data else None
+
+
+def _data_structure(args: argparse.Namespace) -> Optional[Structure]:
+    """The data file's structure (an open one's without its tuple)."""
+    data = _load_data(args)
     return data.structure if isinstance(data, OpenStructure) else data
 
 
 def _chased_data(args: argparse.Namespace, keys: KeySet) -> OpenStructure:
-    """The first data file as an open structure, chased under ``keys``, as
-    the plan path chases a plan's representation.
+    """The data file as an open structure, chased under ``keys``, as the
+    plan path chases a plan's representation.
 
     A closed structure loses its isolated elements, since each retracts
     onto any element of a tuple; it needs a tuple over some element.
     """
-    value = serialize.load_structure(args.data[0])
+    value = _load_data(args)
     if isinstance(value, Structure):
         kept = set(value.universe) - set(value.isolated_elements())
         if value.universe and not kept:
@@ -134,12 +143,12 @@ def _chased_data(args: argparse.Namespace, keys: KeySet) -> OpenStructure:
 def _load_plan(
     args: argparse.Namespace, keyed: bool = True
 ) -> tuple[PreparedPlan, KeySet, Optional[Structure]]:
-    """The ``--plan`` file prepared under the first data file's signature,
-    else its own header's; the keys (empty unless ``keyed``), validated
+    """The ``--plan`` file prepared under the data file's signature, else
+    its own header's; the keys (empty unless ``keyed``), validated
     against that signature; and the data's structure, or None."""
     _require(args, plan=args.plan)
     keys = _load_keys(args) if keyed else KeySet.empty()
-    data = _first_data(args)
+    data = _data_structure(args)
     prepared = serialize.load_prepared(args.plan, data.signature if data is not None else None)
     keys.validate_for(prepared.signature)
     return prepared, keys, data
@@ -200,7 +209,7 @@ def _cmd_represent(args: argparse.Namespace) -> None:
 def _cmd_chase(args: argparse.Namespace) -> None:
     if args.data:
         keys = _load_keys(args)
-        value = serialize.load_structure(args.data[0])
+        value = _load_data(args)
     else:
         prepared, keys, _ = _load_plan(args)
         value = build_representation(prepared.plan, prepared.signature, prepared)[0].open
@@ -225,13 +234,13 @@ def _cmd_core(args: argparse.Namespace) -> None:
         core = compute_core(_chased_data(args, _load_keys(args)), cap_universe=core_cap)
     else:
         prepared, keys, _ = _load_plan(args)
-        core = chased_core(prepared.plan, keys, prepared.signature, core_cap, prepared)
+        core = chased_core(prepared, keys, core_cap)
     _emit(args, serialize.dumps({"core": serialize.structure_to_json(core)}))
 
 
 def _cmd_degree(args: argparse.Namespace) -> None:
     prepared, keys, _ = _load_plan(args)
-    degrees = subplan_degrees(prepared.plan, keys, prepared.signature, prepared)
+    degrees = subplan_degrees(prepared, keys)
     doc = {
         "outputDegree": serialize.fraction_str(degrees[-1]),
         "intermediateDegreeBound": serialize.fraction_str(max(degrees)),
@@ -241,7 +250,7 @@ def _cmd_degree(args: argparse.Namespace) -> None:
 
 def _cmd_optimize(args: argparse.Namespace) -> None:
     prepared, keys, _ = _load_plan(args)
-    result = optimize(prepared.plan, keys, prepared.signature, _caps(args), prepared)
+    result = optimize(prepared, keys, _caps(args))
     if args.format == "text":
         _emit(args, result.plan_text + "\n")
         return
@@ -254,7 +263,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     prepared, _, data = _load_plan(args, keyed=False)
     if args.trace or args.format == "text":
         check_printed_subplans(prepared.numbering)
-    trace = evaluate_well_behaved(prepared.plan, data, prepared)
+    trace = evaluate_well_behaved(prepared, data)
     # "naive" names a plan that is not well-behaved, not an algorithm.
     evaluator = "well-behaved" if prepared.offender is None else "naive"
     doc = {
@@ -278,7 +287,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
 def _cmd_equiv(args: argparse.Namespace) -> None:
     _require(args, plan=args.plan, plan2=args.plan2)
     keys = _load_keys(args)
-    data = _first_data(args)
+    data = _data_structure(args)
     merged: dict[str, int] = {} if data is None else data.signature.as_dict()
     bodies = []
     for path in (args.plan, args.plan2):
@@ -293,11 +302,11 @@ def _cmd_equiv(args: argparse.Namespace) -> None:
     if not merged:
         raise FormatError("no signature available; add `rel` headers or pass --data")
     sig = Signature(merged)
-    plan1 = parse_plan(bodies[0], sig)
-    plan2 = parse_plan(bodies[1], sig)
+    plan1 = parse_prepared(bodies[0], sig)
+    plan2 = parse_prepared(bodies[1], sig)
     keys.validate_for(sig)
     try:
-        witness = equivalence_witness(plan1, plan2, keys, sig)
+        witness = equivalence_witness(plan1, plan2, keys)
     except ArityError:
         _emit(args, serialize.dumps({"equivalent": False, "reason": "different arities"}))
         return
@@ -315,7 +324,7 @@ def _cmd_witness(args: argparse.Namespace) -> None:
     ns = _parse_witness_n(args.n)
     prepared, keys, _ = _load_plan(args)
     caps = _caps(args)
-    core = chased_core(prepared.plan, keys, prepared.signature, caps.core_universe, prepared)
+    core = chased_core(prepared, keys, caps.core_universe)
     report = optimal_cwidth(core, keys, cap=caps.width_universe)
     node, family = bag_witness(core, keys, report)
     for n in ns:
@@ -351,7 +360,7 @@ def _cmd_decompose(args: argparse.Namespace) -> None:
         core = _chased_data(args, keys)
     else:
         prepared, keys, _ = _load_plan(args)
-        core = chased_core(prepared.plan, keys, prepared.signature, caps.core_universe, prepared)
+        core = chased_core(prepared, keys, caps.core_universe)
     report = optimal_cwidth(core, keys, cap=caps.width_universe)
     names = core.structure.names
     if args.format == "dot":

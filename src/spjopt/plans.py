@@ -6,7 +6,7 @@ and for the well-behavedness check.
 
 Every plan is evaluated by its compiled program (see
 :func:`evaluate_well_behaved`); well-behavedness bounds the rows its join
-chains build, and ``JOIN_STEP_ROWS_CAP`` bounds the chains of the joins
+chains build, and ``JOIN_STEP_CELLS_CAP`` bounds the chains of the joins
 that are not well-behaved.  :func:`evaluate_naive` is the reference that
 the compiled program is checked against.
 """
@@ -439,27 +439,37 @@ def _print_theta(theta: frozenset) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _column_classes(theta: frozenset, s: int) -> list[int]:
-    """Representative column per 1-based index (0 stands alone) under the
-    closure of theta: the smallest column of its class.  The union-find is
-    a list of parent indices that links the larger root under the smaller,
-    with path halving."""
-    parent = list(range(s + 1))
-    for a, b in theta:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a < b:
-            parent[b] = a
-        elif b < a:
-            parent[a] = b
-    # Every link points to a smaller index, so in increasing order an
-    # index's parent already holds its root.
+def _link(parent: list[int], a: int, b: int) -> None:
+    """Merge the classes of ``a`` and ``b`` in the union-find ``parent``, a
+    list of parent indices: each find halves its path, and the larger root
+    is linked under the smaller, so a class's root is its smallest index."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    while parent[b] != b:
+        parent[b] = parent[parent[b]]
+        b = parent[b]
+    if a < b:
+        parent[b] = a
+    elif b < a:
+        parent[a] = b
+
+
+def _flatten(parent: list[int]) -> None:
+    """Point every index of the union-find ``parent`` (see :func:`_link`)
+    at its root.  Every link points to a smaller index, so in increasing
+    order an index's parent already holds its root."""
     for i, up in enumerate(parent):
         parent[i] = parent[up]
+
+
+def _column_classes(theta: frozenset, s: int) -> list[int]:
+    """Representative column per 1-based index (0 stands alone) under the
+    closure of theta: the smallest column of its class."""
+    parent = list(range(s + 1))
+    for a, b in theta:
+        _link(parent, a, b)
+    _flatten(parent)
     return parent
 
 
@@ -509,7 +519,10 @@ def _check_joins(
 @dataclass(frozen=True, eq=False)
 class PreparedPlan:
     """A plan with what every stage reads off it: its :func:`number_subplans`
-    and the arity per number under ``signature``.
+    and the arity per number under ``signature``.  Every stage after
+    loading (representation, core, degree analysis, evaluation,
+    equivalence) takes the prepared plan, built by :func:`prepare` or
+    :func:`parse_prepared`, and reads the plan and signature off it.
 
     Its first offending join (see :func:`_check_joins`) and its evaluation
     program are derived on first access, so a stage that never evaluates
@@ -700,32 +713,28 @@ def _equal_at(pairs):
     return lambda t: left(t) == right(t)
 
 
-def evaluate_well_behaved(
-    plan: Plan, data: Structure, prepared: Optional[PreparedPlan] = None
-) -> EvalTrace:
-    """The evaluator of every plan.  It keeps the name that the benchmark's
-    tracer wraps: well-behavedness decides how large its join chains may
-    grow, not whether it runs.
+def evaluate_well_behaved(prepared: PreparedPlan, data: Structure) -> EvalTrace:
+    """The evaluator of every plan, ``prepared`` under the data's signature.
+    It keeps the name that the benchmark's tracer wraps: well-behavedness
+    decides how large its join chains may grow, not whether it runs.
 
     Each distinct subplan (see :func:`number_subplans`) is evaluated once,
     by the prepared plan's program (:attr:`PreparedPlan.program`), which is
     compiled once per prepared plan from the column classes that decide
-    well-behavedness.  ``prepared`` is the plan prepared under the data's
-    signature, when the caller has it already.
+    well-behavedness.
 
     Multiway joins run as a left-deep chain of binary hash joins over the
     columns' theta-closure classes.  The chain carries one value per
     already-bound class, so no step of a well-behaved join materializes
-    more than |out(q1, D)| x |dom(D)| rows; a step of any other join
-    raises :class:`ResourceCapError` before it builds more than
-    ``JOIN_STEP_ROWS_CAP`` rows.  Each operator's column positions are
-    compiled into ``itemgetter``s once, not once per row.  An operator
-    that keeps every row as it is (a projection onto all columns in order,
-    a selection with no identification, a one-child join with no
-    identification) returns its child's rows themselves.
+    more than |out(q1, D)| x |dom(D)| rows; a step of any join raises
+    :class:`ResourceCapError` before it builds more than
+    ``JOIN_STEP_CELLS_CAP`` cells, its rows times its slots.  Each
+    operator's column positions are compiled into ``itemgetter``s once, not
+    once per row.  An operator that keeps every row as it is (a projection
+    onto all columns in order, a selection with no identification, a
+    one-child join with no identification) returns its child's rows
+    themselves.
     """
-    if prepared is None:
-        prepared = prepare(plan, data.signature)
     program = prepared.program
     trace = EvalTrace(prepared.numbering)
     relations = data.relations
@@ -746,11 +755,12 @@ def evaluate_well_behaved(
 
 
 # A join compiled from its column classes: ``(steps, final)``.  ``steps``
-# has one ``(equal, key, extend, probe)`` per child: the filter for the
-# identifications inside the child (None when it has none), the getters of
-# the child's key and of its new columns, and the getter of the chain slots
-# its key must equal.  ``final`` reads the output columns back from the
-# slots, None when the slots are already in column order.
+# has one ``(equal, key, extend, probe, slots)`` per child: the filter for
+# the identifications inside the child (None when it has none), the getters
+# of the child's key and of its new columns, the getter of the chain slots
+# its key must equal, and the number of slots once its columns are bound.
+# ``final`` reads the output columns back from the slots, None when the
+# slots are already in column order.
 _JoinProgram = tuple[list[tuple], Optional[operator.itemgetter]]
 
 
@@ -783,6 +793,7 @@ def _compile_join(classes: list[int], arities: list[int]) -> _JoinProgram:
             _getter([local for local, _ in keys]),
             _getter(list(first.values())),
             _getter([slot for _, slot in keys]),
+            len(bound) + len(first),
         ))
         for cls in first:
             bound[cls] = len(bound)
@@ -790,14 +801,14 @@ def _compile_join(classes: list[int], arities: list[int]) -> _JoinProgram:
     return steps, None if slots == list(range(len(slots))) else _getter(slots)
 
 
-# The most rows one step of a join chain may build.  The largest step in
-# the test suite's evaluations, apart from the tests of this cap and of
-# large plans that are not well-behaved, is 55,566 rows, and in the
-# benchmark's 17,496; the cap is over 150 times either.  A step of a join
-# that is not well-behaved can be far larger than the join's output: the
-# unkeyed squared 12-cycle builds 1,771,470 rows on a 30-arc graph, one
-# per walk of 11 arcs.
-JOIN_STEP_ROWS_CAP = 10_000_000
+# The most cells (rows times slots) one step of a join chain may build, so
+# that a step's memory, not only its row count, is bounded: a 1 GB process
+# holds the 12.8 million cells of the unkeyed Mobius 12-ladder's largest
+# step (1,062,882 rows of 12 slots, a 220 MB peak) but not the next, of
+# 41.5 million.  Apart from the tests of this cap and of unkeyed pattern
+# plans, whose largest evaluated step is 21.3 million cells, the test
+# suite's largest step is 444,528 cells and the benchmark's 52,488.
+JOIN_STEP_CELLS_CAP = 30_000_000
 
 
 def _run_join(program: _JoinProgram, outs: list[frozenset], trace: EvalTrace) -> frozenset:
@@ -807,15 +818,16 @@ def _run_join(program: _JoinProgram, outs: list[frozenset], trace: EvalTrace) ->
     The first child has no key, so its rows (filtered and narrowed to its
     new columns) start the chain, and with no identification inside it
     they are the chain's rows themselves.  Before a later step is built,
-    its rows are bounded by the chain's rows times the largest bucket, and
-    only when that bound passes ``JOIN_STEP_ROWS_CAP`` are they counted
-    exactly, as the sum of the probed buckets' lengths; past the cap the
-    join raises :class:`ResourceCapError`.  The order of the input rows is
-    never used: the result is a set, and the peak counts rows.
+    its cells are bounded by the chain's rows times the largest bucket
+    times the step's slots, and only when that bound passes
+    ``JOIN_STEP_CELLS_CAP`` are its rows counted exactly, as the sum of the
+    probed buckets' lengths; past the cap the join raises
+    :class:`ResourceCapError`.  The order of the input rows is never used:
+    the result is a set, and the peak counts rows.
     """
     steps, final = program
     current = None
-    for out, (equal, key, extend, probe) in zip(outs, steps):
+    for out, (equal, key, extend, probe, slots) in zip(outs, steps):
         rows = out if equal is None else filter(equal, out)
         if current is None:
             current = out if equal is None else list(map(extend, rows))
@@ -823,11 +835,12 @@ def _run_join(program: _JoinProgram, outs: list[frozenset], trace: EvalTrace) ->
             table: dict[tuple, list] = {}
             for t in rows:
                 table.setdefault(key(t), []).append(extend(t))
-            if len(current) * max(map(len, table.values()), default=0) > JOIN_STEP_ROWS_CAP:
+            if len(current) * max(map(len, table.values()), default=0) * slots > JOIN_STEP_CELLS_CAP:
                 size = sum(len(table.get(probe(row), ())) for row in current)
-                if size > JOIN_STEP_ROWS_CAP:
+                if size * slots > JOIN_STEP_CELLS_CAP:
                     raise ResourceCapError(
-                        f"join chain capped at {JOIN_STEP_ROWS_CAP} rows per step, a step needs {size}"
+                        f"join chain capped at {JOIN_STEP_CELLS_CAP} cells per step, "
+                        f"a step needs {size * slots} ({size} rows of {slots} slots)"
                     )
             current = [row + ext for row in current for ext in table.get(probe(row), ())]
         trace.internal_peak = max(trace.internal_peak, len(current))

@@ -23,7 +23,9 @@ from .plans import (
     Plan,
     PreparedPlan,
     Project,
+    _flatten,
     _getter,
+    _link,
     plan_texts,
     prepare,
 )
@@ -189,13 +191,12 @@ def build_representation(
     One step per subplan occurrence, in post-order: a basic occurrence
     allocates fresh element ids consecutively from 0, a projection reindexes
     its child's output tuple, and a join or selection concatenates its
-    children's and links the elements that theta identifies in a union-find.
-    The union-find is a list of parent ids that links the larger root under
-    the smaller, with path halving, so each element's representative is the
-    smallest id of its class, whatever order the links came in.  Polynomial
-    time; the universe never exceeds the number of arity occurrences in the
-    plan.  ``prepared`` is the plan prepared under ``signature``, when the
-    caller has it already.
+    children's and links the elements that theta identifies in a union-find
+    (see :func:`spjopt.plans._link`), so each element's representative is
+    the smallest id of its class, whatever order the links came in.
+    Polynomial time; the universe never exceeds the number of arity
+    occurrences in the plan.  ``prepared`` is the plan prepared under
+    ``signature``, when the caller has it already.
     """
     if prepared is None:
         prepared = prepare(plan, signature)
@@ -229,24 +230,10 @@ def build_representation(
                 out = tuple(itertools.chain.from_iterable(pending[cut:]))
                 del pending[cut:]
             for j, k in node.theta:
-                a, b = out[j - 1], out[k - 1]
-                while uf[a] != a:
-                    uf[a] = uf[uf[a]]
-                    a = uf[a]
-                while uf[b] != b:
-                    uf[b] = uf[uf[b]]
-                    b = uf[b]
-                if a < b:
-                    uf[b] = a
-                elif b < a:
-                    uf[a] = b
+                _link(uf, out[j - 1], out[k - 1])
         raw_beta.append(out)
         pending.append(out)
-
-    # Every link points to a smaller id, so in increasing order an element's
-    # parent already holds its root.
-    for e, up in enumerate(uf):
-        uf[e] = uf[up]
+    _flatten(uf)
     final_elements = [e for e, r in enumerate(uf) if e == r]
     names = {e: f"x{i}" for i, e in enumerate(final_elements)}
     rep = uf.__getitem__

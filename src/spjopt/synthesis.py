@@ -401,11 +401,10 @@ def _assemble_plan(
 # ---------------------------------------------------------------------------
 
 
-def subplan_degrees(
-    plan: Plan, keys: KeySet, signature: Signature, prepared: Optional[PreparedPlan] = None
-) -> list[Fraction]:
-    """Output degree per number of :func:`number_subplans`, the root's last:
-    the color number of the tuple set of the subplan's chased representation.
+def subplan_degrees(prepared: PreparedPlan, keys: KeySet) -> list[Fraction]:
+    """Output degree per number of the ``prepared`` plan's numbering, the
+    root's last: the color number of the tuple set of the subplan's chased
+    representation.
 
     Each is built from the children's: a fresh atom, a reindexed tuple for a
     projection, and for a join or selection the disjoint union, theta's
@@ -416,11 +415,9 @@ def subplan_degrees(
     two levels at a time.  Every structure built counts against
     ``REPRESENTATION_ELEMENTS_CAP`` before it is allocated, whether or not
     it was dropped: a join or selection holds its children's elements until
-    the chase.  ``prepared`` is the plan prepared under ``signature``, when
-    the caller has it already.
+    the chase.
     """
-    if prepared is None:
-        prepared = prepare(plan, signature)
+    signature = prepared.signature
     (numbers, distinct), arities = prepared.numbering, prepared.arities
     check_representation_size(numbers, distinct, arities)
     last_reader = {kid: number for number, (_, kids) in enumerate(distinct) for kid in kids}
@@ -473,13 +470,13 @@ def subplan_degrees(
 def output_degree(plan: Plan, keys: KeySet, signature: Signature) -> Fraction:
     """The least exponent d with |out(plan, D)| = O(M_D^d) over key-satisfying
     databases (see :func:`subplan_degrees`)."""
-    return subplan_degrees(plan, keys, signature)[-1]
+    return subplan_degrees(prepare(plan, signature), keys)[-1]
 
 
 def intermediate_degree_bound(plan: Plan, keys: KeySet, signature: Signature) -> Fraction:
     """Max output degree over all subplans; this equals the plan's
     intermediate degree."""
-    return max(subplan_degrees(plan, keys, signature))
+    return max(subplan_degrees(prepare(plan, signature), keys))
 
 
 @dataclass(frozen=True)
@@ -494,16 +491,16 @@ class EquivalenceWitness:
 
 
 def equivalence_witness(
-    p1: Plan, p2: Plan, keys: KeySet, signature: Signature
+    p1: PreparedPlan, p2: PreparedPlan, keys: KeySet
 ) -> Optional[EquivalenceWitness]:
-    """The witness that ``p1`` and ``p2`` are equivalent over all
-    key-satisfying databases, or None if they are not.
+    """The witness that the prepared plans ``p1`` and ``p2`` are equivalent
+    over all key-satisfying databases, or None if they are not.
 
     Decided exactly: the chased representations must be homomorphically
     equivalent.  Plans of different arity raise :class:`ArityError`.
     """
-    rep1, _ = build_representation(p1, signature)
-    rep2, _ = build_representation(p2, signature)
+    rep1, _ = build_representation(p1.plan, p1.signature, p1)
+    rep2, _ = build_representation(p2.plan, p2.signature, p2)
     if len(rep1.open.tuple) != len(rep2.open.tuple):
         raise ArityError("plans of different arity are never equivalent")
     return _mutual_homomorphisms(chase(rep1.open, keys).result, chase(rep2.open, keys).result)
@@ -524,7 +521,7 @@ def _mutual_homomorphisms(c1: OpenStructure, c2: OpenStructure) -> Optional[Equi
 def check_equivalence(p1: Plan, p2: Plan, keys: KeySet, signature: Signature) -> bool:
     """Equivalence over all key-satisfying databases (see
     :func:`equivalence_witness`)."""
-    return equivalence_witness(p1, p2, keys, signature) is not None
+    return equivalence_witness(prepare(p1, signature), prepare(p2, signature), keys) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -532,37 +529,21 @@ def check_equivalence(p1: Plan, p2: Plan, keys: KeySet, signature: Signature) ->
 # ---------------------------------------------------------------------------
 
 
-def _chased_representation(
-    plan: Plan, keys: KeySet, signature: Signature, prepared: Optional[PreparedPlan] = None
-) -> OpenStructure:
-    rep, _ = build_representation(plan, signature, prepared)
+def _chased_representation(prepared: PreparedPlan, keys: KeySet) -> OpenStructure:
+    rep, _ = build_representation(prepared.plan, prepared.signature, prepared)
     return chase(rep.open, keys).result
 
 
-def chased_core(
-    plan: Plan,
-    keys: KeySet,
-    signature: Signature,
-    core_cap: Optional[int],
-    prepared: Optional[PreparedPlan] = None,
-) -> OpenStructure:
-    """The core of the plan's chased representation, searched under
-    ``core_cap`` (``None`` for no cap): the structure synthesis starts from.
-    ``prepared`` is the plan prepared under ``signature``, when the caller
-    has it already."""
-    chased = _chased_representation(plan, keys, signature, prepared)
-    return compute_core(chased, cap_universe=core_cap)
+def chased_core(prepared: PreparedPlan, keys: KeySet, core_cap: Optional[int]) -> OpenStructure:
+    """The core of the prepared plan's chased representation, searched under
+    ``core_cap`` (``None`` for no cap): the structure synthesis starts from."""
+    return compute_core(_chased_representation(prepared, keys), cap_universe=core_cap)
 
 
-def optimize(
-    plan: Plan,
-    keys: KeySet,
-    signature: Signature,
-    caps: Caps = Caps(),
-    prepared: Optional[PreparedPlan] = None,
-) -> SynthesisResult:
-    """Rewrite ``plan`` into a well-behaved plan of minimum intermediate
-    degree over all plans equivalent on key-satisfying databases.
+def optimize(prepared: PreparedPlan, keys: KeySet, caps: Caps = Caps()) -> SynthesisResult:
+    """Rewrite the ``prepared`` plan into a well-behaved plan of minimum
+    intermediate degree over all plans equivalent on key-satisfying
+    databases.
 
     Pipeline: representation -> chase -> core -> synthesis.  Synthesis
     checks that the result is well-behaved, and the result is checked to be
@@ -570,12 +551,11 @@ def optimize(
     :func:`equivalence_witness` decides it, against the chased input that
     the core was computed from.  The core is ``result.elimination.original``.
     The result's representation is built on ``result.prepared``, so the
-    synthesized plan is numbered once.  ``prepared`` is the input plan
-    prepared under ``signature``, when the caller has it already.
+    synthesized plan is numbered once.
     """
-    chased = _chased_representation(plan, keys, signature, prepared)
+    chased = _chased_representation(prepared, keys)
     result = synthesize_plan(compute_core(chased, cap_universe=caps.core_universe), keys, caps)
-    output = _chased_representation(result.plan, keys, signature, result.prepared)
+    output = _chased_representation(result.prepared, keys)
     if _mutual_homomorphisms(chased, output) is None:  # pragma: no cover
         raise SpjError("pipeline produced a non-equivalent plan")
     return result

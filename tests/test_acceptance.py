@@ -38,6 +38,7 @@ from spjopt import (
     optimal_cwidth,
     output_degree,
     parse_plan,
+    prepare,
     print_plan,
     satisfies_keys,
     synthesize_plan,
@@ -123,7 +124,7 @@ def corpus():
 @pytest.fixture(scope="module")
 def triangle_pipeline():
     plan = parse_plan(TRIANGLE_TEXT, SIG_E)
-    core = chased_core(plan, NO_KEYS, SIG_E, UNCAPPED.core_universe)
+    core = chased_core(prepare(plan, SIG_E), NO_KEYS, UNCAPPED.core_universe)
     result = synthesize_plan(core, NO_KEYS, UNCAPPED)
     report = optimal_cwidth(core, NO_KEYS, cap=UNCAPPED.width_universe)
     node, family = bag_witness(core, NO_KEYS, report)
@@ -229,7 +230,7 @@ def test_criterion_6_optimality_pipeline(corpus):
     with criterion(6, "optimality pipeline"):
         for entry in corpus:
             plan, sig, keys = entry["plan"], entry["sig"], entry["keys"]
-            core = chased_core(plan, keys, sig, UNCAPPED.core_universe)
+            core = chased_core(prepare(plan, sig), keys, UNCAPPED.core_universe)
             result = synthesize_plan(core, keys, UNCAPPED)
             assert is_well_behaved(result.plan, sig)[0]
             assert check_equivalence(plan, result.plan, keys, sig)
@@ -258,7 +259,7 @@ def test_criterion_7_upper_bound_empirics(corpus, triangle_pipeline):
         # Deterministic subsample of the corpus plus the triangle.
         for entry in corpus[:40]:
             plan, sig, keys = entry["plan"], entry["sig"], entry["keys"]
-            core = chased_core(plan, keys, sig, UNCAPPED.core_universe)
+            core = chased_core(prepare(plan, sig), keys, UNCAPPED.core_universe)
             result = synthesize_plan(core, keys, UNCAPPED)
             if not core.structure.universe:
                 continue
@@ -267,7 +268,7 @@ def test_criterion_7_upper_bound_empirics(corpus, triangle_pipeline):
             k = core.structure.total_tuple_count()
             for n in (2, 3, 4, 5):
                 data = family.generate(n)
-                trace = evaluate_well_behaved(result.plan, data)
+                trace = evaluate_well_behaved(result.prepared, data)
                 assert _max_intermediate_within(
                     trace, k, max_relation_size(data), result.degree
                 ), (print_plan(plan), n)
@@ -280,7 +281,7 @@ def test_criterion_7_upper_bound_empirics(corpus, triangle_pipeline):
         for n in (2, 3, 4, 5):
             data = family.generate(n)
             m = max_relation_size(data)
-            trace = evaluate_well_behaved(result.plan, data)
+            trace = evaluate_well_behaved(result.prepared, data)
             assert _max_intermediate_within(trace, k, m, Fraction(3, 2))
             if n == 5:
                 naive_trace = evaluate_naive(product_form, data)
@@ -338,7 +339,7 @@ def test_criterion_9_evaluator_agreement(triangle_pipeline):
             data = rand_structure(gen, sig, max_domain=5, max_rows=5)
             assert (
                 evaluate_naive(plan, data).output
-                == evaluate_well_behaved(plan, data).output
+                == evaluate_well_behaved(prepare(plan, sig), data).output
             )
             agreed += 1
         assert agreed >= 200
@@ -347,7 +348,7 @@ def test_criterion_9_evaluator_agreement(triangle_pipeline):
         data = family.generate(6)
         m = max_relation_size(data)
         start = time.perf_counter()
-        fast = evaluate_well_behaved(result.plan, data)
+        fast = evaluate_well_behaved(result.prepared, data)
         t_fast = time.perf_counter() - start
         start = time.perf_counter()
         slow = evaluate_naive(result.plan, data)

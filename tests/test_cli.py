@@ -26,7 +26,7 @@ from spjopt import (
 from spjopt import cli, plans, represent, serialize, synthesis
 from spjopt.cli import main
 from spjopt.errors import FormatError
-from spjopt.plans import JOIN_STEP_ROWS_CAP, PRINTED_SUBPLANS_CAP
+from spjopt.plans import JOIN_STEP_CELLS_CAP, PRINTED_SUBPLANS_CAP
 from spjopt.represent import REPRESENTATION_ELEMENTS_CAP
 from spjopt.serialize import (
     keys_from_text,
@@ -35,7 +35,7 @@ from spjopt.serialize import (
     structure_to_json,
 )
 
-from conftest import count_parses, mobius_ladder, pattern_plan
+from conftest import count_parses, mobius_ladder, pattern_plan, squared_cycle
 from oracles import keys_to_text
 
 SIG = Signature({"E": 2})
@@ -297,6 +297,17 @@ def test_cli_check_numbers_its_plan_once(workdir, capsys, monkeypatch):
     assert (code, err) == (0, "")
     assert numbered == []  # the parser's numbering
     assert json.loads(out)["operators"] == 2
+
+
+def test_cli_equiv_numbers_no_plan_again(workdir, capsys, monkeypatch):
+    """equiv builds both representations on the parser's numberings."""
+    numbered = _count_numberings(monkeypatch)
+    other = workdir / "tri2.plan"
+    other.write_text("rel E 2\n(project (cols 1 2 4) (join (theta (4 5) (6 1)) (join (theta (2 3)) E E) E))\n")
+    code, out, err = run(capsys, "equiv", "--plan", workdir / "tri.plan", "--plan2", other)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["equivalent"] is True
+    assert numbered == []
 
 
 def test_cli_prepares_a_plan_file_once(workdir, capsys, monkeypatch):
@@ -733,8 +744,8 @@ def test_cli_evaluates_a_plan_that_is_not_well_behaved_by_hash_joins(tmp_path):
 
 def test_cli_join_chain_is_capped_before_it_builds_a_step(tmp_path):
     """The cross product of five copies of a 60-row E builds 60^3 chain
-    rows; its next step would hold 60^4, past the cap, and it exits 3
-    before building it."""
+    rows of 6 slots; its next step would hold 60^4 rows of 8 slots, past
+    the cap, and it exits 3 before building it."""
     plan = tmp_path / "cross.plan"
     plan.write_text("rel E 2\n(join (theta) E E E E E)\n")
     arcs = [[f"v{a:02}", f"v{b:02}"] for a in range(10) for b in range(6)]
@@ -747,8 +758,35 @@ def test_cli_join_chain_is_capped_before_it_builds_a_step(tmp_path):
     assert time.perf_counter() - start < 1
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == (
-        f"spjopt: resource cap: join chain capped at {JOIN_STEP_ROWS_CAP} rows per step, "
-        f"a step needs {60 ** 4}\n"
+        f"spjopt: resource cap: join chain capped at {JOIN_STEP_CELLS_CAP} cells per step, "
+        f"a step needs {60 ** 4 * 8} ({60 ** 4} rows of 8 slots)\n"
+    )
+
+
+@pytest.mark.parametrize("edges", [mobius_ladder(14), mobius_ladder(16), squared_cycle(14), squared_cycle(16)],
+                         ids=["mobius14", "mobius16", "squared14", "squared16"])
+def test_cli_join_chain_cap_bounds_unkeyed_pattern_inputs(tmp_path, edges):
+    """The width workload's larger unkeyed inputs on a 6-vertex graph of
+    out-degree 3: their chains walk the pattern's cycle, one row per walk.
+    The walks of 11 arcs, 6 x 3^11 rows of 12 slots, are built; those of
+    12 arcs, 6 x 3^12 rows of 13 slots, would pass the cells cap, and the
+    plan exits 3 on it before building them, in a child process with a
+    limited address space."""
+    plan = tmp_path / "pattern.plan"
+    plan.write_text("rel E 2\n" + print_plan(pattern_plan(edges, (0, 1))) + "\n")
+    arcs = [[f"v{a}", f"v{(a + step) % 6}"] for a in range(6) for step in (1, 2, 3)]
+    data = tmp_path / "d.json"
+    data.write_text(json.dumps({
+        "signature": {"E": 2}, "universe": [f"v{i}" for i in range(6)], "relations": {"E": arcs},
+    }))
+    start = time.perf_counter()
+    done = run_limited("evaluate", "--plan", plan, "--data", data)
+    assert time.perf_counter() - start < 5
+    assert (done.returncode, done.stdout) == (3, "")
+    rows = 6 * 3 ** 12
+    assert done.stderr == (
+        f"spjopt: resource cap: join chain capped at {JOIN_STEP_CELLS_CAP} cells per step, "
+        f"a step needs {rows * 13} ({rows} rows of 13 slots)\n"
     )
 
 
@@ -858,6 +896,22 @@ def test_cli_data_lists_do_not_leak_between_calls(workdir, capsys, monkeypatch):
         code, out, _ = run(capsys, "evaluate", "--plan", workdir / "tri.plan", "--data", workdir / db)
         assert code == 0
         assert json.loads(out)["cardinality"] == expected
+
+
+def test_cli_repeated_data_is_an_input_error(workdir, capsys):
+    """Every subcommand reads one data file: a second ``--data``, once
+    ignored, exits 2 with a message that gives the count."""
+    (workdir / "e.json").write_text(json.dumps({**DATA, "relations": {"E": [["a", "b"]]}}))
+    data = ["--data", workdir / "d.json", "--data", workdir / "e.json"]
+    plan = ["--plan", workdir / "tri.plan"]
+    for argv in (
+        ["check", *plan], ["represent", *plan], ["chase"], ["core"], ["degree", *plan],
+        ["optimize", *plan], ["evaluate", *plan], ["equiv", *plan, "--plan2", workdir / "tri.plan"],
+        ["witness", *plan], ["decompose"],
+    ):
+        assert run(capsys, *argv, *data) == (2, "", "spjopt: --data given 2 times; pass one data file\n"), argv
+    code, _, err = run(capsys, "evaluate", *plan, *data, "--data", workdir / "d.json")
+    assert (code, err) == (2, "spjopt: --data given 3 times; pass one data file\n")
 
 
 def test_cli_parser_is_built_once(workdir, capsys):

@@ -25,6 +25,7 @@ from spjopt import (
     eliminate_fds,
     hypergraph_of,
     optimal_cwidth,
+    prepare,
 )
 from spjopt import colorwidth
 from spjopt.colorwidth import ColorSolution, _constraint_sets
@@ -340,7 +341,7 @@ def test_bounded_search_matches_unbounded_search(rng):
         large += len(open_s.structure.universe) >= 8
     assert keyed >= 120 and large >= 60
     for edges in (mobius_ladder(10), mobius_ladder(12), squared_cycle(12)):
-        _assert_same_report(chased_core(pattern_plan(edges, (0, 1)), NO_KEYS, SIG_E, None), NO_KEYS)
+        _assert_same_report(chased_core(prepare(pattern_plan(edges, (0, 1)), SIG_E), NO_KEYS, None), NO_KEYS)
     # A state cut under the bound 9/4 is asked again under 5/2, so its lower
     # bound must not be reused; random search met such a state in 4 of
     # 20,000 hypergraphs of up to 10 elements.
@@ -362,7 +363,7 @@ def test_bounded_search_matches_unbounded_search(rng):
 def test_bounded_search_solves_few_lps_on_mobius16(monkeypatch):
     """The unbounded search solves 1,299 LPs on the Mobius 16 core; the
     bounded one 441."""
-    core = chased_core(pattern_plan(mobius_ladder(16), (0, 1)), NO_KEYS, SIG_E, None)
+    core = chased_core(prepare(pattern_plan(mobius_ladder(16), (0, 1)), SIG_E), NO_KEYS, None)
     lp_rows = _counting_lp(monkeypatch)
     assert optimal_cwidth(core, NO_KEYS, cap=WIDTH_CAP).width == 3
     assert len(lp_rows) <= 441
@@ -487,7 +488,7 @@ def _assert_search_values_are_color_numbers(seen):
 @pytest.mark.parametrize("name", PATTERN_EDGES)
 def test_width_search_reads_color_numbers_on_pattern_plans(name, monkeypatch):
     seen = _recording_values(monkeypatch)
-    core = chased_core(pattern_plan(PATTERN_EDGES[name], (0, 1)), NO_KEYS, SIG_E, None)
+    core = chased_core(prepare(pattern_plan(PATTERN_EDGES[name], (0, 1)), SIG_E), NO_KEYS, None)
     optimal_cwidth(core, NO_KEYS, cap=WIDTH_CAP)
     # One closure for the search and one for certifying its decomposition.
     targets: dict[int, list] = {}
@@ -504,7 +505,7 @@ def test_width_search_reads_color_numbers_on_random_plans(rng, monkeypatch):
     for _ in range(60):
         sig = rand_signature(rng, max_relations=2, max_arity=3)
         keys = rand_keys(rng, sig, prob=0.7)
-        core = chased_core(rand_plan(rng, sig), keys, sig, None)
+        core = chased_core(prepare(rand_plan(rng, sig), sig), keys, None)
         eliminated = eliminate_fds(core, keys).open
         if core.structure.total_tuple_count() == 0 or len(eliminated.structure.universe) > 10:
             continue

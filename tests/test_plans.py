@@ -26,6 +26,7 @@ from spjopt import (
     optimal_cwidth,
     optimize,
     parse_plan,
+    prepare,
     print_plan,
     theta_of,
 )
@@ -272,7 +273,7 @@ def test_compiled_evaluator_runs_plans_that_are_not_well_behaved():
     data = Structure(SIG, range(3), {"R": [(0, 1), (1, 2), (2, 2)], "S": [(0, 0), (1, 2)]})
     plan = parse_plan("(join (theta) R S)", SIG)
     assert not is_well_behaved(plan, SIG)[0]
-    fast, naive = evaluate_well_behaved(plan, data), evaluate_naive(plan, data)
+    fast, naive = evaluate_well_behaved(prepare(plan, data.signature), data), evaluate_naive(plan, data)
     assert fast.rows == naive.rows and len(fast.output) == 6
 
 
@@ -287,7 +288,7 @@ def test_evaluators_agree_on_random_well_behaved_plans(rng):
             continue
         data = rand_structure(rng, sig, max_domain=5, max_rows=6)
         naive = evaluate_naive(plan, data)
-        fast = evaluate_well_behaved(plan, data)
+        fast = evaluate_well_behaved(prepare(plan, data.signature), data)
         assert naive.output == fast.output
         assert {e.path: e.rows for e in naive.entries} == {
             e.path: e.rows for e in fast.entries
@@ -306,7 +307,7 @@ def test_well_behaved_chain_bounds_internal_relations(rng):
     data = Structure(SIG_E, range(n + 1), {"E": edges})
     # Left-deep chain of joins, each adding one column: length-3 paths.
     p = parse_plan("(join (theta (4 5)) (join (theta (2 3)) E E) E)", SIG_E)
-    trace = evaluate_well_behaved(p, data)
+    trace = evaluate_well_behaved(prepare(p, data.signature), data)
     assert trace.internal_peak <= len(edges) * len(data.universe)
     assert trace.output == evaluate_naive(p, data).output
     assert trace.max_intermediate <= len(edges) * len(data.universe)
@@ -341,7 +342,7 @@ def _keyed_cycle(n):
 
 
 def _synthesized_keyed_cycle_text(n):
-    return print_plan(optimize(_keyed_cycle(n), KeySet.unary({"E": 1}), SIG_E).plan)
+    return print_plan(optimize(prepare(_keyed_cycle(n), SIG_E), KeySet.unary({"E": 1})).plan)
 
 
 def _synthesized_keyed_cycle(n):
@@ -422,7 +423,8 @@ def test_shared_evaluation_matches_per_occurrence_oracle(rng):
     for sig, plan in _shared_plans(rng, 120):
         data = rand_structure(rng, sig, max_domain=5, max_rows=6)
         _assert_same_trace(
-            evaluate_well_behaved(plan, data), evaluate_well_behaved_per_occurrence(plan, data)
+            evaluate_well_behaved(prepare(plan, data.signature), data),
+            evaluate_well_behaved_per_occurrence(plan, data),
         )
 
 
@@ -431,7 +433,8 @@ def test_shared_evaluation_matches_oracle_on_keyed_cycles(n):
     plan = _synthesized_keyed_cycle(n)
     data = _functional_graph(random.Random(n), 12)
     _assert_same_trace(
-        evaluate_well_behaved(plan, data), evaluate_well_behaved_per_occurrence(plan, data)
+        evaluate_well_behaved(prepare(plan, data.signature), data),
+        evaluate_well_behaved_per_occurrence(plan, data),
     )
 
 
@@ -454,7 +457,7 @@ def test_each_distinct_join_is_checked_and_evaluated_once(monkeypatch):
     monkeypatch.setattr(plans, "_column_classes", counted("classes"))
     monkeypatch.setattr(plans, "_compile_join", counted("compile"))
     monkeypatch.setattr(plans, "_run_join", counted("run"))
-    trace = evaluate_well_behaved(plan, _functional_graph(random.Random(7), 12))
+    trace = evaluate_well_behaved(prepare(plan, SIG_E), _functional_graph(random.Random(7), 12))
     # One set of classes per distinct join decides its well-behavedness and
     # is compiled once; each program runs once.
     assert counts == {"classes": len(joins), "compile": len(joins), "run": len(joins)}
@@ -473,10 +476,10 @@ def test_identity_operators_reuse_their_childs_rows():
         "(join (theta (1 1)) (join (theta) R))",
         "(project (cols 1 2) (join (theta) (project (cols 1 2) R)))",
     ):
-        trace = evaluate_well_behaved(parse_plan(text, SIG), data)
+        trace = evaluate_well_behaved(plans.parse_prepared(text, SIG), data)
         assert all(out is rows for out in trace.rows), text
         assert trace.internal_peak == (3 if "join" in text else 0)
-    trace = evaluate_well_behaved(parse_plan("(join (theta (1 2)) R)", SIG), data)
+    trace = evaluate_well_behaved(plans.parse_prepared("(join (theta (1 2)) R)", SIG), data)
     assert trace.output == frozenset({(2, 2)}) and trace.internal_peak == 1
 
 
@@ -498,21 +501,23 @@ def test_printed_subplans_are_counted_exactly(rng, monkeypatch):
 
 
 def test_join_chain_is_capped_before_it_builds_a_step(monkeypatch):
-    """A chain step of more rows than the cap raises before it is built,
-    whether or not the bound from the largest bucket is exact; at the cap
-    it runs."""
+    """A chain step of more cells (rows times slots) than the cap raises
+    before it is built, whether or not the bound from the largest bucket is
+    exact; at the cap it runs."""
     data = Structure(SIG, range(3), {"R": [(0, 1), (1, 2), (2, 2)], "S": [(0, 0), (1, 1)]})
     cross = parse_plan("(join (theta) R S R)", SIG)
-    # R's key column 2 has buckets of 1 and 2 rows: the bound is 3 x 2 = 6,
-    # the step 1 + 2 + 2 = 5 rows.
+    # R's key column 2 has buckets of 1 and 2 rows: the bound is 3 x 2 = 6
+    # rows, the step 1 + 2 + 2 = 5 rows, each of 3 slots.
     keyed = parse_plan("(join (theta (2 4)) R R)", SIG)
-    for plan, rows in ((cross, 18), (keyed, 5)):
-        monkeypatch.setattr(plans, "JOIN_STEP_ROWS_CAP", rows)
-        trace = evaluate_well_behaved(plan, data)
+    for plan, rows, slots in ((cross, 18, 6), (keyed, 5, 3)):
+        cells = rows * slots
+        monkeypatch.setattr(plans, "JOIN_STEP_CELLS_CAP", cells)
+        trace = evaluate_well_behaved(prepare(plan, SIG), data)
         assert trace.internal_peak == rows and trace.rows == evaluate_naive(plan, data).rows
-        monkeypatch.setattr(plans, "JOIN_STEP_ROWS_CAP", rows - 1)
-        with pytest.raises(ResourceCapError, match=f"capped at {rows - 1} rows per step, a step needs {rows}$"):
-            evaluate_well_behaved(plan, data)
+        monkeypatch.setattr(plans, "JOIN_STEP_CELLS_CAP", cells - 1)
+        needs = rf"capped at {cells - 1} cells per step, a step needs {cells} \({rows} rows of {slots} slots\)$"
+        with pytest.raises(ResourceCapError, match=needs):
+            evaluate_well_behaved(prepare(plan, SIG), data)
 
 
 def test_evaluators_agree_on_random_plans_that_are_not_well_behaved(rng):
@@ -525,7 +530,7 @@ def test_evaluators_agree_on_random_plans_that_are_not_well_behaved(rng):
         if is_well_behaved(plan, sig)[0]:
             continue
         data = rand_structure(rng, sig, max_domain=4, max_rows=5)
-        assert evaluate_well_behaved(plan, data).rows == evaluate_naive(plan, data).rows
+        assert evaluate_well_behaved(prepare(plan, sig), data).rows == evaluate_naive(plan, data).rows
         agreed += 1
 
 
@@ -544,17 +549,18 @@ def _assert_kernel_matches_old_chain(plan, data):
     if not is_well_behaved(plan, data.signature)[0]:
         return False
     _assert_same_trace(
-        evaluate_well_behaved(plan, data), evaluate_well_behaved_per_occurrence(plan, data)
+        evaluate_well_behaved(prepare(plan, data.signature), data),
+        evaluate_well_behaved_per_occurrence(plan, data),
     )
     return True
 
 
 def test_join_kernel_matches_old_chain_on_triangle_witnesses():
     tri = parse_plan("(project (cols 1 2 4) (join (theta (2 3) (4 5) (6 1)) E E E))", SIG_E)
-    core = chased_core(tri, KeySet.empty(), SIG_E, None)
+    core = chased_core(prepare(tri, SIG_E), KeySet.empty(), None)
     report = optimal_cwidth(core, KeySet.empty(), cap=oracles.UNCAPPED.width_universe)
     _, family = bag_witness(core, KeySet.empty(), report)
-    plans_ = [tri, optimize(tri, KeySet.empty(), SIG_E).plan]
+    plans_ = [tri, optimize(prepare(tri, SIG_E), KeySet.empty()).plan]
     for n in range(1, 11):
         data = family.generate(n)
         for plan in plans_:
@@ -563,31 +569,34 @@ def test_join_kernel_matches_old_chain_on_triangle_witnesses():
 
 
 @pytest.mark.parametrize("name, edges", PATTERN_EDGES.items())
-def test_join_kernel_matches_old_chain_on_pattern_plans(name, edges, monkeypatch):
+def test_join_kernel_matches_old_chain_on_pattern_plans(name, edges):
     """The synthesized plans match the old chain.  The patterns are not
     well-behaved: their answer is the pattern's homomorphisms at the output
     vertices, and their chains follow the pattern's cycle, one walk per
-    row.  Under a cap of 2,000,000 rows, which keeps this test near 400 MB,
-    the walks of 9 arcs on the 8-vertex out-degree-4 graphs (8 x 4^9 rows)
-    are refused; the longest walks evaluated are the 10 x 3^11 of the
-    squared 12-cycle."""
-    monkeypatch.setattr(plans, "JOIN_STEP_ROWS_CAP", 2_000_000)
+    row.  Under the default cap the longest walks evaluated, near 400 MB,
+    are the 8 x 4^9 rows of 10 slots of the Mobius 10-ladder on the
+    8-vertex out-degree-4 graph and the 10 x 3^11 rows of 12 slots of the
+    squared 12-cycle on the 10-vertex out-degree-3 one; the squared
+    12-cycle's walks of 10 arcs on the out-degree-4 graph, 8 x 4^10 rows of
+    11 slots, are refused."""
     rng = random.Random(name)
     pattern = pattern_plan(edges, (0, 1))
     graph = Structure(SIG_E, range(1 + max(map(max, edges))), {"E": edges})
-    synthesized = optimize(pattern, KeySet.empty(), SIG_E).plan
+    synthesized = optimize(prepare(pattern, SIG_E), KeySet.empty()).plan
     for vertices, out_degree in ((10, 3), (8, 4)):
         data = _random_digraph(rng, vertices, out_degree)
         assert len(data.relations["E"]) >= 30
         assert _assert_kernel_matches_old_chain(synthesized, data)
         assert not _assert_kernel_matches_old_chain(pattern, data)
-        if out_degree == 4:
-            with pytest.raises(ResourceCapError, match=f"a step needs {8 * 4 ** 9}$"):
-                evaluate_well_behaved(pattern, data)
+        if (name, out_degree) == ("squared12", 4):
+            rows = 8 * 4 ** 10
+            with pytest.raises(ResourceCapError, match=rf"a step needs {rows * 11} \({rows} rows of 11 slots\)$"):
+                evaluate_well_behaved(prepare(pattern, SIG_E), data)
         else:
-            trace = evaluate_well_behaved(pattern, data)
+            trace = evaluate_well_behaved(prepare(pattern, SIG_E), data)
             assert trace.output == homs_relation(graph, (0, 1), data) and trace.output
-            assert trace.internal_peak == {"mobius10": 10 * 3 ** 9, "squared12": 10 * 3 ** 11}[name]
+            peaks = {("mobius10", 3): 10 * 3 ** 9, ("mobius10", 4): 8 * 4 ** 9, ("squared12", 3): 10 * 3 ** 11}
+            assert trace.internal_peak == peaks[name, out_degree]
 
 
 @pytest.mark.parametrize("text", [
@@ -617,7 +626,8 @@ def test_join_kernel_matches_old_chain_on_edge_cases(text, rng):
 def test_trace_aggregates_match_its_entries(rng):
     """``output`` and ``max_intermediate`` read the per-subplan rows; the
     per-occurrence entries, built only on access, agree with them."""
-    checked = {evaluate_naive: 0, evaluate_well_behaved: 0}
+    compiled = lambda p, data: evaluate_well_behaved(prepare(p, data.signature), data)  # noqa: E731
+    checked = {evaluate_naive: 0, compiled: 0}
     for _ in range(200):
         sig = rand_signature(rng)
         plan = rand_plan(rng, sig, max_operators=5)
@@ -829,6 +839,6 @@ def test_prepared_plan_evaluates_like_a_fresh_one(rng):
         prepared = plans.parse_prepared(text, sig)
         for _ in range(3):
             data = rand_structure(rng, sig)
-            kept = evaluate_well_behaved(prepared.plan, data, prepared)
-            fresh = evaluate_well_behaved(parse_plan(text, sig), data)
+            kept = evaluate_well_behaved(prepared, data)
+            fresh = evaluate_well_behaved(prepare(parse_plan(text, sig), sig), data)
             assert (kept.rows, kept.internal_peak) == (fresh.rows, fresh.internal_peak)

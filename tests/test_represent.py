@@ -16,6 +16,7 @@ from spjopt import (
     hypergraph_of,
     optimize,
     parse_plan,
+    prepare,
 )
 
 from conftest import pattern_plan, rand_plan, rand_signature, rand_structure
@@ -225,4 +226,4 @@ def test_lean_representation_matches_eager_reference(rng):
     sig = Signature({"E": 2})
     for n in range(4, 9):
         cycle = pattern_plan([(i, (i + 1) % n) for i in range(n)], (0,))
-        _assert_matches_eager(optimize(cycle, KeySet.unary({"E": 1}), sig).plan, sig)
+        _assert_matches_eager(optimize(prepare(cycle, sig), KeySet.unary({"E": 1})).plan, sig)

@@ -30,6 +30,7 @@ from spjopt import (
     optimize,
     output_degree,
     parse_plan,
+    prepare,
     print_plan,
     satisfies_keys,
     subplan_degrees,
@@ -217,7 +218,7 @@ def test_intermediate_degree_bound_examples():
 
 def _assert_degrees_match_rebuilds(plan, keys, sig):
     want = [rebuilt_output_degree(q, keys, sig) for q, _ in number_subplans(plan)[1]]
-    assert subplan_degrees(plan, keys, sig) == want, print_plan(plan)
+    assert subplan_degrees(prepare(plan, sig), keys) == want, print_plan(plan)
 
 
 def test_subplan_degrees_match_rebuilt_representations(rng):
@@ -233,7 +234,7 @@ def test_subplan_degrees_match_rebuilt_representations(rng):
         _assert_degrees_match_rebuilds(plan, keys, sig)
         if small:
             try:
-                result = optimize(plan, keys, sig)
+                result = optimize(prepare(plan, sig), keys)
             except ResourceCapError:
                 continue
             _assert_degrees_match_rebuilds(result.plan, keys, sig)
@@ -241,7 +242,7 @@ def test_subplan_degrees_match_rebuilt_representations(rng):
     cycle = parse_plan(
         "(project (cols 1) (join (theta (2 3) (4 5) (6 7) (8 9) (10 1)) E E E E E))", SIG_E
     )
-    _assert_degrees_match_rebuilds(optimize(cycle, KEY_E1, SIG_E).plan, KEY_E1, SIG_E)
+    _assert_degrees_match_rebuilds(optimize(prepare(cycle, SIG_E), KEY_E1).plan, KEY_E1, SIG_E)
     assert synthesized >= 90
 
 
@@ -252,7 +253,7 @@ def test_subplan_degrees_shift_children_past_universe_gaps():
     sig = Signature({"R": 3})
     keys = KeySet.unary({"R": 3})
     plan = parse_plan("(join (theta) (join (theta) (join (theta (2 1)) R R) R) R)", sig)
-    degrees = subplan_degrees(plan, keys, sig)
+    degrees = subplan_degrees(prepare(plan, sig), keys)
     assert degrees[-1] == max(degrees) == 4
     assert rebuilt_output_degree(plan, keys, sig) == 4
     assert output_degree(plan, keys, sig) == intermediate_degree_bound(plan, keys, sig) == 4
@@ -298,7 +299,7 @@ def test_synthesize_boolean_core():
 
 def test_optimize_triangle_degree_and_equivalence():
     plan = parse_plan(TRIANGLE, SIG_E)
-    result = optimize(plan, NO_KEYS, SIG_E, caps=UNCAPPED)
+    result = optimize(prepare(plan, SIG_E), NO_KEYS, caps=UNCAPPED)
     assert result.degree == Fraction(3, 2)
     assert is_well_behaved(result.plan, SIG_E)[0]
     assert intermediate_degree_bound(result.plan, NO_KEYS, SIG_E) == Fraction(3, 2)
@@ -307,14 +308,14 @@ def test_optimize_triangle_degree_and_equivalence():
 
 def test_optimize_acyclic_example_gets_degree_one():
     plan = parse_plan("(join (theta (1 3)) R (project (cols 1) S))", SIG_RS)
-    result = optimize(plan, NO_KEYS, SIG_RS, caps=UNCAPPED)
+    result = optimize(prepare(plan, SIG_RS), NO_KEYS, caps=UNCAPPED)
     assert result.degree == 1
     assert intermediate_degree_bound(result.plan, NO_KEYS, SIG_RS) == 1
 
 
 def test_optimize_collapses_redundant_self_join():
     plan = parse_plan("(project (cols 1 2) (join (theta (1 3) (2 4)) R R))", SIG_R)
-    result = optimize(plan, NO_KEYS, SIG_R, caps=UNCAPPED)
+    result = optimize(prepare(plan, SIG_R), NO_KEYS, caps=UNCAPPED)
     assert result.degree == 1
     assert len(result.elimination.original.structure.universe) == 2
     assert check_equivalence(result.plan, Basic("R"), NO_KEYS, SIG_R)
@@ -322,12 +323,12 @@ def test_optimize_collapses_redundant_self_join():
 
 def test_optimize_key_path_uses_derived_relations():
     plan = parse_plan("(project (cols 1 4) (join (theta (2 3)) R R))", SIG_R)
-    result = optimize(plan, KEY_R1, SIG_R, caps=UNCAPPED)
+    result = optimize(prepare(plan, SIG_R), KEY_R1, caps=UNCAPPED)
     assert result.degree == 1
     assert result.new_relations  # the dependency x -> z had to be compiled in
     assert intermediate_degree_bound(result.plan, KEY_R1, SIG_R) == 1
     # without the key the same plan needs degree 2
-    result2 = optimize(plan, NO_KEYS, SIG_R, caps=UNCAPPED)
+    result2 = optimize(prepare(plan, SIG_R), NO_KEYS, caps=UNCAPPED)
     assert result2.degree == 2
 
 
@@ -341,7 +342,7 @@ def test_optimize_chases_its_input_once(monkeypatch):
     monkeypatch.setattr(synthesis, "chase", lambda *a: chases.append(a[0]) or chase_(*a))
     monkeypatch.setattr(synthesis, "find_homomorphism", lambda *a: homs.append(a) or hom(*a))
     plan = parse_plan("(project (cols 1 4) (join (theta (2 3)) R R))", SIG_R)
-    result = optimize(plan, KEY_R1, SIG_R, caps=UNCAPPED)
+    result = optimize(prepare(plan, SIG_R), KEY_R1, caps=UNCAPPED)
     assert [b[0] for b in builds] == [plan, result.plan]
     assert len(chases) == 2
     (c1, c2), (d2, d1) = homs
@@ -397,14 +398,14 @@ def test_degrees_and_width_search_solve_no_color_number_lp(monkeypatch):
     search and its certificate read presolved values, and only the witness
     solves color_number's LP, once, on the widest bag."""
     cycle = pattern_plan([(i, (i + 1) % 6) for i in range(6)], (0,))
-    result = optimize(cycle, KEY_E1, SIG_E)
+    result = optimize(prepare(cycle, SIG_E), KEY_E1)
     plan = parse_plan(print_plan(result.plan), SIG_E)
     lps, numbers = [], []
     solve, number = colorwidth.solve_lp, colorwidth.color_number
     monkeypatch.setattr(colorwidth, "solve_lp", lambda *a: lps.append(a) or solve(*a))
     monkeypatch.setattr(colorwidth, "color_number", lambda *a: numbers.append(a) or number(*a))
     monkeypatch.setattr(witness, "color_number", colorwidth.color_number)
-    degrees = subplan_degrees(plan, KEY_E1, SIG_E)
+    degrees = subplan_degrees(prepare(plan, SIG_E), KEY_E1)
     assert len(degrees) >= 100 and set(degrees) == {1}
     assert lps == [] and numbers == []
     core = result.elimination.original
@@ -421,13 +422,13 @@ def test_projections_share_their_childs_color_values(monkeypatch):
     """Degree analysis builds one structure's closures once: a projection
     reads its child's."""
     cycle = pattern_plan([(i, (i + 1) % 6) for i in range(6)], (0,))
-    plan = optimize(cycle, KEY_E1, SIG_E).plan
+    plan = optimize(prepare(cycle, SIG_E), KEY_E1).plan
     calls = []
     closure_edges = colorwidth._closure_edges
     monkeypatch.setattr(
         colorwidth, "_closure_edges", lambda *a: calls.append(a) or closure_edges(*a)
     )
-    subplan_degrees(plan, KEY_E1, SIG_E)
+    subplan_degrees(prepare(plan, SIG_E), KEY_E1)
     distinct = number_subplans(plan)[1]
     projections = sum(isinstance(node, Project) for node, _ in distinct)
     assert projections >= 10
@@ -500,12 +501,12 @@ def test_pruned_chains_match_all_atom_chains(rng, monkeypatch):
         cases.append((pattern_plan([(i, (i + 1) % n) for i in range(n)], (0,)), KEY_E1, SIG_E))
     for plan, keys, sig in cases:
         try:
-            new = optimize(plan, keys, sig)
+            new = optimize(prepare(plan, sig), keys)
         except ResourceCapError:
             continue
         with monkeypatch.context() as m:
             m.setattr(synthesis, "_bag_chain", all_atoms_bag_chain)
-            old = optimize(plan, keys, sig)
+            old = optimize(prepare(plan, sig), keys)
         for result in (new, old):
             assert is_well_behaved(result.plan, sig)[0]
             assert check_equivalence(plan, result.plan, keys, sig)
@@ -534,7 +535,7 @@ def test_optimize_is_optimal_with_two_keys_per_relation(rng):
         keys = TWO_KEYS_E_AND_R if trial % 2 else TWO_KEYS_E
         plan = rand_plan(rng, SIG_ER)
         try:
-            result = optimize(plan, keys, SIG_ER, caps)
+            result = optimize(prepare(plan, SIG_ER), keys, caps)
         except ResourceCapError:
             continue
         core = result.elimination.original
@@ -558,7 +559,7 @@ def test_optimized_plan_beats_obvious_form_on_witness_data():
     """On the triangle's own worst-case family the synthesized plan's
     intermediates stay near M^(3/2) while the product form blows up."""
     plan = parse_plan(TRIANGLE, SIG_E)
-    result = optimize(plan, NO_KEYS, SIG_E, caps=UNCAPPED)
+    result = optimize(prepare(plan, SIG_E), NO_KEYS, caps=UNCAPPED)
     core = result.elimination.original
     report = optimal_cwidth(core, NO_KEYS, cap=UNCAPPED.width_universe)
     _, family = bag_witness(core, NO_KEYS, report)
@@ -567,7 +568,7 @@ def test_optimized_plan_beats_obvious_form_on_witness_data():
     for n in (2, 3):
         data = family.generate(n)
         m = max_relation_size(data)
-        trace = evaluate_well_behaved(result.plan, data)
+        trace = evaluate_well_behaved(result.prepared, data)
         assert trace.output == evaluate_naive(plan, data).output
         assert trace.max_intermediate <= k * m ** float(d)
 
@@ -583,7 +584,7 @@ def test_pipeline_random_equivalence(rng):
         plan = rand_plan(rng, sig, max_operators=4)
         keys = rand_keys(rng, sig)
         try:
-            result = optimize(plan, keys, sig, caps=UNCAPPED)
+            result = optimize(prepare(plan, sig), keys, caps=UNCAPPED)
         except Exception as exc:  # resource caps only
             assert isinstance(exc, ResourceCapError)
             continue
@@ -617,13 +618,13 @@ def test_check_equivalence_key_sensitivity():
 def test_equivalence_witness_maps_are_homomorphisms():
     p1 = parse_plan("(project (cols 1 2 4) (join (theta (1 3)) R R))", SIG_R)
     p2 = parse_plan("(project (cols 1 2 2) R)", SIG_R)
-    w = equivalence_witness(p1, p2, KEY_R1, SIG_R)
+    w = equivalence_witness(prepare(p1, SIG_R), prepare(p2, SIG_R), KEY_R1)
     assert w is not None
     for src, dst, h in ((w.left, w.right, w.forward), (w.right, w.left, w.backward)):
         assert tuple(h[e] for e in src.tuple) == dst.tuple
         for name, row in src.structure.atoms():
             assert tuple(h[e] for e in row) in dst.structure.relations[name]
-    assert equivalence_witness(p1, p2, NO_KEYS, SIG_R) is None
+    assert equivalence_witness(prepare(p1, SIG_R), prepare(p2, SIG_R), NO_KEYS) is None
 
 
 def test_check_equivalence_arity_mismatch():
