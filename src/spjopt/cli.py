@@ -19,7 +19,10 @@ timings are deliberately left out of the serialized reports.
 :func:`spjopt.plans.parse_prepared`).  A long-lived process that calls
 :func:`main` many times keeps at most ``plans.PREPARED_PLANS_CACHED`` (8) of
 them, keyed by the plan text and the signature, so an edited file is
-parsed again; stdout stays byte-identical.
+parsed again.  Printing fills the same cache (see
+:func:`spjopt.plans.print_prepared`): the plan ``optimize`` prints is not
+parsed when ``degree`` or ``evaluate`` reads it back under an equal
+signature in the same process.  Stdout stays byte-identical.
 """
 
 from __future__ import annotations

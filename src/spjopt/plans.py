@@ -6,7 +6,7 @@ and for the well-behavedness check.
 
 Every plan is evaluated by its compiled program (see
 :func:`evaluate_well_behaved`); well-behavedness bounds the rows its join
-chains build, and ``JOIN_STEP_CELLS_CAP`` bounds the chains of the joins
+chains build, and ``JOIN_STEP_WORDS_CAP`` bounds the chains of the joins
 that are not well-behaved.  :func:`evaluate_naive` is the reference that
 the compiled program is checked against.
 """
@@ -579,26 +579,64 @@ def prepare(plan: Plan, signature: Signature) -> PreparedPlan:
     return PreparedPlan(plan, signature, numbering, _arities(numbering[1], signature))
 
 
-# The most prepared plans a process keeps.  A long-lived process that runs
-# many ops on a few plans parses and compiles each once; a cached entry
-# holds its plan's nodes, numbering and program.
+# The most prepared plans a process keeps, keyed by the plan text and the
+# signature.  Parsing a text keeps its prepared plan, and so does printing
+# one (see :func:`print_prepared`): a long-lived process that runs many ops
+# on a few plans parses and compiles each once, and a plan it printed, such
+# as ``optimize``'s synthesized plan, is not parsed when it is read back.  A
+# kept entry holds its plan's nodes, numbering and program.
 PREPARED_PLANS_CACHED = 8
 
+# The kept prepared plans by (text, signature), least recently used first.
+_prepared_plans: dict[tuple[str, Signature], PreparedPlan] = {}
 
-@functools.lru_cache(maxsize=PREPARED_PLANS_CACHED)
+
+def _keep(key: tuple[str, Signature], prepared: PreparedPlan) -> PreparedPlan:
+    """Keep ``prepared`` under ``key`` as the most recently used entry,
+    evicting the least recently used one past ``PREPARED_PLANS_CACHED``."""
+    _prepared_plans.pop(key, None)
+    _prepared_plans[key] = prepared
+    if len(_prepared_plans) > PREPARED_PLANS_CACHED:
+        del _prepared_plans[next(iter(_prepared_plans))]
+    return prepared
+
+
 def parse_prepared(text: str, signature: Signature) -> PreparedPlan:
     """The plan ``text`` parsed and prepared under ``signature``, with the
     parser's own numbering.
 
-    The last ``PREPARED_PLANS_CACHED`` results are kept, keyed by the text
-    and the signature, so a later call with equal arguments returns the
-    same prepared plan.  A text that fails to parse or validate raises as
+    The last ``PREPARED_PLANS_CACHED`` prepared plans parsed or printed
+    (see :func:`print_prepared`) are kept, keyed by the text and the
+    signature, so a later call with equal arguments returns the same
+    prepared plan.  A text that fails to parse or validate raises as
     :func:`parse_plan` does and is not kept.
     """
-    numbering = _parse(text)
-    return PreparedPlan(
-        numbering[1][-1][0], signature, numbering, _validated_arities(numbering[1], signature)
-    )
+    key = (text, signature)
+    prepared = _prepared_plans.get(key)
+    if prepared is None:
+        numbering = _parse(text)
+        prepared = PreparedPlan(
+            numbering[1][-1][0], signature, numbering, _validated_arities(numbering[1], signature)
+        )
+    return _keep(key, prepared)
+
+
+def print_prepared(prepared: PreparedPlan) -> str:
+    """The printed plan of ``prepared``, the bytes :func:`print_plan`
+    prints, and ``prepared`` kept under that text and its signature as
+    :func:`parse_prepared` keeps a parsed plan.
+
+    Parsing the printed text gives back an equal plan, numbering and
+    arities: theta pairs print as written, and the parser numbers in
+    :func:`number_subplans`'s post-order.  So reading the text back under an
+    equal signature returns ``prepared`` without parsing.  A plan with a
+    relation name that the parser does not read as a name is not kept.
+    """
+    distinct = prepared.numbering[1]
+    text = print_numbered(distinct)
+    if all(_NAME.fullmatch(node.relation) for node, _ in distinct if type(node) is Basic):
+        _keep((text, prepared.signature), prepared)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +766,7 @@ def evaluate_well_behaved(prepared: PreparedPlan, data: Structure) -> EvalTrace:
     already-bound class, so no step of a well-behaved join materializes
     more than |out(q1, D)| x |dom(D)| rows; a step of any join raises
     :class:`ResourceCapError` before it builds more than
-    ``JOIN_STEP_CELLS_CAP`` cells, its rows times its slots.  Each
+    ``JOIN_STEP_WORDS_CAP`` words, its rows times its slots plus 6.  Each
     operator's column positions are compiled into ``itemgetter``s once, not
     once per row.  An operator that keeps every row as it is (a projection
     onto all columns in order, a selection with no identification, a
@@ -759,8 +797,10 @@ def evaluate_well_behaved(prepared: PreparedPlan, data: Structure) -> EvalTrace:
 # the identifications inside the child (None when it has none), the getters
 # of the child's key and of its new columns, the getter of the chain slots
 # its key must equal, and the number of slots once its columns are bound.
-# ``final`` reads the output columns back from the slots, None when the
-# slots are already in column order.
+# A later child that binds no new class has every column in its key, in
+# order, so its key is its whole row: its ``key`` and ``extend`` are None,
+# and its step is a semi-join.  ``final`` reads the output columns back
+# from the slots, None when the slots are already in column order.
 _JoinProgram = tuple[list[tuple], Optional[operator.itemgetter]]
 
 
@@ -788,27 +828,36 @@ def _compile_join(classes: list[int], arities: list[int]) -> _JoinProgram:
             else:
                 first[cls] = local
         off += m
-        steps.append((
-            _equal_at(equal) if equal else None,
-            _getter([local for local, _ in keys]),
-            _getter(list(first.values())),
-            _getter([slot for _, slot in keys]),
-            len(bound) + len(first),
-        ))
+        probe = _getter([slot for _, slot in keys])
+        if first or not steps:
+            steps.append((
+                _equal_at(equal) if equal else None,
+                _getter([local for local, _ in keys]),
+                _getter(list(first.values())),
+                probe,
+                len(bound) + len(first),
+            ))
+        else:
+            steps.append((None, None, None, probe, len(bound)))
         for cls in first:
             bound[cls] = len(bound)
     slots = [bound[cls] for cls in classes[1:]]
     return steps, None if slots == list(range(len(slots))) else _getter(slots)
 
 
-# The most cells (rows times slots) one step of a join chain may build, so
-# that a step's memory, not only its row count, is bounded: a 1 GB process
-# holds the 12.8 million cells of the unkeyed Mobius 12-ladder's largest
-# step (1,062,882 rows of 12 slots, a 220 MB peak) but not the next, of
-# 41.5 million.  Apart from the tests of this cap and of unkeyed pattern
-# plans, whose largest evaluated step is 21.3 million cells, the test
-# suite's largest step is 444,528 cells and the benchmark's 52,488.
-JOIN_STEP_CELLS_CAP = 30_000_000
+# The words of memory one chain row of s slots takes: s + 6, its tuple's
+# s items and 5-word header and its slot in the chain's list.
+_ROW_OVERHEAD_WORDS = 6
+
+# The most words (rows times slots plus 6) one step of a join chain may
+# build, so that a step's memory is bounded however narrow its rows: a
+# 2-slot row takes 8 words, 4 per slot, and a 12-slot row 18, 1.5 per slot.
+# The test suite's largest step, the unkeyed Mobius 10-ladder's walks on an
+# 8-vertex out-degree-4 graph, is 33.6 million words (2,097,152 rows of 10
+# slots, near 400 MB); the benchmark's is 157,464.  The unkeyed Mobius and
+# squared 14- and 16-vertex inputs on a 6-vertex out-degree-3 graph are
+# refused at their step of 60.6 million (3,188,646 rows of 13 slots).
+JOIN_STEP_WORDS_CAP = 40_000_000
 
 
 def _run_join(program: _JoinProgram, outs: list[frozenset], trace: EvalTrace) -> frozenset:
@@ -817,10 +866,12 @@ def _run_join(program: _JoinProgram, outs: list[frozenset], trace: EvalTrace) ->
 
     The first child has no key, so its rows (filtered and narrowed to its
     new columns) start the chain, and with no identification inside it
-    they are the chain's rows themselves.  Before a later step is built,
-    its cells are bounded by the chain's rows times the largest bucket
-    times the step's slots, and only when that bound passes
-    ``JOIN_STEP_CELLS_CAP`` are its rows counted exactly, as the sum of the
+    they are the chain's rows themselves.  A later child that binds no new
+    class only filters the chain: its rows are its keys, and the chain rows
+    whose probe is one of them are kept.  Before any other step is built,
+    its words (see ``JOIN_STEP_WORDS_CAP``) are bounded by the chain's rows
+    times the largest bucket times the words of one row, and only when that
+    bound passes the cap are its rows counted exactly, as the sum of the
     probed buckets' lengths; past the cap the join raises
     :class:`ResourceCapError`.  The order of the input rows is never used:
     the result is a set, and the peak counts rows.
@@ -831,16 +882,19 @@ def _run_join(program: _JoinProgram, outs: list[frozenset], trace: EvalTrace) ->
         rows = out if equal is None else filter(equal, out)
         if current is None:
             current = out if equal is None else list(map(extend, rows))
+        elif key is None:
+            current = [row for row in current if probe(row) in out]
         else:
             table: dict[tuple, list] = {}
             for t in rows:
                 table.setdefault(key(t), []).append(extend(t))
-            if len(current) * max(map(len, table.values()), default=0) * slots > JOIN_STEP_CELLS_CAP:
+            words = slots + _ROW_OVERHEAD_WORDS
+            if len(current) * max(map(len, table.values()), default=0) * words > JOIN_STEP_WORDS_CAP:
                 size = sum(len(table.get(probe(row), ())) for row in current)
-                if size * slots > JOIN_STEP_CELLS_CAP:
+                if size * words > JOIN_STEP_WORDS_CAP:
                     raise ResourceCapError(
-                        f"join chain capped at {JOIN_STEP_CELLS_CAP} cells per step, "
-                        f"a step needs {size * slots} ({size} rows of {slots} slots)"
+                        f"join chain capped at {JOIN_STEP_WORDS_CAP} words per step, "
+                        f"a step needs {size * words} ({size} rows of {slots} slots)"
                     )
             current = [row + ext for row in current for ext in table.get(probe(row), ())]
         trace.internal_peak = max(trace.internal_peak, len(current))

@@ -34,8 +34,8 @@ from .plans import (
     Project,
     Select,
     prepare,
-    print_numbered,
     print_plan,
+    print_prepared,
     theta_of,
 )
 from .represent import (
@@ -204,8 +204,10 @@ class SynthesisResult:
 
     @property
     def plan_text(self) -> str:
-        """The plan, printed from its numbering."""
-        return print_numbered(self.prepared.numbering[1])
+        """The plan, printed from its numbering; the prepared plan is kept
+        under the text (see :func:`spjopt.plans.print_prepared`), so
+        reading the text back in this process does not parse it."""
+        return print_prepared(self.prepared)
 
 
 def _first_columns(col_elems: Sequence[int]) -> tuple[frozenset, dict[int, int]]:

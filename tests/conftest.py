@@ -178,5 +178,6 @@ def count_parses(monkeypatch) -> list:
 @pytest.fixture(autouse=True)
 def no_prepared_plans():
     """Every test starts with no prepared plans kept (see
-    ``plans.parse_prepared``), so none depends on which tests ran before."""
-    plans.parse_prepared.cache_clear()
+    ``plans.parse_prepared`` and ``plans.print_prepared``), so none
+    depends on which tests ran before."""
+    plans._prepared_plans.clear()

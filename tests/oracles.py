@@ -47,12 +47,14 @@ from spjopt import (
 )
 from spjopt.colorwidth import WidthReport, _closure_edges, _elimination_bag
 from spjopt.constraints import ChaseResult
+from spjopt import plans
 from spjopt.errors import ArityError, PlanSyntaxError, SignatureError
 from spjopt.plans import (
     Basic,
     EvalTrace,
     Join,
     Plan,
+    PreparedPlan,
     Project,
     Select,
     _arities,
@@ -1380,6 +1382,19 @@ def numbered_arity(plan: Plan, signature: Signature) -> int:
     ``check`` reads it; raises on unknown relations, indices out of range,
     or non-m-suitable identifications."""
     return _arities(number_subplans(plan)[1], signature)[-1]
+
+
+def assert_printed_plan_parses_back(prepared: PreparedPlan) -> None:
+    """``print_prepared`` prints ``prepared`` as ``print_plan`` prints its
+    plan and keeps it under that text, and a fresh parse of the text gives
+    an equal plan, numbering and arities."""
+    text = plans.print_prepared(prepared)
+    assert text == plans.print_plan(prepared.plan)
+    assert plans.parse_prepared(text, prepared.signature) is prepared
+    numbering = plans._parse(text)
+    assert numbering == prepared.numbering
+    assert _arities(numbering[1], prepared.signature) == prepared.arities
+    assert numbering[1][-1][0] == prepared.plan
 
 
 def operator_count(plan: Plan) -> int:

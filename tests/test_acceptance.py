@@ -56,6 +56,7 @@ from conftest import (
 )
 from oracles import (
     UNCAPPED,
+    assert_printed_plan_parses_back,
     chase_changed,
     check_containment_property,
     check_isomorphic,
@@ -233,6 +234,7 @@ def test_criterion_6_optimality_pipeline(corpus):
             core = chased_core(prepare(plan, sig), keys, UNCAPPED.core_universe)
             result = synthesize_plan(core, keys, UNCAPPED)
             assert is_well_behaved(result.plan, sig)[0]
+            assert_printed_plan_parses_back(result.prepared)
             assert check_equivalence(plan, result.plan, keys, sig)
             for data in entry["keydata"]:
                 assert (

@@ -26,7 +26,7 @@ from spjopt import (
 from spjopt import cli, plans, represent, serialize, synthesis
 from spjopt.cli import main
 from spjopt.errors import FormatError
-from spjopt.plans import JOIN_STEP_CELLS_CAP, PRINTED_SUBPLANS_CAP
+from spjopt.plans import JOIN_STEP_WORDS_CAP, PRINTED_SUBPLANS_CAP
 from spjopt.represent import REPRESENTATION_ELEMENTS_CAP
 from spjopt.serialize import (
     keys_from_text,
@@ -333,6 +333,44 @@ def test_edited_plan_file_is_parsed_again(workdir):
     assert (before.arities[-1], after.arities[-1]) == (3, 2)
     path.write_text(TRI_PLAN)
     assert serialize.load_prepared(path) is before
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cli_reads_back_an_optimized_plan_without_parsing_it(workdir, capsys, monkeypatch, fmt):
+    """optimize keeps the plan it prints: degree and evaluate of the
+    written plan under the input's `rel` header parse only the input, and
+    print the bytes they print when no plan is kept before each op."""
+    parsed = count_parses(monkeypatch)
+    out, synth = workdir / "optimized.out", workdir / "synth.plan"
+    keys = ("--keys", workdir / "r1.keys")
+    data = ("--data", workdir / "d.json")
+    ops = [
+        ("degree", "--plan", synth, *keys),
+        ("evaluate", "--plan", synth, *data),
+        ("evaluate", "--plan", synth, *data, "--trace"),
+        ("evaluate", "--plan", synth, *data, "--format", "text"),
+    ]
+
+    def flow(clear: bool) -> list:
+        if clear:
+            plans._prepared_plans.clear()
+        argv = ("optimize", "--plan", workdir / "tri.plan", *keys, "--format", fmt, "--out", out)
+        outputs = [run(capsys, *argv)]
+        text = out.read_text()
+        outputs.append(text)
+        synth.write_text("rel E 2\n" + (json.loads(text)["plan"] if fmt == "json" else text))
+        for argv in ops:
+            if clear:
+                plans._prepared_plans.clear()
+            outputs.append(run(capsys, *argv))
+        return outputs
+
+    kept = flow(clear=False)
+    assert [o[0] for o in kept if type(o) is tuple] == [0] * (1 + len(ops))
+    body = serialize.plan_file_from_text(synth.read_text())[1]
+    assert len(parsed) == 1 and body not in parsed
+    assert flow(clear=True) == kept
+    assert parsed.count(body) == len(ops)
 
 
 def test_cli_equiv(workdir, capsys):
@@ -758,8 +796,30 @@ def test_cli_join_chain_is_capped_before_it_builds_a_step(tmp_path):
     assert time.perf_counter() - start < 1
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == (
-        f"spjopt: resource cap: join chain capped at {JOIN_STEP_CELLS_CAP} cells per step, "
-        f"a step needs {60 ** 4 * 8} ({60 ** 4} rows of 8 slots)\n"
+        f"spjopt: resource cap: join chain capped at {JOIN_STEP_WORDS_CAP} words per step, "
+        f"a step needs {60 ** 4 * (8 + 6)} ({60 ** 4} rows of 8 slots)\n"
+    )
+
+
+def test_cli_join_chain_cap_counts_the_words_of_narrow_rows(tmp_path):
+    """The cross product of two copies of a 2,237-row unary U would hold
+    5,004,169 rows of 2 slots: 10 million cells, but at 8 words a row just
+    past the words cap, so it exits 3 before building them."""
+    plan = tmp_path / "cross.plan"
+    plan.write_text("rel U 1\n(join (theta) U U)\n")
+    names = [f"u{i}" for i in range(2237)]
+    data = tmp_path / "d.json"
+    data.write_text(json.dumps({
+        "signature": {"U": 1}, "universe": names, "relations": {"U": [[n] for n in names]},
+    }))
+    start = time.perf_counter()
+    done = run_limited("evaluate", "--plan", plan, "--data", data)
+    assert time.perf_counter() - start < 1
+    assert (done.returncode, done.stdout) == (3, "")
+    assert 2237**2 * 8 > JOIN_STEP_WORDS_CAP
+    assert done.stderr == (
+        f"spjopt: resource cap: join chain capped at {JOIN_STEP_WORDS_CAP} words per step, "
+        f"a step needs {2237**2 * 8} ({2237**2} rows of 2 slots)\n"
     )
 
 
@@ -769,7 +829,7 @@ def test_cli_join_chain_cap_bounds_unkeyed_pattern_inputs(tmp_path, edges):
     """The width workload's larger unkeyed inputs on a 6-vertex graph of
     out-degree 3: their chains walk the pattern's cycle, one row per walk.
     The walks of 11 arcs, 6 x 3^11 rows of 12 slots, are built; those of
-    12 arcs, 6 x 3^12 rows of 13 slots, would pass the cells cap, and the
+    12 arcs, 6 x 3^12 rows of 13 slots, would pass the words cap, and the
     plan exits 3 on it before building them, in a child process with a
     limited address space."""
     plan = tmp_path / "pattern.plan"
@@ -785,8 +845,8 @@ def test_cli_join_chain_cap_bounds_unkeyed_pattern_inputs(tmp_path, edges):
     assert (done.returncode, done.stdout) == (3, "")
     rows = 6 * 3 ** 12
     assert done.stderr == (
-        f"spjopt: resource cap: join chain capped at {JOIN_STEP_CELLS_CAP} cells per step, "
-        f"a step needs {rows * 13} ({rows} rows of 13 slots)\n"
+        f"spjopt: resource cap: join chain capped at {JOIN_STEP_WORDS_CAP} words per step, "
+        f"a step needs {rows * (13 + 6)} ({rows} rows of 13 slots)\n"
     )
 
 

@@ -501,21 +501,21 @@ def test_printed_subplans_are_counted_exactly(rng, monkeypatch):
 
 
 def test_join_chain_is_capped_before_it_builds_a_step(monkeypatch):
-    """A chain step of more cells (rows times slots) than the cap raises
-    before it is built, whether or not the bound from the largest bucket is
-    exact; at the cap it runs."""
+    """A chain step of more words (rows times slots plus 6) than the cap
+    raises before it is built, whether or not the bound from the largest
+    bucket is exact; at the cap it runs."""
     data = Structure(SIG, range(3), {"R": [(0, 1), (1, 2), (2, 2)], "S": [(0, 0), (1, 1)]})
     cross = parse_plan("(join (theta) R S R)", SIG)
     # R's key column 2 has buckets of 1 and 2 rows: the bound is 3 x 2 = 6
     # rows, the step 1 + 2 + 2 = 5 rows, each of 3 slots.
     keyed = parse_plan("(join (theta (2 4)) R R)", SIG)
     for plan, rows, slots in ((cross, 18, 6), (keyed, 5, 3)):
-        cells = rows * slots
-        monkeypatch.setattr(plans, "JOIN_STEP_CELLS_CAP", cells)
+        words = rows * (slots + 6)
+        monkeypatch.setattr(plans, "JOIN_STEP_WORDS_CAP", words)
         trace = evaluate_well_behaved(prepare(plan, SIG), data)
         assert trace.internal_peak == rows and trace.rows == evaluate_naive(plan, data).rows
-        monkeypatch.setattr(plans, "JOIN_STEP_CELLS_CAP", cells - 1)
-        needs = rf"capped at {cells - 1} cells per step, a step needs {cells} \({rows} rows of {slots} slots\)$"
+        monkeypatch.setattr(plans, "JOIN_STEP_WORDS_CAP", words - 1)
+        needs = rf"capped at {words - 1} words per step, a step needs {words} \({rows} rows of {slots} slots\)$"
         with pytest.raises(ResourceCapError, match=needs):
             evaluate_well_behaved(prepare(plan, SIG), data)
 
@@ -590,7 +590,7 @@ def test_join_kernel_matches_old_chain_on_pattern_plans(name, edges):
         assert not _assert_kernel_matches_old_chain(pattern, data)
         if (name, out_degree) == ("squared12", 4):
             rows = 8 * 4 ** 10
-            with pytest.raises(ResourceCapError, match=rf"a step needs {rows * 11} \({rows} rows of 11 slots\)$"):
+            with pytest.raises(ResourceCapError, match=rf"a step needs {rows * (11 + 6)} \({rows} rows of 11 slots\)$"):
                 evaluate_well_behaved(prepare(pattern, SIG_E), data)
         else:
             trace = evaluate_well_behaved(prepare(pattern, SIG_E), data)
@@ -805,7 +805,7 @@ def test_prepared_plans_are_kept_per_text_and_signature(monkeypatch):
     assert (a.arities[-1], b.arities[-1]) == (4, 6)
     assert plans.parse_prepared(text, Signature({"R": 2})) is a
     assert plans.parse_prepared(text, wide) is b
-    assert plans.parse_prepared.cache_info().currsize == len(parsed) == 2
+    assert len(plans._prepared_plans) == len(parsed) == 2
 
 
 def test_failing_plans_are_not_kept(monkeypatch):
@@ -815,7 +815,7 @@ def test_failing_plans_are_not_kept(monkeypatch):
         with pytest.raises(SpjError):
             plans.parse_prepared(text, SIG)
     assert len(parsed) == 2 * len(texts)
-    assert plans.parse_prepared.cache_info().currsize == 0
+    assert plans._prepared_plans == {}
 
 
 def test_prepared_plans_are_evicted_at_the_bound(monkeypatch):
@@ -823,11 +823,48 @@ def test_prepared_plans_are_evicted_at_the_bound(monkeypatch):
     bound = plans.PREPARED_PLANS_CACHED
     texts = [f"(project (cols{' 1' * n}) R)" for n in range(1, bound + 2)]
     prepared = [plans.parse_prepared(text, SIG) for text in texts]
-    assert plans.parse_prepared.cache_info().currsize == bound
+    assert len(plans._prepared_plans) == bound
     assert all(plans.parse_prepared(t, SIG) is p for t, p in zip(texts[1:], prepared[1:]))
     assert len(parsed) == bound + 1
     assert plans.parse_prepared(texts[0], SIG) is not prepared[0]
     assert len(parsed) == bound + 2
+
+
+def test_printed_plans_are_kept_and_evicted_like_parsed_ones(monkeypatch):
+    """A printed plan read back under an equal signature is not parsed; it
+    counts against the bound, and the least recently used entry, printed
+    or parsed, is evicted first.  Another signature or text misses."""
+    parsed = count_parses(monkeypatch)
+    bound = plans.PREPARED_PLANS_CACHED
+    kept = [prepare(Project((1,) * n, Basic("R")), SIG) for n in range(1, bound + 2)]
+    texts = [plans.print_prepared(p) for p in kept]
+    assert len(plans._prepared_plans) == bound and parsed == []
+    assert plans.parse_prepared(texts[1], SIG) is kept[1]  # now the most recently used
+    assert plans.parse_prepared(texts[0], SIG) is not kept[0]  # evicted by the last print
+    assert plans.parse_prepared(texts[2], SIG) is not kept[2]  # evicted by that parse
+    assert parsed == [texts[0], texts[2]] and len(plans._prepared_plans) == bound
+    assert all(plans.parse_prepared(t, SIG) is p for t, p in zip(texts[4:], kept[4:]))
+    assert plans.parse_prepared(texts[1], SIG) is kept[1]
+    assert plans.parse_prepared(texts[-1], Signature({"R": 2})) is not kept[-1]
+    assert plans.parse_prepared(texts[-1] + " ", SIG) is not kept[-1]
+    assert plans.parse_prepared(texts[-1], SIG) is kept[-1]
+    assert len(parsed) == 4
+
+
+def test_printed_plans_parse_back_to_the_kept_plan(rng):
+    """The text ``print_prepared`` keeps a plan under is ``print_plan``'s,
+    and parsing it gives an equal plan, numbering and arities."""
+    for _ in range(300):
+        sig = rand_signature(rng)
+        oracles.assert_printed_plan_parses_back(prepare(rand_plan(rng, sig, max_operators=6), sig))
+
+
+def test_printed_plan_the_parser_cannot_read_is_not_kept():
+    sig = Signature({"R-1": 2})
+    text = plans.print_prepared(prepare(Join(frozenset(), (Basic("R-1"),)), sig))
+    assert plans._prepared_plans == {}
+    with pytest.raises(PlanSyntaxError, match="bad token 'R-1'"):
+        plans.parse_prepared(text, sig)
 
 
 def test_prepared_plan_evaluates_like_a_fresh_one(rng):
