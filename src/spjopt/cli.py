@@ -279,8 +279,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
         doc = {**serialize.trace_to_json(trace, data.names), "evaluator": evaluator}
     if args.format == "text":
         lines = [f"evaluator: {evaluator}"]
-        for entry, text in zip(trace.entries, trace.texts):
-            lines.append(f"{entry.cardinality:>8}  {text}")
+        cardinalities = trace.cardinalities
+        for number, text in zip(trace.numbering[0], trace.texts):
+            lines.append(f"{cardinalities[number]:>8}  {text}")
         lines.append(f"max intermediate: {trace.max_intermediate}")
         _emit(args, "\n".join(lines) + "\n")
         return

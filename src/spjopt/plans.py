@@ -550,12 +550,29 @@ class PreparedPlan:
         """The :func:`evaluate_well_behaved` program: per number an
         ``(op, arg, kids)`` step.  ``op`` is ``"rel"`` (read relation
         ``arg``), ``"same"`` (the child's rows themselves), ``"filter"`` or
-        ``"map"`` (the child's rows through ``arg``) or ``"join"`` (the join
-        program ``arg``, see :func:`_compile_join`)."""
+        ``"map"`` (the child's rows through ``arg``), or ``"join"`` or
+        ``"slots"``, whose ``arg`` is the steps of the join's
+        :func:`_compile_join` program and the getter of its column rows
+        from its slots (None when the slots are in column order).
+
+        A join that only projections read keeps its chain rows, one value
+        per slot, when its slots are not in column order: its step is
+        ``"slots"``, and each projection that reads it is compiled through
+        its slot per column, onto the slots in order as ``"same"`` and
+        otherwise as one getter.  Its column rows are built by
+        :class:`EvalTrace` only when they are read.  Every other join, the
+        root too, is ``"join"`` and stores its column rows."""
         classes_of = self._joins[1]
         arities = self.arities
+        distinct = self.numbering[1]
+        # The numbers some reader other than a projection reads; the root.
+        column_read = {len(distinct) - 1}
+        for node, kids in distinct:
+            if type(node) is not Project:
+                column_read.update(kids)
+        layouts: dict[int, list[int]] = {}  # a "slots" join's slot per column
         program = []
-        for number, (node, kids) in enumerate(self.numbering[1]):
+        for number, (node, kids) in enumerate(distinct):
             cls = type(node)
             if cls is Basic:
                 step = ("rel", node.relation, kids)
@@ -563,12 +580,23 @@ class PreparedPlan:
                 pairs = [(j - 1, k - 1) for j, k in sorted(node.theta) if j != k]
                 step = ("filter", _equal_at(pairs), kids) if pairs else ("same", None, kids)
             elif cls is Project:
-                if node.cols == tuple(range(1, arities[kids[0]] + 1)):
+                layout = layouts.get(kids[0])
+                if layout is None:
+                    positions, width = [c - 1 for c in node.cols], arities[kids[0]]
+                else:
+                    positions, width = [layout[c - 1] for c in node.cols], len(set(layout))
+                if positions == list(range(width)):
                     step = ("same", None, kids)
                 else:
-                    step = ("map", _getter([c - 1 for c in node.cols]), kids)
+                    step = ("map", _getter(positions), kids)
             else:
-                step = ("join", _compile_join(classes_of[number], [arities[k] for k in kids]), kids)
+                steps, slots = _compile_join(classes_of[number], [arities[k] for k in kids])
+                columns = None if slots == list(range(len(slots))) else _getter(slots)
+                if columns is None or number in column_read:
+                    step = ("join", (steps, columns), kids)
+                else:
+                    layouts[number] = slots
+                    step = ("slots", (steps, columns), kids)
             program.append(step)
         return program
 
@@ -666,21 +694,44 @@ class EvalTrace:
     ``max_intermediate`` is the maximum cardinality over subplan outputs,
     the finite-instance counterpart of intermediate degree.  The
     compiled evaluator additionally reports ``internal_peak``, the
-    largest relation its binary-join chains ever materialize.  The
-    per-occurrence ``entries`` and ``texts`` are built on first access.
+    largest relation its binary-join chains ever materialize.
+
+    The compiled evaluator stores a ``"slots"`` join's chain rows (see
+    :attr:`PreparedPlan.program`) with the getter of its column rows in
+    ``_columns``; reading ``rows`` (or ``entries``) builds the column rows
+    of every such join once.  ``output``, ``max_intermediate`` and
+    ``cardinalities`` build none: the root stores its column rows, and the
+    getter reads every slot, so a join's chain and column rows are equally
+    many.  The per-occurrence ``entries`` and ``texts`` are built on first
+    access.
     """
 
     numbering: tuple = ((), ())
-    rows: list[frozenset] = field(default_factory=list)
     internal_peak: int = 0
+    _rows: list[frozenset] = field(default_factory=list, repr=False)
+    _columns: dict[int, operator.itemgetter] = field(default_factory=dict, repr=False)
+
+    @property
+    def rows(self) -> list[frozenset]:
+        columns = self._columns
+        if columns:
+            for number, getter in columns.items():
+                self._rows[number] = frozenset(map(getter, self._rows[number]))
+            columns.clear()
+        return self._rows
 
     @property
     def output(self) -> frozenset:
-        return self.rows[-1]
+        return self._rows[-1]
+
+    @property
+    def cardinalities(self) -> list[int]:
+        """The number of output rows per number."""
+        return list(map(len, self._rows))
 
     @property
     def max_intermediate(self) -> int:
-        return max(map(len, self.rows), default=0)
+        return max(self.cardinalities, default=0)
 
     @functools.cached_property
     def entries(self) -> list[TraceEntry]:
@@ -772,11 +823,18 @@ def evaluate_well_behaved(prepared: PreparedPlan, data: Structure) -> EvalTrace:
     onto all columns in order, a selection with no identification, a
     one-child join with no identification) returns its child's rows
     themselves.
+
+    A join that only projections read stores its chain rows, and its
+    projections read those (see :attr:`PreparedPlan.program`).  The
+    returned trace builds such a join's column rows only when its ``rows``
+    or ``entries`` are read (see :class:`EvalTrace`), so a plain
+    ``evaluate``, which reads the output and ``max_intermediate``, builds
+    none.
     """
     program = prepared.program
     trace = EvalTrace(prepared.numbering)
     relations = data.relations
-    rows_of = trace.rows
+    rows_of = trace._rows
     for op, arg, kids in program:
         if op == "rel":
             rows = relations[arg]
@@ -787,21 +845,28 @@ def evaluate_well_behaved(prepared: PreparedPlan, data: Structure) -> EvalTrace:
         elif op == "map":
             rows = frozenset(map(arg, rows_of[kids[0]]))
         else:
-            rows = _run_join(arg, [rows_of[k] for k in kids], trace)
+            steps, columns = arg
+            chain = _run_join(steps, [rows_of[k] for k in kids], trace)
+            if op == "slots":
+                trace._columns[len(rows_of)] = columns
+                columns = None
+            rows = frozenset(chain) if columns is None else frozenset(map(columns, chain))
         rows_of.append(rows)
     return trace
 
 
-# A join compiled from its column classes: ``(steps, final)``.  ``steps``
+# A join compiled from its column classes: ``(steps, slots)``.  ``steps``
 # has one ``(equal, key, extend, probe, slots)`` per child: the filter for
 # the identifications inside the child (None when it has none), the getters
 # of the child's key and of its new columns, the getter of the chain slots
 # its key must equal, and the number of slots once its columns are bound.
 # A later child that binds no new class has every column in its key, in
 # order, so its key is its whole row: its ``key`` and ``extend`` are None,
-# and its step is a semi-join.  ``final`` reads the output columns back
-# from the slots, None when the slots are already in column order.
-_JoinProgram = tuple[list[tuple], Optional[operator.itemgetter]]
+# and its step is a semi-join.  ``slots`` is the slot of each output
+# column.  :attr:`PreparedPlan.program` turns it into the getter of the
+# column rows, None when the slots are already in column order, or, for a
+# join that only projections read, compiles the projections through it.
+_JoinProgram = tuple[list[tuple], list[int]]
 
 
 def _compile_join(classes: list[int], arities: list[int]) -> _JoinProgram:
@@ -810,7 +875,8 @@ def _compile_join(classes: list[int], arities: list[int]) -> _JoinProgram:
 
     Slots are the bound classes, in binding order: a child's columns are
     keys when their class is bound, new when they are the first of an
-    unbound class, and otherwise equal to that first column.
+    unbound class, and otherwise equal to that first column.  Every slot is
+    the slot of some column.
     """
     bound: dict[int, int] = {}  # class representative -> slot
     steps = []
@@ -841,8 +907,7 @@ def _compile_join(classes: list[int], arities: list[int]) -> _JoinProgram:
             steps.append((None, None, None, probe, len(bound)))
         for cls in first:
             bound[cls] = len(bound)
-    slots = [bound[cls] for cls in classes[1:]]
-    return steps, None if slots == list(range(len(slots))) else _getter(slots)
+    return steps, [bound[cls] for cls in classes[1:]]
 
 
 # The words of memory one chain row of s slots takes: s + 6, its tuple's
@@ -860,8 +925,9 @@ _ROW_OVERHEAD_WORDS = 6
 JOIN_STEP_WORDS_CAP = 40_000_000
 
 
-def _run_join(program: _JoinProgram, outs: list[frozenset], trace: EvalTrace) -> frozenset:
-    """The join of the children's rows ``outs`` by ``program``; raises
+def _run_join(steps: list[tuple], outs: list[frozenset], trace: EvalTrace):
+    """The chain rows of the join of the children's rows ``outs`` by the
+    join program's ``steps``, one value per slot; raises
     ``trace.internal_peak`` to the largest relation the chain builds.
 
     The first child has no key, so its rows (filtered and narrowed to its
@@ -874,9 +940,8 @@ def _run_join(program: _JoinProgram, outs: list[frozenset], trace: EvalTrace) ->
     bound passes the cap are its rows counted exactly, as the sum of the
     probed buckets' lengths; past the cap the join raises
     :class:`ResourceCapError`.  The order of the input rows is never used:
-    the result is a set, and the peak counts rows.
+    the caller makes a set of the rows, and the peak counts rows.
     """
-    steps, final = program
     current = None
     for out, (equal, key, extend, probe, slots) in zip(outs, steps):
         rows = out if equal is None else filter(equal, out)
@@ -898,4 +963,4 @@ def _run_join(program: _JoinProgram, outs: list[frozenset], trace: EvalTrace) ->
                     )
             current = [row + ext for row in current for ext in table.get(probe(row), ())]
         trace.internal_peak = max(trace.internal_peak, len(current))
-    return frozenset(current) if final is None else frozenset(map(final, current))
+    return current

@@ -144,7 +144,8 @@ def load_keys(path: str) -> KeySet:
 
 
 def plan_file_from_text(text: str) -> tuple[Optional[Signature], str]:
-    """Split a plan file into its optional `rel` header and the plan text."""
+    """Split a plan file into its optional `rel` header and the plan text.
+    A relation declared twice must be declared with one arity."""
     arities: dict[str, int] = {}
     body_lines = []
     in_header = True
@@ -158,9 +159,14 @@ def plan_file_from_text(text: str) -> tuple[Optional[Signature], str]:
                 if len(parts) != 3:
                     raise FormatError("expected `rel <Name> <arity>`")
                 try:
-                    arities[parts[1]] = int(parts[2])
+                    arity = int(parts[2])
                 except ValueError:
                     raise FormatError(f"bad arity {parts[2]!r}") from None
+                name = parts[1]
+                if arities.setdefault(name, arity) != arity:
+                    raise FormatError(
+                        f"header declares {name!r} with arity {arities[name]} and with arity {arity}"
+                    )
                 continue
             in_header = False
         body_lines.append(raw)

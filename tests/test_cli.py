@@ -134,6 +134,27 @@ def test_plan_file_header():
         plan_file_from_text("rel E two\n(project (cols) E)")
 
 
+def test_plan_file_header_declares_each_relation_with_one_arity(workdir, capsys):
+    """A relation declared twice with two arities is refused by the loader,
+    by ``check`` and by ``equiv`` (exit 2); a repeated identical line is
+    accepted."""
+    message = "header declares 'R' with arity 2 and with arity 3"
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        plan_file_from_text("rel R 2\nrel R 3\nR\n")
+    assert plan_file_from_text("rel R 2\n# again\nrel R 2\nR\n") == (Signature({"R": 2}), "R")
+    (workdir / "twice.plan").write_text("rel R 2\nrel R 3\nR\n")
+    (workdir / "r.plan").write_text("rel R 2\nR\n")
+    (workdir / "same.plan").write_text("rel R 2\nrel R 2\nR\n")
+    assert run(capsys, "check", "--plan", workdir / "twice.plan") == (2, "", f"spjopt: {message}\n")
+    for pair in (("twice", "r"), ("r", "twice")):
+        argv = ("equiv", "--plan", workdir / f"{pair[0]}.plan", "--plan2", workdir / f"{pair[1]}.plan")
+        assert run(capsys, *argv) == (2, "", f"spjopt: {message}\n")
+    code, out, _ = run(capsys, "check", "--plan", workdir / "same.plan")
+    assert (code, json.loads(out)["arity"]) == (0, 2)
+    code, out, _ = run(capsys, "equiv", "--plan", workdir / "same.plan", "--plan2", workdir / "r.plan")
+    assert (code, json.loads(out)["equivalent"]) == (0, True)
+
+
 # Names with the characters JSON escapes: quotes, backslashes, control
 # characters and non-ASCII, astral ones included.
 _JSON_NAMES = st.one_of(
@@ -237,8 +258,9 @@ def test_cli_evaluate(workdir, capsys):
 def test_cli_evaluate_numbers_once_and_builds_no_occurrence_trace(workdir, capsys, monkeypatch):
     """A plain evaluate numbers its plan once, as the parser reads it:
     ``number_subplans`` is never called, whether or not the plan is
-    well-behaved, and the evaluator runs once.  Only --trace and --format
-    text build the per-occurrence entries."""
+    well-behaved, and the evaluator runs once.  Only --trace builds the
+    per-occurrence entries; --format text reads the per-number row
+    counts."""
     traces = []
     numberings = _count_numberings(monkeypatch)
     evaluate = cli.evaluate_well_behaved
@@ -252,14 +274,60 @@ def test_cli_evaluate_numbers_once_and_builds_no_occurrence_trace(workdir, capsy
     assert run(capsys, *argv)[0] == 0
     assert numberings == []
     assert "entries" not in traces[-1].__dict__
-    for extra in (("--trace",), ("--format", "text")):
+    for extra, built in ((("--trace",), True), (("--format", "text"), False)):
         assert run(capsys, *argv, *extra)[0] == 0
-        assert "entries" in traces[-1].__dict__
+        assert ("entries" in traces[-1].__dict__) is built
     (workdir / "cross.plan").write_text("rel E 2\n(project (cols 4 3 2 1) (join (theta) E E))\n")
     traces.clear()
     code, out, _ = run(capsys, "evaluate", "--plan", workdir / "cross.plan", "--data", workdir / "d.json")
     assert (code, json.loads(out)["evaluator"]) == (0, "naive")
     assert len(traces) == 1 and numberings == []
+
+
+def test_cli_evaluate_of_a_synthesized_plan_builds_no_join_column_rows(tmp_path, capsys, monkeypatch):
+    """Plain evaluate and --format text of the synthesized Mobius 8-ladder
+    plan build no column rows of the joins that only projections read; the
+    plain trace read afterwards, and --trace, give the rows of
+    ``evaluate_naive``, and every output its bytes."""
+    pattern = tmp_path / "mobius8.plan"
+    pattern.write_text("rel E 2\n" + print_plan(pattern_plan(mobius_ladder(8), (0, 1))) + "\n")
+    code, body, _ = run(capsys, "optimize", "--plan", pattern, "--format", "text")
+    assert code == 0
+    synthesized = tmp_path / "synthesized.plan"
+    synthesized.write_text("rel E 2\n" + body)
+    rng = random.Random(8)
+    arcs = [[f"v{a}", f"v{b}"] for a in range(7) for b in rng.sample([v for v in range(7) if v != a], 2)]
+    doc = {"signature": {"E": 2}, "universe": [f"v{i}" for i in range(7)], "relations": {"E": arcs}}
+    (tmp_path / "d.json").write_text(json.dumps(doc))
+    data = structure_from_json(doc)
+    prepared = plans.parse_prepared(body.rstrip("\n"), SIG)
+    naive = plans.evaluate_naive(prepared.plan, data)
+    slot_joins = sum(op == "slots" for op, _, _ in prepared.program)
+    assert slot_joins >= 20 and naive.output
+    traces = []
+    evaluate = cli.evaluate_well_behaved
+    monkeypatch.setattr(cli, "evaluate_well_behaved", lambda *args: traces.append(evaluate(*args)) or traces[-1])
+    argv = ("evaluate", "--plan", synthesized, "--data", tmp_path / "d.json")
+
+    assert run(capsys, *argv) == (0, serialize.dumps({
+        "evaluator": "well-behaved",
+        "cardinality": len(naive.output),
+        "maxIntermediate": naive.max_intermediate,
+        "output": serialize.named_rows(naive.output, data.names),
+    }), "")
+    assert run(capsys, *argv, "--format", "text") == (0, "\n".join(
+        ["evaluator: well-behaved"]
+        + [f"{entry.cardinality:>8}  {text}" for entry, text in zip(naive.entries, naive.texts)]
+        + [f"max intermediate: {naive.max_intermediate}\n"]
+    ), "")
+    plain, text = traces
+    for trace in (plain, text):
+        assert len(trace._columns) == slot_joins and "entries" not in trace.__dict__
+    reference = serialize.trace_to_json(naive, data.names)
+    assert run(capsys, *argv, "--trace") == (0, serialize.dumps({**reference, "evaluator": "well-behaved"}), "")
+    assert not traces[-1]._columns
+    assert serialize.trace_to_json(plain, data.names) == reference
+    assert plain.rows == naive.rows and not plain._columns
 
 
 def _count_numberings(monkeypatch) -> list:

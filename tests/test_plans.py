@@ -645,6 +645,110 @@ def test_trace_aggregates_match_its_entries(rng):
     assert min(checked.values()) >= 100
 
 
+# ---------------------------------------------------------------------------
+# Late materialization: a join that only projections read keeps its slots
+# ---------------------------------------------------------------------------
+
+
+def _assert_late_trace(plan, data):
+    """The compiled trace of ``plan`` on ``data`` agrees with
+    ``evaluate_naive`` and, on a well-behaved plan, with the old chain:
+    its counts, output and peak before any join's column rows are built,
+    then its rows and entries, read in either order.  Returns the number of
+    joins that keep their chain rows."""
+    prepared = prepare(plan, data.signature)
+    slots = [n for n, (op, _, _) in enumerate(prepared.program) if op == "slots"]
+    naive = evaluate_naive(plan, data)
+    oracle = None
+    if is_well_behaved(plan, data.signature)[0]:
+        oracle = evaluate_well_behaved_per_occurrence(plan, data)
+    for read in ("rows", "entries"):
+        trace = evaluate_well_behaved(prepared, data)
+        assert trace.output == naive.output
+        assert trace.max_intermediate == naive.max_intermediate
+        assert trace.cardinalities == list(map(len, naive.rows))
+        if oracle is not None:
+            assert trace.internal_peak == oracle.internal_peak
+        assert sorted(trace._columns) == slots, "column rows built before they are read"
+        getattr(trace, read)
+        assert not trace._columns
+        assert all(type(rows) is frozenset for rows in trace.rows)
+        assert trace.rows == naive.rows
+        assert [(e.path, e.rows) for e in trace.entries] == [(e.path, e.rows) for e in naive.entries]
+        assert trace.output == naive.output
+        assert trace.max_intermediate == naive.max_intermediate
+        if oracle is not None:
+            _assert_same_trace(trace, oracle)
+    return len(slots)
+
+
+def test_late_materialization_matches_the_references_on_random_plans():
+    """Each random plan, and a projection of its join with a relation on
+    their first columns (a join whose slots are not in column order, read
+    only by the projection), evaluates as the naive evaluator and the old
+    chain do."""
+    rng = random.Random(30)
+    with_slots = {True: 0, False: 0}  # by well-behavedness
+    for _ in range(300):
+        sig = rand_signature(rng)
+        plan = rand_plan(rng, sig, max_operators=6)
+        m = numbered_arity(plan, sig)
+        name = rng.choice(sig.symbols())
+        s = m + sig.arity(name)
+        cols = tuple(rng.randint(1, s) for _ in range(rng.randint(0, 3))) if s else ()
+        theta = theta_of([(1, m + 1)] if m and s > m else [])
+        read = Project(cols, Join(theta, (plan, Basic(name))))
+        data = rand_structure(rng, sig, max_domain=4, max_rows=5)
+        for p in (plan, read):
+            if _assert_late_trace(p, data):
+                with_slots[is_well_behaved(p, sig)[0]] += 1
+    assert with_slots[True] >= 100 and with_slots[False] >= 150
+
+
+# J is (join (theta (1 3)) R S): its slots per column are 0 1 0 2.
+_J = "(join (theta (1 3)) R S)"
+
+
+@pytest.mark.parametrize("text, slot_joins", [
+    # Projections that permute, drop and repeat J's slots, and one onto
+    # its slots in order, which is J's chain rows themselves.
+    (f"(join (theta) (project (cols 4 1) {_J}) (project (cols 2) {_J}) (project (cols 2 2 3 1) {_J}))", 1),
+    (f"(project (cols 1 2 4) {_J})", 1),
+    # J read by a projection and by a selection.
+    (f"(join (theta) (project (cols 4 1) {_J}) (select (theta (2 4)) {_J}))", 0),
+    # J read by another join, which only a projection reads.
+    (f"(project (cols 5 1) (join (theta (1 5)) {_J} R))", 1),
+    (f"(project (cols 3 1) (join (theta (1 4)) (project (cols 1 2 4) {_J}) R))", 2),
+    # A root join whose slots are not in column order.
+    (_J, 0),
+    ("(join (theta (2 3) (4 1)) R S R)", 0),
+    # One child and no identification: the slots are in column order.
+    ("(project (cols 2 1 1) (join (theta) T))", 0),
+    ("(join (theta) T)", 0),
+    # Joins of 0-column children.
+    ("(project (cols) (join (theta) (project (cols) R) (project (cols) S)))", 0),
+    ("(project (cols 2) (join (theta (1 3)) (project (cols) R) S S))", 1),
+])
+def test_late_materialization_matches_the_references_on_edge_cases(text, slot_joins):
+    rng = random.Random(text)
+    sig = Signature({"R": 2, "S": 2, "T": 3})
+    plan = parse_plan(text, sig)
+    for trial in range(40):
+        data = rand_structure(rng, sig, max_domain=3, max_rows=0 if trial == 0 else 8)
+        assert _assert_late_trace(plan, data) == slot_joins
+
+
+def test_projection_onto_the_slots_in_order_is_the_joins_chain_rows():
+    sig = Signature({"R": 2, "S": 2})
+    data = Structure(sig, range(3), {"R": [(0, 1), (1, 2), (2, 2)], "S": [(0, 0), (1, 2), (2, 1)]})
+    prepared = plans.parse_prepared(f"(project (cols 1 2 4) {_J})", sig)
+    assert [op for op, _, _ in prepared.program] == ["rel", "rel", "slots", "same"]
+    trace = evaluate_well_behaved(prepared, data)
+    chain = trace._rows[2]
+    assert trace.output is chain and trace._columns
+    assert trace.rows[3] is chain and trace.rows[2] == {(0, 1, 0, 0), (1, 2, 1, 2), (2, 2, 2, 1)}
+
+
 def test_evaluate_naive_matches_recursive_oracle(rng):
     for _ in range(300):
         sig = rand_signature(rng)
