@@ -14,7 +14,13 @@ block's, which leaves the step's fractional edge cover, and so its degree
 bound, unchanged, and every atom is joined on all its bag columns at its
 last step.  The output plan is over the original signature (the
 defining plans of derived relations are inlined), well-behaved, and
-equivalent to the input on every database satisfying the keys.
+equivalent to the input on every database satisfying the keys.  It holds
+no dead operator: every projection and join is built by :func:`_project`
+or :func:`_join`, so no projection reads a projection, no projection
+keeps all its child's columns in order, and no join without theta has one
+child.  Each operator left out has the arity and output degree of the
+node that takes its place, so no join's well-behavedness and no degree
+bound changes.
 """
 
 from __future__ import annotations
@@ -56,6 +62,33 @@ from .structures import (
 
 
 # ---------------------------------------------------------------------------
+# Plan constructors
+# ---------------------------------------------------------------------------
+
+
+def _project(cols: tuple[int, ...], plan: Plan, arity: int) -> Plan:
+    """``(project cols plan)`` for a ``plan`` of ``arity`` columns, with no
+    dead operator: ``plan`` itself when ``cols`` are all its columns in
+    order, and one projection composed with a child projection.  A
+    composition is not checked again: every projection that synthesis
+    composes onto keeps its columns in increasing order and drops one, so
+    the composition drops one too."""
+    if cols == tuple(range(1, arity + 1)):
+        return plan
+    if isinstance(plan, Project):
+        return Project(tuple(plan.cols[c - 1] for c in cols), plan.child)
+    return Project(cols, plan)
+
+
+def _join(theta: frozenset, children: Sequence[Plan]) -> Plan:
+    """``(join theta children...)``, or the lone child of a join with no
+    theta."""
+    if len(children) == 1 and not theta:
+        return children[0]
+    return Join(theta, tuple(children))
+
+
+# ---------------------------------------------------------------------------
 # Key elimination
 # ---------------------------------------------------------------------------
 
@@ -94,7 +127,7 @@ def _base_fds(core: Structure, keys: KeySet) -> dict[tuple[int, int], Plan]:
                 x = row[j - 1]
                 for i, y in enumerate(row, start=1):
                     if i != j and y != x and (x, y) not in out:
-                        out[(x, y)] = Project((j, i), Basic(name))
+                        out[(x, y)] = _project((j, i), Basic(name), len(row))
     return out
 
 
@@ -234,7 +267,7 @@ def _atom_subplan(
     """
     theta, first = _first_columns(row)
     plan = Select(theta, base) if theta else base
-    return Project(tuple(first[e] for e in elements), plan)
+    return _project(tuple(first[e] for e in elements), plan, len(row))
 
 
 # Each element's atoms, as (relation, row, defining plan), in atom order.
@@ -274,6 +307,9 @@ def _bag_chain(order: tuple[int, ...], atoms_by_elem: _AtomsByElem) -> Plan:
     A dropped block is a dominated hyperedge of the step's visible set, so
     the step's fractional edge cover, and with it the step's degree bound,
     is unchanged, and every atom still constrains the bag at its last step.
+    No step is a dead operator: the first step is its one block when it has
+    one, and a step's projection is left out when it keeps all the join's
+    columns in order.
     """
     step_of = {e: i for i, e in enumerate(order, start=1)}
     sol: Optional[Plan] = None
@@ -297,7 +333,7 @@ def _bag_chain(order: tuple[int, ...], atoms_by_elem: _AtomsByElem) -> Plan:
                 children.append(_atom_subplan(rel, row, base, cols))
                 col_elems.extend(cols)
         theta, first = _first_columns(col_elems)
-        sol = Project(tuple(first[e] for e in visible), Join(theta, tuple(children)))
+        sol = _project(tuple(first[e] for e in visible), _join(theta, children), len(col_elems))
     return sol
 
 
@@ -361,11 +397,7 @@ def _assemble_plan(
             # Empty bag: the decomposition is a single node over an empty
             # universe, and every atom is nullary (synthesize_plan checks that
             # tuples exist), so the plan is a pure constant test.
-            tests = tuple(
-                Project((), _atom_subplan(rel, row, base, ()))
-                for rel, row, base in atoms
-            )
-            return Join(frozenset(), tests)
+            return _join(frozenset(), [_atom_subplan(rel, row, base, ()) for rel, row, base in atoms])
         kids = children[node]
         if not kids:
             return plan
@@ -375,21 +407,17 @@ def _assemble_plan(
             kid_plan = combine(kid)
             kid_order = bag_orders[kid]
             shared = [e for e in order if e in dec.chi[kid]]
-            proj = Project(tuple(kid_order.index(e) + 1 for e in shared), kid_plan)
-            parts.append(proj)
+            parts.append(_project(tuple(kid_order.index(e) + 1 for e in shared), kid_plan, len(kid_order)))
             part_elems.extend(shared)
         theta, _ = _first_columns(part_elems)
-        return Project(tuple(range(1, len(order) + 1)), Join(theta, tuple(parts)))
+        return _project(tuple(range(1, len(order) + 1)), Join(theta, tuple(parts)), len(part_elems))
 
     root_plan = combine(dec.root)
     root_order = bag_orders[dec.root]
     out_cols = tuple(root_order.index(e) + 1 for e in core.tuple)
-    final: Plan = Project(out_cols, root_plan)
+    final = _project(out_cols, root_plan, len(root_order))
     if nullary_atoms and root_order:
-        tests = tuple(
-            Project((), _atom_subplan(rel, row, base, ()))
-            for rel, row, base in nullary_atoms
-        )
+        tests = tuple(_atom_subplan(rel, row, base, ()) for rel, row, base in nullary_atoms)
         final = Join(frozenset(), (final,) + tests)
 
     prepared = prepare(final, core.structure.signature)

@@ -44,6 +44,7 @@ from spjopt import (
     hypergraph_of,
     optimal_cwidth,
     satisfies_keys,
+    subplan_degrees,
 )
 from spjopt.colorwidth import WidthReport, _closure_edges, _elimination_bag
 from spjopt.constraints import ChaseResult
@@ -74,7 +75,7 @@ from spjopt.represent import (
 )
 from spjopt.structures import UnionFind, _HomSearch, _tuple_pins
 from spjopt.simplex import LpResult
-from spjopt.synthesis import _assemble_plan, _atom_subplan, _first_columns
+from spjopt.synthesis import _assemble_plan, _atom_subplan, _first_columns, _join, _project
 
 # No cap on the core search; the width search keeps the default cap.
 UNCAPPED = Caps(core_universe=None)
@@ -1014,7 +1015,7 @@ def all_atoms_bag_chain(order: tuple[int, ...], atoms_by_elem) -> Plan:
             children.append(_atom_subplan(rel, row, base, cols))
             col_elems.extend(cols)
         theta, first = _first_columns(col_elems)
-        sol = Project(tuple(first[e] for e in visible), Join(theta, tuple(children)))
+        sol = _project(tuple(first[e] for e in visible), _join(theta, children), len(col_elems))
     return sol
 
 
@@ -1031,6 +1032,33 @@ def synthesize_with_keyed_search(core: OpenStructure, keys: KeySet, caps):
     else:
         dec = width_report.decomposition
     return _assemble_plan(core, elim, dec).plan, width_report.width, dec
+
+
+def dead_operators(prepared: PreparedPlan) -> list[Plan]:
+    """The distinct subplans of ``prepared`` that compute nothing: a
+    projection of a projection, a projection onto all its child's columns
+    in order, and a join of one child with no theta."""
+    (_, distinct), arities = prepared.numbering, prepared.arities
+    return [
+        node
+        for node, kids in distinct
+        if type(node) is Project
+        and (type(node.child) is Project or node.cols == tuple(range(1, arities[kids[0]] + 1)))
+        or type(node) is Join and len(kids) == 1 and not node.theta
+    ]
+
+
+def assert_lean_synthesis(result, keys: KeySet) -> None:
+    """The synthesized plan of ``result`` and the defining plan of each of
+    its new relations hold no dead operator (see :func:`dead_operators`);
+    the plan is well-behaved, and its largest subplan degree is the
+    certified degree."""
+    prepared = result.prepared
+    assert dead_operators(prepared) == []
+    for plan in result.new_relations.values():
+        assert dead_operators(plans.prepare(plan, prepared.signature)) == []
+    assert prepared.offender is None
+    assert max(subplan_degrees(prepared, keys)) == result.degree
 
 
 # ---------------------------------------------------------------------------

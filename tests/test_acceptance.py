@@ -56,6 +56,7 @@ from conftest import (
 )
 from oracles import (
     UNCAPPED,
+    assert_lean_synthesis,
     assert_printed_plan_parses_back,
     chase_changed,
     check_containment_property,
@@ -248,6 +249,16 @@ def test_criterion_6_optimality_pipeline(corpus):
             width = optimal_cwidth(core, keys, cap=UNCAPPED.width_universe).width
             assert width == result.degree
             assert cwidth_of_decomposition(core, keys, result.decomposition).width == result.degree
+
+
+def test_corpus_plans_have_no_dead_operators(corpus):
+    """Criterion 6's synthesized plans and their new relations' defining
+    plans hold no dead operator, are well-behaved and attain their
+    certified degree (see ``oracles.assert_lean_synthesis``)."""
+    for entry in corpus:
+        plan, sig, keys = entry["plan"], entry["sig"], entry["keys"]
+        core = chased_core(prepare(plan, sig), keys, UNCAPPED.core_universe)
+        assert_lean_synthesis(synthesize_plan(core, keys, UNCAPPED), keys)
 
 
 def _max_intermediate_within(trace, k, m, degree):

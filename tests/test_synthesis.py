@@ -1,5 +1,6 @@
 """Key elimination, plan synthesis, degrees, and the end-to-end pipeline."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,7 @@ from spjopt import colorwidth, synthesis, witness
 from spjopt.plans import number_subplans, plan_size
 
 from conftest import (
+    mobius_ladder,
     pattern_plan,
     rand_keys,
     rand_multi_keys,
@@ -49,10 +51,12 @@ from conftest import (
     rand_signature,
     rand_structure,
     several_keys,
+    squared_cycle,
 )
 from oracles import (
     UNCAPPED,
     all_atoms_bag_chain,
+    assert_lean_synthesis,
     has_images,
     max_relation_size,
     numbered_arity,
@@ -406,7 +410,7 @@ def test_degrees_and_width_search_solve_no_color_number_lp(monkeypatch):
     monkeypatch.setattr(colorwidth, "color_number", lambda *a: numbers.append(a) or number(*a))
     monkeypatch.setattr(witness, "color_number", colorwidth.color_number)
     degrees = subplan_degrees(prepare(plan, SIG_E), KEY_E1)
-    assert len(degrees) >= 100 and set(degrees) == {1}
+    assert len(degrees) == len(number_subplans(plan)[1]) >= 80 and set(degrees) == {1}
     assert lps == [] and numbers == []
     core = result.elimination.original
     for open_s, keys in ((core, KEY_E1), (result.elimination.open, NO_KEYS)):
@@ -444,20 +448,26 @@ def test_synthesize_plan_matches_keyed_search(rng):
         assert got == synthesize_with_keyed_search(core, keys, UNCAPPED)
 
 
-def _chain_steps(plan, rows):
-    """Per step of a bag chain over basic atoms, the (relation, elements)
-    of each block it joins, first step first."""
+def _chain_steps(plan, rows, length):
+    """Per step of a bag chain of ``length`` steps over basic atoms, the
+    (relation, elements) of each block it joins, first step first.  A step
+    is a join of the chain so far and its blocks, or its projection; a
+    first step of one block is that block, an atom or its projection."""
+
+    def block(b):
+        if isinstance(b, Basic):
+            return (b.relation, rows[b.relation])
+        return (b.child.relation, tuple(rows[b.child.relation][c - 1] for c in b.cols))
+
+    def children(step):
+        join = step.child if isinstance(step, Project) else step
+        return list(join.children) if isinstance(join, Join) else [step]
+
     steps = []
-    while plan is not None:
-        kids = plan.child.children
-        sol = kids[0] if isinstance(kids[0].child, Join) else None
-        blocks = kids[1:] if sol is not None else kids
-        steps.insert(0, [
-            (b.child.relation, tuple(rows[b.child.relation][c - 1] for c in b.cols))
-            for b in blocks
-        ])
-        plan = sol
-    return steps
+    for _ in range(length - 1):
+        plan, *blocks = children(plan)
+        steps.insert(0, [block(b) for b in blocks])
+    return [[block(b) for b in children(plan)]] + steps
 
 
 def test_bag_chain_joins_complete_and_undominated_blocks(rng):
@@ -473,14 +483,14 @@ def test_bag_chain_joins_complete_and_undominated_blocks(rng):
             atoms_by_elem.setdefault(e, []).append((rel, row, Basic(rel)))
     order = (0, 1, 2, 3)
     chain = synthesis._bag_chain(order, atoms_by_elem)
-    assert _chain_steps(chain, rows) == [
+    assert _chain_steps(chain, rows, len(order)) == [
         [("A", (0,))],
         [("A", (0, 1))],
         [("A", (0, 1, 2)), ("D", (0, 2))],
         [("B", (1, 2, 3)), ("C", (1, 2, 3))],
     ]
     every_block = all_atoms_bag_chain(order, atoms_by_elem)
-    assert len(_chain_steps(every_block, rows)[2]) == 4
+    assert len(_chain_steps(every_block, rows, len(order))[2]) == 4
     sig = Signature({rel: len(row) for rel, row in rows.items()})
     for _ in range(20):
         data = rand_structure(rng, sig, max_domain=3, max_rows=12)
@@ -514,6 +524,60 @@ def test_pruned_chains_match_all_atom_chains(rng, monkeypatch):
         assert intermediate_degree_bound(new.plan, keys, sig) == new.degree
         assert plan_size(new.plan) <= plan_size(old.plan)
     assert plan_size(new.plan) < plan_size(old.plan)  # keyed C8, the last case
+
+
+def _keyed_cycles():
+    """The keyed directed 4- to 10-cycles projected to one vertex."""
+    return [(pattern_plan([(i, (i + 1) % n) for i in range(n)], (0,)), KEY_E1, SIG_E) for n in range(4, 11)]
+
+
+def test_synthesized_plans_have_no_dead_operators(rng):
+    """No plan synthesized for the keyed cycles, the unkeyed width patterns
+    or 300 random keyed plans, and no defining plan of its new relations,
+    holds a projection of a projection, an identity projection or a
+    one-child join with no theta; each plan is well-behaved and its
+    largest subplan degree is the certified degree."""
+    patterns = [mobius_ladder(n) for n in (10, 12, 14, 16)] + [squared_cycle(n) for n in (12, 14, 16)]
+    cases = _keyed_cycles() + [(pattern_plan(edges, (0, 1)), NO_KEYS, SIG_E) for edges in patterns]
+    for _ in range(300):
+        sig = rand_signature(rng, max_relations=2, max_arity=3)
+        cases.append((rand_plan(rng, sig, max_operators=5), rand_keys(rng, sig, prob=0.8), sig))
+    checked = 0
+    for plan, keys, sig in cases:
+        try:
+            result = optimize(prepare(plan, sig), keys, UNCAPPED)
+        except ResourceCapError:
+            continue
+        assert_lean_synthesis(result, keys)
+        checked += 1
+    assert checked >= 280
+
+
+def test_reoptimization_keeps_the_degree_and_settles_in_one_pass():
+    """Optimizing a synthesized plan again keeps its degree and its
+    well-behavedness, and optimizing that plan prints the same bytes.  The
+    first re-optimization already prints the synthesized plan's bytes on
+    every keyed cycle, and on all but 2 of the random plans; plans whose
+    chased representation or re-optimization exceeds the default core cap
+    are skipped."""
+    rng = random.Random(31)
+    cases = [(plan, keys, sig, UNCAPPED) for plan, keys, sig in _keyed_cycles()]
+    for _ in range(234):
+        sig = rand_signature(rng, max_relations=2, max_arity=3)
+        cases.append((rand_plan(rng, sig, max_operators=5), rand_keys(rng, sig), sig, Caps()))
+    checked, moved = 0, 0
+    for plan, keys, sig, caps in cases:
+        try:
+            first = optimize(prepare(plan, sig), keys, caps)
+            again = optimize(first.prepared, keys, caps)
+            third = optimize(again.prepared, keys, caps)
+        except ResourceCapError:
+            continue
+        assert again.degree == first.degree and again.prepared.offender is None
+        assert third.plan_text == again.plan_text
+        moved += again.plan_text != first.plan_text
+        checked += 1
+    assert (checked, moved) == (194, 2)
 
 
 SIG_ER = Signature({"E": 2, "R": 3})
