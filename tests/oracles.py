@@ -1039,13 +1039,13 @@ def dead_operators(prepared: PreparedPlan) -> list[Plan]:
     projection of a projection, a projection onto all its child's columns
     in order, and a join of one child with no theta."""
     (_, distinct), arities = prepared.numbering, prepared.arities
-    return [
-        node
-        for node, kids in distinct
-        if type(node) is Project
-        and (type(node.child) is Project or node.cols == tuple(range(1, arities[kids[0]] + 1)))
-        or type(node) is Join and len(kids) == 1 and not node.theta
-    ]
+
+    def dead(node, kids) -> bool:
+        if type(node) is Project:
+            return type(node.child) is Project or node.cols == tuple(range(1, arities[kids[0]] + 1))
+        return type(node) is Join and len(kids) == 1 and not node.theta
+
+    return [node for node, kids in distinct if dead(node, kids)]
 
 
 def assert_lean_synthesis(result, keys: KeySet) -> None:

@@ -557,9 +557,10 @@ def test_reoptimization_keeps_the_degree_and_settles_in_one_pass():
     """Optimizing a synthesized plan again keeps its degree and its
     well-behavedness, and optimizing that plan prints the same bytes.  The
     first re-optimization already prints the synthesized plan's bytes on
-    every keyed cycle, and on all but 2 of the random plans; plans whose
-    chased representation or re-optimization exceeds the default core cap
-    are skipped."""
+    every keyed cycle and on all but 2 of the random plans.  The random
+    plans run under the default caps, and those that pass one are
+    skipped; the keyed cycles run with no core cap, which their
+    synthesized plans' representations pass."""
     rng = random.Random(31)
     cases = [(plan, keys, sig, UNCAPPED) for plan, keys, sig in _keyed_cycles()]
     for _ in range(234):
