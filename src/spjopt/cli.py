@@ -90,11 +90,22 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--keys", help="keys file: `key <RelName> <position>` lines")
         p.add_argument("--data", action="append", default=[], help="structure JSON file")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--cap-universe", type=int, help="override both universe caps (default: core "
-                       f"{default_caps.core_universe}, width {default_caps.width_universe})")
+        p.add_argument("--cap-universe", type=_universe_cap, help="override both universe caps "
+                       f"(default: core {default_caps.core_universe}, width {default_caps.width_universe})")
         for flag, spec in command.options:
             p.add_argument(flag, **spec)
     return parser
+
+
+def _universe_cap(text: str) -> int:
+    """``--cap-universe``'s value, an int of at least 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"a universe cap is at least 0, got {n}")
+    return n
 
 
 def _parse_witness_n(text: str) -> tuple[int, ...]:

@@ -3,6 +3,9 @@
 A key is a relation name and one 1-based position of that relation; a
 relation may carry several keys.  Every key position is an int of at least
 1, checked when the key set is built, so no later stage re-checks the shape.
+The chase is one quotient, by the least key-closed equivalence that contains
+the pairs it is asked to identify, found with the union-find of
+:mod:`spjopt.structures`.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from .errors import KeyConstraintError
-from .structures import OpenStructure, Signature, Structure, UnionFind
+from .structures import OpenStructure, Signature, Structure, find, flatten, link
 
 
 class KeySet:
@@ -91,39 +94,54 @@ class ChaseResult:
     merge_map: Mapping[int, int]
 
 
-def _key_closure(struct: Structure, keys: KeySet) -> dict[int, int]:
-    """The least key-closed equivalence on ``struct.universe``, as a map from
-    each element to the smallest element of its class.
+def _key_closure(
+    struct: Structure, keys: KeySet, identified: Iterable[tuple[int, int]]
+) -> dict[int, int]:
+    """The least key-closed equivalence on ``struct.universe`` that contains
+    the ``identified`` pairs, as a map from each element to the smallest
+    element of its class.
 
-    Each pass scans every key, in relation and position order, with the
-    relation's rows grouped by the union-find root of their key element, and
-    unites the dependent positions of rows in one group; passes repeat until
-    one merges nothing.  A pass without merges sees fixed roots throughout,
-    so at that point every key holds on the quotient.
+    The union-find runs over positions in the sorted universe, so a class's
+    smallest position is its smallest element, whatever ids the universe
+    skips.  Each pass scans every key, in relation and position order, with
+    the relation's rows grouped by the root of their key element, and unites
+    the dependent positions of rows in one group; passes repeat until one
+    merges nothing.  A pass without merges sees fixed roots throughout, so
+    at that point every key holds on the quotient.
     """
+    universe = struct.universe
+    position = {e: i for i, e in enumerate(universe)}.__getitem__
+    parent = list(range(len(universe)))
+    for a, b in identified:
+        link(parent, position(a), position(b))
     keyed = []
     for name in struct.signature.symbols():
         for pos in keys.for_relation(name):
             rest = [i for i in range(struct.signature.arity(name)) if i != pos - 1]
-            keyed.append((sorted(struct.relations[name]), pos - 1, rest))
-    uf = UnionFind(struct.universe)
-    find = uf.find
+            rows = sorted(tuple(map(position, row)) for row in struct.relations[name])
+            keyed.append((rows, pos - 1, rest))
     merged = bool(keyed)
     while merged:
         merged = False
         for rows, k, rest in keyed:
             groups: dict[int, tuple] = {}
             for row in rows:
-                first = groups.setdefault(find(row[k]), row)
+                first = groups.setdefault(find(parent, row[k]), row)
                 if first is not row:
                     for i in rest:
-                        merged |= uf.union(first[i], row[i])
-    return {e: find(e) for e in struct.universe}
+                        merged |= link(parent, first[i], row[i])
+    flatten(parent)
+    return {e: universe[r] for e, r in zip(universe, parent)}
 
 
-def chase(value: Union[OpenStructure, Structure], keys: KeySet) -> ChaseResult:
-    """The chase fixpoint, computed as one quotient by the least key-closed
-    equivalence.
+def chase(
+    value: Union[OpenStructure, Structure],
+    keys: KeySet,
+    identified: Iterable[tuple[int, int]] = (),
+) -> ChaseResult:
+    """The chase fixpoint of ``value`` with the ``identified`` pairs of its
+    elements made equal, computed as one quotient by the least key-closed
+    equivalence that contains them.
 
     Every class is represented by its smallest element id, which keeps its
     display name.  The fixpoint is unique up to isomorphism regardless of
@@ -132,7 +150,7 @@ def chase(value: Union[OpenStructure, Structure], keys: KeySet) -> ChaseResult:
     is_open = isinstance(value, OpenStructure)
     struct = value.structure if is_open else value
     keys.validate_for(struct.signature)
-    merge = _key_closure(struct, keys)
+    merge = _key_closure(struct, keys, identified)
     changed = any(k != v for k, v in merge.items())
     current = struct.apply_map(merge) if changed else struct
     if is_open:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import ArityError, PlanSyntaxError, ResourceCapError, SignatureError
-from .structures import Signature, Structure
+from .structures import Signature, Structure, flatten, link
 
 
 @dataclass(frozen=True)
@@ -439,37 +439,13 @@ def _print_theta(theta: frozenset) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _link(parent: list[int], a: int, b: int) -> None:
-    """Merge the classes of ``a`` and ``b`` in the union-find ``parent``, a
-    list of parent indices: each find halves its path, and the larger root
-    is linked under the smaller, so a class's root is its smallest index."""
-    while parent[a] != a:
-        parent[a] = parent[parent[a]]
-        a = parent[a]
-    while parent[b] != b:
-        parent[b] = parent[parent[b]]
-        b = parent[b]
-    if a < b:
-        parent[b] = a
-    elif b < a:
-        parent[a] = b
-
-
-def _flatten(parent: list[int]) -> None:
-    """Point every index of the union-find ``parent`` (see :func:`_link`)
-    at its root.  Every link points to a smaller index, so in increasing
-    order an index's parent already holds its root."""
-    for i, up in enumerate(parent):
-        parent[i] = parent[up]
-
-
 def _column_classes(theta: frozenset, s: int) -> list[int]:
     """Representative column per 1-based index (0 stands alone) under the
     closure of theta: the smallest column of its class."""
     parent = list(range(s + 1))
     for a, b in theta:
-        _link(parent, a, b)
-    _flatten(parent)
+        link(parent, a, b)
+    flatten(parent)
     return parent
 
 
@@ -588,10 +564,10 @@ class PreparedPlan:
                 if positions == list(range(width)):
                     step = ("same", None, kids)
                 else:
-                    step = ("map", _getter(positions), kids)
+                    step = ("map", row_getter(positions), kids)
             else:
                 steps, slots = _compile_join(classes_of[number], [arities[k] for k in kids])
-                columns = None if slots == list(range(len(slots))) else _getter(slots)
+                columns = None if slots == list(range(len(slots))) else row_getter(slots)
                 if columns is None or number in column_read:
                     step = ("join", (steps, columns), kids)
                 else:
@@ -786,7 +762,7 @@ def evaluate_naive(plan: Plan, data: Structure) -> EvalTrace:
     return trace
 
 
-def _getter(positions) -> operator.itemgetter:
+def row_getter(positions) -> operator.itemgetter:
     """The tuple of a row's values at the 0-based ``positions``.  A slice
     stands in for zero or one position: ``itemgetter()`` raises, and
     ``itemgetter(i)`` returns the value, not a 1-tuple."""
@@ -797,8 +773,8 @@ def _getter(positions) -> operator.itemgetter:
 
 def _equal_at(pairs):
     """A filter for rows equal at each 0-based ``(a, b)`` of ``pairs``."""
-    left = _getter([a for a, _ in pairs])
-    right = _getter([b for _, b in pairs])
+    left = row_getter([a for a, _ in pairs])
+    right = row_getter([b for _, b in pairs])
     return lambda t: left(t) == right(t)
 
 
@@ -894,12 +870,12 @@ def _compile_join(classes: list[int], arities: list[int]) -> _JoinProgram:
             else:
                 first[cls] = local
         off += m
-        probe = _getter([slot for _, slot in keys])
+        probe = row_getter([slot for _, slot in keys])
         if first or not steps:
             steps.append((
                 _equal_at(equal) if equal else None,
-                _getter([local for local, _ in keys]),
-                _getter(list(first.values())),
+                row_getter([local for local, _ in keys]),
+                row_getter(list(first.values())),
                 probe,
                 len(bound) + len(first),
             ))

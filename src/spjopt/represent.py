@@ -23,17 +23,17 @@ from .plans import (
     Plan,
     PreparedPlan,
     Project,
-    _flatten,
-    _getter,
-    _link,
     plan_texts,
     prepare,
+    row_getter,
 )
 from .structures import (
     Hypergraph,
     OpenStructure,
     Signature,
     Structure,
+    flatten,
+    link,
 )
 
 
@@ -192,7 +192,7 @@ def build_representation(
     allocates fresh element ids consecutively from 0, a projection reindexes
     its child's output tuple, and a join or selection concatenates its
     children's and links the elements that theta identifies in a union-find
-    (see :func:`spjopt.plans._link`), so each element's representative is
+    (see :func:`spjopt.structures.link`), so each element's representative is
     the smallest id of its class, whatever order the links came in.
     Polynomial time; the universe never exceeds the number of arity
     occurrences in the plan.  ``prepared`` is the plan prepared under
@@ -203,7 +203,7 @@ def build_representation(
     (numbers, distinct), arities = prepared.numbering, prepared.arities
     check_representation_size(numbers, distinct, arities)
     getters = [
-        _getter([c - 1 for c in node.cols]) if type(node) is Project else None
+        row_getter([c - 1 for c in node.cols]) if type(node) is Project else None
         for node, _ in distinct
     ]
 
@@ -230,10 +230,10 @@ def build_representation(
                 out = tuple(itertools.chain.from_iterable(pending[cut:]))
                 del pending[cut:]
             for j, k in node.theta:
-                _link(uf, out[j - 1], out[k - 1])
+                link(uf, out[j - 1], out[k - 1])
         raw_beta.append(out)
         pending.append(out)
-    _flatten(uf)
+    flatten(uf)
     final_elements = [e for e, r in enumerate(uf) if e == r]
     names = {e: f"x{i}" for i, e in enumerate(final_elements)}
     rep = uf.__getitem__

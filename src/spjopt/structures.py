@@ -161,9 +161,7 @@ class Structure:
             name: [tuple(f(e) for e in t) for t in rows]
             for name, rows in self.relations.items()
         }
-        new_universe = {f(e) for e in self.universe}
-        names = {e: self.names.get(e, f"v{e}") for e in new_universe}
-        return Structure(self.signature, new_universe, rels, names)
+        return Structure(self.signature, map(f, self.universe), rels, self.names)
 
     # -- dunder --------------------------------------------------------
 
@@ -189,34 +187,40 @@ class Structure:
         return f"Structure[{facts or 'empty'}]"
 
 
-class UnionFind:
-    """Disjoint sets of element ids whose representative is always the
-    smallest member: a union links the larger root under the smaller."""
+def find(parent: list[int], x: int) -> int:
+    """The root of ``x`` in the union-find ``parent``, a list of parent
+    indices, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
-    __slots__ = ("parent",)
 
-    def __init__(self, elements: Iterable[int] = ()):
-        self.parent: dict[int, int] = {e: e for e in elements}
+def link(parent: list[int], a: int, b: int) -> bool:
+    """Merge the classes of ``a`` and ``b`` in the union-find ``parent``; True
+    if they were apart.  The larger root is linked under the smaller, so a
+    class's root is its smallest index, whatever order the links came in.
+    An index that is never linked is its own class.  The finds are inlined:
+    representations link once per theta pair."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    while parent[b] != b:
+        parent[b] = parent[parent[b]]
+        b = parent[b]
+    if a < b:
+        parent[b] = a
+    elif b < a:
+        parent[a] = b
+    return a != b
 
-    def add(self, x: int) -> None:
-        self.parent.setdefault(x, x)
 
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the classes of ``a`` and ``b``; True if they were apart."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
+def flatten(parent: list[int]) -> None:
+    """Point every index of the union-find ``parent`` (see :func:`link`) at
+    its root.  Every link points to a smaller index, so in increasing order
+    an index's parent already holds its root."""
+    for i, up in enumerate(parent):
+        parent[i] = parent[up]
 
 
 class OpenStructure:

@@ -55,7 +55,6 @@ from .structures import (
     OpenStructure,
     Signature,
     Structure,
-    UnionFind,
     compute_core,
     find_homomorphism,
 )
@@ -437,8 +436,10 @@ def subplan_degrees(prepared: PreparedPlan, keys: KeySet) -> list[Fraction]:
     representation.
 
     Each is built from the children's: a fresh atom, a reindexed tuple for a
-    projection, and for a join or selection the disjoint union, theta's
-    identifications and the chase, a closure that may start from chased parts.
+    projection, and for a join or selection one :func:`chase` of the
+    children's disjoint union: the quotient by the least key-closed
+    equivalence that contains theta's identifications, which may start
+    from chased parts.
     A projection keeps its child's structure, and so its value function.
     A subplan's degree is read as soon as it is built, and its structure is
     dropped after the last subplan that reads it, so a chain holds about
@@ -480,13 +481,10 @@ def subplan_degrees(prepared: PreparedPlan, keys: KeySet) -> list[Fraction]:
                     rows[name] += [tuple(e + shift for e in t) for t in rel]
                 if universe:
                     shift = universe[-1] + 1
-            uf = UnionFind(joined)
-            for j, k in node.theta:
-                uf.union(joined[j - 1], joined[k - 1])
-            merge = {e: uf.find(e) for e in joined}
-            chased = chase(Structure(signature, universe, rows).apply_map(merge), keys)
+            theta = [(joined[j - 1], joined[k - 1]) for j, k in node.theta]
+            chased = chase(Structure(signature, universe, rows), keys, theta)
             struct = chased.result
-            out = tuple(chased.merge_map[merge[e]] for e in joined)
+            out = tuple(map(chased.merge_map.__getitem__, joined))
         if not isinstance(node, Project):
             value = color_values(struct, keys)
         degrees.append(value(out))
@@ -529,11 +527,10 @@ def equivalence_witness(
     Decided exactly: the chased representations must be homomorphically
     equivalent.  Plans of different arity raise :class:`ArityError`.
     """
-    rep1, _ = build_representation(p1.plan, p1.signature, p1)
-    rep2, _ = build_representation(p2.plan, p2.signature, p2)
-    if len(rep1.open.tuple) != len(rep2.open.tuple):
+    c1, c2 = _chased_representation(p1, keys), _chased_representation(p2, keys)
+    if c1.arity != c2.arity:
         raise ArityError("plans of different arity are never equivalent")
-    return _mutual_homomorphisms(chase(rep1.open, keys).result, chase(rep2.open, keys).result)
+    return _mutual_homomorphisms(c1, c2)
 
 
 def _mutual_homomorphisms(c1: OpenStructure, c2: OpenStructure) -> Optional[EquivalenceWitness]:

@@ -73,7 +73,7 @@ from spjopt.represent import (
     TreeDecomposition,
     check_representation_size,
 )
-from spjopt.structures import UnionFind, _HomSearch, _tuple_pins
+from spjopt.structures import _HomSearch, _tuple_pins
 from spjopt.simplex import LpResult
 from spjopt.synthesis import _assemble_plan, _atom_subplan, _first_columns, _join, _project
 
@@ -1305,15 +1305,22 @@ def eager_build_representation(
 
     One step per subplan occurrence, in post-order.  Fresh elements are
     allocated per atom position; identifications are collected in a
-    union-find whose quotient (smallest id representative) is taken once at
-    the end.  Polynomial time; the universe never exceeds the number of
-    arity occurrences in the plan.
+    dict-based union-find of its own, not the library's, whose quotient
+    (smallest id representative) is taken once at the end.  Polynomial
+    time; the universe never exceeds the number of arity occurrences in
+    the plan.
     """
     numbers, distinct = number_subplans(plan)
     arities = _arities(distinct, signature)
     check_representation_size(numbers, distinct, arities)
 
-    uf = UnionFind()
+    up: dict[int, int] = {}  # element -> parent; a root is its own parent
+
+    def root(e: int) -> int:
+        while up[e] != e:
+            e = up[e]
+        return e
+
     atoms: dict[str, list[tuple[int, ...]]] = {n: [] for n in signature.symbols()}
     raw_beta: list[tuple[int, ...]] = []
     parent: list[Optional[int]] = [None] * len(numbers)
@@ -1327,9 +1334,8 @@ def eager_build_representation(
             parent[child] = occ
         if isinstance(node, Basic):
             # Element ids are allocated consecutively from 0.
-            out = tuple(range(len(uf.parent), len(uf.parent) + arities[number]))
-            for e in out:
-                uf.add(e)
+            out = tuple(range(len(up), len(up) + arities[number]))
+            up.update((e, e) for e in out)
             atoms[node.relation].append(out)
         elif isinstance(node, Project):
             child = raw_beta[children[0]]
@@ -1338,11 +1344,12 @@ def eager_build_representation(
             # A selection is compiled as a 1-way join: identify per theta.
             out = tuple(x for child in children for x in raw_beta[child])
             for j, k in node.theta:
-                uf.union(out[j - 1], out[k - 1])
+                a, b = root(out[j - 1]), root(out[k - 1])
+                up[max(a, b)] = min(a, b)
         raw_beta.append(out)
         pending.append(occ)
 
-    rep_of = {e: uf.find(e) for e in uf.parent}
+    rep_of = {e: root(e) for e in up}
     final_elements = sorted(set(rep_of.values()))
     names = {e: f"x{i}" for i, e in enumerate(final_elements)}
     relations = {

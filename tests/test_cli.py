@@ -1091,6 +1091,23 @@ def test_cli_each_subcommand_takes_only_the_options_it_reads():
         assert parser.parse_args(argv).command == argv[0]
 
 
+def test_cli_cap_universe_reads_an_int_of_at_least_zero(workdir, capsys):
+    """A negative or non-integer ``--cap-universe`` is a usage error (exit
+    1), read by the parser before any stage runs; 0 is a cap like any other,
+    so the core search of the triangle refuses under it (exit 3)."""
+    plan = ["--plan", workdir / "tri.plan"]
+    for value, message in (
+        ("-1", "a universe cap is at least 0, got -1"),
+        ("-20", "a universe cap is at least 0, got -20"),
+        ("abc", "invalid int value: 'abc'"),
+    ):
+        code, out, err = run(capsys, "optimize", *plan, "--cap-universe", value)
+        assert (code, out) == (1, ""), value
+        assert err.endswith(f"error: argument --cap-universe: {message}\n"), err
+    code, _, err = run(capsys, "optimize", *plan, "--cap-universe", "0")
+    assert (code, err) == (3, "spjopt: resource cap: core search capped at universe 0, got 3\n")
+
+
 @pytest.mark.parametrize("value", ["x", "3", "17"])
 def test_cli_ignores_cap_environment_variable(workdir, capsys, monkeypatch, tmp_path, value):
     big = {

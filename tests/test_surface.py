@@ -68,3 +68,29 @@ def test_every_public_name_has_a_user_outside_tests():
         for where in places
     )
     assert not unused, f"only tests use {unused}; move them to tests/oracles.py"
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    """A name that starts with an underscore belongs to its own module: no
+    module of ``src/spjopt`` imports one from another, nor reads one off a
+    module it imported.  A helper two modules share gets a public name."""
+    reached = []
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text())
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("spjopt")):
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        reached.append(f"{path.stem} imports {node.module or '.'}.{alias.name}")
+                    if node.module in (None, "spjopt"):
+                        modules.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and node.attr.startswith("_")
+            ):
+                reached.append(f"{path.stem} reads {node.value.id}.{node.attr}")
+    assert not reached, reached
