@@ -204,12 +204,14 @@ def test_chase_with_identified_pairs_is_the_stepwise_chase_of_their_quotient(rng
         sig = rand_signature(rng, max_relations=3, max_arity=3)
         keys = KeySet.empty() if trial % 3 == 0 else rand_keys(rng, sig, prob=0.7)
         base = rand_open_structure(rng, sig, max_domain=7, max_rows=8)
-        ids = sorted(rng.sample(range(-10 if trial % 4 == 0 else 0, 40), len(base.structure.universe)))
+        low = -10 if trial % 4 == 0 else 0
+        ids = sorted(rng.sample(range(low, 40), len(base.structure.universe)))
         spread = dict(zip(base.structure.universe, ids))
         struct = base.structure.apply_map(spread)
         value = OpenStructure(struct, [spread[e] for e in base.tuple]) if trial % 2 else struct
         universe = struct.universe
-        pairs = [(rng.choice(universe), rng.choice(universe)) for _ in range(rng.randint(0, 3))] if universe else []
+        draws = rng.randint(0, 3) if universe else 0
+        pairs = [(rng.choice(universe), rng.choice(universe)) for _ in range(draws)]
         cls = _identification_classes(universe, pairs)
         quotient = struct.apply_map(cls)
         if isinstance(value, OpenStructure):
