@@ -45,10 +45,10 @@ from .errors import (
 from .plans import (
     Basic,
     PreparedPlan,
-    check_printed_subplans,
     evaluate_well_behaved,
     parse_prepared,
     print_plan,
+    subplan_texts,
 )
 from .represent import Caps, build_representation
 from .structures import OpenStructure, Signature, Structure, compute_core
@@ -108,11 +108,16 @@ def _universe_cap(text: str) -> int:
     return n
 
 
-def _parse_witness_n(text: str) -> tuple[int, ...]:
+def _family_indices(text: str) -> tuple[int, ...]:
+    """``--n``'s value, comma-separated ints of at least 1; an empty value
+    names no member."""
     try:
-        return tuple(int(x) for x in text.split(",") if x != "")
+        ns = tuple(int(x) for x in text.split(",") if x != "")
     except ValueError:
-        raise FormatError(f"--n expects comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}") from None
+    if min(ns, default=1) < 1:
+        raise argparse.ArgumentTypeError(f"a family index is at least 1, got {min(ns)}")
+    return ns
 
 
 def _caps(args: argparse.Namespace) -> Caps:
@@ -208,7 +213,6 @@ def _cmd_check(args: argparse.Namespace) -> None:
 def _cmd_represent(args: argparse.Namespace) -> None:
     prepared, _, _ = _load_plan(args, keyed=False)
     rep, dec = build_representation(prepared.plan, prepared.signature, prepared)
-    check_printed_subplans(prepared.numbering)
     names = rep.open.structure.names
     if args.format == "dot":
         _emit(args, serialize.decomposition_to_dot(dec, names))
@@ -275,27 +279,28 @@ def _cmd_optimize(args: argparse.Namespace) -> None:
 def _cmd_evaluate(args: argparse.Namespace) -> None:
     _require(args, plan=args.plan, data=args.data)
     prepared, _, data = _load_plan(args, keyed=False)
-    if args.trace or args.format == "text":
-        check_printed_subplans(prepared.numbering)
+    # Built before evaluating, so a plan past the printed-subplans cap fails fast.
+    texts = subplan_texts(prepared.numbering) if args.trace or args.format == "text" else None
     trace = evaluate_well_behaved(prepared, data)
     # "naive" names a plan that is not well-behaved, not an algorithm.
     evaluator = "well-behaved" if prepared.offender is None else "naive"
-    doc = {
-        "evaluator": evaluator,
-        "cardinality": len(trace.output),
-        "maxIntermediate": trace.max_intermediate,
-        "output": serialize.named_rows(trace.output, data.names),
-    }
-    if args.trace:
-        doc = {**serialize.trace_to_json(trace, data.names), "evaluator": evaluator}
     if args.format == "text":
         lines = [f"evaluator: {evaluator}"]
         cardinalities = trace.cardinalities
-        for number, text in zip(trace.numbering[0], trace.texts):
+        for number, text in zip(prepared.numbering[0], texts):
             lines.append(f"{cardinalities[number]:>8}  {text}")
         lines.append(f"max intermediate: {trace.max_intermediate}")
         _emit(args, "\n".join(lines) + "\n")
         return
+    if args.trace:
+        doc = {**serialize.trace_to_json(trace, texts, data.names), "evaluator": evaluator}
+    else:
+        doc = {
+            "evaluator": evaluator,
+            "cardinality": len(trace.output),
+            "maxIntermediate": trace.max_intermediate,
+            "output": serialize.named_rows(trace.output, data.names),
+        }
     _emit(args, serialize.dumps(doc))
 
 
@@ -336,13 +341,12 @@ def _cmd_equiv(args: argparse.Namespace) -> None:
 
 
 def _cmd_witness(args: argparse.Namespace) -> None:
-    ns = _parse_witness_n(args.n)
     prepared, keys, _ = _load_plan(args)
     caps = _caps(args)
     core = chased_core(prepared, keys, caps.core_universe)
     report = optimal_cwidth(core, keys, cap=caps.width_universe)
     node, family = bag_witness(core, keys, report)
-    for n in ns:
+    for n in args.n:
         check_family_size(family.source, family.solution, n)
     names = core.structure.names
     meta = {
@@ -351,11 +355,11 @@ def _cmd_witness(args: argparse.Namespace) -> None:
         "colorsOnTarget": family.colors_on_target,
         "maxColorsPerTuple": family.max_colors_per_tuple,
         "ratio": serialize.fraction_str(family.ratio),
-        "n": list(ns),
+        "n": list(args.n),
     }
     if args.out:
         files = []
-        for n in ns:
+        for n in args.n:
             path = f"{args.out}_n{n}.json"
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(serialize.dumps(serialize.structure_to_json(family.generate(n))))
@@ -363,7 +367,7 @@ def _cmd_witness(args: argparse.Namespace) -> None:
         meta["files"] = files
     else:
         meta["instances"] = {
-            str(n): serialize.structure_to_json(family.generate(n)) for n in ns
+            str(n): serialize.structure_to_json(family.generate(n)) for n in args.n
         }
     sys.stdout.write(serialize.dumps(meta))
 
@@ -402,7 +406,8 @@ _COMMANDS = {
     "equiv": _Command(_cmd_equiv, "decide equivalence of two plans under the keys",
                      (("--plan2", {"help": "second plan file"}),)),
     "witness": _Command(_cmd_witness, "emit the lower-bound database family for a plan",
-                       (("--n", {"default": "1,2,3,4", "help": "comma-separated family indices"}),)),
+                       (("--n", {"type": _family_indices, "default": "1,2,3,4",
+                                  "help": "comma-separated family indices"}),)),
     "decompose": _Command(_cmd_decompose, "compute the optimal-width tree decomposition of the chased "
                          "core (with --data: of the chased data itself, not its core)",
                          (_format("json", "dot"),)),

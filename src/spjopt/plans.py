@@ -332,14 +332,6 @@ def _parse(text: str) -> Numbering:
     return numbers, distinct
 
 
-def plan_texts(distinct: list[tuple[Plan, tuple[int, ...]]]) -> list[str]:
-    """The printed form per number of :func:`number_subplans`."""
-    out: list[str] = []
-    for node, kids in distinct:
-        out.append(_node_text(node, [out[k] for k in kids]))
-    return out
-
-
 def _head(node: Plan) -> str:
     """The printed form of an operator ``node`` up to its first child."""
     if isinstance(node, Project):
@@ -363,11 +355,14 @@ def _node_text(node: Plan, kid_texts: list[str]) -> str:
 PRINTED_SUBPLANS_CAP = 50_000_000
 
 
-def check_printed_subplans(numbering: Numbering) -> None:
-    """Raise :class:`ResourceCapError` when printing the subplan of every
-    occurrence of a plan with :func:`number_subplans` ``numbering`` takes
-    more than ``PRINTED_SUBPLANS_CAP`` characters.  The lengths are summed
-    per number, in one pass, without building any subplan's text."""
+def subplan_texts(numbering: Numbering) -> list[str]:
+    """Each occurrence's subplan, printed, for a plan with
+    :func:`number_subplans` ``numbering``: one string per occurrence, in
+    post-order (root last); the occurrences of one subplan share one string.
+
+    The lengths are summed per number first, in one pass, and a total of
+    more than ``PRINTED_SUBPLANS_CAP`` characters raises
+    :class:`ResourceCapError` before any subplan's text is built."""
     numbers, distinct = numbering
     lengths: list[int] = []
     for node, kids in distinct:
@@ -379,6 +374,10 @@ def check_printed_subplans(numbering: Numbering) -> None:
             f"printed subplans capped at {PRINTED_SUBPLANS_CAP} characters, "
             f"the plan's occurrences print {total}"
         )
+    texts: list[str] = []
+    for node, kids in distinct:
+        texts.append(_node_text(node, [texts[k] for k in kids]))
+    return [texts[n] for n in numbers]
 
 
 def print_plan(plan: Plan) -> str:
@@ -678,8 +677,7 @@ class EvalTrace:
     of every such join once.  ``output``, ``max_intermediate`` and
     ``cardinalities`` build none: the root stores its column rows, and the
     getter reads every slot, so a join's chain and column rows are equally
-    many.  The per-occurrence ``entries`` and ``texts`` are built on first
-    access.
+    many.  The per-occurrence ``entries`` are built on first access.
     """
 
     numbering: tuple = ((), ())
@@ -718,13 +716,6 @@ class EvalTrace:
             TraceEntry(path, distinct[n][0], self.rows[n])
             for path, n in zip(occurrence_paths(distinct), numbers)
         ]
-
-    @functools.cached_property
-    def texts(self) -> list[str]:
-        """Each entry's subplan, printed from the evaluator's numbering."""
-        numbers, distinct = self.numbering
-        texts = plan_texts(distinct)
-        return [texts[n] for n in numbers]
 
 
 def _select_rows(rows, theta):

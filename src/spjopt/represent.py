@@ -23,9 +23,9 @@ from .plans import (
     Plan,
     PreparedPlan,
     Project,
-    plan_texts,
     prepare,
     row_getter,
+    subplan_texts,
 )
 from .structures import (
     Hypergraph,
@@ -175,9 +175,8 @@ class PDecomposition(TreeDecomposition):
 
     @functools.cached_property
     def node_text(self) -> dict[int, str]:
-        """Each node's subplan, printed."""
-        texts = plan_texts(self.distinct)
-        return {node: texts[n] for node, n in enumerate(self.numbers)}
+        """Each node's subplan, printed by the capped :func:`subplan_texts`."""
+        return dict(enumerate(subplan_texts((self.numbers, self.distinct))))
 
 
 def build_representation(

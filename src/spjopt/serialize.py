@@ -24,7 +24,7 @@ import itertools
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .colorwidth import WidthReport
 from .constraints import KeySet
@@ -214,7 +214,7 @@ def decomposition_to_json(dec: TreeDecomposition, names: Mapping[int, str]) -> d
     nodes = []
     for node in dec.nodes:
         entry = {"id": node, "bag": [names[e] for e in sorted(dec.chi[node])]}
-        if isinstance(dec, PDecomposition) and node in dec.node_text:
+        if isinstance(dec, PDecomposition):
             entry["subplan"] = dec.node_text[node]
         nodes.append(entry)
     return {
@@ -229,7 +229,7 @@ def decomposition_to_dot(dec: TreeDecomposition, names: Mapping[int, str]) -> st
     for node in dec.nodes:
         bag = ",".join(names[e] for e in sorted(dec.chi[node]))
         extra = ""
-        if isinstance(dec, PDecomposition) and node in dec.node_text:
+        if isinstance(dec, PDecomposition):
             extra = "\\n" + dec.node_text[node].replace('"', "'")
         shape = ' shape=box style=bold' if node == dec.root else " shape=box"
         lines.append(f'  n{node} [label="{{{bag}}}{extra}"{shape}];')
@@ -266,7 +266,8 @@ def synthesis_result_to_json(result: SynthesisResult, names: Mapping[int, str]) 
     }
 
 
-def trace_to_json(trace, names: Mapping[int, str]) -> dict:
+def trace_to_json(trace, texts: Sequence[str], names: Mapping[int, str]) -> dict:
+    """The ``--trace`` document of ``trace``; ``texts`` prints each occurrence."""
     return {
         "subplans": [
             {
@@ -275,7 +276,7 @@ def trace_to_json(trace, names: Mapping[int, str]) -> dict:
                 "cardinality": entry.cardinality,
                 "rows": named_rows(entry.rows, names),
             }
-            for entry, text in zip(trace.entries, trace.texts)
+            for entry, text in zip(trace.entries, texts)
         ],
         "maxIntermediate": trace.max_intermediate,
         "output": named_rows(trace.output, names),

@@ -358,8 +358,9 @@ class _HomSearch:
         self.initial = cand
 
     def _propagate(self, cand, assigned, var, trail) -> bool:
-        """Forward-check all atoms mentioning ``var``.  Each narrowed set
-        replaces the old one, which is logged on ``trail``."""
+        """Forward-check all atoms mentioning ``var``, which is assigned, so
+        each atom's rows are filtered.  Each narrowed set replaces the old
+        one, which is logged on ``trail``."""
         for idx in self.atoms_of[var]:
             name, row = self.atoms[idx]
             rows = None
@@ -367,8 +368,6 @@ class _HomSearch:
                 if e in assigned:
                     filt = self.dst.tuples_with(name, pos, assigned[e])
                     rows = filt if rows is None else tuple(t for t in rows if t[pos] == assigned[e])
-            if rows is None:
-                rows = tuple(sorted(self.dst.relations[name]))
             if not rows:
                 return False
             for pos, e in enumerate(row):

@@ -64,7 +64,6 @@ from spjopt.plans import (
     _print_theta,
     _select_rows,
     number_subplans,
-    plan_texts,
     theta_of,
 )
 from spjopt.represent import (
@@ -1292,9 +1291,9 @@ class EagerDecomposition(TreeDecomposition):
 
     @functools.cached_property
     def node_text(self) -> dict[int, str]:
-        """Each node's subplan, printed; computed on first access."""
-        texts = plan_texts(self.distinct)
-        return {node: texts[n] for node, n in enumerate(self.numbers)}
+        """Each node's subplan, printed by :func:`print_plan`; computed on
+        first access."""
+        return {node: print_plan(self.distinct[n][0]) for node, n in enumerate(self.numbers)}
 
 
 def eager_build_representation(

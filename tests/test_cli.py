@@ -315,18 +315,19 @@ def test_cli_evaluate_of_a_synthesized_plan_builds_no_join_column_rows(tmp_path,
         "maxIntermediate": naive.max_intermediate,
         "output": serialize.named_rows(naive.output, data.names),
     }), "")
+    texts = plans.subplan_texts(naive.numbering)
     assert run(capsys, *argv, "--format", "text") == (0, "\n".join(
         ["evaluator: well-behaved"]
-        + [f"{entry.cardinality:>8}  {text}" for entry, text in zip(naive.entries, naive.texts)]
+        + [f"{entry.cardinality:>8}  {text}" for entry, text in zip(naive.entries, texts)]
         + [f"max intermediate: {naive.max_intermediate}\n"]
     ), "")
     plain, text = traces
     for trace in (plain, text):
         assert len(trace._columns) == slot_joins and "entries" not in trace.__dict__
-    reference = serialize.trace_to_json(naive, data.names)
+    reference = serialize.trace_to_json(naive, texts, data.names)
     assert run(capsys, *argv, "--trace") == (0, serialize.dumps({**reference, "evaluator": "well-behaved"}), "")
     assert not traces[-1]._columns
-    assert serialize.trace_to_json(plain, data.names) == reference
+    assert serialize.trace_to_json(plain, texts, data.names) == reference
     assert plain.rows == naive.rows and not plain._columns
 
 
@@ -780,6 +781,45 @@ def test_cli_deep_identifications_on_the_oldest_column_stay_linear(tmp_path):
     assert structure["tuple"] == ["x1", "x0"]
 
 
+# An unkeyed chain of 1,500 projected joins: its basic occurrences hold
+# 3,002 positions, but degree analysis builds about n^2/2 elements.
+UNKEYED_CHAIN = "rel E 2\n" + "(project (cols 1) (join (theta) " * 1_500 + "E" + " E))" * 1_500 + "\n"
+HUGE_ARITY = "rel E 99999999\nE\n"
+REPRESENTATION_CAPPED = (
+    f"resource cap: representation capped at {REPRESENTATION_ELEMENTS_CAP} elements, "
+    "the plan's basic occurrences hold 99999999\n"
+)
+
+
+@pytest.mark.parametrize("files, argv, code, message", [
+    ({"p.plan": HUGE_ARITY}, ["represent", "--plan", "p.plan"], 3, REPRESENTATION_CAPPED),
+    ({"p.plan": HUGE_ARITY}, ["degree", "--plan", "p.plan"], 3, REPRESENTATION_CAPPED),
+    ({"p.plan": HUGE_ARITY}, ["optimize", "--plan", "p.plan"], 3, REPRESENTATION_CAPPED),
+    ({"p.plan": UNKEYED_CHAIN}, ["degree", "--plan", "p.plan"], 3,
+     f"resource cap: degree analysis capped at {REPRESENTATION_ELEMENTS_CAP} elements, "
+     "its structures need at least 1001000\n"),
+    ({"p.plan": "rel E 2\nE\n", "q.plan": "rel E 3\nE\n"}, ["equiv", "--plan", "p.plan", "--plan2", "q.plan"],
+     2, "{d}/q.plan: conflicting arity for 'E'\n"),
+    ({"p.plan": "E\n", "q.plan": "E\n"}, ["equiv", "--plan", "p.plan", "--plan2", "q.plan"],
+     2, "no signature available; add `rel` headers or pass --data\n"),
+    ({"p.plan": "rel E\nE\n"}, ["check", "--plan", "p.plan"], 2, "expected `rel <Name> <arity>`\n"),
+    ({"p.plan": "rel E 3\nE\n", "d.json": json.dumps(DATA)}, ["check", "--plan", "p.plan", "--data", "d.json"],
+     2, "{d}/p.plan: header declares E/3, which conflicts with the data signature\n"),
+    ({"d.json": json.dumps({**DATA, "tuple": ["z"]})}, ["chase", "--data", "d.json"],
+     2, "unknown element 'z' in tuple\n"),
+], ids=["represent-cap/represent", "represent-cap/degree", "represent-cap/optimize", "degree-fold-cap",
+        "equiv-conflicting-headers", "equiv-no-signature", "header-without-arity", "header-conflicts-with-data",
+        "unknown-tuple-element"])
+def test_cli_rare_errors_exit_with_their_code(files, argv, code, message, tmp_path, capsys):
+    """Input errors and caps that other tests reach only in a child process,
+    or not at all, exit with their code and one stderr line."""
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert run(capsys, *[tmp_path / a if a in files else a for a in argv]) == (
+        code, "", "spjopt: " + message.format(d=tmp_path)
+    )
+
+
 @pytest.mark.parametrize("argv", [
     ["represent"], ["represent", "--format", "dot"], ["evaluate", "--trace"], ["evaluate", "--format", "text"],
 ], ids=["represent", "represent-dot", "evaluate-trace", "evaluate-text"])
@@ -1106,6 +1146,25 @@ def test_cli_cap_universe_reads_an_int_of_at_least_zero(workdir, capsys):
         assert err.endswith(f"error: argument --cap-universe: {message}\n"), err
     code, _, err = run(capsys, "optimize", *plan, "--cap-universe", "0")
     assert (code, err) == (3, "spjopt: resource cap: core search capped at universe 0, got 3\n")
+
+
+def test_cli_witness_n_reads_ints_of_at_least_one(workdir, capsys):
+    """A ``witness --n`` that is not comma-separated ints of at least 1 is
+    a usage error (exit 1), read by the parser before any stage runs; an
+    empty value names no member."""
+    plan = ["--plan", workdir / "tri.plan"]
+    for value, message in (
+        ("1,x", "expected comma-separated ints, got '1,x'"),
+        ("two", "expected comma-separated ints, got 'two'"),
+        ("0", "a family index is at least 1, got 0"),
+        ("-1", "a family index is at least 1, got -1"),
+    ):
+        code, out, err = run(capsys, "witness", *plan, "--n", value)
+        assert (code, out) == (1, ""), value
+        assert err.endswith(f"error: argument --n: {message}\n"), err
+    code, out, err = run(capsys, "witness", *plan, "--n", "")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["n"] == [] and json.loads(out)["instances"] == {}
 
 
 @pytest.mark.parametrize("value", ["x", "3", "17"])

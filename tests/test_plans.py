@@ -31,7 +31,7 @@ from spjopt import (
     theta_of,
 )
 from spjopt import plans
-from spjopt.plans import number_subplans, occurrence_paths, plan_texts
+from spjopt.plans import number_subplans, occurrence_paths, subplan_texts
 
 import oracles
 from conftest import (
@@ -156,19 +156,13 @@ def test_arity_rules():
     assert numbered_arity(Basic("R"), SIG) == 2
 
 
-def _occurrence_texts(plan):
-    numbers, distinct = number_subplans(plan)
-    texts = plan_texts(distinct)
-    return [texts[n] for n in numbers]
-
-
 def test_subplans_postorder_occurrences():
     p = parse_plan("(join (theta (1 3)) R (project (cols 1) S))", SIG)
-    assert _occurrence_texts(p) == ["R", "S", "(project (cols 1) S)", print_plan(p)]
+    assert subplan_texts(number_subplans(p)) == ["R", "S", "(project (cols 1) S)", print_plan(p)]
     assert occurrence_paths(number_subplans(p)[1]) == [(0,), (1, 0), (1,), ()]
     # repeated subtrees appear once per occurrence
     q = parse_plan("(join (theta (1 3)) R R)", SIG)
-    assert _occurrence_texts(q) == ["R", "R", print_plan(q)]
+    assert subplan_texts(number_subplans(q)) == ["R", "R", print_plan(q)]
     assert plans.plan_size(q) == 3
     chain = parse_plan("(project (cols 1) (project (cols 1) (project (cols 1 2) R)))", SIG)
     assert plans.plan_size(chain) == 4
@@ -255,7 +249,7 @@ def test_evaluate_example_by_hand():
     p = parse_plan("(join (theta (1 3)) R (project (cols 1) S))", SIG)
     trace = evaluate_naive(p, data)
     assert trace.output == frozenset({(1, 2, 1)})
-    by_text = {text: e.cardinality for e, text in zip(trace.entries, trace.texts)}
+    by_text = {text: e.cardinality for e, text in zip(trace.entries, subplan_texts(trace.numbering))}
     assert by_text["(project (cols 1) S)"] == 2
     assert trace.max_intermediate == 2
 
@@ -381,7 +375,7 @@ def _functional_graph(rng, rows):
 
 def _assert_same_trace(shared, oracle):
     assert [(e.path, e.rows) for e in shared.entries] == [(e.path, e.rows) for e in oracle.entries]
-    assert shared.texts == [oracles.print_plan(e.node) for e in oracle.entries]
+    assert subplan_texts(shared.numbering) == [oracles.print_plan(e.node) for e in oracle.entries]
     assert shared.output == oracle.output
     assert shared.internal_peak == oracle.internal_peak
     assert shared.max_intermediate == oracle.max_intermediate
@@ -491,13 +485,13 @@ def test_printed_subplans_are_counted_exactly(rng, monkeypatch):
         one = rand_plan(rng, sig, max_operators=6)
         for plan in (one, Join(frozenset(), (one, one))):
             numbering = number_subplans(plan)
-            texts = plan_texts(numbering[1])
-            total = sum(len(texts[n]) for n in numbering[0])
+            want = [oracles.print_plan(numbering[1][n][0]) for n in numbering[0]]
+            total = sum(map(len, want))
             monkeypatch.setattr(plans, "PRINTED_SUBPLANS_CAP", total)
-            plans.check_printed_subplans(numbering)
+            assert subplan_texts(numbering) == want
             monkeypatch.setattr(plans, "PRINTED_SUBPLANS_CAP", total - 1)
             with pytest.raises(ResourceCapError, match=f"occurrences print {total}$"):
-                plans.check_printed_subplans(numbering)
+                subplan_texts(numbering)
 
 
 def test_join_chain_is_capped_before_it_builds_a_step(monkeypatch):

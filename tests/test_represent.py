@@ -18,6 +18,9 @@ from spjopt import (
     parse_plan,
     prepare,
 )
+from spjopt import plans
+from spjopt.errors import ResourceCapError
+from spjopt.plans import subplan_texts
 
 from conftest import pattern_plan, rand_plan, rand_signature, rand_structure
 from oracles import (
@@ -191,6 +194,24 @@ def test_decomposition_node_text_matches_subplans(example):
     texts = {dec.node_text[node] for node in dec.nodes}
     assert texts == {print_plan(q) for _, q in subplans(plan)}
     assert "R" in texts and "S" in texts
+
+
+def test_node_text_is_capped_before_any_text_is_built(monkeypatch):
+    """Past the printed-subplans cap, ``subplan_texts`` and the
+    decomposition's ``node_text`` raise after the length pass, which prints
+    each operator over empty children, and before any subplan's text."""
+    sig = Signature({"E": 2})
+    plan = parse_plan("(project (cols 1 2 4) (join (theta (2 3) (4 5) (6 1)) E E E))", sig)
+    prepared = prepare(plan, sig)
+    _, dec = build_representation(plan, sig, prepared)
+    calls = []
+    node_text = plans._node_text
+    monkeypatch.setattr(plans, "_node_text", lambda node, kids: calls.append(kids) or node_text(node, kids))
+    monkeypatch.setattr(plans, "PRINTED_SUBPLANS_CAP", 10)
+    for texts in (lambda: subplan_texts(prepared.numbering), lambda: dec.node_text):
+        with pytest.raises(ResourceCapError, match="the plan's occurrences print 102$"):
+            texts()
+    assert calls and not any(any(kids) for kids in calls)
 
 
 def test_arity_of_representation_tuple_matches_plan(rng):

@@ -94,3 +94,27 @@ def test_no_module_reaches_into_another_modules_private_names():
             ):
                 reached.append(f"{path.stem} reads {node.value.id}.{node.attr}")
     assert not reached, reached
+
+
+def test_subplan_text_has_one_capped_builder():
+    """Every occurrence's whole subplan text grows with the square of a
+    plan's depth, so one function builds it, ``plans.subplan_texts``, which
+    checks ``PRINTED_SUBPLANS_CAP`` first.  The only other reader of
+    ``plans._node_text`` is ``print_numbered``, which prints one plan in
+    memory linear in its output."""
+    readers = set()
+    for path in LIBRARY:
+
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    visit(child, f"{where}.{child.name}")
+                    continue
+                if (isinstance(child, ast.Name) and child.id == "_node_text") or (
+                    isinstance(child, ast.Attribute) and child.attr == "_node_text"
+                ):
+                    readers.add(where)
+                visit(child, where)
+
+        visit(ast.parse(path.read_text()), path.stem)
+    assert readers == {"plans.print_numbered", "plans.subplan_texts"}
