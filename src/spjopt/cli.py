@@ -109,15 +109,15 @@ def _universe_cap(text: str) -> int:
 
 
 def _family_indices(text: str) -> tuple[int, ...]:
-    """``--n``'s value, comma-separated ints of at least 1; an empty value
-    names no member."""
+    """``--n``'s value, comma-separated ints of at least 1, each kept at its
+    first occurrence; an empty value names no member."""
     try:
         ns = tuple(int(x) for x in text.split(",") if x != "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}") from None
     if min(ns, default=1) < 1:
         raise argparse.ArgumentTypeError(f"a family index is at least 1, got {min(ns)}")
-    return ns
+    return tuple(dict.fromkeys(ns))
 
 
 def _caps(args: argparse.Namespace) -> Caps:

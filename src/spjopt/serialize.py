@@ -283,14 +283,45 @@ def trace_to_json(trace, texts: Sequence[str], names: Mapping[int, str]) -> dict
     }
 
 
-def named_rows(rows, names: Mapping[int, str]) -> list[list[str]]:
-    """The rows, by their elements' names, in sorted order.
+def named_rows(rows, names: Mapping[int, str]) -> NamedRows:
+    """The rows, by their elements' names, in sorted order, as a
+    :class:`NamedRows`: the sorted id rows and ``names``.
 
     :func:`structure_from_json` numbers elements in sorted-name order, so
-    on a loaded structure sorting the id rows first gives the order of
-    sorting the name rows.  A comprehension sizes each row's list exactly;
-    ``list(map(...))`` would reserve 8 slots for a 3-column row."""
-    return [[names[e] for e in row] for row in sorted(rows)]
+    on a loaded structure sorting the id rows gives the order of sorting
+    the name rows.  No name list is built here: :func:`dumps` encodes each
+    distinct element's name once and writes the rows from the ids."""
+    return NamedRows(tuple(sorted(rows)), names)
+
+
+class NamedRows:
+    """A read-only list of name rows kept as sorted id rows and the names
+    of their elements.  It compares equal to, has the length of and
+    iterates as the list of name lists."""
+
+    __slots__ = ("rows", "names")
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...], names: Mapping[int, str]):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "names", names)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        names = self.names
+        return ([names[e] for e in row] for row in self.rows)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == (list(other) if isinstance(other, NamedRows) else other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -309,23 +340,34 @@ class _Unhandled(Exception):
 
 
 def dumps(doc: dict) -> str:
-    """``json.dumps(doc, indent=2) + "\n"``, byte for byte.
+    """``json.dumps(doc, indent=2) + "\n"`` of the document with each
+    :class:`NamedRows` as its list of name lists, byte for byte.
 
     ``indent`` makes the stdlib encode in pure Python, one step per value.
-    This writer renders dicts, lists, strings, ints, booleans and None
-    itself; a list of strings or ints is one C-level map and join, and a
-    list of equal-length rows of them is one C-level ``%`` format over its
-    flattened values.  A document holding any other type, or containers
-    nested deeper than ``_MAX_DEPTH``, is left to ``json.dumps`` whole, so
-    its bytes and its errors are the stdlib's.
+    This writer renders dicts, lists, strings, ints, booleans, None and
+    :class:`NamedRows` itself; a list of strings or ints is one C-level map
+    and join, and a list of equal-length rows of them is one C-level ``%``
+    format over its flattened values.  A :class:`NamedRows` is one such
+    format over its id rows, through each distinct element's name encoded
+    once.  A document holding any other type, or containers nested deeper
+    than ``_MAX_DEPTH``, is left to ``json.dumps`` whole, so its bytes and
+    its errors are the stdlib's.
     """
     out: list[str] = []
     try:
         _write(doc, 0, out)
     except _Unhandled:
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc, indent=2, default=_name_lists) + "\n"
     out.append("\n")
     return "".join(out)
+
+
+def _name_lists(value) -> list:
+    """The stdlib's ``default``: a :class:`NamedRows`'s list of name lists;
+    any other value raises the stdlib's error."""
+    if type(value) is NamedRows:
+        return list(value)
+    return json.JSONEncoder().default(value)
 
 
 def _write(value, level: int, out: list[str]) -> None:
@@ -340,6 +382,8 @@ def _write(value, level: int, out: list[str]) -> None:
         out.append("true")
     elif value is False:
         out.append("false")
+    elif cls is NamedRows:
+        _write_named_rows(value, level, out)
     elif cls is not dict and cls is not list or level >= _MAX_DEPTH:
         raise _Unhandled
     elif not value:
@@ -368,6 +412,52 @@ def _write(value, level: int, out: list[str]) -> None:
         out.append("\n" + "  " * level + "]")
 
 
+def _write_named_rows(value: NamedRows, level: int, out: list[str]) -> None:
+    """Append the indent-2 JSON of ``value``'s name lists: one ``%`` format
+    over its id rows, each distinct element's name encoded once."""
+    rows = value.rows
+    widths = set(map(len, rows))
+    if len(widths) != 1:
+        _write(list(value), level, out)
+        return
+    (width,) = widths
+    inner = "\n" + "  " * (level + 1)
+    out.append("[" + inner)
+    if width:
+        values = map(_Encoded(value.names).__getitem__, itertools.chain.from_iterable(rows))
+        out.append(_rows_template(len(rows), width, inner) % tuple(values))
+    else:
+        out.append(("," + inner).join(["[]"] * len(rows)))
+    out.append("\n" + "  " * level + "]")
+
+
+class _Encoded(dict):
+    """Element id -> the JSON of its name in ``names``, encoded on first
+    lookup."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, names: Mapping[int, str]):
+        super().__init__()
+        self.names = names
+
+    def __missing__(self, element: int) -> str:
+        name = self.names[element]
+        encode = _SCALARS.get(type(name))
+        if encode is None:
+            raise _Unhandled
+        self[element] = text = encode(name)
+        return text
+
+
+def _rows_template(count: int, width: int, inner: str) -> str:
+    """``count`` rows of ``width`` ``%s`` slots, joined by ``,`` and
+    ``inner``."""
+    row_inner = inner + "  "
+    row = "[" + row_inner + ("," + row_inner).join(["%s"] * width) + inner + "]"
+    return ("," + inner).join([row] * count)
+
+
 def _flat_list(items: list, inner: str) -> Optional[str]:
     """The items of a non-empty list joined by ``,`` and ``inner`` (a
     newline and their indent), when they are all strings, all ints, or
@@ -389,6 +479,4 @@ def _flat_list(items: list, inner: str) -> Optional[str]:
     encode = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
     if encode is None:
         return None
-    row_inner = inner + "  "
-    row = "[" + row_inner + ("," + row_inner).join(["%s"] * width) + inner + "]"
-    return ("," + inner).join([row] * len(items)) % tuple(map(encode, values))
+    return _rows_template(len(items), width, inner) % tuple(map(encode, values))

@@ -192,6 +192,51 @@ def test_writer_leaves_other_values_to_the_stdlib():
             serialize.dumps(doc)
 
 
+def _plain(value):
+    """``value`` with each :class:`serialize.NamedRows` as its list of name
+    lists, as plain JSON containers."""
+    if isinstance(value, serialize.NamedRows):
+        return [list(row) for row in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    return value
+
+
+def test_writer_writes_named_rows_as_the_stdlib_writes_their_name_lists():
+    """Named rows are written from their id rows, each name encoded once,
+    with the bytes the stdlib gives their name lists: rows of 0 to 3
+    columns over names JSON escapes and names that sort differently as
+    strings and as numbers, an empty answer, a whole ``--trace`` document
+    and a document the stdlib writes because it holds a float.  The rows
+    equal the sorted name lists."""
+    rng = random.Random(34)
+    pool = ['a"b', "back\\slash", "\u00e9", "new\nline", "with space", "9", "10", "x", "\x00", "\U0001f600"]
+    for _ in range(100):
+        universe = rng.sample(pool, rng.randint(1, len(pool)))
+        arity = rng.randint(0, 3)
+        rows = [[rng.choice(universe) for _ in range(arity)] for _ in range(rng.randint(0, 12))]
+        data = structure_from_json({"signature": {"R": arity}, "universe": universe, "relations": {"R": rows}})
+        answer = serialize.named_rows(data.relations["R"], data.names)
+        assert answer == sorted(map(list, set(map(tuple, rows)))) and len(answer) == len(data.relations["R"])
+        doc = {"cardinality": len(answer), "output": answer, "nested": [[answer], {"again": answer}]}
+        assert serialize.dumps(doc) == json.dumps(_plain(doc), indent=2) + "\n"
+        assert serialize.dumps({"ratio": 1.5, "output": answer}) == json.dumps(
+            {"ratio": 1.5, "output": _plain(answer)}, indent=2
+        ) + "\n"
+    doc = {"signature": {"E": 2}, "universe": pool, "relations": {"E": [[a, b] for a in pool for b in pool[:3]]}}
+    data = structure_from_json(doc)
+    trace = plans.evaluate_naive(parse_plan(TRI_PLAN.split("\n", 1)[1], SIG), data)
+    document = serialize.trace_to_json(trace, plans.subplan_texts(trace.numbering), data.names)
+    assert [len(entry["rows"]) for entry in document["subplans"]] == [30, 30, 30, 27, 27]
+    assert serialize.dumps(document) == json.dumps(_plain(document), indent=2) + "\n"
+    empty = serialize.named_rows(frozenset(), data.names)
+    assert empty == [] and serialize.dumps({"output": empty}) == '{\n  "output": []\n}\n'
+    with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+        serialize.dumps({"output": empty, "other": {1}})
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -1165,6 +1210,27 @@ def test_cli_witness_n_reads_ints_of_at_least_one(workdir, capsys):
     code, out, err = run(capsys, "witness", *plan, "--n", "")
     assert (code, err) == (0, "")
     assert json.loads(out)["n"] == [] and json.loads(out)["instances"] == {}
+
+
+def test_cli_witness_n_drops_repeated_indices(workdir, capsys, monkeypatch, tmp_path):
+    """A ``witness --n`` index given twice names its member once, at its
+    first place: ``--n 2,1,2`` checks and builds member 2 once and prints
+    the bytes of ``--n 2,1``, with ``--out`` (each file listed once) and
+    without it."""
+    checked, check = [], cli.check_family_size
+    monkeypatch.setattr(cli, "check_family_size", lambda *args: checked.append(args[-1]) or check(*args))
+    plan = ["--plan", workdir / "tri.plan"]
+    for out in ([], ["--out", tmp_path / "fam"]):
+        repeated = run(capsys, "witness", *plan, "--n", "2,1,2", *out)
+        assert checked == [2, 1]
+        assert repeated == run(capsys, "witness", *plan, "--n", "2,1", *out)
+        checked.clear()
+        doc = json.loads(repeated[1])
+        assert doc["n"] == [2, 1]
+        if out:
+            assert doc["files"] == [f"{out[1]}_n2.json", f"{out[1]}_n1.json"]
+        else:
+            assert list(doc["instances"]) == ["2", "1"]
 
 
 @pytest.mark.parametrize("value", ["x", "3", "17"])

@@ -581,6 +581,36 @@ def test_reoptimization_keeps_the_degree_and_settles_in_one_pass():
     assert (checked, moved) == (194, 2)
 
 
+def test_adding_a_key_never_raises_the_optimal_degree():
+    """Keys only remove databases, so one more unary key never raises
+    ``optimize``'s certified degree; it may lower it even where the plan's
+    representation already satisfies the key (the triangle under ``key E
+    1`` drops from 3/2 to 1), so a new key is not an equivalence-keeping
+    rewrite.  Random plans past the default caps are skipped."""
+    rng = random.Random(34)
+    checked, lowered = 0, 0
+    for _ in range(400):
+        sig = rand_signature(rng, max_relations=2, max_arity=3)
+        plan, keys = rand_plan(rng, sig, max_operators=5), rand_keys(rng, sig)
+        missing = [
+            (name, pos) for name in sig.symbols() for pos in range(1, sig.arity(name) + 1)
+            if (name, pos) not in keys.keys
+        ]
+        if not missing:
+            continue
+        more = KeySet([*keys.keys, rng.choice(missing)])
+        prepared = prepare(plan, sig)
+        try:
+            before = optimize(prepared, keys, Caps()).degree
+            after = optimize(prepared, more, Caps()).degree
+        except ResourceCapError:
+            continue
+        assert after <= before, (print_plan(plan), sorted(keys.keys), sorted(more.keys))
+        checked += 1
+        lowered += after < before
+    assert (checked, lowered) == (352, 28)
+
+
 SIG_ER = Signature({"E": 2, "R": 3})
 TWO_KEYS_E = KeySet([("E", 1), ("E", 2)])
 TWO_KEYS_E_AND_R = KeySet([("E", 1), ("E", 2), ("R", 1), ("R", 3)])
