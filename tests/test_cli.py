@@ -196,7 +196,7 @@ def _plain(value):
     """``value`` with each :class:`serialize.NamedRows` as its list of name
     lists, as plain JSON containers."""
     if isinstance(value, serialize.NamedRows):
-        return [list(row) for row in value]
+        return list(value)
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}
     if isinstance(value, list):
@@ -205,8 +205,8 @@ def _plain(value):
 
 
 def test_writer_writes_named_rows_as_the_stdlib_writes_their_name_lists():
-    """Named rows are written from their id rows, each name encoded once,
-    with the bytes the stdlib gives their name lists: rows of 0 to 3
+    """Named rows are written from their id rows with the bytes the stdlib
+    gives their name lists: rows of 0 to 3
     columns over names JSON escapes and names that sort differently as
     strings and as numbers, an empty answer, a whole ``--trace`` document
     and a document the stdlib writes because it holds a float.  The rows
