@@ -8,14 +8,16 @@ The set-valued coloring maximum is computed as a packing LP over key-closed
 element classes: colors are interchangeable, so a valid coloring is exactly a
 multiset of key-closed classes; the objective counts classes meeting the
 target set and the per-tuple constraints normalize the class count on any
-tuple to at most one.  The LP is solved over the generating classes
-{closure(v) : v in target}: any feasible class meeting the target can be
-shrunk to the closure of one of its target elements without changing the
-objective or violating a constraint, so the optimum is unchanged (the test
-suite checks this against an oracle that enumerates the basic solutions of
-the LP over all valid classes).  Tuples that meet no generating class give
-all-zero rows; they are left out, since their slacks never leave the basis
-and the pivots on the other rows are the same.
+tuple to at most one.  Each row is thus the 0/1 list of the classes a tuple
+meets, capped at 1, the one form ``simplex.solve_lp`` takes.  The LP is
+solved over the generating classes {closure(v) : v in target}: any feasible
+class meeting the target can be shrunk to the closure of one of its target
+elements without changing the objective or violating a constraint, so the
+optimum is unchanged (the test suite checks this against an oracle that
+enumerates the basic solutions of the LP over all valid classes).  Tuples
+that meet no generating class give all-zero rows; they are left out, since
+their slacks never leave the basis and the pivots on the other rows are the
+same.
 
 Degree analysis, the width search and the width of a given decomposition
 read only the LP's value, and ``color_values`` presolves it (Andersen &
@@ -165,7 +167,7 @@ def color_number(
     for s in _constraint_sets(structure):
         coeffs = [0 if c.isdisjoint(s) else 1 for c in cols]
         if any(coeffs):
-            rows.append((coeffs, "<=", 1))
+            rows.append(coeffs)
     res = solve_lp([1] * len(cols), rows)
     if res.value != value:
         raise SpjError(f"packing LP gave {res.value}, its presolve {value}")
@@ -238,7 +240,7 @@ def color_values(structure: Structure, keys: KeySet) -> Callable[[Iterable[int]]
         maximal = [s for s in supports if not any(s != t and s | t == t for t in supports)]
         if sum(maximal) == reduce(or_, maximal):
             return Fraction(len(maximal))  # each column lies in exactly one row
-        rows = [([s >> j & 1 for j in range(len(cols))], "<=", 1) for s in maximal]
+        rows = [[s >> j & 1 for j in range(len(cols))] for s in maximal]
         return solve_lp([1] * len(cols), rows).value
 
     return value

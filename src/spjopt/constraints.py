@@ -40,11 +40,6 @@ class KeySet:
     def empty(cls) -> "KeySet":
         return cls(())
 
-    @classmethod
-    def unary(cls, mapping: Mapping[str, int]) -> "KeySet":
-        """One key per relation, from {name: position}."""
-        return cls(mapping.items())
-
     @property
     def keys(self) -> frozenset:
         return self._keys

@@ -267,19 +267,22 @@ def synthesis_result_to_json(result: SynthesisResult, names: Mapping[int, str]) 
 
 
 def trace_to_json(trace, texts: Sequence[str], names: Mapping[int, str]) -> dict:
-    """The ``--trace`` document of ``trace``; ``texts`` prints each occurrence."""
+    """The ``--trace`` document of ``trace``; ``texts`` prints each
+    occurrence.  The occurrences of one subplan, and the root's with the
+    output, share one :class:`NamedRows`, named and sorted once."""
+    shared: dict[int, NamedRows] = {}
+    subplans = []
+    for entry, text, number in zip(trace.entries, texts, trace.numbering[0]):
+        rows = shared.get(number)
+        if rows is None:
+            rows = shared[number] = named_rows(entry.rows, names)
+        subplans.append(
+            {"path": list(entry.path), "plan": text, "cardinality": entry.cardinality, "rows": rows}
+        )
     return {
-        "subplans": [
-            {
-                "path": list(entry.path),
-                "plan": text,
-                "cardinality": entry.cardinality,
-                "rows": named_rows(entry.rows, names),
-            }
-            for entry, text in zip(trace.entries, texts)
-        ],
+        "subplans": subplans,
         "maxIntermediate": trace.max_intermediate,
-        "output": named_rows(trace.output, names),
+        "output": subplans[-1]["rows"],  # the root's occurrence is the last
     }
 
 
@@ -328,46 +331,26 @@ class NamedRows:
 # Writing JSON
 # ---------------------------------------------------------------------------
 
-# The encoder of each scalar type the writer renders itself: a list of
-# values of one of these types is rendered by one C-level map and join.
+# The encoder of each scalar type the writer renders with one C-level map.
 _SCALARS = {str: encode_basestring_ascii, int: int.__repr__}
-# Containers nested deeper (a cycle among them) take the stdlib's path.
-_MAX_DEPTH = 64
-
-
-class _Unhandled(Exception):
-    """The document holds a value the writer leaves to the stdlib."""
 
 
 def dumps(doc: dict) -> str:
     """``json.dumps(doc, indent=2) + "\n"`` of the document with each
     :class:`NamedRows` as its list of name lists, byte for byte.
 
-    ``indent`` makes the stdlib encode in pure Python, one step per value.
-    This writer renders dicts, lists, strings, ints, booleans, None and
-    :class:`NamedRows` itself; a list of strings or ints is one C-level map
-    and join, and a list of equal-length rows of them is one C-level ``%``
-    format over its flattened values.  A :class:`NamedRows` is one such
-    format over its id rows, through each distinct element's name encoded
-    once.  A document holding any other type, or containers nested deeper
-    than ``_MAX_DEPTH``, is left to ``json.dumps`` whole, so its bytes and
-    its errors are the stdlib's.
+    ``indent`` makes the stdlib encode in pure Python, one step per value,
+    so this writer renders itself the only types the CLI's documents hold:
+    dicts with string keys, lists, strings, ints, booleans, None and
+    :class:`NamedRows`.  Any other value, or any other key, raises
+    ``TypeError``.  A list of strings or of ints is one C-level map and
+    join, and equal-width rows, of a list or of a :class:`NamedRows`, are
+    one C-level ``%`` format over their values (see :func:`_write_rows`).
     """
     out: list[str] = []
-    try:
-        _write(doc, 0, out)
-    except _Unhandled:
-        return json.dumps(doc, indent=2, default=_name_lists) + "\n"
+    _write(doc, 0, out)
     out.append("\n")
     return "".join(out)
-
-
-def _name_lists(value) -> list:
-    """The stdlib's ``default``: a :class:`NamedRows`'s list of name lists;
-    any other value raises the stdlib's error."""
-    if type(value) is NamedRows:
-        return list(value)
-    return json.JSONEncoder().default(value)
 
 
 def _write(value, level: int, out: list[str]) -> None:
@@ -383,9 +366,10 @@ def _write(value, level: int, out: list[str]) -> None:
     elif value is False:
         out.append("false")
     elif cls is NamedRows:
-        _write_named_rows(value, level, out)
-    elif cls is not dict and cls is not list or level >= _MAX_DEPTH:
-        raise _Unhandled
+        if not _write_rows(value.rows, _Encoded(value.names).__getitem__, level, out):
+            _write(list(value), level, out)
+    elif cls is not dict and cls is not list:
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
     elif not value:
         out.append("{}" if cls is dict else "[]")
     elif cls is dict:
@@ -393,17 +377,26 @@ def _write(value, level: int, out: list[str]) -> None:
         sep = "{" + inner
         for key, item in value.items():
             if type(key) is not str:
-                raise _Unhandled
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
             out.append(sep + encode_basestring_ascii(key) + ": ")
             _write(item, level + 1, out)
             sep = "," + inner
         out.append("\n" + "  " * level + "}")
     else:
+        kinds = set(map(type, value))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        encode = _SCALARS.get(kind)
         inner = "\n" + "  " * (level + 1)
-        body = _flat_list(value, inner)
-        if body is not None:
-            out.append("[" + inner + body + "\n" + "  " * level + "]")
+        if encode is not None:
+            out.append("[" + inner)
+            out.append(("," + inner).join(map(encode, value)))
+            out.append("\n" + "  " * level + "]")
             return
+        if kind is list:
+            values = set(map(type, itertools.chain.from_iterable(value)))
+            encode = _SCALARS.get(values.pop()) if len(values) == 1 else None
+            if encode is not None and _write_rows(value, encode, level, out):
+                return
         sep = "[" + inner
         for item in value:
             out.append(sep)
@@ -412,23 +405,23 @@ def _write(value, level: int, out: list[str]) -> None:
         out.append("\n" + "  " * level + "]")
 
 
-def _write_named_rows(value: NamedRows, level: int, out: list[str]) -> None:
-    """Append the indent-2 JSON of ``value``'s name lists: one ``%`` format
-    over its id rows, each distinct element's name encoded once."""
-    rows = value.rows
+def _write_rows(rows, encode, level: int, out: list[str]) -> bool:
+    """Append the indent-2 JSON of ``rows``, a sequence of rows of one
+    width, as one ``%`` format over their values through ``encode``.
+    Returns False, having appended nothing, when the rows are not all of
+    one width."""
     widths = set(map(len, rows))
     if len(widths) != 1:
-        _write(list(value), level, out)
-        return
+        return False
     (width,) = widths
     inner = "\n" + "  " * (level + 1)
+    row_inner = inner + "  "
+    row = "[" + row_inner + ("," + row_inner).join(["%s"] * width) + inner + "]" if width else "[]"
+    values = tuple(map(encode, itertools.chain.from_iterable(rows)))
     out.append("[" + inner)
-    if width:
-        values = map(_Encoded(value.names).__getitem__, itertools.chain.from_iterable(rows))
-        out.append(_rows_template(len(rows), width, inner) % tuple(values))
-    else:
-        out.append(("," + inner).join(["[]"] * len(rows)))
+    out.append(("," + inner).join([row] * len(rows)) % values)
     out.append("\n" + "  " * level + "]")
+    return True
 
 
 class _Encoded(dict):
@@ -442,41 +435,5 @@ class _Encoded(dict):
         self.names = names
 
     def __missing__(self, element: int) -> str:
-        name = self.names[element]
-        encode = _SCALARS.get(type(name))
-        if encode is None:
-            raise _Unhandled
-        self[element] = text = encode(name)
+        self[element] = text = encode_basestring_ascii(self.names[element])
         return text
-
-
-def _rows_template(count: int, width: int, inner: str) -> str:
-    """``count`` rows of ``width`` ``%s`` slots, joined by ``,`` and
-    ``inner``."""
-    row_inner = inner + "  "
-    row = "[" + row_inner + ("," + row_inner).join(["%s"] * width) + inner + "]"
-    return ("," + inner).join([row] * count)
-
-
-def _flat_list(items: list, inner: str) -> Optional[str]:
-    """The items of a non-empty list joined by ``,`` and ``inner`` (a
-    newline and their indent), when they are all strings, all ints, or
-    equal-length lists of one of those; else None."""
-    kinds = set(map(type, items))
-    if len(kinds) != 1:
-        return None
-    (kind,) = kinds
-    encode = _SCALARS.get(kind)
-    if encode is not None:
-        return ("," + inner).join(map(encode, items))
-    if kind is not list or len(set(map(len, items))) != 1:
-        return None
-    width = len(items[0])
-    if not width:
-        return ("," + inner).join(["[]"] * len(items))
-    values = list(itertools.chain.from_iterable(items))
-    kinds = set(map(type, values))
-    encode = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-    if encode is None:
-        return None
-    return _rows_template(len(items), width, inner) % tuple(map(encode, values))

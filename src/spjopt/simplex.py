@@ -1,15 +1,15 @@
 """Primal simplex for packing LPs over an exact integer tableau.
 
-The library only solves ``max c.x`` subject to rows ``a.x <= b`` with
-``b >= 0`` and ``x >= 0``, so the all-slack basis is feasible from the start
-and one phase suffices.  Width values are exponents, so float drift is
-unacceptable and the arithmetic is exact: each row is scaled to integers by
-the lcm of its denominators (its slack stays a unit column), and pivots are
-fraction-free (Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 1968).  The tableau
-holds integers ``T`` and one common denominator ``d``, the previous pivot,
-which is always positive; the true tableau is ``T / d``.  A pivot on
-``(r, c)`` with value ``p`` sets every other row ``i`` to
+The library only solves ``max c.x`` subject to rows ``a.x <= 1`` with 0/1
+coefficients ``a``, integer costs ``c`` and ``x >= 0``: a color number is a
+packing of key-closed classes where the classes that meet a tuple weigh at
+most 1 in total.  The all-slack basis is feasible from the start, so one
+phase suffices.  Width values are exponents, so float drift is unacceptable
+and the arithmetic is exact: pivots are fraction-free (Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math. Comp.
+1968).  The tableau holds integers ``T`` and one common denominator ``d``,
+the previous pivot, which is always positive; the true tableau is ``T / d``.
+A pivot on ``(r, c)`` with value ``p`` sets every other row ``i`` to
 ``(p*T[i] - T[i][c]*T[r]) // d``, an exact division, and then ``d = p``.
 
 Pivoting follows Bland's rule, which rules out cycling.  Signs are read off
@@ -23,51 +23,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Optional, Sequence
+from typing import Sequence
+
+from .errors import SpjError
 
 
 @dataclass
 class LpResult:
-    status: str  # "optimal" | "unbounded"
-    value: Optional[Fraction]
-    solution: Optional[list[Fraction]]
+    value: Fraction
+    solution: list[Fraction]
 
 
-def _integers(values: Sequence) -> tuple[list[int], int]:
-    """``values`` scaled to integers by the lcm of their denominators, and
-    that lcm."""
-    if all(type(v) is int for v in values):
-        return list(values), 1
-    exact = [Fraction(v) for v in values]
-    scale = lcm(*(v.denominator for v in exact))
-    return [int(v * scale) for v in exact], scale
-
-
-def solve_lp(objective: Sequence, constraints: Sequence[tuple[Sequence, str, object]]) -> LpResult:
-    """Solve max objective . x  subject to rows (coeffs, "<=", rhs), x >= 0.
-
-    Every ``rhs`` must be nonnegative; any other relation, a negative
-    right-hand side or a row of the wrong length raises ``ValueError``.
-    Returns an exact optimal basic solution when one exists.
-    """
+def solve_lp(objective: Sequence[int], rows: Sequence[Sequence[int]]) -> LpResult:
+    """Solve max objective . x  subject to  a . x <= 1  for each 0/1 row
+    ``a`` of ``rows``, x >= 0.  Returns an exact optimal basic solution; an
+    unbounded LP raises :class:`SpjError`."""
     n = len(objective)
-    m = len(constraints)
-    cost, cost_scale = _integers(objective)
+    m = len(rows)
     ncols = n + m
     tableau: list[list[int]] = []
-    for i, (coeffs, rel, rhs) in enumerate(constraints):
-        if rel != "<=":
-            raise ValueError(f"packing rows only: relation {rel!r} is not '<='")
-        if len(coeffs) != n:
-            raise ValueError(f"row {i} has {len(coeffs)} coefficients, expected {n}")
-        if rhs < 0:
-            raise ValueError(f"packing rows only: row {i} has negative right-hand side {rhs}")
-        row, _ = _integers(list(coeffs) + [rhs])
-        vec = row[:n] + [0] * m + row[n:]
+    for i, coeffs in enumerate(rows):
+        vec = list(coeffs) + [0] * m + [1]
         vec[n + i] = 1
         tableau.append(vec)
-    tableau.append([-v for v in cost] + [0] * (m + 1))
+    tableau.append([-v for v in objective] + [0] * (m + 1))
     obj_row = m  # reduced costs, then d * value
     basis = list(range(n, ncols))
     d = 1
@@ -88,7 +67,7 @@ def solve_lp(objective: Sequence, constraints: Sequence[tuple[Sequence, str, obj
                     continue
             leaving, num, den = r, tableau[r][-1], a
         if leaving is None:
-            return LpResult("unbounded", None, None)
+            raise SpjError(f"packing LP unbounded: column {entering} meets no row")
         prow = tableau[leaving]
         p = prow[entering]
         for i, vec in enumerate(tableau):
@@ -105,4 +84,4 @@ def solve_lp(objective: Sequence, constraints: Sequence[tuple[Sequence, str, obj
     for r, b in enumerate(basis):
         if b < n:
             solution[b] = Fraction(tableau[r][-1], d)
-    return LpResult("optimal", Fraction(tableau[obj_row][-1], d * cost_scale), solution)
+    return LpResult(Fraction(tableau[obj_row][-1], d), solution)

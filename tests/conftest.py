@@ -66,7 +66,7 @@ def rand_keys(rng: random.Random, signature: Signature, prob: float = 0.5) -> Ke
         ar = signature.arity(name)
         if ar >= 1 and rng.random() < prob:
             mapping[name] = rng.randint(1, ar)
-    return KeySet.unary(mapping)
+    return KeySet(mapping.items())
 
 
 def rand_multi_keys(rng: random.Random, signature: Signature) -> KeySet:

@@ -73,7 +73,6 @@ from spjopt.represent import (
     check_representation_size,
 )
 from spjopt.structures import _HomSearch, _tuple_pins
-from spjopt.simplex import LpResult
 from spjopt.synthesis import _assemble_plan, _atom_subplan, _first_columns, _join, _project
 
 # No cap on the core search; the width search keeps the default cap.
@@ -843,9 +842,16 @@ def _run_simplex(tableau: list[list[Fraction]], basis: list[int], cost: list[Fra
         _pivot(tableau, basis, leaving, entering)
 
 
+@dataclass
+class OracleLpResult:
+    status: str  # "optimal" | "unbounded" | "infeasible"
+    value: Optional[Fraction]
+    solution: Optional[list[Fraction]]
+
+
 def two_phase_solve_lp(
     objective: Sequence, constraints: Sequence[tuple[Sequence, str, object]], maximize: bool = True
-) -> LpResult:
+) -> OracleLpResult:
     """Solve max/min objective . x  subject to rows (coeffs, rel, rhs), x >= 0,
     by the two-phase simplex over ``Fraction`` entries (the reference for
     ``spjopt.simplex.solve_lp``, which handles packing LPs only).
@@ -904,7 +910,7 @@ def two_phase_solve_lp(
             phase1[j] = Fraction(-1)
         status = _run_simplex(tableau, basis, phase1)
         if status != "optimal" or tableau[-1][-1] != 0:
-            return LpResult("infeasible", None, None)
+            return OracleLpResult("infeasible", None, None)
         tableau.pop()
         # Drive leftover artificials out of the basis (degenerate rows).
         drop = []
@@ -927,7 +933,7 @@ def two_phase_solve_lp(
 
     status = _run_simplex(tableau, basis, c + [Fraction(0)] * (nslack + nart))
     if status == "unbounded":
-        return LpResult("unbounded", None, None)
+        return OracleLpResult("unbounded", None, None)
     value = tableau[-1][-1]
     solution = [Fraction(0)] * n
     for r, b in enumerate(basis):
@@ -935,7 +941,7 @@ def two_phase_solve_lp(
             solution[b] = tableau[r][-1]
     if not maximize:
         value = -value
-    return LpResult("optimal", value, solution)
+    return OracleLpResult("optimal", value, solution)
 
 
 def _gauss_solve(matrix, rhs):

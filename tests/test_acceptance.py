@@ -71,7 +71,7 @@ from oracles import (
 SIG_E = Signature({"E": 2})
 SIG_R = Signature({"R": 2})
 NO_KEYS = KeySet.empty()
-KEY_R1 = KeySet.unary({"R": 1})
+KEY_R1 = KeySet({"R": 1}.items())
 
 TRIANGLE_TEXT = "(project (cols 1 2 4) (join (theta (2 3) (4 5) (6 1)) E E E))"
 CORPUS_SEED = 74125

@@ -60,7 +60,7 @@ SIG_E = Signature({"E": 2})
 SIG_R = Signature({"R": 2})
 NO_KEYS = KeySet.empty()
 WIDTH_CAP = UNCAPPED.width_universe
-KEY_R1 = KeySet.unary({"R": 1})
+KEY_R1 = KeySet({"R": 1}.items())
 
 
 def triangle():
@@ -425,9 +425,9 @@ def _counting_lp(monkeypatch):
     rows = []
     solve = colorwidth.solve_lp
 
-    def counting(objective, constraints):
-        rows.append(len(constraints))
-        return solve(objective, constraints)
+    def counting(objective, lp_rows):
+        rows.append(len(lp_rows))
+        return solve(objective, lp_rows)
 
     monkeypatch.setattr(colorwidth, "solve_lp", counting)
     return rows

@@ -336,7 +336,7 @@ def _keyed_cycle(n):
 
 
 def _synthesized_keyed_cycle_text(n):
-    return print_plan(optimize(prepare(_keyed_cycle(n), SIG_E), KeySet.unary({"E": 1})).plan)
+    return print_plan(optimize(prepare(_keyed_cycle(n), SIG_E), KeySet({"E": 1}.items())).plan)
 
 
 def _synthesized_keyed_cycle(n):

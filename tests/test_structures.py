@@ -360,7 +360,7 @@ def test_find_homomorphism_deep_under_default_recursion_limit():
                 + [(0, m + 1)] + [(m + i, m + i + 1) for i in range(1, m)]),
         (0,),
     )
-    chased = chase(fan, KeySet.unary({"E": 1}))
+    chased = chase(fan, KeySet({"E": 1}.items()))
     assert chased.result.structure == digraph([(i, i + 1) for i in range(m)])
     assert chased.result.structure.names == {i: f"v{i}" for i in range(m + 1)}
     assert find_homomorphism(fan, chased.result) == chased.merge_map

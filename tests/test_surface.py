@@ -2,10 +2,10 @@
 
 A public module-level function or class of ``src/spjopt``, or a public
 method of one of its classes, must be referenced somewhere in ``src/``
-other than its own definition and ``__init__.py``, or somewhere in
-``perfbench/``.  A name that only tests use belongs in ``tests/oracles.py``.
-References are counted by name, so a method shares them with every
-identifier of the same spelling.
+other than its own definition and ``__init__.py``, or by an identifier or
+a string constant of ``perfbench/``.  A name that only tests use belongs
+in ``tests/oracles.py``.  References are counted by name, so a method
+shares them with every identifier of the same spelling.
 """
 
 from __future__ import annotations
@@ -54,10 +54,27 @@ def library_references() -> set[str]:
 
 
 def benchmark_references() -> set[str]:
-    """Every word of ``perfbench/``: it also names functions in strings."""
+    """The identifiers of ``perfbench/`` and the words of its string
+    constants, which name the functions it traces.  Comments and
+    docstrings are not uses."""
     words: set[str] = set()
     for path in (ROOT / "perfbench").glob("*.py"):
-        words.update(re.findall(r"\w+", path.read_text()))
+        tree = ast.parse(path.read_text())
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and ast.get_docstring(node, clean=False) is not None
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                words.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                words.add(node.attr)
+            elif isinstance(node, ast.alias):
+                words.update(node.name.split("."))
+            elif isinstance(node, ast.Constant) and type(node.value) is str and id(node) not in docstrings:
+                words.update(re.findall(r"\w+", node.value))
     return words
 
 

@@ -1,5 +1,6 @@
 """Key elimination, plan synthesis, degrees, and the end-to-end pipeline."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from spjopt import (
     OpenStructure,
     Project,
     ResourceCapError,
+    Select,
     Signature,
     Structure,
     bag_witness,
@@ -36,6 +38,7 @@ from spjopt import (
     satisfies_keys,
     subplan_degrees,
     synthesize_plan,
+    theta_of,
 )
 from spjopt import colorwidth, synthesis, witness
 from spjopt.plans import number_subplans, plan_size
@@ -68,8 +71,8 @@ SIG_E = Signature({"E": 2})
 SIG_R = Signature({"R": 2})
 SIG_RS = Signature({"R": 2, "S": 2})
 NO_KEYS = KeySet.empty()
-KEY_R1 = KeySet.unary({"R": 1})
-KEY_E1 = KeySet.unary({"E": 1})
+KEY_R1 = KeySet({"R": 1}.items())
+KEY_E1 = KeySet({"E": 1}.items())
 
 TRIANGLE = "(project (cols 1 2 4) (join (theta (2 3) (4 5) (6 1)) E E E))"
 
@@ -88,7 +91,7 @@ def test_eliminate_fds_internal_dependency_is_a_no_op():
 
 def test_eliminate_fds_expands_across_atoms():
     sig = SIG_RS
-    keys = KeySet.unary({"R": 1, "S": 1})
+    keys = KeySet({"R": 1, "S": 1}.items())
     core = OpenStructure(
         Structure(sig, [0, 1, 2], {"R": [(0, 1)], "S": [(0, 2)]}), (0, 1, 2)
     )
@@ -255,7 +258,7 @@ def test_subplan_degrees_shift_children_past_universe_gaps():
     child past the previous ones' largest id; shifting by element count
     would identify elements of different children here and give 2."""
     sig = Signature({"R": 3})
-    keys = KeySet.unary({"R": 3})
+    keys = KeySet({"R": 3}.items())
     plan = parse_plan("(join (theta) (join (theta) (join (theta (2 1)) R R) R) R)", sig)
     degrees = subplan_degrees(prepare(plan, sig), keys)
     assert degrees[-1] == max(degrees) == 4
@@ -609,6 +612,142 @@ def test_adding_a_key_never_raises_the_optimal_degree():
         checked += 1
         lowered += after < before
     assert (checked, lowered) == (352, 28)
+
+
+def _occurrences(plan, path=()):
+    """Every subplan occurrence of ``plan`` with its AST path, in pre-order."""
+    yield path, plan
+    kids = plan.children if isinstance(plan, Join) else () if isinstance(plan, Basic) else (plan.child,)
+    for i, kid in enumerate(kids):
+        yield from _occurrences(kid, path + (i,))
+
+
+def _replaced(plan, path, new):
+    """``plan`` with the occurrence at ``path`` replaced by ``new``."""
+    if not path:
+        return new
+    if isinstance(plan, Join):
+        kids = list(plan.children)
+        kids[path[0]] = _replaced(kids[path[0]], path[1:], new)
+        return Join(plan.theta, tuple(kids))
+    return dataclasses.replace(plan, child=_replaced(plan.child, path[1:], new))
+
+
+def _renamed(plan, names):
+    """``plan`` with every relation ``r`` renamed to ``names[r]``."""
+    if isinstance(plan, Basic):
+        return Basic(names[plan.relation])
+    if isinstance(plan, Join):
+        return Join(plan.theta, tuple(_renamed(kid, names) for kid in plan.children))
+    return dataclasses.replace(plan, child=_renamed(plan.child, names))
+
+
+def _arity(plan, sig) -> int:
+    return prepare(plan, sig).arities[-1]
+
+
+def _permute_a_join(rng, plan, sig):
+    """A join with its children permuted, theta remapped and the column
+    order restored by a projection."""
+    joins = [(path, node) for path, node in _occurrences(plan) if isinstance(node, Join)]
+    joins = [(path, node) for path, node in joins if len(node.children) > 1]
+    if not joins:
+        return None
+    path, join = rng.choice(joins)
+    widths = [_arity(kid, sig) for kid in join.children]
+    order = rng.sample(range(len(widths)), len(widths))
+    if order == sorted(order):
+        order.reverse()
+    start, at = {}, 0
+    for i in order:
+        start[i], at = at, at + widths[i]
+    moved = [start[i] + c for i, width in enumerate(widths) for c in range(1, width + 1)]
+    theta = theta_of((moved[j - 1], moved[k - 1]) for j, k in join.theta)
+    return _replaced(plan, path, Project(tuple(moved), Join(theta, tuple(join.children[i] for i in order))))
+
+
+def _self_join(rng, plan, sig):
+    """A subplan joined with itself on every column, projected back."""
+    path, node = rng.choice(list(_occurrences(plan)))
+    m = _arity(node, sig)
+    twice = Join(theta_of((i, m + i) for i in range(1, m + 1)), (node, node))
+    return _replaced(plan, path, Project(tuple(range(1, m + 1)), twice))
+
+
+def _implied_selection(rng, plan, sig):
+    """``(select (theta (1 1)) X)`` around a subplan ``X`` with a column."""
+    subplans = [(path, node) for path, node in _occurrences(plan) if _arity(node, sig)]
+    if not subplans:
+        return None
+    path, node = rng.choice(subplans)
+    return _replaced(plan, path, Select(theta_of([(1, 1)]), node))
+
+
+def _rewrite_cases(rng):
+    """The triangle (degree 3/2) and 300 random plans with random keys."""
+    cases = [(parse_plan(TRIANGLE, SIG_E), NO_KEYS, SIG_E)]
+    for _ in range(300):
+        sig = rand_signature(rng, max_relations=2, max_arity=3)
+        cases.append((rand_plan(rng, sig, max_operators=5), rand_keys(rng, sig), sig))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "rewrite, counts",
+    [(_permute_a_join, (143, 95)), (_self_join, (295, 196)), (_implied_selection, (299, 197))],
+    ids=["permute_a_join", "self_join", "implied_selection"],
+)
+def test_equivalence_keeping_rewrites_keep_the_degrees(rewrite, counts):
+    """A rewrite that keeps a plan equivalent keeps its output degree and
+    ``optimize``'s certified degree, and ``check_equivalence`` holds
+    between the two plans.  Plans past the default caps are skipped; the
+    counts pin how many were checked and how many of those had keys."""
+    rng = random.Random(35)
+    checked, keyed = 0, 0
+    for plan, keys, sig in _rewrite_cases(rng):
+        other = rewrite(rng, plan, sig)
+        if other is None:
+            continue
+        assert other != plan
+        try:
+            degree = optimize(prepare(plan, sig), keys, Caps()).degree
+            other_degree = optimize(prepare(other, sig), keys, Caps()).degree
+        except ResourceCapError:
+            continue
+        assert check_equivalence(plan, other, keys, sig), (print_plan(plan), print_plan(other))
+        assert subplan_degrees(prepare(other, sig), keys)[-1] == subplan_degrees(prepare(plan, sig), keys)[-1]
+        assert other_degree == degree
+        checked += 1
+        keyed += bool(keys)
+    assert (checked, keyed) == counts
+
+
+def test_renaming_relations_keeps_the_degrees():
+    """Renaming the relations in the plan, the keys and the signature keeps
+    the output degree and ``optimize``'s certified degree, and the plan
+    optimized under the new names, renamed back, is equivalent to the
+    input."""
+    rng = random.Random(35)
+    checked = 0
+    for plan, keys, sig in _rewrite_cases(rng):
+        symbols = sig.symbols()
+        names = dict(zip(symbols, rng.sample(("R", "S", "T", "U"), len(symbols))))
+        if all(a == b for a, b in names.items()):
+            continue
+        other_sig = Signature({names[r]: sig.arity(r) for r in symbols})
+        other_keys = KeySet((names[r], pos) for r, pos in keys.keys)
+        other = prepare(_renamed(plan, names), other_sig)
+        try:
+            result = optimize(prepare(plan, sig), keys, Caps())
+            other_result = optimize(other, other_keys, Caps())
+        except ResourceCapError:
+            continue
+        assert subplan_degrees(other, other_keys)[-1] == subplan_degrees(prepare(plan, sig), keys)[-1]
+        assert other_result.degree == result.degree
+        back = {b: a for a, b in names.items()}
+        assert check_equivalence(plan, _renamed(other_result.plan, back), keys, sig)
+        checked += 1
+    assert checked == 248
 
 
 SIG_ER = Signature({"E": 2, "R": 3})

@@ -32,7 +32,7 @@ SIG_E = Signature({"E": 2})
 SIG_R = Signature({"R": 2})
 NO_KEYS = KeySet.empty()
 WIDTH_CAP = UNCAPPED.width_universe
-KEY_R1 = KeySet.unary({"R": 1})
+KEY_R1 = KeySet({"R": 1}.items())
 
 
 def triangle():
