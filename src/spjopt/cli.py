@@ -5,8 +5,11 @@ exceeded.  Every subcommand takes ``--plan``, ``--keys``, ``--data``,
 ``--out`` and ``--cap-universe``; a mode option (``--plan2``, ``--trace``,
 ``--n``, ``--format`` with the formats its subcommand prints) is taken only
 where ``_COMMANDS`` lists it.  Any other option is a usage error, but a
-missing ``--plan`` exits 2.  Plans are walked with explicit stacks, so
-nesting depth is not limited by the interpreter's recursion limit.  Running
+missing ``--plan`` exits 2.  ``evaluate`` checks its data against
+``--keys`` before it evaluates: a key the data breaks exits 2, naming the
+relation, the position and two tuples that agree on it.  Plans are walked
+with explicit stacks, so nesting depth is not limited by the
+interpreter's recursion limit.  Running
 out of memory exits 3 with a one-line ``spjopt: resource cap: out of
 memory`` message instead of a traceback.  Exit 2 also covers files that
 cannot be read (missing, a directory, no permission) or are not UTF-8 text,
@@ -34,11 +37,12 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from . import serialize
 from .colorwidth import optimal_cwidth
-from .constraints import KeySet, chase
+from .constraints import KeySet, chase, key_violation
 from .errors import (
     ArityError,
     DegenerateInputError,
     FormatError,
+    KeyConstraintError,
     ResourceCapError,
     SpjError,
 )
@@ -278,7 +282,13 @@ def _cmd_optimize(args: argparse.Namespace) -> None:
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:
     _require(args, plan=args.plan, data=args.data)
-    prepared, _, data = _load_plan(args, keyed=False)
+    prepared, keys, data = _load_plan(args)
+    # A plan optimized under the keys answers as its input only on data that satisfies them.
+    violation = key_violation(data, keys)
+    if violation is not None:
+        name, pos, row, other = violation
+        a, b = (f"{name}({', '.join(data.names[e] for e in t)})" for t in (row, other))
+        raise KeyConstraintError(f"data violates key {name} {pos}: {a} and {b} agree on position {pos}")
     # Built before evaluating, so a plan past the printed-subplans cap fails fast.
     texts = subplan_texts(prepared.numbering) if args.trace or args.format == "text" else None
     trace = evaluate_well_behaved(prepared, data)

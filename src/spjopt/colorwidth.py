@@ -32,8 +32,17 @@ dropped: weights are nonnegative, so the larger row's sum bounds the smaller
 one's and the smaller row is implied.  Every column lies in some maximal
 support; when those are pairwise disjoint, each column lies in exactly one
 row, so each row's sum can reach 1 and no more, and the value is the number
-of rows without an LP.  Otherwise the LP over the maximal supports is
-usually a few rows.  The key closures and the tuple masks depend only on the
+of rows without an LP.  When every maximal support meets at most two
+columns, the LP is a fractional vertex packing of the graph whose edges
+are the two-column supports; a column that shares no support with another
+is isolated there, capped at 1 by its own row and in no edge.  Writing
+each weight as 1 - y turns it into a fractional vertex cover, whose
+optimum is the fractional matching number: half a maximum matching of the
+graph's bipartite double cover (Nemhauser & Trotter, "Vertex packings:
+structural properties and algorithms", Math. Programming 1975).  So the
+value is ``len(cols) - ν/2`` for that matching size ν, again without an
+LP.  Only targets with a support of three or more columns solve the LP
+over the maximal supports, usually a few rows.  The key closures and the tuple masks depend only on the
 structure and are computed once for it, however many targets are asked.
 Only ``witness`` solves the full LP, once, through ``color_number``: the
 widest bag's optimal packing is what ``bag_witness`` turns into witness
@@ -176,12 +185,52 @@ def color_number(
     return value, ColorSolution(tuple(cols), value, target, mults)
 
 
+def _double_cover_matching(n: int, edges: Iterable[int]) -> int:
+    """The size of a maximum matching of the bipartite double cover of the
+    graph on columns ``0..n-1`` whose edges are the two-bit masks
+    ``edges``: left copy u meets right copy v for each edge uv, both ways.
+
+    Augmenting paths are found breadth first from each free left vertex
+    in turn (Kuhn's method), with no recursion."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for mask in edges:
+        u = (mask & -mask).bit_length() - 1
+        v = mask.bit_length() - 1
+        adj[u].append(v)
+        adj[v].append(u)
+    left_of = [-1] * n  # right vertex -> its matched left vertex
+    right_of = [-1] * n  # left vertex -> its matched right vertex
+    size = 0
+    for root in range(n):
+        came_from = [-1] * n  # right vertex -> the left vertex that reached it
+        queue, free = [root], -1
+        for u in queue:
+            for v in adj[u]:
+                if came_from[v] < 0:
+                    came_from[v] = u
+                    if left_of[v] < 0:
+                        free = v
+                        break
+                    queue.append(left_of[v])
+            if free >= 0:
+                break
+        # Flip the path back to the root: each left vertex takes the right
+        # vertex it reached, and hands on the one it held.
+        v = free
+        while v >= 0:
+            u = came_from[v]
+            left_of[v], right_of[u], v = u, v, right_of[u]
+        size += free >= 0
+    return size
+
+
 def color_values(structure: Structure, keys: KeySet) -> Callable[[Iterable[int]], Fraction]:
     """The function from target to its color number over ``structure``,
     presolved: duplicate and dominated rows are dropped, and a target whose
-    classes one tuple meets, or whose maximal supports are disjoint, needs
-    no LP.  The closures and each class's row mask are computed once per
-    element, however many targets are asked."""
+    classes one tuple meets, whose maximal supports are disjoint, or whose
+    maximal supports meet at most two columns each, needs no LP.  The
+    closures and each class's row mask are computed once per element,
+    however many targets are asked."""
     universe = frozenset(structure.universe)
     forces = _closure_edges(structure, keys)
     incidence = dict.fromkeys(universe, 0)  # element -> bitmask of its tuples
@@ -240,6 +289,9 @@ def color_values(structure: Structure, keys: KeySet) -> Callable[[Iterable[int]]
         maximal = [s for s in supports if not any(s != t and s | t == t for t in supports)]
         if sum(maximal) == reduce(or_, maximal):
             return Fraction(len(maximal))  # each column lies in exactly one row
+        if all(s.bit_count() <= 2 for s in maximal):
+            edges = [s for s in maximal if s & (s - 1)]
+            return Fraction(2 * len(cols) - _double_cover_matching(len(cols), edges), 2)
         rows = [[s >> j & 1 for j in range(len(cols))] for s in maximal]
         return solve_lp([1] * len(cols), rows).value
 

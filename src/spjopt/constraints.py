@@ -11,7 +11,7 @@ the pairs it is asked to identify, found with the union-find of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import KeyConstraintError
 from .structures import OpenStructure, Signature, Structure, find, flatten, link
@@ -69,15 +69,26 @@ class KeySet:
         return f"KeySet({', '.join(f'key({n})={p}' for n, p in sorted(self._keys))})"
 
 
+def key_violation(
+    data: Structure, keys: KeySet
+) -> Optional[tuple[str, int, tuple[int, ...], tuple[int, ...]]]:
+    """The first key that ``data`` breaks, as (relation, position, row,
+    other row) with the two rows agreeing at the 1-based position, or None.
+    Keys are scanned in sorted order and each relation's rows in sorted
+    order, so the pair reported is the same on every run."""
+    keys.validate_for(data.signature)
+    for name, pos in sorted(keys.keys):
+        seen: dict[int, tuple] = {}
+        for row in sorted(data.relations[name]):
+            first = seen.setdefault(row[pos - 1], row)
+            if first is not row:
+                return name, pos, first, row
+    return None
+
+
 def satisfies_keys(data: Structure, keys: KeySet) -> bool:
     """True iff every relation of ``data`` satisfies every applicable key."""
-    keys.validate_for(data.signature)
-    for name, pos in keys.keys:
-        seen: dict[int, tuple] = {}
-        for row in data.relations[name]:
-            if seen.setdefault(row[pos - 1], row) != row:
-                return False
-    return True
+    return key_violation(data, keys) is None
 
 
 @dataclass(frozen=True)
@@ -89,32 +100,32 @@ class ChaseResult:
     merge_map: Mapping[int, int]
 
 
-def _key_closure(
-    struct: Structure, keys: KeySet, identified: Iterable[tuple[int, int]]
-) -> dict[int, int]:
-    """The least key-closed equivalence on ``struct.universe`` that contains
-    the ``identified`` pairs, as a map from each element to the smallest
-    element of its class.
+def key_closure(
+    size: int,
+    relations: Mapping[str, Sequence[tuple[int, ...]]],
+    keys: KeySet,
+    identified: Iterable[tuple[int, int]] = (),
+) -> list[int]:
+    """The least key-closed equivalence on the positions ``0..size-1`` of
+    ``relations``' rows that contains the ``identified`` pairs, as a list
+    from each position to the smallest position of its class.
 
-    The union-find runs over positions in the sorted universe, so a class's
-    smallest position is its smallest element, whatever ids the universe
-    skips.  Each pass scans every key, in relation and position order, with
-    the relation's rows grouped by the root of their key element, and unites
-    the dependent positions of rows in one group; passes repeat until one
-    merges nothing.  A pass without merges sees fixed roots throughout, so
-    at that point every key holds on the quotient.
+    The union-find links under the smaller root, so a class's root is its
+    smallest position.  Each pass scans every key, in relation and position
+    order, with the relation's rows, sorted, grouped by the root of their
+    key element, and unites the dependent positions of rows in one group;
+    passes repeat until one merges nothing.  A pass without merges sees
+    fixed roots throughout, so at that point every key holds on the
+    quotient.
     """
-    universe = struct.universe
-    position = {e: i for i, e in enumerate(universe)}.__getitem__
-    parent = list(range(len(universe)))
+    parent = list(range(size))
     for a, b in identified:
-        link(parent, position(a), position(b))
+        link(parent, a, b)
     keyed = []
-    for name in struct.signature.symbols():
-        for pos in keys.for_relation(name):
-            rest = [i for i in range(struct.signature.arity(name)) if i != pos - 1]
-            rows = sorted(tuple(map(position, row)) for row in struct.relations[name])
-            keyed.append((rows, pos - 1, rest))
+    for name, rows in relations.items():
+        for pos in keys.for_relation(name) if rows else ():
+            rest = [i for i in range(len(rows[0])) if i != pos - 1]
+            keyed.append((sorted(rows), pos - 1, rest))
     merged = bool(keyed)
     while merged:
         merged = False
@@ -126,7 +137,7 @@ def _key_closure(
                     for i in rest:
                         merged |= link(parent, first[i], row[i])
     flatten(parent)
-    return {e: universe[r] for e, r in zip(universe, parent)}
+    return parent
 
 
 def chase(
@@ -136,7 +147,9 @@ def chase(
 ) -> ChaseResult:
     """The chase fixpoint of ``value`` with the ``identified`` pairs of its
     elements made equal, computed as one quotient by the least key-closed
-    equivalence that contains them.
+    equivalence that contains them: :func:`key_closure` over the positions
+    of the sorted universe, so a class's smallest position is its smallest
+    element, whatever ids the universe skips.
 
     Every class is represented by its smallest element id, which keeps its
     display name.  The fixpoint is unique up to isomorphism regardless of
@@ -145,7 +158,16 @@ def chase(
     is_open = isinstance(value, OpenStructure)
     struct = value.structure if is_open else value
     keys.validate_for(struct.signature)
-    merge = _key_closure(struct, keys, identified)
+    universe = struct.universe
+    position = {e: i for i, e in enumerate(universe)}.__getitem__
+    rows = {
+        name: [tuple(map(position, row)) for row in rel]
+        for name, rel in struct.relations.items()
+        if keys.for_relation(name)
+    }
+    pairs = [(position(a), position(b)) for a, b in identified]
+    parent = key_closure(len(universe), rows, keys, pairs)
+    merge = {e: universe[r] for e, r in zip(universe, parent)}
     changed = any(k != v for k, v in merge.items())
     current = struct.apply_map(merge) if changed else struct
     if is_open:

@@ -14,7 +14,8 @@ class ArityError(SpjError):
 
 
 class KeyConstraintError(SpjError):
-    """Malformed key constraint (position out of range, unknown relation)."""
+    """Malformed key constraint (position out of range, unknown relation),
+    or data that breaks a key."""
 
 
 class PlanSyntaxError(SpjError):

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .colorwidth import color_values, optimal_cwidth
-from .constraints import KeySet, chase, satisfies_keys
+from .constraints import KeySet, chase, key_closure, satisfies_keys
 from .errors import ArityError, DegenerateInputError, ResourceCapError, SpjError
 from .plans import (
     Basic,
@@ -435,18 +435,21 @@ def subplan_degrees(prepared: PreparedPlan, keys: KeySet) -> list[Fraction]:
     root's last: the color number of the tuple set of the subplan's chased
     representation.
 
-    Each is built from the children's: a fresh atom, a reindexed tuple for a
-    projection, and for a join or selection one :func:`chase` of the
-    children's disjoint union: the quotient by the least key-closed
-    equivalence that contains theta's identifications, which may start
-    from chased parts.
-    A projection keeps its child's structure, and so its value function.
-    A subplan's degree is read as soon as it is built, and its structure is
-    dropped after the last subplan that reads it, so a chain holds about
-    two levels at a time.  Every structure built counts against
+    Each is built from the children's, and every structure built has
+    universe ``range(n)``: an atom is ``range(m)``, a projection reindexes
+    its child's tuple, and a join or selection shifts each child's rows by
+    the element count of the children before it.  The quotient of those
+    rows by the least key-closed equivalence that contains theta's
+    identifications (:func:`spjopt.constraints.key_closure`, which may
+    start from chased parts) is then the one structure a join or selection
+    builds, its classes numbered densely in the order of their smallest
+    positions.  A projection keeps its child's structure, and so its value
+    function.  A subplan's degree is read as soon as it is built, and its
+    structure is dropped after the last subplan that reads it, so a chain
+    holds about two levels at a time.  Every structure built counts against
     ``REPRESENTATION_ELEMENTS_CAP`` before it is allocated, whether or not
     it was dropped: a join or selection holds its children's elements until
-    the chase.
+    the quotient.
     """
     signature = prepared.signature
     (numbers, distinct), arities = prepared.numbering, prepared.arities
@@ -470,21 +473,24 @@ def subplan_degrees(prepared: PreparedPlan, keys: KeySet) -> list[Fraction]:
             struct, child, value = reps[kids[0]]
             out = tuple(child[c - 1] for c in node.cols)
         else:
-            # Shift past the largest id, not the element count: chase leaves gaps.
-            joined, universe, shift = [], [], 0
+            joined, size = [], 0
             rows: dict[str, list[tuple[int, ...]]] = {n: [] for n in signature.symbols()}
             for kid in kids:
                 struct, child, _ = reps[kid]
-                joined += [e + shift for e in child]
-                universe += [e + shift for e in struct.universe]
+                joined += [e + size for e in child]
                 for name, rel in struct.relations.items():
-                    rows[name] += [tuple(e + shift for e in t) for t in rel]
-                if universe:
-                    shift = universe[-1] + 1
+                    rows[name] += [tuple(e + size for e in t) for t in rel] if size else rel
+                size += len(struct.universe)
             theta = [(joined[j - 1], joined[k - 1]) for j, k in node.theta]
-            chased = chase(Structure(signature, universe, rows), keys, theta)
-            struct = chased.result
-            out = tuple(map(chased.merge_map.__getitem__, joined))
+            # Number the classes densely, in the order of their smallest positions.
+            dense: dict[int, int] = {}
+            ids = [dense.setdefault(root, len(dense)) for root in key_closure(size, rows, keys, theta)]
+            struct = Structure(
+                signature,
+                range(len(dense)),
+                {name: [tuple(map(ids.__getitem__, t)) for t in rel] for name, rel in rows.items()},
+            )
+            out = tuple(map(ids.__getitem__, joined))
         if not isinstance(node, Project):
             value = color_values(struct, keys)
         degrees.append(value(out))

@@ -311,6 +311,24 @@ def test_cli_evaluate(workdir, capsys):
     assert doc["cardinality"] == 16
 
 
+@pytest.mark.parametrize("extra", [[], ["--trace"], ["--format", "text"]], ids=["json", "trace", "text"])
+def test_cli_evaluate_checks_the_data_against_the_keys(workdir, capsys, extra):
+    """``a`` has two out-edges, so the data breaks ``key E 1``: evaluate
+    exits 2 before it evaluates and names the key and two tuples.  Under
+    ``key E 2``, which the data satisfies, it prints what it prints
+    without keys."""
+    evaluate = ["evaluate", "--plan", workdir / "tri.plan", "--data", workdir / "d.json", *extra]
+    code, out, err = run(capsys, *evaluate, "--keys", workdir / "r1.keys")
+    assert (code, out) == (2, "")
+    assert err == "spjopt: data violates key E 1: E(a, b) and E(a, d) agree on position 1\n"
+    (workdir / "r2.keys").write_text("key E 2\n")
+    plain = run(capsys, *evaluate)
+    assert plain[0] == 0 and run(capsys, *evaluate, "--keys", workdir / "r2.keys") == plain
+    (workdir / "bad.keys").write_text("key E 3\n")
+    code, out, err = run(capsys, *evaluate, "--keys", workdir / "bad.keys")
+    assert (code, out) == (2, "") and "out of range" in err
+
+
 def test_cli_evaluate_numbers_once_and_builds_no_occurrence_trace(workdir, capsys, monkeypatch):
     """A plain evaluate numbers its plan once, as the parser reads it:
     ``number_subplans`` is never called, whether or not the plan is
@@ -684,7 +702,8 @@ def test_cli_deep_plans_need_no_recursion(tmp_path, capsys):
     the interpreter's recursion limit, and every subcommand runs on them;
     ``evaluate`` reports the second as ``naive``, not well-behaved.  The chain joins
     a fresh R atom per level at one shared element; ``key R 1`` folds them
-    in the chase, so its core fits the default core cap."""
+    in the chase, so its core fits the default core cap.  The data
+    satisfies ``key R 1``, as ``evaluate`` requires."""
     bodies = {
         "selects": "(select (theta (1 2)) " * 1200 + "R" + ")" * 1200,
         "naive": "(select (theta (1 2)) " * 1200 + "(join (theta) R R)" + ")" * 1200,
@@ -700,7 +719,7 @@ def test_cli_deep_plans_need_no_recursion(tmp_path, capsys):
     data.write_text(json.dumps({
         "signature": {"R": 2},
         "universe": ["a", "b", "c"],
-        "relations": {"R": [["a", "a"], ["a", "b"], ["b", "b"], ["c", "a"]]},
+        "relations": {"R": [["a", "a"], ["b", "b"], ["c", "a"]]},
     }))
     outputs = {}
     for name in bodies:
@@ -1261,3 +1280,59 @@ def test_cli_ignores_cap_environment_variable(workdir, capsys, monkeypatch, tmp_
     ]
     monkeypatch.setenv("SPJOPT_CAP_UNIVERSE", value)
     assert [run(capsys, *argv)[0] for argv, _ in cases] == [code for _, code in cases]
+
+
+_FUZZ_WORDS = ["(", ")", " ", "\n", "join", "theta", "project", "cols", "select", "rel", "key",
+               "E", "F", "0", "1", "2", "3", "-1", "99", '"', ",", "[", "]", "{", "}", ":", "\\", "é"]
+
+
+def _mutate(rng, text):
+    """``text`` after one to three random edits: a slice deleted, a slice
+    repeated, a word of the plan, keys or JSON syntax inserted, or a
+    character swapped for one."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        j = rng.randint(i, min(len(text), i + 8))
+        edit = rng.randrange(4)
+        if edit == 0:
+            text = text[:i] + text[j:]
+        elif edit == 1:
+            text = text[:j] + text[i:j] + text[j:]
+        elif edit == 2:
+            text = text[:i] + rng.choice(_FUZZ_WORDS) + text[i:]
+        else:
+            text = text[:i] + rng.choice(_FUZZ_WORDS) + text[i + 1:]
+    return text
+
+
+def test_cli_fuzzed_inputs_exit_with_a_documented_code(tmp_path, capsys):
+    """Seeded fuzzing in process: 1,500 runs of a random subcommand on
+    mutated plan, keys and data texts.  Each run returns 0, 1, 2 or 3 and
+    no exception escapes ``main``."""
+    rng = random.Random(36)
+    plans = [TRI_PLAN, "rel E 2\n(project (cols 1) (join (theta (2 3) (4 1)) E E))\n",
+             "rel E 2\n(select (theta (1 2)) (join (theta) E E))\n"]
+    data = json.dumps(DATA)
+    commands = list(cli._COMMANDS)
+    codes = dict.fromkeys(range(4), 0)
+    for i in range(1500):
+        (tmp_path / "p.plan").write_text(_mutate(rng, rng.choice(plans)) if i % 4 else rng.choice(plans))
+        (tmp_path / "q.plan").write_text(_mutate(rng, rng.choice(plans)))
+        (tmp_path / "k.keys").write_text(_mutate(rng, "key E 1\n") if rng.random() < 0.5 else "key E 2\n")
+        (tmp_path / "d.json").write_text(_mutate(rng, data) if rng.random() < 0.7 else data)
+        command = rng.choice(commands)
+        argv = [command, "--plan", tmp_path / "p.plan"]
+        if rng.random() < 0.5:
+            argv += ["--keys", tmp_path / "k.keys"]
+        if command in ("evaluate", "core", "decompose", "chase") or rng.random() < 0.3:
+            argv += ["--data", tmp_path / "d.json"]
+        if command == "equiv":
+            argv += ["--plan2", tmp_path / "q.plan"]
+        if command == "witness":
+            argv += ["--n", rng.choice(["1", "1,2", "0", "x"]), "--out", tmp_path / "fam"]
+        if rng.random() < 0.2:
+            argv += ["--cap-universe", rng.choice(["0", "4", "-1", "x"])]
+        code, _, _ = run(capsys, *argv)
+        assert code in codes, argv
+        codes[code] += 1
+    assert min(codes[0], codes[1], codes[2]) >= 100 and codes[3] >= 5, codes

@@ -67,6 +67,11 @@ def triangle():
     return Structure(SIG_E, [0, 1, 2], {"E": [(0, 1), (1, 2), (2, 0)]}, {0: "x", 1: "y", 2: "z"})
 
 
+def ternary_triangle():
+    """Three ternary tuples, each sharing one element with each other."""
+    return Structure(Signature({"T": 3}), range(6), {"T": [(0, 1, 2), (2, 3, 4), (4, 5, 0)]})
+
+
 def test_valid_classes_respect_keys():
     a = Structure(SIG_R, [0, 1], {"R": [(0, 1)]}, {0: "x", 1: "y"})
     classes = valid_color_classes(a, KEY_R1)
@@ -361,12 +366,16 @@ def test_bounded_search_matches_unbounded_search(rng):
 
 
 def test_bounded_search_solves_few_lps_on_mobius16(monkeypatch):
-    """The unbounded search solves 1,299 LPs on the Mobius 16 core; the
-    bounded one 441."""
+    """Past the shortcuts for one covering support and for disjoint
+    supports, the unbounded search (``oracles.unbounded_optimal_cwidth``)
+    reads 981 bags of the Mobius 16 core and the bounded one 369.  Every
+    support of an unkeyed graph meets at most two columns, so the matching
+    rule reads all 369 and no LP is solved."""
     core = chased_core(prepare(pattern_plan(mobius_ladder(16), (0, 1)), SIG_E), NO_KEYS, None)
     lp_rows = _counting_lp(monkeypatch)
+    matchings = _counting_matchings(monkeypatch)
     assert optimal_cwidth(core, NO_KEYS, cap=WIDTH_CAP).width == 3
-    assert len(lp_rows) <= 441
+    assert lp_rows == [] and len(matchings) == 369
 
 
 def test_decomposition_bag_colors_are_color_numbers(rng):
@@ -433,14 +442,31 @@ def _counting_lp(monkeypatch):
     return rows
 
 
+def _counting_matchings(monkeypatch):
+    """Column counts of the graphs colorwidth hands to the matching rule
+    from now on."""
+    columns = []
+    match = colorwidth._double_cover_matching
+
+    def counting(n, edges):
+        columns.append(n)
+        return match(n, edges)
+
+    monkeypatch.setattr(colorwidth, "_double_cover_matching", counting)
+    return columns
+
+
 def test_color_value_matches_color_number_on_random_structures(rng, monkeypatch):
-    """The presolved value equals the full LP's, both where an LP over the
-    maximal supports is solved and where those supports are disjoint and
-    their count is the value."""
+    """The presolved value equals the full LP's: where an LP over the
+    maximal supports is solved, where every support meets at most two
+    columns and the matching rule gives the value, and where the supports
+    are disjoint and their count is the value.  Half the draws allow arity
+    4, since wide tuples are what still reaches the LP."""
     lp_rows = _counting_lp(monkeypatch)
-    keyed = raised = solved = disjoint = 0
-    for _ in range(800):
-        sig = rand_signature(rng, max_relations=3, max_arity=3)
+    matchings = _counting_matchings(monkeypatch)
+    keyed = raised = solved = matched = disjoint = 0
+    for i in range(1600):
+        sig = rand_signature(rng, max_relations=3, max_arity=3 if i % 2 else 4)
         keys = rand_keys(rng, sig) if rng.random() < 0.6 else NO_KEYS
         struct = rand_structure(rng, sig, max_domain=6, max_rows=6)
         elems = list(struct.universe)
@@ -449,12 +475,13 @@ def test_color_value_matches_color_number_on_random_structures(rng, monkeypatch)
         if _assert_same_value(struct, keys, target):
             raised += 1
             continue
-        before = len(lp_rows)
+        before, graphs = len(lp_rows), len(matchings)
         value = color_values(struct, keys)(target)
         solved += len(lp_rows) > before
-        # No LP and a value of 2 or more: the disjoint supports' count.
-        disjoint += len(lp_rows) == before and value >= 2
-    assert keyed >= 150 and raised >= 40 and solved >= 40 and disjoint >= 40
+        matched += len(matchings) > graphs
+        # Neither and a value of 2 or more: the disjoint supports' count.
+        disjoint += len(lp_rows) == before and len(matchings) == graphs and value >= 2
+    assert keyed >= 150 and raised >= 40 and solved >= 40 and matched >= 40 and disjoint >= 40
 
 
 def _recording_values(monkeypatch):
@@ -524,9 +551,13 @@ def test_color_number_rejects_an_lp_that_disagrees_with_the_presolve(monkeypatch
 
 
 def test_color_value_triangle_needs_the_lp(monkeypatch):
-    # Every edge misses a vertex: no support covers all three classes.
+    # Every edge misses a vertex: no support covers all three classes.  The
+    # supports are edges, so the matching rule gives 3 - 3/2 without an LP.
     lp_rows = _counting_lp(monkeypatch)
     assert color_values(triangle(), NO_KEYS)({0, 1, 2}) == Fraction(3, 2)
+    assert lp_rows == []
+    # A triangle of overlapping three-column supports does need the LP.
+    assert color_values(ternary_triangle(), NO_KEYS)(range(6)) == 3
     assert lp_rows == [3]
 
 
@@ -538,8 +569,18 @@ def test_color_value_drops_duplicate_and_dominated_supports(monkeypatch):
     assert len(_constraint_sets(s)) == 4
     lp_rows = _counting_lp(monkeypatch)
     assert color_values(s, NO_KEYS)({0, 1, 2}) == Fraction(3, 2)
-    assert lp_rows == [3]
+    assert lp_rows == []
     assert color_number(s, NO_KEYS, {0, 1, 2})[0] == Fraction(3, 2)
+    lp_rows.clear()  # color_number solved the full LP
+    # The same with three-column supports: T(1, 0, 2) repeats T(0, 1, 2)'s,
+    # and U(0)'s lies in it; the LP keeps the three others.
+    sig = Signature({"T": 3, "U": 1})
+    t = ternary_triangle()
+    s = Structure(sig, t.universe, {"T": [*t.relations["T"], (1, 0, 2)], "U": [(0,)]})
+    assert len(_constraint_sets(s)) == 4
+    assert color_values(s, NO_KEYS)(range(6)) == 3
+    assert lp_rows == [3]
+    assert color_number(s, NO_KEYS, range(6))[0] == 3
 
 
 def test_color_value_edge_cases(monkeypatch):
@@ -561,3 +602,90 @@ def test_color_value_errors_match_color_number():
         assert _assert_same_value(half, NO_KEYS, target)
     keyed = Structure(SIG_R, [0, 1, 2, 3], {"R": [(0, 1)]})
     assert _assert_same_value(keyed, KEY_R1, {1, 3})
+
+
+# ---------------------------------------------------------------------------
+# The matching rule against the oracle LPs
+# ---------------------------------------------------------------------------
+
+
+def _graph(n, edges, unary=(), signature=Signature({"E": 2, "U": 1})):
+    return Structure(signature, range(n), {"E": edges, "U": [(v,) for v in unary]})
+
+
+def _cycle(k):
+    return [(i, (i + 1) % k) for i in range(k)]
+
+
+def _pendant_keyed(edges, n):
+    """E over x_0..x_{n-1} plus K(x_i, y_i) keyed on x_i: each y_i's class
+    holds x_i and meets exactly x_i's tuples, so the two classes merge."""
+    sig = Signature({"E": 2, "K": 2})
+    struct = Structure(sig, range(2 * n), {"E": edges, "K": [(i, n + i) for i in range(n)]})
+    return struct, KeySet({"K": 1}.items())
+
+
+def _matching_cases():
+    """(name, structure, keys, target, value); every maximal support of each
+    meets at most two columns, and a value of None is left to the oracles."""
+    for k in range(3, 10):
+        yield f"C{k}", _graph(k, _cycle(k)), NO_KEYS, range(k), Fraction(k, 2)
+    for k in range(3, 8):
+        path = [(i, i + 1) for i in range(k - 1)]
+        yield f"P{k}", _graph(k, path), NO_KEYS, range(k), Fraction((k + 1) // 2)
+        star = [(0, i) for i in range(1, k)]
+        yield f"star{k}", _graph(k, star), NO_KEYS, range(k), Fraction(k - 1)
+    # Columns whose only support is their own, beside a triangle and a C5.
+    yield "C3+2", _graph(5, _cycle(3), (3, 4)), NO_KEYS, range(5), Fraction(7, 2)
+    yield "C5+1", _graph(6, _cycle(5), (5, 0)), NO_KEYS, range(6), Fraction(7, 2)
+    yield "P4+1", _graph(5, [(0, 1), (1, 2), (2, 3)], (4,)), NO_KEYS, {0, 1, 2, 4}, Fraction(3)
+    # Each Q tuple holds v_i, w_i, v_{i+1} and w_{i+1}: v_i and w_i meet the
+    # same tuples, so their classes merge into one column.
+    for k in (3, 5, 6):
+        quads = [(i, k + i, (i + 1) % k, k + (i + 1) % k) for i in range(k)]
+        struct = Structure(Signature({"Q": 4}), range(2 * k), {"Q": quads})
+        yield f"Q{k}", struct, NO_KEYS, range(2 * k), Fraction(k, 2)
+    for name, edges, n in (("C5", _cycle(5), 5), ("C7", _cycle(7), 7), ("K4", [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 4)):
+        struct, keys = _pendant_keyed(edges, n)
+        yield f"keyed-{name}", struct, keys, range(2 * n), None
+        yield f"keyed-{name}-half", struct, keys, range(n // 2, n + n // 2 + 1), None
+
+
+def _oracle_values(struct, keys, target):
+    """The packing LP over the target's generating classes and every
+    constraint set, by the two-phase simplex and, while it has at most 12
+    columns and rows, by enumerating its basic solutions."""
+    forces = colorwidth._closure_edges(struct, keys)
+    cols = list({colorwidth._close({v}, forces) for v in target})
+    rows = [[0 if c.isdisjoint(s) else 1 for c in cols] for s in _constraint_sets(struct)]
+    rows = [row for row in rows if any(row)]
+    values = [two_phase_solve_lp([1] * len(cols), [(row, "<=", 1) for row in rows]).value]
+    if len(cols) + len(rows) <= 12:
+        values.append(packing_lp_by_basic_enumeration(len(cols), rows))
+    return values
+
+
+def test_matching_rule_matches_the_oracle_lps(monkeypatch):
+    """Odd cycles, paths, stars, columns of their own, classes merged by
+    equal masks and keyed pendants: each value comes from the matching
+    rule, not the LP, and equals both oracles' optimum."""
+    lp_rows = _counting_lp(monkeypatch)
+    matchings = _counting_matchings(monkeypatch)
+    cases = enumerated = 0
+    for name, struct, keys, target, want in _matching_cases():
+        got = color_values(struct, keys)(target)
+        oracles = _oracle_values(struct, keys, target)
+        assert set(oracles) == {got} and want in (None, got), (name, got, oracles)
+        cases += 1
+        enumerated += len(oracles) == 2
+        assert len(matchings) == cases, name
+    assert lp_rows == [] and cases == 29 and enumerated >= 10, enumerated
+
+
+def test_matching_rule_needs_no_recursion():
+    """Augmenting paths are searched with a queue: a 6,000-vertex cycle's
+    double cover has a perfect matching, and so has a path's."""
+    n = 6000
+    cycle = [1 << i | 1 << (i + 1) % n for i in range(n)]
+    assert colorwidth._double_cover_matching(n, cycle) == n
+    assert colorwidth._double_cover_matching(n, cycle[:-1]) == n

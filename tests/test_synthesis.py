@@ -253,10 +253,39 @@ def test_subplan_degrees_match_rebuilt_representations(rng):
     assert synthesized >= 90
 
 
+def test_subplan_degrees_build_one_structure_per_join(rng, monkeypatch):
+    """The fold builds one validated Structure per distinct subplan that is
+    not a projection, an atom's or a join's or selection's quotient, and
+    no other: no disjoint union and no chase image."""
+    built = []
+    init = Structure.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    checked = keyed = 0
+    for i in range(120):
+        sig = rand_signature(rng)
+        keys = rand_keys(rng, sig, prob=0.7) if i % 2 else NO_KEYS
+        prepared = prepare(rand_plan(rng, sig, max_operators=6), sig)
+        want = sum(not isinstance(node, Project) for node, _ in prepared.numbering[1])
+        monkeypatch.setattr(Structure, "__init__", counting)
+        subplan_degrees(prepared, keys)
+        monkeypatch.setattr(Structure, "__init__", init)
+        assert len(built) == want, print_plan(prepared.plan)
+        built.clear()
+        checked += want > 2
+        keyed += bool(keys)
+    assert checked >= 40 and keyed >= 40
+
+
 def test_subplan_degrees_shift_children_past_universe_gaps():
-    """The chase leaves gaps in a child's universe, so a join must shift each
-    child past the previous ones' largest id; shifting by element count
-    would identify elements of different children here and give 2."""
+    """Keys merge elements inside the inner joins, so a child's quotient
+    has fewer elements than its children had.  Shifting by element count
+    is exact only because the fold numbers each quotient densely; over
+    the ids the merges leave, it would identify elements of different
+    children here and give 2."""
     sig = Signature({"R": 3})
     keys = KeySet({"R": 3}.items())
     plan = parse_plan("(join (theta) (join (theta) (join (theta (2 1)) R R) R) R)", sig)
