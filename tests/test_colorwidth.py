@@ -645,7 +645,8 @@ def _matching_cases():
         quads = [(i, k + i, (i + 1) % k, k + (i + 1) % k) for i in range(k)]
         struct = Structure(Signature({"Q": 4}), range(2 * k), {"Q": quads})
         yield f"Q{k}", struct, NO_KEYS, range(2 * k), Fraction(k, 2)
-    for name, edges, n in (("C5", _cycle(5), 5), ("C7", _cycle(7), 7), ("K4", [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 4)):
+    k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    for name, edges, n in (("C5", _cycle(5), 5), ("C7", _cycle(7), 7), ("K4", k4, 4)):
         struct, keys = _pendant_keyed(edges, n)
         yield f"keyed-{name}", struct, keys, range(2 * n), None
         yield f"keyed-{name}-half", struct, keys, range(n // 2, n + n // 2 + 1), None
