@@ -14,7 +14,8 @@ out of memory exits 3 with a one-line ``spjopt: resource cap: out of
 memory`` message instead of a traceback.  Exit 2 also covers files that
 cannot be read (missing, a directory, no permission) or are not UTF-8 text,
 and ``--data`` given more than once.
-Universe caps default to :class:`Caps`; ``--cap-universe N`` sets both.  All
+Every resource cap is defined in :mod:`spjopt.errors`; the universe caps
+default to its :class:`Caps`, and ``--cap-universe N`` sets both.  All
 outputs are byte-identical across runs for identical inputs: wall-clock
 timings are deliberately left out of the serialized reports.
 
@@ -40,6 +41,7 @@ from .colorwidth import optimal_cwidth
 from .constraints import KeySet, chase, key_violation
 from .errors import (
     ArityError,
+    Caps,
     DegenerateInputError,
     FormatError,
     KeyConstraintError,
@@ -54,7 +56,7 @@ from .plans import (
     print_plan,
     subplan_texts,
 )
-from .represent import Caps, build_representation
+from .represent import build_representation
 from .structures import OpenStructure, Signature, Structure, compute_core
 from .synthesis import (
     chased_core,
@@ -253,7 +255,7 @@ def _cmd_chase(args: argparse.Namespace) -> None:
 def _cmd_core(args: argparse.Namespace) -> None:
     core_cap = _caps(args).core_universe
     if args.data:
-        core = compute_core(_chased_data(args, _load_keys(args)), cap_universe=core_cap)
+        core = compute_core(_chased_data(args, _load_keys(args)), core_cap)
     else:
         prepared, keys, _ = _load_plan(args)
         core = chased_core(prepared, keys, core_cap)

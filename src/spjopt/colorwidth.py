@@ -286,7 +286,10 @@ def color_values(structure: Structure, keys: KeySet) -> Callable[[Iterable[int]]
                     split.append((group ^ inside, support))
             groups = split
         supports = [support for _, support in groups]
-        maximal = [s for s in supports if not any(s != t and s | t == t for t in supports)]
+        maximal: list[int] = []
+        for s in sorted(supports, key=int.bit_count, reverse=True):
+            if not any(s | t == t for t in maximal):
+                maximal.append(s)
         if sum(maximal) == reduce(or_, maximal):
             return Fraction(len(maximal))  # each column lies in exactly one row
         if all(s.bit_count() <= 2 for s in maximal):

@@ -104,7 +104,7 @@ def key_closure(
     size: int,
     relations: Mapping[str, Sequence[tuple[int, ...]]],
     keys: KeySet,
-    identified: Iterable[tuple[int, int]] = (),
+    identified: Iterable[tuple[int, int]],
 ) -> list[int]:
     """The least key-closed equivalence on the positions ``0..size-1`` of
     ``relations``' rows that contains the ``identified`` pairs, as a list
@@ -140,15 +140,10 @@ def key_closure(
     return parent
 
 
-def chase(
-    value: Union[OpenStructure, Structure],
-    keys: KeySet,
-    identified: Iterable[tuple[int, int]] = (),
-) -> ChaseResult:
-    """The chase fixpoint of ``value`` with the ``identified`` pairs of its
-    elements made equal, computed as one quotient by the least key-closed
-    equivalence that contains them: :func:`key_closure` over the positions
-    of the sorted universe, so a class's smallest position is its smallest
+def chase(value: Union[OpenStructure, Structure], keys: KeySet) -> ChaseResult:
+    """The chase fixpoint of ``value``, computed as one quotient by the
+    least key-closed equivalence: :func:`key_closure` over the positions of
+    the sorted universe, so a class's smallest position is its smallest
     element, whatever ids the universe skips.
 
     Every class is represented by its smallest element id, which keeps its
@@ -165,8 +160,7 @@ def chase(
         for name, rel in struct.relations.items()
         if keys.for_relation(name)
     }
-    pairs = [(position(a), position(b)) for a, b in identified]
-    parent = key_closure(len(universe), rows, keys, pairs)
+    parent = key_closure(len(universe), rows, keys, ())
     merge = {e: universe[r] for e, r in zip(universe, parent)}
     changed = any(k != v for k, v in merge.items())
     current = struct.apply_map(merge) if changed else struct

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and every resource cap
+it raises on, each defined once and read from here at check time."""
+
+from dataclasses import dataclass
 
 
 class SpjError(Exception):
@@ -30,7 +33,8 @@ class PlanSyntaxError(SpjError):
 
 
 class ResourceCapError(SpjError):
-    """An exact search was asked to run above its configured universe cap."""
+    """A search or a build was asked to run above one of this module's
+    resource caps: a :class:`Caps` universe or a fixed bound below."""
 
 
 class FormatError(SpjError):
@@ -40,3 +44,40 @@ class FormatError(SpjError):
 class DegenerateInputError(SpjError):
     """An operation was applied to a degenerate value it cannot handle
     (for example plan synthesis from a structure with no tuples at all)."""
+
+
+@dataclass(frozen=True)
+class Caps:
+    """Universe caps of the core search and the decomposition search, passed
+    down from the CLI, whose ``--cap-universe`` sets both.  Keyed C13's
+    13-element chased representation is the smallest keyed cycle the core
+    cap refuses."""
+
+    core_universe: int = 12
+    width_universe: int = 16
+
+
+# The most elements a plan's representation may allocate: one per arity
+# position of each basic occurrence, checked before any is allocated, by
+# build_representation and by degree analysis.  About half a KB each, so
+# about 0.5 GB at the cap.  Keyed C20's synthesized plan needs 22,420.
+# Degree analysis also charges every structure its fold builds, and a
+# witness family member's elements and rows together share the cap.
+REPRESENTATION_ELEMENTS_CAP = 1_000_000
+
+# The most words (rows times slots plus 6) one step of a join chain may
+# build, so that a step's memory is bounded however narrow its rows: a
+# 2-slot row takes 8 words, 4 per slot, and a 12-slot row 18, 1.5 per slot.
+# The test suite's largest step, the unkeyed Mobius 10-ladder's walks on an
+# 8-vertex out-degree-4 graph, is 33.6 million words (2,097,152 rows of 10
+# slots, near 400 MB); the benchmark's is 157,464.  The unkeyed Mobius and
+# squared 14- and 16-vertex inputs on a 6-vertex out-degree-3 graph are
+# refused at their step of 60.6 million (3,188,646 rows of 13 slots).
+JOIN_STEP_WORDS_CAP = 40_000_000
+
+# The most characters of subplan text one output may print.  ``represent``
+# and ``evaluate --trace`` or ``--format text`` print every occurrence's
+# whole subplan, so their text grows with the square of a plan's depth:
+# 2.4 GB of memory for the 4,000-level project/join chain.  The 1,200
+# nested selections of the deep-plan tests print about 17 million.
+PRINTED_SUBPLANS_CAP = 50_000_000

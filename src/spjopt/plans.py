@@ -6,7 +6,7 @@ and for the well-behavedness check.
 
 Every plan is evaluated by its compiled program (see
 :func:`evaluate_well_behaved`); well-behavedness bounds the rows its join
-chains build, and ``JOIN_STEP_WORDS_CAP`` bounds the chains of the joins
+chains build, and ``errors.JOIN_STEP_WORDS_CAP`` bounds the chains of the joins
 that are not well-behaved.  :func:`evaluate_naive` is the reference that
 the compiled program is checked against.
 """
@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from . import errors
 from .errors import ArityError, PlanSyntaxError, ResourceCapError, SignatureError
 from .structures import Signature, Structure, flatten, link
 
@@ -347,21 +348,13 @@ def _node_text(node: Plan, kid_texts: list[str]) -> str:
     return f"{_head(node)} {' '.join(kid_texts)})"
 
 
-# The most characters of subplan text one output may print.  ``represent``
-# and ``evaluate --trace`` or ``--format text`` print every occurrence's
-# whole subplan, so their text grows with the square of a plan's depth:
-# 2.4 GB of memory for the 4,000-level project/join chain.  The 1,200
-# nested selections of the deep-plan tests print about 17 million.
-PRINTED_SUBPLANS_CAP = 50_000_000
-
-
 def subplan_texts(numbering: Numbering) -> list[str]:
     """Each occurrence's subplan, printed, for a plan with
     :func:`number_subplans` ``numbering``: one string per occurrence, in
     post-order (root last); the occurrences of one subplan share one string.
 
     The lengths are summed per number first, in one pass, and a total of
-    more than ``PRINTED_SUBPLANS_CAP`` characters raises
+    more than ``errors.PRINTED_SUBPLANS_CAP`` characters raises
     :class:`ResourceCapError` before any subplan's text is built."""
     numbers, distinct = numbering
     lengths: list[int] = []
@@ -369,9 +362,9 @@ def subplan_texts(numbering: Numbering) -> list[str]:
         own = len(_node_text(node, [""] * len(kids)))
         lengths.append(own + sum(lengths[k] for k in kids))
     total = sum(map(lengths.__getitem__, numbers))
-    if total > PRINTED_SUBPLANS_CAP:
+    if total > errors.PRINTED_SUBPLANS_CAP:
         raise ResourceCapError(
-            f"printed subplans capped at {PRINTED_SUBPLANS_CAP} characters, "
+            f"printed subplans capped at {errors.PRINTED_SUBPLANS_CAP} characters, "
             f"the plan's occurrences print {total}"
         )
     texts: list[str] = []
@@ -784,7 +777,7 @@ def evaluate_well_behaved(prepared: PreparedPlan, data: Structure) -> EvalTrace:
     already-bound class, so no step of a well-behaved join materializes
     more than |out(q1, D)| x |dom(D)| rows; a step of any join raises
     :class:`ResourceCapError` before it builds more than
-    ``JOIN_STEP_WORDS_CAP`` words, its rows times its slots plus 6.  Each
+    ``errors.JOIN_STEP_WORDS_CAP`` words, its rows times its slots plus 6.  Each
     operator's column positions are compiled into ``itemgetter``s once, not
     once per row.  An operator that keeps every row as it is (a projection
     onto all columns in order, a selection with no identification, a
@@ -881,17 +874,6 @@ def _compile_join(classes: list[int], arities: list[int]) -> _JoinProgram:
 # s items and 5-word header and its slot in the chain's list.
 _ROW_OVERHEAD_WORDS = 6
 
-# The most words (rows times slots plus 6) one step of a join chain may
-# build, so that a step's memory is bounded however narrow its rows: a
-# 2-slot row takes 8 words, 4 per slot, and a 12-slot row 18, 1.5 per slot.
-# The test suite's largest step, the unkeyed Mobius 10-ladder's walks on an
-# 8-vertex out-degree-4 graph, is 33.6 million words (2,097,152 rows of 10
-# slots, near 400 MB); the benchmark's is 157,464.  The unkeyed Mobius and
-# squared 14- and 16-vertex inputs on a 6-vertex out-degree-3 graph are
-# refused at their step of 60.6 million (3,188,646 rows of 13 slots).
-JOIN_STEP_WORDS_CAP = 40_000_000
-
-
 def _run_join(steps: list[tuple], outs: list[frozenset], trace: EvalTrace):
     """The chain rows of the join of the children's rows ``outs`` by the
     join program's ``steps``, one value per slot; raises
@@ -902,7 +884,7 @@ def _run_join(steps: list[tuple], outs: list[frozenset], trace: EvalTrace):
     they are the chain's rows themselves.  A later child that binds no new
     class only filters the chain: its rows are its keys, and the chain rows
     whose probe is one of them are kept.  Before any other step is built,
-    its words (see ``JOIN_STEP_WORDS_CAP``) are bounded by the chain's rows
+    its words (see ``errors.JOIN_STEP_WORDS_CAP``) are bounded by the chain's rows
     times the largest bucket times the words of one row, and only when that
     bound passes the cap are its rows counted exactly, as the sum of the
     probed buckets' lengths; past the cap the join raises
@@ -921,11 +903,11 @@ def _run_join(steps: list[tuple], outs: list[frozenset], trace: EvalTrace):
             for t in rows:
                 table.setdefault(key(t), []).append(extend(t))
             words = slots + _ROW_OVERHEAD_WORDS
-            if len(current) * max(map(len, table.values()), default=0) * words > JOIN_STEP_WORDS_CAP:
+            if len(current) * max(map(len, table.values()), default=0) * words > errors.JOIN_STEP_WORDS_CAP:
                 size = sum(len(table.get(probe(row), ())) for row in current)
-                if size * words > JOIN_STEP_WORDS_CAP:
+                if size * words > errors.JOIN_STEP_WORDS_CAP:
                     raise ResourceCapError(
-                        f"join chain capped at {JOIN_STEP_WORDS_CAP} words per step, "
+                        f"join chain capped at {errors.JOIN_STEP_WORDS_CAP} words per step, "
                         f"a step needs {size * words} ({size} rows of {slots} slots)"
                     )
             current = [row + ext for row in current for ext in table.get(probe(row), ())]

@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
+from . import errors
 from .errors import ResourceCapError
 from .plans import (
     Basic,
@@ -37,38 +38,17 @@ from .structures import (
 )
 
 
-@dataclass(frozen=True)
-class Caps:
-    """Resource caps for the exponential stages.
-
-    ``core_universe`` bounds the core search, and ``None`` disables it.
-    ``width_universe`` bounds the decomposition search and is always set.
-    """
-
-    core_universe: Optional[int] = 12
-    width_universe: int = 16
-
-
-# The most elements a plan's representation may allocate: one per arity
-# position of each basic occurrence, checked before any is allocated, by
-# build_representation and by degree analysis.  About half a KB each, so
-# about 0.5 GB at the cap.  Keyed C20's synthesized plan needs 22,420.
-# Degree analysis also charges every structure its fold builds, and a
-# witness family member's elements and rows together share the cap.
-REPRESENTATION_ELEMENTS_CAP = 1_000_000
-
-
 def check_representation_size(
     numbers: Sequence[int], distinct: Sequence[tuple[Plan, tuple[int, ...]]], arities: Sequence[int]
 ) -> None:
     """Raise :class:`ResourceCapError` when the plan's basic occurrences,
     given by its :func:`number_subplans` and their ``arities``, hold more
-    than ``REPRESENTATION_ELEMENTS_CAP`` positions."""
+    than ``errors.REPRESENTATION_ELEMENTS_CAP`` positions."""
     basic = [m if isinstance(node, Basic) else 0 for (node, _), m in zip(distinct, arities)]
     total = sum(map(basic.__getitem__, numbers))
-    if total > REPRESENTATION_ELEMENTS_CAP:
+    if total > errors.REPRESENTATION_ELEMENTS_CAP:
         raise ResourceCapError(
-            f"representation capped at {REPRESENTATION_ELEMENTS_CAP} elements, "
+            f"representation capped at {errors.REPRESENTATION_ELEMENTS_CAP} elements, "
             f"the plan's basic occurrences hold {total}"
         )
 

@@ -589,9 +589,11 @@ def _periodic_points(h: Mapping[int, int]) -> set[int]:
     return kept
 
 
-def compute_core(value: OpenStructure, cap_universe: Optional[int] = None) -> OpenStructure:
+def compute_core(value: OpenStructure, cap: int) -> OpenStructure:
     """A core of the open structure ``value``: a retract with the same tuple
-    all of whose endomorphisms (fixing the tuple) are injective.
+    all of whose endomorphisms (fixing the tuple) are injective.  A universe
+    of more than ``cap`` elements raises :class:`ResourceCapError` before
+    any search.
 
     Greedy iterated retraction: repeatedly find a non-injective endomorphism
     h and pass to the induced substructure on h's periodic points, the
@@ -605,9 +607,9 @@ def compute_core(value: OpenStructure, cap_universe: Optional[int] = None) -> Op
     than one per pair of elements; a round that retracts still takes the
     pair search's witness, so the core is the same, byte for byte.
     """
-    if cap_universe is not None and len(value.structure.universe) > cap_universe:
+    if len(value.structure.universe) > cap:
         raise ResourceCapError(
-            f"core search capped at universe {cap_universe}, got {len(value.structure.universe)}"
+            f"core search capped at universe {cap}, got {len(value.structure.universe)}"
         )
     current = value
     while True:

@@ -31,7 +31,8 @@ from typing import Callable, Optional, Sequence
 
 from .colorwidth import color_values, optimal_cwidth
 from .constraints import KeySet, chase, key_closure, satisfies_keys
-from .errors import ArityError, DegenerateInputError, ResourceCapError, SpjError
+from . import errors
+from .errors import ArityError, Caps, DegenerateInputError, ResourceCapError, SpjError
 from .plans import (
     Basic,
     Join,
@@ -44,13 +45,7 @@ from .plans import (
     print_prepared,
     theta_of,
 )
-from .represent import (
-    REPRESENTATION_ELEMENTS_CAP,
-    Caps,
-    TreeDecomposition,
-    build_representation,
-    check_representation_size,
-)
+from .represent import TreeDecomposition, build_representation, check_representation_size
 from .structures import (
     OpenStructure,
     Signature,
@@ -447,7 +442,7 @@ def subplan_degrees(prepared: PreparedPlan, keys: KeySet) -> list[Fraction]:
     function.  A subplan's degree is read as soon as it is built, and its
     structure is dropped after the last subplan that reads it, so a chain
     holds about two levels at a time.  Every structure built counts against
-    ``REPRESENTATION_ELEMENTS_CAP`` before it is allocated, whether or not
+    ``errors.REPRESENTATION_ELEMENTS_CAP`` before it is allocated, whether or not
     it was dropped: a join or selection holds its children's elements until
     the quotient.
     """
@@ -461,9 +456,9 @@ def subplan_degrees(prepared: PreparedPlan, keys: KeySet) -> list[Fraction]:
     for number, ((node, kids), m) in enumerate(zip(distinct, arities)):
         if not isinstance(node, Project):
             allocated += m if isinstance(node, Basic) else sum(len(reps[k][0].universe) for k in kids)
-            if allocated > REPRESENTATION_ELEMENTS_CAP:
+            if allocated > errors.REPRESENTATION_ELEMENTS_CAP:
                 raise ResourceCapError(
-                    f"degree analysis capped at {REPRESENTATION_ELEMENTS_CAP} elements, "
+                    f"degree analysis capped at {errors.REPRESENTATION_ELEMENTS_CAP} elements, "
                     f"its structures need at least {allocated}"
                 )
         if isinstance(node, Basic):
@@ -567,10 +562,10 @@ def _chased_representation(prepared: PreparedPlan, keys: KeySet) -> OpenStructur
     return chase(rep.open, keys).result
 
 
-def chased_core(prepared: PreparedPlan, keys: KeySet, core_cap: Optional[int]) -> OpenStructure:
+def chased_core(prepared: PreparedPlan, keys: KeySet, cap: int) -> OpenStructure:
     """The core of the prepared plan's chased representation, searched under
-    ``core_cap`` (``None`` for no cap): the structure synthesis starts from."""
-    return compute_core(_chased_representation(prepared, keys), cap_universe=core_cap)
+    the universe ``cap``: the structure synthesis starts from."""
+    return compute_core(_chased_representation(prepared, keys), cap)
 
 
 def optimize(prepared: PreparedPlan, keys: KeySet, caps: Caps = Caps()) -> SynthesisResult:
@@ -587,7 +582,7 @@ def optimize(prepared: PreparedPlan, keys: KeySet, caps: Caps = Caps()) -> Synth
     synthesized plan is numbered once.
     """
     chased = _chased_representation(prepared, keys)
-    result = synthesize_plan(compute_core(chased, cap_universe=caps.core_universe), keys, caps)
+    result = synthesize_plan(compute_core(chased, caps.core_universe), keys, caps)
     output = _chased_representation(result.prepared, keys)
     if _mutual_homomorphisms(chased, output) is None:  # pragma: no cover
         raise SpjError("pipeline produced a non-equivalent plan")

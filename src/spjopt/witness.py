@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from .colorwidth import ColorSolution, WidthReport, color_number
 from .constraints import KeySet, satisfies_keys
+from . import errors
 from .errors import DegenerateInputError, ResourceCapError, SpjError
-from .represent import REPRESENTATION_ELEMENTS_CAP
 from .structures import OpenStructure, Structure
 
 
@@ -60,7 +60,7 @@ class WitnessFamily:
 def check_family_size(source: Structure, solution: ColorSolution, n: int) -> None:
     """Raise before :func:`product_witness` allocates D_n when n < 1, or
     when D_n's elements and rows together exceed
-    ``REPRESENTATION_ELEMENTS_CAP``.
+    ``errors.REPRESENTATION_ELEMENTS_CAP``.
 
     D_n has exactly n^|colors(x)| elements per source element x and
     n^|colors(row)| rows per source atom: distinct color assignments give
@@ -71,9 +71,9 @@ def check_family_size(source: Structure, solution: ColorSolution, n: int) -> Non
     exponents = [solution.colors_on((x,)) for x in source.universe]
     exponents += [solution.colors_on(row) for _, row in source.atoms()]
     size = sum(n**k for k in exponents)
-    if size > REPRESENTATION_ELEMENTS_CAP:
+    if size > errors.REPRESENTATION_ELEMENTS_CAP:
         raise ResourceCapError(
-            f"witness family capped at {REPRESENTATION_ELEMENTS_CAP} elements and rows, "
+            f"witness family capped at {errors.REPRESENTATION_ELEMENTS_CAP} elements and rows, "
             f"member n={n} holds {size}"
         )
 

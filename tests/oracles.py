@@ -75,8 +75,10 @@ from spjopt.represent import (
 from spjopt.structures import _HomSearch, _tuple_pins
 from spjopt.synthesis import _assemble_plan, _atom_subplan, _first_columns, _join, _project
 
-# No cap on the core search; the width search keeps the default cap.
-UNCAPPED = Caps(core_universe=None)
+# A core cap above every structure the tests search: the largest, keyed
+# C10's synthesized plan re-optimized, has 295 elements.  The width search
+# keeps the default cap.
+UNCAPPED = Caps(core_universe=1_000)
 
 
 # ---------------------------------------------------------------------------

@@ -14,20 +14,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spjopt import (
+    Caps,
     KeySet,
     OpenStructure,
+    ResourceCapError,
     Signature,
     Structure,
+    build_representation,
+    chase,
+    chased_core,
+    compute_core,
     homs_relation,
     is_well_behaved,
+    optimize,
     parse_plan,
+    prepare,
     print_plan,
 )
 from spjopt import cli, plans, represent, serialize, synthesis
 from spjopt.cli import main
 from spjopt.errors import FormatError
-from spjopt.plans import JOIN_STEP_WORDS_CAP, PRINTED_SUBPLANS_CAP
-from spjopt.represent import REPRESENTATION_ELEMENTS_CAP
+from spjopt.errors import JOIN_STEP_WORDS_CAP, PRINTED_SUBPLANS_CAP, REPRESENTATION_ELEMENTS_CAP
 from spjopt.serialize import (
     keys_from_text,
     plan_file_from_text,
@@ -1221,6 +1228,30 @@ def test_cli_cap_universe_reads_an_int_of_at_least_zero(workdir, capsys):
         assert err.endswith(f"error: argument --cap-universe: {message}\n"), err
     code, _, err = run(capsys, "optimize", *plan, "--cap-universe", "0")
     assert (code, err) == (3, "spjopt: resource cap: core search capped at universe 0, got 3\n")
+
+
+def test_api_core_search_is_capped_as_the_cli_is(workdir, capsys):
+    """Keyed C13's chased representation has 13 elements.  Every subcommand
+    that searches its core refuses it under the default caps, and so do
+    ``compute_core`` and ``chased_core`` under ``Caps().core_universe`` and
+    ``optimize`` under ``Caps()``, with the CLI's message."""
+    plan = pattern_plan([(i, (i + 1) % 13) for i in range(13)], (0,))
+    (workdir / "c13.plan").write_text(f"rel E 2\n{print_plan(plan)}\n")
+    message = "core search capped at universe 12, got 13"
+    for command in ("core", "decompose", "witness", "optimize"):
+        got = run(capsys, command, "--plan", workdir / "c13.plan", "--keys", workdir / "r1.keys")
+        assert got == (3, "", f"spjopt: resource cap: {message}\n"), command
+    keys = KeySet([("E", 1)])
+    prepared = prepare(plan, SIG)
+    chased = chase(build_representation(plan, SIG, prepared)[0].open, keys).result
+    assert len(chased.structure.universe) == 13
+    for capped in (
+        lambda: compute_core(chased, Caps().core_universe),
+        lambda: chased_core(prepared, keys, Caps().core_universe),
+        lambda: optimize(prepared, keys, Caps()),
+    ):
+        with pytest.raises(ResourceCapError, match=f"^{message}$"):
+            capped()
 
 
 def test_cli_witness_n_reads_ints_of_at_least_one(workdir, capsys):

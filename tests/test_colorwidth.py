@@ -59,6 +59,7 @@ from oracles import (
 SIG_E = Signature({"E": 2})
 SIG_R = Signature({"R": 2})
 NO_KEYS = KeySet.empty()
+CORE_CAP = UNCAPPED.core_universe
 WIDTH_CAP = UNCAPPED.width_universe
 KEY_R1 = KeySet({"R": 1}.items())
 
@@ -346,7 +347,7 @@ def test_bounded_search_matches_unbounded_search(rng):
         large += len(open_s.structure.universe) >= 8
     assert keyed >= 120 and large >= 60
     for edges in (mobius_ladder(10), mobius_ladder(12), squared_cycle(12)):
-        _assert_same_report(chased_core(prepare(pattern_plan(edges, (0, 1)), SIG_E), NO_KEYS, None), NO_KEYS)
+        _assert_same_report(chased_core(prepare(pattern_plan(edges, (0, 1)), SIG_E), NO_KEYS, CORE_CAP), NO_KEYS)
     # A state cut under the bound 9/4 is asked again under 5/2, so its lower
     # bound must not be reused; random search met such a state in 4 of
     # 20,000 hypergraphs of up to 10 elements.
@@ -371,7 +372,7 @@ def test_bounded_search_solves_few_lps_on_mobius16(monkeypatch):
     reads 981 bags of the Mobius 16 core and the bounded one 369.  Every
     support of an unkeyed graph meets at most two columns, so the matching
     rule reads all 369 and no LP is solved."""
-    core = chased_core(prepare(pattern_plan(mobius_ladder(16), (0, 1)), SIG_E), NO_KEYS, None)
+    core = chased_core(prepare(pattern_plan(mobius_ladder(16), (0, 1)), SIG_E), NO_KEYS, CORE_CAP)
     lp_rows = _counting_lp(monkeypatch)
     matchings = _counting_matchings(monkeypatch)
     assert optimal_cwidth(core, NO_KEYS, cap=WIDTH_CAP).width == 3
@@ -515,7 +516,7 @@ def _assert_search_values_are_color_numbers(seen):
 @pytest.mark.parametrize("name", PATTERN_EDGES)
 def test_width_search_reads_color_numbers_on_pattern_plans(name, monkeypatch):
     seen = _recording_values(monkeypatch)
-    core = chased_core(prepare(pattern_plan(PATTERN_EDGES[name], (0, 1)), SIG_E), NO_KEYS, None)
+    core = chased_core(prepare(pattern_plan(PATTERN_EDGES[name], (0, 1)), SIG_E), NO_KEYS, CORE_CAP)
     optimal_cwidth(core, NO_KEYS, cap=WIDTH_CAP)
     # One closure for the search and one for certifying its decomposition.
     targets: dict[int, list] = {}
@@ -532,7 +533,7 @@ def test_width_search_reads_color_numbers_on_random_plans(rng, monkeypatch):
     for _ in range(60):
         sig = rand_signature(rng, max_relations=2, max_arity=3)
         keys = rand_keys(rng, sig, prob=0.7)
-        core = chased_core(prepare(rand_plan(rng, sig), sig), keys, None)
+        core = chased_core(prepare(rand_plan(rng, sig), sig), keys, CORE_CAP)
         eliminated = eliminate_fds(core, keys).open
         if core.structure.total_tuple_count() == 0 or len(eliminated.structure.universe) > 10:
             continue

@@ -14,6 +14,7 @@ from spjopt import (
     homs_relation,
     satisfies_keys,
 )
+from spjopt.constraints import key_closure
 
 from conftest import (
     rand_keys,
@@ -192,11 +193,13 @@ def _identification_classes(universe, pairs) -> dict[int, int]:
 
 
 def test_chase_with_identified_pairs_is_the_stepwise_chase_of_their_quotient(rng):
-    """``chase(value, keys, identified)`` on universes whose ids have gaps
-    (some negative) equals the one-violation-at-a-time chase of ``value``
-    with the identification classes already merged: the same structure,
-    names and output tuple, and a merge map that sends every element,
-    identified or not, to the smallest element of its class."""
+    """On universes whose ids have gaps (some negative), ``key_closure``
+    over the positions of the sorted universe, started from identified
+    pairs, equals the one-violation-at-a-time chase of ``value`` with the
+    identification classes already merged: the same structure, names and
+    output tuple, and a merge map that sends every element, identified or
+    not, to the smallest element of its class.  ``chase`` of ``value``,
+    which identifies no pair, equals the stepwise chase of ``value``."""
     merged_by_keys = identified_only = 0
     for trial in range(300):
         sig = rand_signature(rng, max_relations=3, max_arity=3)
@@ -206,27 +209,36 @@ def test_chase_with_identified_pairs_is_the_stepwise_chase_of_their_quotient(rng
         ids = sorted(rng.sample(range(low, 40), len(base.structure.universe)))
         spread = dict(zip(base.structure.universe, ids))
         struct = base.structure.apply_map(spread)
-        value = OpenStructure(struct, [spread[e] for e in base.tuple]) if trial % 2 else struct
+        is_open = bool(trial % 2)
+        value = OpenStructure(struct, [spread[e] for e in base.tuple]) if is_open else struct
         universe = struct.universe
         draws = rng.randint(0, 3) if universe else 0
         pairs = [(rng.choice(universe), rng.choice(universe)) for _ in range(draws)]
         cls = _identification_classes(universe, pairs)
         quotient = struct.apply_map(cls)
-        if isinstance(value, OpenStructure):
+        if is_open:
             quotient = OpenStructure(quotient, [cls[e] for e in value.tuple])
         want, want_map = stepwise_chase(quotient, keys)
 
-        res = chase(value, keys, pairs)
-        assert res.result == want
-        got_s = res.result.structure if isinstance(value, OpenStructure) else res.result
-        want_s = want.structure if isinstance(value, OpenStructure) else want
-        assert got_s.names == want_s.names
-        assert list(res.merge_map) == list(universe)
+        position = {e: i for i, e in enumerate(universe)}
+        rows = {name: [tuple(position[e] for e in row) for row in rel] for name, rel in struct.relations.items()}
+        parent = key_closure(len(universe), rows, keys, [(position[a], position[b]) for a, b in pairs])
+        merge = {e: universe[r] for e, r in zip(universe, parent)}
+        got_s = struct.apply_map(merge)
+        got = OpenStructure(got_s, [merge[e] for e in value.tuple]) if is_open else got_s
+        assert got == want
+        assert got_s.names == (want.structure if is_open else want).names
         for e in universe:
-            rep = res.merge_map[e]
+            rep = merge[e]
             assert rep == want_map[cls[e]]
-            assert rep == min(x for x in universe if res.merge_map[x] == rep)
+            assert rep == min(x for x in universe if merge[x] == rep)
         assert satisfies_keys(got_s, keys)
+
+        res = chase(value, keys)
+        plain, plain_map = stepwise_chase(value, keys)
+        assert res.result == plain and list(res.merge_map.items()) == list(plain_map.items())
+        res_s, plain_s = (res.result.structure, plain.structure) if is_open else (res.result, plain)
+        assert res_s.names == plain_s.names
         merged_by_keys += want_map != {e: e for e in want_map}
         identified_only += not keys and cls != {e: e for e in universe}
     assert merged_by_keys >= 60 and identified_only >= 40, (merged_by_keys, identified_only)

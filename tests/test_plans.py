@@ -30,7 +30,7 @@ from spjopt import (
     print_plan,
     theta_of,
 )
-from spjopt import plans
+from spjopt import errors, plans
 from spjopt.plans import number_subplans, occurrence_paths, subplan_texts
 
 import oracles
@@ -487,9 +487,9 @@ def test_printed_subplans_are_counted_exactly(rng, monkeypatch):
             numbering = number_subplans(plan)
             want = [oracles.print_plan(numbering[1][n][0]) for n in numbering[0]]
             total = sum(map(len, want))
-            monkeypatch.setattr(plans, "PRINTED_SUBPLANS_CAP", total)
+            monkeypatch.setattr(errors, "PRINTED_SUBPLANS_CAP", total)
             assert subplan_texts(numbering) == want
-            monkeypatch.setattr(plans, "PRINTED_SUBPLANS_CAP", total - 1)
+            monkeypatch.setattr(errors, "PRINTED_SUBPLANS_CAP", total - 1)
             with pytest.raises(ResourceCapError, match=f"occurrences print {total}$"):
                 subplan_texts(numbering)
 
@@ -505,10 +505,10 @@ def test_join_chain_is_capped_before_it_builds_a_step(monkeypatch):
     keyed = parse_plan("(join (theta (2 4)) R R)", SIG)
     for plan, rows, slots in ((cross, 18, 6), (keyed, 5, 3)):
         words = rows * (slots + 6)
-        monkeypatch.setattr(plans, "JOIN_STEP_WORDS_CAP", words)
+        monkeypatch.setattr(errors, "JOIN_STEP_WORDS_CAP", words)
         trace = evaluate_well_behaved(prepare(plan, SIG), data)
         assert trace.internal_peak == rows and trace.rows == evaluate_naive(plan, data).rows
-        monkeypatch.setattr(plans, "JOIN_STEP_WORDS_CAP", words - 1)
+        monkeypatch.setattr(errors, "JOIN_STEP_WORDS_CAP", words - 1)
         needs = rf"capped at {words - 1} words per step, a step needs {words} \({rows} rows of {slots} slots\)$"
         with pytest.raises(ResourceCapError, match=needs):
             evaluate_well_behaved(prepare(plan, SIG), data)
@@ -551,7 +551,7 @@ def _assert_kernel_matches_old_chain(plan, data):
 
 def test_join_kernel_matches_old_chain_on_triangle_witnesses():
     tri = parse_plan("(project (cols 1 2 4) (join (theta (2 3) (4 5) (6 1)) E E E))", SIG_E)
-    core = chased_core(prepare(tri, SIG_E), KeySet.empty(), None)
+    core = chased_core(prepare(tri, SIG_E), KeySet.empty(), oracles.UNCAPPED.core_universe)
     report = optimal_cwidth(core, KeySet.empty(), cap=oracles.UNCAPPED.width_universe)
     _, family = bag_witness(core, KeySet.empty(), report)
     plans_ = [tri, optimize(prepare(tri, SIG_E), KeySet.empty()).plan]

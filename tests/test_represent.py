@@ -18,7 +18,7 @@ from spjopt import (
     parse_plan,
     prepare,
 )
-from spjopt import plans
+from spjopt import errors, plans
 from spjopt.errors import ResourceCapError
 from spjopt.plans import subplan_texts
 
@@ -207,7 +207,7 @@ def test_node_text_is_capped_before_any_text_is_built(monkeypatch):
     calls = []
     node_text = plans._node_text
     monkeypatch.setattr(plans, "_node_text", lambda node, kids: calls.append(kids) or node_text(node, kids))
-    monkeypatch.setattr(plans, "PRINTED_SUBPLANS_CAP", 10)
+    monkeypatch.setattr(errors, "PRINTED_SUBPLANS_CAP", 10)
     for texts in (lambda: subplan_texts(prepared.numbering), lambda: dec.node_text):
         with pytest.raises(ResourceCapError, match="the plan's occurrences print 102$"):
             texts()

@@ -40,6 +40,7 @@ from conftest import (
 )
 from oracles import (
     RecursiveHomSearch,
+    UNCAPPED,
     augmented_core,
     brute_homs,
     brute_homs_relation,
@@ -53,6 +54,7 @@ from oracles import (
 )
 
 SIG_E = Signature({"E": 2})
+CORE_CAP = UNCAPPED.core_universe
 
 
 def digraph(edges, names=None):
@@ -235,7 +237,7 @@ def test_check_isomorphic_matches_permutation_oracle(rng):
 
 
 def test_core_of_fan_is_single_edge(a0):
-    core = compute_core(OpenStructure(a0, ()))
+    core = compute_core(OpenStructure(a0, ()), CORE_CAP)
     want = OpenStructure(digraph([(0, 1)]), ())
     assert check_isomorphic(core, want)
 
@@ -244,8 +246,8 @@ def test_core_idempotent_and_equivalent(rng):
     for _ in range(25):
         sig = rand_signature(rng, max_relations=2, max_arity=2)
         a = rand_open_structure(rng, sig, max_domain=4, max_rows=4)
-        core = compute_core(a)
-        again = compute_core(core)
+        core = compute_core(a, CORE_CAP)
+        again = compute_core(core, CORE_CAP)
         assert check_isomorphic(core, again)
         # homomorphic equivalence with the input
         assert find_homomorphism(a, core) is not None
@@ -256,20 +258,20 @@ def test_core_admits_no_proper_retraction(rng):
     for _ in range(20):
         sig = rand_signature(rng, max_relations=2, max_arity=2)
         a = rand_open_structure(rng, sig, max_domain=3, max_rows=3)
-        core = compute_core(a)
+        core = compute_core(a, CORE_CAP)
         assert not has_proper_retraction(core)
 
 
 def test_core_cycle_with_pendant_path():
     # A 3-cycle with a 2-step tail retracts onto the cycle.
     g = digraph([(0, 1), (1, 2), (2, 0), (3, 4), (4, 0)])
-    core = compute_core(OpenStructure(g, ()))
+    core = compute_core(OpenStructure(g, ()), CORE_CAP)
     assert check_isomorphic(core, OpenStructure(digraph([(0, 1), (1, 2), (2, 0)]), ()))
 
 
 def test_core_preserves_output_tuple():
     g = digraph([(0, 1), (0, 2)])
-    core = compute_core(OpenStructure(g, (0, 1)))
+    core = compute_core(OpenStructure(g, (0, 1)), CORE_CAP)
     assert core.tuple == (0, 1)
 
 
@@ -413,7 +415,7 @@ def test_core_matches_augmented_reference(rng):
     carries the tuple as an extra relation."""
     seen = {"inputs": 0, "empty tuple": 0, "repeated entry": 0, "nullary": 0}
     for a in _core_inputs(rng):
-        assert structure_to_json(compute_core(a)) == structure_to_json(augmented_core(a))
+        assert structure_to_json(compute_core(a, CORE_CAP)) == structure_to_json(augmented_core(a))
         seen["inputs"] += 1
         seen["empty tuple"] += not a.tuple
         seen["repeated entry"] += len(set(a.tuple)) < len(a.tuple)
@@ -460,5 +462,5 @@ def test_core_proof_searches_once_per_element(monkeypatch):
     rep, _ = build_representation(pattern_plan(mobius_ladder(16), (0, 1)), SIG_E)
     chased = chase(rep.open, KeySet.empty()).result
     monkeypatch.setattr(structures, "_HomSearch", Counting)
-    assert compute_core(chased) == chased
+    assert compute_core(chased, CORE_CAP) == chased
     assert len(searches) <= 14

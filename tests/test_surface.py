@@ -14,6 +14,23 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
+from spjopt import (
+    Caps,
+    KeySet,
+    ResourceCapError,
+    Signature,
+    bag_witness,
+    chased_core,
+    errors,
+    optimal_cwidth,
+    parse_prepared,
+    subplan_degrees,
+)
+from spjopt.represent import check_representation_size
+from spjopt.witness import check_family_size
+
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "spjopt").glob("*.py"))
 
@@ -135,3 +152,60 @@ def test_subplan_text_has_one_capped_builder():
 
         visit(ast.parse(path.read_text()), path.stem)
     assert readers == {"plans.print_numbered", "plans.subplan_texts"}
+
+
+CAP_BOUNDS = {
+    "core_universe": 12,
+    "width_universe": 16,
+    "REPRESENTATION_ELEMENTS_CAP": 1_000_000,
+    "JOIN_STEP_WORDS_CAP": 40_000_000,
+    "PRINTED_SUBPLANS_CAP": 50_000_000,
+}
+
+
+def test_every_resource_cap_is_defined_once_and_read_at_check_time(monkeypatch):
+    """Each of the five bounds is assigned once in the library, in
+    ``errors``, and no module imports one by name, so patching ``errors``
+    moves every check that reads it: the representation size, the degree
+    fold and the witness family all refuse under a patched
+    ``REPRESENTATION_ELEMENTS_CAP``.  No parameter named for a cap has a
+    default other than ``Caps()``, or an annotation other than ``int`` or
+    ``Caps``."""
+    assigned, imported, parameters = [], [], []
+    for path in LIBRARY:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    if isinstance(target, ast.Name) and target.id in CAP_BOUNDS:
+                        assigned.append((path.stem, target.id, ast.literal_eval(node.value)))
+            elif isinstance(node, ast.ImportFrom):
+                imported += [f"{path.stem}: {a.name}" for a in node.names if a.name in CAP_BOUNDS]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                defaults = [None] * (len(node.args.posonlyargs + node.args.args) - len(node.args.defaults))
+                defaults += node.args.defaults + node.args.kw_defaults
+                for arg, default in zip(args, defaults):
+                    if "cap" in arg.arg:
+                        parameters.append(
+                            (arg.annotation and ast.unparse(arg.annotation), default and ast.unparse(default))
+                        )
+    assert sorted(assigned) == sorted(("errors", name, value) for name, value in CAP_BOUNDS.items())
+    assert not imported, imported
+    assert parameters and set(parameters) <= {("int", None), ("Caps", None), ("Caps", "Caps()")}
+
+    sig, keys = Signature({"E": 2}), KeySet.empty()
+    prepared = parse_prepared("(project (cols 1 2 4) (join (theta (2 3) (4 5) (6 1)) E E E))", sig)
+    core = chased_core(prepared, keys, Caps().core_universe)
+    family = bag_witness(core, keys, optimal_cwidth(core, keys, Caps().width_universe))[1]
+    # The triangle's three atoms hold 6 positions, its degree fold builds
+    # 2 + 6 elements, and its witness member D_1 holds 3 elements and 3 rows.
+    monkeypatch.setattr(errors, "REPRESENTATION_ELEMENTS_CAP", 5)
+    with pytest.raises(ResourceCapError, match="^representation capped at 5 elements"):
+        check_representation_size(*prepared.numbering, prepared.arities)
+    with pytest.raises(ResourceCapError, match="^witness family capped at 5 elements"):
+        check_family_size(family.source, family.solution, 1)
+    monkeypatch.setattr(errors, "REPRESENTATION_ELEMENTS_CAP", 6)
+    check_representation_size(*prepared.numbering, prepared.arities)
+    check_family_size(family.source, family.solution, 1)
+    with pytest.raises(ResourceCapError, match="^degree analysis capped at 6 elements, .* at least 8$"):
+        subplan_degrees(prepared, keys)

@@ -399,7 +399,7 @@ def _random_cores(rng, want: int):
         keys = rand_keys(rng, sig, prob=1.0) if attempts % 2 else NO_KEYS
         rep, _ = build_representation(plan, sig)
         try:
-            core = compute_core(chase(rep.open, keys).result, cap_universe=12)
+            core = compute_core(chase(rep.open, keys).result, 12)
         except ResourceCapError:
             continue
         if core.structure.total_tuple_count() == 0:

@@ -21,7 +21,7 @@ from spjopt import (
     product_witness,
     satisfies_keys,
 )
-from spjopt import witness
+from spjopt import errors, witness
 from spjopt.represent import TreeDecomposition
 from spjopt.witness import WitnessFamily, check_family_size
 
@@ -77,9 +77,9 @@ def test_family_size_check_is_exact(rng, monkeypatch):
         for n in (1, 2, 3):
             d = product_witness(b, keys, solution, n)
             size = len(d.universe) + d.total_tuple_count()
-            monkeypatch.setattr(witness, "REPRESENTATION_ELEMENTS_CAP", size)
+            monkeypatch.setattr(errors, "REPRESENTATION_ELEMENTS_CAP", size)
             check_family_size(b, solution, n)
-            monkeypatch.setattr(witness, "REPRESENTATION_ELEMENTS_CAP", size - 1)
+            monkeypatch.setattr(errors, "REPRESENTATION_ELEMENTS_CAP", size - 1)
             with pytest.raises(ResourceCapError):
                 product_witness(b, keys, solution, n)
             monkeypatch.undo()
@@ -129,7 +129,7 @@ def test_exact_count_checks_small_cores(rng):
         keys = rand_keys(rng, sig, prob=0.6)
         raw = rand_open_structure(rng, sig, max_domain=4, max_rows=3)
         chased = chase(raw, keys).result
-        core = compute_core(chased)
+        core = compute_core(chased, UNCAPPED.core_universe)
         struct = core.structure
         if struct.total_tuple_count() == 0 or len(struct.universe) > 4:
             continue
@@ -176,7 +176,7 @@ def test_retraction_counting(rng):
     for _ in range(25):
         sig = rand_signature(rng, max_relations=2, max_arity=2)
         raw = rand_open_structure(rng, sig, max_domain=4, max_rows=3)
-        core = compute_core(raw)  # raw retracts onto its core
+        core = compute_core(raw, UNCAPPED.core_universe)  # raw retracts onto its core
         b, c = raw.structure, core.structure
         if not set(c.universe) <= set(b.universe):
             continue  # compute_core keeps original ids, so this holds
