@@ -88,16 +88,18 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="spjopt",
         description="Rewrite select-project-join plans to minimize intermediate size growth.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # The options every subcommand takes, defined once.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--plan", help="plan file (optional `rel NAME ARITY` header + s-expression)")
+    shared.add_argument("--keys", help="keys file: `key <RelName> <position>` lines")
+    shared.add_argument("--data", action="append", default=[], help="structure JSON file")
+    shared.add_argument("--out", help="output path (default: stdout)")
     default_caps = Caps()
+    shared.add_argument("--cap-universe", type=_universe_cap, help="override both universe caps (default: "
+                        f"core {default_caps.core_universe}, width {default_caps.width_universe})")
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        p.add_argument("--plan", help="plan file (optional `rel NAME ARITY` header + s-expression)")
-        p.add_argument("--keys", help="keys file: `key <RelName> <position>` lines")
-        p.add_argument("--data", action="append", default=[], help="structure JSON file")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--cap-universe", type=_universe_cap, help="override both universe caps "
-                       f"(default: core {default_caps.core_universe}, width {default_caps.width_universe})")
+        p = sub.add_parser(name, help=command.help, parents=[shared])
         for flag, spec in command.options:
             p.add_argument(flag, **spec)
     return parser

@@ -51,7 +51,6 @@ databases, and its optimum must equal the presolved value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -59,12 +58,7 @@ from operator import and_, or_
 from typing import Callable, Iterable, Mapping, Optional
 
 from .constraints import KeySet
-from .errors import (
-    DegenerateInputError,
-    ResourceCapError,
-    SignatureError,
-    SpjError,
-)
+from .errors import DegenerateInputError, Record, ResourceCapError, SignatureError, SpjError, set_field
 from .represent import TreeDecomposition, check_tree_decomposition
 from .simplex import solve_lp
 from .structures import OpenStructure, Structure, hypergraph_of
@@ -95,8 +89,7 @@ def _close(members: Iterable[int], forces: Mapping[int, set[int]]) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class ColorSolution:
+class ColorSolution(Record):
     """An optimal packing over key-closed classes in scaled-integral form.
 
     Each class is a frozenset of elements that holds, with every dependent
@@ -108,11 +101,15 @@ class ColorSolution:
     over an empty set and the reported value is 0 by convention.
     """
 
-    classes: tuple[frozenset, ...]
-    value: Fraction
-    target: frozenset
-    multiplicities: tuple[int, ...]
-    degenerate: bool = False
+    __slots__ = ("classes", "value", "target", "multiplicities", "degenerate")
+
+    def __init__(self, classes: tuple[frozenset, ...], value: Fraction, target: frozenset,
+                 multiplicities: tuple[int, ...], degenerate: bool = False):
+        set_field(self, "classes", classes)
+        set_field(self, "value", value)
+        set_field(self, "target", target)
+        set_field(self, "multiplicities", multiplicities)
+        set_field(self, "degenerate", degenerate)
 
     def color_sets(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """Element -> colors, a color being (class index, copy number)."""
@@ -306,13 +303,15 @@ def color_values(structure: Structure, keys: KeySet) -> Callable[[Iterable[int]]
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class WidthReport:
+class WidthReport(Record):
     """Per-bag color numbers of a decomposition; width is their maximum."""
 
-    decomposition: TreeDecomposition
-    bag_colors: dict[int, Fraction]
-    width: Fraction
+    __slots__ = ("decomposition", "bag_colors", "width")
+
+    def __init__(self, decomposition: TreeDecomposition, bag_colors: dict[int, Fraction], width: Fraction):
+        set_field(self, "decomposition", decomposition)
+        set_field(self, "bag_colors", bag_colors)
+        set_field(self, "width", width)
 
     def widest_node(self) -> int:
         return min(n for n, v in self.bag_colors.items() if v == self.width)

@@ -10,10 +10,9 @@ the pairs it is asked to identify, found with the union-find of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import KeyConstraintError
+from .errors import KeyConstraintError, Record, set_field
 from .structures import OpenStructure, Signature, Structure, find, flatten, link
 
 
@@ -91,13 +90,15 @@ def satisfies_keys(data: Structure, keys: KeySet) -> bool:
     return key_violation(data, keys) is None
 
 
-@dataclass(frozen=True)
-class ChaseResult:
+class ChaseResult(Record):
     """Chase fixpoint together with the global merge map (original id ->
     representative id, idempotent)."""
 
-    result: Union[OpenStructure, Structure]
-    merge_map: Mapping[int, int]
+    __slots__ = ("result", "merge_map")
+
+    def __init__(self, result: Union[OpenStructure, Structure], merge_map: Mapping[int, int]):
+        set_field(self, "result", result)
+        set_field(self, "merge_map", merge_map)
 
 
 def key_closure(

@@ -1,7 +1,8 @@
-"""Exception hierarchy shared across the package, and every resource cap
-it raises on, each defined once and read from here at check time."""
+"""Exception hierarchy shared across the package, the base of its record
+classes, and every resource cap it raises on, each defined once and read
+from here at check time."""
 
-from dataclasses import dataclass
+import operator
 
 
 class SpjError(Exception):
@@ -46,15 +47,46 @@ class DegenerateInputError(SpjError):
     (for example plan synthesis from a structure with no tuples at all)."""
 
 
-@dataclass(frozen=True)
-class Caps:
+class Record:
+    """A read-only record whose fields are its class's ``__slots__``, in
+    constructor order, set by a hand-written ``__init__`` with
+    :func:`set_field`.  Records of one class are equal when their fields
+    are, and a record hashes by its fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = operator.attrgetter(*cls.__slots__)  # field values; one field's bare value
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot change field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+# Sets a field of a record; only its ``__init__`` calls it.
+set_field = object.__setattr__
+
+
+class Caps(Record):
     """Universe caps of the core search and the decomposition search, passed
     down from the CLI, whose ``--cap-universe`` sets both.  Keyed C13's
     13-element chased representation is the smallest keyed cycle the core
     cap refuses."""
 
-    core_universe: int = 12
-    width_universe: int = 16
+    __slots__ = ("core_universe", "width_universe")
+
+    def __init__(self, core_universe: int = 12, width_universe: int = 16):
+        set_field(self, "core_universe", core_universe)
+        set_field(self, "width_universe", width_universe)
 
 
 # The most elements a plan's representation may allocate: one per arity

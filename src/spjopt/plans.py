@@ -17,39 +17,44 @@ import functools
 import itertools
 import operator
 import re
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import errors
-from .errors import ArityError, PlanSyntaxError, ResourceCapError, SignatureError
+from .errors import ArityError, PlanSyntaxError, Record, ResourceCapError, SignatureError, set_field
 from .structures import Signature, Structure, flatten, link
 
 
-@dataclass(frozen=True)
-class Basic:
-    relation: str
+class Basic(Record):
+    __slots__ = ("relation",)
+
+    def __init__(self, relation: str):
+        set_field(self, "relation", relation)
 
 
-@dataclass(frozen=True)
-class Select:
-    theta: frozenset  # of (j, k) pairs, 1-based
-    child: "Plan"
+class Select(Record):
+    __slots__ = ("theta", "child")
+
+    def __init__(self, theta: frozenset, child: "Plan"):
+        set_field(self, "theta", theta)  # of (j, k) pairs, 1-based
+        set_field(self, "child", child)
 
 
-@dataclass(frozen=True)
-class Project:
-    cols: tuple[int, ...]  # 1-based indices into the child, repetition allowed
-    child: "Plan"
+class Project(Record):
+    __slots__ = ("cols", "child")
+
+    def __init__(self, cols: tuple[int, ...], child: "Plan"):
+        set_field(self, "cols", cols)  # 1-based indices into the child, repetition allowed
+        set_field(self, "child", child)
 
 
-@dataclass(frozen=True)
-class Join:
-    theta: frozenset  # of (j, k) pairs over the concatenated columns
-    children: tuple["Plan", ...]
+class Join(Record):
+    __slots__ = ("theta", "children")
 
-    def __post_init__(self):
-        if not self.children:
+    def __init__(self, theta: frozenset, children: tuple["Plan", ...]):
+        if not children:
             raise ArityError("join needs at least one child")
+        set_field(self, "theta", theta)  # of (j, k) pairs over the concatenated columns
+        set_field(self, "children", children)
 
 
 Plan = Union[Basic, Select, Project, Join]
@@ -484,8 +489,7 @@ def _check_joins(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class PreparedPlan:
+class PreparedPlan(Record):
     """A plan with what every stage reads off it: its :func:`number_subplans`
     and the arity per number under ``signature``.  Every stage after
     loading (representation, core, degree analysis, evaluation,
@@ -498,10 +502,14 @@ class PreparedPlan:
     :func:`parse_prepared`): no stage changes it.
     """
 
-    plan: Plan
-    signature: Signature
-    numbering: Numbering
-    arities: list[int]
+    __slots__ = ("plan", "signature", "numbering", "arities", "__dict__")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, plan: Plan, signature: Signature, numbering: Numbering, arities: list[int]):
+        set_field(self, "plan", plan)
+        set_field(self, "signature", signature)
+        set_field(self, "numbering", numbering)
+        set_field(self, "arities", arities)
 
     @functools.cached_property
     def _joins(self) -> tuple[Optional[Join], dict[int, list[int]]]:
@@ -640,20 +648,21 @@ def print_prepared(prepared: PreparedPlan) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(Record):
     """One subplan occurrence: its AST path, its node and its output rows."""
 
-    path: tuple[int, ...]
-    node: Plan
-    rows: frozenset
+    __slots__ = ("path", "node", "rows")
+
+    def __init__(self, path: tuple[int, ...], node: Plan, rows: frozenset):
+        set_field(self, "path", path)
+        set_field(self, "node", node)
+        set_field(self, "rows", rows)
 
     @property
     def cardinality(self) -> int:
         return len(self.rows)
 
 
-@dataclass
 class EvalTrace:
     """What an evaluator computed: ``numbering``, the evaluated plan's
     :func:`number_subplans`, and ``rows``, the output rows per number, the
@@ -673,10 +682,12 @@ class EvalTrace:
     many.  The per-occurrence ``entries`` are built on first access.
     """
 
-    numbering: tuple = ((), ())
-    internal_peak: int = 0
-    _rows: list[frozenset] = field(default_factory=list, repr=False)
-    _columns: dict[int, operator.itemgetter] = field(default_factory=dict, repr=False)
+    def __init__(self, numbering: tuple = ((), ()), internal_peak: int = 0,
+                 _rows: Optional[list] = None, _columns: Optional[dict] = None):
+        self.numbering = numbering
+        self.internal_peak = internal_peak
+        self._rows = [] if _rows is None else _rows
+        self._columns = {} if _columns is None else _columns
 
     @property
     def rows(self) -> list[frozenset]:

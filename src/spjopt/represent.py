@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from . import errors
-from .errors import ResourceCapError
+from .errors import Record, ResourceCapError, set_field
 from .plans import (
     Basic,
     Plan,
@@ -53,21 +52,25 @@ def check_representation_size(
         )
 
 
-@dataclass(frozen=True)
-class PRepresentation:
+class PRepresentation(Record):
     """Open structure whose evaluation equals the plan's output on every
     database; each occurrence's columns are in ``PDecomposition.beta``."""
 
-    open: OpenStructure
+    __slots__ = ("open",)
+
+    def __init__(self, open: OpenStructure):
+        set_field(self, "open", open)
 
 
-@dataclass
-class TreeDecomposition:
+class TreeDecomposition(Record):
     """A rooted tree (parent map) with one bag of elements per node."""
 
-    parent: dict[int, Optional[int]]
-    root: int
-    chi: dict[int, frozenset]
+    __slots__ = ("parent", "root", "chi")
+
+    def __init__(self, parent: dict[int, Optional[int]], root: int, chi: dict[int, frozenset]):
+        set_field(self, "parent", parent)
+        set_field(self, "root", root)
+        set_field(self, "chi", chi)
 
     @property
     def nodes(self) -> tuple[int, ...]:
@@ -126,11 +129,11 @@ class PDecomposition(TreeDecomposition):
         raw_beta: list[tuple[int, ...]],
         rep_of: list[int],
     ):
-        self.root = len(numbers) - 1
-        self.numbers = numbers
-        self.distinct = distinct
-        self._raw_beta = raw_beta
-        self._rep_of = rep_of
+        set_field(self, "root", len(numbers) - 1)
+        set_field(self, "numbers", numbers)
+        set_field(self, "distinct", distinct)
+        set_field(self, "_raw_beta", raw_beta)
+        set_field(self, "_rep_of", rep_of)
 
     @functools.cached_property
     def parent(self) -> dict[int, Optional[int]]:

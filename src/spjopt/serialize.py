@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, Optional, Sequence, Union
@@ -293,8 +294,13 @@ def named_rows(rows, names: Mapping[int, str]) -> NamedRows:
     :func:`structure_from_json` numbers elements in sorted-name order, so
     on a loaded structure sorting the id rows gives the order of sorting
     the name rows.  No name list is built here: :func:`dumps` encodes each
-    distinct element's name once and writes the rows from the ids."""
-    return NamedRows(tuple(sorted(rows)), names)
+    distinct element's name once and writes the rows from the ids.  The
+    rows, all of one width, take one stable sort per column, last first:
+    the order of ``sorted(rows)`` without comparing tuples."""
+    ordered = list(rows)
+    for column in reversed(range(len(ordered[0]) if ordered else 0)):
+        ordered.sort(key=operator.itemgetter(column))
+    return NamedRows(tuple(ordered), names)
 
 
 class NamedRows:

@@ -21,17 +21,18 @@ are tiny (tens of rows/columns), so the dense tableau is fine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import SpjError
+from .errors import Record, SpjError, set_field
 
 
-@dataclass
-class LpResult:
-    value: Fraction
-    solution: list[Fraction]
+class LpResult(Record):
+    __slots__ = ("value", "solution")
+
+    def __init__(self, value: Fraction, solution: list[Fraction]):
+        set_field(self, "value", value)
+        set_field(self, "solution", solution)
 
 
 def solve_lp(objective: Sequence[int], rows: Sequence[Sequence[int]]) -> LpResult:

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .errors import ArityError, ResourceCapError, SignatureError
+from .errors import ArityError, Record, ResourceCapError, SignatureError, set_field
 
 
 class Signature:
@@ -270,24 +269,20 @@ class OpenStructure:
         return f"Open({self.structure!r}, ({named}))"
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(Record):
     """A vertex set and a set of vertex subsets."""
 
-    vertices: frozenset[int]
-    edges: frozenset[frozenset[int]]
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self):
-        for e in self.edges:
-            if not e <= self.vertices:
+    def __init__(self, vertices: frozenset[int], edges: frozenset[frozenset[int]]):
+        for e in edges:
+            if not e <= vertices:
                 raise SignatureError(f"edge {sorted(e)} not within vertex set")
+        set_field(self, "vertices", vertices)
+        set_field(self, "edges", edges)
 
     def primal_edges(self) -> set[tuple[int, int]]:
-        out = set()
-        for e in self.edges:
-            for a, b in itertools.combinations(sorted(e), 2):
-                out.add((a, b))
-        return out
+        return {pair for e in self.edges for pair in itertools.combinations(sorted(e), 2)}
 
 
 def hypergraph_of(value: Union[Structure, OpenStructure]) -> Hypergraph:

@@ -25,14 +25,13 @@ bound changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .colorwidth import color_values, optimal_cwidth
 from .constraints import KeySet, chase, key_closure, satisfies_keys
 from . import errors
-from .errors import ArityError, Caps, DegenerateInputError, ResourceCapError, SpjError
+from .errors import ArityError, Caps, DegenerateInputError, Record, ResourceCapError, SpjError, set_field
 from .plans import (
     Basic,
     Join,
@@ -87,8 +86,7 @@ def _join(theta: frozenset, children: Sequence[Plan]) -> Plan:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FdElimination:
+class FdElimination(Record):
     """A structure over a widened signature in which every atom is closed
     under the element-level dependencies read off the unary keys.
 
@@ -97,10 +95,14 @@ class FdElimination:
     additionally appear in ``new_relations``.
     """
 
-    original: OpenStructure
-    open: OpenStructure
-    defining_plans: dict[str, Plan]
-    new_relations: dict[str, Plan]
+    __slots__ = ("original", "open", "defining_plans", "new_relations")
+
+    def __init__(self, original: OpenStructure, open: OpenStructure,
+                 defining_plans: dict[str, Plan], new_relations: dict[str, Plan]):
+        set_field(self, "original", original)
+        set_field(self, "open", open)
+        set_field(self, "defining_plans", defining_plans)
+        set_field(self, "new_relations", new_relations)
 
     @property
     def structure(self) -> Structure:
@@ -208,18 +210,21 @@ def eliminate_fds(core: OpenStructure, keys: KeySet) -> FdElimination:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SynthesisResult:
+class SynthesisResult(Record):
     """A well-behaved plan and the decomposition of ``elimination.open`` it
     was built from; the certified intermediate degree is that
     decomposition's color-number width without keys.  ``prepared`` is the
     plan prepared under the input's signature, on which its
     well-behavedness was checked and which the verification reuses."""
 
-    prepared: PreparedPlan
-    degree: Fraction
-    decomposition: TreeDecomposition
-    elimination: FdElimination
+    __slots__ = ("prepared", "degree", "decomposition", "elimination")
+
+    def __init__(self, prepared: PreparedPlan, degree: Fraction,
+                 decomposition: TreeDecomposition, elimination: FdElimination):
+        set_field(self, "prepared", prepared)
+        set_field(self, "degree", degree)
+        set_field(self, "decomposition", decomposition)
+        set_field(self, "elimination", elimination)
 
     @property
     def plan(self) -> Plan:
@@ -508,15 +513,18 @@ def intermediate_degree_bound(plan: Plan, keys: KeySet, signature: Signature) ->
     return max(subplan_degrees(prepare(plan, signature), keys))
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
+class EquivalenceWitness(Record):
     """The chased representations of two equivalent plans, with a
     homomorphism each way that maps output tuple to output tuple."""
 
-    left: OpenStructure
-    right: OpenStructure
-    forward: dict[int, int]
-    backward: dict[int, int]
+    __slots__ = ("left", "right", "forward", "backward")
+
+    def __init__(self, left: OpenStructure, right: OpenStructure,
+                 forward: dict[int, int], backward: dict[int, int]):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+        set_field(self, "forward", forward)
+        set_field(self, "backward", backward)
 
 
 def equivalence_witness(

@@ -11,23 +11,24 @@ the M^d growth rate exactly up to a constant.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .colorwidth import ColorSolution, WidthReport, color_number
 from .constraints import KeySet, satisfies_keys
 from . import errors
-from .errors import DegenerateInputError, ResourceCapError, SpjError
+from .errors import DegenerateInputError, Record, ResourceCapError, SpjError, set_field
 from .structures import OpenStructure, Structure
 
 
-@dataclass
-class WitnessFamily:
+class WitnessFamily(Record):
     """Generator for the database family (D_n) of ``solution.target``."""
 
-    source: Structure
-    keys: KeySet
-    solution: ColorSolution
+    __slots__ = ("source", "keys", "solution")
+
+    def __init__(self, source: Structure, keys: KeySet, solution: ColorSolution):
+        set_field(self, "source", source)
+        set_field(self, "keys", keys)
+        set_field(self, "solution", solution)
 
     @property
     def target(self) -> frozenset:

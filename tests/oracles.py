@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from typing import Mapping, Optional, Sequence
@@ -49,7 +49,7 @@ from spjopt import (
 from spjopt.colorwidth import WidthReport, _closure_edges, _elimination_bag
 from spjopt.constraints import ChaseResult
 from spjopt import plans
-from spjopt.errors import ArityError, PlanSyntaxError, SignatureError
+from spjopt.errors import ArityError, PlanSyntaxError, SignatureError, set_field
 from spjopt.plans import (
     Basic,
     EvalTrace,
@@ -1289,13 +1289,22 @@ def valid_color_classes(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class EagerDecomposition(TreeDecomposition):
     """:class:`PDecomposition` with every field built up front."""
 
-    beta: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    numbers: list[int] = field(default_factory=list)
-    distinct: list[tuple[Plan, tuple[int, ...]]] = field(default_factory=list)
+    def __init__(
+        self,
+        parent: dict[int, Optional[int]],
+        root: int,
+        chi: dict[int, frozenset],
+        beta: dict[int, tuple[int, ...]],
+        numbers: list[int],
+        distinct: list[tuple[Plan, tuple[int, ...]]],
+    ):
+        super().__init__(parent, root, chi)
+        set_field(self, "beta", beta)
+        set_field(self, "numbers", numbers)
+        set_field(self, "distinct", distinct)
 
     @functools.cached_property
     def node_text(self) -> dict[int, str]:

@@ -121,6 +121,16 @@ def test_named_rows_match_sorted_name_rows(rng):
     assert serialize.named_rows({(1,), (0,)}, {0: "10", 1: "9"}) == [["10"], ["9"]]
 
 
+def test_named_rows_sort_the_id_rows_as_sorted_does(rng):
+    """``named_rows`` sorts its id rows one column at a time; the order is
+    that of ``sorted`` on random id rows of widths 0 to 4, with few and
+    many distinct ids per column."""
+    for _ in range(300):
+        width, ids = rng.randint(0, 4), rng.choice([2, 5, 40])
+        rows = frozenset(tuple(rng.randrange(ids) for _ in range(width)) for _ in range(rng.randint(0, 60)))
+        assert serialize.named_rows(rows, {}).rows == tuple(sorted(rows))
+
+
 def test_keys_file_roundtrip():
     ks = keys_from_text("key E 1\n# note\n\nkey R 2\n")
     assert ks == KeySet({"E": 1, "R": 2}.items())
@@ -757,6 +767,21 @@ def test_cli_out_of_memory_is_a_resource_cap(workdir, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "spjopt: resource cap: out of memory\n"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Every ``spjopt`` command starts a fresh interpreter that imports the
+    CLI, so the import stays off ``dataclasses`` and ``inspect`` (and the
+    ``ast``, ``dis`` and ``tokenize`` that ``inspect`` loads): in a fresh
+    interpreter, neither is among the modules that importing
+    ``spjopt.cli`` adds to ``sys.modules``."""
+    probe = "import sys; before = set(sys.modules); import spjopt.cli; print(*sorted(set(sys.modules) - before))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "spjopt.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
 
 
 # Runs the CLI with its address space limited to 1 GB, so a representation

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from spjopt import (
     ArityError,
     Basic,
+    Caps,
     Join,
     KeySet,
     PlanSyntaxError,
@@ -65,6 +66,28 @@ def test_parse_basic_and_empty_projection():
     assert parse_plan("R", SIG) == Basic("R")
     p = parse_plan("(project (cols) R)", SIG)
     assert numbered_arity(p, SIG) == 0
+
+
+def test_plan_nodes_and_records_are_read_only_values():
+    """Plan nodes compare and hash by their class and fields: equal
+    subtrees built apart are equal, and a node never equals a tuple of its
+    fields.  Assigning or deleting a field of a node, a prepared plan or
+    ``Caps`` raises AttributeError, and a join of no children raises
+    ArityError when it is built."""
+    built = Project((1,), Join(theta_of([(1, 3)]), (Basic("R"), Select(frozenset(), Basic("S")))))
+    parsed = parse_plan("(project (cols 1) (join (theta (1 3)) R (select (theta) S)))", SIG)
+    assert built == parsed and hash(built) == hash(parsed) and len({built, parsed}) == 1
+    assert Basic("R") != ("R",) and ("R",) != Basic("R") and Basic("R") != Basic("S")
+    assert Project((1,), Basic("R")) != Project((2,), Basic("R"))
+    assert Caps() == Caps(12, 16) != Caps(core_universe=8)
+    for record in (built, built.child, Basic("R"), prepare(built, SIG), Caps()):
+        for name in ("child", "plan", "relation", "core_universe", "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+    with pytest.raises(ArityError, match="join needs at least one child"):
+        Join(frozenset(), ())
 
 
 def test_parse_errors_carry_position():

@@ -164,11 +164,11 @@ CAP_BOUNDS = {
 
 
 def test_every_resource_cap_is_defined_once_and_read_at_check_time(monkeypatch):
-    """Each of the five bounds is assigned once in the library, in
-    ``errors``, and no module imports one by name, so patching ``errors``
-    moves every check that reads it: the representation size, the degree
-    fold and the witness family all refuse under a patched
-    ``REPRESENTATION_ELEMENTS_CAP``.  No parameter named for a cap has a
+    """Each of the five bounds is assigned, or given as a parameter's
+    default, once in the library, in ``errors``, and no module imports one
+    by name, so patching ``errors`` moves every check that reads it: the
+    representation size, the degree fold and the witness family all refuse
+    under a patched ``REPRESENTATION_ELEMENTS_CAP``.  No parameter named for a cap has a
     default other than ``Caps()``, or an annotation other than ``int`` or
     ``Caps``."""
     assigned, imported, parameters = [], [], []
@@ -185,6 +185,8 @@ def test_every_resource_cap_is_defined_once_and_read_at_check_time(monkeypatch):
                 defaults = [None] * (len(node.args.posonlyargs + node.args.args) - len(node.args.defaults))
                 defaults += node.args.defaults + node.args.kw_defaults
                 for arg, default in zip(args, defaults):
+                    if arg.arg in CAP_BOUNDS and default is not None:
+                        assigned.append((path.stem, arg.arg, ast.literal_eval(default)))
                     if "cap" in arg.arg:
                         parameters.append(
                             (arg.annotation and ast.unparse(arg.annotation), default and ast.unparse(default))

@@ -1,6 +1,5 @@
 """Key elimination, plan synthesis, degrees, and the end-to-end pipeline."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -659,7 +658,7 @@ def _replaced(plan, path, new):
         kids = list(plan.children)
         kids[path[0]] = _replaced(kids[path[0]], path[1:], new)
         return Join(plan.theta, tuple(kids))
-    return dataclasses.replace(plan, child=_replaced(plan.child, path[1:], new))
+    return _over(plan, _replaced(plan.child, path[1:], new))
 
 
 def _renamed(plan, names):
@@ -668,7 +667,14 @@ def _renamed(plan, names):
         return Basic(names[plan.relation])
     if isinstance(plan, Join):
         return Join(plan.theta, tuple(_renamed(kid, names) for kid in plan.children))
-    return dataclasses.replace(plan, child=_renamed(plan.child, names))
+    return _over(plan, _renamed(plan.child, names))
+
+
+def _over(plan, child):
+    """The selection or projection ``plan`` over ``child`` instead."""
+    if isinstance(plan, Select):
+        return Select(plan.theta, child)
+    return Project(plan.cols, child)
 
 
 def _arity(plan, sig) -> int:
