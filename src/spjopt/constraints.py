@@ -16,14 +16,14 @@ from .errors import KeyConstraintError, Record, set_field
 from .structures import OpenStructure, Signature, Structure, find, flatten, link
 
 
-class KeySet:
+class KeySet(Record):
     """A set of unary keys: (relation name, key position) pairs.
 
     Positions are 1-based ints, matching the plan syntax; anything else,
     a bool or a float included, is rejected rather than truncated.
     """
 
-    __slots__ = ("_keys",)
+    __slots__ = ("keys",)
 
     def __init__(self, keys: Iterable[tuple[str, int]] = ()):
         cleaned = set()
@@ -33,22 +33,18 @@ class KeySet:
             if pos < 1:
                 raise KeyConstraintError(f"key positions for {name!r} must be 1-based")
             cleaned.add((name, pos))
-        self._keys = frozenset(cleaned)
+        set_field(self, "keys", frozenset(cleaned))
 
     @classmethod
     def empty(cls) -> "KeySet":
         return cls(())
 
-    @property
-    def keys(self) -> frozenset:
-        return self._keys
-
     def for_relation(self, name: str) -> tuple[int, ...]:
         """The key positions of ``name``, ascending."""
-        return tuple(sorted(pos for n, pos in self._keys if n == name))
+        return tuple(sorted(pos for n, pos in self.keys if n == name))
 
     def validate_for(self, signature: Signature) -> None:
-        for name, pos in sorted(self._keys):
+        for name, pos in sorted(self.keys):
             if name not in signature:
                 raise KeyConstraintError(f"key declared for unknown relation {name!r}")
             ar = signature.arity(name)
@@ -56,16 +52,10 @@ class KeySet:
                 raise KeyConstraintError(f"key position(s) [{pos}] out of range for {name}/{ar}")
 
     def __bool__(self) -> bool:
-        return bool(self._keys)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, KeySet) and self._keys == other._keys
-
-    def __hash__(self) -> int:
-        return hash(self._keys)
+        return bool(self.keys)
 
     def __repr__(self) -> str:
-        return f"KeySet({', '.join(f'key({n})={p}' for n, p in sorted(self._keys))})"
+        return f"KeySet({', '.join(f'key({n})={p}' for n, p in sorted(self.keys))})"
 
 
 def key_violation(

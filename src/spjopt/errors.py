@@ -51,7 +51,7 @@ class Record:
     """A read-only record whose fields are its class's ``__slots__``, in
     constructor order, set by a hand-written ``__init__`` with
     :func:`set_field`.  Records of one class are equal when their fields
-    are, and a record hashes by its fields."""
+    are, and a record hashes by its fields.  Records copy and pickle."""
 
     __slots__ = ()
 
@@ -70,6 +70,15 @@ class Record:
         raise AttributeError(f"{type(self).__name__} is read-only: cannot change field {name!r}")
 
     __delattr__ = __setattr__
+
+    def __setstate__(self, state) -> None:
+        """Fill a copied or unpickled record from ``state``, the pair of its
+        ``__dict__`` (None when it has none) and its slot fields."""
+        instance_dict, fields = state
+        if instance_dict:
+            self.__dict__.update(instance_dict)
+        for name, value in fields.items():
+            set_field(self, name, value)
 
 
 # Sets a field of a record; only its ``__init__`` calls it.

@@ -682,12 +682,11 @@ class EvalTrace:
     many.  The per-occurrence ``entries`` are built on first access.
     """
 
-    def __init__(self, numbering: tuple = ((), ()), internal_peak: int = 0,
-                 _rows: Optional[list] = None, _columns: Optional[dict] = None):
+    def __init__(self, numbering: tuple):
         self.numbering = numbering
-        self.internal_peak = internal_peak
-        self._rows = [] if _rows is None else _rows
-        self._columns = {} if _columns is None else _columns
+        self.internal_peak = 0
+        self._rows = []
+        self._columns = {}
 
     @property
     def rows(self) -> list[frozenset]:

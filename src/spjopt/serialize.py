@@ -29,7 +29,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .colorwidth import WidthReport
 from .constraints import KeySet
-from .errors import FormatError, SignatureError
+from .errors import FormatError, Record, SignatureError, set_field
 from .plans import Plan, PreparedPlan, parse_prepared, print_plan
 from .represent import PDecomposition, TreeDecomposition
 from .structures import OpenStructure, Signature, Structure
@@ -303,7 +303,7 @@ def named_rows(rows, names: Mapping[int, str]) -> NamedRows:
     return NamedRows(tuple(ordered), names)
 
 
-class NamedRows:
+class NamedRows(Record):
     """A read-only list of name rows kept as sorted id rows and the names
     of their elements.  It compares equal to, has the length of and
     iterates as the list of name lists."""
@@ -311,11 +311,8 @@ class NamedRows:
     __slots__ = ("rows", "names")
 
     def __init__(self, rows: tuple[tuple[int, ...], ...], names: Mapping[int, str]):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "names", names)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is read-only")
+        set_field(self, "rows", rows)
+        set_field(self, "names", names)
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -14,7 +14,7 @@ from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence,
 from .errors import ArityError, Record, ResourceCapError, SignatureError, set_field
 
 
-class Signature:
+class Signature(Record):
     """A finite set of relation symbols with associated arities.
 
     A name is any nonempty string and an arity any nonnegative ``int``;
@@ -31,7 +31,7 @@ class Signature:
             if not isinstance(ar, int) or isinstance(ar, bool) or ar < 0:
                 raise SignatureError(f"arity of {name!r} must be a nonnegative integer, got {ar!r}")
             cleaned[name] = ar
-        self._arities = dict(sorted(cleaned.items()))
+        set_field(self, "_arities", dict(sorted(cleaned.items())))
 
     def arity(self, name: str) -> int:
         try:
@@ -59,9 +59,6 @@ class Signature:
     def __iter__(self) -> Iterator[str]:
         return iter(self._arities)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Signature) and self._arities == other._arities
-
     def __hash__(self) -> int:
         return hash(tuple(self._arities.items()))
 
@@ -70,14 +67,15 @@ class Signature:
         return f"Signature({inner})"
 
 
-class Structure:
+class Structure(Record):
     """A finite structure: a universe of element ids and one relation per symbol.
 
-    Instances are immutable by convention; all derived values are new objects.
-    Equality and hashing ignore the display-name table.
+    Instances are read-only; all derived values are new objects.  Equality
+    and hashing ignore the display-name table and the column index that
+    :meth:`tuples_with` fills.
     """
 
-    __slots__ = ("signature", "universe", "relations", "names", "_index", "_hash")
+    __slots__ = ("signature", "universe", "relations", "names", "_index")
 
     def __init__(
         self,
@@ -86,9 +84,7 @@ class Structure:
         relations: Mapping[str, Iterable[Sequence[int]]],
         names: Optional[Mapping[int, str]] = None,
     ):
-        self.signature = signature
-        self.universe: tuple[int, ...] = tuple(sorted(set(universe)))
-        uni = set(self.universe)
+        uni = set(universe)
         rels: dict[str, frozenset[tuple[int, ...]]] = {}
         for name in signature.symbols():
             rows = relations.get(name, ())
@@ -106,12 +102,13 @@ class Structure:
         unknown = set(relations) - set(signature.symbols())
         if unknown:
             raise SignatureError(f"relations {sorted(unknown)} not in signature")
-        self.relations = rels
         if names is None:
             names = {}
-        self.names = {e: names.get(e, f"v{e}") for e in self.universe}
-        self._index: dict = {}
-        self._hash: Optional[int] = None
+        set_field(self, "signature", signature)
+        set_field(self, "universe", tuple(sorted(uni)))
+        set_field(self, "relations", rels)
+        set_field(self, "names", {e: names.get(e, f"v{e}") for e in self.universe})
+        set_field(self, "_index", {})
 
     # -- basic views ---------------------------------------------------
 
@@ -164,20 +161,15 @@ class Structure:
 
     # -- dunder --------------------------------------------------------
 
-    def _key(self):
-        return (
-            self.signature,
-            self.universe,
-            tuple(sorted((n, tuple(sorted(r))) for n, r in self.relations.items())),
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.signature, self.universe, self.relations) == (
+            other.signature, other.universe, other.relations
         )
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Structure) and self._key() == other._key()
-
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._key())
-        return self._hash
+        return hash((self.signature, self.universe, frozenset(self.relations.items())))
 
     def __repr__(self) -> str:
         facts = ", ".join(
@@ -222,7 +214,7 @@ def flatten(parent: list[int]) -> None:
         parent[i] = parent[up]
 
 
-class OpenStructure:
+class OpenStructure(Record):
     """A structure with no isolated elements plus a distinguished output tuple.
 
     A homomorphism of open structures maps tuple onto tuple, so an
@@ -244,25 +236,12 @@ class OpenStructure:
             raise SignatureError(
                 f"open structure may not have isolated elements: {sorted(isolated)}"
             )
-        self.structure = structure
-        self.tuple = out
+        set_field(self, "structure", structure)
+        set_field(self, "tuple", out)
 
     @property
     def arity(self) -> int:
         return len(self.tuple)
-
-    def similar_to(self, other: "OpenStructure") -> bool:
-        return self.structure.signature == other.structure.signature
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OpenStructure)
-            and self.structure == other.structure
-            and self.tuple == other.tuple
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.structure, self.tuple))
 
     def __repr__(self) -> str:
         named = ",".join(self.structure.names[e] for e in self.tuple)
@@ -312,8 +291,6 @@ class _HomSearch:
     """
 
     def __init__(self, src: Structure, dst: Structure, pinned: Mapping[int, int]):
-        if src.signature != dst.signature:
-            raise SignatureError("source and destination must be similar")
         self.src = src
         self.dst = dst
         self.consistent = True
@@ -507,7 +484,7 @@ def find_homomorphism(
 
     Deterministic: the same inputs always yield the same witness map.
     """
-    if not src.similar_to(dst):
+    if src.structure.signature != dst.structure.signature:
         raise SignatureError("open structures are not similar")
     if len(src.tuple) != len(dst.tuple):
         raise ArityError("output tuples have different arities")

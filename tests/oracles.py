@@ -1477,9 +1477,9 @@ def check_isomorphic(a: OpenStructure, b: OpenStructure) -> bool:
     is injective when it preserves a relation holding every pair of
     distinct elements, added to both sides.
     """
-    if not a.similar_to(b):
-        raise SignatureError("open structures are not similar")
     sa, sb = a.structure, b.structure
+    if sa.signature != sb.signature:
+        raise SignatureError("open structures are not similar")
     if len(sa.universe) != len(sb.universe) or any(
         len(sa.relations[name]) != len(sb.relations[name]) for name in sa.signature
     ):

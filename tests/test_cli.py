@@ -547,6 +547,20 @@ def test_cli_equiv(workdir, capsys):
     assert doc["witnesses"]["forward"]
 
 
+def test_cli_equiv_tells_a_join_with_a_nullary_fact_from_its_child(tmp_path, capsys):
+    """Joining E with the nullary Z keeps E's rows only where Z holds, so
+    the join is not equivalent to E in either direction: Z's fact has no
+    image in E's representation."""
+    header = "rel E 2\nrel Z 0\n"
+    (tmp_path / "joined.plan").write_text(header + "(join (theta) E Z)\n")
+    (tmp_path / "e.plan").write_text(header + "E\n")
+    for first, second in (("joined", "e"), ("e", "joined")):
+        code, out, err = run(
+            capsys, "equiv", "--plan", tmp_path / f"{first}.plan", "--plan2", tmp_path / f"{second}.plan"
+        )
+        assert (code, err, json.loads(out)) == (0, "", {"equivalent": False})
+
+
 def test_cli_represent_chase_core_decompose(workdir, capsys):
     code, out, _ = run(capsys, "represent", "--plan", workdir / "tri.plan")
     assert code == 0
@@ -754,6 +768,18 @@ def test_cli_deep_plans_need_no_recursion(tmp_path, capsys):
         assert outputs["selects", argv] == outputs["one", argv]
         assert outputs["naive", argv] == outputs["naive_one", argv]
     assert json.loads(outputs["naive", f"evaluate --data {data}"])["evaluator"] == "naive"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "chase"])
+def test_cli_data_nested_too_deeply_is_a_resource_cap(workdir, capsys, command):
+    """A data file of 100,000 nested brackets reaches the recursion limit
+    while it is read, which exits 3 with one line and no traceback."""
+    deep = workdir / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    plan = ("--plan", workdir / "tri.plan") if command == "evaluate" else ()
+    code, out, err = run(capsys, command, *plan, "--data", deep)
+    assert (code, out) == (3, "")
+    assert err == "spjopt: resource cap: input nested too deeply (recursion limit reached)\n"
 
 
 def test_cli_out_of_memory_is_a_resource_cap(workdir, capsys, monkeypatch):

@@ -11,6 +11,7 @@ from spjopt import (
     Caps,
     Join,
     KeySet,
+    OpenStructure,
     PlanSyntaxError,
     Project,
     ResourceCapError,
@@ -33,6 +34,7 @@ from spjopt import (
 )
 from spjopt import errors, plans
 from spjopt.plans import number_subplans, occurrence_paths, subplan_texts
+from spjopt.serialize import named_rows
 
 import oracles
 from conftest import (
@@ -71,8 +73,9 @@ def test_parse_basic_and_empty_projection():
 def test_plan_nodes_and_records_are_read_only_values():
     """Plan nodes compare and hash by their class and fields: equal
     subtrees built apart are equal, and a node never equals a tuple of its
-    fields.  Assigning or deleting a field of a node, a prepared plan or
-    ``Caps`` raises AttributeError, and a join of no children raises
+    fields.  Assigning or deleting a field of a node, a prepared plan,
+    ``Caps``, a signature, a structure, an open structure, a key set or
+    named rows raises AttributeError, and a join of no children raises
     ArityError when it is built."""
     built = Project((1,), Join(theta_of([(1, 3)]), (Basic("R"), Select(frozenset(), Basic("S")))))
     parsed = parse_plan("(project (cols 1) (join (theta (1 3)) R (select (theta) S)))", SIG)
@@ -80,11 +83,17 @@ def test_plan_nodes_and_records_are_read_only_values():
     assert Basic("R") != ("R",) and ("R",) != Basic("R") and Basic("R") != Basic("S")
     assert Project((1,), Basic("R")) != Project((2,), Basic("R"))
     assert Caps() == Caps(12, 16) != Caps(core_universe=8)
-    for record in (built, built.child, Basic("R"), prepare(built, SIG), Caps()):
-        for name in ("child", "plan", "relation", "core_universe", "other"):
-            with pytest.raises(AttributeError):
+    data = Structure(SIG, [0, 1], {"R": [(0, 1)]})
+    values = (
+        SIG, data, OpenStructure(data, (0,)), KeySet([("R", 1)]), named_rows(data.relations["R"], data.names)
+    )
+    fields = ("_arities", "signature", "universe", "relations", "names", "_index", "structure", "tuple",
+              "keys", "rows")
+    for record in (built, built.child, Basic("R"), prepare(built, SIG), Caps(), *values):
+        for name in ("child", "plan", "relation", "core_universe", "other", *fields):
+            with pytest.raises(AttributeError, match="is read-only"):
                 setattr(record, name, None)
-            with pytest.raises(AttributeError):
+            with pytest.raises(AttributeError, match="is read-only"):
                 delattr(record, name)
     with pytest.raises(ArityError, match="join needs at least one child"):
         Join(frozenset(), ())

@@ -20,7 +20,7 @@ from spjopt import (
     hypergraph_of,
 )
 from spjopt import structures
-from spjopt.serialize import structure_to_json
+from spjopt.serialize import named_rows, structure_to_json
 from spjopt.structures import (
     _certified_core,
     _HomSearch,
@@ -82,6 +82,29 @@ def test_structure_validates_tuples():
         Structure(SIG_E, [0], {"F": []})
 
 
+def test_values_compare_and_hash_by_content():
+    """Structures that differ only in names, or in how they were built,
+    are equal and hash alike, whatever the column index holds; so do equal
+    open structures, key sets and signatures.  Named rows equal their list
+    of name lists and are unhashable."""
+    sig = Signature({"E": 2, "Z": 0})
+    struct = Structure(sig, [0, 1], {"E": [(0, 1)], "Z": [()]}, {0: "a", 1: "b"})
+    renamed = Structure(Signature({"Z": 0, "E": 2}), [1, 0], {"E": [[0, 1]], "Z": [()]})
+    assert struct.tuples_with("E", 0, 0) == ((0, 1),)
+    assert struct == renamed and hash(struct) == hash(renamed) and struct.names != renamed.names
+    assert struct != Structure(sig, [0, 1], {"E": [(0, 1)]}) != Structure(sig, [0, 1, 2], {"E": [(0, 1)]})
+    opened, twin = OpenStructure(struct, (1, 0)), OpenStructure(renamed, [1, 0])
+    assert opened == twin and hash(opened) == hash(twin) and opened != OpenStructure(struct, (0, 1))
+    keys, same = KeySet([("E", 1), ("E", 2)]), KeySet([("E", 2), ("E", 1), ("E", 1)])
+    assert keys == same and hash(keys) == hash(same) and keys.keys == {("E", 1), ("E", 2)}
+    assert keys != KeySet([("E", 1)]) and KeySet.empty() == KeySet()
+    assert sig == Signature({"Z": 0, "E": 2}) and hash(sig) == hash(Signature({"Z": 0, "E": 2}))
+    rows = named_rows({(1, 0), (0, 1)}, struct.names)
+    assert rows == [["a", "b"], ["b", "a"]] == rows and rows != [["a", "b"]]
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(rows)
+
+
 def test_open_structure_rejects_isolated_elements(a0):
     with_isolated = Structure(SIG_E, [0, 1, 2, 9], {"E": [(0, 1), (0, 2)]})
     with pytest.raises(SignatureError):
@@ -118,6 +141,19 @@ def test_find_homomorphism_errors(a0):
         find_homomorphism(OpenStructure(a0, (0,)), OpenStructure(other, (0,)))
     with pytest.raises(ArityError):
         find_homomorphism(OpenStructure(a0, (0,)), OpenStructure(a0, (0, 1)))
+
+
+def test_a_nullary_fact_maps_only_onto_that_fact():
+    """A source fact of an arity-0 relation has an image only where the
+    target holds that fact: without it no homomorphism exists, however well
+    the other relations match, and with it the identity is one."""
+    sig = Signature({"E": 2, "Z": 0})
+    with_fact = Structure(sig, [0, 1], {"E": [(0, 1)], "Z": [()]})
+    without = Structure(sig, [0, 1], {"E": [(0, 1)]})
+    assert find_homomorphism(OpenStructure(with_fact, (0,)), OpenStructure(without, (0,))) is None
+    assert homs_relation(with_fact, (0, 1), without) == frozenset()
+    assert find_homomorphism(OpenStructure(without, (0,)), OpenStructure(with_fact, (0,))) == {0: 0, 1: 1}
+    assert homs_relation(with_fact, (0, 1), with_fact) == frozenset({(0, 1)})
 
 
 def test_homs_relation_outgoing_edges(a0):

@@ -6,11 +6,17 @@ other than its own definition and ``__init__.py``, or by an identifier or
 a string constant of ``perfbench/``.  A name that only tests use belongs
 in ``tests/oracles.py``.  References are counted by name, so a method
 shares them with every identifier of the same spelling.
+
+Every public class is a read-only value, an ``errors.Record``, or an
+error, except the evaluators' ``EvalTrace``; records copy and pickle.
 """
 
 from __future__ import annotations
 
 import ast
+import copy
+import importlib
+import pickle
 import re
 from pathlib import Path
 
@@ -22,13 +28,16 @@ from spjopt import (
     ResourceCapError,
     Signature,
     bag_witness,
+    build_representation,
     chased_core,
     errors,
     optimal_cwidth,
+    optimize,
     parse_prepared,
     subplan_degrees,
 )
 from spjopt.represent import check_representation_size
+from spjopt.serialize import NamedRows, named_rows
 from spjopt.witness import check_family_size
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -211,3 +220,44 @@ def test_every_resource_cap_is_defined_once_and_read_at_check_time(monkeypatch):
     check_family_size(family.source, family.solution, 1)
     with pytest.raises(ResourceCapError, match="^degree analysis capped at 6 elements, .* at least 8$"):
         subplan_degrees(prepared, keys)
+
+
+def test_every_public_class_is_a_record_or_an_error():
+    """A public class of ``src/spjopt`` subclasses ``errors.Record``, so its
+    fields are read-only, or ``SpjError``.  ``EvalTrace`` is the one
+    mutable class: the evaluators fill it as they run."""
+    loose = []
+    for path in LIBRARY:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                cls = getattr(importlib.import_module(f"spjopt.{path.stem}"), node.name)
+                if not issubclass(cls, (errors.Record, errors.SpjError)):
+                    loose.append(f"{path.stem}.{node.name}")
+    assert loose == ["plans.EvalTrace"]
+
+
+TRIANGLE = "(project (cols 1 2 4) (join (theta (2 3) (4 5) (6 1)) E E E))"
+
+
+def test_records_copy_and_pickle_to_equal_values():
+    """``copy.copy``, ``copy.deepcopy`` and a pickle round trip of a record
+    each give an equal record of its class, a decomposition's fields
+    derived on first access included, and a synthesized plan survives a
+    pickle of its result."""
+    sig = Signature({"E": 2})
+    prepared = parse_prepared(TRIANGLE, sig)
+    rep, dec = build_representation(prepared.plan, sig, prepared)
+    struct = rep.open.structure
+    values = [
+        prepared.plan, prepared.plan.child, Caps(8, 10), dec, KeySet([("E", 1)]), sig, struct,
+        rep.open, named_rows(struct.relations["E"], struct.names),
+    ]
+    for value in values:
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value
+    for twin in (copy.deepcopy(dec), pickle.loads(pickle.dumps(dec))):
+        assert (twin.beta, twin.node_text, twin.numbers) == (dec.beta, dec.node_text, dec.numbers)
+    assert isinstance(values[-1], NamedRows)
+    result = optimize(prepared, KeySet.empty(), Caps())
+    unpickled = pickle.loads(pickle.dumps(result))
+    assert (unpickled.plan, unpickled.plan_text, unpickled.degree) == (result.plan, result.plan_text, result.degree)
