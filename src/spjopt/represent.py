@@ -109,6 +109,55 @@ class TreeDecomposition(Record):
                     stack.append(nxt)
         return TreeDecomposition(parent, new_root, dict(self.chi))
 
+    def contracted(self) -> "TreeDecomposition":
+        """The decomposition with every bag that lies inside a neighbour's
+        merged into that neighbour, so no bag lies inside another's and
+        there are at most as many bags as elements (Bodlaender, "A partial
+        k-arboretum of graphs with bounded treewidth", TCS 1998).
+
+        Scans the nodes in id order until no tree edge joins a bag to a
+        superset of itself.  A node whose bag lies inside its parent's
+        (equal bags keep the parent) is removed and its children move to
+        the parent; a parent whose bag lies inside the node's is replaced
+        by the node, which takes the parent's place, root included, and
+        its other children.  Surviving nodes keep their ids and bags, so
+        the root still holds whatever the old root held, and every width
+        measure that is monotone under inclusion is unchanged.
+        """
+        chi = self.chi
+        parent = dict(self.parent)
+        root = self.root
+        children = {n: set(kids) for n, kids in self.children().items()}
+
+        def merge(gone: int, into: int) -> None:
+            for kid in children.pop(gone) - {into}:
+                parent[kid] = into
+                children[into].add(kid)
+            del parent[gone]
+
+        changed = True
+        while changed:
+            changed = False
+            for node in sorted(parent):
+                up = parent.get(node)
+                if up is None:
+                    continue
+                if chi[node] <= chi[up]:
+                    children[up].discard(node)
+                    merge(node, up)
+                elif chi[up] <= chi[node]:
+                    parent[node] = parent[up]
+                    if parent[up] is None:
+                        root = node
+                    else:
+                        children[parent[up]].discard(up)
+                        children[parent[up]].add(node)
+                    merge(up, node)
+                else:
+                    continue
+                changed = True
+        return TreeDecomposition(parent, root, {n: chi[n] for n in parent})
+
 
 class PDecomposition(TreeDecomposition):
     """Tree decomposition with one node per subplan occurrence.

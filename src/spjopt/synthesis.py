@@ -6,9 +6,11 @@ by appending functionally determined columns to atoms (every appended column
 is produced by a well-behaved join against a two-column projection whose
 first coordinate is a key, so no defining plan ever exceeds degree one); a
 minimum-width tree decomposition of the resulting structure is computed with
-the empty key set; each bag is materialized by a join chain that introduces
-one element at a time; and the bags are combined bottom-up along the tree,
-adding no new columns.  A chain step joins only the undominated atom blocks:
+the empty key set and contracted, every bag that lies inside a neighbour's
+merged into it (:meth:`spjopt.represent.TreeDecomposition.contracted`,
+which keeps the width); each remaining bag is materialized by a join chain
+that introduces one element at a time; and the bags are combined bottom-up
+along the tree, adding no new columns.  A chain step joins only the undominated atom blocks:
 an atom's block is dropped while its visible columns lie inside another
 block's, which leaves the step's fractional edge cover, and so its degree
 bound, unchanged, and every atom is joined on all its bag columns at its
@@ -212,8 +214,10 @@ def eliminate_fds(core: OpenStructure, keys: KeySet) -> FdElimination:
 
 class SynthesisResult(Record):
     """A well-behaved plan and the decomposition of ``elimination.open`` it
-    was built from; the certified intermediate degree is that
-    decomposition's color-number width without keys.  ``prepared`` is the
+    was built from: the width search's, contracted so that no bag lies
+    inside another's.  The certified intermediate degree is that
+    decomposition's color-number width without keys, which is the search's
+    width.  ``prepared`` is the
     plan prepared under the input's signature, on which its
     well-behavedness was checked and which the verification reuses."""
 
@@ -343,8 +347,9 @@ def synthesize_plan(
     to evaluating the given chased core.
 
     The plan follows a minimum-width decomposition of the key-eliminated
-    structure, searched with no keys; the certified intermediate degree is
-    that decomposition's width, which is the core's color-number width.
+    structure, searched with no keys and then contracted, so that no bag
+    lies inside another's; the certified intermediate degree is the
+    search's width, which is the core's color-number width.
 
     Core-ness is not re-verified here; a non-core fixpoint still yields a
     correct, well-behaved plan, just possibly not of minimum degree.
@@ -357,11 +362,11 @@ def synthesize_plan(
         )
     elim = eliminate_fds(core, keys)
     report = optimal_cwidth(elim.open, KeySet.empty(), cap=caps.width_universe)
-    prepared = _assemble_plan(core, elim, report.decomposition)
+    dec = report.decomposition.contracted()
     return SynthesisResult(
-        prepared=prepared,
+        prepared=_assemble_plan(core, elim, dec),
         degree=report.width,
-        decomposition=report.decomposition,
+        decomposition=dec,
         elimination=elim,
     )
 

@@ -75,9 +75,8 @@ from spjopt.represent import (
 from spjopt.structures import _HomSearch, _tuple_pins
 from spjopt.synthesis import _assemble_plan, _atom_subplan, _first_columns, _join, _project
 
-# A core cap above every structure the tests search: the largest, keyed
-# C10's synthesized plan re-optimized, has 295 elements.  The width search
-# keeps the default cap.
+# A core cap above every structure the tests search: the largest has 21
+# elements.  The width search keeps the default cap.
 UNCAPPED = Caps(core_universe=1_000)
 
 
@@ -1030,15 +1029,30 @@ def synthesize_with_keyed_search(core: OpenStructure, keys: KeySet, caps):
     """Plan synthesis with a second width search: the degree is the width of
     a search over ``core`` under ``keys``, and the plan follows a search over
     the key-eliminated structure with no keys (the first search's
-    decomposition when ``keys`` is empty).  Returns (plan, degree,
-    decomposition)."""
+    decomposition when ``keys`` is empty), contracted as synthesis
+    contracts it.  Returns (plan, degree, decomposition)."""
     width_report = optimal_cwidth(core, keys, cap=caps.width_universe)
     elim = eliminate_fds(core, keys)
     if keys:
         dec = optimal_cwidth(elim.open, KeySet.empty(), cap=caps.width_universe).decomposition
     else:
         dec = width_report.decomposition
+    dec = dec.contracted()
     return _assemble_plan(core, elim, dec).plan, width_report.width, dec
+
+
+def assert_contracted(elim, report: WidthReport, dec: TreeDecomposition) -> None:
+    """``dec``, the contraction of ``report``'s decomposition of
+    ``elim.open``, is a tree decomposition of it in which no bag lies inside
+    a neighbour's, of the search's width, whose root holds the output tuple
+    and whose nodes are some of the search's, with their bags."""
+    assert check_tree_decomposition(hypergraph_of(elim.open), dec.edges, dec.chi)
+    for a, b in dec.edges:
+        assert not dec.chi[a] <= dec.chi[b] and not dec.chi[b] <= dec.chi[a]
+    assert cwidth_of_decomposition(elim.open, KeySet.empty(), dec).width == report.width
+    assert dec.parent[dec.root] is None and set(elim.open.tuple) <= dec.chi[dec.root]
+    assert set(dec.nodes) <= set(report.decomposition.nodes)
+    assert all(dec.chi[n] == report.decomposition.chi[n] for n in dec.nodes)
 
 
 def dead_operators(prepared: PreparedPlan) -> list[Plan]:

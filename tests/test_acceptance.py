@@ -56,6 +56,7 @@ from conftest import (
 )
 from oracles import (
     UNCAPPED,
+    assert_contracted,
     assert_lean_synthesis,
     assert_printed_plan_parses_back,
     chase_changed,
@@ -259,6 +260,21 @@ def test_corpus_plans_have_no_dead_operators(corpus):
         plan, sig, keys = entry["plan"], entry["sig"], entry["keys"]
         core = chased_core(prepare(plan, sig), keys, UNCAPPED.core_universe)
         assert_lean_synthesis(synthesize_plan(core, keys, UNCAPPED), keys)
+
+
+def test_corpus_plans_follow_contracted_decompositions(corpus):
+    """Each corpus plan's synthesis follows the width search's
+    decomposition, contracted (see ``oracles.assert_contracted``); 146 of
+    the 200 searches had a bag inside a neighbour's to merge."""
+    merged = 0
+    for entry in corpus:
+        plan, sig, keys = entry["plan"], entry["sig"], entry["keys"]
+        core = chased_core(prepare(plan, sig), keys, UNCAPPED.core_universe)
+        result = synthesize_plan(core, keys, UNCAPPED)
+        report = optimal_cwidth(result.elimination.open, NO_KEYS, cap=UNCAPPED.width_universe)
+        assert_contracted(result.elimination, report, result.decomposition)
+        merged += len(result.decomposition.nodes) < len(report.decomposition.nodes)
+    assert merged == 146
 
 
 def _max_intermediate_within(trace, k, m, degree):

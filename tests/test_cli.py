@@ -376,12 +376,12 @@ def test_cli_evaluate_numbers_once_and_builds_no_occurrence_trace(workdir, capsy
 
 
 def test_cli_evaluate_of_a_synthesized_plan_builds_no_join_column_rows(tmp_path, capsys, monkeypatch):
-    """Plain evaluate and --format text of the synthesized Mobius 8-ladder
+    """Plain evaluate and --format text of the synthesized Mobius 10-ladder
     plan build no column rows of the joins that only projections read; the
     plain trace read afterwards, and --trace, give the rows of
     ``evaluate_naive``, and every output its bytes."""
-    pattern = tmp_path / "mobius8.plan"
-    pattern.write_text("rel E 2\n" + print_plan(pattern_plan(mobius_ladder(8), (0, 1))) + "\n")
+    pattern = tmp_path / "mobius10.plan"
+    pattern.write_text("rel E 2\n" + print_plan(pattern_plan(mobius_ladder(10), (0, 1))) + "\n")
     code, body, _ = run(capsys, "optimize", "--plan", pattern, "--format", "text")
     assert code == 0
     synthesized = tmp_path / "synthesized.plan"
@@ -447,6 +447,19 @@ def test_cli_optimize_numbers_the_synthesized_plan_once(workdir, capsys, monkeyp
     (result,) = results
     assert sum(plan is result.plan for plan in numbered) == 1
     assert print_plan(result.plan) in out
+
+
+def test_cli_keyed_cycle_plans_reoptimize_to_their_own_bytes(workdir, capsys):
+    """The printed plans of the keyed directed 4- to 10-cycles optimize
+    again under the default caps and print the same bytes."""
+    keys = workdir / "r1.keys"
+    for n in range(4, 11):
+        cycle = workdir / f"cycle{n}.plan"
+        cycle.write_text("rel E 2\n" + print_plan(pattern_plan([(i, (i + 1) % n) for i in range(n)], (0,))) + "\n")
+        code, first, err = run(capsys, "optimize", "--plan", cycle, "--keys", keys, "--format", "text")
+        assert (code, err) == (0, "")
+        cycle.write_text("rel E 2\n" + first)
+        assert run(capsys, "optimize", "--plan", cycle, "--keys", keys, "--format", "text") == (0, first, "")
 
 
 def test_cli_check_numbers_its_plan_once(workdir, capsys, monkeypatch):

@@ -390,7 +390,7 @@ def _object_count(plan):
 
 
 def test_parse_interns_equal_subtrees():
-    text = _synthesized_keyed_cycle_text(7)
+    text = _synthesized_keyed_cycle_text(12)
     plan = parse_plan(text, SIG_E)
     distinct = len(number_subplans(plan)[1])
     assert _object_count(plan) == distinct

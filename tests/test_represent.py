@@ -9,6 +9,7 @@ from spjopt import (
     OpenStructure,
     Signature,
     Structure,
+    TreeDecomposition,
     build_representation,
     check_tree_decomposition,
     evaluate_naive,
@@ -65,6 +66,26 @@ def test_example_decomposition_bags(example):
         [tuple(sorted({a, b})), tuple(sorted({a, b})), (a,), tuple(sorted({a, d}))]
     )
     assert check_tree_decomposition(hypergraph_of(rep.open), dec.edges, dec.chi)
+
+
+def test_contracted_merges_bags_into_neighbours_that_hold_them():
+    """A bag inside its parent's goes (an equal one too, keeping the
+    parent), and a parent inside a child's is replaced by that child, which
+    takes its parent and its other children, and becomes the root when the
+    parent was."""
+    fs = frozenset
+    chain = TreeDecomposition({0: 1, 1: 2, 2: None}, 2, {0: fs({1}), 1: fs({1, 2}), 2: fs({2})})
+    assert chain.contracted() == TreeDecomposition({1: None}, 1, {1: fs({1, 2})})
+    equal = TreeDecomposition({0: 1, 1: None}, 1, {0: fs({1}), 1: fs({1})})
+    assert equal.contracted() == TreeDecomposition({1: None}, 1, {1: fs({1})})
+    chi = {0: fs({1, 2}), 1: fs({2, 3, 4}), 2: fs({2, 3}), 3: fs({3, 5})}
+    star = TreeDecomposition({0: 2, 1: 2, 2: 3, 3: None}, 3, chi)
+    want = TreeDecomposition({0: 1, 1: 3, 3: None}, 3, {n: chi[n] for n in (0, 1, 3)})
+    assert star.contracted() == want
+    # A bag re-attached to a new parent is checked against it too.
+    late = TreeDecomposition({0: 1, 1: 2, 2: None}, 2, {0: fs({1, 2}), 1: fs({1}), 2: fs({1, 2, 3})})
+    assert late.contracted() == TreeDecomposition({2: None}, 2, {2: fs({1, 2, 3})})
+    assert chain.contracted().contracted() == chain.contracted()
 
 
 def test_basic_plan_representation():

@@ -58,6 +58,7 @@ from conftest import (
 from oracles import (
     UNCAPPED,
     all_atoms_bag_chain,
+    assert_contracted,
     assert_lean_synthesis,
     has_images,
     max_relation_size,
@@ -341,6 +342,17 @@ def test_optimize_triangle_degree_and_equivalence():
     assert numbered_arity(result.plan, SIG_E) == 3
 
 
+def test_triangle_synthesizes_one_bag():
+    """The triangle's width search gives three bags, two of which lie inside
+    the third, so its plan is one bag chain over the whole triangle."""
+    result = optimize(prepare(parse_plan(TRIANGLE, SIG_E), SIG_E), NO_KEYS)
+    assert print_plan(result.plan) == (
+        "(project (cols 1 2 4) (join (theta (1 5) (2 3) (4 6)) "
+        "(project (cols 1 3) (join (theta (1 2)) (project (cols 1) E) E)) E (project (cols 2 1) E)))"
+    )
+    assert result.decomposition.nodes == (result.decomposition.root,)
+
+
 def test_optimize_acyclic_example_gets_degree_one():
     plan = parse_plan("(join (theta (1 3)) R (project (cols 1) S))", SIG_RS)
     result = optimize(prepare(plan, SIG_RS), NO_KEYS, caps=UNCAPPED)
@@ -427,13 +439,28 @@ def test_synthesize_plan_searches_width_once_without_keys(rng, monkeypatch):
         assert searches == [NO_KEYS]
 
 
+def test_synthesis_follows_the_contracted_decomposition(rng):
+    """On random cores, the decomposition the plan follows is the width
+    search's, contracted (see ``oracles.assert_contracted``); 25 of the 30
+    searches had a bag inside a neighbour's to merge."""
+    merged = 0
+    for core, keys in _random_cores(rng, 15):
+        result = synthesize_plan(core, keys, UNCAPPED)
+        report = optimal_cwidth(result.elimination.open, NO_KEYS, cap=UNCAPPED.width_universe)
+        assert result.decomposition == report.decomposition.contracted()
+        assert result.degree == report.width
+        assert_contracted(result.elimination, report, result.decomposition)
+        merged += len(result.decomposition.nodes) < len(report.decomposition.nodes)
+    assert merged == 25
+
+
 def test_degrees_and_width_search_solve_no_color_number_lp(monkeypatch):
-    """On the keyed directed 6-cycle, every degree of the synthesized plan
+    """On the keyed directed 16-cycle, every degree of the synthesized plan
     comes from a tuple that meets every class, so no LP is solved; the width
     search and its certificate read presolved values, and only the witness
     solves color_number's LP, once, on the widest bag."""
-    cycle = pattern_plan([(i, (i + 1) % 6) for i in range(6)], (0,))
-    result = optimize(prepare(cycle, SIG_E), KEY_E1)
+    cycle = pattern_plan([(i, (i + 1) % 16) for i in range(16)], (0,))
+    result = optimize(prepare(cycle, SIG_E), KEY_E1, UNCAPPED)
     plan = parse_plan(print_plan(result.plan), SIG_E)
     lps, numbers = [], []
     solve, number = colorwidth.solve_lp, colorwidth.color_number
@@ -588,12 +615,13 @@ def test_reoptimization_keeps_the_degree_and_settles_in_one_pass():
     """Optimizing a synthesized plan again keeps its degree and its
     well-behavedness, and optimizing that plan prints the same bytes.  The
     first re-optimization already prints the synthesized plan's bytes on
-    every keyed cycle and on all but 2 of the random plans.  The random
-    plans run under the default caps, and those that pass one are
-    skipped; the keyed cycles run with no core cap, which their
-    synthesized plans' representations pass."""
+    every keyed cycle and on all but 6 of the random plans.  Every case
+    runs under the default caps, and those that pass one are skipped: 7
+    random plans at once and 19 more when re-optimized.  No keyed cycle is
+    skipped: its synthesized plan follows the contracted decomposition, and
+    that plan's chased representation fits under the core cap."""
     rng = random.Random(31)
-    cases = [(plan, keys, sig, UNCAPPED) for plan, keys, sig in _keyed_cycles()]
+    cases = [(plan, keys, sig, Caps()) for plan, keys, sig in _keyed_cycles()]
     for _ in range(234):
         sig = rand_signature(rng, max_relations=2, max_arity=3)
         cases.append((rand_plan(rng, sig, max_operators=5), rand_keys(rng, sig), sig, Caps()))
@@ -609,7 +637,7 @@ def test_reoptimization_keeps_the_degree_and_settles_in_one_pass():
         assert third.plan_text == again.plan_text
         moved += again.plan_text != first.plan_text
         checked += 1
-    assert (checked, moved) == (194, 2)
+    assert (checked, moved) == (215, 6)
 
 
 def test_adding_a_key_never_raises_the_optimal_degree():
