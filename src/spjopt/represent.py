@@ -127,14 +127,6 @@ class TreeDecomposition(Record):
         chi = self.chi
         parent = dict(self.parent)
         root = self.root
-        children = {n: set(kids) for n, kids in self.children().items()}
-
-        def merge(gone: int, into: int) -> None:
-            for kid in children.pop(gone) - {into}:
-                parent[kid] = into
-                children[into].add(kid)
-            del parent[gone]
-
         changed = True
         while changed:
             changed = False
@@ -143,18 +135,18 @@ class TreeDecomposition(Record):
                 if up is None:
                     continue
                 if chi[node] <= chi[up]:
-                    children[up].discard(node)
-                    merge(node, up)
+                    gone, into = node, up
                 elif chi[up] <= chi[node]:
+                    gone, into = up, node
                     parent[node] = parent[up]
-                    if parent[up] is None:
+                    if up == root:
                         root = node
-                    else:
-                        children[parent[up]].discard(up)
-                        children[parent[up]].add(node)
-                    merge(up, node)
                 else:
                     continue
+                for kid, above in parent.items():
+                    if above == gone:
+                        parent[kid] = into
+                del parent[gone]
                 changed = True
         return TreeDecomposition(parent, root, {n: chi[n] for n in parent})
 
