@@ -439,21 +439,6 @@ def test_synthesize_plan_searches_width_once_without_keys(rng, monkeypatch):
         assert searches == [NO_KEYS]
 
 
-def test_synthesis_follows_the_contracted_decomposition(rng):
-    """On random cores, the decomposition the plan follows is the width
-    search's, contracted (see ``oracles.assert_contracted``); 25 of the 30
-    searches had a bag inside a neighbour's to merge."""
-    merged = 0
-    for core, keys in _random_cores(rng, 15):
-        result = synthesize_plan(core, keys, UNCAPPED)
-        report = optimal_cwidth(result.elimination.open, NO_KEYS, cap=UNCAPPED.width_universe)
-        assert result.decomposition == report.decomposition.contracted()
-        assert result.degree == report.width
-        assert_contracted(result.elimination, report, result.decomposition)
-        merged += len(result.decomposition.nodes) < len(report.decomposition.nodes)
-    assert merged == 25
-
-
 def test_degrees_and_width_search_solve_no_color_number_lp(monkeypatch):
     """On the keyed directed 16-cycle, every degree of the synthesized plan
     comes from a tuple that meets every class, so no LP is solved; the width
@@ -499,11 +484,18 @@ def test_projections_share_their_childs_color_values(monkeypatch):
 
 def test_synthesize_plan_matches_keyed_search(rng):
     """The plan, degree and decomposition are those of synthesis with a
-    second width search over the core under the keys."""
+    second width search over the core under the keys.  The decomposition is
+    the search's, contracted (see ``oracles.assert_contracted``); 25 of the
+    30 searches had a bag inside a neighbour's to merge."""
+    merged = 0
     for core, keys in _random_cores(rng, 15):
         result = synthesize_plan(core, keys, UNCAPPED)
         got = (result.plan, result.degree, result.decomposition)
         assert got == synthesize_with_keyed_search(core, keys, UNCAPPED)
+        report = optimal_cwidth(result.elimination.open, NO_KEYS, cap=UNCAPPED.width_universe)
+        assert_contracted(result.elimination, report, result.decomposition)
+        merged += len(result.decomposition.nodes) < len(report.decomposition.nodes)
+    assert merged == 25
 
 
 def _chain_steps(plan, rows, length):
