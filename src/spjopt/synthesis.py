@@ -10,14 +10,14 @@ the empty key set and contracted, every bag that lies inside a neighbour's
 merged into it (:meth:`spjopt.represent.TreeDecomposition.contracted`,
 which keeps the width); each remaining bag is materialized by a join chain
 that introduces one element at a time; and the bags are combined bottom-up
-along the tree, adding no new columns.  A chain step joins only the undominated atom blocks:
-an atom's block is dropped while its visible columns lie inside another
-block's, which leaves the step's fractional edge cover, and so its degree
-bound, unchanged, and every atom is joined on all its bag columns at its
-last step.  The output plan is over the original signature (the
-defining plans of derived relations are inlined), well-behaved, and
-equivalent to the input on every database satisfying the keys.  It holds
-no dead operator: every projection and join is built by :func:`_project`
+along the tree, adding no new columns.  A chain step joins only the
+undominated atom blocks: an atom's block is dropped while its visible
+columns lie inside another block's, which leaves the step's fractional edge
+cover, and so its degree bound, unchanged, and every atom is joined on all
+its bag columns at its last step.  The output plan is over the original
+signature (the defining plans of derived relations are inlined),
+well-behaved, and equivalent to the input on every database satisfying the
+keys.  It holds no dead operator: every projection and join is built by :func:`_project`
 or :func:`_join`, so no projection reads a projection, no projection
 keeps all its child's columns in order, and no join without theta has one
 child.  Each operator left out has the arity and output degree of the
@@ -217,9 +217,9 @@ class SynthesisResult(Record):
     was built from: the width search's, contracted so that no bag lies
     inside another's.  The certified intermediate degree is that
     decomposition's color-number width without keys, which is the search's
-    width.  ``prepared`` is the
-    plan prepared under the input's signature, on which its
-    well-behavedness was checked and which the verification reuses."""
+    width.  ``prepared`` is the plan prepared under the input's signature,
+    on which its well-behavedness was checked and which the verification
+    reuses."""
 
     __slots__ = ("prepared", "degree", "decomposition", "elimination")
 
