@@ -613,16 +613,16 @@ def test_reoptimization_keeps_the_degree_and_settles_in_one_pass():
     skipped: its synthesized plan follows the contracted decomposition, and
     that plan's chased representation fits under the core cap."""
     rng = random.Random(31)
-    cases = [(plan, keys, sig, Caps()) for plan, keys, sig in _keyed_cycles()]
+    cases = _keyed_cycles()
     for _ in range(234):
         sig = rand_signature(rng, max_relations=2, max_arity=3)
-        cases.append((rand_plan(rng, sig, max_operators=5), rand_keys(rng, sig), sig, Caps()))
+        cases.append((rand_plan(rng, sig, max_operators=5), rand_keys(rng, sig), sig))
     checked, moved = 0, 0
-    for plan, keys, sig, caps in cases:
+    for plan, keys, sig in cases:
         try:
-            first = optimize(prepare(plan, sig), keys, caps)
-            again = optimize(first.prepared, keys, caps)
-            third = optimize(again.prepared, keys, caps)
+            first = optimize(prepare(plan, sig), keys, Caps())
+            again = optimize(first.prepared, keys, Caps())
+            third = optimize(again.prepared, keys, Caps())
         except ResourceCapError:
             continue
         assert again.degree == first.degree and again.prepared.offender is None
