@@ -27,6 +27,15 @@ parsed again.  Printing fills the same cache (see
 :func:`spjopt.plans.print_prepared`): the plan ``optimize`` prints is not
 parsed when ``degree`` or ``evaluate`` reads it back under an equal
 signature in the same process.  Stdout stays byte-identical.
+
+argv is read from the ``_COMMANDS`` table itself when it has the canonical
+shape: a subcommand, then its flags spelled in full, each followed by a
+value that does not start with ``-`` (``--trace`` takes none).  Any other
+argv -- an abbreviation, ``--flag=value``, a value such as ``-1``, a bad
+value, ``--help`` -- goes to the argparse parser, which is built on the
+first such call and writes every usage, help and error text.  ``--out``
+is written in place: an existing file is overwritten from its start and
+cut to the new length (see :func:`spjopt.serialize.write_text`).
 """
 
 from __future__ import annotations
@@ -80,23 +89,18 @@ def _format(*choices: str) -> tuple[str, dict]:
     return "--format", {"choices": choices, "default": "json"}
 
 
-# Built once per process: building the parser costs far more than parsing
-# argv, and a long-lived process calls main many times.
+# Built only for an argv that _read_argv leaves to argparse, at most once per
+# process: building the parser costs far more than parsing argv, and a
+# long-lived process calls main many times.
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spjopt",
         description="Rewrite select-project-join plans to minimize intermediate size growth.",
     )
-    # The options every subcommand takes, defined once.
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--plan", help="plan file (optional `rel NAME ARITY` header + s-expression)")
-    shared.add_argument("--keys", help="keys file: `key <RelName> <position>` lines")
-    shared.add_argument("--data", action="append", default=[], help="structure JSON file")
-    shared.add_argument("--out", help="output path (default: stdout)")
-    default_caps = Caps()
-    shared.add_argument("--cap-universe", type=_universe_cap, help="override both universe caps (default: "
-                        f"core {default_caps.core_universe}, width {default_caps.width_universe})")
+    for flag, spec in _SHARED_OPTIONS:
+        shared.add_argument(flag, **spec)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help, parents=[shared])
@@ -126,6 +130,17 @@ def _family_indices(text: str) -> tuple[int, ...]:
     if min(ns, default=1) < 1:
         raise argparse.ArgumentTypeError(f"a family index is at least 1, got {min(ns)}")
     return tuple(dict.fromkeys(ns))
+
+
+# The options every subcommand takes, as (flag, add_argument keywords).
+_SHARED_OPTIONS = (
+    ("--plan", {"help": "plan file (optional `rel NAME ARITY` header + s-expression)"}),
+    ("--keys", {"help": "keys file: `key <RelName> <position>` lines"}),
+    ("--data", {"action": "append", "default": [], "help": "structure JSON file"}),
+    ("--out", {"help": "output path (default: stdout)"}),
+    ("--cap-universe", {"type": _universe_cap, "help": "override both universe caps (default: core "
+                        f"{Caps().core_universe}, width {Caps().width_universe})"}),
+)
 
 
 def _caps(args: argparse.Namespace) -> Caps:
@@ -183,8 +198,7 @@ def _load_plan(
 
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        serialize.write_text(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -375,8 +389,7 @@ def _cmd_witness(args: argparse.Namespace) -> None:
         files = []
         for n in args.n:
             path = f"{args.out}_n{n}.json"
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(serialize.dumps(serialize.structure_to_json(family.generate(n))))
+            serialize.write_text(path, serialize.dumps(serialize.structure_to_json(family.generate(n))))
             files.append(path)
         meta["files"] = files
     else:
@@ -403,7 +416,7 @@ def _cmd_decompose(args: argparse.Namespace) -> None:
 
 
 # Subcommand name -> its handler, help line and mode options: this one table
-# builds the parser and dispatches main.
+# builds the argv reader and the parser, and dispatches main.
 _COMMANDS = {
     "check": _Command(_cmd_check, "parse and validate a plan, keys and data"),
     "represent": _Command(_cmd_represent, "emit the plan's structure representation and decomposition",
@@ -428,11 +441,76 @@ _COMMANDS = {
 }
 
 
+def _argv_reader(name: str, command: _Command) -> tuple[dict, dict]:
+    """A subcommand's flags, each mapped to its namespace field, action,
+    ``type`` and ``choices``, and the namespace argparse starts it from:
+    every field at its default, a string default passed through its
+    ``type``, as argparse does for an option not given."""
+    flags, defaults = {}, {"command": name}
+    for flag, spec in _SHARED_OPTIONS + command.options:
+        field = flag[2:].replace("-", "_")
+        action = spec.get("action", "store")
+        convert = spec.get("type")
+        default = spec.get("default", False if action == "store_true" else None)
+        if convert is not None and isinstance(default, str):
+            default = convert(default)
+        flags[flag] = (field, action, convert, spec.get("choices"))
+        defaults[field] = default
+    return flags, defaults
+
+
+_ARGV_READERS = {name: _argv_reader(name, command) for name, command in _COMMANDS.items()}
+
+
+def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace argparse gives ``argv`` if ``argv`` has the canonical
+    shape, else None.
+
+    Canonical: a subcommand, then flags of that subcommand spelled in full,
+    each but a bare ``--trace`` followed by its value, a string that does
+    not start with ``-`` and that the flag's ``type`` and ``choices``
+    accept.  A flag given again overrides, and ``--data`` appends.  argparse
+    reads every other argv and writes every usage, help and error text."""
+    reader = _ARGV_READERS.get(argv[0]) if argv else None
+    if reader is None:
+        return None
+    flags, defaults = reader
+    values = dict(defaults)
+    i, n = 1, len(argv)
+    while i < n:
+        option = flags.get(argv[i])
+        if option is None:
+            return None
+        field, action, convert, choices = option
+        if action == "store_true":
+            values[field] = True
+            i += 1
+            continue
+        value = argv[i + 1] if i + 1 < n else None
+        if type(value) is not str or value[:1] == "-":
+            return None
+        if convert is not None:
+            try:
+                value = convert(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if choices is not None and value not in choices:
+            return None
+        # A new list, as argparse's append makes: the default is never changed.
+        values[field] = values[field] + [value] if action == "append" else value
+        i += 2
+    return argparse.Namespace(**values)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 1
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code == 0 else 1
     try:
         _COMMANDS[args.command].handler(args)
     except ResourceCapError as exc:

@@ -23,6 +23,8 @@ from __future__ import annotations
 import itertools
 import json
 import operator
+import os
+import stat
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, Optional, Sequence, Union
@@ -41,13 +43,40 @@ def fraction_str(value: Fraction) -> str:
 
 
 def read_text(path: str) -> str:
-    """The contents of a UTF-8 text file; any other bytes are a format
-    error."""
+    """The contents of a UTF-8 text file, with the newlines text-mode
+    ``open`` reads (``\\r\\n`` and a lone ``\\r`` become ``\\n``); any
+    other bytes are a format error.
+
+    The file is read in one unbuffered read and decoded at once, which
+    takes about half the time of a text-mode read on a small file."""
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.readall()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError:
         raise FormatError(f"{path}: not UTF-8 text") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` in UTF-8, with the bytes and the new
+    file's mode that ``open(path, "w")`` gives on POSIX, but in place: an
+    existing file is written over from its start and then cut to the new
+    length.  Truncating on open costs several times the write on ext4
+    whenever the file already holds data.  Only a regular file is cut;
+    ``/dev/null`` or a pipe cannot be."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------------
@@ -85,12 +114,17 @@ def structure_from_json(doc: dict) -> Union[Structure, OpenStructure]:
         for name, rows in doc.get("relations", {}).items():
             if name not in sig:
                 raise FormatError(f"relation {name!r} not in signature")
-            out = []
-            for row in rows:
-                try:
-                    out.append(tuple(ids[str(e)] for e in row))
-                except KeyError as exc:
-                    raise FormatError(f"unknown element {exc} in relation {name!r}") from exc
+            try:
+                out = [tuple(map(ids.__getitem__, row)) for row in rows]
+            except (KeyError, TypeError):
+                # An element that is not a name string: read each one's
+                # str(), and raise for the first that names no element.
+                out = []
+                for row in rows:
+                    try:
+                        out.append(tuple(ids[str(e)] for e in row))
+                    except KeyError as exc:
+                        raise FormatError(f"unknown element {exc} in relation {name!r}") from exc
             relations[name] = out
         names = {i: n for n, i in ids.items()}
         struct = Structure(sig, ids.values(), relations, names)

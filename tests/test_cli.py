@@ -1,6 +1,7 @@
 """File formats and the command-line front end."""
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -105,6 +106,22 @@ def test_structure_json_rejects_garbage():
         structure_from_json(
             {"signature": {"E": 2}, "universe": ["a"], "relations": {"F": []}}
         )
+
+
+def test_structure_json_reads_rows_of_non_string_elements_by_their_str():
+    """Rows are read by name; an element that is not a string is read by its
+    ``str()``, and one that names no element is an error naming it."""
+    doc = {"signature": {"E": 2}, "universe": ["1", "2", "a"], "relations": {"E": [["a", "2"]]}}
+    for rows, expected in (([[1, "2"]], {(0, 1)}), ([["a", "a"], [2, 1]], {(2, 2), (1, 0)})):
+        assert structure_from_json({**doc, "relations": {"E": rows}}).relations["E"] == expected
+    for rows, message in (
+        ([["a", "2"], [3, "a"]], "unknown element '3' in relation 'E'"),
+        ([[["a"], "a"]], """unknown element "['a']" in relation 'E'"""),
+        ([None], "bad structure document: 'NoneType' object is not iterable"),
+    ):
+        with pytest.raises(FormatError) as info:
+            structure_from_json({**doc, "relations": {"E": rows}})
+        assert str(info.value) == message
 
 
 def test_named_rows_match_sorted_name_rows(rng):
@@ -1196,6 +1213,81 @@ def test_cli_unreadable_file_is_an_input_error(workdir, capsys, monkeypatch):
     assert err == f"spjopt: [Errno 13] Permission denied: '{workdir / 'tri.plan'}'\n"
 
 
+def test_read_text_reads_newlines_as_text_mode_open_does(tmp_path):
+    """``\\r\\n`` and a lone ``\\r`` read as ``\\n``, as a text-mode
+    ``open`` reads them, wherever they fall; a byte that is not UTF-8 is a
+    format error, a cut multi-byte character at the end too."""
+    rng = random.Random(42)
+    path = tmp_path / "f.txt"
+    alphabet = ["a", "\r", "\n", "\r\n", "é", "\ufeff", " "]
+    texts = ["", "\r", "\r\r\n\n\r", "a\r\nb\rc\n"]
+    texts += ["".join(rng.choices(alphabet, k=rng.randint(1, 40))) for _ in range(300)]
+    for text in texts:
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, "r", encoding="utf-8") as fh:
+            assert serialize.read_text(path) == fh.read(), repr(text)
+    for data in (b"a\r\n\xff", b"ok\r\xc3"):
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match="not UTF-8 text$"):
+            serialize.read_text(path)
+
+
+def test_cli_malformed_crlf_data_reports_the_text_mode_position(workdir, capsys):
+    """A JSON error's line, column and char count newlines as text-mode
+    reading does: each ``\\r\\n`` is one character."""
+    bad = workdir / "crlf.json"
+    bad.write_bytes(b'{\r\n  "signature": {"E": 2},\r\n  "universe": ["a", "b"],\r\n'
+                    b'  "relations": {"E": [["a", oops]]}\r\n}\r\n')
+    code, out, err = run(capsys, "evaluate", "--plan", workdir / "tri.plan", "--data", bad)
+    assert (code, out) == (2, "")
+    assert err == f"spjopt: {bad}: Expecting value: line 4 column 29 (char 81)\n"
+
+
+def test_cli_out_overwrites_a_file_in_place(workdir, capsys, tmp_path):
+    """``--out`` over a longer file leaves no tail of it, over a shorter one
+    writes all; the witness family files are written the same way."""
+    argv = ["degree", "--plan", workdir / "tri.plan"]
+    expected = run(capsys, *argv)[1]
+    out = tmp_path / "out.json"
+    for old in ("x" * 5000, "{}", ""):
+        out.write_text(old)
+        assert run(capsys, *argv, "--out", out) == (0, "", "")
+        assert out.read_text() == expected
+    prefix = tmp_path / "fam"
+    witness = ["witness", "--plan", workdir / "tri.plan", "--n", "1"]
+    member = json.dumps(json.loads(run(capsys, *witness)[1])["instances"]["1"], indent=2) + "\n"
+    (tmp_path / "fam_n1.json").write_text(" " * 50000)
+    assert run(capsys, *witness, "--out", prefix)[0] == 0
+    assert (tmp_path / "fam_n1.json").read_text() == member
+
+
+def test_cli_out_creates_a_file_with_the_mode_open_gives(workdir, capsys, tmp_path):
+    """A new ``--out`` file gets the mode ``open(path, "w")`` gives under
+    the umask."""
+    for umask in (0o022, 0o077, 0o002):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / f"ref{umask}", "w"):
+                pass
+            out = tmp_path / f"out{umask}"
+            assert run(capsys, "degree", "--plan", workdir / "tri.plan", "--out", out)[0] == 0
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode == (tmp_path / f"ref{umask}").stat().st_mode == 0o100666 & ~umask
+
+
+def test_cli_out_is_cut_only_when_it_is_a_regular_file(workdir, capsys, tmp_path):
+    """``--out /dev/null`` succeeds: a character device is written, not
+    cut.  A directory, or a path through a file, exits 2 with the system's
+    message."""
+    argv = ["degree", "--plan", workdir / "tri.plan", "--out"]
+    assert run(capsys, *argv, os.devnull) == (0, "", "")
+    tri = workdir / "tri.plan"
+    assert run(capsys, *argv, tmp_path) == (2, "", f"spjopt: [Errno 21] Is a directory: '{tmp_path}'\n")
+    assert run(capsys, *argv, tri / "x") == (2, "", f"spjopt: [Errno 20] Not a directory: '{tri / 'x'}'\n")
+    assert tri.read_text() == TRI_PLAN
+
+
 def test_cli_data_lists_do_not_leak_between_calls(workdir, capsys, monkeypatch):
     seen = []
     check = cli._COMMANDS["check"]._replace(handler=lambda args: seen.append(args.data))
@@ -1228,11 +1320,92 @@ def test_cli_repeated_data_is_an_input_error(workdir, capsys):
     assert (code, err) == (2, "spjopt: --data given 3 times; pass one data file\n")
 
 
+# The argv shapes perfbench/worker.py passes, with the witness family of its set-up.
+BENCHMARK_ARGVS = (
+    ["optimize", "--plan", "p.plan", "--out", "o.json", "--keys", "k.keys", "--cap-universe", "16"],
+    ["degree", "--plan", "p.plan", "--out", "o.json", "--keys", "k.keys", "--cap-universe", "16"],
+    ["evaluate", "--plan", "p.plan", "--data", "d.json", "--out", "o.json"],
+    ["witness", "--plan", "p.plan", "--n", "1,2", "--out", "fam"],
+)
+
+
 def test_cli_parser_is_built_once(workdir, capsys):
+    """A process whose argv always has the canonical shape builds no
+    parser; the first argv that does not builds it, once."""
     cli._build_parser.cache_clear()
-    for argv in (["check", "--plan", workdir / "tri.plan"], ["degree"], ["frobnicate"]):
+    for argv in (["check", "--plan", workdir / "tri.plan"], ["degree"], ["evaluate", "--trace"]):
+        run(capsys, *argv)
+    for argv in BENCHMARK_ARGVS:
+        assert cli._read_argv(argv) is not None, argv
+    assert cli._build_parser.cache_info().misses == 0
+    for argv in (["frobnicate"], ["degree", "--pl", workdir / "tri.plan"], ["check", "--plan=x"]):
         run(capsys, *argv)
     assert cli._build_parser.cache_info().misses == 1
+
+
+def _argv_grid():
+    """Argvs for the differential test of the argv reader: every option of
+    every subcommand in every order, repeated options, zero to three
+    ``--data``, each ``--format`` value and a bad one, abbreviations,
+    ``--flag=value``, values that start with ``-``, missing and bad values,
+    help, an unknown subcommand and an empty argv."""
+    values = {"--cap-universe": "7", "--n": "2,1", "--format": "json"}
+    for name, command in cli._COMMANDS.items():
+        flags = [flag for flag, _ in cli._SHARED_OPTIONS + command.options]
+        for order in itertools.permutations(flags):
+            argv = [name]
+            for flag in order:
+                argv += [flag] if flag == "--trace" else [flag, values.get(flag, flag[2:] + ".x")]
+            yield argv
+        for k in range(4):
+            yield [name] + [x for i in range(k) for x in ("--data", f"d{i}.json")]
+        for flag in flags:
+            if flag == "--trace":
+                yield [name, "--trace", "--trace", "--plan", "p"]
+                yield [name, "--trace", "x"]
+                continue
+            yield [name, flag, "a", flag, "b"]
+            yield [name, "--plan", "p", flag]
+            for value in ("-1", "-", "--", "-x", "", "0", "3,3", " -1", "1,x"):
+                yield [name, flag, value]
+            yield [name, flag + "=v"]
+            yield [name, flag[:4], "v"]
+        for value in ("json", "text", "dot", "xml"):
+            yield [name, "--format", value]
+        yield [name, "-h"]
+        yield [name, "--help"]
+        yield [name, "--plan", "p", "--help"]
+        yield [name, "--out", "o", "--frob", "x"]
+        yield [name, "extra"]
+    yield ["frobnicate", "--plan", "p"]
+    yield ["--plan", "p", "check"]
+    yield ["-h"]
+    yield []
+
+
+def test_cli_argv_reader_agrees_with_argparse(capsys, monkeypatch):
+    """On every argv of the grid, ``main`` dispatches argparse's namespace,
+    or exits with argparse's code and output; the canonical argvs, every
+    permutation among them, go through the reader, which builds the same
+    namespace as argparse."""
+    seen = []
+    for name, command in cli._COMMANDS.items():
+        monkeypatch.setitem(cli._COMMANDS, name, command._replace(handler=lambda args: seen.append(vars(args))))
+    parser = cli._build_parser()
+    read = 0
+    for argv in _argv_grid():
+        try:
+            expected = (0, "", "", [vars(parser.parse_args(argv))])
+        except SystemExit as exc:
+            captured = capsys.readouterr()
+            expected = (0 if exc.code == 0 else 1, captured.out, captured.err, [])
+        namespace = cli._read_argv(argv)
+        if namespace is not None:
+            assert expected[3] == [vars(namespace)], argv
+            read += 1
+        assert (*run(capsys, *argv), seen) == expected, argv
+        seen.clear()
+    assert read > 9000
 
 
 SHARED_OPTIONS = {"--plan", "--keys", "--data", "--out", "--cap-universe"}
@@ -1267,13 +1440,7 @@ def test_cli_each_subcommand_takes_only_the_options_it_reads():
         slots += len(options)
         formats += len(options.get("--format") or ())
     assert (slots, formats) == (57, 8)
-    common = ["--plan", "p.plan", "--out", "o.json", "--keys", "k.keys", "--cap-universe", "16"]
-    for argv in (
-        ["optimize", *common],
-        ["degree", *common],
-        ["evaluate", "--plan", "p.plan", "--data", "d.json", "--out", "o.json"],
-        ["witness", "--plan", "p.plan", "--n", "1,2", "--out", "fam"],
-    ):
+    for argv in BENCHMARK_ARGVS:
         assert parser.parse_args(argv).command == argv[0]
 
 
