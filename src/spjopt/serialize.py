@@ -114,17 +114,12 @@ def structure_from_json(doc: dict) -> Union[Structure, OpenStructure]:
         for name, rows in doc.get("relations", {}).items():
             if name not in sig:
                 raise FormatError(f"relation {name!r} not in signature")
-            try:
-                out = [tuple(map(ids.__getitem__, row)) for row in rows]
-            except (KeyError, TypeError):
-                # An element that is not a name string: read each one's
-                # str(), and raise for the first that names no element.
-                out = []
-                for row in rows:
-                    try:
-                        out.append(tuple(ids[str(e)] for e in row))
-                    except KeyError as exc:
-                        raise FormatError(f"unknown element {exc} in relation {name!r}") from exc
+            out = []
+            for row in rows:
+                try:
+                    out.append(tuple(ids[str(e)] for e in row))
+                except KeyError as exc:
+                    raise FormatError(f"unknown element {exc} in relation {name!r}") from exc
             relations[name] = out
         names = {i: n for n, i in ids.items()}
         struct = Structure(sig, ids.values(), relations, names)
