@@ -1213,25 +1213,6 @@ def test_cli_unreadable_file_is_an_input_error(workdir, capsys, monkeypatch):
     assert err == f"spjopt: [Errno 13] Permission denied: '{workdir / 'tri.plan'}'\n"
 
 
-def test_read_text_reads_newlines_as_text_mode_open_does(tmp_path):
-    """``\\r\\n`` and a lone ``\\r`` read as ``\\n``, as a text-mode
-    ``open`` reads them, wherever they fall; a byte that is not UTF-8 is a
-    format error, a cut multi-byte character at the end too."""
-    rng = random.Random(42)
-    path = tmp_path / "f.txt"
-    alphabet = ["a", "\r", "\n", "\r\n", "é", "\ufeff", " "]
-    texts = ["", "\r", "\r\r\n\n\r", "a\r\nb\rc\n"]
-    texts += ["".join(rng.choices(alphabet, k=rng.randint(1, 40))) for _ in range(300)]
-    for text in texts:
-        path.write_bytes(text.encode("utf-8"))
-        with open(path, "r", encoding="utf-8") as fh:
-            assert serialize.read_text(path) == fh.read(), repr(text)
-    for data in (b"a\r\n\xff", b"ok\r\xc3"):
-        path.write_bytes(data)
-        with pytest.raises(FormatError, match="not UTF-8 text$"):
-            serialize.read_text(path)
-
-
 def test_cli_malformed_crlf_data_reports_the_text_mode_position(workdir, capsys):
     """A JSON error's line, column and char count newlines as text-mode
     reading does: each ``\\r\\n`` is one character."""
