@@ -217,37 +217,32 @@ def parse_plan(text: str, signature: Optional[Signature] = None) -> Plan:
                    | (join (theta PAIR*) plan plan*)
       PAIR := (INT INT)
 
-    With a signature, arity violations and unknown relations are rejected.
-    A bad token anywhere is reported before any grammar error.  Equal
-    subtrees are one object (see :func:`_parse`).
+    With a signature, arity violations and unknown relations are rejected,
+    as :func:`prepare` finds them.  A bad token anywhere is reported before
+    any grammar error.  The plan is a tree: equal subtrees are equal, not
+    one object.
     """
-    numbering = _parse(text)
+    plan = _parse(text)
     if signature is not None:
-        _validated_arities(numbering[1], signature)
-    return numbering[1][-1][0]
+        _prepare_parsed(plan, signature)
+    return plan
 
 
-def _validated_arities(
-    distinct: list[tuple[Plan, tuple[int, ...]]], signature: Signature
-) -> list[int]:
-    """:func:`_arities` of a parsed plan, an unknown relation being a
+def _prepare_parsed(plan: Plan, signature: Signature) -> PreparedPlan:
+    """:func:`prepare` of a parsed plan, an unknown relation being a
     syntax error."""
     try:
-        return _arities(distinct, signature)
+        return prepare(plan, signature)
     except SignatureError as exc:
         raise PlanSyntaxError(str(exc)) from exc
 
 
-def _parse(text: str) -> Numbering:
-    """The parser of :func:`parse_plan`: the parsed plan's
-    :func:`number_subplans`, built as it parses.
+def _parse(text: str) -> Plan:
+    """The parser of :func:`parse_plan`: the parsed plan's root.
 
     One loop reads the tokens; the operators still waiting for a child or
     their ``)`` are kept on an explicit stack, so nesting depth is bounded
-    only by memory.  Every completed node is interned under the key of
-    :func:`number_subplans`, and nodes complete in its post-order, so its
-    table and its occurrence numbers are the ones ``number_subplans`` of
-    the parsed plan builds, and equal subtrees become one object.
+    only by memory.
     """
     words = _words(text)
     kinds = {w: _word_kind(w) for w in set(words)}
@@ -258,11 +253,8 @@ def _parse(text: str) -> Numbering:
     # value an error reports there.
     words += [""] * 4
     kinds[""] = "eof"
-    table: dict[tuple, int] = {}
-    distinct: list[tuple[Plan, tuple[int, ...]]] = []
-    numbers: list[int] = []
-    # (operator class, theta or columns, numbers of the children parsed so far)
-    open_ops: list[tuple[type, object, list[int]]] = []
+    # (operator class, theta or columns, the children parsed so far)
+    open_ops: list[tuple[type, object, list[Plan]]] = []
     i = 0
     while True:
         word = words[i]
@@ -304,38 +296,24 @@ def _parse(text: str) -> Numbering:
         if kinds[word] != "name":
             raise _syntax_error(text, i, f"expected plan, got {word!r}")
         i += 1
-        key: tuple = (Basic, word, ())
-        number = table.get(key)
-        if number is None:
-            number = table[key] = len(distinct)
-            distinct.append((Basic(word), ()))
-        numbers.append(number)
+        node: Plan = Basic(word)
         # Close every operator that this plan completes; a join may take
         # another child instead.
         while open_ops:
             cls, param, kids = open_ops[-1]
-            kids.append(number)
+            kids.append(node)
             if words[i] != ")":
                 if cls is Join:
                     break
                 raise _syntax_error(text, i, f"expected ')', got {words[i]!r}")
             i += 1
             open_ops.pop()
-            key = (cls, param, tuple(kids))
-            number = table.get(key)
-            if number is None:
-                number = table[key] = len(distinct)
-                if cls is Join:
-                    node = Join(param, tuple(distinct[k][0] for k in kids))
-                else:
-                    node = cls(param, distinct[kids[0]][0])
-                distinct.append((node, key[2]))
-            numbers.append(number)
+            node = Join(param, tuple(kids)) if cls is Join else cls(param, kids[0])
         if not open_ops:
             break
     if words[i]:
         raise _syntax_error(text, i, f"trailing input {words[i]!r}")
-    return numbers, distinct
+    return node
 
 
 def _head(node: Plan) -> str:
@@ -493,8 +471,9 @@ class PreparedPlan(Record):
     """A plan with what every stage reads off it: its :func:`number_subplans`
     and the arity per number under ``signature``.  Every stage after
     loading (representation, core, degree analysis, evaluation,
-    equivalence) takes the prepared plan, built by :func:`prepare` or
-    :func:`parse_prepared`, and reads the plan and signature off it.
+    equivalence) takes the prepared plan, built by :func:`prepare` (a
+    parsed one through :func:`parse_prepared`), and reads the plan and
+    signature off it.
 
     Its first offending join (see :func:`_check_joins`) and its evaluation
     program are derived on first access, so a stage that never evaluates
@@ -606,22 +585,19 @@ def _keep(key: tuple[str, Signature], prepared: PreparedPlan) -> PreparedPlan:
 
 
 def parse_prepared(text: str, signature: Signature) -> PreparedPlan:
-    """The plan ``text`` parsed and prepared under ``signature``, with the
-    parser's own numbering.
+    """The plan ``text`` parsed and prepared under ``signature`` (see
+    :func:`prepare`).
 
     The last ``PREPARED_PLANS_CACHED`` prepared plans parsed or printed
     (see :func:`print_prepared`) are kept, keyed by the text and the
     signature, so a later call with equal arguments returns the same
-    prepared plan.  A text that fails to parse or validate raises as
-    :func:`parse_plan` does and is not kept.
+    prepared plan without parsing or numbering.  A text that fails to
+    parse or validate raises as :func:`parse_plan` does and is not kept.
     """
     key = (text, signature)
     prepared = _prepared_plans.get(key)
     if prepared is None:
-        numbering = _parse(text)
-        prepared = PreparedPlan(
-            numbering[1][-1][0], signature, numbering, _validated_arities(numbering[1], signature)
-        )
+        prepared = _prepare_parsed(_parse(text), signature)
     return _keep(key, prepared)
 
 
@@ -630,10 +606,10 @@ def print_prepared(prepared: PreparedPlan) -> str:
     prints, and ``prepared`` kept under that text and its signature as
     :func:`parse_prepared` keeps a parsed plan.
 
-    Parsing the printed text gives back an equal plan, numbering and
-    arities: theta pairs print as written, and the parser numbers in
-    :func:`number_subplans`'s post-order.  So reading the text back under an
-    equal signature returns ``prepared`` without parsing.  A plan with a
+    Parsing and preparing the printed text gives back an equal plan,
+    numbering and arities: theta pairs print as written, and equal
+    subtrees print as equal text.  So reading the text back under an equal
+    signature returns ``prepared`` without parsing.  A plan with a
     relation name that the parser does not read as a name is not kept.
     """
     distinct = prepared.numbering[1]

@@ -92,13 +92,22 @@ def structure_to_json(value: Union[Structure, OpenStructure]) -> dict:
     return doc
 
 
+def _listed(value, what: str):
+    """``value``, which the document gives as a list; a string or an
+    object, which would be read as its characters or keys, is an error.
+    Any other value that is not a list fails as it is iterated."""
+    if isinstance(value, (str, dict)):
+        raise FormatError(f"bad structure document: {what} is not a list")
+    return value
+
+
 def structure_from_json(doc: dict) -> Union[Structure, OpenStructure]:
     try:
         try:
             sig = Signature({str(k): v for k, v in doc["signature"].items()})
         except SignatureError as exc:
             raise FormatError(f"bad structure document: {exc}") from exc
-        universe = [str(u) for u in doc["universe"]]
+        universe = [str(u) for u in _listed(doc["universe"], "universe")]
         if len(set(universe)) != len(universe):
             raise FormatError("duplicate universe element names")
         ids = {name: i for i, name in enumerate(sorted(universe))}
@@ -107,7 +116,9 @@ def structure_from_json(doc: dict) -> Union[Structure, OpenStructure]:
             if name not in sig:
                 raise FormatError(f"relation {name!r} not in signature")
             out = []
-            for row in rows:
+            for row in _listed(rows, f"relation {name!r}"):
+                if isinstance(row, (str, dict)):
+                    _listed(row, f"a row of {name!r}")
                 try:
                     out.append(tuple(ids[str(e)] for e in row))
                 except KeyError as exc:
@@ -118,7 +129,7 @@ def structure_from_json(doc: dict) -> Union[Structure, OpenStructure]:
         if "tuple" not in doc:
             return struct
         try:
-            out_tuple = tuple(ids[str(e)] for e in doc["tuple"])
+            out_tuple = tuple(ids[str(e)] for e in _listed(doc["tuple"], "tuple"))
         except KeyError as exc:
             raise FormatError(f"unknown element {exc} in tuple") from exc
         return OpenStructure(struct, out_tuple)
@@ -246,13 +257,24 @@ def decomposition_to_json(dec: TreeDecomposition, names: Mapping[int, str]) -> d
     }
 
 
+def _dot_escaped(text: str) -> str:
+    """``text`` inside a DOT label's quotes: ``\\`` and ``"`` escaped.  Text
+    that UTF-8 cannot encode, such as a lone surrogate read from a data
+    file's JSON, is a format error."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise FormatError(f"DOT label {text!r} is not UTF-8 text") from None
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def decomposition_to_dot(dec: TreeDecomposition, names: Mapping[int, str]) -> str:
     lines = ["graph decomposition {"]
     for node in dec.nodes:
-        bag = ",".join(names[e] for e in sorted(dec.chi[node]))
+        bag = _dot_escaped(",".join(names[e] for e in sorted(dec.chi[node])))
         extra = ""
         if isinstance(dec, PDecomposition):
-            extra = "\\n" + dec.node_text[node].replace('"', "'")
+            extra = "\\n" + _dot_escaped(dec.node_text[node])
         shape = ' shape=box style=bold' if node == dec.root else " shape=box"
         lines.append(f'  n{node} [label="{{{bag}}}{extra}"{shape}];')
     for a, b in sorted(dec.edges):

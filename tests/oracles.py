@@ -1452,14 +1452,15 @@ def numbered_arity(plan: Plan, signature: Signature) -> int:
 def assert_printed_plan_parses_back(prepared: PreparedPlan) -> None:
     """``print_prepared`` prints ``prepared`` as ``print_plan`` prints its
     plan and keeps it under that text, and a fresh parse of the text gives
-    an equal plan, numbering and arities."""
+    an equal plan, which numbers and has arities as ``prepared``."""
     text = plans.print_prepared(prepared)
     assert text == plans.print_plan(prepared.plan)
     assert plans.parse_prepared(text, prepared.signature) is prepared
-    numbering = plans._parse(text)
+    plan = plans._parse(text)
+    numbering = number_subplans(plan)
     assert numbering == prepared.numbering
     assert _arities(numbering[1], prepared.signature) == prepared.arities
-    assert numbering[1][-1][0] == prepared.plan
+    assert plan == prepared.plan
 
 
 def operator_count(plan: Plan) -> int:

@@ -364,11 +364,11 @@ def test_cli_evaluate_checks_the_data_against_the_keys(workdir, capsys, extra):
 
 
 def test_cli_evaluate_numbers_once_and_builds_no_occurrence_trace(workdir, capsys, monkeypatch):
-    """A plain evaluate numbers its plan once, as the parser reads it:
-    ``number_subplans`` is never called, whether or not the plan is
-    well-behaved, and the evaluator runs once.  Only --trace builds the
-    per-occurrence entries; --format text reads the per-number row
-    counts."""
+    """A plain evaluate numbers its plan once, as it prepares the parsed
+    plan file, whether or not the plan is well-behaved, and a later op on
+    the kept plan does not number it again; the evaluator runs once.  Only
+    --trace builds the per-occurrence entries; --format text reads the
+    per-number row counts."""
     traces = []
     numberings = _count_numberings(monkeypatch)
     evaluate = cli.evaluate_well_behaved
@@ -380,16 +380,17 @@ def test_cli_evaluate_numbers_once_and_builds_no_occurrence_trace(workdir, capsy
     monkeypatch.setattr(cli, "evaluate_well_behaved", counted)
     argv = ("evaluate", "--plan", workdir / "tri.plan", "--data", workdir / "d.json")
     assert run(capsys, *argv)[0] == 0
-    assert numberings == []
+    assert numberings == [serialize.load_prepared(workdir / "tri.plan").plan]
     assert "entries" not in traces[-1].__dict__
     for extra, built in ((("--trace",), True), (("--format", "text"), False)):
         assert run(capsys, *argv, *extra)[0] == 0
         assert ("entries" in traces[-1].__dict__) is built
+    assert len(numberings) == 1
     (workdir / "cross.plan").write_text("rel E 2\n(project (cols 4 3 2 1) (join (theta) E E))\n")
     traces.clear()
     code, out, _ = run(capsys, "evaluate", "--plan", workdir / "cross.plan", "--data", workdir / "d.json")
     assert (code, json.loads(out)["evaluator"]) == (0, "naive")
-    assert len(traces) == 1 and numberings == []
+    assert len(traces) == 1 and len(numberings) == 2
 
 
 def test_cli_evaluate_of_a_synthesized_plan_builds_no_join_column_rows(tmp_path, capsys, monkeypatch):
@@ -481,23 +482,26 @@ def test_cli_keyed_cycle_plans_reoptimize_to_their_own_bytes(workdir, capsys):
 
 def test_cli_check_numbers_its_plan_once(workdir, capsys, monkeypatch):
     """check reads arity, operator count and well-behavedness off one
-    numbering of its plan."""
+    numbering of its plan, the one preparing the parsed plan builds."""
     numbered = _count_numberings(monkeypatch)
     code, out, err = run(capsys, "check", "--plan", workdir / "tri.plan")
     assert (code, err) == (0, "")
-    assert numbered == []  # the parser's numbering
+    assert numbered == [serialize.load_prepared(workdir / "tri.plan").plan]
     assert json.loads(out)["operators"] == 2
+    assert run(capsys, "check", "--plan", workdir / "tri.plan") == (code, out, err)
+    assert len(numbered) == 1
 
 
 def test_cli_equiv_numbers_no_plan_again(workdir, capsys, monkeypatch):
-    """equiv builds both representations on the parser's numberings."""
+    """equiv builds both representations on the numberings that
+    preparing its two parsed plan files builds, one each."""
     numbered = _count_numberings(monkeypatch)
     other = workdir / "tri2.plan"
     other.write_text("rel E 2\n(project (cols 1 2 4) (join (theta (4 5) (6 1)) (join (theta (2 3)) E E) E))\n")
     code, out, err = run(capsys, "equiv", "--plan", workdir / "tri.plan", "--plan2", other)
     assert (code, err) == (0, "")
     assert json.loads(out)["equivalent"] is True
-    assert numbered == []
+    assert numbered == [serialize.load_prepared(path).plan for path in (workdir / "tri.plan", other)]
 
 
 def test_cli_prepares_a_plan_file_once(workdir, capsys, monkeypatch):
@@ -666,6 +670,37 @@ def test_cli_represent_dot(workdir, capsys):
     assert out.startswith("graph decomposition {")
 
 
+def test_cli_dot_labels_escape_quotes_and_backslashes(tmp_path, capsys):
+    """An element name with a ``"`` or a ``\\`` is escaped in its DOT
+    label, on stdout and in an --out file alike."""
+    doc = {"signature": {"E": 2}, "universe": ['q"x', "b\\c"], "relations": {"E": [['q"x', "b\\c"]]}}
+    (tmp_path / "d.json").write_text(json.dumps(doc))
+    argv = ("decompose", "--data", tmp_path / "d.json", "--format", "dot")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    labels = re.findall(r'label="((?:[^"\\]|\\.)*)"', out)
+    assert labels == ['{b\\\\c,q\\"x}', '{q\\"x}'], out
+    assert run(capsys, *argv, "--out", tmp_path / "d.dot") == (0, "", "")
+    assert (tmp_path / "d.dot").read_text() == out
+
+
+def test_cli_dot_label_that_utf8_cannot_encode_exits_2(tmp_path, capsys):
+    """A lone surrogate in an element name is a format error before
+    anything is written: nothing on stdout, and an --out file is left as
+    it was.  The JSON writer escapes it."""
+    doc = {"signature": {"E": 2}, "universe": ["a", "\ud800"], "relations": {"E": [["a", "\ud800"]]}}
+    (tmp_path / "d.json").write_text(json.dumps(doc))
+    argv = ("decompose", "--data", tmp_path / "d.json")
+    message = "spjopt: DOT label 'a,\\ud800' is not UTF-8 text\n"
+    assert run(capsys, *argv, "--format", "dot") == (2, "", message)
+    out = tmp_path / "d.dot"
+    out.write_text("kept\n")
+    assert run(capsys, *argv, "--format", "dot", "--out", out) == (2, "", message)
+    assert out.read_text() == "kept\n"
+    code, text, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and "\\ud800" in text
+
+
 def test_cli_witness(workdir, capsys, tmp_path):
     code, out, _ = run(
         capsys, "witness", "--plan", workdir / "tri.plan", "--n", "1,2",
@@ -720,8 +755,16 @@ def test_cli_exit_codes(workdir, capsys, tmp_path):
         {"signature": {"E": "x"}},
         {"signature": {"E": float("inf")}},
         {"tuple": 5},
+        # A string or an object where a list belongs, not its characters or keys.
+        {"universe": "abcd"},
+        {"universe": dict.fromkeys("abcd", 0)},
+        {"relations": {"E": "ab"}},
+        {"relations": {"E": ["ab", "bc"]}},
+        {"relations": {"E": [{"a": 0, "b": 1}]}},
+        {"tuple": "a"},
     ],
-    ids=["relations-list", "rows-int", "row-int", "arity-text", "arity-infinite", "tuple-int"],
+    ids=["relations-list", "rows-int", "row-int", "arity-text", "arity-infinite", "tuple-int",
+         "universe-string", "universe-object", "rows-string", "row-string", "row-object", "tuple-string"],
 )
 def test_cli_malformed_structure_exits_2(change, tmp_path, capsys):
     (tmp_path / "bad.json").write_text(json.dumps({**DATA, **change}))

@@ -378,25 +378,23 @@ def _synthesized_keyed_cycle(n):
     return oracles.parse_plan(_synthesized_keyed_cycle_text(n), SIG_E)
 
 
-def _object_count(plan):
-    """The number of distinct node objects reachable from ``plan``."""
-    seen, stack = set(), [plan]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(oracles.children_of(node))
-    return len(seen)
-
-
-def test_parse_interns_equal_subtrees():
-    text = _synthesized_keyed_cycle_text(12)
-    plan = parse_plan(text, SIG_E)
-    distinct = len(number_subplans(plan)[1])
-    assert _object_count(plan) == distinct
-    unshared = oracles.parse_plan(text, SIG_E)
-    assert unshared == plan
-    assert _object_count(unshared) == plans.plan_size(plan) > 10 * distinct
+def test_parse_prepared_numbers_once_per_miss(monkeypatch):
+    """``parse_prepared`` numbers a text it parses once, through
+    ``prepare``, and a kept one never; ``parse_plan`` numbers only to
+    validate against a signature."""
+    numbered, number = [], plans.number_subplans
+    monkeypatch.setattr(plans, "number_subplans", lambda plan: numbered.append(plan) or number(plan))
+    text = _synthesized_keyed_cycle_text(6)
+    numbered.clear()
+    plans._prepared_plans.clear()
+    prepared = plans.parse_prepared(text, SIG_E)
+    assert numbered == [prepared.plan] and prepared.numbering == number(prepared.plan)
+    assert plans.parse_prepared(text, SIG_E) is prepared and len(numbered) == 1
+    assert plans.parse_prepared(text, Signature({"E": 2})) is prepared and len(numbered) == 1
+    assert plans.parse_prepared(text + "\n", SIG_E) is not prepared and len(numbered) == 2
+    plan = parse_plan(text)
+    assert plan == prepared.plan and len(numbered) == 2
+    assert parse_plan(text, SIG_E) == plan and len(numbered) == 3
 
 
 def _functional_graph(rng, rows):
@@ -418,8 +416,8 @@ def test_number_subplans_numbers_structure(rng):
         one = rand_plan(rng, rand_signature(rng), max_operators=6)
         plan = Join(frozenset(), (one, rand_plan(rng, rand_signature(rng), max_operators=6), one))
         numbers, distinct = number_subplans(plan)
-        # The parser builds the same numbering as it parses.
-        assert plans._parse(print_plan(plan)) == (numbers, distinct)
+        # The parsed printed plan numbers the same.
+        assert number_subplans(plans._parse(print_plan(plan))) == (numbers, distinct)
         occurrences = subplans(plan)
         assert occurrence_paths(distinct) == [path for path, _ in occurrences]
         assert len(numbers) == len(occurrences)
