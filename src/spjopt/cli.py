@@ -57,16 +57,9 @@ from .errors import (
     ResourceCapError,
     SpjError,
 )
-from .plans import (
-    Basic,
-    PreparedPlan,
-    evaluate_well_behaved,
-    parse_prepared,
-    print_plan,
-    subplan_texts,
-)
+from .plans import Basic, PreparedPlan, evaluate_well_behaved, print_plan, subplan_texts
 from .represent import build_representation
-from .structures import OpenStructure, Signature, Structure, compute_core
+from .structures import OpenStructure, Structure, compute_core
 from .synthesis import (
     chased_core,
     equivalence_witness,
@@ -228,13 +221,14 @@ def _cmd_check(args: argparse.Namespace) -> None:
     if offender is not None:
         doc["offendingSubplan"] = print_plan(offender)
     if data is not None:
-        doc["dataSignatureMatches"] = data.signature == prepared.signature
+        # Always true, the plan being prepared under it; kept so that the output does not change.
+        doc["dataSignatureMatches"] = True
     _emit(args, serialize.dumps(doc))
 
 
 def _cmd_represent(args: argparse.Namespace) -> None:
     prepared, _, _ = _load_plan(args, keyed=False)
-    rep, dec = build_representation(prepared.plan, prepared.signature, prepared)
+    rep, dec = build_representation(prepared)
     names = rep.open.structure.names
     if args.format == "dot":
         _emit(args, serialize.decomposition_to_dot(dec, names))
@@ -252,7 +246,7 @@ def _cmd_chase(args: argparse.Namespace) -> None:
         value = _load_data(args)
     else:
         prepared, keys, _ = _load_plan(args)
-        value = build_representation(prepared.plan, prepared.signature, prepared)[0].open
+        value = build_representation(prepared)[0].open
     struct = value.structure if isinstance(value, OpenStructure) else value
     before_names = dict(struct.names)
     result = chase(value, keys)
@@ -336,23 +330,9 @@ def _cmd_equiv(args: argparse.Namespace) -> None:
     _require(args, plan=args.plan, plan2=args.plan2)
     keys = _load_keys(args)
     data = _data_structure(args)
-    merged: dict[str, int] = {} if data is None else data.signature.as_dict()
-    bodies = []
-    for path in (args.plan, args.plan2):
-        header, body = serialize.plan_file_from_text(serialize.read_text(path))
-        if header is not None:
-            for name in header.symbols():
-                ar = header.arity(name)
-                if merged.get(name, ar) != ar:
-                    raise FormatError(f"{path}: conflicting arity for {name!r}")
-                merged[name] = ar
-        bodies.append(body)
-    if not merged:
-        raise FormatError("no signature available; add `rel` headers or pass --data")
-    sig = Signature(merged)
-    plan1 = parse_prepared(bodies[0], sig)
-    plan2 = parse_prepared(bodies[1], sig)
-    keys.validate_for(sig)
+    signature = data.signature if data is not None else None
+    plan1, plan2 = serialize.load_prepared_plans((args.plan, args.plan2), signature)
+    keys.validate_for(plan1.signature)
     try:
         witness = equivalence_witness(plan1, plan2, keys)
     except ArityError:

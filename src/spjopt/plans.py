@@ -17,6 +17,7 @@ import functools
 import itertools
 import operator
 import re
+import sys
 from typing import Optional, Union
 
 from . import errors
@@ -218,9 +219,9 @@ def parse_plan(text: str, signature: Optional[Signature] = None) -> Plan:
       PAIR := (INT INT)
 
     With a signature, arity violations and unknown relations are rejected,
-    as :func:`prepare` finds them.  A bad token anywhere is reported before
-    any grammar error.  The plan is a tree: equal subtrees are equal, not
-    one object.
+    as :func:`prepare` finds them.  A bad token anywhere, or an int past
+    Python's digit limit, is reported before any grammar error.  The plan
+    is a tree: equal subtrees are equal, not one object.
     """
     plan = _parse(text)
     if signature is not None:
@@ -249,6 +250,12 @@ def _parse(text: str) -> Plan:
     if None in kinds.values():
         index = next(i for i, w in enumerate(words) if kinds[w] is None)
         raise _syntax_error(text, index, f"bad token {words[index]!r}")
+    try:
+        ints = {w: int(w) for w, kind in kinds.items() if kind == "int"}
+    except ValueError:  # more digits than Python converts to an int
+        limit = sys.get_int_max_str_digits()
+        index = next(i for i, w in enumerate(words) if kinds[w] == "int" and len(w.lstrip("-")) > limit)
+        raise _syntax_error(text, index, f"integer exceeds the {limit}-digit limit") from None
     # End-of-input sentinels: a read never runs past them, and "" is the
     # value an error reports there.
     words += [""] * 4
@@ -273,7 +280,7 @@ def _parse(text: str) -> Plan:
             if cls is Project:
                 cols = []
                 while kinds[words[i]] == "int":
-                    cols.append(int(words[i]))
+                    cols.append(ints[words[i]])
                     i += 1
                 open_ops.append((cls, tuple(cols), []))
             else:
@@ -286,7 +293,7 @@ def _parse(text: str) -> Plan:
                         raise _syntax_error(text, i + 2, f"expected 'int', got {k!r}")
                     if words[i + 3] != ")":
                         raise _syntax_error(text, i + 3, f"expected ')', got {words[i + 3]!r}")
-                    pairs.append((int(j), int(k)))
+                    pairs.append((ints[j], ints[k]))
                     i += 4
                 open_ops.append((cls, frozenset(pairs), []))
             if words[i] != ")":

@@ -37,13 +37,12 @@ from .structures import (
 )
 
 
-def check_representation_size(
-    numbers: Sequence[int], distinct: Sequence[tuple[Plan, tuple[int, ...]]], arities: Sequence[int]
-) -> None:
-    """Raise :class:`ResourceCapError` when the plan's basic occurrences,
-    given by its :func:`number_subplans` and their ``arities``, hold more
-    than ``errors.REPRESENTATION_ELEMENTS_CAP`` positions."""
-    basic = [m if isinstance(node, Basic) else 0 for (node, _), m in zip(distinct, arities)]
+def check_representation_size(prepared: PreparedPlan) -> None:
+    """Raise :class:`ResourceCapError` when the prepared plan's basic
+    occurrences hold more than ``errors.REPRESENTATION_ELEMENTS_CAP``
+    positions."""
+    numbers, distinct = prepared.numbering
+    basic = [m if isinstance(node, Basic) else 0 for (node, _), m in zip(distinct, prepared.arities)]
     total = sum(map(basic.__getitem__, numbers))
     if total > errors.REPRESENTATION_ELEMENTS_CAP:
         raise ResourceCapError(
@@ -204,12 +203,10 @@ class PDecomposition(TreeDecomposition):
 
 
 def build_representation(
-    plan: Plan,
-    signature: Signature,
-    prepared: Optional[PreparedPlan] = None,
+    prepared: PreparedPlan, signature: Optional[Signature] = None
 ) -> tuple[PRepresentation, PDecomposition]:
-    """Build a representation of ``plan`` together with a decomposition that
-    satisfies the containment property.
+    """Build a representation of the prepared plan, over its signature,
+    together with a decomposition that satisfies the containment property.
 
     One step per subplan occurrence, in post-order: a basic occurrence
     allocates fresh element ids consecutively from 0, a projection reindexes
@@ -218,20 +215,20 @@ def build_representation(
     (see :func:`spjopt.structures.link`), so each element's representative is
     the smallest id of its class, whatever order the links came in.
     Polynomial time; the universe never exceeds the number of arity
-    occurrences in the plan.  ``prepared`` is the plan prepared under
-    ``signature``, when the caller has it already.
+    occurrences in the plan.  The older form, a bare plan and the signature
+    to prepare it under, is kept for perfbench's plan-shape self-test.
     """
-    if prepared is None:
-        prepared = prepare(plan, signature)
+    if signature is not None:
+        prepared = prepare(prepared, signature)
+    check_representation_size(prepared)
     (numbers, distinct), arities = prepared.numbering, prepared.arities
-    check_representation_size(numbers, distinct, arities)
     getters = [
         row_getter([c - 1 for c in node.cols]) if type(node) is Project else None
         for node, _ in distinct
     ]
 
     uf: list[int] = []
-    atoms: dict[str, list[tuple[int, ...]]] = {n: [] for n in signature.symbols()}
+    atoms: dict[str, list[tuple[int, ...]]] = {n: [] for n in prepared.signature.symbols()}
     raw_beta: list[tuple[int, ...]] = []
     pending: list[tuple[int, ...]] = []  # outputs of occurrences whose parent is not reached yet
     for number in numbers:
@@ -261,7 +258,7 @@ def build_representation(
     names = {e: f"x{i}" for i, e in enumerate(final_elements)}
     rep = uf.__getitem__
     relations = {name: [tuple(map(rep, t)) for t in rows] for name, rows in atoms.items()}
-    structure = Structure(signature, final_elements, relations, names)
+    structure = Structure(prepared.signature, final_elements, relations, names)
     open_ = OpenStructure(structure, tuple(map(rep, raw_beta[-1])))
     return PRepresentation(open_), PDecomposition(numbers, distinct, raw_beta, uf)
 

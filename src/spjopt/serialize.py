@@ -11,9 +11,9 @@ relation may have several.  Blank lines and lines starting with `#` are
 ignored.
 
 Plan files: optional `rel <Name> <arity>` header lines declaring the
-signature, then the plan s-expression.  Data-free subcommands (optimize,
-degree, equiv, ...) need the header; when a data file is given its signature
-is used and any header is checked against it.
+signature, then the plan s-expression.  Without a data file the header is
+the signature (``equiv``'s two headers merged); with one, the data's is used
+and any header is checked against it.
 
 Rationals serialize as `p/q` strings (integers as plain `p`).
 """
@@ -140,7 +140,7 @@ def structure_from_json(doc: dict) -> Union[Structure, OpenStructure]:
 def load_structure(path: str) -> Union[Structure, OpenStructure]:
     try:
         doc = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
         raise FormatError(f"{path}: {exc}") from exc
     return structure_from_json(doc)
 
@@ -177,34 +177,30 @@ def load_keys(path: str) -> KeySet:
 
 
 def plan_file_from_text(text: str) -> tuple[Optional[Signature], str]:
-    """Split a plan file into its optional `rel` header and the plan text.
-    A relation declared twice must be declared with one arity."""
+    """Split a plan file into its optional `rel` header and the plan text,
+    which starts at the first line that is not blank, a `#` comment or a
+    `rel` line.  A relation declared twice must be declared with one
+    arity."""
     arities: dict[str, int] = {}
-    body_lines = []
-    in_header = True
-    for raw in text.splitlines():
-        line = raw.strip()
-        if in_header:
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "rel":
-                if len(parts) != 3:
-                    raise FormatError("expected `rel <Name> <arity>`")
-                try:
-                    arity = int(parts[2])
-                except ValueError:
-                    raise FormatError(f"bad arity {parts[2]!r}") from None
-                name = parts[1]
-                if arities.setdefault(name, arity) != arity:
-                    raise FormatError(
-                        f"header declares {name!r} with arity {arities[name]} and with arity {arity}"
-                    )
-                continue
-            in_header = False
-        body_lines.append(raw)
-    sig = Signature(arities) if arities else None
-    return sig, "\n".join(body_lines)
+    lines = text.splitlines()
+    body = len(lines)
+    for index, raw in enumerate(lines):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if parts[0] != "rel":
+            body = index
+            break
+        if len(parts) != 3:
+            raise FormatError("expected `rel <Name> <arity>`")
+        try:
+            arity = int(parts[2])
+        except ValueError:
+            raise FormatError(f"bad arity {parts[2]!r}") from None
+        name = parts[1]
+        if arities.setdefault(name, arity) != arity:
+            raise FormatError(f"header declares {name!r} with arity {arities[name]} and with arity {arity}")
+    return Signature(arities) if arities else None, "\n".join(lines[body:])
 
 
 def load_plan(path: str, signature: Optional[Signature] = None) -> tuple[Plan, Signature]:
@@ -214,8 +210,9 @@ def load_plan(path: str, signature: Optional[Signature] = None) -> tuple[Plan, S
 
 
 def load_prepared(path: str, signature: Optional[Signature] = None) -> PreparedPlan:
-    """Load a plan file, prepared; the signature comes from the argument
-    (data file) or from the file's `rel` header.
+    """Load a plan file, prepared under ``signature`` (a data file's),
+    against which the file's `rel` header is checked; without one, under
+    the header.  :func:`load_prepared_plans` loads plans read together.
 
     The file is read on every call; its plan text and the signature key the
     prepared plans that :func:`parse_prepared` keeps, so an edited file is
@@ -236,6 +233,22 @@ def load_prepared(path: str, signature: Optional[Signature] = None) -> PreparedP
             "lines or pass a data file"
         )
     return parse_prepared(body, signature)
+
+
+def load_prepared_plans(paths: Sequence[str], signature: Optional[Signature] = None) -> list[PreparedPlan]:
+    """The plan files, each loaded by :func:`load_prepared` under
+    ``signature`` (a data file's), else under the union of their headers."""
+    if signature is None:
+        signature = Signature({})
+        for path in paths:
+            header, _ = plan_file_from_text(read_text(path))
+            try:
+                signature = signature.extend(header.as_dict() if header is not None else {})
+            except SignatureError as exc:  # two arities for one relation
+                raise FormatError(f"{path}: {exc}") from None
+        if not signature.symbols():
+            raise FormatError("no signature available; add `rel` headers or pass --data")
+    return [load_prepared(path, signature) for path in paths]
 
 
 # ---------------------------------------------------------------------------

@@ -456,9 +456,8 @@ def subplan_degrees(prepared: PreparedPlan, keys: KeySet) -> list[Fraction]:
     it was dropped: a join or selection holds its children's elements until
     the quotient.
     """
-    signature = prepared.signature
-    (numbers, distinct), arities = prepared.numbering, prepared.arities
-    check_representation_size(numbers, distinct, arities)
+    check_representation_size(prepared)
+    signature, distinct, arities = prepared.signature, prepared.numbering[1], prepared.arities
     last_reader = {kid: number for number, (_, kids) in enumerate(distinct) for kid in kids}
     reps: list[Optional[tuple[Structure, tuple[int, ...], Callable]]] = []
     degrees: list[Fraction] = []
@@ -571,7 +570,7 @@ def check_equivalence(p1: Plan, p2: Plan, keys: KeySet, signature: Signature) ->
 
 
 def _chased_representation(prepared: PreparedPlan, keys: KeySet) -> OpenStructure:
-    rep, _ = build_representation(prepared.plan, prepared.signature, prepared)
+    rep, _ = build_representation(prepared)
     return chase(rep.open, keys).result
 
 

@@ -64,6 +64,7 @@ from spjopt.plans import (
     _print_theta,
     _select_rows,
     number_subplans,
+    prepare,
     theta_of,
 )
 from spjopt.represent import (
@@ -1090,7 +1091,7 @@ def assert_lean_synthesis(result, keys: KeySet) -> None:
 def rebuilt_output_degree(plan: Plan, keys: KeySet, signature: Signature) -> Fraction:
     """The color number of the tuple set of ``plan``'s representation, built
     from scratch and chased as a whole."""
-    rep, _ = build_representation(plan, signature)
+    rep, _ = build_representation(prepare(plan, signature))
     chased = chase(rep.open, keys).result
     if chased.structure.total_tuple_count() == 0:
         return Fraction(0)
@@ -1340,9 +1341,9 @@ def eager_build_representation(
     time; the universe never exceeds the number of arity occurrences in
     the plan.
     """
-    numbers, distinct = number_subplans(plan)
-    arities = _arities(distinct, signature)
-    check_representation_size(numbers, distinct, arities)
+    prepared = prepare(plan, signature)
+    check_representation_size(prepared)
+    (numbers, distinct), arities = prepared.numbering, prepared.arities
 
     up: dict[int, int] = {}  # element -> parent; a root is its own parent
 

@@ -101,7 +101,7 @@ def corpus():
     while len(entries) < CORPUS_SIZE:
         sig = rand_signature(gen)
         plan = rand_plan(gen, sig, max_operators=6)
-        rep, dec = build_representation(plan, sig)
+        rep, dec = build_representation(prepare(plan, sig))
         if len(rep.open.structure.universe) > 12:
             continue
         datasets = [rand_structure(gen, sig, max_domain=5, max_rows=5) for _ in range(5)]

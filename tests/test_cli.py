@@ -1498,7 +1498,7 @@ def test_api_core_search_is_capped_as_the_cli_is(workdir, capsys):
         assert got == (3, "", f"spjopt: resource cap: {message}\n"), command
     keys = KeySet([("E", 1)])
     prepared = prepare(plan, SIG)
-    chased = chase(build_representation(plan, SIG, prepared)[0].open, keys).result
+    chased = chase(build_representation(prepared)[0].open, keys).result
     assert len(chased.structure.universe) == 13
     for capped in (
         lambda: compute_core(chased, Caps().core_universe),
@@ -1622,3 +1622,88 @@ def test_cli_fuzzed_inputs_exit_with_a_documented_code(tmp_path, capsys):
         assert code in codes, argv
         codes[code] += 1
     assert min(codes[0], codes[1], codes[2]) >= 100 and codes[3] >= 5, codes
+
+
+def test_cli_equiv_checks_each_header_against_the_data_signature(workdir, capsys):
+    """With ``--data``, ``equiv`` loads both plans under the data's
+    signature and checks each file's header against it, as every other
+    subcommand does: a relation the data lacks, or a different arity, exits
+    2 with the header's message.  A header the data agrees with is read."""
+    data = ["--data", workdir / "d.json"]
+    (workdir / "f.plan").write_text("rel E 2\nrel F 1\nE\n")
+    (workdir / "e3.plan").write_text("rel E 3\nE\n")
+    for name, declared in (("f.plan", "F/1"), ("e3.plan", "E/3")):
+        message = f"spjopt: {workdir / name}: header declares {declared}, which conflicts with the data signature\n"
+        for first, second in ((workdir / name, workdir / "tri.plan"), (workdir / "tri.plan", workdir / name)):
+            assert run(capsys, "equiv", "--plan", first, "--plan2", second, *data) == (2, "", message)
+        assert run(capsys, "check", "--plan", workdir / name, *data) == (2, "", message)
+    code, out, err = run(capsys, "equiv", "--plan", workdir / "tri.plan", "--plan2", workdir / "tri.plan", *data)
+    assert (code, err, json.loads(out)["equivalent"]) == (0, "", True)
+
+
+# An int with more digits than Python converts (sys.get_int_max_str_digits()).
+BIG_INT = "9" * 5_000
+BIG_DATA = {
+    "signature arity": json.dumps(DATA).replace('{"E": 2}', '{"E": ' + BIG_INT + "}"),
+    "universe element": json.dumps(DATA).replace('"universe": ["a"', '"universe": [' + BIG_INT),
+    "row entry": json.dumps(DATA).replace('[["a", "b"]', '[["a", ' + BIG_INT + "]"),
+}
+
+
+@pytest.mark.parametrize("slot", sorted(BIG_DATA))
+def test_load_structure_reports_an_oversized_int_as_a_format_error(slot, tmp_path):
+    """``json.loads`` raises a plain ``ValueError``, not a
+    ``JSONDecodeError``, for an int past Python's digit limit anywhere in
+    the document; the loader reports it as a format error naming the file."""
+    path = tmp_path / "d.json"
+    path.write_text(BIG_DATA[slot])
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: Exceeds the limit "):
+        serialize.load_structure(str(path))
+
+
+# Every integer a user writes: the files that hold it (over a plan, keys and
+# data that load), the extra argv that reads it and a part of its error line.
+_OVERSIZED = {
+    "plan cols": ({"p.plan": f"rel E 2\n(project (cols {BIG_INT}) E)\n"}, [], "-digit limit"),
+    "plan theta": ({"p.plan": f"rel E 2\n(select (theta (1 {BIG_INT})) E)\n"}, [], "-digit limit"),
+    "rel arity": ({"p.plan": f"rel E {BIG_INT}\nE\n"}, [], "bad arity '99"),
+    "key position": ({"k.keys": f"key E {BIG_INT}\n"}, ["--keys", "k.keys"], "bad position '99"),
+    **{
+        f"data {slot}": ({"d.json": text}, ["--data", "d.json"], "d.json: Exceeds the limit")
+        for slot, text in BIG_DATA.items()
+    },
+    "--cap-universe": ({}, ["--cap-universe", BIG_INT], "argument --cap-universe: invalid int value"),
+    "--n": ({}, ["--n", BIG_INT], "argument --n: expected comma-separated ints"),
+}
+
+
+@pytest.mark.parametrize("slot", list(_OVERSIZED))
+def test_cli_oversized_integers_exit_with_one_error_line(slot, tmp_path, capsys):
+    """A 5,000-digit integer in any slot a user controls exits 1 or 2 on
+    every subcommand that reads the slot, with one error line on stderr
+    (after argparse's usage, for exit 1) that names the slot's fault, and
+    no exception escaping ``main``."""
+    files, extra, fault = _OVERSIZED[slot]
+    texts = {"p.plan": "rel E 2\n(project (cols 1) E)\n", "k.keys": "key E 1\n", "d.json": json.dumps(DATA)}
+    for name, text in {**texts, **files}.items():
+        (tmp_path / name).write_text(text)
+    if slot == "--n":
+        commands = ["witness"]
+    elif slot == "key position":
+        commands = [c for c in cli._COMMANDS if c != "represent"]  # represent reads no keys
+    else:
+        commands = list(cli._COMMANDS)
+    for command in commands:
+        argv = [command, "--plan", "p.plan"] + extra
+        if command == "equiv":
+            argv += ["--plan2", "p.plan"]
+        if command == "evaluate" and "--data" not in extra:
+            argv += ["--data", "d.json"]
+        code, out, err = run(capsys, *[tmp_path / a if a in texts else a for a in argv])
+        lines = err.splitlines()
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("spjopt: "), (command, err[:300])
+        else:
+            assert code == 1 and lines[0].startswith("usage: "), (command, err[:300])
+            assert [line for line in lines if "error:" in line] == lines[-1:], (command, err[:300])
+        assert fault in lines[-1] and out == "", (command, err[:300])

@@ -386,7 +386,7 @@ def test_decomposition_bag_colors_are_color_numbers(rng):
     for _ in range(100):
         sig = rand_signature(rng, max_relations=2, max_arity=3)
         keys = rand_keys(rng, sig) if rng.random() < 0.6 else NO_KEYS
-        rep, dec = build_representation(rand_plan(rng, sig), sig)
+        rep, dec = build_representation(prepare(rand_plan(rng, sig), sig))
         struct = rep.open.structure
         report = cwidth_of_decomposition(rep.open, keys, dec)
         assert report.bag_colors == {n: color_number(struct, keys, dec.chi[n])[0] for n in dec.nodes}

@@ -1,6 +1,7 @@
 """Plan AST, parsing, well-behavedness, and the two evaluators."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,6 +140,27 @@ def test_parse_error_message_and_position(text, message, line, column):
         parse_plan(text)
     assert (str(err.value), err.value.line, err.value.column) == (
         f"{line}:{column}: {message}", line, column
+    )
+
+
+# An int word with more digits than Python converts to an int.
+LONG_INT = "1" * 5_000
+
+
+@pytest.mark.parametrize("text, line, column", [
+    (f"(project (cols 1 {LONG_INT}) R)", 1, 18),
+    (f"(select (theta (1 2)\n  (-{LONG_INT} 1)) R)", 2, 4),
+    (f"(join (theta (1 {LONG_INT})) R S)", 1, 17),
+], ids=["cols", "theta-first", "theta-second"])
+def test_parse_reports_an_oversized_int_at_its_position(text, line, column):
+    """An int word past ``sys.get_int_max_str_digits()``, in a
+    projection's columns or either place of a theta pair, is a syntax error
+    at the word, not a ``ValueError``, reported before any grammar error."""
+    with pytest.raises(PlanSyntaxError) as err:
+        parse_plan(text)
+    limit = sys.get_int_max_str_digits()
+    assert (str(err.value), err.value.line, err.value.column) == (
+        f"{line}:{column}: integer exceeds the {limit}-digit limit", line, column
     )
 
 

@@ -8,10 +8,12 @@ from spjopt import (
     KeySet,
     OpenStructure,
     Signature,
+    SignatureError,
     Structure,
     TreeDecomposition,
     build_representation,
     check_tree_decomposition,
+    cwidth_of_decomposition,
     evaluate_naive,
     homs_relation,
     hypergraph_of,
@@ -39,7 +41,7 @@ SIG = Signature({"R": 2, "S": 2})
 @pytest.fixture
 def example():
     plan = parse_plan("(join (theta (1 3)) R (project (cols 1) S))", SIG)
-    rep, dec = build_representation(plan, SIG)
+    rep, dec = build_representation(prepare(plan, SIG))
     return plan, rep, dec
 
 
@@ -89,7 +91,7 @@ def test_contracted_merges_bags_into_neighbours_that_hold_them():
 
 
 def test_basic_plan_representation():
-    rep, dec = build_representation(parse_plan("R", SIG), SIG)
+    rep, dec = build_representation(prepare(parse_plan("R", SIG), SIG))
     assert len(rep.open.structure.universe) == 2
     assert rep.open.tuple == tuple(sorted(rep.open.structure.universe))
     assert len(dec.nodes) == 1
@@ -97,7 +99,7 @@ def test_basic_plan_representation():
 
 def test_projection_representation_keeps_structure():
     plan = parse_plan("(project (cols 1) R)", SIG)
-    rep, dec = build_representation(plan, SIG)
+    rep, dec = build_representation(prepare(plan, SIG))
     assert len(rep.open.structure.universe) == 2
     assert len(rep.open.tuple) == 1
     assert len(dec.nodes) == 2
@@ -108,7 +110,7 @@ def test_alpha_is_a_bijection_onto_nodes(rng):
     for _ in range(40):
         sig = rand_signature(rng)
         plan = rand_plan(rng, sig, max_operators=6)
-        rep, dec = build_representation(plan, sig)
+        rep, dec = build_representation(prepare(plan, sig))
         occ = subplans(plan)
         node_of = alpha(plan)
         assert len(dec.nodes) == len(occ)
@@ -126,7 +128,7 @@ def test_representation_is_always_a_tree_decomposition(rng):
     for _ in range(40):
         sig = rand_signature(rng)
         plan = rand_plan(rng, sig, max_operators=6)
-        rep, dec = build_representation(plan, sig)
+        rep, dec = build_representation(prepare(plan, sig))
         assert check_tree_decomposition(hypergraph_of(rep.open), dec.edges, dec.chi)
 
 
@@ -134,7 +136,7 @@ def test_representation_soundness_random(rng):
     for _ in range(60):
         sig = rand_signature(rng)
         plan = rand_plan(rng, sig, max_operators=5)
-        rep, _ = build_representation(plan, sig)
+        rep, _ = build_representation(prepare(plan, sig))
         for _ in range(3):
             data = rand_structure(rng, sig, max_domain=4, max_rows=5)
             assert homs_relation(
@@ -147,7 +149,7 @@ def test_representation_size_bound(rng):
     for _ in range(40):
         sig = rand_signature(rng)
         plan = rand_plan(rng, sig, max_operators=6)
-        rep, _ = build_representation(plan, sig)
+        rep, _ = build_representation(prepare(plan, sig))
         total_arity = sum(
             sig.arity(node.relation)
             for _, node in subplans(plan)
@@ -160,7 +162,7 @@ def test_containment_property_holds_for_built_decompositions(rng):
     for _ in range(30):
         sig = rand_signature(rng)
         plan = rand_plan(rng, sig, max_operators=5)
-        rep, dec = build_representation(plan, sig)
+        rep, dec = build_representation(prepare(plan, sig))
         for _ in range(2):
             data = rand_structure(rng, sig, max_domain=4, max_rows=4)
             assert check_containment_property(plan, rep, dec, data)
@@ -178,7 +180,7 @@ def test_containment_equality_at_root(example, rng):
 def test_adversarial_beta_breaks_containment(rng):
     """Swapping two bags' beta tuples falsifies containment on some data."""
     plan = parse_plan("(join (theta) R S)", SIG)
-    rep, dec = build_representation(plan, SIG)
+    rep, dec = build_representation(prepare(plan, SIG))
     nodes = [n for n in dec.beta if n != dec.root]
     a, b = nodes[0], nodes[1]
     dec.beta[a], dec.beta[b] = dec.beta[b], dec.beta[a]
@@ -224,7 +226,7 @@ def test_node_text_is_capped_before_any_text_is_built(monkeypatch):
     sig = Signature({"E": 2})
     plan = parse_plan("(project (cols 1 2 4) (join (theta (2 3) (4 5) (6 1)) E E E))", sig)
     prepared = prepare(plan, sig)
-    _, dec = build_representation(plan, sig, prepared)
+    _, dec = build_representation(prepared)
     calls = []
     node_text = plans._node_text
     monkeypatch.setattr(plans, "_node_text", lambda node, kids: calls.append(kids) or node_text(node, kids))
@@ -239,12 +241,12 @@ def test_arity_of_representation_tuple_matches_plan(rng):
     for _ in range(30):
         sig = rand_signature(rng)
         plan = rand_plan(rng, sig, max_operators=5)
-        rep, _ = build_representation(plan, sig)
+        rep, _ = build_representation(prepare(plan, sig))
         assert len(rep.open.tuple) == numbered_arity(plan, sig)
 
 
 def _assert_matches_eager(plan, sig):
-    rep, dec = build_representation(plan, sig)
+    rep, dec = build_representation(prepare(plan, sig))
     want_rep, want = eager_build_representation(plan, sig)
     got_struct, want_struct = rep.open.structure, want_rep.open.structure
     assert got_struct.universe == want_struct.universe
@@ -269,3 +271,18 @@ def test_lean_representation_matches_eager_reference(rng):
     for n in range(4, 9):
         cycle = pattern_plan([(i, (i + 1) % n) for i in range(n)], (0,))
         _assert_matches_eager(optimize(prepare(cycle, sig), KeySet({"E": 1}.items())).plan, sig)
+
+
+@pytest.mark.parametrize("parent, chi", [
+    ({}, {}),
+    ({0: None, 1: 0}, {0: frozenset({0, 1, 2})}),
+    ({0: 1, 1: 0, 2: None}, {0: frozenset({0, 1}), 1: frozenset({1, 2}), 2: frozenset({2})}),
+], ids=["no-bags", "edge-to-a-node-without-a-bag", "disconnected"])
+def test_cwidth_of_decomposition_refuses_a_non_decomposition(parent, chi):
+    """``cwidth_of_decomposition`` checks its decomposition first: no bags
+    over a nonempty hypergraph, a tree edge to a node that has no bag, and
+    a parent map whose tree is not connected (one cycle and a lone root)
+    are each refused."""
+    struct = Structure(SIG, [0, 1, 2], {"R": [(0, 1)], "S": [(1, 2)]})
+    with pytest.raises(SignatureError, match="^not a tree decomposition of the open structure$"):
+        cwidth_of_decomposition(OpenStructure(struct, (0,)), KeySet.empty(), TreeDecomposition(parent, 0, chi))

@@ -7,6 +7,7 @@ import pytest
 
 from spjopt import (
     ArityError,
+    Hypergraph,
     KeySet,
     OpenStructure,
     Signature,
@@ -18,6 +19,7 @@ from spjopt import (
     find_homomorphism,
     homs_relation,
     hypergraph_of,
+    prepare,
 )
 from spjopt import structures
 from spjopt.serialize import named_rows, structure_to_json
@@ -439,7 +441,7 @@ def _core_inputs(rng):
         yield chase(a, rand_keys(rng, sig)).result
     for _ in range(80):
         sig = rand_signature(rng, max_relations=2, max_arity=3)
-        rep, _ = build_representation(rand_plan(rng, sig, max_operators=5), sig)
+        rep, _ = build_representation(prepare(rand_plan(rng, sig, max_operators=5), sig))
         for keys in (KeySet.empty(), rand_keys(rng, sig)):
             chased = chase(rep.open, keys).result
             if len(chased.structure.universe) <= 12:
@@ -466,7 +468,7 @@ def _pattern_cores():
     for edges in [mobius_ladder(n) for n in (10, 12, 14, 16)] + [
         squared_cycle(n) for n in (12, 14, 16)
     ]:
-        rep, _ = build_representation(pattern_plan(edges, (0, 1)), SIG_E)
+        rep, _ = build_representation(prepare(pattern_plan(edges, (0, 1)), SIG_E))
         yield chase(rep.open, KeySet.empty()).result
 
 
@@ -495,8 +497,29 @@ def test_core_proof_searches_once_per_element(monkeypatch):
             searches.append(args)
             super().__init__(*args)
 
-    rep, _ = build_representation(pattern_plan(mobius_ladder(16), (0, 1)), SIG_E)
+    rep, _ = build_representation(prepare(pattern_plan(mobius_ladder(16), (0, 1)), SIG_E))
     chased = chase(rep.open, KeySet.empty()).result
     monkeypatch.setattr(structures, "_HomSearch", Counting)
     assert compute_core(chased, CORE_CAP) == chased
     assert len(searches) <= 14
+
+
+def test_public_constructors_and_homs_relation_refuse_bad_input():
+    """The input checks of ``Signature``, ``Signature.extend``,
+    ``OpenStructure``, ``Hypergraph`` and ``homs_relation``, each reached
+    through the public API, raise ``SignatureError`` with their message."""
+    sig = Signature({"E": 2})
+    struct = Structure(sig, [0, 1], {"E": [(0, 1)]})
+    other = Structure(Signature({"F": 2}), [0, 1], {"F": [(0, 1)]})
+    cases = [
+        (lambda: Signature({"": 1}), "relation name must be a nonempty string, got ''"),
+        (lambda: sig.extend({"E": 3}), "conflicting arity for 'E'"),
+        (lambda: OpenStructure(struct, (0, 2)), "output tuple entry 2 not in universe"),
+        (lambda: Hypergraph(frozenset({0, 1}), frozenset({frozenset({1, 2})})),
+         r"edge \[1, 2\] not within vertex set"),
+        (lambda: homs_relation(struct, (0,), other), "source and data must be similar"),
+        (lambda: homs_relation(struct, (0, 5), struct), "output element 5 not in source universe"),
+    ]
+    for build, message in cases:
+        with pytest.raises(SignatureError, match=f"^{message}$"):
+            build()

@@ -212,11 +212,11 @@ def test_every_resource_cap_is_defined_once_and_read_at_check_time(monkeypatch):
     # 2 + 6 elements, and its witness member D_1 holds 3 elements and 3 rows.
     monkeypatch.setattr(errors, "REPRESENTATION_ELEMENTS_CAP", 5)
     with pytest.raises(ResourceCapError, match="^representation capped at 5 elements"):
-        check_representation_size(*prepared.numbering, prepared.arities)
+        check_representation_size(prepared)
     with pytest.raises(ResourceCapError, match="^witness family capped at 5 elements"):
         check_family_size(family.source, family.solution, 1)
     monkeypatch.setattr(errors, "REPRESENTATION_ELEMENTS_CAP", 6)
-    check_representation_size(*prepared.numbering, prepared.arities)
+    check_representation_size(prepared)
     check_family_size(family.source, family.solution, 1)
     with pytest.raises(ResourceCapError, match="^degree analysis capped at 6 elements, .* at least 8$"):
         subplan_degrees(prepared, keys)
@@ -246,7 +246,7 @@ def test_records_copy_and_pickle_to_equal_values():
     pickle of its result."""
     sig = Signature({"E": 2})
     prepared = parse_prepared(TRIANGLE, sig)
-    rep, dec = build_representation(prepared.plan, sig, prepared)
+    rep, dec = build_representation(prepared)
     struct = rep.open.structure
     values = [
         prepared.plan, prepared.plan.child, Caps(8, 10), dec, KeySet([("E", 1)]), sig, struct,

@@ -139,7 +139,7 @@ def test_eliminate_fds_identity_for_empty_keys(rng):
     for _ in range(10):
         sig = rand_signature(rng)
         plan = rand_plan(rng, sig, max_operators=4)
-        rep, _ = build_representation(plan, sig)
+        rep, _ = build_representation(prepare(plan, sig))
         elim = eliminate_fds(rep.open, NO_KEYS)
         assert not elim.new_relations
         assert elim.open == rep.open
@@ -167,7 +167,7 @@ def test_eliminate_fds_preserves_answers_on_satisfying_data(rng):
             if several and not several_keys(keys, sig):
                 continue
             plan = rand_plan(rng, sig, max_operators=4)
-            rep, _ = build_representation(plan, sig)
+            rep, _ = build_representation(prepare(plan, sig))
             chased = chase(rep.open, keys).result
             elim = eliminate_fds(chased, keys)
             if not elim.new_relations:
@@ -390,7 +390,7 @@ def test_optimize_chases_its_input_once(monkeypatch):
     monkeypatch.setattr(synthesis, "find_homomorphism", lambda *a: homs.append(a) or hom(*a))
     plan = parse_plan("(project (cols 1 4) (join (theta (2 3)) R R))", SIG_R)
     result = optimize(prepare(plan, SIG_R), KEY_R1, caps=UNCAPPED)
-    assert [b[0] for b in builds] == [plan, result.plan]
+    assert [b[0].plan for b in builds] == [plan, result.plan]
     assert len(chases) == 2
     (c1, c2), (d2, d1) = homs
     assert (c1, c2) == (d1, d2)
@@ -408,7 +408,7 @@ def _random_cores(rng, want: int):
         sig = rand_signature(rng, max_relations=2, max_arity=3)
         plan = rand_plan(rng, sig, max_operators=5)
         keys = rand_keys(rng, sig, prob=1.0) if attempts % 2 else NO_KEYS
-        rep, _ = build_representation(plan, sig)
+        rep, _ = build_representation(prepare(plan, sig))
         try:
             core = compute_core(chase(rep.open, keys).result, 12)
         except ResourceCapError:
