@@ -162,6 +162,17 @@ def pattern_plan(edges, out):
     return Project(tuple(first[v] for v in out), Join(theta_of(pairs), (Basic("E"),) * len(edges)))
 
 
+def keyed_walk_plan(length: int):
+    """The directed walk of ``length`` E edges as a well-behaved chain,
+    built without synthesis: each step joins the walk so far with one E
+    atom on its last vertex and keeps the new vertex, so under ``key E 1``
+    every subplan has degree 1.  Each call builds new objects."""
+    plan = Basic("E")
+    for m in range(2, length + 1):
+        plan = Project(tuple(range(1, m + 1)) + (m + 2,), Join(theta_of([(m, m + 1)]), (plan, Basic("E"))))
+    return plan
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260810)

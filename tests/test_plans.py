@@ -41,6 +41,7 @@ import oracles
 from conftest import (
     PATTERN_EDGES,
     count_parses,
+    keyed_walk_plan,
     pattern_plan,
     rand_plan,
     rand_signature,
@@ -485,7 +486,10 @@ def test_shared_evaluation_matches_oracle_on_keyed_cycles(n):
 
 
 def test_each_distinct_join_is_checked_and_evaluated_once(monkeypatch):
-    plan = _synthesized_keyed_cycle(7)
+    """Three keyed walks of 7 edges, each built apart, joined on all their
+    columns: every join of a walk occurs three times."""
+    walks = [keyed_walk_plan(7) for _ in range(3)]
+    plan = Join(theta_of([(i, c * 8 + i) for c in (1, 2) for i in range(1, 9)]), tuple(walks))
     joins = {node for _, node in subplans(plan) if isinstance(node, Join)}
     occurrences = sum(isinstance(node, Join) for _, node in subplans(plan))
     assert occurrences > 2 * len(joins)

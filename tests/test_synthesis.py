@@ -43,6 +43,7 @@ from spjopt import colorwidth, synthesis, witness
 from spjopt.plans import number_subplans, plan_size
 
 from conftest import (
+    keyed_walk_plan,
     mobius_ladder,
     pattern_plan,
     rand_keys,
@@ -440,13 +441,14 @@ def test_synthesize_plan_searches_width_once_without_keys(rng, monkeypatch):
 
 
 def test_degrees_and_width_search_solve_no_color_number_lp(monkeypatch):
-    """On the keyed directed 16-cycle, every degree of the synthesized plan
-    comes from a tuple that meets every class, so no LP is solved; the width
-    search and its certificate read presolved values, and only the witness
-    solves color_number's LP, once, on the widest bag."""
+    """On a keyed walk of 48 edges, every subplan degree comes from a tuple
+    that meets every class, so no LP is solved; on the keyed directed
+    16-cycle, the width search and its certificate read presolved values,
+    and only the witness solves color_number's LP, once, on the widest
+    bag."""
     cycle = pattern_plan([(i, (i + 1) % 16) for i in range(16)], (0,))
     result = optimize(prepare(cycle, SIG_E), KEY_E1, UNCAPPED)
-    plan = parse_plan(print_plan(result.plan), SIG_E)
+    plan = keyed_walk_plan(48)
     lps, numbers = [], []
     solve, number = colorwidth.solve_lp, colorwidth.color_number
     monkeypatch.setattr(colorwidth, "solve_lp", lambda *a: lps.append(a) or solve(*a))
@@ -468,8 +470,7 @@ def test_degrees_and_width_search_solve_no_color_number_lp(monkeypatch):
 def test_projections_share_their_childs_color_values(monkeypatch):
     """Degree analysis builds one structure's closures once: a projection
     reads its child's."""
-    cycle = pattern_plan([(i, (i + 1) % 6) for i in range(6)], (0,))
-    plan = optimize(prepare(cycle, SIG_E), KEY_E1).plan
+    plan = keyed_walk_plan(12)
     calls = []
     closure_edges = colorwidth._closure_edges
     monkeypatch.setattr(
