@@ -368,8 +368,11 @@ def optimal_cwidth(
     bound, reused for any bound it reaches and solved again for a larger
     one.  A state whose minimum is below its bound is solved exactly: only
     a strict improvement replaces the running best, so it keeps the first
-    argmin in sorted vertex order, as the unbounded search does.  Every
-    state on the chosen path is exact, so the decomposition is the
+    argmin in sorted vertex order, as the unbounded search does.  A nonempty
+    bag's color number is at least 1 (0 in a structure without tuples), so
+    a state stops at a running best of 1 and is not searched under a bound
+    of 1 or less: no later vertex could beat it.  Every state on the
+    chosen path is exact, so the decomposition is the
     unbounded search's, and the root still reads every vertex's bag.
     """
     verts = open_structure.structure.universe
@@ -402,7 +405,7 @@ def optimal_cwidth(
         if hit is not None and (hit[1] is not None or bound is not None and hit[0] >= bound):
             return hit
         best, best_v = bound, None
-        for v in sorted(remaining):
+        for v in sorted(remaining) if bound is None or bound > 1 else ():
             here = f(_elimination_bag(v, remaining, adj))
             if best is not None and here >= best:
                 continue  # the sub-solution can only raise the max
@@ -410,6 +413,8 @@ def optimal_cwidth(
             cand = max(here, sub)
             if best is None or cand < best:
                 best, best_v = cand, v
+                if best <= 1:
+                    break  # the floor: no later vertex can beat it
         best_memo[remaining] = (best, best_v)
         return best, best_v
 
