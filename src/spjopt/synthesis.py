@@ -4,12 +4,14 @@ width-optimal decomposition, and plan synthesis, plus degree analysis.
 Plan synthesis follows the constructive route: unary keys are compiled away
 by appending functionally determined columns to atoms (every appended column
 is produced by a well-behaved join against a two-column projection whose
-first coordinate is a key, so no defining plan ever exceeds degree one); a
+first coordinate is a key, so no defining plan ever exceeds degree one), and
+an atom that the keys imply from one kept atom's closure is dropped; a
 minimum-width tree decomposition of the resulting structure is computed with
 the empty key set and contracted, every bag that lies inside a neighbour's
 merged into it (:meth:`spjopt.represent.TreeDecomposition.contracted`,
-which keeps the width); each remaining bag is materialized by a join chain
-that introduces one element at a time; and the bags are combined bottom-up
+which keeps the width); each remaining bag is built in one step from an
+atom that holds all of it, or else by a join chain that introduces one
+element at a time; and the bags are combined bottom-up
 along the tree, adding no new columns.  A chain step joins only the
 undominated atom blocks: an atom's block is dropped while its visible
 columns lie inside another block's, which leaves the step's fractional edge
@@ -27,6 +29,7 @@ bound changes.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -111,21 +114,22 @@ class FdElimination(Record):
         return self.open.structure
 
 
-def _base_fds(core: Structure, keys: KeySet) -> dict[tuple[int, int], Plan]:
-    """Element-level dependencies x -> y with a defining plan for each.
+def _base_fds(core: Structure, keys: KeySet) -> dict[tuple[int, int], tuple[str, int, int]]:
+    """Element-level dependencies x -> y, each with its witnessing fact.
 
-    The plan is the (key position, dependent position) projection of the
-    first witnessing relation; on key-satisfying data its first coordinate
-    determines its second.
+    The fact ``(relation, j, i)`` names the first relation, key position j
+    and dependent position i with a row holding x at j and y at i; on
+    key-satisfying data the (j, i) projection of that relation maps x to y
+    alone.
     """
-    out: dict[tuple[int, int], Plan] = {}
+    out: dict[tuple[int, int], tuple[str, int, int]] = {}
     for name in core.signature.symbols():
         for j in keys.for_relation(name):
             for row in sorted(core.relations[name]):
                 x = row[j - 1]
                 for i, y in enumerate(row, start=1):
                     if i != j and y != x and (x, y) not in out:
-                        out[(x, y)] = _project((j, i), Basic(name), len(row))
+                        out[(x, y)] = (name, j, i)
     return out
 
 
@@ -139,65 +143,118 @@ def _fresh_names(signature: Signature):
         i += 1
 
 
+def _closure(
+    row: tuple[int, ...], targets: dict[int, list[int]], sources: dict[int, list[int]]
+) -> tuple[tuple[int, ...], list[tuple[int, int, int]]]:
+    """``row`` closed under the dependencies, one appended element per
+    step, and each step's (1-based column of x, x, y).
+
+    A step appends the smallest y some element of the row determines, from
+    the smallest such element x.  The candidates wait in a min-heap, filled
+    from ``targets`` (x to the ys it determines) as elements arrive.
+    """
+    cur = list(row)
+    column: dict[int, int] = {}
+    for pos, e in enumerate(row, start=1):
+        column.setdefault(e, pos)
+    heap = [y for x in column for y in targets.get(x, ()) if y not in column]
+    heapq.heapify(heap)
+    steps = []
+    while heap:
+        y = heapq.heappop(heap)
+        if y in column:
+            continue
+        x = min(x for x in sources[y] if x in column)
+        steps.append((column[x], x, y))
+        cur.append(y)
+        column[y] = len(cur)
+        for z in targets.get(y, ()):
+            if z not in column:
+                heapq.heappush(heap, z)
+    return tuple(cur), steps
+
+
+def _defining_plan(rel: str, steps: tuple[tuple[int, str, int, int], ...], signature: Signature) -> Plan:
+    """The plan appending one column to ``rel`` per closure step
+    ``(column of x, relation, j, i)``: a join on x with the relation's
+    (j, i) projection, keeping its column i."""
+    plan: Plan = Basic(rel)
+    r = signature.arity(rel)
+    for pos_x, src, j, i in steps:
+        fd = _project((j, i), Basic(src), signature.arity(src))
+        plan = Project(tuple(range(1, r + 1)) + (r + 2,), Join(theta_of([(pos_x, r + 1)]), (plan, fd)))
+        r += 1
+    return plan
+
+
 def eliminate_fds(core: OpenStructure, keys: KeySet) -> FdElimination:
-    """Close every atom under the key-derived dependencies.
+    """Close every atom under the key-derived dependencies, and drop the
+    atoms that the keys imply from another atom's closure.
 
     Requires the input to be a chase fixpoint.  Appending is one column at a
     time, always sourced from an element already present in the atom, so
     only base dependencies are ever needed and each step is a well-behaved
-    join whose output is no larger than the base relation.
+    join whose output is no larger than the base relation.  A derived
+    relation is named by its closure steps, so equal closures share a name.
+
+    Atoms are visited largest expansion first.  One without repeated
+    elements and of arity at least 2 is dropped when, for some key j of its
+    relation R, the closure of one kept atom recorded the fact (R, j, i,
+    row[j], row[i]) for every other position i.  On key-satisfying data the
+    R-row holding row[j] at j is then ``row`` itself, and ``row`` lies
+    inside that kept atom's widened row, so its hyperedge is dominated and
+    no bag's color number changes.
     """
     struct = core.structure
+    sig = struct.signature
     if not satisfies_keys(struct, keys):
         raise DegenerateInputError("key elimination requires a chase fixpoint")
-    fd_plans = _base_fds(struct, keys)
+    fds = _base_fds(struct, keys)
+    targets: dict[int, list[int]] = {}
     sources: dict[int, list[int]] = {}
-    for (x, y) in fd_plans:
+    for (x, y) in fds:
+        targets.setdefault(x, []).append(y)
         sources.setdefault(y, []).append(x)
 
-    names = _fresh_names(struct.signature)
-    new_relations: dict[str, Plan] = {}
-    name_by_plan: dict[Plan, str] = {}
-    new_rows: dict[str, list[tuple[int, ...]]] = {}
-    kept_rows: dict[str, list[tuple[int, ...]]] = {n: [] for n in struct.signature.symbols()}
-
-    for rel, row in struct.atoms():
-        plan: Plan = Basic(rel)
-        cur = tuple(row)
-        while True:
-            have = set(cur)
-            targets = sorted(
-                y
-                for (x, y) in fd_plans
-                if x in have and y not in have
+    atoms = list(struct.atoms())
+    closures = [_closure(row, targets, sources) for _, row in atoms]
+    keep = [True] * len(atoms)
+    kept_facts: list[set] = []  # per kept atom, the facts its closure recorded
+    for k in sorted(range(len(atoms)), key=lambda k: len(atoms[k][1]) - len(closures[k][0])):
+        rel, row = atoms[k]
+        if len(row) >= 2 and len(set(row)) == len(row):
+            keep[k] = not any(
+                {(rel, j, i, row[j - 1], y) for i, y in enumerate(row, start=1) if i != j} <= facts
+                for j in keys.for_relation(rel)
+                for facts in kept_facts
             )
-            if not targets:
-                break
-            y = targets[0]
-            x = min(x for x in sources[y] if x in have)
-            r = len(cur)
-            pos_x = cur.index(x) + 1
-            joined = Join(theta_of([(pos_x, r + 1)]), (plan, fd_plans[(x, y)]))
-            plan = Project(tuple(range(1, r + 1)) + (r + 2,), joined)
-            cur = cur + (y,)
-        if len(cur) > len(row):
-            name = name_by_plan.get(plan)
-            if name is None:
-                name = next(names)
-                name_by_plan[plan] = name
-                new_relations[name] = plan
-                new_rows[name] = []
-            new_rows[name].append(cur)
-        else:
-            kept_rows[rel].append(row)
+        if keep[k]:
+            kept_facts.append({(*fds[(x, y)], x, y) for _, x, y in closures[k][1]})
 
-    sig = struct.signature.extend(
-        {name: len(rows[0]) for name, rows in new_rows.items()}
-    )
+    names = _fresh_names(sig)
+    new_relations: dict[str, Plan] = {}
+    name_by_steps: dict[tuple, str] = {}
+    new_rows: dict[str, list[tuple[int, ...]]] = {}
+    kept_rows: dict[str, list[tuple[int, ...]]] = {n: [] for n in sig.symbols()}
+    for (rel, row), (cur, steps), kept in zip(atoms, closures, keep):
+        if not kept:
+            continue
+        if not steps:
+            kept_rows[rel].append(row)
+            continue
+        key = (rel, tuple((pos_x, *fds[(x, y)]) for pos_x, x, y in steps))
+        name = name_by_steps.get(key)
+        if name is None:
+            name = name_by_steps[key] = next(names)
+            new_relations[name] = _defining_plan(rel, key[1], sig)
+            new_rows[name] = []
+        new_rows[name].append(cur)
+
+    widened_sig = sig.extend({name: len(rows[0]) for name, rows in new_rows.items()})
     relations = dict(kept_rows)
     relations.update(new_rows)
-    widened = Structure(sig, struct.universe, relations, struct.names)
-    defining = {n: Basic(n) for n in struct.signature.symbols()}
+    widened = Structure(widened_sig, struct.universe, relations, struct.names)
+    defining = {n: Basic(n) for n in sig.symbols()}
     defining.update(new_relations)
     return FdElimination(
         original=core,
@@ -277,9 +334,21 @@ def _atom_subplan(
 _AtomsByElem = dict[int, list[tuple[str, tuple[int, ...], Plan]]]
 
 
+def _holder(bag: frozenset, atoms_by_elem: _AtomsByElem):
+    """The first atom of the bag's smallest element that holds every bag
+    element, or None (always for the empty bag)."""
+    if not bag:
+        return None
+    return next((atom for atom in atoms_by_elem[min(bag)] if bag.issubset(atom[1])), None)
+
+
 def _connected_order(bag: frozenset, atoms_by_elem: _AtomsByElem) -> tuple[int, ...]:
-    """Bag elements ordered so each shares an atom with a predecessor when
-    possible; ties broken by element id."""
+    """Bag elements in the column order of the :func:`_holder` atom, if
+    there is one; otherwise ordered so each shares an atom with a
+    predecessor when possible, ties broken by element id."""
+    holder = _holder(bag, atoms_by_elem)
+    if holder is not None:
+        return tuple(e for e in dict.fromkeys(holder[1]) if e in bag)
     rest = sorted(bag)
     order: list[int] = []
     while rest:
@@ -298,28 +367,48 @@ def _connected_order(bag: frozenset, atoms_by_elem: _AtomsByElem) -> tuple[int, 
 
 
 def _bag_chain(order: tuple[int, ...], atoms_by_elem: _AtomsByElem) -> Plan:
-    """Join chain materializing the bag's local solutions, one element per
-    step; output columns follow ``order``.
+    """Join chain materializing the bag's local solutions; output columns
+    follow ``order``.
 
-    The step that brings in ``elem`` joins the chain so far with one block
-    per atom holding ``elem``: the atom's projection onto its visible
-    columns.  A block is kept when its atom is complete (every element of
-    row & bag is visible, so this is the atom's last step and it is joined
-    on all its bag columns), or when its column set is not a proper subset
-    of another block's in the step; of equal column sets the first is kept.
-    A dropped block is a dominated hyperedge of the step's visible set, so
+    A bag with a :func:`_holder` atom is built in one step: the holder's
+    projection onto the bag, joined with every other atom that meets the
+    bag on its bag columns.  The join adds no column beyond its first
+    child, so it is well-behaved, and every atom constrains the bag.
+
+    Any other bag is built one element per step.  The step that brings in
+    ``elem`` joins the chain so far with one block per atom holding
+    ``elem``: the atom's projection onto its visible columns.  A block is
+    kept when its atom is complete (every element of row & bag is visible,
+    so this is the atom's last step and it is joined on all its bag
+    columns), or when its column set is not a proper subset of another
+    block's in the step; of equal column sets the first is kept.  A
+    dropped block is a dominated hyperedge of the step's visible set, so
     the step's fractional edge cover, and with it the step's degree bound,
     is unchanged, and every atom still constrains the bag at its last step.
     No step is a dead operator: the first step is its one block when it has
     one, and a step's projection is left out when it keeps all the join's
     columns in order.
     """
+    holder = _holder(frozenset(order), atoms_by_elem)
+    if holder is not None:
+        blocks = {holder[:2]: holder}
+        for e in order:
+            for atom in atoms_by_elem[e]:
+                blocks.setdefault(atom[:2], atom)
+        children: list[Plan] = []
+        col_elems: list[int] = []
+        for rel, row, base in blocks.values():
+            cols = tuple(e for e in order if e in row)
+            children.append(_atom_subplan(rel, row, base, cols))
+            col_elems.extend(cols)
+        theta, _ = _first_columns(col_elems)
+        return _project(tuple(range(1, len(order) + 1)), _join(theta, children), len(col_elems))
     step_of = {e: i for i, e in enumerate(order, start=1)}
     sol: Optional[Plan] = None
     for i, elem in enumerate(order, start=1):
         visible = order[:i]
-        children: list[Plan] = []
-        col_elems: list[int] = []
+        children = []
+        col_elems = []
         if sol is not None:
             children.append(sol)
             col_elems.extend(order[: i - 1])

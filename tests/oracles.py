@@ -25,6 +25,7 @@ from typing import Mapping, Optional, Sequence
 
 from spjopt import (
     Caps,
+    DegenerateInputError,
     Hypergraph,
     KeySet,
     OpenStructure,
@@ -74,7 +75,15 @@ from spjopt.represent import (
     check_representation_size,
 )
 from spjopt.structures import _HomSearch, _tuple_pins
-from spjopt.synthesis import _assemble_plan, _atom_subplan, _first_columns, _join, _project
+from spjopt.synthesis import (
+    FdElimination,
+    _assemble_plan,
+    _atom_subplan,
+    _first_columns,
+    _fresh_names,
+    _join,
+    _project,
+)
 
 # A core cap above every structure the tests search: the largest has 21
 # elements.  The width search keeps the default cap.
@@ -1007,8 +1016,8 @@ def fractional_edge_cover(edges, target) -> Fraction:
 
 def all_atoms_bag_chain(order: tuple[int, ...], atoms_by_elem) -> Plan:
     """The bag chain that joins a block for every atom holding the step's
-    new element, dominated or not: ``synthesis._bag_chain`` without its
-    block rule, the reference for that rule."""
+    new element, dominated or not: ``synthesis._bag_chain`` on a bag that
+    no atom holds, without its block rule, the reference for that rule."""
     sol: Optional[Plan] = None
     for i, elem in enumerate(order, start=1):
         visible = order[:i]
@@ -1024,6 +1033,65 @@ def all_atoms_bag_chain(order: tuple[int, ...], atoms_by_elem) -> Plan:
         theta, first = _first_columns(col_elems)
         sol = _project(tuple(first[e] for e in visible), _join(theta, children), len(col_elems))
     return sol
+
+
+def scan_closures(core: OpenStructure, keys: KeySet) -> list[tuple[str, tuple[int, ...], tuple[int, ...], Plan]]:
+    """Per atom of ``core`` in atom order, (relation, row, closed row,
+    defining plan): the row closed under the key-derived dependencies by
+    rescanning every dependency at each step, the smallest determined y
+    first, from the smallest x in the row.  The reference for
+    ``eliminate_fds``'s worklist closure."""
+    struct = core.structure
+    fd_plans: dict[tuple[int, int], Plan] = {}
+    for name in struct.signature.symbols():
+        for j in keys.for_relation(name):
+            for row in sorted(struct.relations[name]):
+                for i, y in enumerate(row, start=1):
+                    if i != j and y != row[j - 1] and (row[j - 1], y) not in fd_plans:
+                        fd_plans[(row[j - 1], y)] = _project((j, i), Basic(name), len(row))
+    out = []
+    for rel, row in struct.atoms():
+        plan: Plan = Basic(rel)
+        cur = tuple(row)
+        while True:
+            have = set(cur)
+            targets = sorted(y for (x, y) in fd_plans if x in have and y not in have)
+            if not targets:
+                break
+            y = targets[0]
+            x = min(x for (x, z) in fd_plans if z == y and x in have)
+            r = len(cur)
+            joined = Join(theta_of([(cur.index(x) + 1, r + 1)]), (plan, fd_plans[(x, y)]))
+            plan = Project(tuple(range(1, r + 1)) + (r + 2,), joined)
+            cur = cur + (y,)
+        out.append((rel, row, cur, plan))
+    return out
+
+
+def unpruned_eliminate_fds(core: OpenStructure, keys: KeySet) -> FdElimination:
+    """Key elimination that keeps every atom, each closed on its own by
+    :func:`scan_closures`, and names a derived relation by its defining
+    plan: ``eliminate_fds`` without dropping implied atoms."""
+    struct = core.structure
+    if not satisfies_keys(struct, keys):
+        raise DegenerateInputError("key elimination requires a chase fixpoint")
+    names = _fresh_names(struct.signature)
+    name_by_plan: dict[Plan, str] = {}
+    rows: dict[str, list[tuple[int, ...]]] = {n: [] for n in struct.signature.symbols()}
+    for rel, row, cur, plan in scan_closures(core, keys):
+        if cur == row:
+            rows[rel].append(row)
+            continue
+        if plan not in name_by_plan:
+            name_by_plan[plan] = next(names)
+            rows[name_by_plan[plan]] = []
+        rows[name_by_plan[plan]].append(cur)
+    new_relations = {name: plan for plan, name in name_by_plan.items()}
+    sig = struct.signature.extend({name: len(rows[name][0]) for name in new_relations})
+    defining = {n: Basic(n) for n in struct.signature.symbols()}
+    defining.update(new_relations)
+    widened = Structure(sig, struct.universe, rows, struct.names)
+    return FdElimination(core, OpenStructure(widened, core.tuple), defining, new_relations)
 
 
 def synthesize_with_keyed_search(core: OpenStructure, keys: KeySet, caps):

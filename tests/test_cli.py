@@ -1188,6 +1188,21 @@ def test_cli_evaluates_the_keyed_4_cycle_input_at_once(tmp_path, capsys):
     assert json.loads(out)["output"] == answer and answer
 
 
+def test_cli_optimizes_keyed_c160_under_a_raised_cap(tmp_path, capsys):
+    """Key elimination keeps two of keyed Cn's n atoms and names their
+    derived relations by closure steps, so under a cap of n the plan's
+    nodes grow linearly: C80's text is under 30 KB, and C160 exits 0
+    (its text is about 93 KB, as each step's columns are listed)."""
+    keys = tmp_path / "k.keys"
+    keys.write_text("key E 1\n")
+    for n, size in ((80, 30_000), (160, 100_000)):
+        plan = tmp_path / f"c{n}.plan"
+        plan.write_text("rel E 2\n" + print_plan(pattern_plan([(i, (i + 1) % n) for i in range(n)], (0,))) + "\n")
+        argv = ["optimize", "--plan", plan, "--keys", keys, "--cap-universe", str(n), "--format", "text"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and len(out) < size
+
+
 def test_cli_optimizes_mobius20_under_a_raised_cap(tmp_path, capsys):
     """The exact width search decides the 20-vertex Mobius ladder once the
     cap admits it; optimize verifies the equivalence of its output."""
