@@ -23,11 +23,16 @@ class KeyConstraintError(SpjError):
 
 
 class PlanSyntaxError(SpjError):
-    """Plan text could not be parsed.  Carries line/column of the offence."""
+    """Plan text could not be parsed.  Carries line/column of the offence,
+    the file it was read from if any, and ``reason``, the message without
+    them."""
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None, column=None, path=None):
+        self.reason = message
         if line is not None:
             message = f"{line}:{column}: {message}"
+        if path is not None:
+            message = f"{path}:{message}" if line is not None else f"{path}: {message}"
         super().__init__(message)
         self.line = line
         self.column = column

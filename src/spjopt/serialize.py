@@ -31,7 +31,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .colorwidth import WidthReport
 from .constraints import KeySet
-from .errors import FormatError, Record, SignatureError, set_field
+from .errors import FormatError, PlanSyntaxError, Record, SignatureError, set_field
 from .plans import Plan, PreparedPlan, parse_prepared, print_plan
 from .represent import PDecomposition, TreeDecomposition
 from .structures import OpenStructure, Signature, Structure
@@ -181,6 +181,13 @@ def plan_file_from_text(text: str) -> tuple[Optional[Signature], str]:
     which starts at the first line that is not blank, a `#` comment or a
     `rel` line.  A relation declared twice must be declared with one
     arity."""
+    header, lines, skipped = _plan_file_lines(text)
+    return header, "\n".join(lines[skipped:])
+
+
+def _plan_file_lines(text: str) -> tuple[Optional[Signature], list[str], int]:
+    """:func:`plan_file_from_text`'s header, the file's lines, and the
+    number of lines before the plan text."""
     arities: dict[str, int] = {}
     lines = text.splitlines()
     body = len(lines)
@@ -200,7 +207,7 @@ def plan_file_from_text(text: str) -> tuple[Optional[Signature], str]:
         name = parts[1]
         if arities.setdefault(name, arity) != arity:
             raise FormatError(f"header declares {name!r} with arity {arities[name]} and with arity {arity}")
-    return Signature(arities) if arities else None, "\n".join(lines[body:])
+    return Signature(arities) if arities else None, lines, body
 
 
 def load_plan(path: str, signature: Optional[Signature] = None) -> tuple[Plan, Signature]:
@@ -216,8 +223,8 @@ def load_prepared(path: str, signature: Optional[Signature] = None) -> PreparedP
 
     The file is read on every call; its plan text and the signature key the
     prepared plans that :func:`parse_prepared` keeps, so an edited file is
-    parsed again."""
-    header_sig, body = plan_file_from_text(read_text(path))
+    parsed again.  A syntax error names the file and its line there."""
+    header_sig, lines, skipped = _plan_file_lines(read_text(path))
     if signature is None:
         signature = header_sig
     elif header_sig is not None:
@@ -232,7 +239,11 @@ def load_prepared(path: str, signature: Optional[Signature] = None) -> PreparedP
             f"{path}: no signature available; add `rel <Name> <arity>` header "
             "lines or pass a data file"
         )
-    return parse_prepared(body, signature)
+    try:
+        return parse_prepared("\n".join(lines[skipped:]), signature)
+    except PlanSyntaxError as exc:
+        line = exc.line + skipped if exc.line is not None and exc.line > 0 else exc.line
+        raise PlanSyntaxError(exc.reason, line, exc.column, path) from None
 
 
 def load_prepared_plans(paths: Sequence[str], signature: Optional[Signature] = None) -> list[PreparedPlan]:

@@ -1251,6 +1251,17 @@ def test_cli_non_utf8_file_is_a_format_error(workdir, capsys, argv):
     assert err == f"spjopt: {bad}: not UTF-8 text\n"
 
 
+def test_cli_plan_syntax_error_names_the_file_and_its_line(tmp_path, capsys):
+    """A plan syntax error's line counts the header, blank and comment
+    lines before the plan text, and the error names the file; an error
+    with no position names the file alone."""
+    bad = tmp_path / "bad.plan"
+    bad.write_text("rel E 2\n\n# c\n(frob E)\n")
+    assert run(capsys, "check", "--plan", bad) == (2, "", f"spjopt: {bad}:4:2: unknown operator 'frob'\n")
+    bad.write_text("rel E 2\n(project (cols 1) F)\n")
+    assert run(capsys, "check", "--plan", bad) == (2, "", f"spjopt: {bad}: unknown relation 'F'\n")
+
+
 def test_cli_path_through_a_file_is_an_input_error(workdir, capsys):
     tri = workdir / "tri.plan"
     code, out, err = run(capsys, "check", "--plan", tri / "x")
