@@ -93,7 +93,9 @@ def _join(theta: frozenset, children: Sequence[Plan]) -> Plan:
 
 class FdElimination(Record):
     """A structure over a widened signature in which every atom is closed
-    under the element-level dependencies read off the unary keys.
+    under the element-level dependencies read off the unary keys, and the
+    core's atoms that the keys imply from one kept atom's closure are left
+    out (see :func:`eliminate_fds`).
 
     ``defining_plans`` gives, for every relation of the widened signature, a
     plan over the original signature computing its contents; new relations

@@ -85,6 +85,14 @@ TRIANGLE = "(project (cols 1 2 4) (join (theta (2 3) (4 5) (6 1)) E E E))"
 # ---------------------------------------------------------------------------
 
 
+def _origin(elim, name):
+    """The relation of the core whose atoms the relation ``name`` widens."""
+    base = elim.defining_plans[name]
+    while not isinstance(base, Basic):
+        base = base.child if isinstance(base, Project) else base.children[0]
+    return base.relation
+
+
 def test_eliminate_fds_internal_dependency_is_a_no_op():
     core = OpenStructure(Structure(SIG_R, [0, 1], {"R": [(0, 1)]}), (0, 1))
     elim = eliminate_fds(core, KEY_R1)
@@ -104,13 +112,10 @@ def test_eliminate_fds_expands_across_atoms():
     # key S 1 implies from that closure's step 0 -> 2, was dropped
     assert not elim.structure.relations["R"] and not elim.structure.relations["S"]
     widened = set()
-    for name, plan in elim.new_relations.items():
-        base = plan
-        while not isinstance(base, Basic):
-            base = base.child if isinstance(base, Project) else base.children[0]
-        arity = sig.arity(base.relation)
+    for name in elim.new_relations:
+        arity = sig.arity(_origin(elim, name))
         for row in elim.structure.relations[name]:
-            widened.add((base.relation, row[:arity], row[arity:]))
+            widened.add((_origin(elim, name), row[:arity], row[arity:]))
     assert widened == {("R", (0, 1), (2,))}
     # every widened atom is closed under the dependencies
     for _, row in elim.structure.atoms():
@@ -237,14 +242,6 @@ def test_worklist_closure_matches_the_scan(rng):
             got, steps = synthesis._closure(row, targets, sources)
             assert got == cur
             assert synthesis._defining_plan(rel, tuple((p, *fds[(x, y)]) for p, x, y in steps), sig) == plan
-
-
-def _origin(elim, name):
-    """The relation of the core whose atoms the relation ``name`` widens."""
-    base = elim.defining_plans[name]
-    while not isinstance(base, Basic):
-        base = base.child if isinstance(base, Project) else base.children[0]
-    return base.relation
 
 
 def test_dropped_atoms_are_implied_and_dominated(rng, monkeypatch):
