@@ -368,6 +368,43 @@ def _connected_order(bag: frozenset, atoms_by_elem: _AtomsByElem) -> tuple[int, 
     return tuple(order)
 
 
+def _implies(row_j: tuple[int, ...], row_k: tuple[int, ...], visible: frozenset) -> bool:
+    """Whether a row of a relation that witnesses its atom ``row_j``
+    witnesses its atom ``row_k`` projected onto the ``visible`` elements:
+    ``row_k`` repeats no element, and ``row_j`` holds ``row_k``'s element at
+    every position where ``row_k`` holds a visible one."""
+    return len(set(row_k)) == len(row_k) and all(a == b for a, b in zip(row_j, row_k) if b in visible)
+
+
+# A join's block: an atom (relation, row, defining plan) and its columns.
+_Block = tuple[str, tuple[int, ...], Plan, tuple[int, ...]]
+
+
+def _unimplied(blocks: list[_Block], visible: frozenset) -> list[_Block]:
+    """The ``blocks`` of one join that no other of them implies (see
+    :func:`_implies`); of two with equal columns, the first is kept."""
+    return [
+        (rel, row, base, cols)
+        for k, (rel, row, base, cols) in enumerate(blocks)
+        if not any(
+            j != k and r == rel and (j < k or len(c) > len(cols)) and _implies(w, row, visible)
+            for j, (r, w, _, c) in enumerate(blocks)
+        )
+    ]
+
+
+def _block_join(blocks: list[_Block], first: Optional[Plan], first_cols: tuple[int, ...], out: tuple[int, ...]) -> Plan:
+    """The join of ``first`` (over ``first_cols``, when given) and the
+    blocks' atom projections, projected onto the elements ``out``."""
+    children: list[Plan] = [] if first is None else [first]
+    col_elems = list(first_cols)
+    for rel, row, base, cols in blocks:
+        children.append(_atom_subplan(rel, row, base, cols))
+        col_elems.extend(cols)
+    theta, first_col = _first_columns(col_elems)
+    return _project(tuple(first_col[e] for e in out), _join(theta, children), len(col_elems))
+
+
 def _bag_chain(order: tuple[int, ...], atoms_by_elem: _AtomsByElem) -> Plan:
     """Join chain materializing the bag's local solutions; output columns
     follow ``order``.
@@ -387,47 +424,56 @@ def _bag_chain(order: tuple[int, ...], atoms_by_elem: _AtomsByElem) -> Plan:
     dropped block is a dominated hyperedge of the step's visible set, so
     the step's fractional edge cover, and with it the step's degree bound,
     is unchanged, and every atom still constrains the bag at its last step.
+
+    On both paths a block is then dropped when another block of the same
+    join implies it: both are over one relation R, the dropped atom
+    repeats no element, and the other atom holds the same element at every
+    position where the dropped one holds a visible element (of two such
+    blocks with equal columns the first is kept, so the holder stays the
+    first child).  Any R-row that witnesses the kept block witnesses the
+    dropped one, so the join's rows are unchanged, and the dropped block's
+    hyperedge lies inside the kept one's, so the step's edge cover and
+    degree bound are unchanged.  For the same reason, when the first step
+    ends as the block of one atom A and a second-step block over A's
+    relation holds ``order[0]`` at A's positions of it, the first step is
+    implied and the second step joins its blocks alone: it has two visible
+    elements, so any first child keeps the join well-behaved.
+
     No step is a dead operator: the first step is its one block when it has
     one, and a step's projection is left out when it keeps all the join's
     columns in order.
     """
     holder = _holder(frozenset(order), atoms_by_elem)
     if holder is not None:
-        blocks = {holder[:2]: holder}
+        atoms = {holder[:2]: holder}
         for e in order:
             for atom in atoms_by_elem[e]:
-                blocks.setdefault(atom[:2], atom)
-        children: list[Plan] = []
-        col_elems: list[int] = []
-        for rel, row, base in blocks.values():
-            cols = tuple(e for e in order if e in row)
-            children.append(_atom_subplan(rel, row, base, cols))
-            col_elems.extend(cols)
-        theta, _ = _first_columns(col_elems)
-        return _project(tuple(range(1, len(order) + 1)), _join(theta, children), len(col_elems))
+                atoms.setdefault(atom[:2], atom)
+        blocks = [(rel, row, base, tuple(e for e in order if e in row)) for rel, row, base in atoms.values()]
+        return _block_join(_unimplied(blocks, frozenset(order)), None, (), order)
     step_of = {e: i for i, e in enumerate(order, start=1)}
     sol: Optional[Plan] = None
     for i, elem in enumerate(order, start=1):
         visible = order[:i]
-        children = []
-        col_elems = []
-        if sol is not None:
-            children.append(sol)
-            col_elems.extend(order[: i - 1])
-        atoms = atoms_by_elem[elem]
         seen = frozenset(visible)
+        atoms = atoms_by_elem[elem]
         col_sets = [seen.intersection(row) for _, row, _ in atoms]
-        for k, (rel, row, base) in enumerate(atoms):
-            cset = col_sets[k]
-            complete = max(step_of[e] for e in row if e in step_of) == i
-            if complete or not any(
-                cset < other or (j < k and cset == other) for j, other in enumerate(col_sets)
-            ):
-                cols = tuple(e for e in visible if e in cset)
-                children.append(_atom_subplan(rel, row, base, cols))
-                col_elems.extend(cols)
-        theta, first = _first_columns(col_elems)
-        sol = _project(tuple(first[e] for e in visible), _join(theta, children), len(col_elems))
+        blocks = _unimplied(
+            [
+                (rel, row, base, tuple(e for e in visible if e in cset))
+                for k, ((rel, row, base), cset) in enumerate(zip(atoms, col_sets))
+                if max(step_of[e] for e in row if e in step_of) == i
+                or not any(cset < other or (j < k and cset == other) for j, other in enumerate(col_sets))
+            ],
+            seen,
+        )
+        if i == 1:
+            seed = blocks[0][:2] if len(blocks) == 1 else None
+        elif i == 2 and seed is not None and any(
+            rel == seed[0] and _implies(row, seed[1], frozenset(order[:1])) for rel, row, _, _ in blocks
+        ):
+            sol = None
+        sol = _block_join(blocks, sol, () if sol is None else order[: i - 1], visible)
     return sol
 
 
