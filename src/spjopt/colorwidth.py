@@ -55,7 +55,7 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 from operator import and_, or_
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .constraints import KeySet
 from .errors import DegenerateInputError, Record, ResourceCapError, SignatureError, SpjError, set_field
@@ -329,23 +329,39 @@ def cwidth_of_decomposition(
     return WidthReport(dec, bag_colors, max(bag_colors.values(), default=Fraction(0)))
 
 
-def _elimination_bag(v: int, remaining: frozenset, adj: Mapping[int, set[int]]) -> frozenset:
-    """{v} plus the remaining vertices reachable from v through eliminated
-    ones: the bag v would get if eliminated now."""
-    bag = {v}
-    seen = {v}
-    stack = [v]
-    while stack:
-        cur = stack.pop()
-        for nxt in adj[cur]:
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            if nxt in remaining:
-                bag.add(nxt)
-            else:
-                stack.append(nxt)
-    return frozenset(bag)
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of ``mask``'s set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _elimination_bags(remaining: int, eliminated: int, adj: list[int]) -> Iterator[tuple[int, int]]:
+    """Each vertex of ``remaining`` (a bitmask), ascending, with the bag it
+    would get if eliminated now: itself and the remaining vertices it
+    reaches through ``eliminated`` ones, that is, its remaining neighbours
+    and the remaining neighbours of each eliminated component it meets.
+    The components are found once, before the first bag."""
+    borders = []
+    while eliminated:
+        component = frontier = eliminated & -eliminated
+        reach = 0
+        while frontier:
+            grow = 0
+            for u in _bits(frontier):
+                grow |= adj[u]
+            reach |= grow
+            frontier = grow & eliminated & ~component
+            component |= frontier
+        eliminated &= ~component
+        borders.append(reach & remaining)
+    for v in _bits(remaining):
+        bag = 1 << v | adj[v] & remaining
+        for border in borders:
+            if border >> v & 1:
+                bag |= border
+        yield v, bag
 
 
 def optimal_cwidth(
@@ -374,77 +390,85 @@ def optimal_cwidth(
     of 1 or less: no later vertex could beat it.  Every state on the
     chosen path is exact, so the decomposition is the
     unbounded search's, and the root still reads every vertex's bag.
+
+    Vertices are numbered in sorted order, and states, bags and adjacency
+    are bitmasks over those numbers, so ascending bits visit the vertices
+    in sorted order.  The bags' color numbers are read from the search's
+    memo, so the report evaluates no bag twice.
     """
-    verts = open_structure.structure.universe
+    verts = sorted(open_structure.structure.universe)
     if len(verts) > cap:
         raise ResourceCapError(
             f"width search capped at universe {cap}, got {len(verts)}"
         )
+    if not verts:
+        dec = TreeDecomposition({0: None}, 0, {0: frozenset()})
+        return cwidth_of_decomposition(open_structure, keys, dec)
     h = hypergraph_of(open_structure)
-    adj: dict[int, set[int]] = {v: set() for v in verts}
+    number = {v: i for i, v in enumerate(verts)}
+    adj = [0] * len(verts)
     for a, b in h.primal_edges():
-        adj[a].add(b)
-        adj[b].add(a)
+        adj[number[a]] |= 1 << number[b]
+        adj[number[b]] |= 1 << number[a]
+    everything = (1 << len(verts)) - 1
 
     value = color_values(open_structure.structure, keys)
-    f_memo: dict[frozenset, Fraction] = {}
+    f_memo: dict[int, Fraction] = {}
 
-    def f(bag: frozenset) -> Fraction:
-        if bag not in f_memo:
-            f_memo[bag] = value(bag)
-        return f_memo[bag]
+    def f(bag: int) -> Fraction:
+        got = f_memo.get(bag)
+        if got is None:
+            got = f_memo[bag] = value(frozenset(verts[i] for i in _bits(bag)))
+        return got
 
-    best_memo: dict[frozenset, tuple[Fraction, Optional[int]]] = {}
+    best_memo: dict[int, tuple[Fraction, Optional[int]]] = {}
 
-    def solve(
-        remaining: frozenset, bound: Optional[Fraction]
-    ) -> tuple[Fraction, Optional[int]]:
+    def solve(remaining: int, bound: Optional[Fraction]) -> tuple[Fraction, Optional[int]]:
         if not remaining:
             return Fraction(0), None
         hit = best_memo.get(remaining)
         if hit is not None and (hit[1] is not None or bound is not None and hit[0] >= bound):
             return hit
         best, best_v = bound, None
-        for v in sorted(remaining) if bound is None or bound > 1 else ():
-            here = f(_elimination_bag(v, remaining, adj))
-            if best is not None and here >= best:
-                continue  # the sub-solution can only raise the max
-            sub, _ = solve(remaining - {v}, best)
-            cand = max(here, sub)
-            if best is None or cand < best:
-                best, best_v = cand, v
-                if best <= 1:
-                    break  # the floor: no later vertex can beat it
+        if bound is None or bound > 1:
+            for v, bag in _elimination_bags(remaining, everything ^ remaining, adj):
+                here = f(bag)
+                if best is not None and here >= best:
+                    continue  # the sub-solution can only raise the max
+                sub, _ = solve(remaining ^ 1 << v, best)
+                cand = max(here, sub)
+                if best is None or cand < best:
+                    best, best_v = cand, v
+                    if best <= 1:
+                        break  # the floor: no later vertex can beat it
         best_memo[remaining] = (best, best_v)
         return best, best_v
 
-    if not verts:
-        dec = TreeDecomposition({0: None}, 0, {0: frozenset()})
-        return cwidth_of_decomposition(open_structure, keys, dec)
-
-    remaining = frozenset(verts)
+    remaining = everything
     order: list[int] = []
-    bags: list[frozenset] = []
+    bags: list[int] = []
     while remaining:
         _, v = solve(remaining, None)
         order.append(v)
-        bags.append(_elimination_bag(v, remaining, adj))
-        remaining = remaining - {v}
+        bags.append(dict(_elimination_bags(remaining, everything ^ remaining, adj))[v])
+        remaining ^= 1 << v
 
     index_of = {v: i for i, v in enumerate(order)}
     parent: dict[int, Optional[int]] = {}
     for i, bag in enumerate(bags):
-        later = [index_of[u] for u in bag if index_of[u] > i]
+        later = [index_of[u] for u in _bits(bag) if index_of[u] > i]
         if later:
             parent[i] = min(later)
         elif i + 1 < len(order):
             parent[i] = i + 1
         else:
             parent[i] = None
-    dec = TreeDecomposition(parent, len(order) - 1, {i: bags[i] for i in range(len(order))})
-
-    tuple_set = frozenset(open_structure.tuple)
-    holders = [i for i in range(len(bags)) if tuple_set <= bags[i]]
-    root = min(holders)  # the tuple edge is a primal clique, so holders is nonempty
-    dec = dec.rerooted(root)
-    return cwidth_of_decomposition(open_structure, keys, dec)
+    chi = {i: frozenset(verts[u] for u in _bits(bag)) for i, bag in enumerate(bags)}
+    tuple_mask = reduce(or_, (1 << number[v] for v in open_structure.tuple), 0)
+    # the tuple edge is a primal clique, so some bag holds it
+    root = min(i for i, bag in enumerate(bags) if bag & tuple_mask == tuple_mask)
+    dec = TreeDecomposition(parent, len(order) - 1, chi).rerooted(root)
+    if not check_tree_decomposition(h, dec.edges, dec.chi):  # pragma: no cover - construction invariant
+        raise SpjError("width search built an invalid tree decomposition")
+    bag_colors = {node: f(bags[node]) for node in dec.nodes}
+    return WidthReport(dec, bag_colors, max(bag_colors.values()))

@@ -47,7 +47,7 @@ from spjopt import (
     satisfies_keys,
     subplan_degrees,
 )
-from spjopt.colorwidth import WidthReport, _closure_edges, _elimination_bag
+from spjopt.colorwidth import WidthReport, _closure_edges
 from spjopt.constraints import ChaseResult
 from spjopt import plans
 from spjopt.errors import ArityError, PlanSyntaxError, SignatureError, set_field
@@ -1239,6 +1239,131 @@ def exhaustive_min_cwidth(open_structure: OpenStructure, keys: KeySet) -> Fracti
                     break
     assert best is not None, "no decomposition found (single full bag is always valid)"
     return best
+
+
+def _elimination_bag(v: int, remaining: frozenset, adj: Mapping[int, set[int]]) -> frozenset:
+    """{v} plus the remaining vertices reachable from v through eliminated
+    ones: the bag v would get if eliminated now."""
+    bag = {v}
+    seen = {v}
+    stack = [v]
+    while stack:
+        cur = stack.pop()
+        for nxt in adj[cur]:
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            if nxt in remaining:
+                bag.add(nxt)
+            else:
+                stack.append(nxt)
+    return frozenset(bag)
+
+
+def frozenset_optimal_cwidth(
+    open_structure: OpenStructure, keys: KeySet, cap: int
+) -> WidthReport:
+    """``optimal_cwidth`` over frozensets of vertices, as it was before its
+    states, bags and adjacency became bitmasks: the reference for the
+    bitmask search's report, bag for bag.
+
+    Minimum color-number width over all tree decompositions of H(A, a).
+
+    Searches elimination orderings by dynamic programming over the set of
+    already-eliminated vertices; each ordering induces a decomposition whose
+    bags are vertex-plus-later-neighbors in the fill graph.  Because the bag
+    measure is monotone under set inclusion, some elimination ordering
+    attains the overall minimum, so the search is exact.
+
+    Each state is solved below a bound, the best width its caller has found
+    so far (none at the root and on the extraction path), and passes its own
+    running best down as its children's bound (Gogate & Dechter, "A complete
+    anytime algorithm for treewidth", UAI 2004).  A vertex whose bag or
+    sub-result reaches the running best is skipped.  A state none of whose
+    candidates beats its bound is memoized as ``(bound, None)``: a lower
+    bound, reused for any bound it reaches and solved again for a larger
+    one.  A state whose minimum is below its bound is solved exactly: only
+    a strict improvement replaces the running best, so it keeps the first
+    argmin in sorted vertex order, as the unbounded search does.  A nonempty
+    bag's color number is at least 1 (0 in a structure without tuples), so
+    a state stops at a running best of 1 and is not searched under a bound
+    of 1 or less: no later vertex could beat it.  Every state on the
+    chosen path is exact, so the decomposition is the
+    unbounded search's, and the root still reads every vertex's bag.
+    """
+    verts = open_structure.structure.universe
+    if len(verts) > cap:
+        raise ResourceCapError(
+            f"width search capped at universe {cap}, got {len(verts)}"
+        )
+    h = hypergraph_of(open_structure)
+    adj: dict[int, set[int]] = {v: set() for v in verts}
+    for a, b in h.primal_edges():
+        adj[a].add(b)
+        adj[b].add(a)
+
+    value = color_values(open_structure.structure, keys)
+    f_memo: dict[frozenset, Fraction] = {}
+
+    def f(bag: frozenset) -> Fraction:
+        if bag not in f_memo:
+            f_memo[bag] = value(bag)
+        return f_memo[bag]
+
+    best_memo: dict[frozenset, tuple[Fraction, Optional[int]]] = {}
+
+    def solve(
+        remaining: frozenset, bound: Optional[Fraction]
+    ) -> tuple[Fraction, Optional[int]]:
+        if not remaining:
+            return Fraction(0), None
+        hit = best_memo.get(remaining)
+        if hit is not None and (hit[1] is not None or bound is not None and hit[0] >= bound):
+            return hit
+        best, best_v = bound, None
+        for v in sorted(remaining) if bound is None or bound > 1 else ():
+            here = f(_elimination_bag(v, remaining, adj))
+            if best is not None and here >= best:
+                continue  # the sub-solution can only raise the max
+            sub, _ = solve(remaining - {v}, best)
+            cand = max(here, sub)
+            if best is None or cand < best:
+                best, best_v = cand, v
+                if best <= 1:
+                    break  # the floor: no later vertex can beat it
+        best_memo[remaining] = (best, best_v)
+        return best, best_v
+
+    if not verts:
+        dec = TreeDecomposition({0: None}, 0, {0: frozenset()})
+        return cwidth_of_decomposition(open_structure, keys, dec)
+
+    remaining = frozenset(verts)
+    order: list[int] = []
+    bags: list[frozenset] = []
+    while remaining:
+        _, v = solve(remaining, None)
+        order.append(v)
+        bags.append(_elimination_bag(v, remaining, adj))
+        remaining = remaining - {v}
+
+    index_of = {v: i for i, v in enumerate(order)}
+    parent: dict[int, Optional[int]] = {}
+    for i, bag in enumerate(bags):
+        later = [index_of[u] for u in bag if index_of[u] > i]
+        if later:
+            parent[i] = min(later)
+        elif i + 1 < len(order):
+            parent[i] = i + 1
+        else:
+            parent[i] = None
+    dec = TreeDecomposition(parent, len(order) - 1, {i: bags[i] for i in range(len(order))})
+
+    tuple_set = frozenset(open_structure.tuple)
+    holders = [i for i in range(len(bags)) if tuple_set <= bags[i]]
+    root = min(holders)  # the tuple edge is a primal clique, so holders is nonempty
+    dec = dec.rerooted(root)
+    return cwidth_of_decomposition(open_structure, keys, dec)
 
 
 def unbounded_optimal_cwidth(open_structure: OpenStructure, keys: KeySet) -> WidthReport:
