@@ -81,6 +81,7 @@ from spjopt.synthesis import (
     _atom_subplan,
     _first_columns,
     _fresh_names,
+    _holder,
     _join,
     _project,
 )
@@ -1030,6 +1031,60 @@ def all_atoms_bag_chain(order: tuple[int, ...], atoms_by_elem) -> Plan:
             cols = tuple(e for e in visible if e in row)
             children.append(_atom_subplan(rel, row, base, cols))
             col_elems.extend(cols)
+        theta, first = _first_columns(col_elems)
+        sol = _project(tuple(first[e] for e in visible), _join(theta, children), len(col_elems))
+    return sol
+
+
+def dominance_bag_chain(order: tuple[int, ...], atoms_by_elem, steps: Optional[list] = None) -> Plan:
+    """``synthesis._bag_chain`` without its implication rule: every block
+    that the holder join or a chain step's dominance rule keeps is joined,
+    and the chain always starts from its first step.  The reference for
+    the implication rule.  When ``steps`` is given, each join's blocks are
+    appended to it as a list of (relation, row, columns)."""
+    holder = _holder(frozenset(order), atoms_by_elem)
+    if holder is not None:
+        blocks = {holder[:2]: holder}
+        for e in order:
+            for atom in atoms_by_elem[e]:
+                blocks.setdefault(atom[:2], atom)
+        children: list[Plan] = []
+        col_elems: list[int] = []
+        joined = []
+        for rel, row, base in blocks.values():
+            cols = tuple(e for e in order if e in row)
+            children.append(_atom_subplan(rel, row, base, cols))
+            col_elems.extend(cols)
+            joined.append((rel, row, cols))
+        if steps is not None:
+            steps.append(joined)
+        theta, _ = _first_columns(col_elems)
+        return _project(tuple(range(1, len(order) + 1)), _join(theta, children), len(col_elems))
+    step_of = {e: i for i, e in enumerate(order, start=1)}
+    sol: Optional[Plan] = None
+    for i, elem in enumerate(order, start=1):
+        visible = order[:i]
+        children = []
+        col_elems = []
+        joined = []
+        if sol is not None:
+            children.append(sol)
+            col_elems.extend(order[: i - 1])
+        atoms = atoms_by_elem[elem]
+        seen = frozenset(visible)
+        col_sets = [seen.intersection(row) for _, row, _ in atoms]
+        for k, (rel, row, base) in enumerate(atoms):
+            cset = col_sets[k]
+            complete = max(step_of[e] for e in row if e in step_of) == i
+            if complete or not any(
+                cset < other or (j < k and cset == other) for j, other in enumerate(col_sets)
+            ):
+                cols = tuple(e for e in visible if e in cset)
+                children.append(_atom_subplan(rel, row, base, cols))
+                col_elems.extend(cols)
+                joined.append((rel, row, cols))
+        if steps is not None:
+            steps.append(joined)
         theta, first = _first_columns(col_elems)
         sol = _project(tuple(first[e] for e in visible), _join(theta, children), len(col_elems))
     return sol

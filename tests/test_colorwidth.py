@@ -50,6 +50,7 @@ from oracles import (
     coloring_ratio,
     exhaustive_min_cwidth,
     fractional_edge_cover,
+    frozenset_optimal_cwidth,
     packing_lp_by_basic_enumeration,
     two_phase_solve_lp,
     unbounded_optimal_cwidth,
@@ -364,6 +365,30 @@ def test_bounded_search_matches_unbounded_search(rng):
         },
     )
     _assert_same_report(OpenStructure(again, (7, 0)), NO_KEYS)
+
+
+def test_bitmask_search_matches_the_frozenset_search(rng):
+    """The search over bitmask states reports what the search over
+    frozensets (``oracles.frozenset_optimal_cwidth``) reports: the width,
+    bag colors, parent map, root and bags, in the same order, on random
+    structures of up to 12 vertices, with one key or two per relation and
+    without keys."""
+    keyed = large = 0
+    for trial in range(300):
+        sig = rand_signature(rng, max_relations=3, max_arity=3)
+        keys = (NO_KEYS, rand_keys(rng, sig), rand_multi_keys(rng, sig))[trial % 3]
+        open_s = rand_open_structure(rng, sig, max_domain=12, max_rows=14)
+        ours = optimal_cwidth(open_s, keys, cap=WIDTH_CAP)
+        want = frozenset_optimal_cwidth(open_s, keys, cap=WIDTH_CAP)
+        assert ours == want
+        assert list(ours.bag_colors.items()) == list(want.bag_colors.items())
+        dec, want_dec = ours.decomposition, want.decomposition
+        assert dec.root == want_dec.root
+        assert list(dec.parent.items()) == list(want_dec.parent.items())
+        assert list(dec.chi.items()) == list(want_dec.chi.items())
+        keyed += bool(keys)
+        large += len(open_s.structure.universe) >= 9
+    assert keyed >= 150 and large >= 60
 
 
 def test_bounded_search_solves_few_lps_on_mobius16(monkeypatch):

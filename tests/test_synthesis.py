@@ -20,6 +20,7 @@ from spjopt import (
     bag_witness,
     build_representation,
     chase,
+    chased_core,
     check_equivalence,
     compute_core,
     eliminate_fds,
@@ -60,6 +61,7 @@ from oracles import (
     UNCAPPED,
     all_atoms_bag_chain,
     assert_contracted,
+    dominance_bag_chain,
     assert_lean_synthesis,
     has_images,
     max_relation_size,
@@ -665,6 +667,151 @@ def test_pruned_chains_match_all_atom_chains(rng, monkeypatch):
         assert intermediate_degree_bound(new.plan, keys, sig) == new.degree
         assert plan_size(new.plan) <= plan_size(old.plan)
     assert plan_size(new.plan) < plan_size(old.plan)  # keyed C8, the last case
+
+
+def _implied_by(kept, block, visible) -> bool:
+    """Whether the block ``kept`` implies ``block``, both (relation, row,
+    columns): one relation, no element repeated in ``block``'s row, and
+    ``kept``'s row holding ``block``'s element at each position where that
+    holds a ``visible`` one."""
+    (rel, row, _), (kept_rel, kept_row, _) = block, kept
+    return (
+        rel == kept_rel
+        and len(set(row)) == len(row)
+        and all(kept_row[p] == e for p, e in enumerate(row) if e in visible)
+    )
+
+
+def _recording_chains(monkeypatch) -> list:
+    """Per bag chain synthesized from now on, (order, atoms by element,
+    joins), each join its blocks as (relation, row, columns) and whether it
+    takes the chain so far."""
+    chains = []
+    bag_chain, block_join = synthesis._bag_chain, synthesis._block_join
+
+    def chain(order, atoms_by_elem):
+        chains.append((order, atoms_by_elem, []))
+        return bag_chain(order, atoms_by_elem)
+
+    def join(blocks, first, first_cols, out):
+        chains[-1][2].append(([(rel, row, cols) for rel, row, _, cols in blocks], first is not None))
+        return block_join(blocks, first, first_cols, out)
+
+    monkeypatch.setattr(synthesis, "_bag_chain", chain)
+    monkeypatch.setattr(synthesis, "_block_join", join)
+    return chains
+
+
+def _implied_drops(order, atoms_by_elem, joins) -> tuple[int, int]:
+    """Checks that each join of a recorded chain keeps, in order, some of
+    the blocks the dominance rule keeps (``oracles.dominance_bag_chain``),
+    that a kept block implies each other one, and that a chain that starts
+    at its second step implies its first step's lone block.  Returns the
+    numbers of dropped blocks and of dropped first steps."""
+    steps: list = []
+    dominance_bag_chain(order, atoms_by_elem, steps)
+    assert len(joins) == len(steps)
+    dropped = seeds = 0
+    for i, ((kept, takes_chain), old) in enumerate(zip(joins, steps)):
+        visible = frozenset(order[: i + 1] if len(steps) > 1 else order)
+        assert kept == [block for block in old if block in kept]
+        for block in old:
+            if block not in kept:
+                assert any(_implied_by(k, block, visible) for k in kept)
+                dropped += 1
+        if i and not takes_chain:
+            assert i == 1 and len(joins[0][0]) == 1
+            assert any(_implied_by(k, joins[0][0][0], frozenset(order[:1])) for k in kept)
+            seeds += 1
+    return dropped, seeds
+
+
+def _same_child_twice(prepared) -> list:
+    """The distinct joins of ``prepared`` with two children that are one
+    subplan whose columns theta equates, column for column."""
+    (_, distinct), arities = prepared.numbering, prepared.arities
+    out = []
+    for node, kids in distinct:
+        if type(node) is not Join:
+            continue
+        offsets = [sum(arities[k] for k in kids[:i]) for i in range(len(kids))]
+        parent = list(range(offsets[-1] + arities[kids[-1]] + 1))
+
+        def find(c):
+            while parent[c] != c:
+                c = parent[c] = parent[parent[c]]
+            return c
+
+        for a, b in node.theta:
+            parent[find(a)] = find(b)
+        if any(
+            kids[i] == kids[j]
+            and all(find(offsets[i] + c) == find(offsets[j] + c) for c in range(1, arities[kids[i]] + 1))
+            for j in range(len(kids))
+            for i in range(j)
+        ):
+            out.append(node)
+    return out
+
+
+def _random_digraph_plan(rng):
+    """The join of one E atom per edge of a random loop-free digraph on 6
+    to 9 vertices with the edge (0, 1), projected to (0, 1)."""
+    n = rng.randint(6, 9)
+    arcs = ((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(2 * n, 3 * n)))
+    return pattern_plan(sorted({(a, b) for a, b in arcs if a != b} | {(0, 1)}), (0, 1))
+
+
+def _lean_chain_cases(rng) -> list:
+    """(core, keys, signature): random unkeyed and keyed cores, some with
+    two keys on a relation, the cores of 20 random digraphs, the Mobius
+    ladder on 10 vertices and the squared 12-cycle."""
+    cases = [(core, keys, core.structure.signature) for core, keys in _random_cores(rng, 15)]
+    cases += list(_random_keyed_cores(rng, 10))
+    plans = [_random_digraph_plan(rng) for _ in range(20)]
+    plans += [pattern_plan(mobius_ladder(10), (0, 1)), pattern_plan(squared_cycle(12), (0, 1))]
+    return cases + [(chased_core(prepare(plan, SIG_E), NO_KEYS, UNCAPPED.core_universe), NO_KEYS, SIG_E) for plan in plans]
+
+
+def test_implied_blocks_leave_plans_equivalent_and_no_larger(rng, monkeypatch):
+    """Plans whose joins drop implied blocks against plans that join every
+    block the dominance rule keeps: equivalent, of the same certified
+    degree, which the leaner plan attains, with equal output and no larger
+    intermediate on random key-satisfying data, and never larger.  Every
+    dropped block is implied by a kept block of its join, and every chain
+    that starts at its second step implies its first."""
+    cases = _lean_chain_cases(rng)
+    chains = _recording_chains(monkeypatch)
+    dropped = seeds = shorter = 0
+    for core, keys, sig in cases:
+        del chains[:]
+        new = synthesize_plan(core, keys, UNCAPPED)
+        for chain in chains:
+            d, s = _implied_drops(*chain)
+            dropped, seeds = dropped + d, seeds + s
+        with monkeypatch.context() as m:
+            m.setattr(synthesis, "_bag_chain", dominance_bag_chain)
+            old = synthesize_plan(core, keys, UNCAPPED)
+        assert check_equivalence(new.plan, old.plan, keys, sig)
+        assert new.degree == old.degree == intermediate_degree_bound(new.plan, keys, sig)
+        for _ in range(3):
+            data = rand_satisfying_structure(rng, sig, keys, max_domain=4, max_rows=10)
+            got, want = evaluate_well_behaved(new.prepared, data), evaluate_well_behaved(old.prepared, data)
+            assert got.output == want.output
+            assert got.max_intermediate <= want.max_intermediate
+        assert plan_size(new.plan) <= plan_size(old.plan)
+        shorter += plan_size(new.plan) < plan_size(old.plan)
+    assert dropped >= 250 and seeds >= 40 and shorter >= 40
+
+
+def test_no_synthesized_join_takes_one_subplan_twice(rng):
+    """No join of a plan synthesized for the unkeyed width patterns or for
+    the cases of the implied-block test takes one subplan twice on the
+    same columns."""
+    patterns = [mobius_ladder(n) for n in (10, 12, 14, 16)] + [squared_cycle(n) for n in (12, 14, 16)]
+    results = [optimize(prepare(pattern_plan(edges, (0, 1)), SIG_E), NO_KEYS, UNCAPPED) for edges in patterns]
+    results += [synthesize_plan(core, keys, UNCAPPED) for core, keys, _ in _lean_chain_cases(rng)]
+    assert all(_same_child_twice(result.prepared) == [] for result in results)
 
 
 def _keyed_cycles():
