@@ -16,7 +16,10 @@ along the tree, adding no new columns.  A chain step joins only the
 undominated atom blocks: an atom's block is dropped while its visible
 columns lie inside another block's, which leaves the step's fractional edge
 cover, and so its degree bound, unchanged, and every atom is joined on all
-its bag columns at its last step.  The output plan is over the original
+its bag columns at its last step.  A block that another block of the same
+join implies, an atom of the same relation agreeing on its visible
+positions, is dropped too, as is a chain's first step when its second step
+implies it.  The output plan is over the original
 signature (the defining plans of derived relations are inlined),
 well-behaved, and equivalent to the input on every database satisfying the
 keys.  It holds no dead operator: every projection and join is built by :func:`_project`
@@ -453,6 +456,7 @@ def _bag_chain(order: tuple[int, ...], atoms_by_elem: _AtomsByElem) -> Plan:
         return _block_join(_unimplied(blocks, frozenset(order)), None, (), order)
     step_of = {e: i for i, e in enumerate(order, start=1)}
     sol: Optional[Plan] = None
+    seed = None  # the first step's lone atom, (relation, row)
     for i, elem in enumerate(order, start=1):
         visible = order[:i]
         seen = frozenset(visible)
@@ -467,12 +471,12 @@ def _bag_chain(order: tuple[int, ...], atoms_by_elem: _AtomsByElem) -> Plan:
             ],
             seen,
         )
-        if i == 1:
-            seed = blocks[0][:2] if len(blocks) == 1 else None
+        if i == 1 and len(blocks) == 1:
+            seed = blocks[0][:2]
         elif i == 2 and seed is not None and any(
             rel == seed[0] and _implies(row, seed[1], frozenset(order[:1])) for rel, row, _, _ in blocks
         ):
-            sol = None
+            sol = None  # the second step implies the first
         sol = _block_join(blocks, sol, () if sol is None else order[: i - 1], visible)
     return sol
 
