@@ -61,8 +61,8 @@ from oracles import (
     UNCAPPED,
     all_atoms_bag_chain,
     assert_contracted,
-    dominance_bag_chain,
     assert_lean_synthesis,
+    dominance_bag_chain,
     has_images,
     max_relation_size,
     numbered_arity,
@@ -739,7 +739,7 @@ def _same_child_twice(prepared) -> list:
 
         def find(c):
             while parent[c] != c:
-                c = parent[c] = parent[parent[c]]
+                c = parent[c]
             return c
 
         for a, b in node.theta:
