@@ -4,15 +4,18 @@ width-optimal decomposition, and plan synthesis, plus degree analysis.
 Plan synthesis follows the constructive route: unary keys are compiled away
 by appending functionally determined columns to atoms (every appended column
 is produced by a well-behaved join against a two-column projection whose
-first coordinate is a key, so no defining plan ever exceeds degree one), and
-an atom that the keys imply from one kept atom's closure is dropped; a
-minimum-width tree decomposition of the resulting structure is computed with
+first coordinate is a key, so no defining plan ever exceeds degree one), an
+atom that the keys imply from one widened atom's closure is dropped, and an
+atom whose closure lies inside a widened atom's stays unwidened, as the
+plain atom; a minimum-width tree decomposition of the resulting structure is computed with
 the empty key set and contracted, every bag that lies inside a neighbour's
 merged into it (:meth:`spjopt.represent.TreeDecomposition.contracted`,
 which keeps the width); each remaining bag is built in one step from an
 atom that holds all of it, or else by a join chain that introduces one
 element at a time; and the bags are combined bottom-up
-along the tree, adding no new columns.  A chain step joins only the
+along the tree, adding no new columns.  A block, an atom's projection onto
+the elements a join sees, keeps the columns in the atom's row order, and the
+join's projection puts them in bag order.  A chain step joins only the
 undominated atom blocks: an atom's block is dropped while its visible
 columns lie inside another block's, which leaves the step's fractional edge
 cover, and so its degree bound, unchanged, and every atom is joined on all
@@ -96,9 +99,9 @@ def _join(theta: frozenset, children: Sequence[Plan]) -> Plan:
 
 class FdElimination(Record):
     """A structure over a widened signature in which every atom is closed
-    under the element-level dependencies read off the unary keys, and the
-    core's atoms that the keys imply from one kept atom's closure are left
-    out (see :func:`eliminate_fds`).
+    under the element-level dependencies read off the unary keys, or lies
+    inside an atom that is, and the core's atoms that the keys imply from
+    one widened atom's closure are left out (see :func:`eliminate_fds`).
 
     ``defining_plans`` gives, for every relation of the widened signature, a
     plan over the original signature computing its contents; new relations
@@ -193,7 +196,7 @@ def _defining_plan(rel: str, steps: tuple[tuple[int, str, int, int], ...], signa
 
 
 def eliminate_fds(core: OpenStructure, keys: KeySet) -> FdElimination:
-    """Close every atom under the key-derived dependencies, and drop the
+    """Close the atoms under the key-derived dependencies, and drop the
     atoms that the keys imply from another atom's closure.
 
     Requires the input to be a chase fixpoint.  Appending is one column at a
@@ -204,11 +207,18 @@ def eliminate_fds(core: OpenStructure, keys: KeySet) -> FdElimination:
 
     Atoms are visited largest expansion first.  One without repeated
     elements and of arity at least 2 is dropped when, for some key j of its
-    relation R, the closure of one kept atom recorded the fact (R, j, i,
+    relation R, the closure of one widened atom recorded the fact (R, j, i,
     row[j], row[i]) for every other position i.  On key-satisfying data the
     R-row holding row[j] at j is then ``row`` itself, and ``row`` lies
-    inside that kept atom's widened row, so its hyperedge is dominated and
-    no bag's color number changes.
+    inside that atom's widened row, so its hyperedge is dominated and no
+    bag's color number changes.
+
+    A kept atom with closure steps is widened unless its closure's elements
+    all lie inside the closure of an earlier widened atom; then it stays
+    the plain atom, under its base relation.  Its closure hyperedge was
+    dominated, so neither the Gaifman graph nor any bag's color number
+    moves, and the plain atom is still checked.  Its closure steps are in
+    no defining plan, so their facts drop no atom.
     """
     struct = core.structure
     sig = struct.signature
@@ -224,27 +234,30 @@ def eliminate_fds(core: OpenStructure, keys: KeySet) -> FdElimination:
     atoms = list(struct.atoms())
     closures = [_closure(row, targets, sources) for _, row in atoms]
     keep = [True] * len(atoms)
-    kept_facts: list[set] = []  # per kept atom, the facts its closure recorded
+    widen = [False] * len(atoms)
+    widened: list[tuple[set, frozenset]] = []  # per widened atom, its closure's facts and elements
     for k in sorted(range(len(atoms)), key=lambda k: len(atoms[k][1]) - len(closures[k][0])):
         rel, row = atoms[k]
+        cur, steps = closures[k]
         if len(row) >= 2 and len(set(row)) == len(row):
             keep[k] = not any(
                 {(rel, j, i, row[j - 1], y) for i, y in enumerate(row, start=1) if i != j} <= facts
                 for j in keys.for_relation(rel)
-                for facts in kept_facts
+                for facts, _ in widened
             )
-        if keep[k]:
-            kept_facts.append({(*fds[(x, y)], x, y) for _, x, y in closures[k][1]})
+        if keep[k] and steps and not any(elements.issuperset(cur) for _, elements in widened):
+            widen[k] = True
+            widened.append(({(*fds[(x, y)], x, y) for _, x, y in steps}, frozenset(cur)))
 
     names = _fresh_names(sig)
     new_relations: dict[str, Plan] = {}
     name_by_steps: dict[tuple, str] = {}
     new_rows: dict[str, list[tuple[int, ...]]] = {}
     kept_rows: dict[str, list[tuple[int, ...]]] = {n: [] for n in sig.symbols()}
-    for (rel, row), (cur, steps), kept in zip(atoms, closures, keep):
+    for (rel, row), (cur, steps), kept, wide in zip(atoms, closures, keep, widen):
         if not kept:
             continue
-        if not steps:
+        if not wide:
             kept_rows[rel].append(row)
             continue
         key = (rel, tuple((pos_x, *fds[(x, y)]) for pos_x, x, y in steps))
@@ -412,6 +425,10 @@ def _bag_chain(order: tuple[int, ...], atoms_by_elem: _AtomsByElem) -> Plan:
     """Join chain materializing the bag's local solutions; output columns
     follow ``order``.
 
+    Every block is an atom's projection onto the elements the join sees,
+    its columns in the atom's row order; the join equates columns by
+    element, and its projection restores the bag order.
+
     A bag with a :func:`_holder` atom is built in one step: the holder's
     projection onto the bag, joined with every other atom that meets the
     bag on its bag columns.  The join adds no column beyond its first
@@ -452,8 +469,9 @@ def _bag_chain(order: tuple[int, ...], atoms_by_elem: _AtomsByElem) -> Plan:
         for e in order:
             for atom in atoms_by_elem[e]:
                 atoms.setdefault(atom[:2], atom)
-        blocks = [(rel, row, base, tuple(e for e in order if e in row)) for rel, row, base in atoms.values()]
-        return _block_join(_unimplied(blocks, frozenset(order)), None, (), order)
+        bag = frozenset(order)
+        blocks = [(rel, row, base, tuple(e for e in dict.fromkeys(row) if e in bag)) for rel, row, base in atoms.values()]
+        return _block_join(_unimplied(blocks, bag), None, (), order)
     step_of = {e: i for i, e in enumerate(order, start=1)}
     sol: Optional[Plan] = None
     seed = None  # the first step's lone atom, (relation, row)
@@ -464,7 +482,7 @@ def _bag_chain(order: tuple[int, ...], atoms_by_elem: _AtomsByElem) -> Plan:
         col_sets = [seen.intersection(row) for _, row, _ in atoms]
         blocks = _unimplied(
             [
-                (rel, row, base, tuple(e for e in visible if e in cset))
+                (rel, row, base, tuple(e for e in dict.fromkeys(row) if e in cset))
                 for k, ((rel, row, base), cset) in enumerate(zip(atoms, col_sets))
                 if max(step_of[e] for e in row if e in step_of) == i
                 or not any(cset < other or (j < k and cset == other) for j, other in enumerate(col_sets))

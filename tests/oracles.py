@@ -79,6 +79,9 @@ from spjopt.synthesis import (
     FdElimination,
     _assemble_plan,
     _atom_subplan,
+    _base_fds,
+    _closure,
+    _defining_plan,
     _first_columns,
     _fresh_names,
     _holder,
@@ -1039,8 +1042,9 @@ def all_atoms_bag_chain(order: tuple[int, ...], atoms_by_elem) -> Plan:
 def dominance_bag_chain(order: tuple[int, ...], atoms_by_elem, steps: Optional[list] = None) -> Plan:
     """``synthesis._bag_chain`` without its implication rule: every block
     that the holder join or a chain step's dominance rule keeps is joined,
-    and the chain always starts from its first step.  The reference for
-    the implication rule.  When ``steps`` is given, each join's blocks are
+    and the chain always starts from its first step.  Each block's columns
+    follow its atom's row, as synthesis takes them.  The reference for the
+    implication rule.  When ``steps`` is given, each join's blocks are
     appended to it as a list of (relation, row, columns)."""
     holder = _holder(frozenset(order), atoms_by_elem)
     if holder is not None:
@@ -1051,8 +1055,9 @@ def dominance_bag_chain(order: tuple[int, ...], atoms_by_elem, steps: Optional[l
         children: list[Plan] = []
         col_elems: list[int] = []
         joined = []
+        bag = frozenset(order)
         for rel, row, base in blocks.values():
-            cols = tuple(e for e in order if e in row)
+            cols = tuple(e for e in dict.fromkeys(row) if e in bag)
             children.append(_atom_subplan(rel, row, base, cols))
             col_elems.extend(cols)
             joined.append((rel, row, cols))
@@ -1079,7 +1084,7 @@ def dominance_bag_chain(order: tuple[int, ...], atoms_by_elem, steps: Optional[l
             if complete or not any(
                 cset < other or (j < k and cset == other) for j, other in enumerate(col_sets)
             ):
-                cols = tuple(e for e in visible if e in cset)
+                cols = tuple(e for e in dict.fromkeys(row) if e in cset)
                 children.append(_atom_subplan(rel, row, base, cols))
                 col_elems.extend(cols)
                 joined.append((rel, row, cols))
@@ -1147,6 +1152,87 @@ def unpruned_eliminate_fds(core: OpenStructure, keys: KeySet) -> FdElimination:
     defining.update(new_relations)
     widened = Structure(sig, struct.universe, rows, struct.names)
     return FdElimination(core, OpenStructure(widened, core.tuple), defining, new_relations)
+
+
+def widen_every_atom_eliminate_fds(core: OpenStructure, keys: KeySet) -> FdElimination:
+    """``eliminate_fds`` that widens every kept atom with closure steps,
+    and counts every kept atom's closure facts towards dropping: the
+    reference for leaving dominated atoms unwidened.
+
+    Close every atom under the key-derived dependencies, and drop the
+    atoms that the keys imply from another atom's closure.
+
+    Requires the input to be a chase fixpoint.  Appending is one column at a
+    time, always sourced from an element already present in the atom, so
+    only base dependencies are ever needed and each step is a well-behaved
+    join whose output is no larger than the base relation.  A derived
+    relation is named by its closure steps, so equal closures share a name.
+
+    Atoms are visited largest expansion first.  One without repeated
+    elements and of arity at least 2 is dropped when, for some key j of its
+    relation R, the closure of one kept atom recorded the fact (R, j, i,
+    row[j], row[i]) for every other position i.  On key-satisfying data the
+    R-row holding row[j] at j is then ``row`` itself, and ``row`` lies
+    inside that kept atom's widened row, so its hyperedge is dominated and
+    no bag's color number changes.
+    """
+    struct = core.structure
+    sig = struct.signature
+    if not satisfies_keys(struct, keys):
+        raise DegenerateInputError("key elimination requires a chase fixpoint")
+    fds = _base_fds(struct, keys)
+    targets: dict[int, list[int]] = {}
+    sources: dict[int, list[int]] = {}
+    for (x, y) in fds:
+        targets.setdefault(x, []).append(y)
+        sources.setdefault(y, []).append(x)
+
+    atoms = list(struct.atoms())
+    closures = [_closure(row, targets, sources) for _, row in atoms]
+    keep = [True] * len(atoms)
+    kept_facts: list[set] = []  # per kept atom, the facts its closure recorded
+    for k in sorted(range(len(atoms)), key=lambda k: len(atoms[k][1]) - len(closures[k][0])):
+        rel, row = atoms[k]
+        if len(row) >= 2 and len(set(row)) == len(row):
+            keep[k] = not any(
+                {(rel, j, i, row[j - 1], y) for i, y in enumerate(row, start=1) if i != j} <= facts
+                for j in keys.for_relation(rel)
+                for facts in kept_facts
+            )
+        if keep[k]:
+            kept_facts.append({(*fds[(x, y)], x, y) for _, x, y in closures[k][1]})
+
+    names = _fresh_names(sig)
+    new_relations: dict[str, Plan] = {}
+    name_by_steps: dict[tuple, str] = {}
+    new_rows: dict[str, list[tuple[int, ...]]] = {}
+    kept_rows: dict[str, list[tuple[int, ...]]] = {n: [] for n in sig.symbols()}
+    for (rel, row), (cur, steps), kept in zip(atoms, closures, keep):
+        if not kept:
+            continue
+        if not steps:
+            kept_rows[rel].append(row)
+            continue
+        key = (rel, tuple((pos_x, *fds[(x, y)]) for pos_x, x, y in steps))
+        name = name_by_steps.get(key)
+        if name is None:
+            name = name_by_steps[key] = next(names)
+            new_relations[name] = _defining_plan(rel, key[1], sig)
+            new_rows[name] = []
+        new_rows[name].append(cur)
+
+    widened_sig = sig.extend({name: len(rows[0]) for name, rows in new_rows.items()})
+    relations = dict(kept_rows)
+    relations.update(new_rows)
+    widened = Structure(widened_sig, struct.universe, relations, struct.names)
+    defining = {n: Basic(n) for n in sig.symbols()}
+    defining.update(new_relations)
+    return FdElimination(
+        original=core,
+        open=OpenStructure(widened, core.tuple),
+        defining_plans=defining,
+        new_relations=new_relations,
+    )
 
 
 def synthesize_with_keyed_search(core: OpenStructure, keys: KeySet, caps):

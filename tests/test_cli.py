@@ -1189,13 +1189,14 @@ def test_cli_evaluates_the_keyed_4_cycle_input_at_once(tmp_path, capsys):
 
 
 def test_cli_optimizes_keyed_c160_under_a_raised_cap(tmp_path, capsys):
-    """Key elimination keeps two of keyed Cn's n atoms and names their
-    derived relations by closure steps, so under a cap of n the plan's
-    nodes grow linearly: C80's text is under 30 KB, and C160 exits 0
-    (its text is about 93 KB, as each step's columns are listed)."""
+    """Key elimination keeps two of keyed Cn's n atoms, one widened to the
+    n-column rotation and the closing edge as the plain atom, so under a
+    cap of n the plan has 3n - 2 nodes: C80's text is under 15 KB, and C160
+    exits 0 with its text under 50 KB (about 46 KB, as each closure step's
+    columns are listed)."""
     keys = tmp_path / "k.keys"
     keys.write_text("key E 1\n")
-    for n, size in ((80, 30_000), (160, 100_000)):
+    for n, size in ((80, 15_000), (160, 50_000)):
         plan = tmp_path / f"c{n}.plan"
         plan.write_text("rel E 2\n" + print_plan(pattern_plan([(i, (i + 1) % n) for i in range(n)], (0,))) + "\n")
         argv = ["optimize", "--plan", plan, "--keys", keys, "--cap-universe", str(n), "--format", "text"]

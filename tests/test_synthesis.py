@@ -70,6 +70,7 @@ from oracles import (
     scan_closures,
     synthesize_with_keyed_search,
     unpruned_eliminate_fds,
+    widen_every_atom_eliminate_fds,
 )
 
 SIG_E = Signature({"E": 2})
@@ -248,17 +249,25 @@ def test_worklist_closure_matches_the_scan(rng):
 
 def test_dropped_atoms_are_implied_and_dominated(rng, monkeypatch):
     """Against key elimination that keeps every atom, on random keyed cores
-    with one key and with two keys on some relation: a dropped atom has no
-    repeated element and lies inside one kept widened row, and synthesis
-    from the pruned elimination gives an equivalent plan of the same degree
-    from the same decomposition."""
+    with one key and with two keys on some relation: a kept atom is in the
+    structure, widened under a derived relation or as the plain atom under
+    its own; a plain atom whose closure widens it lies inside one widened
+    row, and so does a dropped atom, which has no repeated element; and
+    synthesis from the pruned elimination gives an equivalent plan of the
+    same degree from the same decomposition."""
     dropped = {False: 0, True: 0}  # by whether some relation has two keys
+    unwidened = 0
     for core, keys, sig in _random_keyed_cores(rng, 40):
         elim = eliminate_fds(core, keys)
         kept = {(_origin(elim, name), row) for name, row in elim.structure.atoms()}
-        widened = [set(row) for _, row in elim.structure.atoms()]
+        widened = [set(row) for name, row in elim.structure.atoms() if name in elim.new_relations]
         for rel, row, cur, _ in scan_closures(core, keys):
-            if (rel, cur) not in kept:
+            if (rel, cur) in kept:
+                continue
+            if (rel, row) in kept:
+                unwidened += 1
+                assert any(set(cur) <= w for w in widened), (rel, row)
+            else:
                 dropped[several_keys(keys, sig)] += 1
                 assert len(row) >= 2 and len(set(row)) == len(row), (rel, row)
                 assert any(set(row) <= w for w in widened), (rel, row)
@@ -268,21 +277,79 @@ def test_dropped_atoms_are_implied_and_dominated(rng, monkeypatch):
             old = synthesize_plan(core, keys, UNCAPPED)
         assert (new.degree, new.decomposition) == (old.degree, old.decomposition)
         assert check_equivalence(new.plan, old.plan, keys, sig)
-    assert min(dropped.values()) >= 20, dropped
+    assert min(dropped.values()) >= 20 and unwidened >= 5, (dropped, unwidened)
+
+
+def test_unwidened_atoms_match_widening_every_atom(rng, monkeypatch):
+    """Against the key elimination that widens every kept atom with closure
+    steps (``oracles.widen_every_atom_eliminate_fds``), on random keyed
+    cores with one key and with two keys on some relation, rows with a
+    repeated element among them: an atom left plain whose closure widens it
+    lies inside one widened row, every dropped atom is implied by the
+    closure facts of one widened atom, never only through a plain atom's
+    steps, and synthesis gives an equivalent plan, no larger, of the same
+    degree from the same decomposition.  In the fixed core under ``key R
+    3``, R(0, 1, 0) widens to (0, 1, 0, 2, 3), R(2, 1, 1) stays plain,
+    and R(3, 0, 2) is implied by the facts 2 -> 3 and 2 -> 0 only with the
+    plain atom's step 2 -> 0 counted, so it is kept."""
+    sig_r3 = Signature({"R": 3})
+    fixed = Structure(sig_r3, range(4), {"R": [(0, 1, 0), (2, 1, 1), (3, 0, 2)]})
+    cases = [*_random_keyed_cores(rng, 60), (OpenStructure(fixed, (0, 1, 2, 3)), KeySet({"R": 3}.items()), sig_r3)]
+    unwidened = repeated = kept_more = 0
+    for core, keys, sig in cases:
+        struct = core.structure
+        repeated += any(len(set(row)) < len(row) for _, row in struct.atoms())
+        fds = synthesis._base_fds(struct, keys)
+        targets, sources = {}, {}
+        for x, y in fds:
+            targets.setdefault(x, []).append(y)
+            sources.setdefault(y, []).append(x)
+        elim = eliminate_fds(core, keys)
+        kept_more += elim.structure.total_tuple_count() > widen_every_atom_eliminate_fds(core, keys).structure.total_tuple_count()
+        plain = {(name, row) for name, row in elim.structure.atoms() if name not in elim.new_relations}
+        widened = {(_origin(elim, name), row) for name, row in elim.structure.atoms() if name in elim.new_relations}
+        widened_facts, dropped = [], []
+        for rel, row in struct.atoms():
+            cur, steps = synthesis._closure(row, targets, sources)
+            if (rel, cur) in widened:
+                widened_facts.append({(*fds[(x, y)], x, y) for _, x, y in steps})
+            elif (rel, row) in plain:
+                unwidened += cur != row
+                assert cur == row or any(set(cur) <= set(w) for _, w in widened), (rel, row)
+            else:
+                dropped.append((rel, row))
+        for rel, row in dropped:
+            assert any(
+                {(rel, j, i, row[j - 1], y) for i, y in enumerate(row, start=1) if i != j} <= facts
+                for j in keys.for_relation(rel)
+                for facts in widened_facts
+            ), (rel, row)
+        new = synthesize_plan(core, keys, UNCAPPED)
+        with monkeypatch.context() as m:
+            m.setattr(synthesis, "eliminate_fds", widen_every_atom_eliminate_fds)
+            old = synthesize_plan(core, keys, UNCAPPED)
+        assert (new.degree, new.decomposition) == (old.degree, old.decomposition)
+        assert check_equivalence(new.plan, old.plan, keys, sig)
+        assert plan_size(new.plan) <= plan_size(old.plan)
+    assert unwidened >= 10 and repeated >= 10 and kept_more >= 1, (unwidened, repeated, kept_more)
 
 
 def test_keyed_cycle_plans_grow_linearly():
-    """Keyed Cn keeps two of its n atoms after key elimination, and its
-    synthesized plan grows by the same number of nodes from C10 to C40 per
-    ten vertices."""
-    sizes = []
-    for n in (10, 20, 30, 40):
+    """Keyed Cn keeps two of its n atoms after key elimination: E(x0, x1),
+    widened to the n-column rotation by n - 2 closure steps, and the
+    closing edge E(x_{n-1}, x0) as the plain atom, since its closure lies
+    inside that rotation.  The plan joins the two: 3(n - 2) + 1 nodes of
+    the defining plan, the plain E, the join and the output projection,
+    3n - 2 in all."""
+    for n in (*range(4, 11), 20, 30, 40):
         cycle = pattern_plan([(i, (i + 1) % n) for i in range(n)], (0,))
         result = optimize(prepare(cycle, SIG_E), KEY_E1, Caps(n, n))
+        relations = result.elimination.structure.relations
+        ((name, _),) = result.new_relations.items()
+        ((rotation,), (plain,)) = relations[name], relations["E"]
+        assert len(rotation) == n and set(plain) <= set(rotation)
         assert result.elimination.structure.total_tuple_count() == 2
-        sizes.append(plan_size(result.plan))
-    steps = {b - a for a, b in zip(sizes, sizes[1:])}
-    assert len(steps) == 1, sizes
+        assert plan_size(result.plan) == 3 * n - 2, n
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +505,10 @@ def test_triangle_synthesizes_one_bag():
     """The triangle's width search gives three bags, two of which lie inside
     the third, so its plan is one bag chain over the whole triangle.  Its
     first step, E's first column, is implied by the second step's E, which
-    so starts the chain alone."""
+    so starts the chain alone.  Each E is joined in its own column order,
+    so no block is a projection."""
     result = optimize(prepare(parse_plan(TRIANGLE, SIG_E), SIG_E), NO_KEYS)
-    assert print_plan(result.plan) == (
-        "(project (cols 1 2 4) (join (theta (1 5) (2 3) (4 6)) E E (project (cols 2 1) E)))"
-    )
+    assert print_plan(result.plan) == "(project (cols 1 2 4) (join (theta (1 6) (2 3) (4 5)) E E E))"
     assert result.decomposition.nodes == (result.decomposition.root,)
 
 
