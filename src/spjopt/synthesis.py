@@ -7,13 +7,14 @@ is produced by a well-behaved join against a two-column projection whose
 first coordinate is a key, so no defining plan ever exceeds degree one), an
 atom that the keys imply from one widened atom's closure is dropped, and an
 atom whose closure lies inside a widened atom's stays unwidened, as the
-plain atom; a minimum-width tree decomposition of the resulting structure is computed with
-the empty key set and contracted, every bag that lies inside a neighbour's
-merged into it (:meth:`spjopt.represent.TreeDecomposition.contracted`,
-which keeps the width); each remaining bag is built in one step from an
-atom that holds all of it, or else by a join chain that introduces one
-element at a time; and the bags are combined bottom-up
-along the tree, adding no new columns.  A block, an atom's projection onto
+plain atom; a minimum-width tree decomposition of the resulting structure
+is computed with the empty key set and contracted, every bag that lies
+inside a neighbour's merged into it
+(:meth:`spjopt.represent.TreeDecomposition.contracted`, which keeps the
+width); each remaining bag is built in one step from an atom that holds
+all of it, or else by a join chain that introduces one element at a time;
+and the bags are combined bottom-up along the tree, adding no new
+columns.  A block, an atom's projection onto
 the elements a join sees, keeps the columns in the atom's row order, and the
 join's projection puts them in bag order.  A chain step joins only the
 undominated atom blocks: an atom's block is dropped while its visible
@@ -360,13 +361,19 @@ def _holder(bag: frozenset, atoms_by_elem: _AtomsByElem):
     return next((atom for atom in atoms_by_elem[min(bag)] if bag.issubset(atom[1])), None)
 
 
+def _row_columns(row: tuple[int, ...], elements: frozenset) -> tuple[int, ...]:
+    """The ``elements`` that ``row`` holds, in the order of their first
+    columns in it."""
+    return tuple(e for e in dict.fromkeys(row) if e in elements)
+
+
 def _connected_order(bag: frozenset, atoms_by_elem: _AtomsByElem) -> tuple[int, ...]:
     """Bag elements in the column order of the :func:`_holder` atom, if
     there is one; otherwise ordered so each shares an atom with a
     predecessor when possible, ties broken by element id."""
     holder = _holder(bag, atoms_by_elem)
     if holder is not None:
-        return tuple(e for e in dict.fromkeys(holder[1]) if e in bag)
+        return _row_columns(holder[1], bag)
     rest = sorted(bag)
     order: list[int] = []
     while rest:
@@ -470,7 +477,7 @@ def _bag_chain(order: tuple[int, ...], atoms_by_elem: _AtomsByElem) -> Plan:
             for atom in atoms_by_elem[e]:
                 atoms.setdefault(atom[:2], atom)
         bag = frozenset(order)
-        blocks = [(rel, row, base, tuple(e for e in dict.fromkeys(row) if e in bag)) for rel, row, base in atoms.values()]
+        blocks = [(rel, row, base, _row_columns(row, bag)) for rel, row, base in atoms.values()]
         return _block_join(_unimplied(blocks, bag), None, (), order)
     step_of = {e: i for i, e in enumerate(order, start=1)}
     sol: Optional[Plan] = None
@@ -482,7 +489,7 @@ def _bag_chain(order: tuple[int, ...], atoms_by_elem: _AtomsByElem) -> Plan:
         col_sets = [seen.intersection(row) for _, row, _ in atoms]
         blocks = _unimplied(
             [
-                (rel, row, base, tuple(e for e in dict.fromkeys(row) if e in cset))
+                (rel, row, base, _row_columns(row, cset))
                 for k, ((rel, row, base), cset) in enumerate(zip(atoms, col_sets))
                 if max(step_of[e] for e in row if e in step_of) == i
                 or not any(cset < other or (j < k and cset == other) for j, other in enumerate(col_sets))
