@@ -393,8 +393,17 @@ def optimal_cwidth(
 
     Vertices are numbered in sorted order, and states, bags and adjacency
     are bitmasks over those numbers, so ascending bits visit the vertices
-    in sorted order.  The bags' color numbers are read from the search's
-    memo, so the report evaluates no bag twice.
+    in sorted order.  The memo holds, for each exactly solved state, its
+    value, the chosen vertex and that vertex's bag, so the extraction reads
+    each bag of the chosen order from the memo and derives none again.
+    The bags' color numbers are read from the search's memo too, so the
+    report evaluates no bag twice.
+
+    Each state's search is a generator that yields each child state with
+    its bound and is sent the child's value.  The suspended searches wait
+    on an explicit stack, and a child the memo settles is answered without
+    a search, so the search's depth, one state per vertex, never meets the
+    interpreter's recursion limit.
     """
     verts = sorted(open_structure.structure.universe)
     if len(verts) > cap:
@@ -421,36 +430,61 @@ def optimal_cwidth(
             got = f_memo[bag] = value(frozenset(verts[i] for i in _bits(bag)))
         return got
 
-    best_memo: dict[int, tuple[Fraction, Optional[int]]] = {}
+    best_memo: dict[int, tuple[Fraction, Optional[int], Optional[int]]] = {}
 
-    def solve(remaining: int, bound: Optional[Fraction]) -> tuple[Fraction, Optional[int]]:
+    def known(remaining: int, bound: Optional[Fraction]) -> Optional[Fraction]:
+        """The state's value from the memo, when it settles the search
+        under ``bound``; else None."""
         if not remaining:
-            return Fraction(0), None
+            return Fraction(0)
         hit = best_memo.get(remaining)
         if hit is not None and (hit[1] is not None or bound is not None and hit[0] >= bound):
-            return hit
-        best, best_v = bound, None
+            return hit[0]
+        return None
+
+    def search(remaining: int, bound: Optional[Fraction]):
+        """One state's search: yields each child state with its bound, is
+        sent the child's value, and returns the state's value."""
+        best, best_v, best_bag = bound, None, None
         if bound is None or bound > 1:
             for v, bag in _elimination_bags(remaining, everything ^ remaining, adj):
                 here = f(bag)
                 if best is not None and here >= best:
                     continue  # the sub-solution can only raise the max
-                sub, _ = solve(remaining ^ 1 << v, best)
+                sub = yield remaining ^ 1 << v, best
                 cand = max(here, sub)
                 if best is None or cand < best:
-                    best, best_v = cand, v
+                    best, best_v, best_bag = cand, v, bag
                     if best <= 1:
                         break  # the floor: no later vertex can beat it
-        best_memo[remaining] = (best, best_v)
-        return best, best_v
+        best_memo[remaining] = (best, best_v, best_bag)
+        return best
+
+    def solve(remaining: int) -> None:
+        """Solve ``remaining`` exactly, unless the memo already has it."""
+        if known(remaining, None) is not None:
+            return
+        stack = [search(remaining, None)]
+        got = None  # the value sent to the top search; None starts it
+        while stack:
+            try:
+                child, bound = stack[-1].send(got)
+            except StopIteration as done:
+                stack.pop()
+                got = done.value
+                continue
+            got = known(child, bound)
+            if got is None:
+                stack.append(search(child, bound))
 
     remaining = everything
     order: list[int] = []
     bags: list[int] = []
     while remaining:
-        _, v = solve(remaining, None)
+        solve(remaining)
+        _, v, bag = best_memo[remaining]
         order.append(v)
-        bags.append(dict(_elimination_bags(remaining, everything ^ remaining, adj))[v])
+        bags.append(bag)
         remaining ^= 1 << v
 
     index_of = {v: i for i, v in enumerate(order)}

@@ -92,20 +92,13 @@ class TreeDecomposition(Record):
         return out
 
     def rerooted(self, new_root: int) -> "TreeDecomposition":
-        """Same tree re-rooted at another node; bags unchanged."""
-        adj: dict[int, set[int]] = {n: set() for n in self.parent}
-        for n, p in self.parent.items():
-            if p is not None:
-                adj[n].add(p)
-                adj[p].add(n)
-        parent: dict[int, Optional[int]] = {new_root: None}
-        stack = [new_root]
-        while stack:
-            cur = stack.pop()
-            for nxt in sorted(adj[cur]):
-                if nxt not in parent:
-                    parent[nxt] = cur
-                    stack.append(nxt)
+        """Same tree re-rooted at another node; bags unchanged.  Only the
+        path from ``new_root`` up to the old root changes: each of its
+        parent pointers is turned around."""
+        parent = dict(self.parent)
+        node, up = new_root, None
+        while node is not None:
+            parent[node], node, up = up, parent[node], node
         return TreeDecomposition(parent, new_root, dict(self.chi))
 
     def contracted(self) -> "TreeDecomposition":

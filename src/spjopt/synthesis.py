@@ -11,9 +11,10 @@ plain atom; a minimum-width tree decomposition of the resulting structure
 is computed with the empty key set and contracted, every bag that lies
 inside a neighbour's merged into it
 (:meth:`spjopt.represent.TreeDecomposition.contracted`, which keeps the
-width); each remaining bag is built in one step from an atom that holds
-all of it, or else by a join chain that introduces one element at a time;
-and the bags are combined bottom-up along the tree, adding no new
+width); each remaining bag is built by one join chain, which brings in
+the whole bag in one step when one atom holds all of it and one element
+per step otherwise; and the bags are combined bottom-up along the tree by
+:func:`_joined`, which assembles every join, adding no new
 columns.  A block, an atom's projection onto
 the elements a join sees, keeps the columns in the atom's row order, and the
 join's projection puts them in bag order.  A chain step joins only the
@@ -416,16 +417,21 @@ def _unimplied(blocks: list[_Block], visible: frozenset) -> list[_Block]:
     ]
 
 
+def _joined(parts: Sequence[tuple[Plan, Sequence[int]]], out: tuple[int, ...]) -> Plan:
+    """The join of the ``parts``, each a plan and the element of each of
+    its columns, equating each element's columns with its first, projected
+    onto the elements ``out``."""
+    col_elems = [e for _, elems in parts for e in elems]
+    theta, first = _first_columns(col_elems)
+    return _project(tuple(first[e] for e in out), _join(theta, [plan for plan, _ in parts]), len(col_elems))
+
+
 def _block_join(blocks: list[_Block], first: Optional[Plan], first_cols: tuple[int, ...], out: tuple[int, ...]) -> Plan:
     """The join of ``first`` (over ``first_cols``, when given) and the
     blocks' atom projections, projected onto the elements ``out``."""
-    children: list[Plan] = [] if first is None else [first]
-    col_elems = list(first_cols)
-    for rel, row, base, cols in blocks:
-        children.append(_atom_subplan(rel, row, base, cols))
-        col_elems.extend(cols)
-    theta, first_col = _first_columns(col_elems)
-    return _project(tuple(first_col[e] for e in out), _join(theta, children), len(col_elems))
+    parts = [] if first is None else [(first, first_cols)]
+    parts += [(_atom_subplan(rel, row, base, cols), cols) for rel, row, base, cols in blocks]
+    return _joined(parts, out)
 
 
 def _bag_chain(order: tuple[int, ...], atoms_by_elem: _AtomsByElem) -> Plan:
@@ -436,56 +442,53 @@ def _bag_chain(order: tuple[int, ...], atoms_by_elem: _AtomsByElem) -> Plan:
     its columns in the atom's row order; the join equates columns by
     element, and its projection restores the bag order.
 
-    A bag with a :func:`_holder` atom is built in one step: the holder's
-    projection onto the bag, joined with every other atom that meets the
-    bag on its bag columns.  The join adds no column beyond its first
-    child, so it is well-behaved, and every atom constrains the bag.
-
-    Any other bag is built one element per step.  The step that brings in
-    ``elem`` joins the chain so far with one block per atom holding
-    ``elem``: the atom's projection onto its visible columns.  A block is
+    The chain has one step per group of new elements: one step holding
+    the whole bag when the bag has a :func:`_holder` atom, and one step
+    per element otherwise.  The step that brings in its elements joins the
+    chain so far with one block per atom holding one of them, the holder
+    first: the atom's projection onto its visible columns.  A block is
     kept when its atom is complete (every element of row & bag is visible,
     so this is the atom's last step and it is joined on all its bag
     columns), or when its column set is not a proper subset of another
-    block's in the step; of equal column sets the first is kept.  A
-    dropped block is a dominated hyperedge of the step's visible set, so
-    the step's fractional edge cover, and with it the step's degree bound,
-    is unchanged, and every atom still constrains the bag at its last step.
+    block's in the step; of equal column sets the first is kept.  In the
+    holder's one step every atom is complete, and the join adds no column
+    beyond its first child, the holder, so it is well-behaved.  A dropped
+    block is a dominated hyperedge of the step's visible set, so the
+    step's fractional edge cover, and with it the step's degree bound, is
+    unchanged, and every atom still constrains the bag at its last step.
 
-    On both paths a block is then dropped when another block of the same
-    join implies it: both are over one relation R, the dropped atom
-    repeats no element, and the other atom holds the same element at every
-    position where the dropped one holds a visible element (of two such
-    blocks with equal columns the first is kept, so the holder stays the
-    first child).  Any R-row that witnesses the kept block witnesses the
-    dropped one, so the join's rows are unchanged, and the dropped block's
-    hyperedge lies inside the kept one's, so the step's edge cover and
-    degree bound are unchanged.  For the same reason, when the first step
-    ends as the block of one atom A and a second-step block over A's
-    relation holds ``order[0]`` at A's positions of it, the first step is
-    implied and the second step joins its blocks alone: it has two visible
-    elements, so any first child keeps the join well-behaved.
+    A block is then dropped when another block of the same join implies
+    it: both are over one relation R, the dropped atom repeats no element,
+    and the other atom holds the same element at every position where the
+    dropped one holds a visible element (of two such blocks with equal
+    columns the first is kept, so the holder stays the first child).  Any
+    R-row that witnesses the kept block witnesses the dropped one, so the
+    join's rows are unchanged, and the dropped block's hyperedge lies
+    inside the kept one's, so the step's edge cover and degree bound are
+    unchanged.  For the same reason, when the first step ends as the block
+    of one atom A and a second-step block over A's relation holds
+    ``order[0]`` at A's positions of it, the first step is implied and the
+    second step joins its blocks alone: it has two visible elements, so
+    any first child keeps the join well-behaved.
 
     No step is a dead operator: the first step is its one block when it has
     one, and a step's projection is left out when it keeps all the join's
     columns in order.
     """
     holder = _holder(frozenset(order), atoms_by_elem)
-    if holder is not None:
-        atoms = {holder[:2]: holder}
-        for e in order:
-            for atom in atoms_by_elem[e]:
-                atoms.setdefault(atom[:2], atom)
-        bag = frozenset(order)
-        blocks = [(rel, row, base, _row_columns(row, bag)) for rel, row, base in atoms.values()]
-        return _block_join(_unimplied(blocks, bag), None, (), order)
-    step_of = {e: i for i, e in enumerate(order, start=1)}
+    steps = [order] if holder is not None else [(e,) for e in order]
+    step_of = {e: i for i, step in enumerate(steps, start=1) for e in step}
     sol: Optional[Plan] = None
     seed = None  # the first step's lone atom, (relation, row)
-    for i, elem in enumerate(order, start=1):
-        visible = order[:i]
+    visible: tuple[int, ...] = ()
+    for i, step in enumerate(steps, start=1):
+        before, visible = visible, visible + step
         seen = frozenset(visible)
-        atoms = atoms_by_elem[elem]
+        by_row = {} if holder is None else {holder[:2]: holder}
+        for e in step:
+            for atom in atoms_by_elem[e]:
+                by_row.setdefault(atom[:2], atom)
+        atoms = list(by_row.values())
         col_sets = [seen.intersection(row) for _, row, _ in atoms]
         blocks = _unimplied(
             [
@@ -499,10 +502,10 @@ def _bag_chain(order: tuple[int, ...], atoms_by_elem: _AtomsByElem) -> Plan:
         if i == 1 and len(blocks) == 1:
             seed = blocks[0][:2]
         elif i == 2 and seed is not None and any(
-            rel == seed[0] and _implies(row, seed[1], frozenset(order[:1])) for rel, row, _, _ in blocks
+            rel == seed[0] and _implies(row, seed[1], frozenset(steps[0])) for rel, row, _, _ in blocks
         ):
             sol = None  # the second step implies the first
-        sol = _block_join(blocks, sol, () if sol is None else order[: i - 1], visible)
+        sol = _block_join(blocks, sol, () if sol is None else before, visible)
     return sol
 
 
@@ -556,33 +559,28 @@ def _assemble_plan(
     bag_orders: dict[int, tuple[int, ...]] = {
         node: _connected_order(dec.chi[node], atoms_by_elem) for node in dec.nodes
     }
-
     children = dec.children()
-
-    def combine(node: int) -> Plan:
+    top_down = [dec.root]  # parents before children; built in reverse
+    for node in top_down:
+        top_down.extend(children[node])
+    plans: dict[int, Plan] = {}
+    for node in reversed(top_down):
         order = bag_orders[node]
         if order:
-            plan = _bag_chain(order, atoms_by_elem)
+            parts = [(_bag_chain(order, atoms_by_elem), order)]
         else:
             # Empty bag: the decomposition is a single node over an empty
             # universe, and every atom is nullary (synthesize_plan checks that
             # tuples exist), so the plan is a pure constant test.
-            return _join(frozenset(), [_atom_subplan(rel, row, base, ()) for rel, row, base in atoms])
-        kids = children[node]
-        if not kids:
-            return plan
-        parts: list[Plan] = [plan]
-        part_elems = list(order)
-        for kid in kids:
-            kid_plan = combine(kid)
+            parts = [(_atom_subplan(rel, row, base, ()), ()) for rel, row, base in atoms]
+        for kid in children[node]:
             kid_order = bag_orders[kid]
             shared = [e for e in order if e in dec.chi[kid]]
-            parts.append(_project(tuple(kid_order.index(e) + 1 for e in shared), kid_plan, len(kid_order)))
-            part_elems.extend(shared)
-        theta, _ = _first_columns(part_elems)
-        return _project(tuple(range(1, len(order) + 1)), Join(theta, tuple(parts)), len(part_elems))
+            kid_plan = _project(tuple(kid_order.index(e) + 1 for e in shared), plans.pop(kid), len(kid_order))
+            parts.append((kid_plan, shared))
+        plans[node] = _joined(parts, order)
 
-    root_plan = combine(dec.root)
+    root_plan = plans[dec.root]
     root_order = bag_orders[dec.root]
     out_cols = tuple(root_order.index(e) + 1 for e in core.tuple)
     final = _project(out_cols, root_plan, len(root_order))
