@@ -20,6 +20,8 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from typing import Mapping, Optional, Sequence
 
@@ -47,10 +49,10 @@ from spjopt import (
     satisfies_keys,
     subplan_degrees,
 )
-from spjopt.colorwidth import WidthReport, _closure_edges
+from spjopt.colorwidth import WidthReport, _bits, _closure_edges, _elimination_bags
 from spjopt.constraints import ChaseResult
 from spjopt import plans
-from spjopt.errors import ArityError, PlanSyntaxError, SignatureError, set_field
+from spjopt.errors import ArityError, PlanSyntaxError, SignatureError, SpjError, set_field
 from spjopt.plans import (
     Basic,
     EvalTrace,
@@ -84,9 +86,14 @@ from spjopt.synthesis import (
     _defining_plan,
     _first_columns,
     _fresh_names,
+    _AtomsByElem,
+    _Block,
     _holder,
+    _implies,
     _join,
     _project,
+    _row_columns,
+    _unimplied,
 )
 
 # A core cap above every structure the tests search: the largest has 21
@@ -1095,6 +1102,102 @@ def dominance_bag_chain(order: tuple[int, ...], atoms_by_elem, steps: Optional[l
     return sol
 
 
+def _hand_block_join(blocks: list[_Block], first: Optional[Plan], first_cols: tuple[int, ...], out: tuple[int, ...]) -> Plan:
+    """``synthesis._block_join`` as it was before ``synthesis._joined``
+    took over its assembly: the reference for that assembly.
+
+    The join of ``first`` (over ``first_cols``, when given) and the
+    blocks' atom projections, projected onto the elements ``out``."""
+    children: list[Plan] = [] if first is None else [first]
+    col_elems = list(first_cols)
+    for rel, row, base, cols in blocks:
+        children.append(_atom_subplan(rel, row, base, cols))
+        col_elems.extend(cols)
+    theta, first_col = _first_columns(col_elems)
+    return _project(tuple(first_col[e] for e in out), _join(theta, children), len(col_elems))
+
+
+def holder_branch_bag_chain(order: tuple[int, ...], atoms_by_elem: _AtomsByElem) -> Plan:
+    """``synthesis._bag_chain`` as it was before its holder branch became
+    the one-step case of its step loop: the reference for that loop.
+
+    Join chain materializing the bag's local solutions; output columns
+    follow ``order``.
+
+    Every block is an atom's projection onto the elements the join sees,
+    its columns in the atom's row order; the join equates columns by
+    element, and its projection restores the bag order.
+
+    A bag with a :func:`_holder` atom is built in one step: the holder's
+    projection onto the bag, joined with every other atom that meets the
+    bag on its bag columns.  The join adds no column beyond its first
+    child, so it is well-behaved, and every atom constrains the bag.
+
+    Any other bag is built one element per step.  The step that brings in
+    ``elem`` joins the chain so far with one block per atom holding
+    ``elem``: the atom's projection onto its visible columns.  A block is
+    kept when its atom is complete (every element of row & bag is visible,
+    so this is the atom's last step and it is joined on all its bag
+    columns), or when its column set is not a proper subset of another
+    block's in the step; of equal column sets the first is kept.  A
+    dropped block is a dominated hyperedge of the step's visible set, so
+    the step's fractional edge cover, and with it the step's degree bound,
+    is unchanged, and every atom still constrains the bag at its last step.
+
+    On both paths a block is then dropped when another block of the same
+    join implies it: both are over one relation R, the dropped atom
+    repeats no element, and the other atom holds the same element at every
+    position where the dropped one holds a visible element (of two such
+    blocks with equal columns the first is kept, so the holder stays the
+    first child).  Any R-row that witnesses the kept block witnesses the
+    dropped one, so the join's rows are unchanged, and the dropped block's
+    hyperedge lies inside the kept one's, so the step's edge cover and
+    degree bound are unchanged.  For the same reason, when the first step
+    ends as the block of one atom A and a second-step block over A's
+    relation holds ``order[0]`` at A's positions of it, the first step is
+    implied and the second step joins its blocks alone: it has two visible
+    elements, so any first child keeps the join well-behaved.
+
+    No step is a dead operator: the first step is its one block when it has
+    one, and a step's projection is left out when it keeps all the join's
+    columns in order.
+    """
+    holder = _holder(frozenset(order), atoms_by_elem)
+    if holder is not None:
+        atoms = {holder[:2]: holder}
+        for e in order:
+            for atom in atoms_by_elem[e]:
+                atoms.setdefault(atom[:2], atom)
+        bag = frozenset(order)
+        blocks = [(rel, row, base, _row_columns(row, bag)) for rel, row, base in atoms.values()]
+        return _hand_block_join(_unimplied(blocks, bag), None, (), order)
+    step_of = {e: i for i, e in enumerate(order, start=1)}
+    sol: Optional[Plan] = None
+    seed = None  # the first step's lone atom, (relation, row)
+    for i, elem in enumerate(order, start=1):
+        visible = order[:i]
+        seen = frozenset(visible)
+        atoms = atoms_by_elem[elem]
+        col_sets = [seen.intersection(row) for _, row, _ in atoms]
+        blocks = _unimplied(
+            [
+                (rel, row, base, _row_columns(row, cset))
+                for k, ((rel, row, base), cset) in enumerate(zip(atoms, col_sets))
+                if max(step_of[e] for e in row if e in step_of) == i
+                or not any(cset < other or (j < k and cset == other) for j, other in enumerate(col_sets))
+            ],
+            seen,
+        )
+        if i == 1 and len(blocks) == 1:
+            seed = blocks[0][:2]
+        elif i == 2 and seed is not None and any(
+            rel == seed[0] and _implies(row, seed[1], frozenset(order[:1])) for rel, row, _, _ in blocks
+        ):
+            sol = None  # the second step implies the first
+        sol = _hand_block_join(blocks, sol, () if sol is None else order[: i - 1], visible)
+    return sol
+
+
 def scan_closures(core: OpenStructure, keys: KeySet) -> list[tuple[str, tuple[int, ...], tuple[int, ...], Plan]]:
     """Per atom of ``core`` in atom order, (relation, row, closed row,
     defining plan): the row closed under the key-derived dependencies by
@@ -1503,7 +1606,7 @@ def frozenset_optimal_cwidth(
     tuple_set = frozenset(open_structure.tuple)
     holders = [i for i in range(len(bags)) if tuple_set <= bags[i]]
     root = min(holders)  # the tuple edge is a primal clique, so holders is nonempty
-    dec = dec.rerooted(root)
+    dec = node_order_rerooted(dec, root)
     return cwidth_of_decomposition(open_structure, keys, dec)
 
 
@@ -1569,7 +1672,150 @@ def unbounded_optimal_cwidth(open_structure: OpenStructure, keys: KeySet) -> Wid
     dec = TreeDecomposition(parent, len(order) - 1, dict(enumerate(bags)))
     tuple_set = frozenset(open_structure.tuple)
     root = min(i for i, bag in enumerate(bags) if tuple_set <= bag)
-    return cwidth_of_decomposition(open_structure, keys, dec.rerooted(root))
+    return cwidth_of_decomposition(open_structure, keys, node_order_rerooted(dec, root))
+
+
+def recursive_optimal_cwidth(
+    open_structure: OpenStructure, keys: KeySet, cap: int
+) -> WidthReport:
+    """``optimal_cwidth`` as it was before its memo held each state's bag
+    and its search ran on an explicit stack: the reference for both.  It
+    recurses once per vertex.
+
+    Minimum color-number width over all tree decompositions of H(A, a).
+
+    Searches elimination orderings by dynamic programming over the set of
+    already-eliminated vertices; each ordering induces a decomposition whose
+    bags are vertex-plus-later-neighbors in the fill graph.  Because the bag
+    measure is monotone under set inclusion, some elimination ordering
+    attains the overall minimum, so the search is exact.
+
+    Each state is solved below a bound, the best width its caller has found
+    so far (none at the root and on the extraction path), and passes its own
+    running best down as its children's bound (Gogate & Dechter, "A complete
+    anytime algorithm for treewidth", UAI 2004).  A vertex whose bag or
+    sub-result reaches the running best is skipped.  A state none of whose
+    candidates beats its bound is memoized as ``(bound, None)``: a lower
+    bound, reused for any bound it reaches and solved again for a larger
+    one.  A state whose minimum is below its bound is solved exactly: only
+    a strict improvement replaces the running best, so it keeps the first
+    argmin in sorted vertex order, as the unbounded search does.  A nonempty
+    bag's color number is at least 1 (0 in a structure without tuples), so
+    a state stops at a running best of 1 and is not searched under a bound
+    of 1 or less: no later vertex could beat it.  Every state on the
+    chosen path is exact, so the decomposition is the
+    unbounded search's, and the root still reads every vertex's bag.
+
+    Vertices are numbered in sorted order, and states, bags and adjacency
+    are bitmasks over those numbers, so ascending bits visit the vertices
+    in sorted order.  The bags' color numbers are read from the search's
+    memo, so the report evaluates no bag twice.
+    """
+    verts = sorted(open_structure.structure.universe)
+    if len(verts) > cap:
+        raise ResourceCapError(
+            f"width search capped at universe {cap}, got {len(verts)}"
+        )
+    if not verts:
+        dec = TreeDecomposition({0: None}, 0, {0: frozenset()})
+        return cwidth_of_decomposition(open_structure, keys, dec)
+    h = hypergraph_of(open_structure)
+    number = {v: i for i, v in enumerate(verts)}
+    adj = [0] * len(verts)
+    for a, b in h.primal_edges():
+        adj[number[a]] |= 1 << number[b]
+        adj[number[b]] |= 1 << number[a]
+    everything = (1 << len(verts)) - 1
+
+    value = color_values(open_structure.structure, keys)
+    f_memo: dict[int, Fraction] = {}
+
+    def f(bag: int) -> Fraction:
+        got = f_memo.get(bag)
+        if got is None:
+            got = f_memo[bag] = value(frozenset(verts[i] for i in _bits(bag)))
+        return got
+
+    best_memo: dict[int, tuple[Fraction, Optional[int]]] = {}
+
+    def solve(remaining: int, bound: Optional[Fraction]) -> tuple[Fraction, Optional[int]]:
+        if not remaining:
+            return Fraction(0), None
+        hit = best_memo.get(remaining)
+        if hit is not None and (hit[1] is not None or bound is not None and hit[0] >= bound):
+            return hit
+        best, best_v = bound, None
+        if bound is None or bound > 1:
+            for v, bag in _elimination_bags(remaining, everything ^ remaining, adj):
+                here = f(bag)
+                if best is not None and here >= best:
+                    continue  # the sub-solution can only raise the max
+                sub, _ = solve(remaining ^ 1 << v, best)
+                cand = max(here, sub)
+                if best is None or cand < best:
+                    best, best_v = cand, v
+                    if best <= 1:
+                        break  # the floor: no later vertex can beat it
+        best_memo[remaining] = (best, best_v)
+        return best, best_v
+
+    remaining = everything
+    order: list[int] = []
+    bags: list[int] = []
+    while remaining:
+        _, v = solve(remaining, None)
+        order.append(v)
+        bags.append(dict(_elimination_bags(remaining, everything ^ remaining, adj))[v])
+        remaining ^= 1 << v
+
+    index_of = {v: i for i, v in enumerate(order)}
+    parent: dict[int, Optional[int]] = {}
+    for i, bag in enumerate(bags):
+        later = [index_of[u] for u in _bits(bag) if index_of[u] > i]
+        if later:
+            parent[i] = min(later)
+        elif i + 1 < len(order):
+            parent[i] = i + 1
+        else:
+            parent[i] = None
+    chi = {i: frozenset(verts[u] for u in _bits(bag)) for i, bag in enumerate(bags)}
+    tuple_mask = reduce(or_, (1 << number[v] for v in open_structure.tuple), 0)
+    # the tuple edge is a primal clique, so some bag holds it
+    root = min(i for i, bag in enumerate(bags) if bag & tuple_mask == tuple_mask)
+    dec = dfs_rerooted(TreeDecomposition(parent, len(order) - 1, chi), root)
+    if not check_tree_decomposition(h, dec.edges, dec.chi):  # pragma: no cover - construction invariant
+        raise SpjError("width search built an invalid tree decomposition")
+    bag_colors = {node: f(bags[node]) for node in dec.nodes}
+    return WidthReport(dec, bag_colors, max(bag_colors.values()))
+
+
+def dfs_rerooted(dec: TreeDecomposition, new_root: int) -> TreeDecomposition:
+    """``TreeDecomposition.rerooted`` as it was before it turned one path
+    around: a depth-first search of the tree's adjacency from the new
+    root, the reference for the path walk.
+
+    Same tree re-rooted at another node; bags unchanged."""
+    adj: dict[int, set[int]] = {n: set() for n in dec.parent}
+    for n, p in dec.parent.items():
+        if p is not None:
+            adj[n].add(p)
+            adj[p].add(n)
+    parent: dict[int, Optional[int]] = {new_root: None}
+    stack = [new_root]
+    while stack:
+        cur = stack.pop()
+        for nxt in sorted(adj[cur]):
+            if nxt not in parent:
+                parent[nxt] = cur
+                stack.append(nxt)
+    return TreeDecomposition(parent, new_root, dict(dec.chi))
+
+
+def node_order_rerooted(dec: TreeDecomposition, new_root: int) -> TreeDecomposition:
+    """:func:`dfs_rerooted` with the parent map in node order, the order in
+    which the width search's decomposition lists it."""
+    rooted = dfs_rerooted(dec, new_root)
+    return TreeDecomposition(dict(sorted(rooted.parent.items())), new_root, rooted.chi)
 
 
 # ---------------------------------------------------------------------------

@@ -1204,6 +1204,40 @@ def test_cli_optimizes_keyed_c160_under_a_raised_cap(tmp_path, capsys):
         assert (code, err) == (0, "") and len(out) < size
 
 
+# Runs the CLI with the interpreter's recursion limit at 200.
+LOW_RECURSION_CLI = """
+import sys
+sys.setrecursionlimit(200)
+from spjopt.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_cli_long_decompositions_need_no_recursion(tmp_path, capsys):
+    """Keyed C300 under a cap of 300 and the 300-edge directed path under a
+    cap of 305 optimize in a child process whose recursion limit is 200:
+    the width search keeps one suspended search per state on a stack, and
+    the plan is assembled bottom-up in one loop over the bags.  Each prints
+    what a run under the usual limit prints."""
+    keys = tmp_path / "k.keys"
+    keys.write_text("key E 1\n")
+    cases = {
+        "c300": ([(i, (i + 1) % 300) for i in range(300)], (0,), ["--keys", keys, "--cap-universe", "300"]),
+        "path300": ([(i, i + 1) for i in range(300)], (0, 1), ["--cap-universe", "305"]),
+    }
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for name, (edges, out, flags) in cases.items():
+        plan = tmp_path / f"{name}.plan"
+        plan.write_text("rel E 2\n" + print_plan(pattern_plan(edges, out)) + "\n")
+        argv = ["optimize", "--plan", plan, *flags, "--format", "text"]
+        done = subprocess.run(
+            [sys.executable, "-c", LOW_RECURSION_CLI, *map(str, argv)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert run(capsys, *argv) == (0, done.stdout, "")
+
+
 def test_cli_optimizes_mobius20_under_a_raised_cap(tmp_path, capsys):
     """The exact width search decides the 20-vertex Mobius ladder once the
     cap admits it; optimize verifies the equivalence of its output."""

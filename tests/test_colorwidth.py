@@ -52,6 +52,7 @@ from oracles import (
     fractional_edge_cover,
     frozenset_optimal_cwidth,
     packing_lp_by_basic_enumeration,
+    recursive_optimal_cwidth,
     two_phase_solve_lp,
     unbounded_optimal_cwidth,
     valid_color_classes,
@@ -389,6 +390,26 @@ def test_bitmask_search_matches_the_frozenset_search(rng):
         keyed += bool(keys)
         large += len(open_s.structure.universe) >= 9
     assert keyed >= 150 and large >= 60
+
+
+def test_stacked_search_matches_the_recursive_search(rng):
+    """The search that runs on an explicit stack and reads each chosen bag
+    from its memo reports what the recursive search that re-derives the
+    remaining vertices' bags (``oracles.recursive_optimal_cwidth``)
+    reports, on random structures of up to 12 vertices, with one key or
+    two per relation and without keys, and on the Mobius ladders on 10 to
+    14 vertices and the squared 12- and 14-cycles."""
+    large = 0
+    for trial in range(300):
+        sig = rand_signature(rng, max_relations=3, max_arity=3)
+        keys = (NO_KEYS, rand_keys(rng, sig), rand_multi_keys(rng, sig))[trial % 3]
+        open_s = rand_open_structure(rng, sig, max_domain=12, max_rows=14)
+        assert optimal_cwidth(open_s, keys, WIDTH_CAP) == recursive_optimal_cwidth(open_s, keys, WIDTH_CAP)
+        large += len(open_s.structure.universe) >= 9
+    assert large >= 60
+    for edges in (mobius_ladder(10), mobius_ladder(12), mobius_ladder(14), squared_cycle(12), squared_cycle(14)):
+        core = chased_core(prepare(pattern_plan(edges, (0, 1)), SIG_E), NO_KEYS, CORE_CAP)
+        assert optimal_cwidth(core, NO_KEYS, WIDTH_CAP) == recursive_optimal_cwidth(core, NO_KEYS, WIDTH_CAP)
 
 
 def test_bounded_search_solves_few_lps_on_mobius16(monkeypatch):

@@ -29,6 +29,7 @@ from conftest import pattern_plan, rand_plan, rand_signature, rand_structure
 from oracles import (
     alpha,
     check_containment_property,
+    dfs_rerooted,
     eager_build_representation,
     numbered_arity,
     print_plan,
@@ -88,6 +89,25 @@ def test_contracted_merges_bags_into_neighbours_that_hold_them():
     late = TreeDecomposition({0: 1, 1: 2, 2: None}, 2, {0: fs({1, 2}), 1: fs({1}), 2: fs({1, 2, 3})})
     assert late.contracted() == TreeDecomposition({2: None}, 2, {2: fs({1, 2, 3})})
     assert chain.contracted().contracted() == chain.contracted()
+
+
+def test_rerooting_turns_one_path_around(rng):
+    """Re-rooting a random tree at each of its nodes gives the record that
+    a depth-first search from the new root gives
+    (``oracles.dfs_rerooted``): the same parent map, root and bags, so the
+    same edges and children."""
+    for _ in range(200):
+        ids = rng.sample(range(100), rng.randint(1, 25))
+        parent = {ids[0]: None}
+        for i, node in enumerate(ids[1:], 1):
+            parent[node] = ids[rng.randrange(i)]
+        chi = {node: frozenset(rng.sample(range(9), rng.randint(0, 3))) for node in rng.sample(ids, len(ids))}
+        dec = TreeDecomposition(parent, ids[0], chi)
+        for node in ids:
+            got, want = dec.rerooted(node), dfs_rerooted(dec, node)
+            assert got == want
+            assert sorted(got.edges) == sorted(want.edges) == sorted(dec.edges)
+            assert got.children() == want.children()
 
 
 def test_basic_plan_representation():

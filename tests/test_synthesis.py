@@ -64,6 +64,7 @@ from oracles import (
     assert_lean_synthesis,
     dominance_bag_chain,
     has_images,
+    holder_branch_bag_chain,
     max_relation_size,
     numbered_arity,
     rebuilt_output_degree,
@@ -697,6 +698,55 @@ def test_bag_chain_joins_complete_and_undominated_blocks(rng):
     for _ in range(20):
         data = rand_structure(rng, sig, max_domain=3, max_rows=12)
         assert evaluate_naive(chain, data).output == evaluate_naive(every_block, data).output
+
+
+def _random_bag(rng) -> tuple[tuple[int, ...], dict]:
+    """A random bag's order and its atoms by element, built as
+    ``_assemble_plan`` builds them: atoms of A/2, B/3 and C/1 over up to
+    six elements, some repeating an element and some copies of another
+    atom with one position changed, so that blocks imply others.  The bag
+    lies inside one atom's row half the time."""
+    arity = {"A": 2, "B": 3, "C": 1}
+    elements = range(rng.randint(3, 6))
+    rows: dict = {}
+    for _ in range(rng.randint(2, 8)):
+        if rows and rng.random() < 0.4:
+            rel, row = rng.choice(list(rows))
+            row = list(row)
+            row[rng.randrange(len(row))] = rng.choice(elements)
+        else:
+            rel = rng.choice("AABBC")
+            row = [rng.choice(elements) for _ in range(arity[rel])]
+        rows[(rel, tuple(row))] = None
+    atoms_by_elem: dict = {}
+    for rel, row in rows:
+        for e in dict.fromkeys(row):
+            atoms_by_elem.setdefault(e, []).append((rel, row, Basic(rel)))
+    if rng.random() < 0.5:
+        pool = sorted(set(rng.choice(list(rows))[1]))
+    else:
+        pool = sorted(atoms_by_elem)
+    bag = frozenset(rng.sample(pool, rng.randint(1, len(pool))))
+    return synthesis._connected_order(bag, atoms_by_elem), atoms_by_elem
+
+
+def test_one_step_loop_matches_the_holder_branch(rng):
+    """The bag chain, whose holder bag is the one-step case of its step
+    loop, builds the plan of the chain with a holder branch of its own
+    (``oracles.holder_branch_bag_chain``) on random bags with and without
+    a holder, with repeated elements and with implied blocks."""
+    holders = chains = implied = repeated = 0
+    for _ in range(1500):
+        order, atoms_by_elem = _random_bag(rng)
+        chain = synthesis._bag_chain(order, atoms_by_elem)
+        assert chain == holder_branch_bag_chain(order, atoms_by_elem)
+        if synthesis._holder(frozenset(order), atoms_by_elem) is None:
+            chains += 1
+        else:
+            holders += 1
+        implied += chain != dominance_bag_chain(order, atoms_by_elem)
+        repeated += any(len(set(row)) < len(row) for e in order for _, row, _ in atoms_by_elem[e])
+    assert holders >= 800 and chains >= 250 and implied >= 350 and repeated >= 650
 
 
 def test_pruned_chains_match_all_atom_chains(rng, monkeypatch):
