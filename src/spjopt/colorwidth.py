@@ -389,7 +389,8 @@ def optimal_cwidth(
     a state stops at a running best of 1 and is not searched under a bound
     of 1 or less: no later vertex could beat it.  Every state on the
     chosen path is exact, so the decomposition is the
-    unbounded search's, and the root still reads every vertex's bag.
+    unbounded search's, the root still reads every vertex's bag, and one
+    search from the whole universe leaves the chosen order in the memo.
 
     Vertices are numbered in sorted order, and states, bags and adjacency
     are bitmasks over those numbers, so ascending bits visit the vertices
@@ -460,28 +461,23 @@ def optimal_cwidth(
         best_memo[remaining] = (best, best_v, best_bag)
         return best
 
-    def solve(remaining: int) -> None:
-        """Solve ``remaining`` exactly, unless the memo already has it."""
-        if known(remaining, None) is not None:
-            return
-        stack = [search(remaining, None)]
-        got = None  # the value sent to the top search; None starts it
-        while stack:
-            try:
-                child, bound = stack[-1].send(got)
-            except StopIteration as done:
-                stack.pop()
-                got = done.value
-                continue
-            got = known(child, bound)
-            if got is None:
-                stack.append(search(child, bound))
+    stack = [search(everything, None)]
+    got = None  # the value sent to the top search; None starts it
+    while stack:
+        try:
+            child, bound = stack[-1].send(got)
+        except StopIteration as done:
+            stack.pop()
+            got = done.value
+            continue
+        got = known(child, bound)
+        if got is None:
+            stack.append(search(child, bound))
 
     remaining = everything
     order: list[int] = []
     bags: list[int] = []
     while remaining:
-        solve(remaining)
         _, v, bag = best_memo[remaining]
         order.append(v)
         bags.append(bag)
